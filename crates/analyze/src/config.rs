@@ -397,6 +397,12 @@ mod tests {
     fn scope_lookup() {
         let cfg = Config::workspace_default();
         assert!(cfg.in_scope("L1-PANIC", "crates/core/src/protocols/gdh.rs"));
+        // The shared formed component sits on every member's first
+        // view: panic-free, index-free and secret-hygienic like the
+        // drivers beside it.
+        for rule in ["L1-PANIC", "L1-INDEX", "L2-RAW"] {
+            assert!(cfg.in_scope(rule, "crates/core/src/protocols/component.rs"));
+        }
         assert!(cfg.in_scope("L1-INDEX", "crates/gcs/src/engine.rs"));
         assert!(!cfg.in_scope("L1-PANIC", "crates/core/src/tree.rs"));
         assert!(cfg.in_scope("L4-HASH", "crates/sim/src/queue.rs"));

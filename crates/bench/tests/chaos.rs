@@ -10,7 +10,7 @@ use gkap_bench::chaos::{
 };
 use gkap_bench::Console;
 use gkap_bignum::Ubig;
-use gkap_core::protocols::{GkaCtx, ProtocolMsg};
+use gkap_core::protocols::{Component, GkaCtx, ProtocolMsg};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::{GkaError, GkaProtocol, ProtocolKind, SecureMember};
 use gkap_gcs::{ClientId, Fault, PlannedFault, View};
@@ -71,8 +71,12 @@ impl GkaProtocol for ForgetsLeavers {
         self.poison.as_ref().or_else(|| self.inner.group_secret())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
-        self.inner.bootstrap(suite, members, me, seed);
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
+        self.inner.component(suite, members, seed)
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        self.inner.adopt(component, me)
     }
 
     fn reset(&mut self) {

@@ -16,7 +16,9 @@ use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
-use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, SendKind, Transport};
+use crate::protocols::{
+    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, SendKind, Transport,
+};
 use crate::suite::CryptoSuite;
 
 /// Adapter: protocol sends go out through the GCS client context.
@@ -89,6 +91,9 @@ pub struct SecureMember {
     /// run the real formation protocol, which only GDH/CKD/BD support
     /// for an n-way initial view).
     initial_seed: Option<u64>,
+    /// `(members, me, seed)` of the component this member belonged to
+    /// before its first view (see [`SecureMember::preseed_component`]).
+    preseed: Option<(Vec<ClientId>, ClientId, u64)>,
     /// Buffered messages from epochs we have not entered yet.
     pending: Vec<Envelope>,
     /// `(epoch, instant)` when each view was delivered to us.
@@ -161,6 +166,7 @@ impl SecureMember {
             rng: SplitMix64::new(seed),
             epoch: 0,
             initial_seed,
+            preseed: None,
             pending: Vec::new(),
             view_times: Vec::new(),
             completions: Vec::new(),
@@ -229,9 +235,32 @@ impl SecureMember {
 
     /// Pre-seeds this member's protocol state as part of a component
     /// (a previously separate group about to merge). Must be called
-    /// before the member sees any view.
+    /// before the member sees any view: the state is installed when
+    /// the first view arrives, from the one copy of the component the
+    /// world's members share (DESIGN.md §18).
     pub fn preseed_component(&mut self, members: &[ClientId], me: ClientId, seed: u64) {
-        self.protocol.bootstrap(&self.suite, members, me, seed);
+        self.preseed = Some((members.to_vec(), me, seed));
+    }
+
+    /// Installs the formed component of `members` as this member's
+    /// protocol state: formed here if no member of this world needed
+    /// it before, taken from the world's share otherwise.
+    fn adopt_component(
+        &mut self,
+        ctx: &mut ClientCtx<'_>,
+        members: &[ClientId],
+        me: ClientId,
+        seed: u64,
+    ) {
+        let component = ctx.world_slot::<FormationShare>().form(
+            self.protocol.as_ref(),
+            &self.suite,
+            members,
+            seed,
+        );
+        if let Err(e) = self.protocol.adopt(&component, me) {
+            self.record_error(e);
+        }
     }
 
     /// The operation counters accumulated so far.
@@ -447,6 +476,9 @@ impl SecureMember {
 impl Client for SecureMember {
     fn on_view(&mut self, ctx: &mut ClientCtx<'_>, view: &View) {
         self.id = Some(ctx.id());
+        if let Some((members, me, seed)) = self.preseed.take() {
+            self.adopt_component(ctx, &members, me, seed);
+        }
 
         // A view arriving while the previous epoch's agreement is
         // still in flight supersedes it: abort, then (budget
@@ -510,9 +542,8 @@ impl Client for SecureMember {
             if let Some(seed) = self.initial_seed {
                 // Transparent bootstrap: the group starts keyed, free
                 // of charge (no experiment measures initial formation
-                // through this path; see DESIGN.md).
-                self.protocol
-                    .bootstrap(&self.suite, &view.members, ctx.id(), seed);
+                // through this path; see DESIGN.md §18).
+                self.adopt_component(ctx, &view.members, ctx.id(), seed);
                 self.after_handler(ctx);
                 return;
             }

@@ -20,9 +20,8 @@ use gkap_bignum::Ubig;
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
-use crate::protocols::{
-    bootstrap_exponent, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
 
 /// BD protocol engine for one member.
@@ -220,25 +219,28 @@ impl GkaProtocol for Bd {
         self.secret.as_ref().map(|s| s.expose())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         // K = g^{sum r_i r_{i+1}} computed directly in the exponent.
         let q = suite.group().order();
-        let rs: Vec<Ubig> = members
-            .iter()
-            .map(|&m| bootstrap_exponent(suite, seed, m))
-            .collect();
+        let rs = bootstrap_exponents(suite, members, seed);
         let mut e = Ubig::zero();
         // Cyclic neighbour pairs (r_i, r_{i+1 mod n}).
         for (a, b) in rs.iter().zip(rs.iter().cycle().skip(1)) {
-            e = e.modadd(&a.modmul(b, q), q);
+            e = e.modadd(&a.expose().modmul(b.expose(), q), q);
         }
+        let secret = suite.group().exp_g(&e);
+        Component::new(members, rs, Some(secret), Shape::Bd)
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let Shape::Bd = component.shape() else {
+            return Err(FOREIGN_COMPONENT);
+        };
+        self.my_r = Some(component.exponent_of(me)?.clone());
         self.me = Some(me);
-        self.members = members.to_vec();
-        self.my_r = members
-            .iter()
-            .position(|&m| m == me)
-            .and_then(|i| rs.get(i).cloned());
-        self.secret = Some(Secret::new(suite.group().exp_g(&e)));
+        self.members = component.members().to_vec();
+        self.secret = component.secret();
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -257,7 +259,7 @@ mod tests {
         let mut secrets = Vec::new();
         for &m in &members {
             let mut p = Bd::new();
-            p.bootstrap(&suite, &members, m, 9);
+            p.bootstrap(&suite, &members, m, 9).unwrap();
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));

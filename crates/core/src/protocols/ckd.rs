@@ -28,13 +28,31 @@ use gkap_crypto::kdf;
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
-use crate::protocols::{
-    bootstrap_exponent, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
 
-/// Fixed width (bytes) of the encrypted group-secret blobs.
-const BLOB_LEN: usize = 64;
+/// What a formed CKD component holds beyond exponents and secret:
+/// every member's public value `g^x`.
+pub(super) struct Formed {
+    pubs: BTreeMap<ClientId, Ubig>,
+}
+
+/// Least width (bytes) of the encrypted group-secret blobs: what a
+/// group of up to 512 bits has always put on the wire.
+const MIN_BLOB_LEN: usize = 64;
+
+/// Width (bytes) of the encrypted group-secret blobs: the secret is
+/// drawn below the modulus, so the modulus's byte length always holds
+/// it.
+fn blob_len(suite: &CryptoSuite) -> usize {
+    suite
+        .group()
+        .modulus()
+        .bit_len()
+        .div_ceil(8)
+        .max(MIN_BLOB_LEN)
+}
 
 fn blob_nonce(epoch: u64, member: ClientId) -> [u8; 12] {
     use gkap_crypto::sha::{Digest, Sha256};
@@ -124,7 +142,7 @@ impl Ckd {
         ))?;
         // Fresh group secret (a random value; not contributory).
         let secret = ctx.rng.next_ubig_in_range(ctx.suite.group().modulus());
-        let secret_bytes = secret.to_be_bytes_padded(BLOB_LEN);
+        let secret_bytes = secret.to_be_bytes_padded(blob_len(ctx.suite));
         let mut blobs = Vec::with_capacity(self.members.len() - 1);
         for &m in &self.members {
             if m == me {
@@ -289,7 +307,7 @@ impl GkaProtocol for Ckd {
                     .clone();
                 ctx.charge_symmetric(1);
                 let pt = ctr_xor(&blob_key(&pairwise), &blob_nonce(ctx.epoch, me), 0, ct);
-                if pt.len() != BLOB_LEN {
+                if pt.len() != blob_len(ctx.suite) {
                     return Err(GkaError::Protocol("blob length mismatch"));
                 }
                 self.secret = Some(Secret::new(Ubig::from_be_bytes(&pt)));
@@ -303,33 +321,36 @@ impl GkaProtocol for Ckd {
         self.secret.as_ref().map(|s| s.expose())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         let group = suite.group();
-        self.me = Some(me);
-        self.members = members.to_vec();
-        self.pubs.clear();
-        for &m in members {
-            let x = bootstrap_exponent(suite, seed, m);
-            let p = group.exp_g(&x);
-            if m == me {
-                self.my_exp = Some(x.clone());
-                self.my_pub = Some(p.clone());
-            }
-            self.pubs.insert(m, p);
-        }
+        let exps = bootstrap_exponents(suite, members, seed);
+        let pubs = members
+            .iter()
+            .zip(&exps)
+            .map(|(&m, x)| (m, group.exp_g(x.expose())))
+            .collect();
         // The bootstrap controller's exponent doubles as the seed for
         // the initial group secret (derived, deterministic).
-        let Some(&controller) = members.first() else {
-            return;
+        let secret = exps.first().map(|cx| {
+            let cx = cx.expose();
+            group.exp_g(&cx.modmul(cx, group.order()))
+        });
+        Component::new(members, exps, secret, Shape::Ckd(Formed { pubs }))
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let Shape::Ckd(formed) = component.shape() else {
+            return Err(FOREIGN_COMPONENT);
         };
-        let cx = bootstrap_exponent(suite, seed, controller);
-        self.controller_exp = if me == controller {
-            Some(cx.clone())
-        } else {
-            None
-        };
-        let shared = group.exp_g(&cx.modmul(&cx, group.order()));
-        self.secret = Some(Secret::new(shared));
+        let x = component.exponent_of(me)?.clone();
+        self.my_pub = formed.pubs.get(&me).cloned();
+        self.pubs = formed.pubs.clone();
+        self.me = Some(me);
+        self.members = component.members().to_vec();
+        self.controller_exp = (self.controller() == Some(me)).then(|| x.clone());
+        self.my_exp = Some(x);
+        self.secret = component.secret();
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -348,10 +369,22 @@ mod tests {
         let mut secrets = Vec::new();
         for &m in &members {
             let mut p = Ckd::new();
-            p.bootstrap(&suite, &members, m, 5);
+            p.bootstrap(&suite, &members, m, 5).unwrap();
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn blob_holds_the_modulus_and_never_shrinks() {
+        use crate::cost::CostModel;
+        use crate::suite::SigMode;
+        use gkap_crypto::dh::DhGroup;
+        let suite = |group| CryptoSuite::new(group, 512, CostModel::zero(), SigMode::Modeled);
+        // Up to 512 bits the blob is what it always was on the wire.
+        assert_eq!(blob_len(&suite(DhGroup::test_256())), 64);
+        assert_eq!(blob_len(&suite(DhGroup::modp_512())), 64);
+        assert_eq!(blob_len(&suite(DhGroup::modp_1024())), 128);
     }
 
     #[test]
@@ -359,7 +392,7 @@ mod tests {
         let pairwise = Ubig::from(123456u64);
         let key = blob_key(&pairwise);
         let nonce = blob_nonce(4, 2);
-        let secret = Ubig::from(0xDEADBEEFu64).to_be_bytes_padded(BLOB_LEN);
+        let secret = Ubig::from(0xDEADBEEFu64).to_be_bytes_padded(MIN_BLOB_LEN);
         let ct = ctr_xor(&key, &nonce, 0, secret.clone());
         assert_ne!(ct, secret);
         assert_eq!(ctr_xor(&key, &nonce, 0, ct), secret);

@@ -24,10 +24,15 @@ use gkap_bignum::Ubig;
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
-use crate::protocols::{
-    bootstrap_exponent, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
+
+/// What a formed GDH component holds beyond exponents and secret: the
+/// controller's last partial-key list (public — it is broadcast).
+pub(super) struct Formed {
+    partial_keys: BTreeMap<ClientId, Ubig>,
+}
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Stage {
@@ -409,36 +414,45 @@ impl GkaProtocol for Gdh {
         self.secret.as_ref().map(|s| s.expose())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         let group = suite.group();
-        let q = group.order().clone();
-        // Product of everyone's bootstrap exponent (mod q).
-        let exps: Vec<(ClientId, Ubig)> = members
-            .iter()
-            .map(|&m| (m, bootstrap_exponent(suite, seed, m)))
-            .collect();
+        let q = group.order();
+        let exps = bootstrap_exponents(suite, members, seed);
+        // K_m = g^{e_m} with e_m = ∏_{j≠m} r_j (mod q), assembled from
+        // the products of the exponents after m and before m.
+        let mut after = Vec::with_capacity(exps.len());
         let mut product = Ubig::one();
-        for (_, r) in &exps {
-            product = product.modmul(r, &q);
+        for r in exps.iter().rev() {
+            after.push(product.clone());
+            product = product.modmul(r.expose(), q);
         }
-        self.partial_keys.clear();
-        for (m, r) in &exps {
-            // q is prime and exponents are nonzero, so the inverse
-            // always exists; skipping (instead of panicking) merely
-            // leaves one partial key out, surfaced later as a GkaError.
-            let Some(r_inv) = r.mod_inverse(&q) else {
-                continue;
-            };
-            let e = product.modmul(&r_inv, &q);
-            self.partial_keys.insert(*m, group.exp_g(&e));
-            if *m == me {
-                self.my_exp = Some(r.clone());
-            }
+        after.reverse();
+        let mut before = Ubig::one();
+        let mut partial_keys = BTreeMap::new();
+        for ((&m, r), after_m) in members.iter().zip(&exps).zip(&after) {
+            partial_keys.insert(m, group.exp_g(&before.modmul(after_m, q)));
+            before = before.modmul(r.expose(), q);
         }
+        let secret = group.exp_g(&product);
+        Component::new(
+            members,
+            exps,
+            Some(secret),
+            Shape::Gdh(Formed { partial_keys }),
+        )
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let Shape::Gdh(formed) = component.shape() else {
+            return Err(FOREIGN_COMPONENT);
+        };
+        self.my_exp = Some(component.exponent_of(me)?.clone());
+        self.partial_keys = formed.partial_keys.clone();
         self.me = Some(me);
-        self.members = members.to_vec();
-        self.secret = Some(Secret::new(group.exp_g(&product)));
+        self.members = component.members().to_vec();
+        self.secret = component.secret();
         self.stage = Stage::Idle;
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -457,13 +471,13 @@ mod tests {
         let mut secrets = Vec::new();
         for &m in &members {
             let mut p = Gdh::new();
-            p.bootstrap(&suite, &members, m, 42);
+            p.bootstrap(&suite, &members, m, 42).unwrap();
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));
         // Different seed, different key.
         let mut other = Gdh::new();
-        other.bootstrap(&suite, &members, 0, 43);
+        other.bootstrap(&suite, &members, 0, 43).unwrap();
         assert_ne!(other.group_secret().unwrap(), &secrets[0]);
     }
 
@@ -473,10 +487,10 @@ mod tests {
         let suite = CryptoSuite::fast_zero();
         let members = vec![5, 9, 11];
         let mut p = Gdh::new();
-        p.bootstrap(&suite, &members, 5, 1);
+        p.bootstrap(&suite, &members, 5, 1).unwrap();
         let secret = p.group_secret().unwrap().clone();
         for &m in &members {
-            let r = bootstrap_exponent(&suite, 1, m);
+            let r = crate::protocols::bootstrap_exponent(&suite, 1, m);
             let k = p.partial_keys.get(&m).unwrap();
             assert_eq!(suite.group().exp(k, &r), secret, "member {m}");
         }

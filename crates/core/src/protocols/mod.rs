@@ -11,6 +11,7 @@
 
 pub mod bd;
 pub mod ckd;
+mod component;
 pub mod gdh;
 pub mod str_proto;
 pub mod tgdh;
@@ -25,10 +26,11 @@ use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry
 use crate::cost::OpCounts;
 use crate::suite::CryptoSuite;
 
+pub use component::{Component, FormationShare};
 pub use wire::ProtocolMsg;
 
 /// Which of the five protocols a group runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProtocolKind {
     /// Group Diffie–Hellman (Cliques GDH IKA.3).
     Gdh,
@@ -332,12 +334,41 @@ pub trait GkaProtocol: std::any::Any {
     /// for the current epoch.
     fn group_secret(&self) -> Option<&Ubig>;
 
-    /// Installs a deterministic pre-agreed state for `members` (used
-    /// to bootstrap initial groups and pre-merge components without
-    /// running — or charging for — an interactive protocol; see
-    /// DESIGN.md). `seed` must be identical across the members of the
-    /// component.
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64);
+    /// Forms the deterministic pre-agreed state of the component
+    /// `members` — an initial group or a component about to merge,
+    /// which the paper's figures take as given and virtual time never
+    /// charges for. A pure function of `(self.kind(), suite, members,
+    /// seed)`: all of the component's exponentiations happen here,
+    /// once, whoever of its members asks (DESIGN.md §18).
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component;
+
+    /// Installs `component` as member `me`'s state, with no group
+    /// arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GkaError`], and installs nothing, if another
+    /// protocol formed `component` or `me` is not one of its members.
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError>;
+
+    /// Forms the component of `members` and adopts it as `me`: what a
+    /// member does when it has no world to share the component with
+    /// (see [`FormationShare`]). `seed` must be identical across the
+    /// members of the component.
+    ///
+    /// # Errors
+    ///
+    /// As [`GkaProtocol::adopt`].
+    fn bootstrap(
+        &mut self,
+        suite: &CryptoSuite,
+        members: &[ClientId],
+        me: ClientId,
+        seed: u64,
+    ) -> Result<(), GkaError> {
+        let component = self.component(suite, members, seed);
+        self.adopt(&component, me)
+    }
 
     /// Discards all group state, returning the engine to its freshly
     /// constructed condition (tuning knobs like the TGDH tree policy

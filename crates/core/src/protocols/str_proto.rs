@@ -33,10 +33,17 @@ use gkap_crypto::sha::{Digest, Sha256};
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
-use crate::protocols::{
-    bootstrap_exponent, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
+
+/// What a formed STR component holds beyond exponents and secret.
+pub(super) struct Formed {
+    chain: Chain,
+    /// `k_{i+1}` for every level, with the fingerprint of the chain
+    /// prefix it is cached under.
+    keys: Vec<([u8; 32], Secret<Ubig>)>,
+}
 
 /// A component (or full) skinny tree as exchanged on the wire.
 #[derive(Clone, Debug, PartialEq)]
@@ -531,45 +538,62 @@ impl GkaProtocol for Str {
         self.secret.as_ref().map(|s| s.expose())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         let group = suite.group();
         let n = members.len();
+        let exps = bootstrap_exponents(suite, members, seed);
         let mut chain = Chain::new();
-        let mut keys: Vec<Option<Ubig>> = Vec::with_capacity(n);
-        let mut k: Option<Ubig> = None;
-        for (i, &m) in members.iter().enumerate() {
-            let r = bootstrap_exponent(suite, seed, m);
-            if m == me {
-                self.my_r = Some(r.clone());
-            }
-            chain.order.push(m);
-            chain.leaf_bkeys.push(Some(group.exp_g(&r)));
-            let next = match k {
-                None => r,
-                Some(prev) => group.exp(&group.exp_g(&r), &prev),
+        let mut level_keys: Vec<Ubig> = Vec::with_capacity(n);
+        for (i, (&m, r)) in members.iter().zip(&exps).enumerate() {
+            let r = r.expose();
+            let leaf_bkey = group.exp_g(r);
+            let k = match level_keys.last() {
+                None => r.clone(),
+                Some(below) => group.exp(&leaf_bkey, below),
             };
+            chain.order.push(m);
+            chain.leaf_bkeys.push(Some(leaf_bkey));
             chain.internal_bkeys.push(if i > 0 && i < n - 1 {
-                Some(group.exp_g(&next))
+                Some(group.exp_g(&k))
             } else {
                 None
             });
-            keys.push(Some(next.clone()));
-            k = Some(next);
+            level_keys.push(k);
         }
-        // Seed the cache with every prefix key.
-        self.cache.clear();
-        for (i, k) in keys.iter().enumerate().skip(1) {
-            if let Some(k) = k {
-                let fp = chain.prefix_fingerprint(i);
-                self.cache.insert(fp, k.clone());
-            }
-        }
+        let secret = level_keys.last().cloned();
+        let keys = level_keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (chain.prefix_fingerprint(i), Secret::new(k)))
+            .collect();
+        let formed = Formed { chain, keys };
+        Component::new(members, exps, secret, Shape::Str(formed))
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let Shape::Str(formed) = component.shape() else {
+            return Err(FOREIGN_COMPONENT);
+        };
+        self.my_r = Some(component.exponent_of(me)?.clone());
+        self.chain = formed.chain.clone();
+        self.keys = formed
+            .keys
+            .iter()
+            .map(|(_, k)| Some(k.expose().clone()))
+            .collect();
+        // Seed the cache with every prefix key (level 0 is a session
+        // random, never looked up).
+        self.cache = formed
+            .keys
+            .iter()
+            .skip(1)
+            .map(|(fp, k)| (*fp, k.expose().clone()))
+            .collect();
         self.me = Some(me);
-        self.view_members = members.to_vec();
-        self.secret = keys.last().cloned().flatten().map(Secret::new);
-        self.chain = chain;
-        self.keys = keys;
+        self.view_members = component.members().to_vec();
+        self.secret = component.secret();
         self.merging = false;
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -588,7 +612,7 @@ mod tests {
         let mut secrets = Vec::new();
         for &m in &members {
             let mut p = Str::new();
-            p.bootstrap(&suite, &members, m, 21);
+            p.bootstrap(&suite, &members, m, 21).unwrap();
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));

@@ -26,11 +26,20 @@ use gkap_bignum::Ubig;
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
-use crate::protocols::{
-    bootstrap_exponent, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
-use crate::tree::KeyTree;
+use crate::tree::{KeyTree, NodeIdx};
+
+/// What a formed TGDH component holds beyond exponents and secret.
+pub(super) struct Formed {
+    /// The component's tree as it goes on the wire: structure and
+    /// blinded keys, no keys.
+    public: KeyTree,
+    /// Every node's key, with the fingerprint its subtree is cached
+    /// under.
+    node_keys: Vec<(NodeIdx, [u8; 32], Secret<Ubig>)>,
+}
 
 #[derive(Clone)]
 struct CacheEntry {
@@ -476,25 +485,22 @@ impl GkaProtocol for Tgdh {
         self.secret.as_ref().map(|s| s.expose())
     }
 
-    fn bootstrap(&mut self, suite: &CryptoSuite, members: &[ClientId], me: ClientId, seed: u64) {
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         // Build the deterministic tree and compute every key directly
-        // (bootstrap knows all session randoms).
+        // (the component knows all session randoms).
         let group = suite.group();
+        let exps = bootstrap_exponents(suite, members, seed);
         let mut tree = KeyTree::new();
-        for &m in members {
-            let r = bootstrap_exponent(suite, seed, m);
-            let bk = group.exp_g(&r);
-            let leaf = KeyTree::singleton(m, Some(r.clone()), Some(bk));
+        for (&m, r) in members.iter().zip(&exps) {
+            let r = r.expose();
+            let leaf = KeyTree::singleton(m, Some(r.clone()), Some(group.exp_g(r)));
             if tree.is_empty() {
                 tree = leaf;
             } else {
                 tree.merge(&leaf);
             }
-            if m == me {
-                self.my_r = Some(r);
-            }
         }
-        // Fill every internal key bottom-up. Bootstrap trees always
+        // Fill every internal key bottom-up. Component trees always
         // carry leaf bkeys and two children per internal node, so the
         // `None` arms are unreachable; they degrade to a missing
         // secret (surfaced as a GkaError later) instead of a panic.
@@ -514,28 +520,47 @@ impl GkaProtocol for Tgdh {
         }
         let root = tree.root();
         let secret = fill(&mut tree, root, group);
-        // Cache every computed subtree key so later events reuse them.
-        self.cache.clear();
+        // Move the keys out of the tree, each with the fingerprint the
+        // members cache it under so later events reuse it.
+        let mut node_keys = Vec::new();
         let mut stack = vec![root];
         while let Some(i) = stack.pop() {
             if let Some((l, r)) = tree.node(i).children {
                 stack.push(l);
                 stack.push(r);
             }
-            if let (Some(k), bk) = (tree.node(i).key.clone(), tree.node(i).bkey.clone()) {
-                let fp = tree.fingerprint(i);
-                self.cache.insert(fp, CacheEntry { key: k, bkey: bk });
+            if let Some(k) = tree.node_mut(i).key.take() {
+                node_keys.push((i, tree.fingerprint(i), Secret::new(k)));
             }
         }
-        // Members only know their own path keys; drop others for
-        // hygiene (they would never be used — `progress` walks only
-        // the own path — but keep the state honest).
+        let formed = Formed {
+            public: tree,
+            node_keys,
+        };
+        Component::new(members, exps, secret, Shape::Tgdh(formed))
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let Shape::Tgdh(formed) = component.shape() else {
+            return Err(FOREIGN_COMPONENT);
+        };
+        self.my_r = Some(component.exponent_of(me)?.clone());
+        // A bootstrapped member holds every key of the tree, not only
+        // its own path's (`progress` walks only that path).
+        self.tree = formed.public.clone();
+        self.cache.clear();
+        for (i, fp, key) in &formed.node_keys {
+            let key = key.expose().clone();
+            let bkey = self.tree.node(*i).bkey.clone();
+            self.tree.node_mut(*i).key = Some(key.clone());
+            self.cache.insert(*fp, CacheEntry { key, bkey });
+        }
         self.me = Some(me);
-        self.view_members = members.to_vec();
-        self.tree = tree;
-        self.secret = secret.map(Secret::new);
+        self.view_members = component.members().to_vec();
+        self.secret = component.secret();
         self.merging = false;
         self.components.clear();
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -557,7 +582,7 @@ mod tests {
         let mut secrets = Vec::new();
         for &m in &members {
             let mut p = Tgdh::new();
-            p.bootstrap(&suite, &members, m, 77);
+            p.bootstrap(&suite, &members, m, 77).unwrap();
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));
@@ -568,7 +593,7 @@ mod tests {
         let suite = CryptoSuite::fast_zero();
         let members = vec![10, 20, 30, 40];
         let mut p = Tgdh::new();
-        p.bootstrap(&suite, &members, 10, 3);
+        p.bootstrap(&suite, &members, 10, 3).unwrap();
         assert_eq!(p.tree.members(), members);
         // Root bkey blinds the root key.
         let root = p.tree.root();

@@ -58,6 +58,8 @@ pub struct Loopback {
     view: Vec<ClientId>,
     /// Messages delivered so far (diagnostics).
     pub delivered: u64,
+    /// Running SHA-256 chain over every message taken off the queue.
+    wire_digest: Vec<u8>,
     telemetry: Telemetry,
 }
 
@@ -91,6 +93,7 @@ impl Loopback {
             epoch: 0,
             view: Vec::new(),
             delivered: 0,
+            wire_digest: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -122,16 +125,23 @@ impl Loopback {
             .expect("protocol type mismatch")
     }
 
-    /// Bootstraps a component of the given members with `seed`.
+    /// Bootstraps a component of the given members with `seed`:
+    /// formed once, adopted by each.
     ///
     /// # Panics
     ///
     /// Panics if a member id is unknown.
     pub fn bootstrap(&mut self, ids: &[ClientId], seed: u64) {
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        let suite = Rc::clone(&self.suite);
+        let component = self.slot_mut(first).protocol.component(&suite, ids, seed);
         for &id in ids {
-            let suite = Rc::clone(&self.suite);
-            let slot = self.slot_mut(id);
-            slot.protocol.bootstrap(&suite, ids, id, seed);
+            self.slot_mut(id)
+                .protocol
+                .adopt(&component, id)
+                .expect("a member adopts its own component");
         }
         if self.view.is_empty() {
             self.view = ids.to_vec();
@@ -254,6 +264,7 @@ impl Loopback {
             };
             handed_out += 1;
             assert!(handed_out < 100_000, "loopback runaway message loop");
+            self.note_wire(sender, kind, &wire);
             let env = Envelope::decode(&wire).expect("well-formed envelope");
             let targets: Vec<ClientId> = match kind {
                 SendKind::Multicast => self.view.iter().copied().filter(|&m| m != sender).collect(),
@@ -291,6 +302,23 @@ impl Loopback {
             }
         }
         handed_out
+    }
+
+    fn note_wire(&mut self, sender: ClientId, kind: SendKind, wire: &[u8]) {
+        use gkap_crypto::sha::{Digest, Sha256};
+        let mut h = Sha256::new();
+        h.update(&self.wire_digest);
+        h.update(&(sender as u64).to_be_bytes());
+        h.update(format!("{kind:?}").as_bytes());
+        h.update(wire);
+        self.wire_digest = h.finalize();
+    }
+
+    /// A digest of every message delivered so far — sender, addressing
+    /// and the exact wire bytes, in delivery order. Equal digests mean
+    /// byte-identical protocol traffic.
+    pub fn wire_digest(&self) -> &[u8] {
+        &self.wire_digest
     }
 
     /// All current members' secrets, asserting they agree; returns the

@@ -3,8 +3,10 @@
 //! same, fresh group key.
 
 use gkap_core::protocols::ProtocolKind;
-use gkap_core::suite::CryptoSuite;
+use gkap_core::suite::{CryptoSuite, SigMode};
 use gkap_core::testkit::Loopback;
+use gkap_core::CostModel;
+use gkap_crypto::dh::DhGroup;
 
 fn harness(kind: ProtocolKind, n: usize) -> Loopback {
     let ids: Vec<usize> = (0..n).collect();
@@ -53,6 +55,29 @@ fn leave_reaches_fresh_common_key_any_position() {
             }
         }
     }
+}
+
+#[test]
+fn ckd_rekeys_on_a_1024_bit_group() {
+    // The secret CKD distributes is as wide as the modulus: 128 bytes
+    // here, which the 64-byte blob of the 512-bit days could not hold.
+    let suite = CryptoSuite::new(
+        DhGroup::modp_1024(),
+        1024,
+        CostModel::zero(),
+        SigMode::Modeled,
+    );
+    let ids: Vec<usize> = (0..4).collect();
+    let mut lb = Loopback::new(ProtocolKind::Ckd, suite, &ids);
+    lb.bootstrap(&ids[..3], 42);
+    let formed = lb.common_secret();
+    lb.install_view(ids.clone(), vec![3], vec![]);
+    let joined = lb.common_secret();
+    assert!(joined.bit_len() > 512, "a secret wider than the old blob");
+    // The controller leaves: its successor re-keys every channel.
+    lb.install_view(vec![1, 2, 3], vec![], vec![0]);
+    let left = lb.common_secret();
+    assert!(formed != joined && joined != left);
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! The client abstraction: what a group-member process looks like to
 //! the group communication system.
 
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use gkap_sim::{Duration, SimTime};
 
@@ -28,8 +31,36 @@ pub trait Client: std::any::Any {
     }
 }
 
-/// Handler context: lets a client read the clock, charge CPU and send
-/// messages.
+/// State the clients of one world share, one value per type: owned by
+/// the world, lent to every handler through
+/// [`ClientCtx::world_slot`], dropped with the world. The engine never
+/// looks inside. What a client finds here depends only on which
+/// handlers of the *same world* ran before it, so anything derived
+/// from it is as deterministic as the world itself, whatever else the
+/// thread has run.
+#[derive(Debug, Default)]
+pub(crate) struct WorldSlots(BTreeMap<TypeId, Box<dyn Any>>);
+
+impl WorldSlots {
+    fn get<T: Any + Default>(&mut self) -> &mut T {
+        self.0
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(T::default()))
+            .downcast_mut()
+            .expect("a slot holds the type it is keyed by")
+    }
+}
+
+/// Where a context's world slots live: in the world that runs the
+/// handler, or in the context itself when there is no world.
+#[derive(Debug)]
+enum SlotsRef<'a> {
+    World(&'a mut WorldSlots),
+    Detached(WorldSlots),
+}
+
+/// Handler context: lets a client read the clock, charge CPU, send
+/// messages and reach the state its world's clients share.
 #[derive(Debug)]
 pub struct ClientCtx<'a> {
     pub(crate) id: ClientId,
@@ -38,7 +69,7 @@ pub struct ClientCtx<'a> {
     pub(crate) charged: Duration,
     pub(crate) outgoing: Vec<Outgoing>,
     pub(crate) speed: f64,
-    _lifetime: std::marker::PhantomData<&'a ()>,
+    slots: SlotsRef<'a>,
 }
 
 #[derive(Debug)]
@@ -50,8 +81,24 @@ pub(crate) struct Outgoing {
     pub view_id: u64,
 }
 
-impl ClientCtx<'_> {
-    pub(crate) fn new(id: ClientId, now: SimTime, view_id: u64, speed: f64) -> Self {
+impl<'a> ClientCtx<'a> {
+    pub(crate) fn new(
+        id: ClientId,
+        now: SimTime,
+        view_id: u64,
+        speed: f64,
+        slots: &'a mut WorldSlots,
+    ) -> Self {
+        ClientCtx::with_slots(id, now, view_id, speed, SlotsRef::World(slots))
+    }
+
+    fn with_slots(
+        id: ClientId,
+        now: SimTime,
+        view_id: u64,
+        speed: f64,
+        slots: SlotsRef<'a>,
+    ) -> Self {
         ClientCtx {
             id,
             now,
@@ -59,16 +106,34 @@ impl ClientCtx<'_> {
             charged: Duration::ZERO,
             outgoing: Vec::new(),
             speed,
-            _lifetime: std::marker::PhantomData,
+            slots,
         }
     }
 
     /// A detached context for driving a [`Client`] outside the
     /// simulator — unit tests of client state machines that need
     /// precise control over view delivery. Messages sent through it
-    /// are collected but go nowhere.
+    /// are collected but go nowhere, and its world slots start empty
+    /// and end with it.
     pub fn detached(id: ClientId, now: SimTime, view_id: u64) -> Self {
-        ClientCtx::new(id, now, view_id, 1.0)
+        let slots = SlotsRef::Detached(WorldSlots::default());
+        ClientCtx::with_slots(id, now, view_id, 1.0, slots)
+    }
+
+    /// The world's shared value of type `T`, default-constructed the
+    /// first time any client of this world asks for it and dropped
+    /// with the world.
+    pub fn world_slot<T: Any + Default>(&mut self) -> &mut T {
+        match &mut self.slots {
+            SlotsRef::World(slots) => slots.get(),
+            SlotsRef::Detached(slots) => slots.get(),
+        }
+    }
+
+    /// What the handler left for the engine: the CPU it charged and
+    /// the messages it sent (ends the borrow of the world's slots).
+    pub(crate) fn finish(self) -> (Duration, Vec<Outgoing>) {
+        (self.charged, self.outgoing)
     }
 
     /// This client's identifier.
@@ -161,17 +226,19 @@ mod tests {
 
     #[test]
     fn charge_scales_with_machine_speed() {
-        let mut ctx = ClientCtx::new(0, SimTime::ZERO, 1, 2.0);
+        let mut slots = WorldSlots::default();
+        let mut ctx = ClientCtx::new(0, SimTime::ZERO, 1, 2.0, &mut slots);
         ctx.charge_cpu(Duration::from_millis(10));
         assert_eq!(ctx.charged(), Duration::from_millis(5));
-        let mut slow = ClientCtx::new(0, SimTime::ZERO, 1, 0.5);
+        let mut slots = WorldSlots::default();
+        let mut slow = ClientCtx::new(0, SimTime::ZERO, 1, 0.5, &mut slots);
         slow.charge_cpu(Duration::from_millis(10));
         assert_eq!(slow.charged(), Duration::from_millis(20));
     }
 
     #[test]
     fn sends_accumulate_in_order() {
-        let mut ctx = ClientCtx::new(7, SimTime::ZERO, 2, 1.0);
+        let mut ctx = ClientCtx::detached(7, SimTime::ZERO, 2);
         ctx.multicast_agreed(vec![1]);
         ctx.unicast_fifo(3, vec![2]);
         ctx.unicast_agreed(4, vec![3]);
@@ -184,5 +251,17 @@ mod tests {
         assert_eq!(ctx.outgoing[2].dest, Dest::One(4));
         assert_eq!(ctx.id(), 7);
         assert_eq!(ctx.view_id(), 2);
+    }
+
+    #[test]
+    fn world_slots_outlive_contexts_and_are_per_type() {
+        let mut slots = WorldSlots::default();
+        *ClientCtx::new(0, SimTime::ZERO, 1, 1.0, &mut slots).world_slot::<u32>() += 5;
+        let mut later = ClientCtx::new(1, SimTime::ZERO, 1, 1.0, &mut slots);
+        assert_eq!(*later.world_slot::<u32>(), 5, "same world, same value");
+        assert_eq!(*later.world_slot::<u64>(), 0, "another type, another slot");
+        // A detached context has no world: it starts empty.
+        let mut lone = ClientCtx::detached(0, SimTime::ZERO, 1);
+        assert_eq!(*lone.world_slot::<u32>(), 0);
     }
 }

@@ -37,7 +37,7 @@ use gkap_sim::{RandomSource, SplitMix64};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
-use crate::client::{Client, ClientCtx, Outgoing};
+use crate::client::{Client, ClientCtx, Outgoing, WorldSlots};
 use crate::config::{GcsConfig, WireGranularity};
 use crate::message::{Delivery, Dest, Service, View, ViewId};
 use crate::{ClientId, DaemonId, GroupId, MachineId};
@@ -412,6 +412,9 @@ pub struct SimWorld {
     /// hop as an event. Observable state is identical either way; see
     /// [`SimWorld::set_idle_fast_forward`].
     idle_fast_forward: bool,
+    /// State this world's clients share through
+    /// [`ClientCtx::world_slot`]; opaque to the engine.
+    slots: WorldSlots,
     /// Telemetry sink (disabled by default; recording never advances
     /// virtual time, so enabling it cannot change simulation results).
     telemetry: Telemetry,
@@ -485,6 +488,7 @@ impl SimWorld {
             last_rotation_at: None,
             idle_fast_forward: true,
             loss_burst: None,
+            slots: WorldSlots::default(),
             telemetry: Telemetry::disabled(),
             cfg,
         }
@@ -2417,9 +2421,10 @@ impl SimWorld {
             .topology
             .machine(self.clients[client].machine)
             .speed;
-        let mut ctx = ClientCtx::new(client, start, view.id, speed);
+        let mut ctx = ClientCtx::new(client, start, view.id, speed, &mut self.slots);
         handler.on_view(&mut ctx, view);
-        self.finish_handler(client, handler, start, ctx);
+        let (charged, outgoing) = ctx.finish();
+        self.finish_handler(client, handler, start, charged, outgoing);
     }
 
     fn deliver_to_client(&mut self, client: ClientId, delivery: Delivery) {
@@ -2444,9 +2449,10 @@ impl SimWorld {
             .topology
             .machine(self.clients[client].machine)
             .speed;
-        let mut ctx = ClientCtx::new(client, start, delivery.view_id, speed);
+        let mut ctx = ClientCtx::new(client, start, delivery.view_id, speed, &mut self.slots);
         handler.on_message(&mut ctx, &delivery);
-        self.finish_handler(client, handler, start, ctx);
+        let (charged, outgoing) = ctx.finish();
+        self.finish_handler(client, handler, start, charged, outgoing);
     }
 
     /// Applies a handler's CPU charge, reports the true completion
@@ -2456,12 +2462,13 @@ impl SimWorld {
         client: ClientId,
         mut handler: Box<dyn Client>,
         start: SimTime,
-        ctx: ClientCtx<'_>,
+        charged: Duration,
+        outgoing: Vec<Outgoing>,
     ) {
         let machine = self.clients[client].machine;
-        let run = self.machines[machine].run_detailed(start, ctx.charged);
+        let run = self.machines[machine].run_detailed(start, charged);
         let end = run.end;
-        if ctx.charged > Duration::ZERO {
+        if charged > Duration::ZERO {
             self.telemetry.record(|| Event {
                 at: run.begin,
                 dur: run.end.since(run.begin),
@@ -2475,7 +2482,7 @@ impl SimWorld {
         handler.on_cpu_complete(end);
         self.clients[client].handler = Some(handler);
         let submit_delay = end.since(self.queue.now()) + self.cfg.client_daemon_delay;
-        for out in ctx.outgoing {
+        for out in outgoing {
             self.schedule(submit_delay, Ev::ClientSubmit { client, out });
         }
     }
