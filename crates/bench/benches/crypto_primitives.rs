@@ -28,10 +28,12 @@ fn bench_modexp(c: &mut Criterion) {
 }
 
 /// The dedicated squaring kernel against general multiplication: the
-/// ~n²/2 partial-product saving should show as a 1.2–1.5× win.
+/// ~n²/2 partial-product saving should show as a 1.2–1.5× win. 512 and
+/// 1024 bits run the fixed-width stack kernels, 768 and 2048 the slice
+/// kernels, so the step between the two shows between neighbours.
 fn bench_mont_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("mont_kernel");
-    for bits in [512usize, 1024, 2048] {
+    for bits in [512usize, 768, 1024, 2048] {
         let mut rng = SplitMix64::new(11);
         let mut m = rng.next_ubig_exact_bits(bits);
         m.set_bit(0, true); // Montgomery needs an odd modulus
@@ -127,6 +129,16 @@ fn bench_bignum(c: &mut Criterion) {
         let prod = &a * &b_;
         bch.iter(|| std::hint::black_box(prod.div_rem(&m)))
     });
+    // Odd moduli: the binary extended GCD, as the protocols' inverses
+    // mod p and mod q run it.
+    for bits in [256usize, 1024] {
+        let mut m = rng.next_ubig_exact_bits(bits);
+        m.set_bit(0, true);
+        let a = rng.next_ubig_in_range(&m);
+        c.bench_function(format!("mod_inverse_{bits}"), |bch| {
+            bch.iter(|| std::hint::black_box(a.mod_inverse(&m)))
+        });
+    }
     let _ = Ubig::zero();
 }
 

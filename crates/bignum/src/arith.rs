@@ -3,6 +3,7 @@
 //! bit shifts, Knuth Algorithm D division, and the modular helpers built
 //! on top of them.
 
+use std::borrow::Cow;
 use std::ops::{Add, Mul, Shl, Shr, Sub};
 
 use crate::ubig::Ubig;
@@ -34,6 +35,61 @@ fn sbb(a: u64, b: u64, borrow: &mut u64) -> u64 {
     let s = (a as u128).wrapping_sub(b as u128 + *borrow as u128);
     *borrow = ((s >> 64) as u64) & 1;
     s as u64
+}
+
+/// `a >= b` on equal-length little-endian limb slices.
+pub(crate) fn ge(a: &[u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    for i in (0..a.len()).rev() {
+        if a[i] != b[i] {
+            return a[i] > b[i];
+        }
+    }
+    true
+}
+
+/// `a -= b` modulo `2^(64·len)` on equal-length limb slices; returns
+/// the borrow out of the top limb.
+pub(crate) fn sub_in_place(a: &mut [u64], b: &[u64]) -> u64 {
+    let mut borrow = 0u64;
+    for (ai, &bi) in a.iter_mut().zip(b) {
+        *ai = sbb(*ai, bi, &mut borrow);
+    }
+    borrow
+}
+
+/// `a += b` modulo `2^(64·len)` on equal-length limb slices; returns
+/// the carry out of the top limb.
+fn add_in_place(a: &mut [u64], b: &[u64]) -> u64 {
+    let mut carry = 0u64;
+    for (ai, &bi) in a.iter_mut().zip(b) {
+        *ai = adc(*ai, bi, &mut carry);
+    }
+    carry
+}
+
+/// `a >>= 1`, shifting the low bit of `top` into the vacated high bit.
+fn shr1(a: &mut [u64], top: u64) {
+    let mut high = top & 1;
+    for limb in a.iter_mut().rev() {
+        let low = *limb & 1;
+        *limb = (*limb >> 1) | (high << 63);
+        high = low;
+    }
+}
+
+/// `x = x / 2 mod m` for odd `m` and `x < m`: an odd `x` is made even
+/// by adding `m` first (the sum can carry one bit past the top limb).
+fn halve_mod(x: &mut [u64], m: &[u64]) {
+    let carry = if x[0] & 1 == 1 { add_in_place(x, m) } else { 0 };
+    shr1(x, carry);
+}
+
+/// `x = x - y mod m` for `x, y < m`.
+fn sub_mod(x: &mut [u64], y: &[u64], m: &[u64]) {
+    if sub_in_place(x, y) != 0 {
+        add_in_place(x, m);
+    }
 }
 
 /// `acc[i..] += a * b` (schoolbook inner product row).
@@ -238,6 +294,15 @@ impl Ubig {
         self.div_rem(m).1
     }
 
+    /// `self mod m` without dividing when `self` is already reduced.
+    pub(crate) fn reduced(&self, m: &Ubig) -> Cow<'_, Ubig> {
+        if self < m {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.rem(m))
+        }
+    }
+
     /// Modular addition: `(self + other) mod m`. Operands must already be
     /// reduced modulo `m` (enforced with a debug assertion).
     pub fn modadd(&self, other: &Ubig, m: &Ubig) -> Ubig {
@@ -311,6 +376,13 @@ impl Ubig {
     /// Modular inverse: finds `x` with `self * x ≡ 1 (mod m)`, or `None`
     /// if `gcd(self, m) != 1`.
     ///
+    /// An odd modulus (every prime `p` and subgroup order `q` the
+    /// protocols invert by) runs an in-place binary extended GCD:
+    /// shifts and subtractions on four fixed-length limb buffers, no
+    /// division and no allocation per step. An even modulus (RSA key
+    /// generation's `e⁻¹ mod φ`) runs the extended Euclid over
+    /// [`Ubig::div_rem`]. Both are variable-time.
+    ///
     /// ```
     /// # use gkap_bignum::Ubig;
     /// let m = Ubig::from(97u64);
@@ -318,6 +390,25 @@ impl Ubig {
     /// assert_eq!(Ubig::from(31u64).modmul(&inv, &m), Ubig::one());
     /// ```
     pub fn mod_inverse(&self, m: &Ubig) -> Option<Ubig> {
+        if m.is_even() {
+            return self.mod_inverse_euclid(m);
+        }
+        if m.is_one() {
+            return None;
+        }
+        let a = self.reduced(m);
+        if a.is_zero() {
+            return None;
+        }
+        let inv = binary_inverse(&a.limbs, &m.limbs)?;
+        debug_assert_eq!(self.modmul(&inv, m), Ubig::one());
+        Some(inv)
+    }
+
+    /// [`Ubig::mod_inverse`] by the extended Euclidean algorithm, for
+    /// any modulus: the path even moduli take, and the reference the
+    /// binary path is tested against.
+    pub(crate) fn mod_inverse_euclid(&self, m: &Ubig) -> Option<Ubig> {
         if m.is_zero() || m.is_one() {
             return None;
         }
@@ -355,6 +446,42 @@ impl Ubig {
         debug_assert_eq!(self.modmul(&inv, m), Ubig::one());
         Some(inv)
     }
+}
+
+/// Binary extended GCD (HAC 14.61 for an odd modulus): the inverse of
+/// `a` modulo odd `m`, `0 < a < m`, or `None` when they share a factor.
+///
+/// Keeps `a·x1 ≡ u` and `a·x2 ≡ v (mod m)` while `u` and `v` shrink by
+/// halvings and subtractions; `u` reaches zero with `v = gcd(a, m)`.
+fn binary_inverse(a: &[u64], m: &[u64]) -> Option<Ubig> {
+    let n = m.len();
+    let mut u = a.to_vec();
+    u.resize(n, 0);
+    let mut v = m.to_vec();
+    let mut x1 = vec![0u64; n];
+    x1[0] = 1;
+    let mut x2 = vec![0u64; n];
+    loop {
+        while u[0] & 1 == 0 {
+            shr1(&mut u, 0);
+            halve_mod(&mut x1, m);
+        }
+        while v[0] & 1 == 0 {
+            shr1(&mut v, 0);
+            halve_mod(&mut x2, m);
+        }
+        if ge(&u, &v) {
+            sub_in_place(&mut u, &v);
+            sub_mod(&mut x1, &x2, m);
+            if u.iter().all(|&limb| limb == 0) {
+                break;
+            }
+        } else {
+            sub_in_place(&mut v, &u);
+            sub_mod(&mut x2, &x1, m);
+        }
+    }
+    Ubig::from_limbs(v).is_one().then(|| Ubig::from_limbs(x2))
 }
 
 /// Computes `a*sa - b*sb` as a signed big integer `(magnitude, negative)`

@@ -12,8 +12,9 @@
 //! * [`Montgomery`] — a reduction context for fast repeated modular
 //!   multiplication, used by [`Ubig::modexp`] with a sliding window
 //!   (the same algorithm family OpenSSL used at the time of the paper).
-//!   The kernels are allocation-free (thread a [`MontScratch`] through
-//!   them), squaring has a dedicated half-product kernel, and
+//!   At 4, 8 and 16 limbs the kernels run on stack arrays and an
+//!   exponentiation allocates only its result; other widths thread a
+//!   [`MontScratch`]. Squaring has a dedicated half-product kernel, and
 //!   [`FixedBase`] serves fixed-base exponentiations (`g^x`) from a
 //!   precomputed window table with zero squarings.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random

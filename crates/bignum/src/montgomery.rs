@@ -8,19 +8,26 @@
 //! exponentiation (the `g^x` that dominates every protocol in the paper)
 //! can be served from a precomputed window table ([`FixedBase`]).
 //!
-//! All kernels are allocation-free on the hot path: callers thread a
-//! reusable [`MontScratch`] workspace through the multiplication
-//! routines, and [`Montgomery::modexp`] ping-pongs two buffers instead
-//! of cloning the accumulator each step.
+//! The kernels exist twice. At 4, 8 and 16 limbs (256-, 512- and
+//! 1024-bit moduli: every group the figures, the sweeps and the RSA-CRT
+//! halves use) one const-generic body runs on stack arrays, and a whole
+//! exponentiation — odd-power table, accumulators, padded operands —
+//! allocates nothing but the `Ubig` it returns. Every other width runs
+//! the slice kernels over a heap [`MontScratch`]; they are also the
+//! reference the fixed-width kernels are tested against. The width is
+//! read from the modulus; there is no switch.
 
-use std::borrow::Cow;
-
+use crate::arith::{ge, sub_in_place};
 use crate::ubig::Ubig;
 
 /// Window size (bits) for windowed exponentiation (both the sliding
 /// window of [`Montgomery::modexp`] and the fixed-base comb of
 /// [`FixedBase`]).
 const WINDOW: usize = 4;
+
+/// Odd powers `b^1, b^3, …, b^(2^WINDOW - 1)` the sliding window
+/// multiplies by.
+const ODD_POWERS: usize = 1 << (WINDOW - 1);
 
 /// A Montgomery reduction context for a fixed odd modulus.
 ///
@@ -49,17 +56,31 @@ pub struct Montgomery {
     r1: Vec<u64>,
 }
 
-/// Reusable workspace for the Montgomery kernels.
+/// Reusable workspace for the slice kernels.
 ///
-/// Holds the double-width accumulator the multiplication and squaring
-/// loops write into, so the hot path performs zero heap allocations.
-/// Obtain one from [`Montgomery::scratch`] and thread it through
-/// repeated [`Montgomery::mont_mul`] / [`Montgomery::mont_sqr`] calls.
+/// Holds the double-width accumulator the slice multiplication and
+/// squaring loops write into; it is sized on first use and reused, so
+/// threading one through repeated calls costs one allocation in all.
+/// Contexts of 4, 8 or 16 limbs run on stack arrays and never touch
+/// it — it stays in their signatures because callers (the benchmark's
+/// unit rows, `benches/crypto_primitives.rs`) thread one through every
+/// width alike.
 #[derive(Clone, Debug)]
 pub struct MontScratch {
-    /// `2n + 1` limbs: the squaring path needs a full double-width
-    /// product plus one carry slot; CIOS only touches the first `n + 2`.
+    /// `2n + 1` limbs once sized: the squaring path needs a full
+    /// double-width product plus one carry slot; CIOS only touches the
+    /// first `n + 2`.
     t: Vec<u64>,
+}
+
+impl MontScratch {
+    /// The first `len` limbs, growing the workspace if it is shorter.
+    fn limbs(&mut self, len: usize) -> &mut [u64] {
+        if self.t.len() < len {
+            self.t.resize(len, 0);
+        }
+        &mut self.t[..len]
+    }
 }
 
 /// A value in Montgomery form (`a · R mod m`), produced by
@@ -70,69 +91,215 @@ pub struct MontElem {
     limbs: Vec<u64>,
 }
 
-impl Montgomery {
-    /// Creates a context for `modulus`.
-    ///
-    /// Returns `None` if the modulus is even or < 3 (Montgomery reduction
-    /// requires an odd modulus; use [`Ubig::modexp`] which falls back to
-    /// division-based reduction for even moduli).
-    pub fn new(modulus: &Ubig) -> Option<Self> {
-        if modulus.is_even() || modulus.bit_len() < 2 {
-            return None;
-        }
-        let n = modulus.limbs.len();
-        // Inverse of the low limb mod 2^64 by Newton iteration, then negate.
-        let m0 = modulus.limbs[0];
-        let mut inv: u64 = m0; // correct mod 2^3 already for odd m0? start from m0 (odd) and iterate
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(m0.wrapping_mul(inv), 1);
-        let n0_inv = inv.wrapping_neg();
+/// The two Montgomery kernels at one operand width, and the storage of
+/// one residue at that width. Operands are `n`-limb little-endian and
+/// already `< m`.
+trait Kernels {
+    /// One residue: a stack array at the fixed widths, a `Vec` otherwise.
+    type Elem: Clone + AsRef<[u64]> + AsMut<[u64]> + Into<Vec<u64>>;
 
-        let r = &Ubig::one() << (64 * n);
-        let r1 = pad(&r.rem(modulus), n);
-        let r2 = pad(&(&r * &r).rem(modulus), n);
-        Some(Montgomery {
-            modulus: modulus.clone(),
-            n,
-            n0_inv,
-            r2,
-            r1,
-        })
-    }
+    /// `limbs` zero-padded to the operand width.
+    fn elem(&self, limbs: &[u64]) -> Self::Elem;
 
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &Ubig {
-        &self.modulus
-    }
+    /// `out = a · b · R^{-1} mod m`.
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]);
 
-    /// Allocates a kernel workspace sized for this modulus. Reuse it
-    /// across calls — that is the whole point.
-    pub fn scratch(&self) -> MontScratch {
-        MontScratch {
-            t: vec![0u64; 2 * self.n + 1],
+    /// `out = a² · R^{-1} mod m`.
+    fn sqr(&mut self, a: &[u64], out: &mut [u64]);
+}
+
+/// Kernels over `N`-limb stack arrays.
+struct Fixed<'a, const N: usize> {
+    m: &'a [u64; N],
+    n0_inv: u64,
+}
+
+impl<'a, const N: usize> Fixed<'a, N> {
+    fn new(ctx: &'a Montgomery) -> Self {
+        Fixed {
+            m: array(&ctx.modulus.limbs),
+            n0_inv: ctx.n0_inv,
         }
     }
+}
 
-    /// `a mod m` without dividing when `a` is already reduced (the
-    /// common case on the hot path: group elements are always `< p`).
-    fn reduced<'a>(&self, a: &'a Ubig) -> Cow<'a, Ubig> {
-        if *a < self.modulus {
-            Cow::Borrowed(a)
-        } else {
-            Cow::Owned(a.rem(&self.modulus))
-        }
+/// Views an operand as the `N` limbs its context works on.
+fn array<const N: usize>(limbs: &[u64]) -> &[u64; N] {
+    limbs
+        .try_into()
+        .expect("operand has the context's limb count")
+}
+
+impl<const N: usize> Kernels for Fixed<'_, N> {
+    type Elem = [u64; N];
+
+    fn elem(&self, limbs: &[u64]) -> [u64; N] {
+        let mut out = [0u64; N];
+        out[..limbs.len()].copy_from_slice(limbs);
+        out
     }
 
-    /// CIOS Montgomery multiplication kernel:
-    /// `out = a * b * R^{-1} mod m`. `a`, `b`, `out` are `n`-limb
-    /// little-endian, `a` and `b` already `< m`. Allocation-free.
-    fn mul_kernel(&self, a: &[u64], b: &[u64], out: &mut [u64], s: &mut MontScratch) {
+    #[inline]
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
         crate::stats::record_mont_mul();
-        let n = self.n;
-        let m = &self.modulus.limbs;
-        let t = &mut s.t[..n + 2];
+        out.copy_from_slice(&mul_fixed(array(a), array(b), self.m, self.n0_inv));
+    }
+
+    #[inline]
+    fn sqr(&mut self, a: &[u64], out: &mut [u64]) {
+        crate::stats::record_mont_sqr();
+        out.copy_from_slice(&sqr_fixed(array(a), self.m, self.n0_inv));
+    }
+}
+
+/// CIOS Montgomery product on `N`-limb arrays: the two passes per row
+/// of [`Slices::mul`], with `t[N]` held in `top` (≤ 1 between rows,
+/// because `t < 2m` there).
+#[inline]
+fn mul_fixed<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0_inv: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    let mut top = 0u64;
+    for &bi in b {
+        // t += a * bi
+        let mut carry = 0u64;
+        for j in 0..N {
+            let s = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
+            t[j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let high = top as u128 + carry as u128;
+
+        // u = t[0] * n0_inv mod 2^64; t += u * m; t >>= 64
+        let u = t[0].wrapping_mul(n0_inv);
+        let s0 = t[0] as u128 + u as u128 * m[0] as u128;
+        debug_assert_eq!(s0 as u64, 0);
+        let mut carry = (s0 >> 64) as u64;
+        for j in 1..N {
+            let s = t[j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = high + carry as u128;
+        t[N - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    // Conditional subtraction to bring the result below the modulus.
+    if top != 0 || ge(&t, m) {
+        sub_in_place(&mut t, m);
+    }
+    t
+}
+
+/// Montgomery square on `N`-limb arrays: the half-product square of
+/// [`Slices::sqr`] followed by a separated reduction whose row carries
+/// are handed to the next row instead of rippled.
+#[inline]
+fn sqr_fixed<const N: usize>(a: &[u64; N], m: &[u64; N], n0_inv: u64) -> [u64; N] {
+    let mut wide = [[0u64; N]; 2];
+    let t = wide.as_flattened_mut();
+    // Off-diagonal products, computed once each.
+    for i in 0..N {
+        let mut carry = 0u64;
+        for j in (i + 1)..N {
+            let v = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+            t[i + j] = v as u64;
+            carry = (v >> 64) as u64;
+        }
+        t[i + N] = carry;
+    }
+    // Double them (the sum is < a²/2 < 2^(128N - 1), so no bit leaves
+    // the top) and add the diagonal squares a[i]² at position 2i.
+    let mut high = 0u64;
+    let mut carry = 0u64;
+    for i in 0..N {
+        let (lo, hi) = (t[2 * i], t[2 * i + 1]);
+        let sq = a[i] as u128 * a[i] as u128;
+        let v = ((lo << 1) | high) as u128 + (sq as u64) as u128 + carry as u128;
+        t[2 * i] = v as u64;
+        let v2 = ((hi << 1) | (lo >> 63)) as u128 + (sq >> 64) + (v >> 64);
+        t[2 * i + 1] = v2 as u64;
+        high = hi >> 63;
+        carry = (v2 >> 64) as u64;
+    }
+    debug_assert_eq!((high, carry), (0, 0), "a^2 fits in 2N limbs");
+    // Reduce: row i clears t[i] and its carry out belongs at t[i + N],
+    // which no later row's inner loop reaches — so the carry out of
+    // that addition can wait for the next row's (`top`), and after the
+    // last row it is the 2N-th limb.
+    let mut top = 0u64;
+    for i in 0..N {
+        let u = t[i].wrapping_mul(n0_inv);
+        let mut carry = 0u64;
+        for j in 0..N {
+            let v = t[i + j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+            t[i + j] = v as u64;
+            carry = (v >> 64) as u64;
+        }
+        let v = t[i + N] as u128 + carry as u128 + top as u128;
+        t[i + N] = v as u64;
+        top = (v >> 64) as u64;
+    }
+    let mut out = wide[1];
+    if top != 0 || ge(&out, m) {
+        sub_in_place(&mut out, m);
+    }
+    out
+}
+
+/// Kernels over runtime-length slices and a heap workspace: any width.
+struct Slices<'a> {
+    ctx: &'a Montgomery,
+    s: &'a mut MontScratch,
+}
+
+impl Slices<'_> {
+    /// Separated Montgomery reduction of the `2n`-limb value in
+    /// `s.t[..2n]`: `out = s.t * R^{-1} mod m`.
+    fn reduce(&mut self, out: &mut [u64]) {
+        let n = self.ctx.n;
+        let m = &self.ctx.modulus.limbs;
+        let t = self.s.limbs(2 * n + 1);
+        t[2 * n] = 0;
+        for i in 0..n {
+            let u = t[i].wrapping_mul(self.ctx.n0_inv);
+            let mut carry: u64 = 0;
+            for j in 0..n {
+                let v = t[i + j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+                t[i + j] = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let mut k = i + n;
+            while carry != 0 {
+                debug_assert!(k <= 2 * n);
+                let v = t[k] as u128 + carry as u128;
+                t[k] = v as u64;
+                carry = (v >> 64) as u64;
+                k += 1;
+            }
+        }
+        out.copy_from_slice(&t[n..2 * n]);
+        if t[2 * n] != 0 || ge(out, m) {
+            sub_in_place(out, m);
+        }
+    }
+}
+
+impl Kernels for Slices<'_> {
+    type Elem = Vec<u64>;
+
+    fn elem(&self, limbs: &[u64]) -> Vec<u64> {
+        let mut out = limbs.to_vec();
+        out.resize(self.ctx.n, 0);
+        out
+    }
+
+    /// CIOS Montgomery multiplication kernel.
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        crate::stats::record_mont_mul();
+        let n = self.ctx.n;
+        let m = &self.ctx.modulus.limbs;
+        let n0_inv = self.ctx.n0_inv;
+        let t = &mut self.s.limbs(2 * n + 1)[..n + 2];
         t.fill(0);
         for &bi in b.iter().take(n) {
             // t += a * bi
@@ -147,7 +314,7 @@ impl Montgomery {
             t[n + 1] = t[n + 1].wrapping_add((s >> 64) as u64);
 
             // u = t[0] * n0_inv mod 2^64; t += u * m; t >>= 64
-            let u = t[0].wrapping_mul(self.n0_inv);
+            let u = t[0].wrapping_mul(n0_inv);
             let s0 = t[0] as u128 + u as u128 * m[0] as u128;
             debug_assert_eq!(s0 as u64, 0);
             let mut carry = (s0 >> 64) as u64;
@@ -169,18 +336,18 @@ impl Montgomery {
         }
     }
 
-    /// Montgomery squaring kernel: `out = a^2 * R^{-1} mod m`.
+    /// Montgomery squaring kernel.
     ///
     /// Computes the double-width square with the half-product trick
     /// (each cross term `a[i]·a[j]`, `i < j`, is computed once and
-    /// doubled — roughly half the partial products of [`Self::mul_kernel`])
+    /// doubled — roughly half the partial products of [`Self::mul`])
     /// and then folds it with a separated Montgomery reduction pass.
-    fn sqr_kernel(&self, a: &[u64], out: &mut [u64], s: &mut MontScratch) {
+    fn sqr(&mut self, a: &[u64], out: &mut [u64]) {
         crate::stats::record_mont_sqr();
-        let n = self.n;
+        let n = self.ctx.n;
         debug_assert_eq!(a.len(), n);
         {
-            let t = &mut s.t[..2 * n];
+            let t = &mut self.s.limbs(2 * n + 1)[..2 * n];
             t.fill(0);
             // Off-diagonal products, computed once each.
             for i in 0..n {
@@ -215,77 +382,126 @@ impl Montgomery {
             }
             debug_assert_eq!(carry, 0, "a^2 fits in 2n limbs");
         }
-        self.reduce_kernel(out, s);
+        self.reduce(out);
+    }
+}
+
+/// Evaluates `$body` with `$k` bound to `$ctx`'s kernels: the stack
+/// kernels at the three instantiated widths, the slice kernels (over
+/// the workspace `$scratch`) at every other.
+macro_rules! with_kernels {
+    ($ctx:expr, $scratch:expr, |$k:ident| $body:expr) => {
+        match $ctx.n {
+            4 => {
+                let $k = &mut Fixed::<4>::new($ctx);
+                $body
+            }
+            8 => {
+                let $k = &mut Fixed::<8>::new($ctx);
+                $body
+            }
+            16 => {
+                let $k = &mut Fixed::<16>::new($ctx);
+                $body
+            }
+            _ => {
+                let $k = &mut Slices {
+                    ctx: $ctx,
+                    s: $scratch,
+                };
+                $body
+            }
+        }
+    };
+}
+
+impl Montgomery {
+    /// Creates a context for `modulus`.
+    ///
+    /// Returns `None` if the modulus is even or < 3 (Montgomery reduction
+    /// requires an odd modulus; use [`Ubig::modexp`] which falls back to
+    /// division-based reduction for even moduli).
+    pub fn new(modulus: &Ubig) -> Option<Self> {
+        if modulus.is_even() || modulus.bit_len() < 2 {
+            return None;
+        }
+        let n = modulus.limbs.len();
+        // Inverse of the low limb mod 2^64 by Newton iteration, then negate.
+        let m0 = modulus.limbs[0];
+        let mut inv: u64 = m0; // correct mod 2^3 already for odd m0? start from m0 (odd) and iterate
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        debug_assert_eq!(m0.wrapping_mul(inv), 1);
+        let n0_inv = inv.wrapping_neg();
+
+        let r = &Ubig::one() << (64 * n);
+        let mut r1 = r.rem(modulus).limbs;
+        r1.resize(n, 0);
+        let mut r2 = (&r * &r).rem(modulus).limbs;
+        r2.resize(n, 0);
+        Some(Montgomery {
+            modulus: modulus.clone(),
+            n,
+            n0_inv,
+            r2,
+            r1,
+        })
     }
 
-    /// Separated Montgomery reduction of the `2n`-limb value in
-    /// `s.t[..2n]`: `out = s.t * R^{-1} mod m`.
-    fn reduce_kernel(&self, out: &mut [u64], s: &mut MontScratch) {
-        let n = self.n;
-        let m = &self.modulus.limbs;
-        let t = &mut s.t[..2 * n + 1];
-        t[2 * n] = 0;
-        for i in 0..n {
-            let u = t[i].wrapping_mul(self.n0_inv);
-            let mut carry: u64 = 0;
-            for j in 0..n {
-                let v = t[i + j] as u128 + u as u128 * m[j] as u128 + carry as u128;
-                t[i + j] = v as u64;
-                carry = (v >> 64) as u64;
-            }
-            let mut k = i + n;
-            while carry != 0 {
-                debug_assert!(k <= 2 * n);
-                let v = t[k] as u128 + carry as u128;
-                t[k] = v as u64;
-                carry = (v >> 64) as u64;
-                k += 1;
-            }
-        }
-        out.copy_from_slice(&t[n..2 * n]);
-        if t[2 * n] != 0 || ge(out, m) {
-            sub_in_place(out, m);
-        }
+    /// The modulus this context reduces by.
+    pub fn modulus(&self) -> &Ubig {
+        &self.modulus
+    }
+
+    /// A kernel workspace for this context, empty until a slice kernel
+    /// sizes it. Reuse it across calls — that is the whole point.
+    pub fn scratch(&self) -> MontScratch {
+        MontScratch { t: Vec::new() }
     }
 
     /// Converts `a` into Montgomery form (`a` reduced first if needed).
     pub fn to_mont(&self, a: &Ubig) -> MontElem {
-        let mut s = self.scratch();
+        with_kernels!(self, &mut self.scratch(), |k| self.to_mont_in(a, k))
+    }
+
+    fn to_mont_in<K: Kernels>(&self, a: &Ubig, k: &mut K) -> MontElem {
         MontElem {
-            limbs: self.to_mont_limbs(&self.reduced(a), &mut s),
+            limbs: self.to_mont_limbs(&a.reduced(&self.modulus), k).into(),
         }
     }
 
     /// Converts `a` (< m) into Montgomery form limbs.
-    fn to_mont_limbs(&self, a: &Ubig, s: &mut MontScratch) -> Vec<u64> {
+    fn to_mont_limbs<K: Kernels>(&self, a: &Ubig, k: &mut K) -> K::Elem {
         debug_assert!(*a < self.modulus);
-        let mut out = vec![0u64; self.n];
-        self.mul_kernel(&pad(a, self.n), &self.r2, &mut out, s);
+        let a = k.elem(&a.limbs);
+        let mut out = k.elem(&[]);
+        k.mul(a.as_ref(), &self.r2, out.as_mut());
         out
     }
 
     /// Converts out of Montgomery form.
     pub fn from_mont(&self, a: &MontElem) -> Ubig {
-        let mut s = self.scratch();
-        self.redc(&a.limbs, &mut s)
+        with_kernels!(self, &mut self.scratch(), |k| self.redc(&a.limbs, k))
     }
 
     /// Montgomery reduction: converts out of Montgomery form and
     /// normalizes to `Ubig`.
-    fn redc(&self, a: &[u64], s: &mut MontScratch) -> Ubig {
+    fn redc<K: Kernels>(&self, a: &[u64], k: &mut K) -> Ubig {
         crate::stats::record_redc();
-        let one = pad(&Ubig::one(), self.n);
-        let mut out = vec![0u64; self.n];
-        self.mul_kernel(a, &one, &mut out, s);
-        Ubig::from_limbs(out)
+        let one = k.elem(&[1]);
+        let mut out = k.elem(&[]);
+        k.mul(a, one.as_ref(), out.as_mut());
+        Ubig::from_limbs(out.into())
     }
 
     /// Montgomery-domain multiplication `out = a · b · R^{-1} mod m`
-    /// (all in Montgomery form). Allocation-free given a reusable
-    /// scratch and an `out` obtained from [`Montgomery::to_mont`].
+    /// (all in Montgomery form). Allocation-free given an `out`
+    /// obtained from [`Montgomery::to_mont`] and, off the fixed
+    /// widths, a reused scratch.
     pub fn mont_mul(&self, a: &MontElem, b: &MontElem, out: &mut MontElem, s: &mut MontScratch) {
         out.limbs.resize(self.n, 0);
-        self.mul_kernel(&a.limbs, &b.limbs, &mut out.limbs, s);
+        with_kernels!(self, s, |k| k.mul(&a.limbs, &b.limbs, &mut out.limbs));
     }
 
     /// Montgomery-domain squaring `out = a² · R^{-1} mod m` — the
@@ -293,66 +509,71 @@ impl Montgomery {
     /// [`Montgomery::mont_mul`].
     pub fn mont_sqr(&self, a: &MontElem, out: &mut MontElem, s: &mut MontScratch) {
         out.limbs.resize(self.n, 0);
-        self.sqr_kernel(&a.limbs, &mut out.limbs, s);
+        with_kernels!(self, s, |k| k.sqr(&a.limbs, &mut out.limbs));
     }
 
     /// Modular multiplication `(a * b) mod m` through the Montgomery
     /// domain (constant context reuse makes this much faster than
     /// [`Ubig::modmul`] for many multiplications by the same modulus).
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let mut s = self.scratch();
-        let am = self.to_mont_limbs(&self.reduced(a), &mut s);
-        let bm = self.to_mont_limbs(&self.reduced(b), &mut s);
-        let mut prod = vec![0u64; self.n];
-        self.mul_kernel(&am, &bm, &mut prod, &mut s);
-        self.redc(&prod, &mut s)
+        with_kernels!(self, &mut self.scratch(), |k| self.mul_in(a, b, k))
+    }
+
+    fn mul_in<K: Kernels>(&self, a: &Ubig, b: &Ubig, k: &mut K) -> Ubig {
+        let am = self.to_mont_limbs(&a.reduced(&self.modulus), k);
+        let bm = self.to_mont_limbs(&b.reduced(&self.modulus), k);
+        let mut prod = k.elem(&[]);
+        k.mul(am.as_ref(), bm.as_ref(), prod.as_mut());
+        self.redc(prod.as_ref(), k)
     }
 
     /// Windowed modular exponentiation: `base^exp mod m`.
     ///
     /// Runs in time proportional to `exp.bit_len()` squarings plus
     /// `exp.bit_len()/WINDOW` multiplications — the same cost profile the
-    /// paper's Table 1 counts as one "exponentiation". The ladder is
-    /// allocation-free per step: it ping-pongs two buffers and reuses a
-    /// single scratch workspace.
+    /// paper's Table 1 counts as one "exponentiation". No step of the
+    /// ladder allocates: it ping-pongs two buffers. At 4, 8 and 16
+    /// limbs those buffers, the odd-power table and the padded
+    /// operands are stack arrays, so the returned `Ubig` is the call's
+    /// only allocation; at other widths they are `Vec`s allocated once
+    /// per call.
     pub fn modexp(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        let mut s = self.scratch();
-        self.modexp_with(base, exp, &mut s)
+        self.modexp_with(base, exp, &mut self.scratch())
     }
 
     /// [`Montgomery::modexp`] with a caller-provided workspace (hot
-    /// loops performing many exponentiations by the same modulus).
+    /// loops performing many exponentiations by the same modulus, off
+    /// the fixed widths).
     pub fn modexp_with(&self, base: &Ubig, exp: &Ubig, s: &mut MontScratch) -> Ubig {
+        with_kernels!(self, s, |k| self.modexp_in(base, exp, k))
+    }
+
+    fn modexp_in<K: Kernels>(&self, base: &Ubig, exp: &Ubig, k: &mut K) -> Ubig {
         crate::stats::record_modexp();
         if exp.is_zero() {
             return Ubig::one().rem(&self.modulus);
         }
-        let base = self.reduced(base);
+        let base = base.reduced(&self.modulus);
         if base.is_zero() {
             return Ubig::zero();
         }
-        let n = self.n;
-        let bm = self.to_mont_limbs(&base, s);
+        let bm = self.to_mont_limbs(&base, k);
 
-        // Precompute odd powers bm^1, bm^3, ..., bm^(2^WINDOW - 1) in a
-        // single flat buffer with stride n (one allocation, contiguous).
-        let mut bm2 = vec![0u64; n];
-        self.sqr_kernel(&bm, &mut bm2, s);
-        let table_len = 1 << (WINDOW - 1);
-        let mut table = vec![0u64; table_len * n];
-        table[..n].copy_from_slice(&bm);
-        let mut next = vec![0u64; n];
-        for i in 1..table_len {
-            self.mul_kernel(&table[(i - 1) * n..i * n], &bm2, &mut next, s);
-            table[i * n..(i + 1) * n].copy_from_slice(&next);
+        // Precompute odd powers bm^1, bm^3, ..., bm^(2^WINDOW - 1).
+        let mut bm2 = k.elem(&[]);
+        k.sqr(bm.as_ref(), bm2.as_mut());
+        let mut table: [K::Elem; ODD_POWERS] = std::array::from_fn(|_| bm.clone());
+        for i in 1..ODD_POWERS {
+            let (lower, upper) = table.split_at_mut(i);
+            k.mul(lower[i - 1].as_ref(), bm2.as_ref(), upper[0].as_mut());
         }
 
-        let mut acc = self.r1.clone(); // Montgomery form of 1
-        let mut tmp = next; // reuse: ping-pong partner for acc
+        let mut acc = k.elem(&self.r1); // Montgomery form of 1
+        let mut tmp = bm2; // reuse: ping-pong partner for acc
         let mut i = exp.bit_len() as isize - 1;
         while i >= 0 {
             if !exp.bit(i as usize) {
-                self.sqr_kernel(&acc, &mut tmp, s);
+                k.sqr(acc.as_ref(), tmp.as_mut());
                 std::mem::swap(&mut acc, &mut tmp);
                 i -= 1;
                 continue;
@@ -365,19 +586,18 @@ impl Montgomery {
             }
             let width = i as usize - j + 1;
             let mut value = 0usize;
-            for k in (j..=i as usize).rev() {
-                value = (value << 1) | exp.bit(k) as usize;
+            for b in (j..=i as usize).rev() {
+                value = (value << 1) | exp.bit(b) as usize;
             }
             for _ in 0..width {
-                self.sqr_kernel(&acc, &mut tmp, s);
+                k.sqr(acc.as_ref(), tmp.as_mut());
                 std::mem::swap(&mut acc, &mut tmp);
             }
-            let entry = (value >> 1) * n;
-            self.mul_kernel(&acc, &table[entry..entry + n], &mut tmp, s);
+            k.mul(acc.as_ref(), table[value >> 1].as_ref(), tmp.as_mut());
             std::mem::swap(&mut acc, &mut tmp);
             i = j as isize - 1;
         }
-        self.redc(&acc, s)
+        self.redc(acc.as_ref(), k)
     }
 
     /// Precomputes a fixed-base window table for `base`, covering
@@ -388,28 +608,33 @@ impl Montgomery {
     /// The table holds `ceil(max_exp_bits / w) · (2^w - 1)` Montgomery
     /// residues (`w = 4`), i.e. entry `(i, d)` is `base^(d · 2^(w·i))`.
     pub fn fixed_base(&self, base: &Ubig, max_exp_bits: usize) -> FixedBase {
+        with_kernels!(self, &mut self.scratch(), |k| self.fixed_base_in(
+            base,
+            max_exp_bits,
+            k
+        ))
+    }
+
+    fn fixed_base_in<K: Kernels>(&self, base: &Ubig, max_exp_bits: usize, k: &mut K) -> FixedBase {
         let n = self.n;
         let digits = (1usize << WINDOW) - 1;
         let rows = max_exp_bits.div_ceil(WINDOW).max(1);
-        let mut s = self.scratch();
-        let base_reduced = self.reduced(base).into_owned();
+        let base_reduced = base.reduced(&self.modulus).into_owned();
         let mut table = vec![0u64; rows * digits * n];
-        let mut row_base = self.to_mont_limbs(&base_reduced, &mut s); // base^(2^(w·i))
-        let mut tmp = vec![0u64; n];
-        for i in 0..rows {
+        let mut row_base = self.to_mont_limbs(&base_reduced, k); // base^(2^(w·i))
+        let mut tmp = k.elem(&[]);
+        for (i, row) in table.chunks_exact_mut(digits * n).enumerate() {
             if i > 0 {
                 // row base ^= 2^WINDOW
                 for _ in 0..WINDOW {
-                    self.sqr_kernel(&row_base, &mut tmp, &mut s);
+                    k.sqr(row_base.as_ref(), tmp.as_mut());
                     std::mem::swap(&mut row_base, &mut tmp);
                 }
             }
-            let off = i * digits * n;
-            table[off..off + n].copy_from_slice(&row_base);
-            for d in 2..=digits {
-                let prev = off + (d - 2) * n;
-                self.mul_kernel(&table[prev..prev + n], &row_base, &mut tmp, &mut s);
-                table[off + (d - 1) * n..off + d * n].copy_from_slice(&tmp);
+            row[..n].copy_from_slice(row_base.as_ref());
+            for d in 1..digits {
+                let (done, rest) = row.split_at_mut(d * n);
+                k.mul(&done[(d - 1) * n..], row_base.as_ref(), &mut rest[..n]);
             }
         }
         FixedBase {
@@ -424,26 +649,29 @@ impl Montgomery {
     /// exponent digit, zero squarings. Falls back to the generic
     /// ladder for exponents wider than the table.
     pub fn modexp_fixed(&self, fb: &FixedBase, exp: &Ubig) -> Ubig {
-        let mut s = self.scratch();
-        self.modexp_fixed_with(fb, exp, &mut s)
+        self.modexp_fixed_with(fb, exp, &mut self.scratch())
     }
 
     /// [`Montgomery::modexp_fixed`] with a caller-provided workspace.
     pub fn modexp_fixed_with(&self, fb: &FixedBase, exp: &Ubig, s: &mut MontScratch) -> Ubig {
+        with_kernels!(self, s, |k| self.modexp_fixed_in(fb, exp, k))
+    }
+
+    fn modexp_fixed_in<K: Kernels>(&self, fb: &FixedBase, exp: &Ubig, k: &mut K) -> Ubig {
         crate::stats::record_fixed_base_exp();
         if exp.is_zero() {
             return Ubig::one().rem(&self.modulus);
         }
         if exp.bit_len() > fb.rows * WINDOW {
-            return self.modexp_with(&fb.base, exp, s);
+            return self.modexp_in(&fb.base, exp, k);
         }
         if fb.base.is_zero() {
             return Ubig::zero();
         }
         let n = self.n;
         let digits = (1usize << WINDOW) - 1;
-        let mut acc = self.r1.clone(); // Montgomery form of 1
-        let mut tmp = vec![0u64; n];
+        let mut acc = k.elem(&self.r1); // Montgomery form of 1
+        let mut tmp = k.elem(&[]);
         let rows_needed = exp.bit_len().div_ceil(WINDOW);
         for i in 0..rows_needed {
             let mut d = 0usize;
@@ -454,10 +682,10 @@ impl Montgomery {
                 continue;
             }
             let off = (i * digits + (d - 1)) * n;
-            self.mul_kernel(&acc, &fb.table[off..off + n], &mut tmp, s);
+            k.mul(acc.as_ref(), &fb.table[off..off + n], tmp.as_mut());
             std::mem::swap(&mut acc, &mut tmp);
         }
-        self.redc(&acc, s)
+        self.redc(acc.as_ref(), k)
     }
 }
 
@@ -530,31 +758,6 @@ impl Ubig {
             }
         }
         acc
-    }
-}
-
-fn pad(v: &Ubig, n: usize) -> Vec<u64> {
-    let mut out = v.limbs.clone();
-    out.resize(n, 0);
-    out
-}
-
-fn ge(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
-        }
-    }
-    true
-}
-
-fn sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let s = (a[i] as u128).wrapping_sub(b[i] as u128 + borrow as u128);
-        a[i] = s as u64;
-        borrow = ((s >> 64) as u64) & 1;
     }
 }
 
@@ -652,15 +855,7 @@ mod tests {
         let m = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb925").unwrap();
         let base = Ubig::from_hex("123456789abcdef").unwrap();
         let exp = Ubig::from_hex("fedcba9876543210f0f0f0f0").unwrap();
-        let fast = base.modexp(&exp, &m);
-        let mut slow = Ubig::one();
-        for i in (0..exp.bit_len()).rev() {
-            slow = slow.modmul(&slow, &m);
-            if exp.bit(i) {
-                slow = slow.modmul(&base, &m);
-            }
-        }
-        assert_eq!(fast, slow);
+        assert_eq!(base.modexp(&exp, &m), naive_modexp(&base, &exp, &m));
     }
 
     #[test]
@@ -709,5 +904,162 @@ mod tests {
         let ga = g.modexp(&a, &p);
         let gb = g.modexp(&b, &p);
         assert_eq!(ga.modexp(&b, &p), gb.modexp(&a, &p));
+    }
+    /// What a kernel holds before its conditional subtraction:
+    /// `(a·b + u·m) / R` with `u = a·b·neg_inv mod R`.
+    fn unreduced(a: &Ubig, b: &Ubig, m: &Ubig, r: &Ubig, neg_inv: &Ubig) -> Ubig {
+        let ab = a * b;
+        let u = (&ab.rem(r) * neg_inv).rem(r);
+        (&ab + &(&u * m)).div_rem(r).0
+    }
+
+    /// `base^exp mod m` by left-to-right square-and-multiply over
+    /// [`Ubig::modmul`].
+    fn naive_modexp(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
+        let base = base.rem(m);
+        let mut acc = Ubig::one().rem(m);
+        for i in (0..exp.bit_len()).rev() {
+            acc = acc.modmul(&acc, m);
+            if exp.bit(i) {
+                acc = acc.modmul(&base, m);
+            }
+        }
+        acc
+    }
+
+    /// The kernels this context dispatches to against the slice
+    /// kernels, on raw residues `a, b < m`; both against `modmul`.
+    fn check_kernels(ctx: &Montgomery, a: &Ubig, b: &Ubig) {
+        let m = ctx.modulus();
+        let mut scratch = ctx.scratch();
+        let slices = &mut Slices {
+            ctx,
+            s: &mut scratch,
+        };
+        let (x, y) = (slices.elem(&a.limbs), slices.elem(&b.limbs));
+        let (mut mul, mut sqr) = (slices.elem(&[]), slices.elem(&[]));
+        slices.mul(&x, &y, &mut mul);
+        slices.sqr(&x, &mut sqr);
+        let (mut got_mul, mut got_sqr) = (vec![0u64; ctx.n], vec![0u64; ctx.n]);
+        with_kernels!(ctx, &mut ctx.scratch(), |k| {
+            k.mul(&x, &y, &mut got_mul);
+            k.sqr(&x, &mut got_sqr);
+        });
+        assert_eq!(
+            (&got_mul, &got_sqr),
+            (&mul, &sqr),
+            "a={a:?} b={b:?} m={m:?}"
+        );
+        // out = a·b·R⁻¹ mod m, i.e. out·R ≡ a·b.
+        let shift = 64 * ctx.n;
+        assert_eq!((Ubig::from_limbs(mul) << shift).rem(m), a.modmul(b, m));
+        assert_eq!((Ubig::from_limbs(sqr) << shift).rem(m), a.modmul(a, m));
+    }
+
+    fn check_inverse(a: &Ubig, m: &Ubig) {
+        let inv = a.mod_inverse(m);
+        assert_eq!(inv, a.mod_inverse_euclid(m), "a={a:?} m={m:?}");
+        match inv {
+            Some(inv) => {
+                assert!(&inv < m);
+                assert_eq!(a.modmul(&inv, m), Ubig::one());
+            }
+            None => assert!(m.bit_len() < 2 || a.rem(m).is_zero() || !a.gcd(m).is_one()),
+        }
+    }
+
+    /// Every check of the differential test at one limb count.
+    fn differential_at(limbs: usize, rng: &mut crate::SplitMix64) {
+        use crate::rng::RandomSource;
+        let bits = 64 * limbs;
+        let r = &Ubig::one() << bits;
+        let ones = &r - &Ubig::one();
+        let three = Ubig::from(3u64);
+        let mut top_set = rng.next_ubig_exact_bits(bits);
+        top_set.set_bit(0, true);
+        // Top limb 1: the unreduced result can never reach R.
+        let mut low_top = rng.next_ubig_exact_bits(bits - 62);
+        low_top.set_bit(0, true);
+        let (mut saw_top_carry, mut saw_plain_subtraction) = (false, false);
+        for m in [top_set, ones.clone(), low_top] {
+            let ctx = Montgomery::new(&m).unwrap();
+            assert_eq!(ctx.n, limbs);
+            // m = R - 1 makes (m-1)² come out as exactly R (top carry)
+            // and 3 · m/3 as exactly m (subtraction on equality).
+            let mut operands = vec![
+                Ubig::zero(),
+                Ubig::one(),
+                &m - &Ubig::one(),
+                ones.rem(&m),
+                three.rem(&m),
+                m.div_rem(&three).0,
+            ];
+            for _ in 0..if cfg!(miri) { 1 } else { 3 } {
+                operands.push(rng.next_ubig_in_range(&m));
+            }
+            let neg_inv = &r - &m.mod_inverse(&r).unwrap(); // R is even: Euclid
+            for a in &operands {
+                for b in &operands {
+                    check_kernels(&ctx, a, b);
+                    let t = unreduced(a, b, &m, &r, &neg_inv);
+                    saw_top_carry |= t >= r;
+                    saw_plain_subtraction |= t >= m && t < r;
+                }
+            }
+
+            let g = rng.next_ubig_in_range(&m);
+            let table_bits = if cfg!(miri) { 72 } else { bits };
+            let table = ctx.fixed_base(&g, table_bits);
+            let exps = [
+                Ubig::zero(),
+                Ubig::one(),
+                Ubig::from(0xffffu64),
+                rng.next_ubig_exact_bits(70),
+                rng.next_ubig_exact_bits(table_bits),
+                &Ubig::one() << (table.max_exp_bits() + 3), // wider than the table
+            ];
+            for e in &exps {
+                let want = naive_modexp(&g, e, &m);
+                assert_eq!(ctx.modexp(&g, e), want, "g={g:?} e={e:?} m={m:?}");
+                assert_eq!(ctx.modexp(&(&g + &m), e), want, "unreduced base");
+                assert_eq!(ctx.modexp_fixed(&table, e), want, "g={g:?} e={e:?} m={m:?}");
+            }
+            let (x, y) = (&operands[2], operands.last().unwrap());
+            assert_eq!(ctx.mul(x, y), x.modmul(y, &m));
+            assert_eq!(ctx.from_mont(&ctx.to_mont(y)), *y);
+
+            // Inverses: odd m takes the binary path, m + 1 the Euclid.
+            let even = &m + &Ubig::one();
+            for a in &operands {
+                check_inverse(a, &m);
+                check_inverse(&(&(&m * &three) + a), &m); // a ≥ m, and a ≡ 0
+                check_inverse(a, &even);
+                check_inverse(&(&even + a), &even);
+            }
+            check_inverse(&three, &(&m * &three)); // odd modulus, gcd 3
+        }
+        assert!(saw_top_carry, "no operand pair reached t[n] != 0");
+        assert!(saw_plain_subtraction, "no operand pair reached m <= t < R");
+        for a in [Ubig::zero(), Ubig::one(), ones] {
+            check_inverse(&a, &Ubig::zero());
+            check_inverse(&a, &Ubig::one());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 4 }))]
+
+        /// The slice kernels and the Euclid are the oracle: at every
+        /// limb count (the three instantiated ones, their neighbours,
+        /// the 12- and 32-limb MODP widths) the dispatched kernels, the
+        /// ladder, the fixed-base table and the inverse agree with
+        /// them and with division-based arithmetic.
+        #[test]
+        fn fixed_width_kernels_match_the_slice_kernels(seed in proptest::any::<u64>()) {
+            let mut rng = crate::SplitMix64::new(seed);
+            for limbs in (1..=17).chain([32]) {
+                differential_at(limbs, &mut rng);
+            }
+        }
     }
 }

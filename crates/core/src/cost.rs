@@ -134,15 +134,22 @@ impl OpCounts {
     /// Panics if any counter of `earlier` exceeds the corresponding
     /// counter of `self` (counters are monotone).
     pub fn since(&self, earlier: &OpCounts) -> OpCounts {
+        // Checked, so a regression panics in release builds too
+        // instead of wrapping into a plausible-looking huge count.
+        let sub = |field: &str, now: u64, then: u64| {
+            now.checked_sub(then).unwrap_or_else(|| {
+                panic!("OpCounts::since: `{field}` went backwards ({now} < {then})")
+            })
+        };
         OpCounts {
-            exp: self.exp - earlier.exp,
-            small_exp: self.small_exp - earlier.small_exp,
-            inverse: self.inverse - earlier.inverse,
-            sign: self.sign - earlier.sign,
-            verify: self.verify - earlier.verify,
-            symmetric: self.symmetric - earlier.symmetric,
-            multicast: self.multicast - earlier.multicast,
-            unicast: self.unicast - earlier.unicast,
+            exp: sub("exp", self.exp, earlier.exp),
+            small_exp: sub("small_exp", self.small_exp, earlier.small_exp),
+            inverse: sub("inverse", self.inverse, earlier.inverse),
+            sign: sub("sign", self.sign, earlier.sign),
+            verify: sub("verify", self.verify, earlier.verify),
+            symmetric: sub("symmetric", self.symmetric, earlier.symmetric),
+            multicast: sub("multicast", self.multicast, earlier.multicast),
+            unicast: sub("unicast", self.unicast, earlier.unicast),
         }
     }
 
