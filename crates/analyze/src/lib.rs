@@ -24,16 +24,14 @@
 //!
 //! Diagnostics are rustc-style `file:line:col: error[RULE]: message`.
 //! Each finding carries a stable fingerprint (`fingerprint`), so CI can
-//! gate on *new* findings against a committed `analyze.baseline`. An
-//! incremental per-file cache (`cache`) keyed by content hash keeps
-//! repeat runs fast. See `DESIGN.md` §11/§16.
+//! gate on *new* findings against a committed `analyze.baseline`. See
+//! `DESIGN.md` §11/§16.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod arith;
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod fingerprint;
@@ -44,7 +42,6 @@ pub mod rules;
 pub mod taint;
 
 pub use config::Config;
-pub use rules::FlowMode;
 
 /// One diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,13 +95,9 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modul
 /// Engine options for [`analyze_report`].
 #[derive(Debug, Default)]
 pub struct EngineOpts {
-    /// Incremental cache file (loaded if present, rewritten after).
-    pub cache_path: Option<PathBuf>,
     /// Accepted fingerprints: findings in this set are reported under
     /// `Report::baselined` instead of `Report::findings`.
     pub baseline: Option<BTreeSet<String>>,
-    /// Which L2-FLOW engine to run.
-    pub flow: FlowMode,
 }
 
 /// The full result of an analyzer run.
@@ -119,8 +112,6 @@ pub struct Report {
     pub stale_allows: Vec<String>,
     /// Files analyzed.
     pub files: usize,
-    /// Files whose local findings were served from the cache.
-    pub cache_hits: usize,
 }
 
 /// Recursively collects `.rs` files under `root` whose root-relative
@@ -162,26 +153,16 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 
 /// Analyzes every in-scope file under `root` and returns the surviving
 /// findings, sorted by `(file, line, rule)`. Thin wrapper over
-/// [`analyze_report`] with no cache and no baseline.
+/// [`analyze_report`] with no baseline.
 pub fn analyze_root(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
     let report = analyze_report(root, cfg, &EngineOpts::default())?;
     Ok(report.findings)
 }
 
-/// Analyzes pre-loaded `(rel_path, contents)` pairs. Split out so the
-/// fixture tests can drive the analyzer without touching the real
-/// filesystem layout. Runs the taint-mode flow engine and the full
-/// post-processing (function attribution, fingerprints, allowlist).
-pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    analyze_sources_mode(sources, cfg, FlowMode::Taint)
-}
-
-/// [`analyze_sources`] with an explicit L2-FLOW engine selection.
-pub fn analyze_sources_mode(
-    sources: &[(String, String)],
-    cfg: &Config,
-    flow: FlowMode,
-) -> Vec<Finding> {
+/// Every finding over pre-loaded `(rel_path, contents)` pairs, before
+/// the allowlist: local + flow rules, deduplicated, attributed to
+/// their functions and fingerprinted.
+fn all_findings(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let files: Vec<(String, parse::ParsedFile)> = sources
         .iter()
         .map(|(rel, text)| (rel.clone(), parse::parse(text)))
@@ -191,104 +172,29 @@ pub fn analyze_sources_mode(
     for (path, pf) in &files {
         rules::check_file_local(path, pf, cfg, &mut raw);
     }
-    rules::check_flow(&files, &graph, cfg, flow, &mut raw);
+    taint::check(&files, &graph, cfg, &mut raw);
     let mut all = dedup_sort(raw);
     rules::fill_funcs(&files, &mut all);
     assign_fingerprints(sources, &mut all);
+    all
+}
+
+/// Analyzes pre-loaded `(rel_path, contents)` pairs. Split out so the
+/// fixture tests can drive the analyzer without touching the real
+/// filesystem layout.
+pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
+    let mut all = all_findings(sources, cfg);
     let mut used = vec![false; cfg.allows.len()];
     all.retain(|f| !mark_allowed(cfg, f, &mut used));
     all
 }
 
-/// The full engine: discovery, incremental cache, local + flow rules,
-/// function attribution, fingerprints, allowlist with stale tracking,
-/// baseline split.
+/// The full engine: discovery, local + flow rules, function
+/// attribution, fingerprints, allowlist with stale tracking, baseline
+/// split.
 pub fn analyze_report(root: &Path, cfg: &Config, opts: &EngineOpts) -> Result<Report, String> {
     let sources = discover_files(root, cfg)?;
-    let cfg_digest = cache::config_digest(cfg);
-    let mut store = match &opts.cache_path {
-        Some(p) => cache::Cache::load(p, cfg_digest),
-        None => cache::Cache::empty(cfg_digest),
-    };
-
-    let hashes: Vec<u64> = sources
-        .iter()
-        .map(|(_, text)| cache::content_hash(text))
-        .collect();
-    let ws_digest = cache::workspace_digest(
-        sources
-            .iter()
-            .map(|(rel, _)| rel.as_str())
-            .zip(hashes.iter().copied()),
-    );
-
-    // Per-file local findings: serve unchanged files from the cache.
-    let mut cache_hits = 0usize;
-    let mut local: Vec<Option<Vec<Finding>>> = Vec::with_capacity(sources.len());
-    for (i, (rel, _)) in sources.iter().enumerate() {
-        match store.lookup_file(rel, hashes[i]) {
-            Some(cached) => {
-                cache_hits += 1;
-                local.push(Some(cached));
-            }
-            None => local.push(None),
-        }
-    }
-    let global_cached = store.lookup_global(ws_digest);
-
-    // Parse what the run needs: everything when the flow fixpoint must
-    // rerun (any content change), otherwise only the local misses.
-    let need_all = global_cached.is_none();
-    let parsed: Vec<Option<parse::ParsedFile>> = sources
-        .iter()
-        .enumerate()
-        .map(|(i, (_, text))| (need_all || local[i].is_none()).then(|| parse::parse(text)))
-        .collect();
-
-    for (i, slot) in local.iter_mut().enumerate() {
-        if slot.is_some() {
-            continue;
-        }
-        let (rel, _) = &sources[i];
-        let pf = parsed[i].as_ref().ok_or("internal: missing parse")?;
-        let mut raw = Vec::new();
-        rules::check_file_local(rel, pf, cfg, &mut raw);
-        let mut batch = dedup_sort(raw);
-        let one = [(rel.clone(), pf.clone())];
-        rules::fill_funcs(&one, &mut batch);
-        assign_fingerprints(&sources[i..=i], &mut batch);
-        store.store_file(rel, hashes[i], &batch);
-        *slot = Some(batch);
-    }
-
-    let global = match global_cached {
-        Some(g) => g,
-        None => {
-            let files: Vec<(String, parse::ParsedFile)> = sources
-                .iter()
-                .zip(&parsed)
-                .filter_map(|((rel, _), pf)| pf.clone().map(|pf| (rel.clone(), pf)))
-                .collect();
-            let graph = callgraph::CallGraph::build(&files);
-            let mut raw = Vec::new();
-            rules::check_flow(&files, &graph, cfg, opts.flow, &mut raw);
-            let mut batch = dedup_sort(raw);
-            rules::fill_funcs(&files, &mut batch);
-            assign_fingerprints(&sources, &mut batch);
-            store.store_global(ws_digest, &batch);
-            batch
-        }
-    };
-
-    if let Some(p) = &opts.cache_path {
-        // Cache write failures are non-fatal: the run is still correct,
-        // just cold next time.
-        let _ = store.save(p);
-    }
-
-    let mut all: Vec<Finding> = local.into_iter().flatten().flatten().collect();
-    all.extend(global);
-    let mut all = dedup_sort(all);
+    let mut all = all_findings(&sources, cfg);
 
     let mut used = vec![false; cfg.allows.len()];
     all.retain(|f| !mark_allowed(cfg, f, &mut used));
@@ -310,7 +216,6 @@ pub fn analyze_report(root: &Path, cfg: &Config, opts: &EngineOpts) -> Result<Re
         baselined,
         stale_allows,
         files: sources.len(),
-        cache_hits,
     })
 }
 

@@ -1,7 +1,7 @@
 //! CLI for the workspace static analyzer.
 //!
 //! ```text
-//! gkap-analyze --workspace [--deny-all] [--rule PREFIX] [--cache FILE]
+//! gkap-analyze --workspace [--deny-all] [--rule PREFIX]
 //!              [--baseline FILE] [--write-baseline FILE]
 //!              [--format human|json|sarif] [--output FILE]
 //! gkap-analyze --root DIR [--config FILE] [--allow FILE] [...]
@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gkap_analyze::{analyze_report, fingerprint, output, Config, EngineOpts, FlowMode, Report};
+use gkap_analyze::{analyze_report, fingerprint, output, Config, EngineOpts, Report};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -36,16 +36,14 @@ struct Args {
     quiet: bool,
     format: Format,
     output: Option<PathBuf>,
-    cache: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
-    legacy_flow: bool,
 }
 
 fn usage() -> &'static str {
     "usage: gkap-analyze (--workspace | --root DIR) [--config FILE] [--allow FILE] \
-     [--rule PREFIX] [--format human|json|sarif] [--output FILE] [--cache FILE] \
-     [--baseline FILE] [--write-baseline FILE] [--legacy-flow] [--deny-all] [--quiet]"
+     [--rule PREFIX] [--format human|json|sarif] [--output FILE] [--baseline FILE] \
+     [--write-baseline FILE] [--deny-all] [--quiet]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -58,10 +56,8 @@ fn parse_args() -> Result<Args, String> {
         quiet: false,
         format: Format::Human,
         output: None,
-        cache: None,
         baseline: None,
         write_baseline: None,
-        legacy_flow: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -91,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
             "--output" => {
                 args.output = Some(PathBuf::from(it.next().ok_or("--output needs a file")?))
             }
-            "--cache" => args.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a file")?)),
             "--baseline" => {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?))
             }
@@ -100,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--write-baseline needs a file")?,
                 ))
             }
-            "--legacy-flow" => args.legacy_flow = true,
             // Findings always fail the run; the flag is accepted so CI
             // invocations read explicitly.
             "--deny-all" => {}
@@ -152,10 +146,9 @@ fn emit(args: &Args, report: &Report, root: &std::path::Path) -> Result<(), Stri
             }
             if report.findings.is_empty() && report.stale_allows.is_empty() {
                 s.push_str(&format!(
-                    "gkap-analyze: clean (root {}, {} files, {} cached)\n",
+                    "gkap-analyze: clean (root {}, {} files)\n",
                     root.display(),
-                    report.files,
-                    report.cache_hits
+                    report.files
                 ));
             } else {
                 s.push_str(&format!(
@@ -236,17 +229,11 @@ fn run() -> Result<bool, String> {
     };
 
     let opts = EngineOpts {
-        cache_path: args.cache.clone(),
         baseline: if args.write_baseline.is_some() {
             // Capture mode sees every finding, baselined or not.
             None
         } else {
             baseline
-        },
-        flow: if args.legacy_flow {
-            FlowMode::Legacy
-        } else {
-            FlowMode::Taint
         },
     };
 

@@ -43,10 +43,7 @@ fn finding_json(f: &Finding, indent: &str) -> String {
 /// Renders the full report as a single JSON document.
 pub fn render_json(report: &Report) -> String {
     let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"files\": {},\n  \"cache_hits\": {},\n",
-        report.files, report.cache_hits
-    ));
+    out.push_str(&format!("  \"files\": {},\n", report.files));
     for (key, list) in [
         ("findings", &report.findings),
         ("baselined", &report.baselined),
@@ -142,7 +139,6 @@ mod tests {
             baselined: vec![],
             stale_allows: vec!["L1-INDEX crates/x.rs".into()],
             files: 4,
-            cache_hits: 2,
         }
     }
 
@@ -151,7 +147,6 @@ mod tests {
         let j = render_json(&report());
         assert!(j.contains("\"rule\": \"L5-ARITH\""));
         assert!(j.contains("msg with \\\"quotes\\\""));
-        assert!(j.contains("\"cache_hits\": 2"));
         assert!(j.contains("\"stale_allows\": [\"L1-INDEX crates/x.rs\"]"));
     }
 

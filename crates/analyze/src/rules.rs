@@ -19,29 +19,16 @@
 //! deduplicated per `(rule, file, line)` so one offending line yields
 //! one diagnostic.
 //!
-//! L2-FLOW has two engines selected by [`FlowMode`]: the original
-//! name-based signature pass (`Legacy`) and the field-sensitive
-//! interprocedural taint fixpoint (`Taint`, the default — see the
-//! `taint` module). `Legacy` is kept so tests can demonstrate what the
-//! upgrade catches that the old pass missed.
+//! L2-FLOW is the field-sensitive interprocedural taint fixpoint of
+//! the `taint` module.
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::{CallGraph, SINK_CALLS, SINK_MACROS};
+use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::lexer::{TokKind, Token};
 use crate::parse::ParsedFile;
 use crate::Finding;
-
-/// Which L2-FLOW engine to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowMode {
-    /// Name-based parameter/sink signature matching (pre-taint).
-    Legacy,
-    /// Field-sensitive interprocedural taint fixpoint.
-    #[default]
-    Taint,
-}
 
 /// Field / binding names treated as secret material for L2.
 pub const SECRET_NAMES: &[&str] = &[
@@ -75,14 +62,13 @@ const NON_INDEX_PREV: &[&str] = &[
 
 /// Runs every rule family over the parsed files: per-file local
 /// checks, the flow engine, dedup, function attribution and the
-/// allowlist. (The incremental engine in `lib` drives the same pieces
-/// individually so local results can be cached per file.)
+/// allowlist.
 pub fn check_all(files: &[(String, ParsedFile)], cfg: &Config, graph: &CallGraph) -> Vec<Finding> {
     let mut raw = Vec::new();
     for (path, pf) in files {
         check_file_local(path, pf, cfg, &mut raw);
     }
-    check_flow(files, graph, cfg, FlowMode::Taint, &mut raw);
+    crate::taint::check(files, graph, cfg, &mut raw);
 
     // Dedup per (rule, file, line), sort, attribute, drop allowlisted.
     let mut seen = BTreeSet::new();
@@ -98,7 +84,7 @@ pub fn check_all(files: &[(String, ParsedFile)], cfg: &Config, graph: &CallGraph
     out
 }
 
-/// Every per-file (cacheable) check: L1–L6 minus the interprocedural
+/// Every per-file check: L1–L6 minus the interprocedural
 /// flow pass.
 pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
     check_l1(path, pf, cfg, out);
@@ -109,27 +95,8 @@ pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec
     check_l6(path, pf, cfg, out);
 }
 
-/// The whole-program flow pass (L2-FLOW) under the selected engine.
-pub fn check_flow(
-    files: &[(String, ParsedFile)],
-    graph: &CallGraph,
-    cfg: &Config,
-    mode: FlowMode,
-    out: &mut Vec<Finding>,
-) {
-    match mode {
-        FlowMode::Legacy => {
-            for fi in 0..files.len() {
-                check_l2_flow(fi, files, graph, cfg, out);
-            }
-        }
-        FlowMode::Taint => crate::taint::check(files, graph, cfg, out),
-    }
-}
-
 /// Fills each finding's `func` with the innermost enclosing function,
-/// by line containment. Findings in files not present in `files`
-/// (cache hits) keep whatever they already carry.
+/// by line containment.
 pub fn fill_funcs(files: &[(String, ParsedFile)], findings: &mut [Finding]) {
     for f in findings.iter_mut() {
         if !f.func.is_empty() {
@@ -300,78 +267,6 @@ fn check_l2_structs(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Fin
                         s.name, fname
                     ),
                 ));
-            }
-        }
-    }
-}
-
-fn check_l2_flow(
-    fi: usize,
-    files: &[(String, ParsedFile)],
-    graph: &CallGraph,
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    let (path, pf) = &files[fi];
-    if !cfg.in_scope("L2-FLOW", path) {
-        return;
-    }
-    let reach = graph.sink_reaching_params(files);
-    for (fj, f) in pf.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        // Secret-typed parameters that reach a sink (directly or via
-        // callees).
-        if let Some(params) = reach.get(&(fi, fj)) {
-            for p in &f.params {
-                if params.contains(&p.name)
-                    && (p.ty.contains("Secret") || SECRET_NAMES.contains(&p.name.as_str()))
-                {
-                    out.push(finding(
-                        "L2-FLOW",
-                        path,
-                        f.line,
-                        format!(
-                            "secret parameter `{}` of `{}` flows into a formatting/serialization sink",
-                            p.name, f.name
-                        ),
-                    ));
-                }
-            }
-        }
-        // Direct: a secret-named identifier (or an `.expose()` call)
-        // inside a sink's argument span.
-        if let Some(sites) = graph.calls.get(&(fi, fj)) {
-            for site in sites {
-                let is_sink = SINK_MACROS.contains(&site.callee.as_str())
-                    || SINK_CALLS.contains(&site.callee.as_str());
-                if !is_sink {
-                    continue;
-                }
-                let span = site.args.clone();
-                let toks =
-                    &pf.tokens[span.start.min(pf.tokens.len())..span.end.min(pf.tokens.len())];
-                let mention = SECRET_NAMES
-                    .iter()
-                    .find(|name| {
-                        toks.iter()
-                            .any(|t| crate::callgraph::token_mentions(t, name))
-                    })
-                    .copied()
-                    .or_else(|| {
-                        toks.iter()
-                            .any(|t| t.is_ident("expose"))
-                            .then_some("expose")
-                    });
-                if let Some(m) = mention {
-                    out.push(finding(
-                        "L2-FLOW",
-                        path,
-                        site.line,
-                        format!("secret value `{m}` passed to sink `{}`", site.callee),
-                    ));
-                }
             }
         }
     }

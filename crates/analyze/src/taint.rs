@@ -422,10 +422,9 @@ mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
     use crate::parse::parse;
-    use crate::rules::{check_flow, FlowMode};
     use crate::Config;
 
-    fn run_mode(sources: &[(&str, &str)], mode: FlowMode) -> Vec<Finding> {
+    fn run(sources: &[(&str, &str)]) -> Vec<Finding> {
         let cfg = Config::parse_conf("scope L2 src/**").unwrap();
         let files: Vec<(String, ParsedFile)> = sources
             .iter()
@@ -433,17 +432,16 @@ mod tests {
             .collect();
         let graph = CallGraph::build(&files);
         let mut out = Vec::new();
-        check_flow(&files, &graph, &cfg, mode, &mut out);
+        check(&files, &graph, &cfg, &mut out);
         out
     }
 
-    /// The tentpole's demonstration: a secret laundered through a
-    /// helper struct in another crate. The legacy name-based pass
-    /// misses it (the leaking fn's parameter is named `w`, not a
-    /// secret name); the taint fixpoint carries the tag through the
-    /// struct field and flags the sink.
+    /// A secret laundered through a helper struct in another crate.
+    /// The leaking fn's parameter is named `w`, not a secret name, so
+    /// matching names at the sink cannot see it; the taint fixpoint
+    /// carries the tag through the struct field and flags the sink.
     #[test]
-    fn cross_crate_struct_laundering_old_miss_new_catch() {
+    fn cross_crate_struct_laundering_is_caught() {
         let sources = [
             (
                 "src/a.rs",
@@ -460,12 +458,7 @@ mod tests {
                  }\n",
             ),
         ];
-        let old = run_mode(&sources, FlowMode::Legacy);
-        assert!(
-            old.iter().all(|f| f.file != "src/b.rs"),
-            "legacy pass should miss the laundered leak: {old:?}"
-        );
-        let new = run_mode(&sources, FlowMode::Taint);
+        let new = run(&sources);
         let hit = new
             .iter()
             .find(|f| f.file == "src/b.rs" && f.rule == "L2-FLOW")
@@ -493,7 +486,7 @@ mod tests {
                  }\n",
             ),
         ];
-        let new = run_mode(&sources, FlowMode::Taint);
+        let new = run(&sources);
         assert!(
             new.iter().any(|f| f.file == "src/a.rs"
                 && f.line == 2
@@ -514,7 +507,7 @@ mod tests {
              \x20   println!(\"{:?}\", rendered);\n\
              }\n",
         )];
-        let new = run_mode(&sources, FlowMode::Taint);
+        let new = run(&sources);
         assert!(
             new.iter()
                 .any(|f| f.line == 4 && f.msg.contains("rendered")),
@@ -531,7 +524,7 @@ mod tests {
              pub fn tally(n: usize) -> Report { Report { count: n } }\n\
              pub fn print_report(r: &Report) { println!(\"{}\", r.count); }\n",
         )];
-        let new = run_mode(&sources, FlowMode::Taint);
+        let new = run(&sources);
         assert!(new.is_empty(), "{new:?}");
     }
 }

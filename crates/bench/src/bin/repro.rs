@@ -18,44 +18,317 @@
 //! Every command additionally writes a versioned **run manifest**
 //! `results/RUN_<cmd>_<tag>.json` — git revision, full configuration,
 //! wall vs virtual time, deterministic op counts and per-phase latency
-//! histograms — and every invocation refreshes
-//! `results/BENCH_perf.json` (now a v1 manifest that keeps the legacy
-//! `jobs`/`reps`/`total_wall_s`/`steps` keys). `bench-diff` compares
-//! two manifests with per-class thresholds and exits non-zero on
-//! regression; `trace --folded` adds collapsed-stack (flamegraph)
-//! output.
+//! histograms. `bench-diff` compares two manifests with per-class
+//! thresholds and exits non-zero on regression; `trace --folded` adds
+//! collapsed-stack (flamegraph) output.
+//!
+//! The commands are the rows of [`REGISTRY`]: dispatch, the order
+//! `all` runs them in, the usage text and each manifest's name all
+//! derive from it, so adding an experiment is adding a row.
 //!
 //! Failures (an unwritable `results/` directory, a malformed flag, an
 //! unknown protocol) exit non-zero with a one-line diagnostic — never
 //! a panic.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use gkap_bench::cli::{self, CliOptions};
 use gkap_bench::{
-    chaos, cli, diff, emit, figure_sizes, figures, loss_sweep, manifest::Manifest, micro, scale,
-    trace, wan_sizes, write_output, Console,
+    chaos, diff, emit, figure_sizes, figures, loss_sweep, manifest::Manifest, micro, scale, trace,
+    wan_sizes, write_output, Console,
 };
 use gkap_core::costs_table::render_table1;
 use gkap_core::experiment::SuiteKind;
-use gkap_gcs::testbed;
+use gkap_core::protocols::ProtocolKind;
+use gkap_gcs::testbed::{self, lan, wan};
+use gkap_sim::stats::Figure;
 use gkap_telemetry::metrics::LogHistogram;
+
+/// What a command's body returns: a one-line diagnostic on failure.
+type Step = Result<(), String>;
+
+/// One `repro` command.
+struct Experiment {
+    /// The command name — the only place it is spelled.
+    name: &'static str,
+    /// Its own operands and flags, for the usage text.
+    args: &'static str,
+    /// Whether `all` runs it (in registry order).
+    in_all: bool,
+    /// What it does.
+    run: Run,
+    /// The workload parameters that tell runs of the command apart:
+    /// its manifest is `RUN_<name>_<tag>.json`.
+    tag: fn(&CliOptions) -> Result<String, String>,
+}
+
+/// A figure: its CSV stem and its builder from `(reps, jobs)`.
+type FigureSpec = (&'static str, fn(u32, usize) -> Figure);
+
+enum Run {
+    /// Builds figures; each is printed, written as `<stem>.csv` and
+    /// folded into the manifest by [`emit`].
+    Figures(&'static [FigureSpec]),
+    /// Anything else.
+    Custom(fn(&CliOptions, &mut Console, &mut Manifest) -> Step),
+}
+
+/// A step of `all` with no flags of its own, tagged by `--reps`.
+const fn step(name: &'static str, run: Run) -> Experiment {
+    Experiment {
+        name,
+        args: "",
+        in_all: true,
+        run,
+        tag: reps_tag,
+    }
+}
+
+fn reps_tag(opts: &CliOptions) -> Result<String, String> {
+    Ok(format!("r{}", opts.reps))
+}
+
+const PARTITION_MERGE_LAN: [usize; 7] = [4, 8, 12, 20, 30, 40, 50];
+const PARTITION_MERGE_WAN: [usize; 5] = [4, 8, 14, 26, 40];
+
+/// Every command, in the order `all` runs them.
+const REGISTRY: &[Experiment] = &[
+    step("table1", Run::Custom(table1)),
+    step("testbed", Run::Custom(testbed)),
+    step("microlan", Run::Custom(microlan)),
+    step("microwan", Run::Custom(microwan)),
+    step(
+        "fig11",
+        Run::Figures(&[
+            ("fig11_join_lan_512", |r, j| {
+                figures::fig11_join_lan(SuiteKind::Sim512, &figure_sizes(), r, j)
+            }),
+            ("fig11_join_lan_1024", |r, j| {
+                figures::fig11_join_lan(SuiteKind::Sim1024, &figure_sizes(), r, j)
+            }),
+        ]),
+    ),
+    step(
+        "fig12",
+        Run::Figures(&[
+            ("fig12_leave_lan_512", |r, j| {
+                figures::fig12_leave_lan(SuiteKind::Sim512, &figure_sizes(), r, j)
+            }),
+            ("fig12_leave_lan_1024", |r, j| {
+                figures::fig12_leave_lan(SuiteKind::Sim1024, &figure_sizes(), r, j)
+            }),
+        ]),
+    ),
+    step(
+        "fig14",
+        Run::Figures(&[
+            ("fig14_join_wan_512", |r, j| {
+                figures::fig14_join_wan(&wan_sizes(), r, j)
+            }),
+            ("fig14_leave_wan_512", |r, j| {
+                figures::fig14_leave_wan(&wan_sizes(), r, j)
+            }),
+        ]),
+    ),
+    step(
+        "partition-merge",
+        Run::Figures(&[
+            ("ext_partition_lan_512", |r, j| {
+                let title = "Extension — Partition (half the group), LAN, DH 512";
+                figures::partition_figure(&lan(), title, &PARTITION_MERGE_LAN, r, j)
+            }),
+            ("ext_merge_lan_512", |r, j| {
+                let title = "Extension — Merge (two halves), LAN, DH 512";
+                figures::merge_figure(&lan(), title, &PARTITION_MERGE_LAN, r, j)
+            }),
+            ("ext_partition_wan_512", |r, j| {
+                let title = "Extension — Partition (half the group), WAN, DH 512";
+                figures::partition_figure(&wan(), title, &PARTITION_MERGE_WAN, r, j)
+            }),
+            ("ext_merge_wan_512", |r, j| {
+                let title = "Extension — Merge (two halves), WAN, DH 512";
+                figures::merge_figure(&wan(), title, &PARTITION_MERGE_WAN, r, j)
+            }),
+        ]),
+    ),
+    step(
+        "crossover",
+        Run::Figures(&[("ext_crossover_join_n20", |r, j| {
+            figures::crossover_figure(20, &[0, 5, 10, 20, 35, 50, 75, 100, 150, 200], r, j)
+        })]),
+    ),
+    step(
+        "ablate-flow",
+        Run::Figures(&[("ablate_flow_bd_wan_n50", |r, j| {
+            figures::flow_control_ablation(50, &[1, 2, 5, 10, 20, 50], r, j)
+        })]),
+    ),
+    step(
+        "ablate-sponsor",
+        Run::Figures(&[("ablate_sponsor_wan_n26", |_, _| {
+            figures::sponsor_location_ablation(26)
+        })]),
+    ),
+    step(
+        "ablate-tree",
+        Run::Figures(&[("ablate_tree_shape_n24", |_, _| {
+            figures::tree_shape_ablation(24, 30)
+        })]),
+    ),
+    step(
+        "ablate-sig",
+        Run::Figures(&[("ablate_sig_join_n26", |r, j| {
+            figures::signature_scheme_ablation(26, r, j)
+        })]),
+    ),
+    step(
+        "ablate-avl",
+        Run::Figures(&[("ablate_avl_policy_n20", |_, _| {
+            figures::avl_policy_ablation(20, 25)
+        })]),
+    ),
+    step(
+        "lossy",
+        Run::Figures(&[("ext_lossy_wan_join_n20", |r, j| {
+            figures::lossy_links_figure(20, &[0, 1, 2, 5, 10, 20], r, j)
+        })]),
+    ),
+    step(
+        "ablate-hetero",
+        Run::Figures(&[("ablate_hetero_join_n26", |r, j| {
+            figures::hetero_machine_ablation(26, r, j)
+        })]),
+    ),
+    step(
+        "ablate-confirm",
+        Run::Figures(&[("ablate_confirm_join_n20", |r, j| {
+            figures::key_confirmation_ablation(20, r, j)
+        })]),
+    ),
+    step(
+        "ika",
+        Run::Figures(&[
+            ("ext_ika_lan_512", |r, j| {
+                let title = "Extension — real initial key agreement, LAN, DH 512";
+                figures::ika_figure(&lan(), title, &[2, 4, 8, 13, 20, 30, 40, 50], r, j)
+            }),
+            ("ext_ika_wan_512", |r, j| {
+                let title = "Extension — real initial key agreement, WAN, DH 512";
+                figures::ika_figure(&wan(), title, &[2, 4, 8, 14, 26], r, j)
+            }),
+        ]),
+    ),
+    // The single-group size sweep (one group of up to 100 members);
+    // the multi-group workload is `scale`.
+    step(
+        "ext-scale",
+        Run::Figures(&[("ext_scale_join_lan_512", |r, j| {
+            figures::scale_figure(&[10, 25, 50, 75, 100], r, j)
+        })]),
+    ),
+    Experiment {
+        name: "scale",
+        args: "[--groups N] [--churn R] [--window MS] [--protocol NAME] [--seed N] [--shards N]",
+        in_all: true,
+        run: Run::Custom(scale),
+        tag: |opts| Ok(scale_options(opts)?.tag()),
+    },
+    Experiment {
+        name: "trace",
+        args: "<figure> [--folded]",
+        in_all: false,
+        run: Run::Custom(|opts, con, man| trace(opts, true, con, man)),
+        tag: trace_tag,
+    },
+    Experiment {
+        name: "trace-summary",
+        args: "<figure>",
+        in_all: false,
+        run: Run::Custom(|opts, con, man| trace(opts, false, con, man)),
+        tag: trace_tag,
+    },
+    Experiment {
+        name: "chaos",
+        args: "[--seed N] [--runs N] [--loss-sweep [--burst] [--protocol NAME]]",
+        in_all: false,
+        run: Run::Custom(|opts, con, man| {
+            if opts.loss_sweep {
+                loss_sweep(opts, con, man)
+            } else {
+                chaos(opts, con, man)
+            }
+        }),
+        tag: |opts| {
+            Ok(match (opts.loss_sweep, opts.burst) {
+                (true, true) => format!("burst_s{}", opts.seed),
+                (true, false) => format!("loss_s{}", opts.seed),
+                (false, _) => format!("s{}_r{}", opts.seed, opts.runs),
+            })
+        },
+    },
+];
+
+/// The one command outside the registry: a pure comparison — no
+/// workload, no manifest.
+const BENCH_DIFF: &str = "bench-diff";
+
+fn usage() -> String {
+    let mut usage = String::from("commands: all");
+    for exp in REGISTRY {
+        usage.push(' ');
+        usage.push_str(exp.name);
+        if !exp.args.is_empty() {
+            usage.push(' ');
+            usage.push_str(exp.args);
+        }
+    }
+    format!("{usage} {BENCH_DIFF} <baseline.json> <candidate.json> [--reps N] [--jobs N] [--quiet]")
+}
 
 fn out_dir() -> PathBuf {
     PathBuf::from("results")
 }
 
-fn cmd_table1(con: &mut Console, man: &mut Manifest) -> Result<(), String> {
+/// Writes one output file under `results/` and says so.
+fn write_result(con: &mut Console, name: &str, text: &str) -> Step {
+    let path = write_output(&out_dir(), name, text)?;
+    con.say(format!("[written: {}]", path.display()));
+    Ok(())
+}
+
+/// `--protocol NAME`, for the commands that take one.
+fn protocol_filter(opts: &CliOptions) -> Result<Option<ProtocolKind>, String> {
+    opts.protocol
+        .as_deref()
+        .map(|name| {
+            scale::parse_protocol(name).ok_or_else(|| {
+                format!("unknown protocol: {name} (expected gdh, tgdh, str, bd or ckd)")
+            })
+        })
+        .transpose()
+}
+
+fn microlan(_: &CliOptions, con: &mut Console, _: &mut Manifest) -> Step {
+    con.say("# §6.1.1 micro-parameters (LAN)");
+    con.say(micro::render(&micro::lan_micro()));
+    Ok(())
+}
+
+fn microwan(_: &CliOptions, con: &mut Console, _: &mut Manifest) -> Step {
+    con.say("# §6.2.1 micro-parameters (WAN)");
+    con.say(micro::render(&micro::wan_micro()));
+    Ok(())
+}
+
+fn table1(_: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {
     for (n, m, p) in [(20usize, 5usize, 5usize), (50, 10, 10)] {
         con.say(render_table1(n, m, p));
         man.add_count("harness/table1/tables", 1);
     }
-    write_output(&out_dir(), "table1.txt", &render_table1(50, 10, 10))?;
-    con.say("[written: results/table1.txt]");
-    Ok(())
+    write_result(con, "table1.txt", &render_table1(50, 10, 10))
 }
 
-fn cmd_testbed(con: &mut Console) {
+fn testbed(_: &CliOptions, con: &mut Console, _: &mut Manifest) -> Step {
     let wan = testbed::wan();
     con.say("# Figure 13 — WAN testbed");
     for s in 0..wan.topology.site_count() {
@@ -76,290 +349,19 @@ fn cmd_testbed(con: &mut Console) {
             wan.topology.site_latency(a, b).as_millis_f64() * 2.0
         ));
     }
-}
-
-fn cmd_microlan(con: &mut Console) {
-    con.say("# §6.1.1 micro-parameters (LAN)");
-    con.say(micro::render(&micro::lan_micro()));
-}
-
-fn cmd_microwan(con: &mut Console) {
-    con.say("# §6.2.1 micro-parameters (WAN)");
-    con.say(micro::render(&micro::wan_micro()));
-}
-
-fn cmd_fig11(reps: u32, jobs: usize, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let sizes = figure_sizes();
-    for suite in [SuiteKind::Sim512, SuiteKind::Sim1024] {
-        let fig = figures::fig11_join_lan(suite, &sizes, reps, jobs);
-        let stem = match suite {
-            SuiteKind::Sim512 => "fig11_join_lan_512",
-            _ => "fig11_join_lan_1024",
-        };
-        emit(&fig, &out_dir(), stem, con, man)?;
-    }
     Ok(())
 }
 
-fn cmd_fig12(reps: u32, jobs: usize, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let sizes = figure_sizes();
-    for suite in [SuiteKind::Sim512, SuiteKind::Sim1024] {
-        let fig = figures::fig12_leave_lan(suite, &sizes, reps, jobs);
-        let stem = match suite {
-            SuiteKind::Sim512 => "fig12_leave_lan_512",
-            _ => "fig12_leave_lan_1024",
-        };
-        emit(&fig, &out_dir(), stem, con, man)?;
-    }
-    Ok(())
-}
-
-fn cmd_fig14(reps: u32, jobs: usize, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let sizes = wan_sizes();
-    emit(
-        &figures::fig14_join_wan(&sizes, reps, jobs),
-        &out_dir(),
-        "fig14_join_wan_512",
-        con,
-        man,
-    )?;
-    emit(
-        &figures::fig14_leave_wan(&sizes, reps, jobs),
-        &out_dir(),
-        "fig14_leave_wan_512",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_partition_merge(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let sizes: Vec<usize> = vec![4, 8, 12, 20, 30, 40, 50];
-    emit(
-        &figures::partition_figure(
-            &testbed::lan(),
-            "Extension — Partition (half the group), LAN, DH 512",
-            &sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_partition_lan_512",
-        con,
-        man,
-    )?;
-    emit(
-        &figures::merge_figure(
-            &testbed::lan(),
-            "Extension — Merge (two halves), LAN, DH 512",
-            &sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_merge_lan_512",
-        con,
-        man,
-    )?;
-    let wan_sizes: Vec<usize> = vec![4, 8, 14, 26, 40];
-    emit(
-        &figures::partition_figure(
-            &testbed::wan(),
-            "Extension — Partition (half the group), WAN, DH 512",
-            &wan_sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_partition_wan_512",
-        con,
-        man,
-    )?;
-    emit(
-        &figures::merge_figure(
-            &testbed::wan(),
-            "Extension — Merge (two halves), WAN, DH 512",
-            &wan_sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_merge_wan_512",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_crossover(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let delays: Vec<u64> = vec![0, 5, 10, 20, 35, 50, 75, 100, 150, 200];
-    emit(
-        &figures::crossover_figure(20, &delays, reps, jobs),
-        &out_dir(),
-        "ext_crossover_join_n20",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_flow(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let budgets: Vec<usize> = vec![1, 2, 5, 10, 20, 50];
-    emit(
-        &figures::flow_control_ablation(50, &budgets, reps, jobs),
-        &out_dir(),
-        "ablate_flow_bd_wan_n50",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_sponsor(con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    emit(
-        &figures::sponsor_location_ablation(26),
-        &out_dir(),
-        "ablate_sponsor_wan_n26",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_tree(con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    emit(
-        &figures::tree_shape_ablation(24, 30),
-        &out_dir(),
-        "ablate_tree_shape_n24",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_sig(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    emit(
-        &figures::signature_scheme_ablation(26, reps, jobs),
-        &out_dir(),
-        "ablate_sig_join_n26",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_confirm(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    emit(
-        &figures::key_confirmation_ablation(20, reps, jobs),
-        &out_dir(),
-        "ablate_confirm_join_n20",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_avl(con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    emit(
-        &figures::avl_policy_ablation(20, 25),
-        &out_dir(),
-        "ablate_avl_policy_n20",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ablate_hetero(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    emit(
-        &figures::hetero_machine_ablation(26, reps, jobs),
-        &out_dir(),
-        "ablate_hetero_join_n26",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-fn cmd_ika(reps: u32, jobs: usize, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let sizes: Vec<usize> = vec![2, 4, 8, 13, 20, 30, 40, 50];
-    emit(
-        &figures::ika_figure(
-            &testbed::lan(),
-            "Extension — real initial key agreement, LAN, DH 512",
-            &sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_ika_lan_512",
-        con,
-        man,
-    )?;
-    let wan_sizes: Vec<usize> = vec![2, 4, 8, 14, 26];
-    emit(
-        &figures::ika_figure(
-            &testbed::wan(),
-            "Extension — real initial key agreement, WAN, DH 512",
-            &wan_sizes,
-            reps,
-            jobs,
-        ),
-        &out_dir(),
-        "ext_ika_wan_512",
-        con,
-        man,
-    )?;
-    Ok(())
-}
-
-/// `ext-scale`: the single-group size sweep (one group of up to 100
-/// members). The multi-group workload lives under `scale`.
-fn cmd_ext_scale(
-    reps: u32,
-    jobs: usize,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let sizes: Vec<usize> = vec![10, 25, 50, 75, 100];
-    emit(
-        &figures::scale_figure(&sizes, reps, jobs),
-        &out_dir(),
-        "ext_scale_join_lan_512",
-        con,
-        man,
-    )?;
-    Ok(())
+fn scale_options(opts: &CliOptions) -> Result<scale::ScaleOptions, String> {
+    Ok(scale::ScaleOptions {
+        groups: opts.groups,
+        churn: opts.churn,
+        window_ms: opts.window_ms,
+        protocol: protocol_filter(opts)?,
+        seed: opts.seed,
+        jobs: opts.jobs,
+        shards: opts.shards,
+    })
 }
 
 /// `scale`: the multi-group workload — N concurrent groups
@@ -368,29 +370,14 @@ fn cmd_ext_scale(
 /// every `--jobs` x `--shards` combination, manifest body included;
 /// per-shard busy and barrier-wait times land in the manifest
 /// environment block.
-fn cmd_scale(opts: &cli::CliOptions, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let protocol = match opts.protocol.as_deref() {
-        Some(name) => Some(scale::parse_protocol(name).ok_or_else(|| {
-            format!("unknown protocol: {name} (expected gdh, tgdh, str, bd or ckd)")
-        })?),
-        None => None,
-    };
-    let sopts = scale::ScaleOptions {
-        groups: opts.groups,
-        churn: opts.churn,
-        window_ms: opts.window_ms,
-        protocol,
-        seed: opts.seed,
-        jobs: opts.jobs,
-        shards: opts.shards,
-    };
+fn scale(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {
+    let sopts = scale_options(opts)?;
     let outcome = scale::run_all_timed(&sopts);
     let rows = outcome.rows;
     man.set_shard_timing(sopts.shards.max(1), &outcome.shard_busy_ns);
     con.say(scale::scale_table(&sopts, &rows));
-    let csv_name = format!("scale_g{}_s{}.csv", sopts.groups, sopts.seed);
-    let path = write_output(&out_dir(), &csv_name, &scale::scale_csv(&sopts, &rows))?;
-    con.say(format!("[written: {}]", path.display()));
+    let csv_name = format!("scale_{}.csv", sopts.tag());
+    write_result(con, &csv_name, &scale::scale_csv(&sopts, &rows))?;
     man.absorb(&scale::scale_manifest(&sopts, &rows));
     if let Some(row) = rows.iter().find(|r| !r.run.ok) {
         return Err(format!(
@@ -401,29 +388,16 @@ fn cmd_scale(opts: &cli::CliOptions, con: &mut Console, man: &mut Manifest) -> R
     Ok(())
 }
 
-fn cmd_lossy(reps: u32, jobs: usize, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
-    let pcts: Vec<u32> = vec![0, 1, 2, 5, 10, 20];
-    emit(
-        &figures::lossy_links_figure(20, &pcts, reps, jobs),
-        &out_dir(),
-        "ext_lossy_wan_join_n20",
-        con,
-        man,
-    )?;
-    Ok(())
+fn trace_tag(opts: &CliOptions) -> Result<String, String> {
+    Ok(opts.figure.clone().unwrap_or_else(|| "fig14".into()))
 }
 
 /// `trace <figure>` / `trace-summary <figure>`: traced runs with the
 /// per-protocol latency breakdown. `full` additionally writes one
 /// JSONL event log per protocol × event; `folded` writes collapsed
 /// stacks for flamegraph rendering.
-fn cmd_trace(
-    figure: &str,
-    full: bool,
-    folded: bool,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
+fn trace(opts: &CliOptions, full: bool, con: &mut Console, man: &mut Manifest) -> Step {
+    let figure = opts.figure.as_deref().unwrap_or("fig14");
     let n = 50;
     let Some(rows) = trace::trace_figure(figure, n) else {
         // A usage error, not a runtime failure: exit 2 like unknown
@@ -449,7 +423,7 @@ fn cmd_trace(
             ));
         }
     }
-    if folded {
+    if opts.folded {
         let name = format!("trace_{figure}.folded");
         let path = write_output(&out_dir(), &name, &trace::folded_stacks(&rows))?;
         con.say(format!("[written: {} (collapsed stacks)]", path.display()));
@@ -494,22 +468,20 @@ fn cmd_trace(
     }
     con.say(trace::summary_table(figure, &rows));
     let csv_name = format!("trace_summary_{figure}.csv");
-    let path = write_output(&out_dir(), &csv_name, &trace::summary_csv(figure, &rows))?;
-    con.say(format!("[written: {}]", path.display()));
-    Ok(())
+    write_result(con, &csv_name, &trace::summary_csv(figure, &rows))
 }
 
 /// `chaos`: a seeded randomized fault campaign across all five
 /// protocols. Exits non-zero when any invariant is violated, printing
 /// the minimized failing schedule so CI logs carry the reproduction.
-fn cmd_chaos(seed: u64, runs: u32, con: &mut Console, man: &mut Manifest) -> Result<(), String> {
+fn chaos(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {
+    let (seed, runs) = (opts.seed, opts.runs);
     let cfg = chaos::ChaosConfig::default();
     let factory = chaos::default_factory();
     let report = chaos::run_campaign(seed, runs, &cfg, &factory, con);
     con.say(chaos::render_summary(&report));
     let csv_name = format!("chaos_seed{seed}.csv");
-    let path = write_output(&out_dir(), &csv_name, &chaos::campaign_csv(&report))?;
-    con.say(format!("[written: {}]", path.display()));
+    write_result(con, &csv_name, &chaos::campaign_csv(&report))?;
     man.set_config("chaos_seed", seed);
     man.set_config("chaos_runs", runs);
     man.add_count("harness/chaos/rows", report.rows.len() as u64);
@@ -541,95 +513,57 @@ fn cmd_chaos(seed: u64, runs: u32, con: &mut Console, man: &mut Manifest) -> Res
 }
 
 /// `chaos --loss-sweep`: loss rates × {FEC, retransmission-only} ×
-/// protocols on both testbeds. Exits non-zero when any cell misses an
-/// invariant (liveness, view synchrony, key convergence).
-fn cmd_loss_sweep(
-    opts: &cli::CliOptions,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let protocol = match opts.protocol.as_deref() {
-        Some(name) => Some(scale::parse_protocol(name).ok_or_else(|| {
-            format!("unknown protocol: {name} (expected gdh, tgdh, str, bd or ckd)")
-        })?),
-        None => None,
-    };
+/// protocols on both testbeds; with `--burst`, Gilbert–Elliott burst
+/// cells ({burst length in rotations} × {bad-state rate}) instead of
+/// Bernoulli rates, wire charged at byte granularity. Exits non-zero
+/// when any cell misses an invariant (liveness, view synchrony, key
+/// convergence).
+fn loss_sweep(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {
     let sopts = loss_sweep::SweepOptions {
         seed: opts.seed,
         jobs: opts.jobs,
-        protocol,
+        protocol: protocol_filter(opts)?,
     };
-    let rows = loss_sweep::run_sweep(&sopts);
-    con.say(loss_sweep::sweep_table(sopts.seed, &rows));
-    let csv_name = format!("chaos_loss_s{}.csv", sopts.seed);
-    let path = write_output(
-        &out_dir(),
-        &csv_name,
-        &loss_sweep::sweep_csv(sopts.seed, &rows),
-    )?;
-    con.say(format!("[written: {}]", path.display()));
-    man.absorb(&loss_sweep::sweep_manifest(&sopts, &rows));
-    let failed: Vec<&loss_sweep::SweepRow> = rows.iter().filter(|r| !r.converged).collect();
+    let seed = sopts.seed;
+    let (kind, flag, table, csv, body, failed): (_, _, _, _, _, Vec<String>) = if opts.burst {
+        let rows = loss_sweep::run_burst_sweep(&sopts);
+        let cell = |r: &loss_sweep::BurstRow| {
+            let mode = r.mode.name();
+            format!(
+                "{} burst={} bad={}% {mode} {}",
+                r.net, r.burst_rot, r.bad_pct, r.protocol
+            )
+        };
+        (
+            "burst",
+            " --burst",
+            loss_sweep::burst_table(seed, &rows),
+            loss_sweep::burst_csv(seed, &rows),
+            loss_sweep::burst_manifest(&sopts, &rows),
+            rows.iter().filter(|r| !r.converged).map(cell).collect(),
+        )
+    } else {
+        let rows = loss_sweep::run_sweep(&sopts);
+        let cell = |r: &loss_sweep::SweepRow| {
+            format!("{} {}% {} {}", r.net, r.loss_pct, r.mode.name(), r.protocol)
+        };
+        (
+            "loss",
+            "",
+            loss_sweep::sweep_table(seed, &rows),
+            loss_sweep::sweep_csv(seed, &rows),
+            loss_sweep::sweep_manifest(&sopts, &rows),
+            rows.iter().filter(|r| !r.converged).map(cell).collect(),
+        )
+    };
+    con.say(table);
+    write_result(con, &format!("chaos_{kind}_s{seed}.csv"), &csv)?;
+    man.absorb(&body);
     if !failed.is_empty() {
-        for r in &failed {
+        for cell in failed {
             con.say(format!(
-                "FAILED: {} {}% {} {} — invariant violated (replay with \
-                 `repro chaos --loss-sweep --seed {}`)",
-                r.net,
-                r.loss_pct,
-                r.mode.name(),
-                r.protocol,
-                sopts.seed
-            ));
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-/// `chaos --loss-sweep --burst`: Gilbert–Elliott burst cells
-/// ({burst length in rotations} × {bad-state rate}) × {FEC,
-/// retransmission-only} × protocols on both testbeds, wire charged at
-/// byte granularity. Exits non-zero when any cell misses an
-/// invariant.
-fn cmd_burst_sweep(
-    opts: &cli::CliOptions,
-    con: &mut Console,
-    man: &mut Manifest,
-) -> Result<(), String> {
-    let protocol = match opts.protocol.as_deref() {
-        Some(name) => Some(scale::parse_protocol(name).ok_or_else(|| {
-            format!("unknown protocol: {name} (expected gdh, tgdh, str, bd or ckd)")
-        })?),
-        None => None,
-    };
-    let sopts = loss_sweep::SweepOptions {
-        seed: opts.seed,
-        jobs: opts.jobs,
-        protocol,
-    };
-    let rows = loss_sweep::run_burst_sweep(&sopts);
-    con.say(loss_sweep::burst_table(sopts.seed, &rows));
-    let csv_name = format!("chaos_burst_s{}.csv", sopts.seed);
-    let path = write_output(
-        &out_dir(),
-        &csv_name,
-        &loss_sweep::burst_csv(sopts.seed, &rows),
-    )?;
-    con.say(format!("[written: {}]", path.display()));
-    man.absorb(&loss_sweep::burst_manifest(&sopts, &rows));
-    let failed: Vec<&loss_sweep::BurstRow> = rows.iter().filter(|r| !r.converged).collect();
-    if !failed.is_empty() {
-        for r in &failed {
-            con.say(format!(
-                "FAILED: {} burst={} bad={}% {} {} — invariant violated (replay \
-                 with `repro chaos --loss-sweep --burst --seed {}`)",
-                r.net,
-                r.burst_rot,
-                r.bad_pct,
-                r.mode.name(),
-                r.protocol,
-                sopts.seed
+                "FAILED: {cell} — invariant violated (replay with \
+                 `repro chaos --loss-sweep{flag} --seed {seed}`)"
             ));
         }
         std::process::exit(1);
@@ -639,7 +573,7 @@ fn cmd_burst_sweep(
 
 /// `bench-diff <baseline> <candidate>`: the perf-regression gate.
 /// Exit codes: 0 pass, 1 regression(s), 2 usage/IO error.
-fn cmd_bench_diff(opts: &cli::CliOptions, con: &mut Console) -> Result<bool, String> {
+fn bench_diff(opts: &CliOptions, con: &mut Console) -> Result<bool, String> {
     let (Some(base_path), Some(cand_path)) = (opts.figure.as_deref(), opts.arg2.as_deref()) else {
         return Err(
             "bench-diff needs two manifest paths: bench-diff <baseline.json> <candidate.json>"
@@ -653,127 +587,26 @@ fn cmd_bench_diff(opts: &cli::CliOptions, con: &mut Console) -> Result<bool, Str
     Ok(report.passed())
 }
 
-/// One timed step of the invocation, for `results/BENCH_perf.json`.
-struct PerfEntry {
-    name: String,
-    wall_s: f64,
-    serial_equivalent_s: f64,
-}
-
-/// Renders the perf record as a v1 run manifest that keeps the legacy
-/// top-level keys (`jobs`, `reps`, `total_wall_s`, `steps`) so
-/// existing consumers keep parsing it.
-fn perf_manifest(opts: &cli::CliOptions, total_wall_s: f64, steps: &[PerfEntry]) -> Manifest {
-    let mut man = Manifest::new("perf", &opts.cmd);
-    man.set_config("reps", opts.reps);
-    let mut wall = LogHistogram::default();
-    for e in steps {
-        man.add_count(&format!("harness/steps/{}", e.name), 1);
-        wall.record(e.wall_s * 1000.0);
-    }
-    if wall.count() > 0 {
-        man.put_histogram("harness/step_wall_ms", wall.summary());
-    }
-    man.fill_environment(opts.jobs, total_wall_s);
-    let mut steps_json = String::from("[");
-    for (i, e) in steps.iter().enumerate() {
-        let comma = if i + 1 < steps.len() { "," } else { "" };
-        let _ = write!(
-            steps_json,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"serial_equivalent_s\": {:.3}}}{comma}",
-            e.name, e.wall_s, e.serial_equivalent_s
-        );
-    }
-    steps_json.push_str("\n  ]");
-    man.legacy.insert("jobs".into(), opts.jobs.to_string());
-    man.legacy.insert("reps".into(), opts.reps.to_string());
-    man.legacy
-        .insert("total_wall_s".into(), format!("{total_wall_s:.3}"));
-    man.legacy.insert("steps".into(), steps_json);
-    man
-}
-
-/// The sub-steps `all` runs, in order.
-const ALL_STEPS: [&str; 20] = [
-    "table1",
-    "testbed",
-    "microlan",
-    "microwan",
-    "fig11",
-    "fig12",
-    "fig14",
-    "partition-merge",
-    "crossover",
-    "ablate-flow",
-    "ablate-sponsor",
-    "ablate-tree",
-    "ablate-sig",
-    "ablate-avl",
-    "lossy",
-    "ablate-hetero",
-    "ablate-confirm",
-    "ika",
-    "ext-scale",
-    "scale",
-];
-
-/// The manifest tag for a command: the workload parameters that
-/// distinguish runs of the same command.
-fn manifest_tag(cmd: &str, opts: &cli::CliOptions) -> String {
-    match cmd {
-        "scale" => format!("g{}_s{}", opts.groups, opts.seed),
-        "chaos" if opts.loss_sweep && opts.burst => format!("burst_s{}", opts.seed),
-        "chaos" if opts.loss_sweep => format!("loss_s{}", opts.seed),
-        "chaos" => format!("s{}_r{}", opts.seed, opts.runs),
-        "trace" | "trace-summary" => opts.figure.clone().unwrap_or_else(|| "fig14".into()),
-        _ => format!("r{}", opts.reps),
-    }
-}
-
-/// Runs one command, timing it, writing its run manifest, and
-/// recording a perf entry. Returns `Ok(false)` for unknown commands,
-/// `Err` with a one-line diagnostic on failure.
-fn run_step(
-    cmd: &str,
-    opts: &cli::CliOptions,
-    perf: &mut Vec<PerfEntry>,
-    con: &mut Console,
-) -> Result<bool, String> {
-    let (reps, jobs) = (opts.reps, opts.jobs);
+/// Runs one command: times it and writes its run manifest. `Err` is a
+/// one-line diagnostic.
+fn run_step(exp: &Experiment, opts: &CliOptions, con: &mut Console) -> Step {
     gkap_core::par::take_busy_nanos(); // reset the busy-time counter
-    let mut man = Manifest::new(cmd, &manifest_tag(cmd, opts));
-    man.set_config("reps", reps);
-    let man = &mut man;
+    let mut man = Manifest::new(exp.name, &(exp.tag)(opts)?);
+    man.set_config("reps", opts.reps);
     let t0 = std::time::Instant::now();
-    match cmd {
-        "table1" => cmd_table1(con, man)?,
-        "testbed" => cmd_testbed(con),
-        "microlan" => cmd_microlan(con),
-        "microwan" => cmd_microwan(con),
-        "fig11" => cmd_fig11(reps, jobs, con, man)?,
-        "fig12" => cmd_fig12(reps, jobs, con, man)?,
-        "fig14" => cmd_fig14(reps, jobs, con, man)?,
-        "partition-merge" => cmd_partition_merge(reps, jobs, con, man)?,
-        "crossover" => cmd_crossover(reps, jobs, con, man)?,
-        "ablate-flow" => cmd_ablate_flow(reps, jobs, con, man)?,
-        "ablate-sponsor" => cmd_ablate_sponsor(con, man)?,
-        "ablate-tree" => cmd_ablate_tree(con, man)?,
-        "ablate-sig" => cmd_ablate_sig(reps, jobs, con, man)?,
-        "ablate-avl" => cmd_ablate_avl(con, man)?,
-        "ablate-confirm" => cmd_ablate_confirm(reps, jobs, con, man)?,
-        "lossy" => cmd_lossy(reps, jobs, con, man)?,
-        "ika" => cmd_ika(reps, jobs, con, man)?,
-        "ext-scale" => cmd_ext_scale(reps, jobs, con, man)?,
-        "scale" => cmd_scale(opts, con, man)?,
-        "ablate-hetero" => cmd_ablate_hetero(reps, jobs, con, man)?,
-        "trace" | "trace-summary" => {
-            let figure = opts.figure.as_deref().unwrap_or("fig14");
-            cmd_trace(figure, cmd == "trace", opts.folded, con, man)?;
+    match exp.run {
+        Run::Figures(figures) => {
+            for (stem, build) in figures {
+                emit(
+                    &build(opts.reps, opts.jobs),
+                    &out_dir(),
+                    stem,
+                    con,
+                    &mut man,
+                )?;
+            }
         }
-        "chaos" if opts.loss_sweep && opts.burst => cmd_burst_sweep(opts, con, man)?,
-        "chaos" if opts.loss_sweep => cmd_loss_sweep(opts, con, man)?,
-        "chaos" => cmd_chaos(opts.seed, opts.runs, con, man)?,
-        _ => return Ok(false),
+        Run::Custom(body) => body(opts, con, &mut man)?,
     }
     let wall_s = t0.elapsed().as_secs_f64();
     // Wall-clock busy time, not CPU time: `run_indexed` brackets each
@@ -783,27 +616,15 @@ fn run_step(
     // happen, but other processes competing for the machine can still
     // inflate it — treat it as an upper bound on compute.
     let serial_equivalent_s = gkap_core::par::take_busy_nanos() as f64 / 1e9;
-    man.fill_environment(jobs, wall_s);
+    man.fill_environment(opts.jobs, wall_s);
     let man_path = man.write_to(&out_dir())?;
     con.note(format!("[manifest: {}]", man_path.display()));
     con.note(format!(
-        "[{cmd}: wall {wall_s:.1}s, serial-equivalent {serial_equivalent_s:.1}s]"
+        "[{}: wall {wall_s:.1}s, serial-equivalent {serial_equivalent_s:.1}s]",
+        exp.name
     ));
-    perf.push(PerfEntry {
-        name: cmd.to_string(),
-        wall_s,
-        serial_equivalent_s,
-    });
-    Ok(true)
+    Ok(())
 }
-
-const USAGE: &str = "commands: all table1 testbed microlan microwan fig11 fig12 fig14 \
-     partition-merge crossover ablate-flow ablate-sponsor ablate-tree ablate-sig ablate-avl \
-     ablate-hetero ablate-confirm lossy ika ext-scale trace <figure> [--folded] \
-     trace-summary <figure> chaos [--seed N] [--runs N] [--loss-sweep [--burst] [--protocol NAME]] \
-     scale [--groups N] [--churn R] [--window MS] [--protocol NAME] [--seed N] [--shards N] \
-     bench-diff <baseline.json> <candidate.json> \
-     [--reps N] [--jobs N] [--quiet]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -811,7 +632,7 @@ fn main() {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("repro: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     };
@@ -822,9 +643,8 @@ fn main() {
     };
     let con = &mut con;
 
-    // bench-diff is a pure comparison — no workload, no perf record.
-    if opts.cmd == "bench-diff" {
-        match cmd_bench_diff(&opts, con) {
+    if opts.cmd == BENCH_DIFF {
+        match bench_diff(&opts, con) {
             Ok(true) => return,
             Ok(false) => std::process::exit(1),
             Err(msg) => {
@@ -834,48 +654,130 @@ fn main() {
         }
     }
 
-    let mut perf: Vec<PerfEntry> = Vec::new();
-    let t0 = std::time::Instant::now();
-    let outcome = if opts.cmd == "all" {
-        let mut res = Ok(true);
-        for cmd in ALL_STEPS {
-            res = run_step(cmd, &opts, &mut perf, con);
-            if res.is_err() {
-                break;
+    let steps: Vec<&Experiment> = REGISTRY
+        .iter()
+        .filter(|exp| {
+            if opts.cmd == "all" {
+                exp.in_all
+            } else {
+                exp.name == opts.cmd
             }
-        }
-        res
-    } else {
-        run_step(&opts.cmd, &opts, &mut perf, con)
-    };
-    match outcome {
-        Ok(true) => {}
-        Ok(false) => {
-            con.note(format!("unknown command: {}", opts.cmd));
-            con.note(USAGE);
-            std::process::exit(2);
-        }
-        Err(msg) => {
+        })
+        .collect();
+    if steps.is_empty() {
+        con.note(format!("unknown command: {}", opts.cmd));
+        con.note(usage());
+        std::process::exit(2);
+    }
+    let t0 = std::time::Instant::now();
+    for exp in steps {
+        if let Err(msg) = run_step(exp, &opts, con) {
             eprintln!("repro: {msg}");
             std::process::exit(1);
         }
     }
-    let total_wall_s = t0.elapsed().as_secs_f64();
-
-    let perf_path = match write_output(
-        &out_dir(),
-        "BENCH_perf.json",
-        &perf_manifest(&opts, total_wall_s, &perf).to_json(),
-    ) {
-        Ok(path) => path,
-        Err(msg) => {
-            eprintln!("repro: {msg}");
-            std::process::exit(1);
-        }
-    };
-    con.note(format!("[written: {}]", perf_path.display()));
     con.note(format!(
-        "[repro {} done in {total_wall_s:.1}s with --jobs {}]",
-        opts.cmd, opts.jobs
+        "[repro {} done in {:.1}s with --jobs {}]",
+        opts.cmd,
+        t0.elapsed().as_secs_f64(),
+        opts.jobs
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn names_are_unique_and_all_runs_the_same_twenty_steps_in_order() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|exp| exp.name).collect();
+        assert_eq!(names.len(), REGISTRY.len());
+        assert!(!names.contains("all") && !names.contains(BENCH_DIFF));
+        let all: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|exp| exp.in_all)
+            .map(|exp| exp.name)
+            .collect();
+        assert_eq!(
+            all.join(" "),
+            "table1 testbed microlan microwan fig11 fig12 fig14 partition-merge crossover \
+             ablate-flow ablate-sponsor ablate-tree ablate-sig ablate-avl lossy ablate-hetero \
+             ablate-confirm ika ext-scale scale"
+        );
+    }
+
+    #[test]
+    fn every_committed_figure_csv_comes_from_exactly_one_entry() {
+        let mut stems = Vec::new();
+        for exp in REGISTRY {
+            if let Run::Figures(figures) = exp.run {
+                stems.extend(figures.iter().map(|(stem, _)| stem.to_string()));
+            }
+        }
+        let unique: BTreeSet<String> = stems.iter().cloned().collect();
+        assert_eq!(unique.len(), stems.len(), "a stem is produced twice");
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let committed: BTreeSet<String> = std::fs::read_dir(results)
+            .expect("results/ is committed")
+            .map(|entry| {
+                entry
+                    .expect("entry")
+                    .file_name()
+                    .into_string()
+                    .expect("name")
+            })
+            .filter(|name| {
+                ["fig", "ext_", "ablate_"]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .filter_map(|name| name.strip_suffix(".csv").map(str::to_string))
+            .collect();
+        assert_eq!(unique, committed);
+    }
+
+    #[test]
+    fn usage_lists_every_command() {
+        let usage = usage();
+        for name in REGISTRY
+            .iter()
+            .map(|exp| exp.name)
+            .chain(["all", BENCH_DIFF])
+        {
+            assert!(
+                usage.split_whitespace().any(|word| word == name),
+                "{name} missing from: {usage}"
+            );
+        }
+    }
+
+    #[test]
+    fn manifest_tags_follow_the_options_that_change_the_workload() {
+        let tag = |argv: &[&str]| {
+            let args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            let opts = cli::parse(&args).expect("parses");
+            let exp = REGISTRY
+                .iter()
+                .find(|exp| exp.name == opts.cmd)
+                .expect("known");
+            (exp.tag)(&opts)
+        };
+        assert_eq!(tag(&["fig11"]).as_deref(), Ok("r3"));
+        assert_eq!(tag(&["table1", "--reps", "5"]).as_deref(), Ok("r5"));
+        assert_eq!(tag(&["scale"]).as_deref(), Ok("g64_s7"));
+        assert_eq!(
+            tag(&["scale", "--groups", "1000", "--churn", "0.05"]).as_deref(),
+            Ok("g1000_s7_c0.05")
+        );
+        assert!(tag(&["scale", "--protocol", "nope"]).is_err());
+        assert_eq!(tag(&["chaos"]).as_deref(), Ok("s7_r8"));
+        assert_eq!(tag(&["chaos", "--loss-sweep"]).as_deref(), Ok("loss_s7"));
+        assert_eq!(
+            tag(&["chaos", "--loss-sweep", "--burst", "--seed", "9"]).as_deref(),
+            Ok("burst_s9")
+        );
+        assert_eq!(tag(&["trace-summary"]).as_deref(), Ok("fig14"));
+        assert_eq!(tag(&["trace", "crash"]).as_deref(), Ok("crash"));
+    }
 }

@@ -5,6 +5,7 @@
 //! (`--quiet trace fig11`, `fig11 --jobs 4 --reps 5` and
 //! `--jobs 4 fig11` are all equivalent spellings).
 
+use crate::scale::{DEFAULT_CHURN, DEFAULT_WINDOW_MS};
 use gkap_core::par;
 
 /// Parsed `repro` invocation.
@@ -69,8 +70,8 @@ impl Default for CliOptions {
             seed: 7,
             runs: 8,
             groups: 64,
-            churn: 0.1,
-            window_ms: 5.0,
+            churn: DEFAULT_CHURN,
+            window_ms: DEFAULT_WINDOW_MS,
             protocol: None,
             shards: 1,
             loss_sweep: false,
@@ -335,21 +336,6 @@ mod tests {
             assert_eq!(o.cmd, "chaos", "{argv:?}");
             assert!(o.loss_sweep && o.burst, "{argv:?}");
         }
-    }
-
-    #[test]
-    fn gkap_jobs_env_is_the_default_and_the_flag_wins() {
-        // One test owns the variable end to end, so the parallel test
-        // runner never sees it set outside this scope.
-        std::env::set_var("GKAP_JOBS", "3");
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.jobs, 3, "GKAP_JOBS sets the default worker count");
-        let o = parse(&args(&["scale", "--jobs", "5"])).unwrap();
-        assert_eq!(o.jobs, 5, "an explicit --jobs beats the environment");
-        std::env::set_var("GKAP_JOBS", "0");
-        let o = parse(&[]).unwrap();
-        assert!(o.jobs >= 1, "a nonsense GKAP_JOBS falls back to hardware");
-        std::env::remove_var("GKAP_JOBS");
     }
 
     #[test]

@@ -1,27 +1,40 @@
 //! Figure builders: one function per table/figure of the paper plus
 //! the extension studies (see the experiment index in DESIGN.md).
 //!
-//! Every builder takes a `jobs` worker count and fans its independent
-//! (protocol, x, repetition) cells across threads via
-//! [`gkap_core::par::run_indexed`]. Cell seeds depend only on cell
-//! coordinates and results are folded in serial iteration order, so
-//! the output is bit-identical for every `jobs` value (asserted by
+//! Every figure is a grid of independent (series, x, repetition)
+//! cells run and folded by [`grid_figure`]: a builder states its
+//! title, its two axes and the cell — the configuration that differs
+//! and the seed formula. Cell seeds depend only on cell coordinates
+//! and results are folded in serial iteration order, so the output is
+//! bit-identical for every `jobs` value (asserted by
 //! `tests/parallel_determinism.rs`).
 
 use gkap_core::experiment::{
-    build_figure_jobs, run_join, run_join_churned, run_leave, run_leave_churned,
-    run_leave_weighted, run_merge, run_partition, run_real_formation, ExperimentConfig, SuiteKind,
+    build_figure_jobs, grid_figure, protocol_axis, run_join, run_join_churned, run_leave,
+    run_leave_churned, run_leave_weighted, run_merge, run_partition, run_real_formation,
+    ExperimentConfig, LeaveTarget, SuiteKind,
 };
-use gkap_core::par;
 use gkap_core::protocols::ProtocolKind;
 use gkap_gcs::{testbed, GcsConfig};
 use gkap_sim::stats::{Figure, Series, Summary};
 use gkap_sim::Duration;
 
-/// Fans `cells` across `jobs` workers; outcomes come back in cell
-/// order so callers can fold them exactly as a serial loop would.
-fn fan<C: Sync, T: Send>(jobs: usize, cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
-    par::run_indexed(jobs, cells.len(), |i| f(&cells[i]))
+/// The configuration the extension studies measure: DH 512, no key
+/// confirmation, telemetry off.
+fn sim512(protocol: ProtocolKind, gcs: GcsConfig, seed: u64) -> ExperimentConfig {
+    ExperimentConfig {
+        protocol,
+        gcs,
+        suite: SuiteKind::Sim512,
+        seed,
+        confirm_keys: false,
+        telemetry: false,
+    }
+}
+
+/// An x axis: each value paired with where it is plotted.
+fn axis<T: Copy>(values: &[T], x: impl Fn(T) -> f64) -> Vec<(f64, T)> {
+    values.iter().map(|&v| (x(v), v)).collect()
 }
 
 /// Figure 11: join, LAN, for the given parameter size.
@@ -96,40 +109,17 @@ pub fn ika_figure(gcs: &GcsConfig, title: &str, sizes: &[usize], reps: u32, jobs
 /// 100 members on the LAN (the paper stops at 50; §3.1 says Spread
 /// "is designed to support small to medium groups").
 pub fn scale_figure(sizes: &[usize], reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new("Extension — scalability: join (solid) to n=100, LAN, DH 512");
-    let mut cells: Vec<(ProtocolKind, usize, u32)> = Vec::new();
-    for kind in ProtocolKind::all() {
-        for &n in sizes {
-            for rep in 0..reps {
-                cells.push((kind, n, rep));
-            }
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(kind, n, rep)| {
-        let cfg = ExperimentConfig {
-            protocol: kind,
-            gcs: testbed::lan(),
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 20) ^ n as u64,
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} scale join n={n}");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for kind in ProtocolKind::all() {
-        let mut series = Series::new(kind.name());
-        for &n in sizes {
-            let mut summary = Summary::new();
-            for outcome in it.by_ref().take(reps as usize) {
-                summary.add(outcome.elapsed_ms);
-            }
-            series.push(n as f64, summary);
-        }
-        fig.push(series);
-    }
+    let (fig, _) = grid_figure(
+        "Extension — scalability: join (solid) to n=100, LAN, DH 512",
+        &protocol_axis(&ProtocolKind::all()),
+        &axis(sizes, |n| n as f64),
+        reps,
+        jobs,
+        |&kind, &n, rep| {
+            let seed = 0x5eed ^ ((rep + 1) << 20) ^ n as u64;
+            run_join(&sim512(kind, testbed::lan(), seed), n)
+        },
+    );
     fig
 }
 
@@ -178,82 +168,37 @@ pub fn merge_figure(
 /// time at a fixed group size as the inter-site one-way latency grows,
 /// locating the computation/communication crossover.
 pub fn crossover_figure(n: usize, delays_ms: &[u64], reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Crossover — Join at n={n}, symmetric 3-site WAN, DH 512 bits (x = one-way delay ms)"
-    ));
-    let mut cells: Vec<(ProtocolKind, u64, u32)> = Vec::new();
-    for kind in ProtocolKind::all() {
-        for &d in delays_ms {
-            for rep in 0..reps {
-                cells.push((kind, d, rep));
-            }
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(kind, d, rep)| {
-        let cfg = ExperimentConfig {
-            protocol: kind,
-            gcs: testbed::medium_wan(Duration::from_millis(d)),
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 24) ^ d,
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} crossover join at delay {d}");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for kind in ProtocolKind::all() {
-        let mut series = Series::new(kind.name());
-        for &d in delays_ms {
-            let mut summary = Summary::new();
-            for outcome in it.by_ref().take(reps as usize) {
-                summary.add(outcome.elapsed_ms);
-            }
-            series.push(d as f64, summary);
-        }
-        fig.push(series);
-    }
+    let (fig, _) = grid_figure(
+        &format!(
+            "Crossover — Join at n={n}, symmetric 3-site WAN, DH 512 bits (x = one-way delay ms)"
+        ),
+        &protocol_axis(&ProtocolKind::all()),
+        &axis(delays_ms, |d| d as f64),
+        reps,
+        jobs,
+        |&kind, &d, rep| {
+            let gcs = testbed::medium_wan(Duration::from_millis(d));
+            run_join(&sim512(kind, gcs, 0x5eed ^ ((rep + 1) << 24) ^ d), n)
+        },
+    );
     fig
 }
 
 /// Ablation A1: BD join time vs flow-control budget. Run on the WAN,
 /// where each extra token rotation costs ~160 ms and the budget binds.
 pub fn flow_control_ablation(n: usize, budgets: &[usize], reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — BD join at n={n} vs flow control (msgs per token visit), WAN, DH 512"
-    ));
-    let mut cells: Vec<(usize, u32)> = Vec::new();
-    for &b in budgets {
-        for rep in 0..reps {
-            cells.push((b, rep));
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(b, rep)| {
-        let mut gcs = testbed::wan();
-        gcs.flow_control_max_msgs = b;
-        let cfg = ExperimentConfig {
-            protocol: ProtocolKind::Bd,
-            gcs,
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 16) ^ b as u64,
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok);
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    let mut series = Series::new("BD");
-    for &b in budgets {
-        let mut summary = Summary::new();
-        for outcome in it.by_ref().take(reps as usize) {
-            summary.add(outcome.elapsed_ms);
-        }
-        series.push(b as f64, summary);
-    }
-    fig.push(series);
+    let (fig, _) = grid_figure(
+        &format!("Ablation — BD join at n={n} vs flow control (msgs per token visit), WAN, DH 512"),
+        &protocol_axis(&[ProtocolKind::Bd]),
+        &axis(budgets, |b| b as f64),
+        reps,
+        jobs,
+        |&kind, &b, rep| {
+            let mut gcs = testbed::wan();
+            gcs.flow_control_max_msgs = b;
+            run_join(&sim512(kind, gcs, 0x5eed ^ ((rep + 1) << 16) ^ b as u64), n)
+        },
+    );
     fig
 }
 
@@ -261,88 +206,46 @@ pub fn flow_control_ablation(n: usize, budgets: &[usize], reps: u32, jobs: usize
 /// position. TGDH's cost varies with where the sponsor lands; GDH and
 /// CKD, whose controller is fixed, stay flat.
 pub fn sponsor_location_ablation(n: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — WAN leave at n={n} by leaver position (sponsor roams in TGDH)"
-    ));
-    for kind in [ProtocolKind::Tgdh, ProtocolKind::Gdh, ProtocolKind::Ckd] {
-        let mut series = Series::new(kind.name());
-        for pos_pct in [10usize, 30, 50, 70, 90] {
-            let mut summary = Summary::new();
-            for seed_extra in 0..2u64 {
-                let cfg = ExperimentConfig {
-                    protocol: kind,
-                    gcs: testbed::wan(),
-                    suite: SuiteKind::Sim512,
-                    seed: 0x5eed ^ (seed_extra << 8) ^ pos_pct as u64,
-                    confirm_keys: false,
-                    telemetry: false,
-                };
-                let outcome = leave_at_position(&cfg, n, pos_pct);
-                summary.add(outcome);
-            }
-            series.push(pos_pct as f64, summary);
-        }
-        fig.push(series);
-    }
+    let (fig, _) = grid_figure(
+        &format!("Ablation — WAN leave at n={n} by leaver position (sponsor roams in TGDH)"),
+        &protocol_axis(&[ProtocolKind::Tgdh, ProtocolKind::Gdh, ProtocolKind::Ckd]),
+        &axis(&[10u64, 30, 50, 70, 90], |pct| pct as f64),
+        2,
+        1,
+        |&kind, &pos_pct, rep| {
+            // Approximate position targeting through the provided targets.
+            let target = match pos_pct {
+                0..=24 => LeaveTarget::Oldest,
+                76.. => LeaveTarget::Newest,
+                _ => LeaveTarget::Middle,
+            };
+            let seed = 0x5eed ^ (rep << 8) ^ pos_pct;
+            run_leave(&sim512(kind, testbed::wan(), seed), n, target)
+        },
+    );
     fig
-}
-
-fn leave_at_position(cfg: &ExperimentConfig, n: usize, pos_pct: usize) -> f64 {
-    use gkap_core::experiment::LeaveTarget;
-    // Approximate position targeting through the provided targets.
-    let target = if pos_pct < 25 {
-        LeaveTarget::Oldest
-    } else if pos_pct > 75 {
-        LeaveTarget::Newest
-    } else {
-        LeaveTarget::Middle
-    };
-    let outcome = run_leave(cfg, n, target);
-    assert!(outcome.ok);
-    outcome.elapsed_ms
 }
 
 /// Ablation A4: signature scheme — RSA (e = 3, cheap verify) versus
 /// DSA (two-exponentiation verify) for every protocol's join. BD, with
 /// its 2(n-1) verifications per member, suffers most (§6.1.1).
 pub fn signature_scheme_ablation(n: usize, reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — signature scheme: join at n={n}, LAN, DH 512 (x: 0 = RSA e=3, 1 = DSA)"
-    ));
-    let variants = [(0.0, SuiteKind::Sim512), (1.0, SuiteKind::Sim512Dsa)];
-    let mut cells: Vec<(ProtocolKind, SuiteKind, u32)> = Vec::new();
-    for kind in ProtocolKind::all() {
-        for (_x, suite) in variants {
-            for rep in 0..reps {
-                cells.push((kind, suite, rep));
-            }
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(kind, suite, rep)| {
-        let cfg = ExperimentConfig {
-            protocol: kind,
-            gcs: testbed::lan(),
-            suite,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 40),
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} signature ablation");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for kind in ProtocolKind::all() {
-        let mut series = Series::new(kind.name());
-        for (x, _suite) in variants {
-            let mut summary = Summary::new();
-            for outcome in it.by_ref().take(reps as usize) {
-                summary.add(outcome.elapsed_ms);
-            }
-            series.push(x, summary);
-        }
-        fig.push(series);
-    }
+    let (fig, _) = grid_figure(
+        &format!(
+            "Ablation — signature scheme: join at n={n}, LAN, DH 512 (x: 0 = RSA e=3, 1 = DSA)"
+        ),
+        &protocol_axis(&ProtocolKind::all()),
+        &[(0.0, SuiteKind::Sim512), (1.0, SuiteKind::Sim512Dsa)],
+        reps,
+        jobs,
+        |&kind, &suite, rep| {
+            let cfg = ExperimentConfig {
+                suite,
+                ..sim512(kind, testbed::lan(), 0x5eed ^ ((rep + 1) << 40))
+            };
+            run_join(&cfg, n)
+        },
+    );
     fig
 }
 
@@ -365,14 +268,7 @@ pub fn avl_policy_ablation(n: usize, churn: usize) -> Figure {
                 Box::new(Tgdh::new())
             }
         };
-        let cfg = ExperimentConfig {
-            protocol: ProtocolKind::Tgdh,
-            gcs: testbed::lan(),
-            suite: SuiteKind::Sim512,
-            seed: 0x471_5eed,
-            confirm_keys: false,
-            telemetry: false,
-        };
+        let cfg = sim512(ProtocolKind::Tgdh, testbed::lan(), 0x471_5eed);
         let (outcome, height) = run_churned_with_factory(&cfg, &factory, n, churn);
         assert!(outcome.ok, "TGDH {label} policy");
         let mut series = Series::new(format!("TGDH-{label}"));
@@ -394,46 +290,19 @@ pub fn avl_policy_ablation(n: usize, churn: usize) -> Figure {
 /// Bimodal Multicast targets). Token-driven retransmission recovers
 /// every loss; the curves show the latency price.
 pub fn lossy_links_figure(n: usize, loss_pcts: &[u32], reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Extension — lossy WAN: join at n={n}, DH 512 (x = loss % per daemon link)"
-    ));
-    let kinds = [ProtocolKind::Tgdh, ProtocolKind::Bd, ProtocolKind::Ckd];
-    let mut cells: Vec<(ProtocolKind, u32, u32)> = Vec::new();
-    for kind in kinds {
-        for &pct in loss_pcts {
-            for rep in 0..reps {
-                cells.push((kind, pct, rep));
-            }
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(kind, pct, rep)| {
-        let mut gcs = testbed::wan();
-        gcs.loss_rate = pct as f64 / 100.0;
-        gcs.loss_seed = 0x1055 ^ (rep as u64) << 8 ^ pct as u64;
-        let cfg = ExperimentConfig {
-            protocol: kind,
-            gcs,
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 48),
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} lossy join at {pct}%");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for kind in kinds {
-        let mut series = Series::new(kind.name());
-        for &pct in loss_pcts {
-            let mut summary = Summary::new();
-            for outcome in it.by_ref().take(reps as usize) {
-                summary.add(outcome.elapsed_ms);
-            }
-            series.push(pct as f64, summary);
-        }
-        fig.push(series);
-    }
+    let (fig, _) = grid_figure(
+        &format!("Extension — lossy WAN: join at n={n}, DH 512 (x = loss % per daemon link)"),
+        &protocol_axis(&[ProtocolKind::Tgdh, ProtocolKind::Bd, ProtocolKind::Ckd]),
+        &axis(loss_pcts, f64::from),
+        reps,
+        jobs,
+        |&kind, &pct, rep| {
+            let mut gcs = testbed::wan();
+            gcs.loss_rate = f64::from(pct) / 100.0;
+            gcs.loss_seed = 0x1055 ^ (rep << 8) ^ u64::from(pct);
+            run_join(&sim512(kind, gcs, 0x5eed ^ ((rep + 1) << 48)), n)
+        },
+    );
     fig
 }
 
@@ -444,111 +313,62 @@ pub fn lossy_links_figure(n: usize, loss_pcts: &[u32], reps: u32, jobs: usize) -
 /// a protocol whose critical path can land on it (TGDH sponsor) and
 /// one that is symmetric (BD — every member is on the critical path).
 pub fn hetero_machine_ablation(n: usize, reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — one slow machine: join at n={n}, LAN, DH 512 (x = slow machine speed factor %)"
-    ));
-    let kinds = [ProtocolKind::Tgdh, ProtocolKind::Bd, ProtocolKind::Gdh];
-    let pcts = [100u64, 75, 50, 25];
-    let mut cells: Vec<(ProtocolKind, u64, u32)> = Vec::new();
-    for kind in kinds {
-        for pct in pcts {
-            for rep in 0..reps {
-                cells.push((kind, pct, rep));
+    let (fig, _) = grid_figure(
+        &format!(
+            "Ablation — one slow machine: join at n={n}, LAN, DH 512 (x = slow machine speed factor %)"
+        ),
+        &protocol_axis(&[ProtocolKind::Tgdh, ProtocolKind::Bd, ProtocolKind::Gdh]),
+        &axis(&[100u64, 75, 50, 25], |pct| pct as f64),
+        reps,
+        jobs,
+        |&kind, &pct, rep| {
+            let mut gcs = testbed::lan();
+            // Rebuild the topology with machine 0 slowed down.
+            let mut machines = Vec::new();
+            for m in 0..gcs.topology.machine_count() {
+                let mut cfgm = gcs.topology.machine(m).clone();
+                if m == 0 {
+                    cfgm.speed = pct as f64 / 100.0;
+                }
+                machines.push(cfgm);
             }
-        }
-    }
-    let outcomes = fan(jobs, &cells, |&(kind, pct, rep)| {
-        let mut gcs = testbed::lan();
-        // Rebuild the topology with machine 0 slowed down.
-        let mut machines = Vec::new();
-        for m in 0..gcs.topology.machine_count() {
-            let mut cfgm = gcs.topology.machine(m).clone();
-            if m == 0 {
-                cfgm.speed = pct as f64 / 100.0;
-            }
-            machines.push(cfgm);
-        }
-        gcs.topology = gkap_gcs::Topology::new(
-            vec![gkap_gcs::SiteCfg {
-                name: "site0".into(),
-            }],
-            machines,
-            vec![vec![Duration::ZERO]],
-            Duration::from_micros(40),
-        );
-        let cfg = ExperimentConfig {
-            protocol: kind,
-            gcs,
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((rep as u64 + 1) << 56) ^ pct,
-            confirm_keys: false,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} hetero join at {pct}%");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for kind in kinds {
-        let mut series = Series::new(kind.name());
-        for pct in pcts {
-            let mut summary = Summary::new();
-            for outcome in it.by_ref().take(reps as usize) {
-                summary.add(outcome.elapsed_ms);
-            }
-            series.push(pct as f64, summary);
-        }
-        fig.push(series);
-    }
+            gcs.topology = gkap_gcs::Topology::new(
+                vec![gkap_gcs::SiteCfg {
+                    name: "site0".into(),
+                }],
+                machines,
+                vec![vec![Duration::ZERO]],
+                Duration::from_micros(40),
+            );
+            run_join(&sim512(kind, gcs, 0x5eed ^ ((rep + 1) << 56) ^ pct), n)
+        },
+    );
     fig
 }
 
 /// Ablation A7: key confirmation (§5's optional digest round) —
 /// join time with and without confirmation, LAN and WAN.
 pub fn key_confirmation_ablation(n: usize, reps: u32, jobs: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — key confirmation: join at n={n}, DH 512 (x: 0 = off, 1 = on)"
-    ));
-    let nets = [("LAN", testbed::lan()), ("WAN", testbed::wan())];
-    let kinds = [ProtocolKind::Tgdh, ProtocolKind::Gdh];
-    let variants = [(0.0, false), (1.0, true)];
-    let mut cells: Vec<(GcsConfig, ProtocolKind, bool, u32)> = Vec::new();
-    for (_net, gcs) in &nets {
-        for kind in kinds {
-            for (_x, confirm) in variants {
-                for rep in 0..reps {
-                    cells.push((gcs.clone(), kind, confirm, rep));
-                }
-            }
+    let mut series = Vec::new();
+    for (net, gcs) in [("LAN", testbed::lan()), ("WAN", testbed::wan())] {
+        for kind in [ProtocolKind::Tgdh, ProtocolKind::Gdh] {
+            series.push((format!("{}-{net}", kind.name()), (kind, gcs.clone())));
         }
     }
-    let outcomes = fan(jobs, &cells, |(gcs, kind, confirm, rep)| {
-        let cfg = ExperimentConfig {
-            protocol: *kind,
-            gcs: gcs.clone(),
-            suite: SuiteKind::Sim512,
-            seed: 0x5eed ^ ((*rep as u64 + 1) << 12),
-            confirm_keys: *confirm,
-            telemetry: false,
-        };
-        let outcome = run_join(&cfg, n);
-        assert!(outcome.ok, "{kind} confirmation ablation");
-        outcome
-    });
-    let mut it = outcomes.into_iter();
-    for (net, _gcs) in &nets {
-        for kind in kinds {
-            let mut series = Series::new(format!("{}-{}", kind.name(), net));
-            for (x, _confirm) in variants {
-                let mut summary = Summary::new();
-                for outcome in it.by_ref().take(reps as usize) {
-                    summary.add(outcome.elapsed_ms);
-                }
-                series.push(x, summary);
-            }
-            fig.push(series);
-        }
-    }
+    let (fig, _) = grid_figure(
+        &format!("Ablation — key confirmation: join at n={n}, DH 512 (x: 0 = off, 1 = on)"),
+        &series,
+        &[(0.0, false), (1.0, true)],
+        reps,
+        jobs,
+        |(kind, gcs), &confirm_keys, rep| {
+            let cfg = ExperimentConfig {
+                confirm_keys,
+                ..sim512(*kind, gcs.clone(), 0x5eed ^ ((rep + 1) << 12))
+            };
+            run_join(&cfg, n)
+        },
+    );
     fig
 }
 
@@ -556,34 +376,29 @@ pub fn key_confirmation_ablation(n: usize, reps: u32, jobs: usize) -> Figure {
 /// (balanced bootstrap) group versus one scrambled by churn
 /// (§6.1.2's "random-looking tree" discussion).
 pub fn tree_shape_ablation(n: usize, churn: usize) -> Figure {
-    let mut fig = Figure::new(format!(
-        "Ablation — tree shape: join/leave at n={n}, pristine vs churned({churn}), LAN DH 512"
-    ));
+    let mut series = Vec::new();
     for kind in [ProtocolKind::Tgdh, ProtocolKind::Str] {
         for (label, churned) in [("pristine", false), ("churned", true)] {
-            let mut series = Series::new(format!("{}-{}", kind.name(), label));
-            for (x, is_join) in [(0.0, true), (1.0, false)] {
-                let cfg = ExperimentConfig {
-                    protocol: kind,
-                    gcs: testbed::lan(),
-                    suite: SuiteKind::Sim512,
-                    seed: 0xab5eed,
-                    confirm_keys: false,
-                    telemetry: false,
-                };
-                let outcome = match (is_join, churned) {
-                    (true, false) => run_join(&cfg, n),
-                    (true, true) => run_join_churned(&cfg, n, churn),
-                    (false, false) => run_leave_weighted(&cfg, n),
-                    (false, true) => run_leave_churned(&cfg, n, churn),
-                };
-                assert!(outcome.ok, "{kind} {label}");
-                let mut s = Summary::new();
-                s.add(outcome.elapsed_ms);
-                series.push(x, s); // x: 0 = join, 1 = leave
-            }
-            fig.push(series);
+            series.push((format!("{}-{label}", kind.name()), (kind, churned)));
         }
     }
+    let (fig, _) = grid_figure(
+        &format!(
+            "Ablation — tree shape: join/leave at n={n}, pristine vs churned({churn}), LAN DH 512"
+        ),
+        &series,
+        &[(0.0, true), (1.0, false)], // x: 0 = join, 1 = leave
+        1,
+        1,
+        |&(kind, churned), &is_join, _rep| {
+            let cfg = sim512(kind, testbed::lan(), 0xab5eed);
+            match (is_join, churned) {
+                (true, false) => run_join(&cfg, n),
+                (true, true) => run_join_churned(&cfg, n, churn),
+                (false, false) => run_leave_weighted(&cfg, n),
+                (false, true) => run_leave_churned(&cfg, n, churn),
+            }
+        },
+    );
     fig
 }

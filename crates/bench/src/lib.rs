@@ -1,7 +1,7 @@
-//! Shared harness code for the reproduction binary and the Criterion
-//! benches: figure builders for every experiment in DESIGN.md's index,
-//! plus the micro-benchmarks of the group communication substrate
-//! (§6.1.1 / §6.2.1).
+//! Shared harness code for the reproduction binary: figure builders
+//! for every experiment in DESIGN.md's index, plus the
+//! micro-benchmarks of the group communication substrate (§6.1.1 /
+//! §6.2.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

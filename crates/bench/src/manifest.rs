@@ -76,10 +76,6 @@ pub struct Manifest {
     pub virtual_ms: f64,
     /// Machine/build description (informational, not compared).
     pub environment: Environment,
-    /// Extra top-level keys rendered verbatim (pre-rendered JSON
-    /// values), used to keep `BENCH_perf.json`'s legacy keys. Ignored
-    /// by [`Manifest::parse`] and by `bench-diff`.
-    pub legacy: BTreeMap<String, String>,
 }
 
 impl Manifest {
@@ -190,7 +186,7 @@ impl Manifest {
         self.render(false)
     }
 
-    /// Renders the full manifest (body + environment + legacy keys).
+    /// Renders the full manifest (body + environment).
     pub fn to_json(&self) -> String {
         self.render(true)
     }
@@ -246,13 +242,8 @@ impl Manifest {
             }
             s.push('\n');
             let _ = write!(s, "  }}");
-            for (k, raw) in &self.legacy {
-                let _ = write!(s, ",\n  {}: {}", json_string(k), raw);
-            }
-            s.push('\n');
-        } else {
-            s.push('\n');
         }
+        s.push('\n');
         s.push_str("}\n");
         s
     }
@@ -843,19 +834,6 @@ mod tests {
         let body = Manifest::parse(&a.deterministic_json()).expect("body parses");
         assert_eq!(body.counts, a.counts);
         assert_eq!(body.environment, Environment::default());
-    }
-
-    #[test]
-    fn legacy_keys_render_but_do_not_parse() {
-        let mut m = sample_manifest();
-        m.legacy
-            .insert("steps".into(), "[{\"name\": \"scale\"}]".into());
-        m.legacy.insert("total_wall_s".into(), "1.500".into());
-        let text = m.to_json();
-        assert!(text.contains("\"steps\": [{\"name\": \"scale\"}]"));
-        assert!(text.contains("\"total_wall_s\": 1.500"));
-        let back = Manifest::parse(&text).expect("parses despite extras");
-        assert!(back.legacy.is_empty(), "legacy keys are ignored on read");
     }
 
     #[test]

@@ -52,6 +52,34 @@ pub struct ScaleOptions {
     pub shards: usize,
 }
 
+/// The `--churn` default: expected events per group.
+pub const DEFAULT_CHURN: f64 = 0.1;
+
+/// The `--window` default, in milliseconds.
+pub const DEFAULT_WINDOW_MS: f64 = 5.0;
+
+impl ScaleOptions {
+    /// Names the run's outputs (`scale_<tag>.csv`,
+    /// `RUN_scale_<tag>.json`): groups and seed, then every workload
+    /// option that is not at its default, so runs that differ in what
+    /// they compute never overwrite each other while the default
+    /// workload keeps the short name the gates read (`g64_s7`). `jobs`
+    /// and `shards` change no output byte and stay out.
+    pub fn tag(&self) -> String {
+        let mut tag = format!("g{}_s{}", self.groups, self.seed);
+        if self.churn != DEFAULT_CHURN {
+            tag.push_str(&format!("_c{}", self.churn));
+        }
+        if self.window_ms != DEFAULT_WINDOW_MS {
+            tag.push_str(&format!("_w{}", self.window_ms));
+        }
+        if let Some(p) = self.protocol {
+            tag.push_str(&format!("_{}", p.name().to_lowercase()));
+        }
+        tag
+    }
+}
+
 /// One CSV row: a protocol's scale run boiled down to the throughput
 /// and latency quantities the workload reports.
 #[derive(Clone, Debug)]
@@ -209,8 +237,7 @@ pub fn scale_table(opts: &ScaleOptions, rows: &[ScaleRow]) -> String {
 /// body is bit-identical across `--jobs` values — the property the
 /// scale determinism test pins.
 pub fn scale_manifest(opts: &ScaleOptions, rows: &[ScaleRow]) -> Manifest {
-    let tag = format!("g{}_s{}", opts.groups, opts.seed);
-    let mut man = Manifest::new("scale", &tag);
+    let mut man = Manifest::new("scale", &opts.tag());
     man.set_config("groups", opts.groups);
     man.set_config("churn", format!("{:.4}", opts.churn));
     man.set_config("window_ms", format!("{:.3}", opts.window_ms));
@@ -240,6 +267,44 @@ mod tests {
         assert_eq!(parse_protocol("tgdh"), Some(ProtocolKind::Tgdh));
         assert_eq!(parse_protocol("BD"), Some(ProtocolKind::Bd));
         assert_eq!(parse_protocol("nope"), None);
+    }
+
+    #[test]
+    fn tag_keeps_the_default_name_and_separates_differing_workloads() {
+        let opts = |groups, churn, window_ms, protocol, seed, jobs| ScaleOptions {
+            groups,
+            churn,
+            window_ms,
+            protocol,
+            seed,
+            jobs,
+            shards: jobs,
+        };
+        let default = |jobs| opts(64, DEFAULT_CHURN, DEFAULT_WINDOW_MS, None, 7, jobs);
+        assert_eq!(default(1).tag(), "g64_s7");
+        assert_eq!(default(4).tag(), "g64_s7", "jobs/shards change no byte");
+        let variants = [
+            default(1),
+            opts(1000, DEFAULT_CHURN, DEFAULT_WINDOW_MS, None, 7, 1),
+            opts(64, DEFAULT_CHURN, DEFAULT_WINDOW_MS, None, 8, 1),
+            opts(64, 0.05, DEFAULT_WINDOW_MS, None, 7, 1),
+            opts(64, 1.0, DEFAULT_WINDOW_MS, None, 7, 1),
+            opts(64, DEFAULT_CHURN, 0.0, None, 7, 1),
+            opts(64, DEFAULT_CHURN, 0.05, None, 7, 1),
+            opts(
+                64,
+                DEFAULT_CHURN,
+                DEFAULT_WINDOW_MS,
+                Some(ProtocolKind::Bd),
+                7,
+                1,
+            ),
+            opts(64, 0.05, DEFAULT_WINDOW_MS, Some(ProtocolKind::Tgdh), 7, 1),
+        ];
+        let tags: std::collections::BTreeSet<String> = variants.iter().map(|o| o.tag()).collect();
+        assert_eq!(tags.len(), variants.len(), "{tags:?}");
+        assert!(tags.contains("g64_s7_c0.05"), "{tags:?}");
+        assert!(tags.contains("g64_s7_c0.05_tgdh"), "{tags:?}");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 
 use gkap_bench::loss_sweep::{
     burst_csv, burst_manifest, burst_table, run_burst_sweep, run_sweep, sweep_csv, sweep_manifest,
-    sweep_table, SweepMode, SweepOptions, BURST_BAD_PCTS, BURST_ROTS, LOSS_PCTS,
+    sweep_table, BurstRow, SweepMode, SweepOptions, SweepRow, BURST_BAD_PCTS, BURST_ROTS,
+    LOSS_PCTS,
 };
 
 fn opts(jobs: usize) -> SweepOptions {
@@ -260,4 +261,107 @@ fn burst_csv_and_manifest_bit_identical_across_jobs() {
     assert!(man1.counts.contains_key("harness/burst_sweep/cells"));
     let table = burst_table(o1.seed, &rows1);
     assert!(table.contains("lan") && table.contains("wan"), "{table}");
+}
+
+/// Two hand-built rows per grid, every column distinct, so a swapped,
+/// dropped or reformatted column shows.
+fn hand_rows() -> (Vec<SweepRow>, Vec<BurstRow>) {
+    let sweep = vec![
+        SweepRow {
+            net: "lan",
+            loss_pct: 5,
+            mode: SweepMode::Retrans,
+            protocol: "GDH",
+            lost: 11,
+            retransmissions: 12,
+            retrans_rounds: 13,
+            fec_repairs: 0,
+            parity_sent: 0,
+            parity_bytes: 0,
+            fec_repair_ns: 0,
+            retransmission_ns: 1_234_567,
+            elapsed_ms: 42.125,
+            converged: true,
+        },
+        SweepRow {
+            net: "wan",
+            loss_pct: 20,
+            mode: SweepMode::Fec,
+            protocol: "BD",
+            lost: 21,
+            retransmissions: 22,
+            retrans_rounds: 23,
+            fec_repairs: 24,
+            parity_sent: 25,
+            parity_bytes: 26_000,
+            fec_repair_ns: 2_000_001,
+            retransmission_ns: 3_000_002,
+            elapsed_ms: 9876.5,
+            converged: false,
+        },
+    ];
+    let burst = vec![
+        BurstRow {
+            net: "lan",
+            burst_rot: 1,
+            bad_pct: 40,
+            mode: SweepMode::Fec,
+            protocol: "TGDH",
+            lost: 31,
+            retransmissions: 32,
+            retrans_rounds: 33,
+            fec_repairs: 34,
+            parity_sent: 35,
+            parity_bytes: 3_600,
+            fec_repair_ns: 7_000_000,
+            retransmission_ns: 500,
+            elapsed_ms: 12.000_000_4,
+            converged: true,
+        },
+        BurstRow {
+            net: "wan",
+            burst_rot: 4,
+            bad_pct: 80,
+            mode: SweepMode::Retrans,
+            protocol: "CKD",
+            lost: 41,
+            retransmissions: 42,
+            retrans_rounds: 43,
+            fec_repairs: 0,
+            parity_sent: 0,
+            parity_bytes: 0,
+            fec_repair_ns: 0,
+            retransmission_ns: 88_000_000_000,
+            elapsed_ms: 90_000.25,
+            converged: true,
+        },
+    ];
+    (sweep, burst)
+}
+
+#[test]
+fn renderers_on_hand_built_rows_match_pinned_strings() {
+    let (sweep, burst) = hand_rows();
+    let o = SweepOptions {
+        seed: 9,
+        jobs: 3,
+        protocol: None,
+    };
+    let actual = format!(
+        "{}--\n{}--\n{}--\n{}--\n{}--\n{}",
+        sweep_csv(9, &sweep),
+        sweep_table(9, &sweep),
+        sweep_manifest(&o, &sweep).deterministic_json(),
+        burst_csv(9, &burst),
+        burst_table(9, &burst),
+        burst_manifest(&o, &burst).deterministic_json(),
+    );
+    if actual != include_str!("sweep_renderers.golden") {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep_renderers.actual");
+        std::fs::write(&path, &actual).expect("write actual");
+        panic!(
+            "differs from sweep_renderers.golden; actual written to {}",
+            path.display()
+        );
+    }
 }

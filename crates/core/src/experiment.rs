@@ -809,30 +809,69 @@ pub fn run_churned_with_factory(
     (outcome, height)
 }
 
+/// Runs one experiment grid — every (series, x, repetition) cell —
+/// across `jobs` workers and folds it into a figure: one [`Series`]
+/// per `series` entry (named by its first field), one point per `xs`
+/// entry (plotted at its first field), each the summary of `reps`
+/// runs' `elapsed_ms`.
+///
+/// `cell(series, x, rep)` runs one cell and owns its seed formula, so
+/// a seed depends only on cell coordinates. Results are folded in the
+/// serial loop's iteration order (Welford summaries are
+/// order-sensitive), so the figure is **bit-identical** for every
+/// `jobs` value (asserted by the harness's determinism test). The
+/// outcomes come back too, in that same (series, x, rep) order, for
+/// callers that plot more than `elapsed_ms`.
+///
+/// # Panics
+///
+/// If any cell's outcome is not `ok`.
+pub fn grid_figure<S: Sync, X: Sync>(
+    title: &str,
+    series: &[(String, S)],
+    xs: &[(f64, X)],
+    reps: u32,
+    jobs: usize,
+    cell: impl Fn(&S, &X, u64) -> EventOutcome + Sync,
+) -> (Figure, Vec<EventOutcome>) {
+    let reps = reps as usize;
+    let per_series = xs.len() * reps;
+    let outcomes = crate::par::run_indexed(jobs, series.len() * per_series, |i| {
+        let (name, s) = &series[i / per_series];
+        let (x, xv) = &xs[i % per_series / reps];
+        let rep = i % reps;
+        let outcome = cell(s, xv, rep as u64);
+        assert!(outcome.ok, "{name} failed at x={x} (rep {rep}) in {title}");
+        outcome
+    });
+    let mut fig = Figure::new(title);
+    let mut it = outcomes.iter();
+    for (name, _) in series {
+        let mut points = Series::new(name.as_str());
+        for (x, _) in xs {
+            let mut summary = Summary::new();
+            for outcome in it.by_ref().take(reps) {
+                summary.add(outcome.elapsed_ms);
+            }
+            points.push(*x, summary);
+        }
+        fig.push(points);
+    }
+    (fig, outcomes)
+}
+
+/// The series axis of a per-protocol grid: each kind under its paper
+/// name.
+pub fn protocol_axis(kinds: &[ProtocolKind]) -> Vec<(String, ProtocolKind)> {
+    kinds.iter().map(|&k| (k.name().to_string(), k)).collect()
+}
+
 /// Builds one figure: elapsed time vs group size for all five
 /// protocols plus the membership-service baseline.
 ///
 /// `measure` maps `(config, size)` to an outcome; `sizes` is the
-/// x-axis; `reps` runs per point with varied seeds. Serial —
-/// equivalent to [`build_figure_jobs`] with one worker.
-pub fn build_figure(
-    title: &str,
-    gcs: &GcsConfig,
-    suite: SuiteKind,
-    sizes: &[usize],
-    reps: u32,
-    measure: impl Fn(&ExperimentConfig, usize) -> EventOutcome + Sync,
-) -> Figure {
-    build_figure_jobs(title, gcs, suite, sizes, reps, 1, measure)
-}
-
-/// [`build_figure`] with the (protocol, size, rep) cells fanned across
-/// `jobs` workers.
-///
-/// Each cell's seed depends only on its coordinates, and results are
-/// folded in the serial loop's iteration order, so the produced figure
-/// is **bit-identical** for every `jobs` value (asserted by the
-/// harness's determinism test).
+/// x-axis; `reps` runs per point with varied seeds, the (protocol,
+/// size, rep) cells fanned across `jobs` workers by [`grid_figure`].
 pub fn build_figure_jobs(
     title: &str,
     gcs: &GcsConfig,
@@ -842,18 +881,9 @@ pub fn build_figure_jobs(
     jobs: usize,
     measure: impl Fn(&ExperimentConfig, usize) -> EventOutcome + Sync,
 ) -> Figure {
-    // Flatten the grid in serial iteration order…
-    let mut cells: Vec<(ProtocolKind, usize)> = Vec::new();
-    for kind in ProtocolKind::all() {
-        for &size in sizes {
-            for _rep in 0..reps {
-                cells.push((kind, size));
-            }
-        }
-    }
-    let outcomes = crate::par::run_indexed(jobs, cells.len(), |i| {
-        let (kind, size) = cells[i];
-        let rep = (i % reps as usize) as u64;
+    let kinds = protocol_axis(&ProtocolKind::all());
+    let xs: Vec<(f64, usize)> = sizes.iter().map(|&n| (n as f64, n)).collect();
+    let (mut fig, outcomes) = grid_figure(title, &kinds, &xs, reps, jobs, |&kind, &size, rep| {
         let cfg = ExperimentConfig {
             protocol: kind,
             gcs: gcs.clone(),
@@ -864,33 +894,19 @@ pub fn build_figure_jobs(
         };
         measure(&cfg, size)
     });
-    // …and fold the index-ordered results exactly as the serial loop
-    // accumulated them (Welford summaries are order-sensitive).
-    let mut fig = Figure::new(title);
+    // The baseline pools every protocol's runs at a size, in the same
+    // protocol-major order the outcomes are in.
+    let reps = reps as usize;
     let mut membership = Series::new("Membership");
-    let mut membership_points: Vec<(f64, Summary)> =
-        sizes.iter().map(|&s| (s as f64, Summary::new())).collect();
-    let mut idx = 0;
-    for kind in ProtocolKind::all() {
-        let mut series = Series::new(kind.name());
-        for (si, &size) in sizes.iter().enumerate() {
-            let mut summary = Summary::new();
-            for rep in 0..reps {
-                let outcome = &outcomes[idx];
-                idx += 1;
-                assert!(
-                    outcome.ok,
-                    "{kind} failed at size {size} (rep {rep}) in {title}"
-                );
-                summary.add(outcome.elapsed_ms);
-                membership_points[si].1.add(outcome.membership_ms);
+    for (xi, (x, _)) in xs.iter().enumerate() {
+        let mut summary = Summary::new();
+        for ki in 0..kinds.len() {
+            let first = (ki * xs.len() + xi) * reps;
+            for outcome in &outcomes[first..first + reps] {
+                summary.add(outcome.membership_ms);
             }
-            series.push(size as f64, summary);
         }
-        fig.push(series);
-    }
-    for (x, s) in membership_points {
-        membership.push(x, s);
+        membership.push(*x, summary);
     }
     fig.push(membership);
     fig
@@ -904,6 +920,41 @@ mod tests {
     fn suite_kinds_build() {
         assert_eq!(SuiteKind::Sim512.build().nominal_bits(), 512);
         assert_eq!(SuiteKind::Sim1024.label(), "DH 1024 bits");
+    }
+
+    #[test]
+    fn grid_cells_see_their_coordinates_and_fold_in_serial_order() {
+        let series = vec![("a".to_string(), 100.0), ("b".to_string(), 200.0)];
+        let xs = vec![(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)];
+        for jobs in [1, 8] {
+            let (fig, outcomes) =
+                grid_figure("grid", &series, &xs, 2, jobs, |s, x, rep| EventOutcome {
+                    ok: true,
+                    elapsed_ms: s + x + rep as f64,
+                    membership_ms: 0.0,
+                    counts: OpCounts::default(),
+                    size_after: 0,
+                });
+            let flat: Vec<f64> = outcomes.iter().map(|o| o.elapsed_ms).collect();
+            assert_eq!(
+                flat,
+                [
+                    110.0, 111.0, 120.0, 121.0, 130.0, 131.0, 210.0, 211.0, 220.0, 221.0, 230.0,
+                    231.0
+                ]
+            );
+            assert_eq!(fig.series.len(), 2);
+            assert_eq!(fig.series[1].name, "b");
+            let b3 = &fig.series[1].points[2];
+            assert_eq!(
+                (b3.x, b3.summary.mean(), b3.summary.count()),
+                (3.0, 230.5, 2)
+            );
+        }
+        // No repetitions: every point exists and is empty.
+        let (fig, outcomes) = grid_figure("grid", &series, &xs, 0, 1, |_, _, _| unreachable!());
+        assert!(outcomes.is_empty());
+        assert_eq!(fig.series[0].points.len(), 3);
     }
 
     #[test]

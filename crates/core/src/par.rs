@@ -33,36 +33,13 @@ pub fn take_busy_nanos() -> u64 {
     BUSY_NANOS.swap(0, Ordering::Relaxed)
 }
 
-/// The host's available parallelism (falling back to 1 when it
-/// cannot be determined).
-fn hardware_jobs() -> usize {
+/// The default worker count: the host's available parallelism
+/// (falling back to 1 when it cannot be determined). `--jobs` is the
+/// one way to ask for another.
+pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The default worker count: the `GKAP_JOBS` environment variable if
-/// set to a positive integer, otherwise the host's available
-/// parallelism. An explicit `--jobs` flag always wins over both —
-/// this is only the *default* the CLI falls back to.
-pub fn default_jobs() -> usize {
-    jobs_from_env(std::env::var("GKAP_JOBS").ok().as_deref())
-}
-
-/// Pure core of [`default_jobs`], split out so tests can exercise the
-/// parsing without mutating process environment.
-pub(crate) fn jobs_from_env(var: Option<&str>) -> usize {
-    match var.map(str::trim).filter(|s| !s.is_empty()) {
-        Some(s) => s
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("warning: ignoring GKAP_JOBS={s:?} (want a positive integer)");
-                hardware_jobs()
-            }),
-        None => hardware_jobs(),
-    }
 }
 
 /// Runs `work(0..count)` across `jobs` workers and returns the results
@@ -92,7 +69,7 @@ where
     // clock it would also overstate the busy-time counter (preempted
     // wall time is not compute). The *requested* value still reaches
     // the manifest environment block, so a run records what was asked.
-    let jobs = jobs.max(1).min(count.max(1)).min(hardware_jobs());
+    let jobs = jobs.max(1).min(count.max(1)).min(default_jobs());
     if jobs == 1 {
         let t0 = Instant::now();
         let out: Vec<T> = (0..count).map(&work).collect();
@@ -158,16 +135,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn env_override_parses_positive_integers_only() {
-        assert_eq!(jobs_from_env(Some("3")), 3);
-        assert_eq!(jobs_from_env(Some(" 12 ")), 12);
-        let hw = hardware_jobs();
-        assert_eq!(jobs_from_env(None), hw, "unset falls back to hardware");
-        assert_eq!(jobs_from_env(Some("")), hw, "empty is as good as unset");
-        assert_eq!(jobs_from_env(Some("0")), hw, "zero workers is nonsense");
-        assert_eq!(jobs_from_env(Some("many")), hw, "garbage is ignored");
     }
 }
