@@ -86,9 +86,12 @@ impl Config {
         let mut cfg = Config::default();
         let scopes: &[(&str, &[&str])] = &[
             // L1 panic-freedom: protocol drivers, the secure session
-            // layer and the GCS engine. Harness/experiment code and
-            // shared data structures (tree.rs documents its arena
-            // invariants with `# Panics`) are out of scope.
+            // layer and the GCS engine with every layer it is carved
+            // into — the scheduler, the ring, and the policy modules
+            // (membership, recovery, loss), so new recovery code is
+            // born in scope. Harness/experiment code and shared data
+            // structures (tree.rs documents its arena invariants with
+            // `# Panics`) are out of scope.
             (
                 "L1",
                 &[
@@ -97,6 +100,10 @@ impl Config {
                     "crates/core/src/member.rs",
                     "crates/core/src/envelope.rs",
                     "crates/gcs/src/engine.rs",
+                    "crates/gcs/src/ring.rs",
+                    "crates/gcs/src/membership.rs",
+                    "crates/gcs/src/recovery.rs",
+                    "crates/gcs/src/loss.rs",
                 ],
             ),
             // The FEC codec sits on the engine's delivery path: decode
@@ -106,12 +113,10 @@ impl Config {
             // length-checked (same rationale as the figure builders).
             ("L1-PANIC", &["crates/gcs/src/fec.rs"]),
             // The Gilbert–Elliott loss chain advances on the engine's
-            // per-copy delivery path (every `lose_copy` consults it),
-            // so it carries the same contract as the FEC codec: no
-            // panics, and — being pure integer dwell arithmetic — no
-            // unchecked overflow either (L5; L4 already covers it via
-            // the gcs-wide determinism scope).
-            ("L1-PANIC", &["crates/gcs/src/loss.rs"]),
+            // per-copy delivery path (every `lose_copy` consults it):
+            // being pure integer dwell arithmetic it must not overflow
+            // unchecked either (L5; L1 above and L4 via the gcs-wide
+            // determinism scope already cover it).
             ("L5", &["crates/gcs/src/loss.rs"]),
             // The repro surface must degrade to error returns, never
             // panic — so the panic rule (and only it: indexing over
@@ -403,7 +408,12 @@ mod tests {
         for rule in ["L1-PANIC", "L1-INDEX", "L2-RAW"] {
             assert!(cfg.in_scope(rule, "crates/core/src/protocols/component.rs"));
         }
-        assert!(cfg.in_scope("L1-INDEX", "crates/gcs/src/engine.rs"));
+        // The engine and every layer it is carved into.
+        for layer in ["engine", "ring", "membership", "recovery", "loss"] {
+            for rule in ["L1-PANIC", "L1-INDEX"] {
+                assert!(cfg.in_scope(rule, &format!("crates/gcs/src/{layer}.rs")));
+            }
+        }
         assert!(!cfg.in_scope("L1-PANIC", "crates/core/src/tree.rs"));
         assert!(cfg.in_scope("L4-HASH", "crates/sim/src/queue.rs"));
         assert!(!cfg.in_scope("L4-HASH", "crates/core/src/session.rs"));

@@ -258,13 +258,7 @@ const REGISTRY: &[Experiment] = &[
                 chaos(opts, con, man)
             }
         }),
-        tag: |opts| {
-            Ok(match (opts.loss_sweep, opts.burst) {
-                (true, true) => format!("burst_s{}", opts.seed),
-                (true, false) => format!("loss_s{}", opts.seed),
-                (false, _) => format!("s{}_r{}", opts.seed, opts.runs),
-            })
-        },
+        tag: chaos_tag,
     },
 ];
 
@@ -386,6 +380,21 @@ fn scale(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {
         ));
     }
     Ok(())
+}
+
+/// `chaos`: a `--protocol` filter is part of a sweep's name, so a
+/// filtered run never overwrites the committed all-protocol CSV (the
+/// rule `scale` follows); the default names stay.
+fn chaos_tag(opts: &CliOptions) -> Result<String, String> {
+    if !opts.loss_sweep {
+        return Ok(format!("s{}_r{}", opts.seed, opts.runs));
+    }
+    let kind = if opts.burst { "burst" } else { "loss" };
+    let mut tag = format!("{kind}_s{}", opts.seed);
+    if let Some(p) = protocol_filter(opts)? {
+        tag.push_str(&format!("_{}", p.name().to_lowercase()));
+    }
+    Ok(tag)
 }
 
 fn trace_tag(opts: &CliOptions) -> Result<String, String> {
@@ -525,7 +534,7 @@ fn loss_sweep(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step 
         protocol: protocol_filter(opts)?,
     };
     let seed = sopts.seed;
-    let (kind, flag, table, csv, body, failed): (_, _, _, _, _, Vec<String>) = if opts.burst {
+    let (flag, table, csv, body, failed): (_, _, _, _, Vec<String>) = if opts.burst {
         let rows = loss_sweep::run_burst_sweep(&sopts);
         let cell = |r: &loss_sweep::BurstRow| {
             let mode = r.mode.name();
@@ -535,7 +544,6 @@ fn loss_sweep(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step 
             )
         };
         (
-            "burst",
             " --burst",
             loss_sweep::burst_table(seed, &rows),
             loss_sweep::burst_csv(seed, &rows),
@@ -548,7 +556,6 @@ fn loss_sweep(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step 
             format!("{} {}% {} {}", r.net, r.loss_pct, r.mode.name(), r.protocol)
         };
         (
-            "loss",
             "",
             loss_sweep::sweep_table(seed, &rows),
             loss_sweep::sweep_csv(seed, &rows),
@@ -557,7 +564,7 @@ fn loss_sweep(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step 
         )
     };
     con.say(table);
-    write_result(con, &format!("chaos_{kind}_s{seed}.csv"), &csv)?;
+    write_result(con, &format!("chaos_{}.csv", chaos_tag(opts)?), &csv)?;
     man.absorb(&body);
     if !failed.is_empty() {
         for cell in failed {
@@ -773,6 +780,10 @@ mod tests {
         assert!(tag(&["scale", "--protocol", "nope"]).is_err());
         assert_eq!(tag(&["chaos"]).as_deref(), Ok("s7_r8"));
         assert_eq!(tag(&["chaos", "--loss-sweep"]).as_deref(), Ok("loss_s7"));
+        assert_eq!(
+            tag(&["chaos", "--loss-sweep", "--protocol", "bd"]).as_deref(),
+            Ok("loss_s7_bd")
+        );
         assert_eq!(
             tag(&["chaos", "--loss-sweep", "--burst", "--seed", "9"]).as_deref(),
             Ok("burst_s9")

@@ -4,7 +4,6 @@
 //! service cost).
 
 use gkap_gcs::{testbed, Client, ClientCtx, Delivery, GcsConfig, SimWorld, View};
-use gkap_sim::stats::{Series, Summary};
 
 /// A client that records delivery times and optionally multicasts on
 /// its first view.
@@ -171,16 +170,4 @@ pub fn render(micros: &[Micro]) -> String {
         out.push_str(&format!("{:<42} {:>4} {:>12.3}\n", m.what, m.n, m.ms));
     }
     out
-}
-
-/// Membership cost as a series over group size (plotted alongside the
-/// protocol curves in Figures 11/12/14).
-pub fn membership_series(cfg: &GcsConfig, sizes: &[usize]) -> Series {
-    let mut s = Series::new("Membership");
-    for &n in sizes {
-        let mut sm = Summary::new();
-        sm.add(membership_cost(cfg, n));
-        s.push(n as f64, sm);
-    }
-    s
 }

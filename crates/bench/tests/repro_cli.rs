@@ -51,14 +51,26 @@ fn unwritable_results_is_a_one_line_diagnostic_and_exit_1() {
 
 #[test]
 fn a_command_writes_its_outputs_and_one_manifest_and_nothing_else() {
-    let cwd = scratch_dir("repro_cli_table1");
-    let out = repro(&cwd, &["table1"]);
-    assert_eq!(out.status.code(), Some(0));
-    let mut written: Vec<String> = std::fs::read_dir(cwd.join("results"))
-        .expect("results/ created")
-        .map(|e| e.expect("entry").file_name().into_string().expect("name"))
-        .collect();
-    written.sort();
-    assert_eq!(written, ["RUN_table1_r3.json", "table1.txt"]);
-    assert_eq!(std::fs::read_dir(&cwd).expect("cwd").count(), 1);
+    // A `--protocol` filter is part of the names: a filtered sweep
+    // must not overwrite the committed all-protocol CSV.
+    let cases: [(&str, &[&str], [&str; 2]); 2] = [
+        ("table1", &["table1"], ["RUN_table1_r3.json", "table1.txt"]),
+        (
+            "filtered_sweep",
+            &["chaos", "--loss-sweep", "--protocol", "bd", "--quiet"],
+            ["RUN_chaos_loss_s7_bd.json", "chaos_loss_s7_bd.csv"],
+        ),
+    ];
+    for (name, args, expected) in cases {
+        let cwd = scratch_dir(&format!("repro_cli_{name}"));
+        let out = repro(&cwd, args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let mut written: Vec<String> = std::fs::read_dir(cwd.join("results"))
+            .expect("results/ created")
+            .map(|e| e.expect("entry").file_name().into_string().expect("name"))
+            .collect();
+        written.sort();
+        assert_eq!(written, expected, "{args:?}");
+        assert_eq!(std::fs::read_dir(&cwd).expect("cwd").count(), 1);
+    }
 }

@@ -469,7 +469,9 @@ impl GkaProtocol for Tgdh {
                 self.merging = false;
                 self.components.clear();
             } else {
-                self.tree.adopt_bkeys(&tree);
+                self.tree
+                    .adopt_bkeys(&tree)
+                    .map_err(|_| GkaError::Protocol("TGDH tree structure divergence"))?;
             }
             if self.progress(ctx)? {
                 self.broadcast_tree(ctx);
@@ -586,6 +588,43 @@ mod tests {
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn a_leaf_permuted_peer_tree_is_a_protocol_error_not_a_panic() {
+        struct NoSends;
+        impl crate::protocols::Transport for NoSends {
+            fn my_id(&self) -> ClientId {
+                0
+            }
+            fn send_wire(&mut self, _kind: SendKind, _wire: bytes::Bytes) {}
+            fn charge(&mut self, _cost: gkap_sim::Duration) {}
+        }
+        let suite = CryptoSuite::fast_zero();
+        let mut p = Tgdh::new();
+        p.bootstrap(&suite, &[0, 1, 2], 0, 7).unwrap();
+        // A peer that formed the same view in another leaf order: the
+        // *sorted* leaf set passes the view check.
+        let mut peer = Tgdh::new();
+        peer.bootstrap(&suite, &[2, 0, 1], 2, 7).unwrap();
+        let mut tree = peer.tree.clone();
+        tree.clear_keys();
+        let before = p.tree.clone();
+        let mut ctx = GkaCtx {
+            transport: &mut NoSends,
+            suite: &suite,
+            counts: &mut Default::default(),
+            rng: &mut gkap_bignum::SplitMix64::new(1),
+            epoch: 1,
+            telemetry: Default::default(),
+            now: gkap_sim::SimTime::ZERO,
+        };
+        let err = p.on_msg(&mut ctx, 2, ProtocolMsg::TgdhTree { tree });
+        assert_eq!(
+            err,
+            Err(GkaError::Protocol("TGDH tree structure divergence"))
+        );
+        assert!(p.tree == before, "a rejected tree changes nothing");
     }
 
     #[test]

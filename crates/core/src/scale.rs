@@ -105,11 +105,6 @@ impl ScaleSchedule {
     pub fn total_clients(&self) -> usize {
         self.client_group.len()
     }
-
-    /// The base (initial) members of a group.
-    pub fn base_members(&self, group: GroupId) -> Vec<ClientId> {
-        (group * self.group_size..(group + 1) * self.group_size).collect()
-    }
 }
 
 /// Uniform draw in `[0, 1)` from 53 random bits.

@@ -27,6 +27,11 @@ use crate::codec::{Dec, DecodeError, Enc};
 /// Index of a node in the tree arena.
 pub type NodeIdx = usize;
 
+/// Two key trees that must share one structure do not (see
+/// [`KeyTree::adopt_bkeys`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StructureMismatch;
+
 /// One node of the key tree.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Node {
@@ -492,19 +497,25 @@ impl KeyTree {
     /// Adopts blinded keys present in `other` (same structure) that we
     /// lack. Returns how many were adopted.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the two trees differ structurally (protocol bug: all
-    /// members must derive identical structures).
-    pub fn adopt_bkeys(&mut self, other: &KeyTree) -> usize {
-        assert_eq!(
-            self.members(),
-            other.members(),
-            "structural divergence between key trees"
-        );
+    /// [`StructureMismatch`] if the two trees differ in shape or leaf
+    /// order. All members derive identical structures, so a peer's
+    /// tree that differs is a protocol violation — for the caller to
+    /// report, not a reason to abort the process.
+    pub fn adopt_bkeys(&mut self, other: &KeyTree) -> Result<usize, StructureMismatch> {
         let mine: Vec<NodeIdx> = self.iter_live().collect();
         let theirs: Vec<NodeIdx> = other.iter_live().collect();
-        assert_eq!(mine.len(), theirs.len(), "structural divergence");
+        // Preorder with each node's member (`None` for an internal
+        // node) determines a full binary tree.
+        let same = mine.len() == theirs.len()
+            && mine
+                .iter()
+                .zip(&theirs)
+                .all(|(&m, &t)| self.nodes[m].member == other.nodes[t].member);
+        if !same {
+            return Err(StructureMismatch);
+        }
         let mut adopted = 0;
         for (&m, &t) in mine.iter().zip(theirs.iter()) {
             if self.nodes[m].bkey.is_none() {
@@ -514,12 +525,7 @@ impl KeyTree {
                 }
             }
         }
-        adopted
-    }
-
-    /// Number of live nodes.
-    pub fn live_count(&self) -> usize {
-        self.iter_live().count()
+        Ok(adopted)
     }
 
     /// Drops every secret key (used before a tree goes on the wire —
@@ -797,17 +803,25 @@ mod tests {
         // Blank one bkey in a.
         let leaf1 = a.leaf_of(1).unwrap();
         a.node_mut(leaf1).bkey = None;
-        let adopted = a.adopt_bkeys(&b);
-        assert_eq!(adopted, 1);
+        assert_eq!(a.adopt_bkeys(&b), Ok(1));
         assert_eq!(a.node(leaf1).bkey, b.node(b.leaf_of(1).unwrap()).bkey);
     }
 
     #[test]
-    #[should_panic(expected = "structural divergence")]
-    fn adopt_bkeys_panics_on_structure_mismatch() {
-        let mut a = tree_of(&[0, 1]);
-        let b = tree_of(&[0, 2]);
-        a.adopt_bkeys(&b);
+    fn adopt_bkeys_rejects_structure_mismatch() {
+        let mut a = tree_of(&[0, 1, 2]);
+        let before = a.clone();
+        // Other leaves, the same leaves in another order, another shape.
+        for other in [tree_of(&[0, 1, 3]), tree_of(&[1, 0, 2]), tree_of(&[0, 1])] {
+            assert_eq!(a.adopt_bkeys(&other), Err(StructureMismatch));
+        }
+        // Same leaves in the same order under another shape: 0·(1·2)
+        // against (0·1)·2.
+        let mut skewed = tree_of(&[0]);
+        skewed.merge(&tree_of(&[1, 2]));
+        assert_eq!(skewed.members(), a.members());
+        assert_eq!(a.adopt_bkeys(&skewed), Err(StructureMismatch));
+        assert_eq!(a, before, "a rejected tree changes nothing");
     }
 
     #[test]

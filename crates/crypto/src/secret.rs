@@ -80,11 +80,6 @@ impl<T: Zeroize> Secret<T> {
         &self.0
     }
 
-    /// Mutably borrows the inner value (key refresh in place).
-    pub fn expose_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-
     /// Erases the inner value now rather than at drop time.
     pub fn zeroize_now(&mut self) {
         self.0.zeroize();

@@ -206,18 +206,6 @@ impl<'a> ClientCtx<'a> {
             view_id: self.view_id,
         });
     }
-
-    /// Sends a causally-ordered multicast: receivers deliver it only
-    /// after everything the sender had seen when it sent (vector-clock
-    /// causality), without the token ring's total-order cost.
-    pub fn multicast_causal(&mut self, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Causal,
-            dest: Dest::All,
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
-    }
 }
 
 #[cfg(test)]

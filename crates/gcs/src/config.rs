@@ -4,6 +4,7 @@ use gkap_sim::Duration;
 
 use crate::loss::GilbertElliott;
 use crate::topology::Topology;
+use crate::MachineId;
 
 /// How the wire charges a payload against `per_kb` link time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,11 +192,43 @@ impl GcsConfig {
             );
         }
     }
+
+    /// Wire time for `len` bytes of payload on any hop. Shared by
+    /// data, parity and FIFO paths so coded and plain traffic are
+    /// charged identically. At the default
+    /// [`WireGranularity::WholeKb`] every payload rounds up to a whole
+    /// kilobyte (the historical model, pinned by the engine goldens);
+    /// [`WireGranularity::Byte`] charges `per_kb · len / 1024` rounded
+    /// up to a nanosecond, so a 40-byte parity shard costs ~4% of a
+    /// 1 KB data message instead of 100%.
+    pub(crate) fn wire_cost(&self, len: usize) -> Duration {
+        match self.wire_granularity {
+            WireGranularity::WholeKb => self.per_kb * (len as u64).div_ceil(1024),
+            WireGranularity::Byte => {
+                let ns = self
+                    .per_kb
+                    .as_nanos()
+                    .saturating_mul(len as u64)
+                    .div_ceil(1024);
+                Duration::from_nanos(ns)
+            }
+        }
+    }
+
+    /// What one daemon-to-daemon copy of `len` payload bytes costs
+    /// between two machines: link latency, wire time, and the
+    /// receiver's per-message processing. A zero-length copy (a
+    /// retransmission *request*) pays latency and processing only.
+    pub(crate) fn hop_delay(&self, from: MachineId, to: MachineId, len: usize) -> Duration {
+        self.topology.machine_latency(from, to) + self.wire_cost(len) + self.per_message_processing
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::WireGranularity;
     use crate::testbed;
+    use gkap_sim::Duration;
 
     #[test]
     fn presets_validate() {
@@ -297,5 +330,47 @@ mod tests {
         cfg.retrans_backoff = gkap_sim::Duration::from_millis(10);
         cfg.retrans_backoff_max = gkap_sim::Duration::from_millis(1);
         cfg.validate();
+    }
+
+    #[test]
+    fn byte_granularity_charges_exact_sizes() {
+        let mut cfg = testbed::lan();
+        assert_eq!(cfg.per_kb, Duration::from_micros(15));
+        // Historical default: everything rounds up to a whole KB.
+        assert_eq!(cfg.wire_cost(40), Duration::from_micros(15));
+        assert_eq!(cfg.wire_cost(1024), Duration::from_micros(15));
+        assert_eq!(cfg.wire_cost(1025), Duration::from_micros(30));
+        cfg.wire_granularity = WireGranularity::Byte;
+        // Byte mode: proportional, rounded up to a nanosecond.
+        assert_eq!(
+            cfg.wire_cost(40),
+            Duration::from_nanos((15_000u64 * 40).div_ceil(1024))
+        );
+        assert_eq!(cfg.wire_cost(1024), Duration::from_micros(15));
+        assert_eq!(cfg.wire_cost(0), Duration::ZERO);
+        // 2048 bytes costs exactly two KB worth in both modes.
+        assert_eq!(cfg.wire_cost(2048), Duration::from_micros(30));
+    }
+
+    #[test]
+    fn hop_delay_is_the_formulas_it_replaced() {
+        // The engine used to spell these out per call site: a data
+        // copy, a re-sent copy, a parity shard and a FIFO message
+        // (latency + wire + processing), and a retransmission request
+        // (latency + processing, nothing on the wire).
+        for granularity in [WireGranularity::WholeKb, WireGranularity::Byte] {
+            let mut cfg = testbed::wan();
+            cfg.wire_granularity = granularity;
+            let far = cfg.topology.machine_count() - 1;
+            for (from, to) in [(0, 0), (0, 1), (0, far), (far, 1)] {
+                let latency = cfg.topology.machine_latency(from, to);
+                for len in [40, 1024, 1500] {
+                    let copy = latency + cfg.wire_cost(len) + cfg.per_message_processing;
+                    assert_eq!(cfg.hop_delay(from, to, len), copy);
+                }
+                let request = latency + cfg.per_message_processing;
+                assert_eq!(cfg.hop_delay(from, to, 0), request);
+            }
+        }
     }
 }

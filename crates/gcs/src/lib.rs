@@ -75,18 +75,23 @@ mod engine;
 mod fault;
 pub mod fec;
 pub mod loss;
+mod membership;
 mod message;
+mod recovery;
+mod ring;
 mod shard;
+mod stats;
 pub mod testbed;
 mod topology;
 
 pub use client::{Client, ClientCtx};
 pub use config::{GcsConfig, WireGranularity};
-pub use engine::{SimWorld, TraceEvent, WorldStats};
+pub use engine::SimWorld;
 pub use fault::{Fault, FaultPlan, PlannedFault};
 pub use loss::GilbertElliott;
 pub use message::{Delivery, Dest, Service, View, ViewId};
 pub use shard::{ShardMap, ShardedWorld};
+pub use stats::WorldStats;
 pub use topology::{MachineCfg, SiteCfg, Topology};
 
 /// Client (group member process) identifier: index into the world's

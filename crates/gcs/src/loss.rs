@@ -1,6 +1,13 @@
-//! Gilbert–Elliott burst-correlated loss model.
+//! The copy-loss layer: every "is this daemon-to-daemon copy lost?"
+//! is decided here. `LossProcess` owns the loss RNG stream, the
+//! optional Gilbert–Elliott chain, the fault-plan burst window and the
+//! sticky "a data copy was lost" flag that arms gap recovery. It is
+//! handed the instant of each draw and returns a `bool`; it never sees
+//! the event queue, a daemon or a client.
 //!
-//! The base engine loses each daemon-to-daemon copy independently with
+//! ## Gilbert–Elliott burst-correlated loss
+//!
+//! The base process loses each daemon-to-daemon copy independently with
 //! probability [`crate::GcsConfig::loss_rate`] — a Bernoulli process.
 //! Real WAN loss is bursty: losses cluster while a path is congested
 //! and all but vanish in between. The classic two-state Markov model
@@ -21,11 +28,13 @@
 //! CSVs bit-identical across `--jobs`/`--shards`.
 //!
 //! The Bernoulli model is the degenerate case: with no
-//! [`GilbertElliott`] configured the engine draws nothing from this
-//! module and stays byte-identical to the pre-burst engine (pinned by
-//! the engine goldens).
+//! [`GilbertElliott`] configured nothing is drawn from the chain's
+//! stream and the engine stays byte-identical to the pre-burst engine
+//! (pinned by the engine goldens).
 
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
+
+use crate::config::GcsConfig;
 
 /// Parameters of a two-state Markov (Gilbert–Elliott) loss process.
 ///
@@ -122,9 +131,93 @@ fn sample_dwell(rng: &mut SplitMix64, mean: Duration) -> Duration {
     Duration::from_nanos(base.saturating_add(rng.next_u64() % span))
 }
 
+/// The world's copy-loss process: the Bernoulli base rate, the
+/// Gilbert–Elliott chain's per-state rate (when configured) and a
+/// fault-plan burst while its window lasts, combined by `max`. The
+/// chain advances on its own RNG stream, so configuring it never
+/// perturbs the per-copy draws.
+#[derive(Clone, Debug)]
+pub(crate) struct LossProcess {
+    base: f64,
+    chain: Option<GeChain>,
+    /// Temporary rate override from a fault plan: `(rate, until)`.
+    burst: Option<(f64, SimTime)>,
+    rng: SplitMix64,
+    /// Sticky: set the first time a *data* copy is lost, and the
+    /// arming condition for gap-retransmission requests. A token-visit
+    /// gap with no loss ever observed is merely in-flight traffic and
+    /// must not trigger spurious requests; a gap after a loss burst
+    /// has *ended* must still be recovered.
+    losses_observed: bool,
+}
+
+impl LossProcess {
+    pub(crate) fn new(cfg: &GcsConfig) -> Self {
+        LossProcess {
+            base: cfg.loss_rate,
+            chain: cfg.gilbert.as_ref().map(GeChain::new),
+            burst: None,
+            rng: SplitMix64::new(cfg.loss_seed),
+            losses_observed: false,
+        }
+    }
+
+    /// Starts a burst of `rate` lasting until `until`, replacing any
+    /// active one (semantics: [`crate::SimWorld::set_loss_burst`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside `[0, 1]`.
+    pub(crate) fn set_burst(&mut self, rate: f64, until: SimTime) {
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "burst loss rate must be in [0, 1]"
+        );
+        self.burst = Some((rate, until));
+    }
+
+    /// The loss probability in force at instant `now`. The burst
+    /// window is half-open; an expired burst is cleared here (lazily,
+    /// on the first query at or past its boundary).
+    fn rate_at(&mut self, now: SimTime) -> f64 {
+        let mut rate = self.base;
+        if let Some(ge) = &mut self.chain {
+            rate = rate.max(ge.rate_at(now));
+        }
+        match self.burst {
+            Some((burst, until)) if now < until => rate.max(burst),
+            Some(_) => {
+                self.burst = None;
+                rate
+            }
+            None => rate,
+        }
+    }
+
+    /// Deterministic Bernoulli draw for one copy sent at `now` (no
+    /// draw at rate 0). A lost *data* copy arms gap recovery for the
+    /// rest of the run; a lost parity shard is simply gone — it is
+    /// never retransmitted and arms nothing.
+    pub(crate) fn lose_copy(&mut self, now: SimTime, data: bool) -> bool {
+        let rate = self.rate_at(now);
+        if rate <= 0.0 {
+            return false;
+        }
+        let x = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        self.losses_observed |= data && x < rate;
+        x < rate
+    }
+
+    /// Whether any data copy has been lost so far.
+    pub(crate) fn losses_observed(&self) -> bool {
+        self.losses_observed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed;
 
     fn plan(seed: u64) -> GilbertElliott {
         GilbertElliott {
@@ -221,5 +314,105 @@ mod tests {
         let mut c = GeChain::new(&p);
         // Must not hang or panic even when dwells are single nanoseconds.
         let _ = c.rate_at(SimTime::ZERO + Duration::from_micros(10));
+    }
+
+    fn process(loss_rate: f64) -> LossProcess {
+        let mut cfg = testbed::lan();
+        cfg.loss_rate = loss_rate;
+        LossProcess::new(&cfg)
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + Duration::from_millis(n)
+    }
+
+    #[test]
+    fn burst_window_is_half_open_and_clears_on_expiry() {
+        let mut l = process(0.0);
+        let until = ms(10);
+        l.set_burst(0.5, until);
+        // One nanosecond before expiry the burst rate applies...
+        let just_before = SimTime::from_nanos(until.as_nanos() - 1);
+        assert_eq!(l.rate_at(just_before), 0.5);
+        assert!(l.burst.is_some(), "burst still active");
+        // ...at the exact expiry instant it no longer does (half-open
+        // window), and the expired burst is cleared.
+        assert_eq!(l.rate_at(until), 0.0);
+        assert!(l.burst.is_none(), "expired burst must be cleared");
+        // Cleared state is stable: later draws stay on the base rate.
+        assert_eq!(l.rate_at(ms(11)), 0.0);
+    }
+
+    #[test]
+    fn burst_combines_with_base_rate_via_max() {
+        let mut l = process(0.3);
+        // A 0.0-rate burst cannot suppress the configured base rate.
+        l.set_burst(0.0, ms(5));
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.3);
+        // A burst above the base rate overrides it while it lasts.
+        l.set_burst(0.9, ms(5));
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.9);
+        assert_eq!(l.rate_at(ms(5)), 0.3);
+    }
+
+    #[test]
+    fn overlapping_bursts_last_writer_wins() {
+        let mut l = process(0.0);
+        l.set_burst(0.8, ms(100));
+        // A shorter, milder burst set while the first is active
+        // replaces it entirely — including cutting the window short.
+        l.set_burst(0.2, ms(1));
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.2);
+        assert_eq!(
+            l.rate_at(ms(2)),
+            0.0,
+            "the replaced burst's longer window must not survive"
+        );
+    }
+
+    #[test]
+    fn edge_burst_rates_are_accepted() {
+        let mut l = process(0.0);
+        l.set_burst(0.0, ms(1));
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.0);
+        l.set_burst(1.0, ms(1));
+        assert_eq!(l.rate_at(SimTime::ZERO), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst loss rate")]
+    fn out_of_range_burst_rate_rejected() {
+        process(0.0).set_burst(1.5, ms(1));
+    }
+
+    #[test]
+    fn gilbert_chain_combines_with_burst_window_via_max() {
+        // A fault-plan burst window layered over an active
+        // Gilbert–Elliott chain must max-combine while it lasts and,
+        // on expiry, fall back to the *chain's* rate at that instant —
+        // not to the Bernoulli base.
+        let mut cfg = testbed::lan();
+        cfg.loss_rate = 0.0;
+        cfg.gilbert = Some(GilbertElliott {
+            good_loss: 0.05,
+            bad_loss: 0.9,
+            // Dwells far longer than the probe horizon: the chain is
+            // pinned in its good state for the whole test.
+            good_dwell: Duration::from_millis(100_000),
+            bad_dwell: Duration::from_millis(1),
+            seed: 7,
+        });
+        let mut l = LossProcess::new(&cfg);
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.05);
+        l.set_burst(0.5, ms(10));
+        // Inside the window the burst dominates the good-state rate.
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.5);
+        // A burst below the chain's rate cannot suppress it.
+        l.set_burst(0.01, ms(10));
+        assert_eq!(l.rate_at(SimTime::ZERO), 0.05);
+        // At expiry the window clears and the chain's rate remains.
+        l.set_burst(0.5, ms(10));
+        assert_eq!(l.rate_at(ms(10)), 0.05);
+        assert!(l.burst.is_none(), "expired burst must be cleared");
     }
 }

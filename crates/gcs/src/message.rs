@@ -15,9 +15,6 @@ pub enum Service {
     /// token: cheap, but unordered relative to Agreed traffic. Used for
     /// CKD's pairwise channel messages.
     Fifo,
-    /// Causally-ordered multicast (vector clocks): delivery respects
-    /// happens-before across senders, without paying for total order.
-    Causal,
 }
 
 impl Service {
@@ -26,17 +23,6 @@ impl Service {
         match self {
             Service::Agreed => "agreed",
             Service::Fifo => "fifo",
-            Service::Causal => "causal",
-        }
-    }
-
-    /// Inverse of [`Service::as_str`].
-    pub fn from_str_label(s: &str) -> Option<Service> {
-        match s {
-            "agreed" => Some(Service::Agreed),
-            "fifo" => Some(Service::Fifo),
-            "causal" => Some(Service::Causal),
-            _ => None,
         }
     }
 }

@@ -28,8 +28,9 @@ use gkap_sim::{SimTime, VtFrontier};
 
 use crate::client::Client;
 use crate::config::GcsConfig;
-use crate::engine::{SimWorld, WorldStats};
+use crate::engine::SimWorld;
 use crate::message::View;
+use crate::stats::WorldStats;
 use crate::{ClientId, GroupId};
 
 /// A deterministic partition of group ids over `S` shards.
@@ -118,11 +119,6 @@ impl ShardedWorld {
             clients: Vec::new(),
             locals: vec![Vec::new(); shards],
         }
-    }
-
-    /// The shard map in use.
-    pub fn shard_map(&self) -> ShardMap {
-        self.map
     }
 
     /// Borrows one shard's world (read-only introspection).

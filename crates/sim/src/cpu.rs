@@ -57,11 +57,6 @@ impl CpuScheduler {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Requests `work` of CPU time starting no earlier than `ready`.
     /// Returns the completion time. Zero-duration work completes
     /// immediately (at `ready` or when a core frees up — we treat it as

@@ -13,14 +13,9 @@
 //! (`world`, `client:N`, `daemon:N`, `machine:N`), `kind` (see the
 //! crate-level taxonomy table). Kind-specific fields follow.
 //!
-//! Metric lines (emitted after events by [`render_metrics`]):
-//!
-//! ```json
-//! {"metric":"counter","name":"crypto/exp","value":816}
-//! {"metric":"histogram","name":"cpu/busy_ms","count":120,"p50":1.6,"p90":4.1,"p99":6.5}
-//! ```
+//! Metric lines are rendered from the typed hub by [`render_hub`].
 
-use crate::{Actor, Event, EventKind, MetricsRegistry, Recorder};
+use crate::{Actor, Event, EventKind};
 use std::fmt::Write as _;
 
 fn actor_label(a: Actor) -> String {
@@ -87,27 +82,6 @@ pub fn render_events(events: &[Event]) -> String {
     out
 }
 
-/// Renders the registry's counters and histogram summaries, one JSON
-/// object per line.
-pub fn render_metrics(metrics: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    for (name, value) in metrics.counters() {
-        out.push_str(&format!(
-            "{{\"metric\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}\n"
-        ));
-    }
-    for (name, hist) in metrics.histograms() {
-        out.push_str(&format!(
-            "{{\"metric\":\"histogram\",\"name\":\"{name}\",\"count\":{},\"p50\":{:.4},\"p90\":{:.4},\"p99\":{:.4}}}\n",
-            hist.count(),
-            hist.quantile(0.5),
-            hist.quantile(0.9),
-            hist.quantile(0.99),
-        ));
-    }
-    out
-}
-
 /// Renders the typed hub: one JSON object per counter, gauge and
 /// histogram summary, keyed by the canonical metric path.
 ///
@@ -143,15 +117,6 @@ pub fn render_hub(hub: &crate::metrics::MetricsHub) -> String {
             s.max,
         ));
     }
-    out
-}
-
-/// Full trace dump: every event line followed by every metric line
-/// (legacy registry first, then the typed hub).
-pub fn render_recorder(rec: &Recorder) -> String {
-    let mut out = render_events(rec.events());
-    out.push_str(&render_metrics(rec.metrics()));
-    out.push_str(&render_hub(rec.hub()));
     out
 }
 
@@ -214,23 +179,5 @@ mod tests {
             assert_eq!(line.matches('"').count() % 2, 0, "{line}");
             assert!(line.contains("\"at_ms\":1.5"), "{line}");
         }
-    }
-
-    #[test]
-    fn recorder_dump_has_events_then_metrics() {
-        let mut rec = Recorder::default();
-        rec.push(ev(EventKind::CryptoOp {
-            op: CryptoOpKind::Sign,
-            bits: 1024,
-        }));
-        let dump = render_recorder(&rec);
-        let lines: Vec<&str> = dump.lines().collect();
-        assert!(lines[0].contains("\"kind\":\"crypto_op\""));
-        assert!(lines.iter().any(|l| l.contains("\"metric\":\"counter\"")
-            && l.contains("crypto/sign")
-            && l.contains("\"value\":1")));
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"metric\":\"histogram\"") && l.contains("crypto_ms/sign")));
     }
 }

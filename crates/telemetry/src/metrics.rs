@@ -1,9 +1,8 @@
 //! Typed, mergeable metrics keyed by `(layer, name, protocol, group)`.
 //!
-//! The PR 1 [`crate::MetricsRegistry`] keeps flat string-keyed
-//! counters for the JSONL trace dump; this module is the structured
-//! layer the run manifests and the `bench-diff` regression gate are
-//! built on:
+//! The one metrics sink of a [`crate::Recorder`]: the structured layer
+//! the JSONL trace dump, the run manifests and the `bench-diff`
+//! regression gate are built on:
 //!
 //! * [`Key`] is a `Copy` composite of a [`Layer`], a static metric
 //!   name and optional protocol/group labels — constructing one

@@ -1,5 +1,5 @@
 //! A secure group chat over the full stack: TGDH establishes the group
-//! key, application messages travel as causally-ordered multicasts
+//! key, application messages travel as multicasts
 //! encrypted by the per-epoch [`SecureSession`], and a [`ReplayGuard`]
 //! rejects duplicated ciphertexts — the complete Secure Spread
 //! experience, including a mid-conversation re-key when a member
