@@ -19,6 +19,21 @@
 //!
 //! [`crate::ring`] describes the Agreed total order a token visit
 //! implements, [`crate::membership`] how a view change runs.
+//!
+//! # Fan-outs are runs
+//!
+//! The copies of one fan-out — a sequenced message or a parity shard
+//! to the other daemons, a stable message to a daemon's local clients
+//! — are scheduled back to back: those due at one instant hold
+//! consecutive queue positions, so nothing can ever be dispatched
+//! between them. Each such group is therefore *one* queue entry, a
+//! **run**: the targets in sending order plus one shared payload. A
+//! step still dispatches exactly one target: the world keeps the
+//! popped run open and consumes it before it pops again, and
+//! `outstanding` counts targets, not entries. Step counts, predicate
+//! granularity, the dispatch counters, RNG draws and the order of
+//! every handler call are what one entry per copy gave; only the heap
+//! traffic is not.
 
 use std::rc::Rc;
 
@@ -50,20 +65,26 @@ enum Ev {
     /// The token of generation `gen` arrives at `daemon`. Stale
     /// generations (superseded by a ring reformation) are ignored.
     Token { daemon: DaemonId, gen: u64 },
-    /// A sequenced Agreed message reaches a daemon.
-    DaemonRecv { daemon: DaemonId, msg: Rc<WireMsg> },
+    /// A sequenced Agreed message reaches `targets`, in this order and
+    /// all at this instant: one run of a fan-out (a re-sent copy is a
+    /// run of one).
+    DaemonRecv {
+        targets: Vec<DaemonId>,
+        msg: Rc<WireMsg>,
+    },
     /// A client's send reaches its local daemon.
     ClientSubmit { client: ClientId, out: Outgoing },
     /// A FIFO message reaches the destination daemon, ready for local
     /// delivery.
     FifoArrive {
         daemon: DaemonId,
-        delivery: Delivery,
+        delivery: Rc<Delivery>,
     },
-    /// A message is handed to a client.
+    /// A message is handed to `targets`, its addressees among one
+    /// daemon's local clients, in this order and all at this instant.
     ClientDeliver {
-        client: ClientId,
-        delivery: Delivery,
+        targets: Vec<ClientId>,
+        parcel: Parcel,
     },
     /// A view change is handed to a client.
     ViewDeliver { client: ClientId, view: Rc<View> },
@@ -74,10 +95,10 @@ enum Ev {
         to: DaemonId,
         from: DaemonId,
     },
-    /// A parity shard of a FEC-coded fan-out generation reaches a
-    /// daemon.
+    /// A parity shard of a FEC-coded fan-out generation reaches
+    /// `targets`, in this order and all at this instant.
     ParityRecv {
-        daemon: DaemonId,
+        targets: Vec<DaemonId>,
         shard: Rc<ParityShard>,
     },
     /// The surviving daemons detect that `daemon` crashed: the ring
@@ -105,6 +126,45 @@ impl Ev {
             Ev::Fault { .. } => "ev_fault",
         }
     }
+
+    /// How many dispatches this queue entry stands for: one per target
+    /// of a run, one for everything else.
+    fn copies(&self) -> usize {
+        match self {
+            Ev::DaemonRecv { targets, .. }
+            | Ev::ParityRecv { targets, .. }
+            | Ev::ClientDeliver { targets, .. } => targets.len(),
+            _ => 1,
+        }
+    }
+}
+
+/// What a [`Ev::ClientDeliver`] run hands to its targets. An Agreed
+/// message is lent straight out of the daemon's copy of the sequenced
+/// record; a FIFO message never had one.
+#[derive(Debug)]
+enum Parcel {
+    Agreed(Rc<WireMsg>),
+    Fifo(Rc<Delivery>),
+}
+
+impl Parcel {
+    fn delivery(&self) -> &Delivery {
+        match self {
+            Parcel::Agreed(msg) => &msg.delivery,
+            Parcel::Fifo(delivery) => delivery,
+        }
+    }
+}
+
+/// A run popped from the queue with targets still to dispatch. Nothing
+/// can come between two targets of a run — they share one instant and
+/// one queue position — so the world consumes `next..` before it pops
+/// again, one target per step.
+#[derive(Debug)]
+struct OpenRun {
+    ev: Ev,
+    next: usize,
 }
 
 struct ClientSlot {
@@ -118,6 +178,8 @@ struct ClientSlot {
 pub struct SimWorld {
     cfg: GcsConfig,
     queue: EventQueue<Ev>,
+    /// The run being consumed, if the last step left one unfinished.
+    open: Option<OpenRun>,
     machines: Vec<CpuScheduler>,
     clients: Vec<ClientSlot>,
     ring: Ring,
@@ -168,6 +230,7 @@ impl SimWorld {
         let machine_count = cfg.topology.machine_count();
         SimWorld {
             queue: EventQueue::new(),
+            open: None,
             machines: (0..machine_count)
                 .map(|m| CpuScheduler::new(cfg.topology.machine(m).cores))
                 .collect(),
@@ -520,17 +583,33 @@ impl SimWorld {
     // Run loop
     // ------------------------------------------------------------------
 
-    /// Processes one event. Returns `false` when the world is
-    /// quiescent (only the idle token remains).
+    /// Processes one event — of a fan-out, one copy: a message reaching
+    /// one daemon, or being handed to one client. Returns `false` when
+    /// the world is quiescent (only the idle token remains).
     pub fn step(&mut self) -> bool {
-        if self.quiescent() {
-            return false;
-        }
-        let Some((_, ev)) = self.queue.pop() else {
-            return false;
+        !self.quiescent() && self.advance()
+    }
+
+    /// Dispatches the next target of the open run or, without one, of
+    /// the next queue entry. `false` when the queue is empty.
+    fn advance(&mut self) -> bool {
+        let (ev, at) = match self.open.take() {
+            Some(run) => (run.ev, run.next),
+            None => match self.queue.pop() {
+                Some((_, ev)) => (ev, 0),
+                None => return false,
+            },
         };
-        self.dispatch(ev);
+        self.dispatch(ev, at);
         true
+    }
+
+    /// The instant of the next dispatch: now while a run is open.
+    fn next_at(&self) -> Option<SimTime> {
+        match self.open {
+            Some(_) => Some(self.queue.now()),
+            None => self.queue.peek_time(),
+        }
     }
 
     /// Runs until no work remains (the token keeps circulating but
@@ -546,12 +625,7 @@ impl SimWorld {
     /// in the past is a no-op.
     pub fn run_until(&mut self, t: SimTime) {
         self.try_fast_forward_idle(t);
-        while self.queue.peek_time().is_some_and(|pt| pt <= t) {
-            let Some((_, ev)) = self.queue.pop() else {
-                break;
-            };
-            self.dispatch(ev);
-        }
+        while self.next_at().is_some_and(|pt| pt <= t) && self.advance() {}
     }
 
     /// Enables or disables the idle-token fast-forward (on by
@@ -571,7 +645,8 @@ impl SimWorld {
     /// Applies only in the strictly idle regime: the world is
     /// quiescent, telemetry is off (an enabled sink counts per-event
     /// dispatches, which skipping would under-report), and the queue
-    /// holds exactly the one live token. A full rotation then costs
+    /// holds exactly the one live token (an open run keeps the world
+    /// non-quiescent until its last target). A full rotation then costs
     /// `sum(hop + token_processing)` around the ring and its only
     /// effects are `token_rotations` and `last_rotation_at`, which are
     /// replayed analytically; the token event is moved forward by a
@@ -668,9 +743,31 @@ impl SimWorld {
 
     fn schedule(&mut self, delay: Duration, ev: Ev) {
         if !matches!(ev, Ev::Token { .. }) {
-            self.outstanding += 1;
+            self.outstanding += ev.copies() as u64;
         }
         self.queue.schedule(delay, ev);
+    }
+
+    /// Schedules one fan-out from `origin` to `peers` (the copies that
+    /// survived the loss process, in sending order): one run per
+    /// maximal group of adjacent peers at equal delay, so each run's
+    /// copies are exactly those that would have held consecutive queue
+    /// positions at one instant.
+    fn fan_out(
+        &mut self,
+        origin: DaemonId,
+        len: usize,
+        peers: &[DaemonId],
+        run: impl Fn(Vec<DaemonId>) -> Ev,
+    ) {
+        let mut rest = peers;
+        while let Some(&first) = rest.first() {
+            let delay = self.cfg.hop_delay(origin, first, len);
+            let same = |&&peer: &&DaemonId| self.cfg.hop_delay(origin, peer, len) == delay;
+            let (group, tail) = rest.split_at(rest.iter().take_while(same).count());
+            self.schedule(delay, run(group.to_vec()));
+            rest = tail;
+        }
     }
 
     /// Starts a token of the current generation at the ring head.
@@ -697,7 +794,10 @@ impl SimWorld {
         self.note(actor, EventKind::Fault { action, target });
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    /// Dispatches `ev` — of a run, target `at` only, leaving the rest
+    /// open. No handler looks at `open`, so it is set afterwards and
+    /// the payload is lent, not cloned.
+    fn dispatch(&mut self, ev: Ev, at: usize) {
         if !matches!(ev, Ev::Token { .. }) {
             self.outstanding -= 1;
         }
@@ -714,15 +814,43 @@ impl SimWorld {
             });
         match ev {
             Ev::Token { daemon, gen } => self.on_token(daemon, gen),
-            Ev::DaemonRecv { daemon, msg } => self.on_daemon_recv(daemon, msg),
+            Ev::DaemonRecv {
+                ref targets,
+                ref msg,
+            } => {
+                self.on_daemon_recv(targets[at], Rc::clone(msg));
+                self.keep_open(ev, at + 1);
+            }
             Ev::ClientSubmit { client, out } => self.on_client_submit(client, out),
-            Ev::FifoArrive { daemon, delivery } => self.deliver_locally(daemon, delivery),
-            Ev::ClientDeliver { client, delivery } => self.deliver_to_client(client, delivery),
+            Ev::FifoArrive { daemon, delivery } => {
+                self.deliver_locally(daemon, Parcel::Fifo(delivery))
+            }
+            Ev::ClientDeliver {
+                ref targets,
+                ref parcel,
+            } => {
+                self.deliver_to_client(targets[at], parcel.delivery());
+                self.keep_open(ev, at + 1);
+            }
             Ev::ViewDeliver { client, view } => self.deliver_view_to_client(client, &view),
             Ev::Retransmit { seq, to, from } => self.on_retransmit(seq, to, from),
-            Ev::ParityRecv { daemon, shard } => self.on_parity_recv(daemon, shard),
+            Ev::ParityRecv {
+                ref targets,
+                ref shard,
+            } => {
+                self.on_parity_recv(targets[at], Rc::clone(shard));
+                self.keep_open(ev, at + 1);
+            }
             Ev::CrashDetect { daemon } => self.on_crash_detect(daemon),
             Ev::Fault { fault } => self.on_fault(fault),
+        }
+    }
+
+    /// Leaves the targets of the run `ev` from `next` on, if any, to
+    /// the following steps.
+    fn keep_open(&mut self, ev: Ev, next: usize) {
+        if next < ev.copies() {
+            self.open = Some(OpenRun { ev, next });
         }
     }
 
@@ -816,13 +944,14 @@ impl SimWorld {
                 Actor::Daemon(daemon),
                 EventKind::Sequenced {
                     seq: msg.seq,
-                    sender: msg.sender,
+                    sender: msg.delivery.sender,
                 },
             );
         }
         let at = self.queue.now();
+        let mut reached = Vec::new();
         for msg in &generation {
-            let len = msg.payload.len();
+            reached.clear();
             for peer in 0..self.ring.daemon_count() {
                 if peer == daemon || !self.ring.is_alive(peer) {
                     continue;
@@ -832,12 +961,12 @@ impl SimWorld {
                     self.recovery.lost(peer, msg.seq, at);
                     continue;
                 }
-                let msg = Rc::clone(msg);
-                self.schedule(
-                    self.cfg.hop_delay(daemon, peer, len),
-                    Ev::DaemonRecv { daemon: peer, msg },
-                );
+                reached.push(peer);
             }
+            self.fan_out(daemon, msg.delivery.payload.len(), &reached, |targets| {
+                let msg = Rc::clone(msg);
+                Ev::DaemonRecv { targets, msg }
+            });
         }
 
         // 1a. FEC parity fan-out over this visit's generation: with a
@@ -889,14 +1018,7 @@ impl SimWorld {
 
         // 3. Deliver stable messages to local clients.
         while let Some(msg) = self.ring.pop_stable(daemon) {
-            let delivery = Delivery {
-                sender: msg.sender,
-                service: Service::Agreed,
-                dest: msg.dest,
-                view_id: msg.view_id,
-                payload: msg.payload.clone(),
-            };
-            self.deliver_locally(daemon, delivery);
+            self.deliver_locally(daemon, Parcel::Agreed(msg));
         }
 
         // 4. Install pending views whose membership protocols are done.
@@ -1010,9 +1132,10 @@ impl SimWorld {
             self.stats.messages_lost += 1;
             return;
         }
+        let targets = vec![to];
         self.schedule(
-            self.cfg.hop_delay(from, to, msg.payload.len()),
-            Ev::DaemonRecv { daemon: to, msg },
+            self.cfg.hop_delay(from, to, msg.delivery.payload.len()),
+            Ev::DaemonRecv { targets, msg },
         );
     }
 
@@ -1045,9 +1168,11 @@ impl SimWorld {
     /// retransmission).
     fn fan_out_parity(&mut self, origin: DaemonId, generation: &[Rc<WireMsg>], r: usize) {
         let at = self.queue.now();
+        let mut reached = Vec::new();
         for shard in recovery::encode_parity(generation, r) {
             let shard = Rc::new(shard);
             let len = shard.body.len();
+            reached.clear();
             for peer in 0..self.ring.daemon_count() {
                 if peer == origin || !self.ring.is_alive(peer) {
                     continue;
@@ -1056,18 +1181,14 @@ impl SimWorld {
                 self.stats.parity_bytes_sent += len as u64;
                 self.telemetry
                     .metric_inc(Key::new(Layer::Gcs, "parity_bytes_sent"), len as u64);
-                if self.loss.lose_copy(at, false) {
-                    continue;
+                if !self.loss.lose_copy(at, false) {
+                    reached.push(peer);
                 }
-                let shard = Rc::clone(&shard);
-                self.schedule(
-                    self.cfg.hop_delay(origin, peer, len),
-                    Ev::ParityRecv {
-                        daemon: peer,
-                        shard,
-                    },
-                );
             }
+            self.fan_out(origin, len, &reached, |targets| {
+                let shard = Rc::clone(&shard);
+                Ev::ParityRecv { targets, shard }
+            });
         }
     }
 
@@ -1117,28 +1238,26 @@ impl SimWorld {
     /// clients: the members of the view it was sent in — narrowed to
     /// the target of a unicast — or, for a FIFO unicast, the target
     /// whether or not it is (still) a member.
-    fn deliver_locally(&mut self, daemon: DaemonId, delivery: Delivery) {
-        let candidates: Vec<ClientId> = match (delivery.service, delivery.dest) {
-            (Service::Fifo, Dest::One(target)) => vec![target],
-            _ => self
-                .membership
-                .view_by_id(delivery.view_id)
-                .map(|v| v.members.clone())
-                .unwrap_or_default(),
+    fn deliver_locally(&mut self, daemon: DaemonId, parcel: Parcel) {
+        let delivery = parcel.delivery();
+        let candidates: &[ClientId] = match (delivery.service, &delivery.dest) {
+            (Service::Fifo, Dest::One(target)) => std::slice::from_ref(target),
+            _ => match self.membership.view_by_id(delivery.view_id) {
+                Some(view) => &view.members,
+                None => &[],
+            },
         };
-        for c in candidates {
-            let local = self.clients[c].machine == daemon && self.clients[c].alive;
-            if !local || matches!(delivery.dest, Dest::One(t) if t != c) {
-                continue;
-            }
-            let delivery = delivery.clone();
-            self.schedule(
-                self.cfg.client_daemon_delay,
-                Ev::ClientDeliver {
-                    client: c,
-                    delivery,
-                },
-            );
+        let targets: Vec<ClientId> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let local = self.clients[c].machine == daemon && self.clients[c].alive;
+                local && !matches!(delivery.dest, Dest::One(t) if t != c)
+            })
+            .collect();
+        if !targets.is_empty() {
+            let delay = self.cfg.client_daemon_delay;
+            self.schedule(delay, Ev::ClientDeliver { targets, parcel });
         }
     }
 
@@ -1165,13 +1284,13 @@ impl SimWorld {
             Service::Fifo => {
                 self.stats.fifo_messages += 1;
                 let len = out.payload.len();
-                let delivery = Delivery {
+                let delivery = Rc::new(Delivery {
                     sender: client,
                     service: Service::Fifo,
                     dest: out.dest,
                     view_id,
                     payload: out.payload,
-                };
+                });
                 let targets = match out.dest {
                     Dest::One(target) => {
                         let td = self.clients[target].machine;
@@ -1180,7 +1299,7 @@ impl SimWorld {
                     Dest::All => 0..self.ring.daemon_count(),
                 };
                 for daemon in targets {
-                    let delivery = delivery.clone();
+                    let delivery = Rc::clone(&delivery);
                     self.schedule(
                         self.cfg.hop_delay(machine, daemon, len),
                         Ev::FifoArrive { daemon, delivery },
@@ -1238,7 +1357,7 @@ impl SimWorld {
         self.run_handler(client, view.id, |handler, ctx| handler.on_view(ctx, view));
     }
 
-    fn deliver_to_client(&mut self, client: ClientId, delivery: Delivery) {
+    fn deliver_to_client(&mut self, client: ClientId, delivery: &Delivery) {
         if !self.clients[client].alive {
             return;
         }
@@ -1250,7 +1369,7 @@ impl SimWorld {
             },
         );
         self.run_handler(client, delivery.view_id, |handler, ctx| {
-            handler.on_message(ctx, &delivery)
+            handler.on_message(ctx, delivery)
         });
     }
 
@@ -1291,5 +1410,107 @@ impl SimWorld {
         for out in outgoing {
             self.schedule(submit_delay, Ev::ClientSubmit { client, out });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Which copies share a queue entry is not observable from outside
+    //! the engine — that is the point of a run — so the grouping rule
+    //! is checked here, on the queue itself. Everything a caller *can*
+    //! observe about runs is in `tests/engine_semantics.rs`.
+
+    use super::*;
+    use crate::message::Delivery;
+    use crate::testbed;
+    use crate::topology::{MachineCfg, SiteCfg, Topology};
+
+    /// Multicasts once on the first view.
+    struct Sender;
+    impl Client for Sender {
+        fn on_view(&mut self, ctx: &mut ClientCtx<'_>, _view: &View) {
+            ctx.multicast_agreed(vec![7; 40]);
+        }
+        fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
+    }
+
+    /// The copy runs of the first message sequenced in a world whose
+    /// only client sits on `origin`, as `(delay from sequencing,
+    /// targets)` in queue order.
+    fn first_fan_out(
+        cfg: GcsConfig,
+        origin: MachineId,
+    ) -> (SimWorld, Vec<(Duration, Vec<DaemonId>)>) {
+        let mut world = SimWorld::new(cfg);
+        world.add_client_on(Box::new(Sender), origin);
+        world.install_initial_view();
+        while world.stats.agreed_messages == 0 {
+            assert!(world.step(), "quiescent before anything was sequenced");
+        }
+        let sequenced_at = world.now();
+        let mut runs = Vec::new();
+        while let Some((at, ev)) = world.queue.pop() {
+            if let Ev::DaemonRecv { targets, .. } = ev {
+                runs.push((at.since(sequenced_at), targets));
+            }
+        }
+        (world, runs)
+    }
+
+    #[test]
+    fn a_wan_fan_out_is_one_run_per_site() {
+        // JHU is machines 0..=10, UCI 11, ICU 12.
+        let (_, runs) = first_fan_out(testbed::wan(), 0);
+        let targets: Vec<_> = runs.iter().map(|(_, t)| t.clone()).collect();
+        assert_eq!(targets, [(1..=10).collect(), vec![11], vec![12]]);
+        assert!(runs[0].0 < runs[1].0 && runs[1].0 < runs[2].0);
+
+        let (_, runs) = first_fan_out(testbed::wan(), 11);
+        let targets: Vec<_> = runs.into_iter().map(|(_, t)| t).collect();
+        assert_eq!(targets, [(0..=10).collect(), vec![12]]);
+    }
+
+    #[test]
+    fn only_adjacent_equal_delay_peers_share_a_run() {
+        // Sites interleaved over the machine order: 0 1 0 1 0. From
+        // machine 0, peers 2 and 4 are equally near, 1 and 3 equally
+        // far — but no two of them are neighbours in sending order.
+        let mut cfg = testbed::wan();
+        let machine = |site| MachineCfg {
+            site,
+            cores: 1,
+            speed: 1.0,
+        };
+        let far = Duration::from_millis(20);
+        cfg.topology = Topology::new(
+            vec![SiteCfg { name: "a".into() }, SiteCfg { name: "b".into() }],
+            [0, 1, 0, 1, 0].map(machine).to_vec(),
+            vec![vec![Duration::ZERO, far], vec![far, Duration::ZERO]],
+            Duration::from_micros(40),
+        );
+        let (_, runs) = first_fan_out(cfg, 0);
+        let targets: Vec<_> = runs.iter().map(|(_, t)| t.clone()).collect();
+        assert_eq!(targets, [[2], [4], [1], [3]], "four entries, by arrival");
+        assert_eq!(runs[0].0, runs[1].0);
+        assert_eq!(runs[2].0, runs[3].0);
+    }
+
+    #[test]
+    fn a_lost_copy_is_absent_from_its_run() {
+        let mut cfg = testbed::wan();
+        cfg.loss_rate = 0.4;
+        let (world, runs) = first_fan_out(cfg, 0);
+        let reached: Vec<DaemonId> = runs.iter().flat_map(|(_, t)| t.clone()).collect();
+        let lost = world.stats.messages_lost as usize;
+        assert!(lost > 0 && lost < 12, "{lost} of 12 copies lost");
+        assert_eq!(reached.len() + lost, 12);
+        assert!(reached.windows(2).all(|w| w[0] < w[1]), "{reached:?}");
+        // Still one run per site reached, and `outstanding` counted
+        // the copies, not the entries.
+        let site = |d: &DaemonId| world.cfg.topology.machine(*d).site;
+        let mut reached_sites: Vec<_> = reached.iter().map(site).collect();
+        reached_sites.dedup();
+        assert_eq!(runs.len(), reached_sites.len());
+        assert_eq!(world.outstanding, reached.len() as u64);
     }
 }

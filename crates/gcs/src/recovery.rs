@@ -19,7 +19,7 @@ use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 
 use crate::config::GcsConfig;
 use crate::fec;
-use crate::message::Dest;
+use crate::message::{Delivery, Dest, Service};
 use crate::ring::{Ring, WireMsg};
 use crate::{ClientId, DaemonId};
 
@@ -352,16 +352,17 @@ fn decode_generation(
 /// length) is ignored by [`decode_record`] via the embedded
 /// `payload_len`.
 fn encode_record(msg: &WireMsg) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(49 + msg.payload.len());
+    let body = &msg.delivery;
+    let mut rec = Vec::with_capacity(49 + body.payload.len());
     rec.extend_from_slice(&msg.seq.to_le_bytes());
-    rec.extend_from_slice(&(msg.sender as u64).to_le_bytes());
-    rec.extend_from_slice(&msg.view_id.to_le_bytes());
+    rec.extend_from_slice(&(body.sender as u64).to_le_bytes());
+    rec.extend_from_slice(&body.view_id.to_le_bytes());
     rec.extend_from_slice(&(msg.origin as u64).to_le_bytes());
-    let (tag, target) = msg.dest.to_wire();
+    let (tag, target) = body.dest.to_wire();
     rec.push(tag);
     rec.extend_from_slice(&target.to_le_bytes());
-    rec.extend_from_slice(&(msg.payload.len() as u64).to_le_bytes());
-    rec.extend_from_slice(&msg.payload);
+    rec.extend_from_slice(&(body.payload.len() as u64).to_le_bytes());
+    rec.extend_from_slice(&body.payload);
     rec
 }
 
@@ -386,11 +387,14 @@ fn decode_record(rec: &[u8]) -> Option<WireMsg> {
     let payload = rec.get(49..49usize.checked_add(payload_len)?)?;
     Some(WireMsg {
         seq,
-        sender,
-        dest,
-        view_id,
-        payload: Bytes::copy_from_slice(payload),
         origin,
+        delivery: Delivery {
+            sender,
+            service: Service::Agreed,
+            dest,
+            view_id,
+            payload: Bytes::copy_from_slice(payload),
+        },
     })
 }
 
@@ -416,11 +420,14 @@ mod tests {
         for dest in [Dest::All, Dest::One(5)] {
             let msg = WireMsg {
                 seq: 42,
-                sender: 3,
-                dest,
-                view_id: 7,
-                payload: Bytes::from(vec![9u8, 8, 7, 6, 5]),
                 origin: 11,
+                delivery: Delivery {
+                    sender: 3,
+                    service: Service::Agreed,
+                    dest,
+                    view_id: 7,
+                    payload: Bytes::from(vec![9u8, 8, 7, 6, 5]),
+                },
             };
             let mut rec = encode_record(&msg);
             // Erasure-coded records carry trailing zero-padding up to
@@ -429,10 +436,10 @@ mod tests {
             rec.resize(rec.len() + 13, 0);
             let back = decode_record(&rec).expect("roundtrip");
             assert_eq!(back.seq, msg.seq);
-            assert_eq!(back.sender, msg.sender);
-            assert_eq!(back.dest, msg.dest);
-            assert_eq!(back.view_id, msg.view_id);
-            assert_eq!(back.payload, msg.payload);
+            assert_eq!(back.delivery.sender, msg.delivery.sender);
+            assert_eq!(back.delivery.dest, msg.delivery.dest);
+            assert_eq!(back.delivery.view_id, msg.delivery.view_id);
+            assert_eq!(back.delivery.payload, msg.delivery.payload);
             assert_eq!(back.origin, msg.origin);
         }
         assert!(decode_record(&[1, 2, 3]).is_none(), "truncated record");

@@ -20,18 +20,26 @@
 //!
 //! [`Ring`] owns the daemon arena (one daemon per machine, so a
 //! `DaemonId` is also its `MachineId`), the ring order, the token
-//! generation, the sequence counter, the aru and the retransmission
-//! buffer. It is handed a daemon id at each step of a visit and
-//! returns values — the generation sequenced, the next stable message,
-//! who can re-send what. It never sees the event queue, a client or
-//! the loss process.
+//! generation, the aru and the retransmission buffer. It is handed a
+//! daemon id at each step of a visit and returns values — the
+//! generation sequenced, the next stable message, who can re-send
+//! what. It never sees the event queue, a client or the loss process.
+//!
+//! Sequence numbers are dense — the `n`-th message sequenced is `n` —
+//! so nothing here is keyed by map. The retransmission buffer is a
+//! `Vec` whose index `seq - 1` holds `seq`, and each daemon's store is
+//! a *sequence window*: a deque whose slot `i` is
+//! `seq = delivered + 1 + i`, empty where a copy has not arrived. A
+//! delivery pops the front, so the window slides with `delivered`;
+//! anything at or below `delivered` has no slot, which makes a late
+//! duplicate of a delivered message a no-op (see [`Ring::store`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
 
-use crate::message::{Dest, ViewId};
+use crate::message::{Delivery, Dest, Service, ViewId};
 use crate::{ClientId, DaemonId};
 
 /// A client submission waiting at its daemon for the token.
@@ -47,12 +55,11 @@ pub(crate) struct Submission {
 #[derive(Debug)]
 pub(crate) struct WireMsg {
     pub seq: u64,
-    pub sender: ClientId,
-    pub dest: Dest,
-    pub view_id: ViewId,
-    pub payload: Bytes,
     /// The daemon that sequenced the message (retransmission source).
     pub origin: DaemonId,
+    /// What every addressee is handed — lent straight out of this
+    /// record, so no copy of a message builds a `Delivery` of its own.
+    pub delivery: Delivery,
 }
 
 #[derive(Default)]
@@ -62,7 +69,9 @@ struct DaemonSlot {
     /// without it after the detection timeout.
     crashed: bool,
     pending: VecDeque<Submission>,
-    received: BTreeMap<u64, Rc<WireMsg>>,
+    /// The sequence window: slot `i` is seq `delivered + 1 + i`,
+    /// `None` where the copy has not arrived (yet).
+    received: VecDeque<Option<Rc<WireMsg>>>,
     /// Highest seq such that this daemon holds all messages `1..=seq`.
     contiguous: u64,
     /// `contiguous` as of this daemon's most recent token visit (the
@@ -72,11 +81,22 @@ struct DaemonSlot {
     delivered: u64,
 }
 
+impl DaemonSlot {
+    /// The window slot of `seq`: `None` at or below `delivered`.
+    fn slot(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.delivered + 1)?).ok()
+    }
+
+    /// The copy of `seq` awaiting delivery, if it has arrived.
+    fn held(&self, seq: u64) -> Option<&Rc<WireMsg>> {
+        self.received.get(self.slot(seq)?)?.as_ref()
+    }
+}
+
 /// Token-ring state of one world.
 pub(crate) struct Ring {
     order: Vec<DaemonId>,
     daemons: Vec<DaemonSlot>,
-    next_seq: u64,
     /// aru carried by the token: the minimum, over all alive daemons,
     /// of the contiguous high-water mark each reported at its latest
     /// token visit. Messages at or below it are held by every daemon.
@@ -85,9 +105,11 @@ pub(crate) struct Ring {
     /// already in flight at crash detection are invalidated (exactly
     /// one token survives a reformation).
     gen: u64,
-    /// Every sequenced message (the origin daemons' retransmission
-    /// buffers, kept globally for simulation convenience).
-    sent: BTreeMap<u64, Rc<WireMsg>>,
+    /// Every sequenced message, `seq` at index `seq - 1` (the origin
+    /// daemons' retransmission buffers, kept globally for simulation
+    /// convenience). Never pruned: FEC decoding re-reads members of a
+    /// generation the daemon has already delivered.
+    sent: Vec<Rc<WireMsg>>,
 }
 
 impl Ring {
@@ -95,10 +117,9 @@ impl Ring {
         Ring {
             order: (0..daemons).collect(),
             daemons: (0..daemons).map(|_| DaemonSlot::default()).collect(),
-            next_seq: 1,
             aru: 0,
             gen: 0,
-            sent: BTreeMap::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -168,15 +189,17 @@ impl Ring {
                 break;
             };
             let msg = Rc::new(WireMsg {
-                seq: self.next_seq,
-                sender: sub.sender,
-                dest: sub.dest,
-                view_id: sub.view_id,
-                payload: sub.payload,
+                seq: self.last_seq() + 1,
                 origin: daemon,
+                delivery: Delivery {
+                    sender: sub.sender,
+                    service: Service::Agreed,
+                    dest: sub.dest,
+                    view_id: sub.view_id,
+                    payload: sub.payload,
+                },
             });
-            self.next_seq += 1;
-            self.sent.insert(msg.seq, Rc::clone(&msg));
+            self.sent.push(Rc::clone(&msg));
             self.store(daemon, Rc::clone(&msg));
             generation.push(msg);
         }
@@ -188,16 +211,32 @@ impl Ring {
         self.daemons[daemon].pending.len()
     }
 
-    /// A sequenced message, from the retransmission buffer.
-    pub(crate) fn sent(&self, seq: u64) -> Option<&Rc<WireMsg>> {
-        self.sent.get(&seq)
+    /// The highest sequence number handed out so far.
+    fn last_seq(&self) -> u64 {
+        self.sent.len() as u64
     }
 
-    /// `daemon` obtains a copy of `msg`.
+    /// A sequenced message, from the retransmission buffer.
+    pub(crate) fn sent(&self, seq: u64) -> Option<&Rc<WireMsg>> {
+        self.sent.get(usize::try_from(seq.checked_sub(1)?).ok()?)
+    }
+
+    /// `daemon` obtains a copy of `msg`. A copy of a message the
+    /// daemon has already delivered (a second re-sent copy overtaken
+    /// by the first) has no window slot and is dropped: it must not
+    /// make [`Ring::awaits_delivery`] true for a delivered seq.
     pub(crate) fn store(&mut self, daemon: DaemonId, msg: Rc<WireMsg>) {
         let d = &mut self.daemons[daemon];
-        d.received.insert(msg.seq, msg);
-        while d.received.contains_key(&(d.contiguous + 1)) {
+        let Some(slot) = d.slot(msg.seq) else {
+            return;
+        };
+        if d.received.len() <= slot {
+            d.received.resize(slot + 1, None);
+        }
+        if let Some(copy) = d.received.get_mut(slot) {
+            *copy = Some(msg);
+        }
+        while d.held(d.contiguous + 1).is_some() {
             d.contiguous += 1;
         }
     }
@@ -209,7 +248,7 @@ impl Ring {
 
     /// Whether `daemon` holds `seq` and has not delivered it yet.
     pub(crate) fn awaits_delivery(&self, daemon: DaemonId, seq: u64) -> bool {
-        self.daemons[daemon].received.contains_key(&seq)
+        self.daemons[daemon].held(seq).is_some()
     }
 
     /// Highest seq such that `daemon` holds all of `1..=seq`.
@@ -220,19 +259,21 @@ impl Ring {
     /// Whether the token proves sequence numbers exist above
     /// `daemon`'s contiguous mark (lost, or merely still in flight).
     pub(crate) fn has_gap(&self, daemon: DaemonId) -> bool {
-        self.daemons[daemon].contiguous < self.next_seq - 1
+        self.daemons[daemon].contiguous < self.last_seq()
     }
 
     /// The sequence numbers in `daemon`'s gap it does not hold.
     fn missing(&self, daemon: DaemonId) -> impl Iterator<Item = u64> + '_ {
         let d = &self.daemons[daemon];
-        ((d.contiguous + 1)..self.next_seq).filter(|seq| !d.received.contains_key(seq))
+        ((d.contiguous + 1)..=self.last_seq()).filter(|&seq| d.held(seq).is_none())
     }
 
     /// The missing fraction of `daemon`'s gap (zero without one): the
     /// per-visit sample of the loss estimator.
     pub(crate) fn gap_fraction(&self, daemon: DaemonId) -> f64 {
-        let span = (self.next_seq - 1).saturating_sub(self.daemons[daemon].contiguous);
+        let span = self
+            .last_seq()
+            .saturating_sub(self.daemons[daemon].contiguous);
         if span == 0 {
             0.0
         } else {
@@ -260,7 +301,7 @@ impl Ring {
         };
         self.missing(daemon)
             .take(batch)
-            .filter_map(|seq| self.sent.get(&seq))
+            .filter_map(|seq| self.sent(seq))
             .filter(|msg| msg.origin != daemon)
             .map(|msg| {
                 let source = if alive(msg.origin) {
@@ -277,7 +318,7 @@ impl Ring {
     /// origin of its oldest missing message, if that is another alive
     /// daemon and the ring would survive without it.
     pub(crate) fn give_up_target(&self, daemon: DaemonId) -> Option<DaemonId> {
-        let origin = self.sent.get(&(self.contiguous(daemon) + 1))?.origin;
+        let origin = self.sent(self.contiguous(daemon) + 1)?.origin;
         (origin != daemon && !self.daemons[origin].crashed && self.order.len() > 1)
             .then_some(origin)
     }
@@ -306,7 +347,9 @@ impl Ring {
         if d.delivered >= self.aru.min(d.contiguous) {
             return None;
         }
-        let msg = d.received.remove(&(d.delivered + 1))?;
+        // `delivered < contiguous`, so the front slot is filled.
+        let msg = d.received.front_mut()?.take()?;
+        d.received.pop_front();
         d.delivered += 1;
         Some(msg)
     }
@@ -316,8 +359,107 @@ impl Ring {
     /// they will never deliver again, and the reformed ring no longer
     /// waits on them.
     pub(crate) fn flushed(&self) -> bool {
-        let last = self.next_seq - 1;
+        let last = self.last_seq();
         let mut alive = self.daemons.iter().filter(|d| !d.crashed);
         alive.all(|d| d.pending.is_empty() && d.delivered == last)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ring of `daemons` on which daemon 0 has sequenced `n`
+    /// messages (and holds them), with the generation it broadcasts.
+    fn sequenced(daemons: usize, n: usize) -> (Ring, Vec<Rc<WireMsg>>) {
+        let mut ring = Ring::new(daemons);
+        for sender in 0..n {
+            ring.submit(
+                0,
+                Submission {
+                    sender,
+                    dest: Dest::All,
+                    view_id: 1,
+                    payload: Bytes::from(vec![sender as u8]),
+                },
+            );
+        }
+        let generation = ring.sequence(0, n);
+        assert_eq!(generation.len(), n);
+        (ring, generation)
+    }
+
+    fn drain(ring: &mut Ring, daemon: DaemonId) -> Vec<u64> {
+        std::iter::from_fn(|| ring.pop_stable(daemon))
+            .map(|msg| msg.seq)
+            .collect()
+    }
+
+    #[test]
+    fn the_window_fills_out_of_order_and_slides_on_delivery() {
+        let (mut ring, msgs) = sequenced(2, 5);
+        assert_eq!(ring.contiguous(0), 5, "the origin holds its own");
+        // Daemon 1 receives 3, 1, 5: gaps at 2 and at 4.
+        for seq in [3, 1, 5] {
+            ring.store(1, Rc::clone(&msgs[seq - 1]));
+        }
+        assert_eq!(ring.contiguous(1), 1);
+        assert!(ring.has_gap(1));
+        assert_eq!(ring.missing(1).collect::<Vec<_>>(), [2, 4]);
+        assert_eq!(ring.gap_fraction(1), 0.5, "2 missing of the 4 above 1");
+        assert!(ring.holds(1, 3) && ring.awaits_delivery(1, 5));
+        assert!(!ring.holds(1, 4) && !ring.holds(1, 6));
+
+        // The aru is the minimum of the reports: only seq 1 is stable.
+        ring.report(0);
+        ring.report(1);
+        assert_eq!(drain(&mut ring, 1), [1]);
+        // Delivered: out of the window, still held.
+        assert!(ring.holds(1, 1) && !ring.awaits_delivery(1, 1));
+
+        // The window's base is now seq 2; filling that gap carries the
+        // contiguous mark over the 3 stored before the slide.
+        ring.store(1, Rc::clone(&msgs[1]));
+        assert_eq!(ring.contiguous(1), 3);
+        assert_eq!(ring.missing(1).collect::<Vec<_>>(), [4]);
+        ring.store(1, Rc::clone(&msgs[3]));
+        assert_eq!(ring.contiguous(1), 5);
+        assert!(!ring.has_gap(1));
+        assert_eq!(ring.gap_fraction(1), 0.0);
+        assert_eq!(ring.missing(1).count(), 0);
+
+        ring.report(1);
+        assert_eq!(drain(&mut ring, 1), [2, 3, 4, 5]);
+        assert!(!ring.flushed(), "daemon 0 has delivered nothing yet");
+        assert_eq!(drain(&mut ring, 0), [1, 2, 3, 4, 5]);
+        assert!(ring.flushed());
+    }
+
+    #[test]
+    fn a_late_duplicate_of_a_delivered_message_is_dropped() {
+        let (mut ring, msgs) = sequenced(2, 2);
+        ring.store(1, Rc::clone(&msgs[0]));
+        ring.store(1, Rc::clone(&msgs[1]));
+        ring.report(0);
+        ring.report(1);
+        assert_eq!(ring.pop_stable(1).map(|msg| msg.seq), Some(1));
+        // A second re-sent copy of seq 1 arrives after its delivery.
+        ring.store(1, Rc::clone(&msgs[0]));
+        assert!(ring.holds(1, 1));
+        assert!(
+            !ring.awaits_delivery(1, 1),
+            "a delivered seq must not await delivery again"
+        );
+        assert_eq!(ring.contiguous(1), 2);
+        assert_eq!(drain(&mut ring, 1), [2], "the window did not move");
+    }
+
+    #[test]
+    fn the_retransmission_buffer_is_indexed_by_seq() {
+        let (ring, _) = sequenced(1, 3);
+        assert!(ring.sent(0).is_none(), "sequence numbers start at 1");
+        assert_eq!(ring.sent(1).map(|msg| msg.seq), Some(1));
+        assert_eq!(ring.sent(3).map(|msg| msg.seq), Some(3));
+        assert!(ring.sent(4).is_none() && ring.sent(u64::MAX).is_none());
     }
 }

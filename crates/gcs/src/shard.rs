@@ -278,17 +278,8 @@ impl ShardedWorld {
     /// Engine counters summed over every shard.
     pub fn stats(&self) -> WorldStats {
         let mut total = WorldStats::default();
-        for w in self.worlds.iter().map(SimWorld::stats) {
-            total.agreed_messages += w.agreed_messages;
-            total.fifo_messages += w.fifo_messages;
-            total.token_rotations += w.token_rotations;
-            total.views_installed += w.views_installed;
-            total.payload_bytes += w.payload_bytes;
-            total.messages_lost += w.messages_lost;
-            total.retransmissions += w.retransmissions;
-            total.retransmission_rounds += w.retransmission_rounds;
-            total.daemon_crashes += w.daemon_crashes;
-            total.ring_reformations += w.ring_reformations;
+        for w in &self.worlds {
+            total.merge(w.stats());
         }
         total
     }

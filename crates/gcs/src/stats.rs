@@ -49,6 +49,45 @@ pub struct WorldStats {
 }
 
 impl WorldStats {
+    /// Adds every counter of `other` into `self` (the totals of a
+    /// sharded world). The destructuring is exhaustive on purpose: a
+    /// new field is a compile error here, not a counter that silently
+    /// reads zero on a sharded run.
+    pub fn merge(&mut self, other: &WorldStats) {
+        let WorldStats {
+            agreed_messages,
+            fifo_messages,
+            token_rotations,
+            views_installed,
+            payload_bytes,
+            messages_lost,
+            retransmissions,
+            retransmission_rounds,
+            daemon_crashes,
+            ring_reformations,
+            parity_shards_sent,
+            fec_repairs,
+            fec_repair_recovery_ns,
+            retransmission_recovery_ns,
+            parity_bytes_sent,
+        } = other;
+        self.agreed_messages += agreed_messages;
+        self.fifo_messages += fifo_messages;
+        self.token_rotations += token_rotations;
+        self.views_installed += views_installed;
+        self.payload_bytes += payload_bytes;
+        self.messages_lost += messages_lost;
+        self.retransmissions += retransmissions;
+        self.retransmission_rounds += retransmission_rounds;
+        self.daemon_crashes += daemon_crashes;
+        self.ring_reformations += ring_reformations;
+        self.parity_shards_sent += parity_shards_sent;
+        self.fec_repairs += fec_repairs;
+        self.fec_repair_recovery_ns += fec_repair_recovery_ns;
+        self.retransmission_recovery_ns += retransmission_recovery_ns;
+        self.parity_bytes_sent += parity_bytes_sent;
+    }
+
     /// Total completed loss-recovery time in virtual nanoseconds. By
     /// construction exactly the sum of the FEC-repair and
     /// retransmission attributions: every lost copy's recovery window

@@ -463,3 +463,123 @@ fn run_while_stops_on_predicate() {
     world.run_until_quiescent();
     assert_eq!(world.client::<Recorder>(2).deliveries.len(), 1);
 }
+
+// ---------------------------------------------------------------------
+// Fan-outs are runs, but a step is still one copy
+// ---------------------------------------------------------------------
+
+/// A clean LAN ring with client 0 alone on machine 0 and clients 1..=4
+/// together on machine 3, so a multicast makes one 12-daemon copy run
+/// and, at daemon 3, one 4-client delivery run.
+fn lan_with_four_clients_on_one_machine() -> SimWorld {
+    let mut world = SimWorld::new(testbed::lan());
+    world.add_client_on(Box::new(Recorder::default()), 0);
+    for _ in 0..4 {
+        world.add_client_on(Box::new(Recorder::default()), 3);
+    }
+    world
+}
+
+/// Deliveries handed out so far to the clients in `members`.
+fn deliveries_to(world: &SimWorld, members: std::ops::Range<usize>) -> usize {
+    members
+        .map(|c| world.client::<Recorder>(c).deliveries.len())
+        .sum()
+}
+
+#[test]
+fn step_count_of_a_clean_ring_is_the_closed_form() {
+    use gkap_telemetry::metrics::{Key, Layer};
+    // Every member multicasts once on the initial view. One step per
+    // view hand-over (5), per submission (5), per daemon-to-daemon
+    // copy (5 messages × 12 peers), per client delivery (5 × 5), and
+    // per token hop taken before the world went quiescent.
+    let mut world = world_with_recorders(testbed::lan(), 5);
+    world.set_telemetry(gkap_telemetry::Telemetry::enabled());
+    for i in 0..5 {
+        world.client_mut::<Recorder>(i).send_on_view = Some(vec![i as u8]);
+    }
+    world.install_initial_view();
+    let mut steps = 0u64;
+    while world.step() {
+        steps += 1;
+    }
+    let dispatched = |name| world.telemetry().metric(Key::new(Layer::Sim, name));
+    assert_eq!(dispatched("ev_view_deliver"), 5);
+    assert_eq!(dispatched("ev_client_submit"), 5);
+    assert_eq!(dispatched("ev_daemon_recv"), 5 * 12);
+    assert_eq!(dispatched("ev_client_deliver"), 5 * 5);
+    assert_eq!(steps, 5 + 5 + 60 + 25 + dispatched("ev_token"));
+    assert_eq!(steps, dispatched("events_dispatched"));
+    // What one queue entry per copy gave (this body on 531ec35).
+    assert_eq!(steps, 138);
+}
+
+#[test]
+fn run_while_sees_every_copy_of_a_run_as_its_own_step() {
+    let mut world = lan_with_four_clients_on_one_machine();
+    world.client_mut::<Recorder>(0).send_on_view = Some(vec![1]);
+    world.install_initial_view();
+    // The predicate runs once before every step: the handler-call
+    // count it reads never jumps, not even inside daemon 3's run.
+    let mut seen = Vec::new();
+    let stopped = world.run_while(|w| {
+        seen.push(deliveries_to(w, 0..5));
+        true
+    });
+    assert!(!stopped, "ran to quiescence");
+    assert_eq!(seen.last(), Some(&5), "one delivery per member");
+    assert!(seen.windows(2).all(|w| w[1] - w[0] <= 1), "{seen:?}");
+    // Daemon 3's four deliveries are four consecutive steps.
+    assert!(
+        seen.windows(4).any(|w| w[3] - w[0] == 3),
+        "no four back-to-back deliveries in {seen:?}"
+    );
+}
+
+#[test]
+fn run_until_finishes_a_half_consumed_run_and_fast_forward_waits_for_it() {
+    // Stops right after the first of daemon 3's four deliveries: the
+    // run is open with three targets to go.
+    let half_way = |fast_forward: bool| {
+        let mut world = lan_with_four_clients_on_one_machine();
+        world.set_idle_fast_forward(fast_forward);
+        world.client_mut::<Recorder>(0).send_on_view = Some(vec![1]);
+        world.install_initial_view();
+        assert!(world.run_while(|w| deliveries_to(w, 1..5) == 0));
+        assert_eq!(deliveries_to(&world, 1..5), 1);
+        world
+    };
+
+    let mut world = half_way(true);
+    let now = world.now();
+    // A `t` in the past stays a no-op, open run or not.
+    world.run_until(SimTime::ZERO);
+    assert_eq!(deliveries_to(&world, 1..5), 1);
+    // `t` = the run's own instant: the rest of it is due.
+    world.run_until(now);
+    assert_eq!(world.now(), now);
+    for c in 1..5 {
+        assert_eq!(
+            world.client::<Recorder>(c).deliveries.len(),
+            1,
+            "client {c}"
+        );
+    }
+
+    // A far `t` from the same half-way point: the open run keeps the
+    // world non-quiescent, so the idle fast-forward cannot skip over
+    // it — the outcome is the fully stepped one.
+    let far = now + Duration::from_millis(500);
+    let outcome = |mut world: SimWorld| {
+        world.run_until(far);
+        let deliveries: Vec<_> = (0..5)
+            .map(|c| world.client::<Recorder>(c).deliveries.clone())
+            .collect();
+        (world.now(), world.stats().token_rotations, deliveries)
+    };
+    let skipped = outcome(half_way(true));
+    let stepped = outcome(half_way(false));
+    assert_eq!(skipped, stepped);
+    assert!(skipped.2.iter().all(|d| d.len() == 1));
+}

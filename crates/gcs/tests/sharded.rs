@@ -3,7 +3,7 @@
 //! isolated — a membership cascade on one ring cannot move a single
 //! event on another.
 
-use gkap_gcs::{testbed, Client, ClientCtx, Delivery, ShardedWorld, SimWorld, View};
+use gkap_gcs::{testbed, Client, ClientCtx, Delivery, ShardedWorld, SimWorld, View, WorldStats};
 use gkap_sim::{Duration, SimTime};
 
 /// Records view installs and deliveries with their exact instants.
@@ -154,4 +154,58 @@ fn cascade_on_one_shard_never_delays_the_other() {
     // And the shards expose independent frontiers merged conservatively.
     assert!(storm.now() >= storm.shard(1).now());
     assert!(storm.quiescent());
+}
+
+/// Every counter of a sharded world is the sum over its shards — the
+/// FEC and recovery-time counters included, which a lossy
+/// `fec_parity = 4` run makes non-zero.
+#[test]
+fn sharded_stats_are_the_sum_of_the_shards() {
+    /// Multicasts a burst on every view, so each token visit
+    /// sequences a multi-message FEC generation.
+    struct Burst;
+    impl Client for Burst {
+        fn on_view(&mut self, ctx: &mut ClientCtx<'_>, _view: &View) {
+            for i in 0..6u8 {
+                ctx.multicast_agreed(vec![i; 64]);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
+    }
+    let mut cfg = testbed::lan();
+    cfg.loss_rate = 0.05;
+    cfg.loss_seed = 11;
+    cfg.fec_parity = 4;
+    let mut world = ShardedWorld::new(cfg, 2);
+    let mut groups = [Vec::new(), Vec::new()];
+    for i in 0..40 {
+        groups[i % 2].push(world.add_client_in(i % 2, Box::new(Burst)));
+    }
+    for (g, members) in groups.iter().enumerate() {
+        world.install_initial_view_in(g, members.clone());
+    }
+    world.run_until_quiescent();
+
+    // The five counters the sum used to drop, and two it never did.
+    type Counter = fn(&WorldStats) -> u64;
+    let counters: [(&str, Counter); 7] = [
+        ("parity_shards_sent", |s| s.parity_shards_sent),
+        ("fec_repairs", |s| s.fec_repairs),
+        ("fec_repair_recovery_ns", |s| s.fec_repair_recovery_ns),
+        ("retransmission_recovery_ns", |s| {
+            s.retransmission_recovery_ns
+        }),
+        ("parity_bytes_sent", |s| s.parity_bytes_sent),
+        ("agreed_messages", |s| s.agreed_messages),
+        ("messages_lost", |s| s.messages_lost),
+    ];
+    let total = world.stats();
+    for (name, get) in counters {
+        let sum: u64 = (0..2).map(|s| get(world.shard(s).stats())).sum();
+        assert_eq!(get(&total), sum, "{name} is not the shards' sum");
+    }
+    assert!(total.messages_lost > 0, "the lossy ring lost nothing");
+    assert!(total.fec_repairs > 0, "a sharded FEC run reports no repair");
+    assert!(total.parity_shards_sent > 0 && total.parity_bytes_sent > 0);
+    assert!(total.fec_repair_recovery_ns > 0);
 }
