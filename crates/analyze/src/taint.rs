@@ -21,7 +21,7 @@
 //!   call site even when helper and caller live in different crates.
 //!
 //! Sinks are the callgraph's format/serialize/log macros and calls.
-//! The fixpoint runs at most [`MAX_ROUNDS`] rounds; the secret-field
+//! The fixpoint runs at most `MAX_ROUNDS` rounds; the secret-field
 //! set grows monotonically, so termination is by saturation.
 
 use std::collections::BTreeSet;

@@ -68,6 +68,15 @@ impl Enc {
         self.bytes(&v.to_be_bytes())
     }
 
+    /// Appends an optional big integer: a presence byte (1 or 0), then
+    /// the value if present.
+    pub fn opt_ubig(&mut self, v: Option<&Ubig>) -> &mut Self {
+        match v {
+            Some(v) => self.u8(1).ubig(v),
+            None => self.u8(0),
+        }
+    }
+
     /// Finishes encoding.
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
@@ -135,6 +144,15 @@ impl<'a> Dec<'a> {
         Ok(Ubig::from_be_bytes(self.bytes(context)?))
     }
 
+    /// Reads an optional big integer ([`Enc::opt_ubig`]). Lenient: any
+    /// presence byte other than 1 reads as absent.
+    pub fn opt_ubig(&mut self, context: &'static str) -> Result<Option<Ubig>, DecodeError> {
+        match self.u8(context)? {
+            1 => self.ubig(context).map(Some),
+            _ => Ok(None),
+        }
+    }
+
     /// Asserts that all input has been consumed.
     pub fn finish(self) -> Result<(), DecodeError> {
         if self.buf.is_empty() {
@@ -165,7 +183,9 @@ mod tests {
             .u64(42)
             .bytes(b"hello")
             .ubig(&big)
-            .ubig(&Ubig::zero());
+            .ubig(&Ubig::zero())
+            .opt_ubig(Some(&big))
+            .opt_ubig(None);
         let wire = e.finish();
         let mut d = Dec::new(&wire);
         assert_eq!(d.u8("a").unwrap(), 7);
@@ -174,6 +194,8 @@ mod tests {
         assert_eq!(d.bytes("d").unwrap(), b"hello");
         assert_eq!(d.ubig("e").unwrap(), big);
         assert_eq!(d.ubig("f").unwrap(), Ubig::zero());
+        assert_eq!(d.opt_ubig("g").unwrap(), Some(big));
+        assert_eq!(d.opt_ubig("h").unwrap(), None);
         d.finish().unwrap();
     }
 

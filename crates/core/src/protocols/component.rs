@@ -18,7 +18,7 @@ use gkap_crypto::Secret;
 use gkap_gcs::ClientId;
 
 use crate::protocols::{
-    bootstrap_exponent, ckd, gdh, str_proto, tgdh, GkaError, GkaProtocol, ProtocolKind,
+    bootstrap_exponent, ckd, gdh, tree_gka, GkaError, GkaProtocol, ProtocolKind,
 };
 use crate::suite::CryptoSuite;
 
@@ -27,8 +27,8 @@ use crate::suite::CryptoSuite;
 /// hold nothing else.
 pub(super) enum Shape {
     Gdh(gdh::Formed),
-    Tgdh(tgdh::Formed),
-    Str(str_proto::Formed),
+    /// TGDH or STR: the formed tree says which.
+    Tree(tree_gka::Formed),
     Ckd(ckd::Formed),
     Bd,
 }
@@ -46,10 +46,9 @@ pub struct Component {
 
 impl std::fmt::Debug for Component {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let protocol = match self.shape {
+        let protocol = match &self.shape {
             Shape::Gdh(_) => ProtocolKind::Gdh,
-            Shape::Tgdh(_) => ProtocolKind::Tgdh,
-            Shape::Str(_) => ProtocolKind::Str,
+            Shape::Tree(formed) => formed.kind,
             Shape::Ckd(_) => ProtocolKind::Ckd,
             Shape::Bd => ProtocolKind::Bd,
         };
@@ -231,8 +230,12 @@ mod tests {
         for r in component.exponents.iter().map(Secret::expose) {
             assert!(!shown.contains(&format!("{r:?}")));
         }
-        let mut other = ProtocolKind::Gdh.create();
-        assert_eq!(other.adopt(&component, 0), Err(FOREIGN_COMPONENT));
+        // TGDH forms the same kind of state, and still not this one.
+        for other in [ProtocolKind::Gdh, ProtocolKind::Tgdh] {
+            let mut other = other.create();
+            assert_eq!(other.adopt(&component, 0), Err(FOREIGN_COMPONENT));
+            assert!(other.group_secret().is_none());
+        }
         let mut own = ProtocolKind::Str.create();
         assert!(own.adopt(&component, 5).is_err(), "5 is not a member");
         assert!(

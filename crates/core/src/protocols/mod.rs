@@ -15,6 +15,7 @@ mod component;
 pub mod gdh;
 pub mod str_proto;
 pub mod tgdh;
+pub mod tree_gka;
 mod wire;
 
 use bytes::Bytes;

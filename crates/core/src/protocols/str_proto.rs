@@ -1,9 +1,11 @@
-//! STR — the "skinny tree" protocol, §4.4 of the paper.
+//! STR — the "skinny tree" protocol, §4.4 of the paper: the
+//! [`TreeGka`] driver over a key tree that is kept completely
+//! imbalanced.
 //!
-//! STR is TGDH with a maximally imbalanced tree: member `M_1` sits at
-//! the bottom and each further member joins one level higher. Writing
-//! `k_i` for the key of the internal node covering members `1..=i`
-//! (`k_1` is `M_1`'s session random):
+//! Member `M_1` sits at the bottom and each further member joins one
+//! level higher: leaf `i` is the right child of the node covering
+//! members `1..=i`, so **every right child is a leaf**. Writing `k_i`
+//! for the key of that node (`k_1` is `M_1`'s session random):
 //!
 //! ```text
 //! k_i = (g^{r_i})^{k_{i-1}} = (g^{k_{i-1}})^{r_i}
@@ -14,483 +16,99 @@
 //! blinded keys — so cost falls with height: the top member pays O(1),
 //! the bottom pays O(n).
 //!
-//! * **Join/merge** (two rounds, three messages): each component's top
-//!   member refreshes its session random and broadcasts its tree; the
-//!   components stack — larger at the bottom; the top member of the
-//!   bottom component computes the new internal keys and blinded keys
-//!   and broadcasts. Join costs O(1) exponentiations per member.
-//! * **Leave/partition** (one round, one message): the member just
-//!   below the lowest leaver becomes the sponsor, refreshes its
-//!   random, recomputes keys and blinded keys up the chain, and
-//!   broadcasts — everyone above the change recomputes its tail of
-//!   the chain, giving the linear (and steeper than GDH/CKD) leave
-//!   cost visible in Figure 12.
+//! What STR decides for itself is [`Skinny`]'s [`TreeShape`]:
+//!
+//! * a joining component's members are stacked one level each on top
+//!   of the tree ([`KeyTree::graft_at`] the root), so a join costs
+//!   O(1) exponentiations per member;
+//! * after a leave the member just below the lowest leaver refreshes
+//!   its session random, and one broadcast from it re-keys the group —
+//!   everyone above the change recomputes its tail of the chain,
+//!   giving the linear (and steeper than GDH/CKD) leave cost visible
+//!   in Figure 12;
+//! * the tree goes on the wire as three aligned lists, bottom member
+//!   first ([`ProtocolMsg::StrTree`]).
 
-use std::collections::{BTreeMap, HashMap};
+use gkap_gcs::ClientId;
 
-use gkap_bignum::Ubig;
-use gkap_crypto::sha::{Digest, Sha256};
-use gkap_crypto::Secret;
-use gkap_gcs::{ClientId, View};
+use crate::protocols::tree_gka::{TreeGka, TreeShape};
+use crate::protocols::{GkaError, ProtocolKind, ProtocolMsg};
+use crate::tree::KeyTree;
 
-use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
-use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
-use crate::suite::CryptoSuite;
+/// The shape of an STR key tree: every right child is a leaf.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Skinny;
 
-/// What a formed STR component holds beyond exponents and secret.
-pub(super) struct Formed {
-    chain: Chain,
-    /// `k_{i+1}` for every level, with the fingerprint of the chain
-    /// prefix it is cached under.
-    keys: Vec<([u8; 32], Secret<Ubig>)>,
-}
+impl TreeShape for Skinny {
+    const KIND: ProtocolKind = ProtocolKind::Str;
+    const FORMS_ON_LEFT_KEY: bool = true;
+    /// "Up to the intermediate node just below the root" (§4.4).
+    const FORMS_BLINDED_ROOT: bool = false;
+    /// Every component's top member goes on blinding what it computes
+    /// after the components are stacked.
+    const SPONSOR_STAYS_PUBLISHER: bool = true;
 
-/// A component (or full) skinny tree as exchanged on the wire.
-#[derive(Clone, Debug, PartialEq)]
-struct Chain {
-    /// Members from the bottom upward.
-    order: Vec<ClientId>,
-    /// Blinded session randoms, aligned with `order`.
-    leaf_bkeys: Vec<Option<Ubig>>,
-    /// Blinded internal keys: `internal_bkeys[i]` blinds `k_{i+1}` —
-    /// the key of the node covering `order[0..=i]`. Index 0 is the
-    /// bottom leaf's "internal" slot and stays `None`.
-    internal_bkeys: Vec<Option<Ubig>>,
-}
-
-impl Chain {
-    fn new() -> Self {
-        Chain {
-            order: Vec::new(),
-            leaf_bkeys: Vec::new(),
-            internal_bkeys: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    fn position(&self, m: ClientId) -> Option<usize> {
-        self.order.iter().position(|&x| x == m)
-    }
-
-    /// Fingerprint of the chain prefix `0..=i` (content identity for
-    /// the key `k_{i+1}`).
-    fn prefix_fingerprint(&self, i: usize) -> [u8; 32] {
-        let mut h = Sha256::new();
-        for j in 0..=i {
-            h.update(&(self.order[j] as u64).to_be_bytes());
-            match &self.leaf_bkeys[j] {
-                Some(b) => h.update(&b.to_be_bytes()),
-                None => h.update(b"?"),
+    /// Stacks `other`'s members on top of `tree`, bottom member first;
+    /// `other`'s internal nodes dissolve.
+    fn graft(&self, tree: &mut KeyTree, other: &KeyTree) {
+        for i in other.preorder() {
+            let node = other.node(i);
+            if let Some(member) = node.member {
+                let leaf = KeyTree::singleton(member, node.key.clone(), node.bkey.clone());
+                tree.graft_at(tree.root(), &leaf);
             }
         }
-        let mut fp = [0u8; 32];
-        for (dst, src) in fp.iter_mut().zip(h.finalize()) {
-            *dst = src;
+    }
+
+    fn settle(&self, _tree: &mut KeyTree) {}
+
+    /// The member just below the lowest leaver: the new bottom member
+    /// if the bottom one left, and the top member if the leaver never
+    /// got into the tree (it joined and left within one agreement).
+    fn refresher(&self, _: &KeyTree, before: &[ClientId], left: &[ClientId]) -> Option<ClientId> {
+        let lowest = before.iter().position(|m| left.contains(m));
+        let below = before.get(..lowest.unwrap_or(before.len()))?.last();
+        below
+            .or_else(|| before.iter().find(|m| !left.contains(m)))
+            .copied()
+    }
+
+    /// Bottom member first; `internal_bkeys[i]` is the blinded key of
+    /// leaf `i`'s parent, so index 0 is padding.
+    fn to_msg(tree: &KeyTree) -> ProtocolMsg {
+        let (mut members, mut leaf_bkeys, mut internal_bkeys) = (vec![], vec![], vec![]);
+        let mut spine = (!tree.is_empty()).then(|| tree.root());
+        while let Some(i) = spine {
+            let (leaf, internal) = match tree.node(i).children {
+                Some((l, r)) => {
+                    spine = Some(l);
+                    (tree.node(r), tree.node(i).bkey.clone())
+                }
+                None => {
+                    spine = None;
+                    (tree.node(i), None)
+                }
+            };
+            let Some(member) = leaf.member else {
+                break; // not a skinny tree: no shape operation builds one
+            };
+            members.push(member);
+            leaf_bkeys.push(leaf.bkey.clone());
+            internal_bkeys.push(internal);
         }
-        fp
-    }
-
-    fn remove_members(&mut self, leaving: &[ClientId]) -> usize {
-        let lowest = self
-            .order
-            .iter()
-            .position(|m| leaving.contains(m))
-            .unwrap_or(self.order.len());
-        let keep: Vec<usize> = (0..self.order.len())
-            .filter(|&i| !leaving.contains(&self.order[i]))
-            .collect();
-        self.order = keep.iter().map(|&i| self.order[i]).collect();
-        self.leaf_bkeys = keep.iter().map(|&i| self.leaf_bkeys[i].clone()).collect();
-        let mut internals = vec![None; self.order.len()];
-        // Prefixes strictly below the first removal are unaffected.
-        for (new_i, &old_i) in keep.iter().enumerate() {
-            if old_i < lowest && new_i < internals.len() {
-                internals[new_i] = self.internal_bkeys.get(old_i).cloned().flatten();
-            }
-        }
-        self.internal_bkeys = internals;
-        lowest
-    }
-}
-
-/// STR protocol engine for one member.
-pub struct Str {
-    me: Option<ClientId>,
-    view_members: Vec<ClientId>,
-    my_r: Option<Ubig>,
-    chain: Chain,
-    /// `k_{i+1}` values this member knows (aligned with `chain.order`).
-    keys: Vec<Option<Ubig>>,
-    /// Whether this member publishes blinded keys this event.
-    publisher: bool,
-    /// Chain broadcasts this member has sent for the current
-    /// membership event (telemetry round numbering).
-    rounds_started: u32,
-    components: BTreeMap<Vec<ClientId>, Chain>,
-    merging: bool,
-    cache: HashMap<[u8; 32], Ubig>,
-    secret: Option<Secret<Ubig>>,
-}
-
-impl std::fmt::Debug for Str {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Str")
-            .field("me", &self.me)
-            .field("secret", &"<redacted>")
-            .finish_non_exhaustive()
-    }
-}
-
-impl Str {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        Str {
-            me: None,
-            view_members: Vec::new(),
-            my_r: None,
-            chain: Chain::new(),
-            keys: Vec::new(),
-            publisher: false,
-            rounds_started: 0,
-            components: BTreeMap::new(),
-            merging: false,
-            cache: HashMap::new(),
-            secret: None,
-        }
-    }
-
-    fn wire_msg(&self) -> ProtocolMsg {
+        members.reverse();
+        leaf_bkeys.reverse();
+        internal_bkeys.reverse();
         ProtocolMsg::StrTree {
-            members: self.chain.order.clone(),
-            leaf_bkeys: self.chain.leaf_bkeys.clone(),
-            internal_bkeys: self.chain.internal_bkeys.clone(),
+            members,
+            leaf_bkeys,
+            internal_bkeys,
         }
     }
 
-    fn refresh_my_leaf(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
-        let me = ctx.me();
-        let r = ctx.fresh_exponent();
-        let b = ctx.exp_g(&r);
-        let p = self
-            .chain
-            .position(me)
-            .ok_or(GkaError::MissingState("own position in the STR chain"))?;
-        self.chain.leaf_bkeys[p] = Some(b);
-        // Everything at or above our level is stale.
-        for i in p..self.chain.len() {
-            self.keys[i] = None;
-            self.chain.internal_bkeys[i] = None;
-        }
-        self.my_r = Some(r);
-        Ok(())
-    }
-
-    /// Recomputes as much of the key chain as possible; publishes
-    /// blinded keys if `publisher`. Returns `true` if something new
-    /// was published.
-    fn progress(&mut self, ctx: &mut GkaCtx<'_>) -> Result<bool, GkaError> {
-        let me = ctx.me();
-        let n = self.chain.len();
-        let p = self
-            .chain
-            .position(me)
-            .ok_or(GkaError::MissingState("not in the STR chain"))?;
-        let r = self
-            .my_r
-            .clone()
-            .ok_or(GkaError::MissingState("no session random"))?;
-        let mut published = false;
-
-        // Our leaf's blinded key is ours alone to regenerate; a
-        // cascaded view change can cut the round that would have
-        // circulated it, and an assembled merge chain then lacks it
-        // everywhere else. Restoring it is news the group needs:
-        // force a broadcast.
-        if self.chain.leaf_bkeys[p].is_none() {
-            let b = ctx.exp_g(&r);
-            self.chain.leaf_bkeys[p] = Some(b);
-            published = true;
-        }
-
-        // Dynamic sponsorship — the STR analog of TGDH's
-        // lowest-incomplete rule: the member sitting at the lowest
-        // level whose internal blinded key is missing takes over
-        // publication. After a cascaded cut the statically designated
-        // sponsor can sit *above* the wound, blocked on exactly those
-        // keys. (In clean runs this resolves to the static sponsor.)
-        if !self.publisher {
-            if let Some(w) =
-                (1..n.saturating_sub(1)).find(|&i| self.chain.internal_bkeys[i].is_none())
-            {
-                if self.chain.order[w] == me {
-                    self.publisher = true;
-                }
-            }
-        }
-
-        // Establish k at our own level.
-        if self.keys[p].is_none() {
-            if p == 0 {
-                self.keys[0] = Some(r.clone());
-            } else {
-                let fp = self.chain.prefix_fingerprint(p);
-                // The node below position 1 is the bottom *leaf*, so
-                // its blinded key is the leaf blinded key.
-                let b_below = if p == 1 {
-                    self.chain.leaf_bkeys[0].clone()
-                } else {
-                    self.chain.internal_bkeys[p - 1].clone()
-                };
-                if let Some(k) = self.cache.get(&fp) {
-                    self.keys[p] = Some(k.clone());
-                } else if let Some(b_below) = b_below {
-                    let k = ctx.exp(&b_below, &r);
-                    self.cache.insert(fp, k.clone());
-                    self.keys[p] = Some(k);
-                } else {
-                    return Ok(false); // blocked until the sponsor publishes
-                }
-            }
-        }
-
-        // Chain upward.
-        for i in (p + 1)..n {
-            if self.keys[i].is_none() {
-                let fp = self.chain.prefix_fingerprint(i);
-                if let Some(k) = self.cache.get(&fp) {
-                    self.keys[i] = Some(k.clone());
-                } else {
-                    let Some(bleaf) = self.chain.leaf_bkeys[i].clone() else {
-                        return Ok(published); // blocked
-                    };
-                    let Some(below) = self.keys[i - 1].clone() else {
-                        return Ok(published); // blocked lower down
-                    };
-                    let k = ctx.exp(&bleaf, &below);
-                    self.cache.insert(fp, k.clone());
-                    self.keys[i] = Some(k);
-                }
-            }
-            if self.publisher && self.chain.internal_bkeys[i].is_none() && i < n - 1 {
-                // Blind every internal key except the root ("up to the
-                // intermediate node just below the root", §4.4).
-                if let Some(k) = self.keys[i].clone() {
-                    self.chain.internal_bkeys[i] = Some(ctx.exp_g(&k));
-                    published = true;
-                }
-            }
-        }
-        // The publisher also blinds its own-level node (needed by the
-        // member directly above); position 0's "node" is its leaf,
-        // whose blinded key is already public.
-        if self.publisher && p > 0 && p < n - 1 && self.chain.internal_bkeys[p].is_none() {
-            if let Some(k) = self.keys[p].clone() {
-                self.chain.internal_bkeys[p] = Some(ctx.exp_g(&k));
-                published = true;
-            }
-        }
-
-        // The top key is the group secret — but only once the chain
-        // covers the whole view (not during merge round 1, when it is
-        // still just our component).
-        if !self.merging {
-            if let Some(k) = self.keys[n - 1].clone() {
-                self.secret = Some(Secret::new(k));
-            }
-        }
-        Ok(published)
-    }
-
-    fn try_assemble(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
-        if !self.merging {
-            return Ok(());
-        }
-        let mut covered: Vec<ClientId> = self.components.keys().flatten().copied().collect();
-        covered.sort_unstable();
-        let mut expected = self.view_members.clone();
-        expected.sort_unstable();
-        if covered != expected {
-            return Ok(());
-        }
-        let mut comps: Vec<Chain> = self.components.values().cloned().collect();
-        comps.sort_by_key(|c| {
-            (
-                std::cmp::Reverse(c.len()),
-                c.order.iter().min().copied().unwrap_or(ClientId::MAX),
-            )
-        });
-        // Stack: largest at the bottom, the rest on top (their internal
-        // structure dissolves into individual levels).
-        let bottom = comps.remove(0);
-        let bottom_len = bottom.len();
-        let mut chain = bottom;
-        for c in comps {
-            for (i, &m) in c.order.iter().enumerate() {
-                chain.order.push(m);
-                chain.leaf_bkeys.push(c.leaf_bkeys[i].clone());
-                chain.internal_bkeys.push(None);
-            }
-        }
-        self.chain = chain;
-        self.keys = vec![None; self.chain.len()];
-        self.merging = false;
-        self.components.clear();
-        // Round-2 sponsor: top member of the bottom (largest) component.
-        // (Keep any publisher role acquired earlier — e.g. the leave
-        // sponsor of a combined leave+join.)
-        let Some(&sponsor) = self.chain.order.get(bottom_len.wrapping_sub(1)) else {
-            return Err(GkaError::MissingState("empty merged STR chain"));
-        };
-        self.publisher = self.publisher || ctx.me() == sponsor;
-        if self.progress(ctx)? {
-            self.broadcast(ctx);
-        }
-        Ok(())
-    }
-
-    fn broadcast(&mut self, ctx: &mut GkaCtx<'_>) {
-        // Each chain broadcast is one round of the event's re-keying.
-        self.rounds_started += 1;
-        ctx.mark_round("STR", self.rounds_started);
-        let msg = self.wire_msg();
-        ctx.send(SendKind::Multicast, &msg);
-    }
-
-    fn adopt(&mut self, other: &Chain) -> Result<(), GkaError> {
-        if other.order != self.chain.order {
-            return Err(GkaError::Protocol("STR chain order divergence"));
-        }
-        for i in 0..self.chain.len() {
-            if self.chain.leaf_bkeys[i].is_none() {
-                self.chain.leaf_bkeys[i] = other.leaf_bkeys[i].clone();
-            }
-            if self.chain.internal_bkeys[i].is_none() {
-                self.chain.internal_bkeys[i] = other.internal_bkeys[i].clone();
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for Str {
-    fn default() -> Self {
-        Str::new()
-    }
-}
-
-impl GkaProtocol for Str {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Str
-    }
-
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
-        let me = ctx.me();
-        self.me = Some(me);
-        self.view_members = view.members.clone();
-        self.secret = None;
-        self.publisher = false;
-        self.rounds_started = 0;
-
-        if !view.left.is_empty() && self.chain.position(me).is_some() {
-            let lowest = self.chain.remove_members(&view.left);
-            self.keys = vec![None; self.chain.len()];
-            if !view.joined.is_empty() && !self.chain.order.is_empty() {
-                // Combined leave+join: the leave sponsor must publish
-                // the blinded keys across the removal wound so the
-                // merge sponsor can proceed past it.
-                let sponsor_pos = lowest.saturating_sub(1).min(self.chain.len() - 1);
-                if self.chain.order[sponsor_pos] == me {
-                    self.publisher = true;
-                }
-            }
-            // Keys strictly below the removal point survive via cache.
-            if view.joined.is_empty() {
-                if self.chain.len() == 1 {
-                    let r = self
-                        .my_r
-                        .clone()
-                        .ok_or(GkaError::MissingState("no session random"))?;
-                    self.secret = Some(Secret::new(r));
-                    return Ok(());
-                }
-                // Sponsor: the member just below the lowest leaver.
-                let sponsor_pos = lowest.saturating_sub(1).min(self.chain.len() - 1);
-                let sponsor = self.chain.order[sponsor_pos];
-                if sponsor == me {
-                    // The refreshed leaf blinded key must reach the
-                    // group even when no internal key needs publishing
-                    // (e.g. the sponsor ends up at the top).
-                    self.publisher = true;
-                    self.refresh_my_leaf(ctx)?;
-                    let _ = self.progress(ctx)?;
-                    self.broadcast(ctx);
-                } else {
-                    // The sponsor will refresh: its level and above are
-                    // stale for us.
-                    self.chain.leaf_bkeys[sponsor_pos] = None;
-                    for i in sponsor_pos..self.chain.len() {
-                        self.chain.internal_bkeys[i] = None;
-                    }
-                    if self.progress(ctx)? {
-                        self.broadcast(ctx);
-                    }
-                }
-                return Ok(());
-            }
-        }
-
-        if !view.joined.is_empty() {
-            self.merging = true;
-            self.components.clear();
-            if self.chain.position(me).is_none() {
-                // Fresh singleton joiner.
-                let r = ctx.fresh_exponent();
-                let b = ctx.exp_g(&r);
-                self.my_r = Some(r);
-                self.chain = Chain {
-                    order: vec![me],
-                    leaf_bkeys: vec![Some(b)],
-                    internal_bkeys: vec![None],
-                };
-                self.keys = vec![None; 1];
-            }
-            // Component sponsor: the top member.
-            let top = *self
-                .chain
-                .order
-                .last()
-                .ok_or(GkaError::MissingState("empty STR component"))?;
-            if top == me {
-                self.publisher = true;
-                self.refresh_my_leaf(ctx)?;
-                let _ = self.progress(ctx)?;
-                let mut key: Vec<ClientId> = self.chain.order.clone();
-                key.sort_unstable();
-                self.components.insert(key, self.chain.clone());
-                self.broadcast(ctx);
-            } else {
-                // `top` came from the chain, so its position exists.
-                if let Some(pos) = self.chain.position(top) {
-                    self.chain.leaf_bkeys[pos] = None;
-                    for i in pos..self.chain.len() {
-                        self.chain.internal_bkeys[i] = None;
-                    }
-                }
-            }
-            return self.try_assemble(ctx);
-        }
-        Ok(())
-    }
-
-    fn on_msg(
-        &mut self,
-        ctx: &mut GkaCtx<'_>,
-        _sender: ClientId,
-        msg: ProtocolMsg,
-    ) -> Result<(), GkaError> {
+    /// A chain is bounded by the view before a tree is built from it:
+    /// the message decoder admits a million members.
+    fn from_msg(msg: ProtocolMsg, view: &[ClientId]) -> Result<KeyTree, GkaError> {
         let ProtocolMsg::StrTree {
             members,
             leaf_bkeys,
@@ -502,108 +120,75 @@ impl GkaProtocol for Str {
         if members.len() != leaf_bkeys.len() || members.len() != internal_bkeys.len() {
             return Err(GkaError::Protocol("misaligned STR message"));
         }
-        let incoming = Chain {
-            order: members,
-            leaf_bkeys,
-            internal_bkeys,
-        };
-        let mut leafset = incoming.order.clone();
-        leafset.sort_unstable();
-        let mut view_sorted = self.view_members.clone();
-        view_sorted.sort_unstable();
-
-        if self.merging && leafset != view_sorted {
-            self.components.insert(leafset, incoming);
-            return self.try_assemble(ctx);
+        if members.len() > view.len() {
+            return Err(GkaError::Protocol("STR chain longer than the view"));
         }
-        if leafset == view_sorted {
-            if self.merging {
-                // Full chain observed implies all components were in
-                // the agreed prefix; adopt the structure.
-                self.chain = incoming.clone();
-                self.keys = vec![None; self.chain.len()];
-                self.merging = false;
-                self.components.clear();
+        let mut distinct = members.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() != members.len() {
+            return Err(GkaError::Protocol("STR chain repeats a member"));
+        }
+        let mut tree = KeyTree::new();
+        for ((member, leaf_bkey), internal_bkey) in
+            members.into_iter().zip(leaf_bkeys).zip(internal_bkeys)
+        {
+            let leaf = KeyTree::singleton(member, None, leaf_bkey);
+            if tree.is_empty() {
+                tree = leaf;
             } else {
-                self.adopt(&incoming)?;
-            }
-            if self.progress(ctx)? {
-                self.broadcast(ctx);
+                let parent = tree.graft_at(tree.root(), &leaf);
+                tree.node_mut(parent).bkey = internal_bkey;
             }
         }
-        Ok(())
+        Ok(tree)
     }
+}
 
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.secret.as_ref().map(|s| s.expose())
-    }
+/// STR protocol engine for one member.
+pub type Str = TreeGka<Skinny>;
 
-    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
-        let group = suite.group();
-        let n = members.len();
-        let exps = bootstrap_exponents(suite, members, seed);
-        let mut chain = Chain::new();
-        let mut level_keys: Vec<Ubig> = Vec::with_capacity(n);
-        for (i, (&m, r)) in members.iter().zip(&exps).enumerate() {
-            let r = r.expose();
-            let leaf_bkey = group.exp_g(r);
-            let k = match level_keys.last() {
-                None => r.clone(),
-                Some(below) => group.exp(&leaf_bkey, below),
-            };
-            chain.order.push(m);
-            chain.leaf_bkeys.push(Some(leaf_bkey));
-            chain.internal_bkeys.push(if i > 0 && i < n - 1 {
-                Some(group.exp_g(&k))
-            } else {
-                None
-            });
-            level_keys.push(k);
-        }
-        let secret = level_keys.last().cloned();
-        let keys = level_keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (chain.prefix_fingerprint(i), Secret::new(k)))
-            .collect();
-        let formed = Formed { chain, keys };
-        Component::new(members, exps, secret, Shape::Str(formed))
-    }
-
-    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
-        let Shape::Str(formed) = component.shape() else {
-            return Err(FOREIGN_COMPONENT);
-        };
-        self.my_r = Some(component.exponent_of(me)?.clone());
-        self.chain = formed.chain.clone();
-        self.keys = formed
-            .keys
-            .iter()
-            .map(|(_, k)| Some(k.expose().clone()))
-            .collect();
-        // Seed the cache with every prefix key (level 0 is a session
-        // random, never looked up).
-        self.cache = formed
-            .keys
-            .iter()
-            .skip(1)
-            .map(|(fp, k)| (*fp, k.expose().clone()))
-            .collect();
-        self.me = Some(me);
-        self.view_members = component.members().to_vec();
-        self.secret = component.secret();
-        self.merging = false;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        *self = Str::new();
+impl Str {
+    /// Creates an idle engine.
+    pub fn new() -> Self {
+        TreeGka::with_shape(Skinny)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::tree_gka::drive;
+    use crate::protocols::GkaProtocol;
+    use crate::suite::CryptoSuite;
+    use crate::testkit::Loopback;
+    use gkap_bignum::Ubig;
+    use gkap_gcs::View;
+    use proptest::prelude::*;
+
+    fn bk(v: u64) -> Option<Ubig> {
+        Some(Ubig::from(v))
+    }
+
+    /// The chain `members` with leaf bkey `100 + member` and internal
+    /// bkey `i` at every level but the bottom (padding) and the top.
+    fn chain(members: &[ClientId]) -> ProtocolMsg {
+        let n = members.len();
+        ProtocolMsg::StrTree {
+            members: members.to_vec(),
+            leaf_bkeys: members.iter().map(|&m| bk(100 + m as u64)).collect(),
+            internal_bkeys: (0..n)
+                .map(|i| bk(i as u64).filter(|_| i > 0 && i + 1 < n))
+                .collect(),
+        }
+    }
+
+    fn is_skinny(tree: &KeyTree) -> bool {
+        tree.preorder().all(|i| match tree.node(i).children {
+            Some((_, r)) => tree.node(r).children.is_none(),
+            None => true,
+        })
+    }
 
     #[test]
     fn bootstrap_agrees_across_members() {
@@ -613,6 +198,8 @@ mod tests {
         for &m in &members {
             let mut p = Str::new();
             p.bootstrap(&suite, &members, m, 21).unwrap();
+            assert!(is_skinny(p.tree()));
+            assert_eq!(p.tree().members(), members);
             secrets.push(p.group_secret().unwrap().clone());
         }
         assert!(secrets.windows(2).all(|w| w[0] == w[1]));
@@ -620,38 +207,158 @@ mod tests {
 
     #[test]
     fn chain_removal_preserves_lower_prefixes() {
-        let mut c = Chain {
-            order: vec![0, 1, 2, 3, 4],
-            leaf_bkeys: (0..5).map(|i| Some(Ubig::from(100 + i as u64))).collect(),
-            internal_bkeys: vec![
-                None,
-                Some(Ubig::from(1u64)),
-                Some(Ubig::from(2u64)),
-                Some(Ubig::from(3u64)),
-                None,
-            ],
+        let view = [0, 1, 2, 3, 4];
+        let mut tree = Skinny::from_msg(chain(&view), &view).unwrap();
+        tree.remove_members(&[2]);
+        let expected = ProtocolMsg::StrTree {
+            members: vec![0, 1, 3, 4],
+            leaf_bkeys: vec![bk(100), bk(101), bk(103), bk(104)],
+            // The prefix below the removal kept its internal bkey; at
+            // and above the removal they are invalidated.
+            internal_bkeys: vec![None, bk(1), None, None],
         };
-        let lowest = c.remove_members(&[2]);
-        assert_eq!(lowest, 2);
-        assert_eq!(c.order, vec![0, 1, 3, 4]);
-        // Prefix below the removal kept its internal bkey.
-        assert_eq!(c.internal_bkeys[1], Some(Ubig::from(1u64)));
-        // At/above the removal: invalidated.
-        assert_eq!(c.internal_bkeys[2], None);
-        assert_eq!(c.internal_bkeys[3], None);
+        assert_eq!(Skinny::to_msg(&tree), expected);
     }
 
     #[test]
-    fn prefix_fingerprints_differ_with_content() {
-        let c1 = Chain {
-            order: vec![0, 1],
-            leaf_bkeys: vec![Some(Ubig::from(5u64)), Some(Ubig::from(6u64))],
-            internal_bkeys: vec![None, None],
+    fn the_refresher_sits_just_below_the_lowest_leaver() {
+        let before = [5, 6, 7, 8, 9];
+        for (left, refresher) in [
+            (&[5][..], Some(6)), // the bottom member left: the new bottom
+            (&[7], Some(6)),
+            (&[9], Some(8)), // the top member left
+            (&[8, 6, 9], Some(5)),
+            (&[5, 6, 8], Some(7)),
+            (&[5, 6, 7, 8, 9], None),
+            (&[4], Some(9)), // never in the tree: the top member
+        ] {
+            let got = Skinny.refresher(&KeyTree::new(), &before, left);
+            assert_eq!(got, refresher, "{left:?} left");
+        }
+    }
+
+    /// Decision (f): every component's round-1 sponsor stays a
+    /// publisher after assembly. Four singletons forming at once are
+    /// four sponsors; were the role dropped (TGDH's rule) members 0
+    /// and 1 would blind one key fewer each. The counts are those of
+    /// the hand-written STR this file replaced.
+    #[test]
+    fn four_singletons_forming_at_once_all_stay_publishers() {
+        let ids = [0, 1, 2, 3];
+        let mut lb = Loopback::new(ProtocolKind::Str, CryptoSuite::fast_zero(), &ids);
+        lb.install_view(ids.to_vec(), ids.to_vec(), vec![]);
+        assert_eq!(ids.map(|m| lb.counts_of(m).exp), [7, 7, 4, 3]);
+        assert_eq!(ids.map(|m| lb.counts_of(m).multicast), [2, 2, 1, 1]);
+    }
+
+    /// Our leaf's blinded key is ours alone to regenerate: a member
+    /// that restores it broadcasts even when it is itself blocked on
+    /// the level below — otherwise everyone beneath it waits forever.
+    #[test]
+    fn a_blocked_member_still_circulates_its_restored_leaf_key() {
+        let suite = CryptoSuite::fast_zero();
+        let mut p = Str::new();
+        p.bootstrap(&suite, &[0, 1, 2, 3], 2, 7).unwrap();
+        let view = View {
+            id: 1,
+            group: 0,
+            members: vec![0, 1, 2, 3, 4],
+            joined: vec![4],
+            left: vec![],
         };
-        let mut c2 = c1.clone();
-        assert_eq!(c1.prefix_fingerprint(1), c2.prefix_fingerprint(1));
-        c2.leaf_bkeys[1] = Some(Ubig::from(7u64));
-        assert_ne!(c1.prefix_fingerprint(1), c2.prefix_fingerprint(1));
-        assert_eq!(c1.prefix_fingerprint(0), c2.prefix_fingerprint(0));
+        let (joined, sends) = drive(2, &suite, |ctx| p.on_view(ctx, &view));
+        assert_eq!((joined, sends), (Ok(()), 0));
+        // The merged chain as a peer holds it after a cascade: our leaf
+        // bkey cut, member 1's leaf refreshed, no internal bkey yet.
+        let peer = ProtocolMsg::StrTree {
+            members: view.members,
+            leaf_bkeys: vec![bk(100), bk(999), None, bk(103), bk(104)],
+            internal_bkeys: vec![None; 5],
+        };
+        let (adopted, sends) = drive(2, &suite, |ctx| p.on_msg(ctx, 0, peer));
+        assert_eq!(adopted, Ok(()));
+        assert!(p.group_secret().is_none(), "blocked on member 1's level");
+        assert_eq!(sends, 1, "the restored leaf key is news");
+    }
+
+    #[test]
+    fn a_chain_no_member_of_the_view_could_send_is_refused() {
+        let chain_of = |members: Vec<ClientId>, internals: usize| ProtocolMsg::StrTree {
+            leaf_bkeys: vec![bk(1); members.len()],
+            internal_bkeys: vec![None; internals],
+            members,
+        };
+        // The first would be 300 000 levels of tree.
+        for (msg, why) in [
+            (
+                chain_of((0..300_000).collect(), 300_000),
+                "longer than the view",
+            ),
+            (chain_of(vec![1, 1], 2), "repeats a member"),
+            (chain_of(vec![1, 2], 3), "misaligned"),
+        ] {
+            match Skinny::from_msg(msg, &[0, 1, 2]) {
+                Err(GkaError::Protocol(refusal)) => assert!(refusal.contains(why), "{refusal}"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+    }
+
+    fn arb_bkey() -> impl Strategy<Value = Option<Ubig>> {
+        (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then(|| Ubig::from(v)))
+    }
+
+    fn arb_members() -> impl Strategy<Value = Vec<ClientId>> {
+        proptest::collection::vec(0..64usize, 0..12).prop_map(|mut members| {
+            members.sort_unstable();
+            members.dedup();
+            members
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn the_wire_form_round_trips(
+            members in arb_members(),
+            bkeys in proptest::collection::vec((arb_bkey(), arb_bkey()), 12),
+        ) {
+            let (leaf_bkeys, mut internal_bkeys): (Vec<_>, Vec<_>) =
+                bkeys.into_iter().take(members.len()).unzip();
+            if let Some(padding) = internal_bkeys.first_mut() {
+                *padding = None;
+            }
+            let msg = ProtocolMsg::StrTree {
+                members: members.clone(),
+                leaf_bkeys,
+                internal_bkeys,
+            };
+            let tree = Skinny::from_msg(msg.clone(), &members).unwrap();
+            prop_assert!(is_skinny(&tree));
+            prop_assert_eq!(tree.members(), members);
+            prop_assert_eq!(Skinny::to_msg(&tree), msg);
+        }
+
+        #[test]
+        fn every_right_child_stays_a_leaf(
+            steps in proptest::collection::vec((arb_members(), any::<bool>()), 1..8)
+        ) {
+            // Member 64 is never picked, so the tree never empties.
+            let mut tree = KeyTree::singleton(64, None, None);
+            for (picked, graft) in steps {
+                let held = tree.members();
+                let (fresh, left): (Vec<_>, Vec<_>) =
+                    picked.into_iter().partition(|m| !held.contains(m));
+                let expected = if graft {
+                    let other = Skinny::from_msg(chain(&fresh), &fresh).unwrap();
+                    Skinny.graft(&mut tree, &other);
+                    [held, fresh].concat()
+                } else {
+                    tree.remove_members(&left);
+                    held.into_iter().filter(|m| !left.contains(m)).collect()
+                };
+                prop_assert_eq!(tree.members(), expected);
+                prop_assert!(is_skinny(&tree));
+            }
+        }
     }
 }

@@ -1,0 +1,699 @@
+//! The one driver behind the two key-tree protocols: TGDH (§4.3) and
+//! STR (§4.4, which the paper introduces as TGDH over a completely
+//! imbalanced tree).
+//!
+//! The group secret is the key of the root of a binary [`KeyTree`]
+//! whose leaves are the members' session randoms; every internal key
+//! is the two-party DH agreement of its children. Each member knows
+//! the keys on its own path and the blinded keys of the whole tree —
+//! every member holds the same public tree and derives the rest from
+//! it, which is all [`TreeGka`] relies on. What makes it TGDH or STR
+//! is a [`TreeShape`]: where a joining component is grafted, who
+//! refreshes after a leave, and how the public tree goes on the wire
+//! ([`super::tgdh::TreePolicy`], [`super::str_proto::Skinny`]).
+//!
+//! * **Join/merge**: the sponsor of each component — its rightmost
+//!   member — refreshes its session random and broadcasts its tree
+//!   (round 1). Everyone grafts the components together in one agreed
+//!   order; the rightmost member under the lowest node that can be
+//!   recomputed publishes the fresh blinded keys (round 2).
+//! * **Leave/partition**: everyone deletes the departed leaves; the
+//!   shape's refresher draws a new session random; publishers compute
+//!   as far up the tree as they can and broadcast new blinded keys,
+//!   iterating until every member can compute the root (Figure 6; one
+//!   round on a skinny tree).
+//!
+//! Computed keys are cached by subtree fingerprint — the optimization
+//! of §5 (skipping recomputation of already-known blinded keys).
+//!
+//! A peer's tree is checked where it enters ([`TreeShape::from_msg`],
+//! then one emptiness check): a TGDH tree is at most 64 levels deep
+//! because [`KeyTree::decode`] refuses deeper ones, an STR chain is
+//! refused unless it fits the view.
+
+use std::collections::{BTreeMap, HashMap};
+
+use gkap_bignum::Ubig;
+use gkap_crypto::Secret;
+use gkap_gcs::{ClientId, View};
+
+use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
+use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
+use crate::suite::CryptoSuite;
+use crate::tree::{Fingerprints, KeyTree, NodeIdx};
+
+/// What a key-tree protocol decides for itself; [`TreeGka`] does the
+/// rest. Each item is a rule some committed result depends on
+/// (DESIGN.md §23 names the file).
+pub trait TreeShape: Clone + 'static {
+    /// The protocol this shape makes of the driver.
+    const KIND: ProtocolKind;
+    /// Forming a component computes each internal key as one child's
+    /// blinded key raised to the other child's key: the left child's
+    /// key if set, the right one's if not. The key is the same either
+    /// way; the host's kernel counts are not.
+    const FORMS_ON_LEFT_KEY: bool;
+    /// Whether a formed component blinds its root key too.
+    const FORMS_BLINDED_ROOT: bool;
+    /// Whether a component's round-1 sponsor still publishes blinded
+    /// keys once the components are assembled.
+    const SPONSOR_STAYS_PUBLISHER: bool;
+
+    /// Adds the component `other` to the non-empty `tree`.
+    fn graft(&self, tree: &mut KeyTree, other: &KeyTree);
+
+    /// Reshapes a tree whose membership just changed.
+    fn settle(&self, tree: &mut KeyTree);
+
+    /// The member that draws a new session random after `left`
+    /// departed: `tree` is what remains, `before` the leaves in order
+    /// as they were.
+    fn refresher(&self, tree: &KeyTree, before: &[ClientId], left: &[ClientId])
+        -> Option<ClientId>;
+
+    /// `tree`'s structure and blinded keys — never a key — as this
+    /// protocol's message.
+    fn to_msg(tree: &KeyTree) -> ProtocolMsg;
+
+    /// The tree a peer's message describes, for a member whose view
+    /// is `view`.
+    ///
+    /// # Errors
+    ///
+    /// The message is another protocol's, or describes no tree a
+    /// member of `view` could have sent.
+    fn from_msg(msg: ProtocolMsg, view: &[ClientId]) -> Result<KeyTree, GkaError>;
+}
+
+/// What a formed component holds beyond exponents and secret.
+pub(super) struct Formed {
+    /// The protocol that formed the component.
+    pub(super) kind: ProtocolKind,
+    /// The component's tree as it goes on the wire: structure and
+    /// blinded keys, no keys.
+    public: KeyTree,
+    /// Every internal node's key, with the fingerprint its subtree is
+    /// cached under.
+    node_keys: Vec<(NodeIdx, [u8; 32], Secret<Ubig>)>,
+}
+
+struct CacheEntry {
+    key: Ubig,
+    bkey: Option<Ubig>,
+}
+
+impl std::fmt::Debug for CacheEntry {
+    /// Redacts the cached node secret; only blinded-key presence shows.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CacheEntry")
+            .field("key", &"<redacted>")
+            .field("bkey", &self.bkey.is_some())
+            .finish()
+    }
+}
+
+/// A key-tree protocol engine for one member.
+pub struct TreeGka<S> {
+    shape: S,
+    me: Option<ClientId>,
+    view_members: Vec<ClientId>,
+    my_r: Option<Ubig>,
+    tree: KeyTree,
+    /// Round-1 component trees collected during a merge, keyed by
+    /// their (sorted) leaf sets.
+    components: BTreeMap<Vec<ClientId>, KeyTree>,
+    merging: bool,
+    /// Whether this member currently publishes blinded keys (it is the
+    /// event's sponsor, or became one when the lowest incomplete node
+    /// fell into its subtree).
+    publisher: bool,
+    /// Sponsor broadcasts this member has started for the current
+    /// membership event (telemetry round numbering).
+    rounds_started: u32,
+    /// Subtree-fingerprint cache of previously computed keys.
+    cache: HashMap<[u8; 32], CacheEntry>,
+    secret: Option<Secret<Ubig>>,
+}
+
+impl<S> std::fmt::Debug for TreeGka<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TreeGka")
+            .field("me", &self.me)
+            .field("secret", &"<redacted>")
+            .finish_non_exhaustive()
+    }
+}
+
+impl<S: TreeShape + Default> Default for TreeGka<S> {
+    fn default() -> Self {
+        TreeGka::with_shape(S::default())
+    }
+}
+
+impl<S: TreeShape> TreeGka<S> {
+    /// Creates an idle engine.
+    pub(super) fn with_shape(shape: S) -> Self {
+        TreeGka {
+            shape,
+            me: None,
+            view_members: Vec::new(),
+            my_r: None,
+            tree: KeyTree::new(),
+            components: BTreeMap::new(),
+            merging: false,
+            publisher: false,
+            rounds_started: 0,
+            cache: HashMap::new(),
+            secret: None,
+        }
+    }
+
+    /// The tree as this member holds it.
+    pub(super) fn tree(&self) -> &KeyTree {
+        &self.tree
+    }
+
+    fn refresh_my_leaf(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+        let me = ctx.me();
+        let r = ctx.fresh_exponent();
+        let bkey = ctx.exp_g(&r);
+        let leaf = self
+            .tree
+            .leaf_of(me)
+            .ok_or(GkaError::MissingState("own leaf missing from tree"))?;
+        self.tree.invalidate_to_root(leaf);
+        self.tree.node_mut(leaf).key = Some(r.clone());
+        self.tree.node_mut(leaf).bkey = Some(bkey);
+        self.my_r = Some(r);
+        Ok(())
+    }
+
+    /// Marks another member's refresh: its leaf bkey and path become
+    /// unknown until its broadcast arrives.
+    fn invalidate_member_path(&mut self, member: ClientId) {
+        if let Some(leaf) = self.tree.leaf_of(member) {
+            self.tree.invalidate_to_root(leaf);
+        }
+    }
+
+    /// Walks from the own leaf to the root, computing keys where
+    /// possible (cache first). Publishers also compute missing blinded
+    /// keys. Returns `true` if any new blinded key was published (=>
+    /// we must broadcast).
+    fn progress(&mut self, ctx: &mut GkaCtx<'_>) -> Result<bool, GkaError> {
+        let me = ctx.me();
+        let Some(mut cur) = self.tree.leaf_of(me) else {
+            return Err(GkaError::MissingState("own leaf missing from tree"));
+        };
+        // Sponsor determination: the rightmost leaf under the lowest
+        // recomputable incomplete node takes over publication duties
+        // ("if a sponsor could not compute the group key, the next
+        // sponsor comes into play", §4.3).
+        if !self.publisher {
+            if let Some(v) = self.tree.lowest_incomplete() {
+                let rl = self.tree.rightmost_leaf(v);
+                if self.tree.node(rl).member == Some(me) {
+                    self.publisher = true;
+                }
+            }
+        }
+        // Ensure the leaf carries our key (it is lost when the
+        // structure is assembled or adopted from received broadcasts).
+        if self.tree.node(cur).key.is_none() {
+            self.tree.node_mut(cur).key = self.my_r.clone();
+        }
+        let mut published = false;
+        // Our leaf's blinded key is information only we can regenerate.
+        // A cascaded view change can cut the round that would have
+        // circulated it (everyone else invalidated our path when we
+        // refreshed), leaving adopted trees without it — and our
+        // sibling then has no way to compute our shared parent.
+        // Restoring it is news the group needs: force a broadcast,
+        // whether or not we get any further ourselves.
+        if self.tree.node(cur).bkey.is_none() {
+            if let Some(r) = self.my_r.clone() {
+                let bkey = ctx.exp_g(&r);
+                self.tree.node_mut(cur).bkey = Some(bkey);
+                published = true;
+            }
+        }
+        // No leaf changes from here on, so one table serves every
+        // fingerprint of the pass.
+        let mut seen = Fingerprints::default();
+        while let Some(parent) = self.tree.node(cur).parent {
+            if self.tree.node(parent).key.is_none() {
+                let fp = self.tree.fingerprint_once(parent, &mut seen);
+                if let Some(entry) = self.cache.get(&fp) {
+                    self.tree.node_mut(parent).key = Some(entry.key.clone());
+                    if self.tree.node(parent).bkey.is_none() {
+                        self.tree.node_mut(parent).bkey = entry.bkey.clone();
+                    }
+                } else {
+                    let sib = self
+                        .tree
+                        .sibling(cur)
+                        .ok_or(GkaError::MissingState("sibling of a path node"))?;
+                    let Some(sib_bkey) = self.tree.node(sib).bkey.clone() else {
+                        break; // cannot proceed past this point yet
+                    };
+                    let my_key = self
+                        .tree
+                        .node(cur)
+                        .key
+                        .clone()
+                        .ok_or(GkaError::MissingState("missing key on own path"))?;
+                    let key = ctx.exp(&sib_bkey, &my_key);
+                    self.tree.node_mut(parent).key = Some(key.clone());
+                    self.cache.insert(fp, CacheEntry { key, bkey: None });
+                }
+            }
+            // The publisher blinds every missing key along its path.
+            // The root's blinded key is never needed (it would blind
+            // the group secret itself) and never published.
+            if self.publisher
+                && self.tree.node(parent).bkey.is_none()
+                && self.tree.node(parent).parent.is_some()
+            {
+                if let Some(key) = self.tree.node(parent).key.clone() {
+                    let bkey = Some(ctx.exp_g(&key));
+                    self.tree.node_mut(parent).bkey = bkey.clone();
+                    let fp = self.tree.fingerprint_once(parent, &mut seen);
+                    self.cache.insert(fp, CacheEntry { key, bkey });
+                    published = true;
+                }
+            }
+            cur = parent;
+        }
+        // Root reached with a key => group secret established — but
+        // only once the tree covers the whole view (a component root
+        // during a merge is not the group key).
+        if !self.merging && self.tree.node(cur).parent.is_none() {
+            if let Some(k) = self.tree.node(cur).key.clone() {
+                self.secret = Some(Secret::new(k));
+            }
+        }
+        Ok(published)
+    }
+
+    fn broadcast_tree(&mut self, ctx: &mut GkaCtx<'_>) {
+        // Each sponsor broadcast is one round of the event's re-keying.
+        self.rounds_started += 1;
+        ctx.mark_round(S::KIND.name(), self.rounds_started);
+        ctx.send(SendKind::Multicast, &S::to_msg(&self.tree));
+    }
+
+    /// Assembles the merged tree once all components are present.
+    fn try_assemble(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+        if !self.merging {
+            return Ok(());
+        }
+        let mut covered: Vec<ClientId> = self.components.keys().flatten().copied().collect();
+        covered.sort_unstable();
+        let mut expected = self.view_members.clone();
+        expected.sort_unstable();
+        if covered != expected {
+            return Ok(());
+        }
+        // Deterministic fold: components by (size desc, min member asc).
+        let mut comps: Vec<(&Vec<ClientId>, &KeyTree)> = self.components.iter().collect();
+        comps.sort_by_key(|(members, _)| {
+            (std::cmp::Reverse(members.len()), members.first().copied())
+        });
+        let mut comps = comps.into_iter().map(|(_, tree)| tree);
+        let mut assembled = comps
+            .next()
+            .ok_or(GkaError::MissingState("a merge of no components"))?
+            .clone();
+        for c in comps {
+            self.shape.graft(&mut assembled, c);
+        }
+        self.shape.settle(&mut assembled);
+        self.tree = assembled;
+        self.merging = false;
+        self.components.clear();
+        // The round-2 sponsor is chosen by the lowest-incomplete rule
+        // in progress.
+        if !S::SPONSOR_STAYS_PUBLISHER {
+            self.publisher = false;
+        }
+        if self.progress(ctx)? {
+            self.broadcast_tree(ctx);
+        }
+        Ok(())
+    }
+
+    /// Begins a merge: broadcast our component if we sponsor it.
+    fn start_merge(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+        let me = ctx.me();
+        self.merging = true;
+        self.components.clear();
+        if self.tree.leaf_of(me).is_none() {
+            // Fresh singleton joiner.
+            let r = ctx.fresh_exponent();
+            let bkey = ctx.exp_g(&r);
+            self.my_r = Some(r.clone());
+            self.tree = KeyTree::singleton(me, Some(r), Some(bkey));
+        }
+        let sponsor_leaf = self.tree.rightmost_leaf(self.tree.root());
+        let sponsor = self
+            .tree
+            .node(sponsor_leaf)
+            .member
+            .ok_or(GkaError::MissingState("rightmost node is not a leaf"))?;
+        if sponsor == me {
+            // We sponsor our component: refresh, recompute our path
+            // (keys + blinded keys) and broadcast.
+            self.publisher = true;
+            self.refresh_my_leaf(ctx)?;
+            let _ = self.progress(ctx)?;
+            let mut members = self.tree.members();
+            members.sort_unstable();
+            let mut public = self.tree.clone();
+            public.clear_keys();
+            self.components.insert(members, public);
+            self.broadcast_tree(ctx);
+        } else {
+            // Our sponsor refreshed; its path is stale for us until
+            // its broadcast arrives, and that broadcast is our copy of
+            // our own component.
+            self.invalidate_member_path(sponsor);
+        }
+        self.try_assemble(ctx)
+    }
+}
+
+impl<S: TreeShape> GkaProtocol for TreeGka<S> {
+    fn kind(&self) -> ProtocolKind {
+        S::KIND
+    }
+
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+        let me = ctx.me();
+        self.me = Some(me);
+        self.view_members = view.members.clone();
+        self.secret = None;
+        self.publisher = false;
+        self.rounds_started = 0;
+
+        let before = self.tree.members();
+        if !view.left.is_empty() {
+            self.tree.remove_members(&view.left);
+            self.shape.settle(&mut self.tree);
+        }
+
+        if !view.joined.is_empty() {
+            return self.start_merge(ctx);
+        }
+
+        // Pure leave / partition.
+        if view.members.len() == 1 {
+            // Only we remain; the (never-shared) leaf key is the secret.
+            let r = self
+                .my_r
+                .clone()
+                .ok_or(GkaError::MissingState("no session random"))?;
+            self.secret = Some(Secret::new(r));
+            return Ok(());
+        }
+        // One member refreshes its session random to prevent old-key
+        // reuse (round 1 of Figure 6).
+        let refresher = self
+            .shape
+            .refresher(&self.tree, &before, &view.left)
+            .ok_or(GkaError::MissingState("leave without an affected node"))?;
+        if refresher == me {
+            // Our refreshed leaf blinded key is itself news the group
+            // needs: broadcast regardless of internal publications.
+            self.publisher = true;
+            self.refresh_my_leaf(ctx)?;
+            let _ = self.progress(ctx)?;
+            self.broadcast_tree(ctx);
+        } else {
+            self.invalidate_member_path(refresher);
+            if self.progress(ctx)? {
+                self.broadcast_tree(ctx);
+            }
+        }
+        Ok(())
+    }
+
+    fn on_msg(
+        &mut self,
+        ctx: &mut GkaCtx<'_>,
+        _sender: ClientId,
+        msg: ProtocolMsg,
+    ) -> Result<(), GkaError> {
+        let tree = S::from_msg(msg, &self.view_members)?;
+        if tree.is_empty() {
+            return Err(GkaError::Protocol("a peer's key tree is empty"));
+        }
+        let mut leafset = tree.members();
+        leafset.sort_unstable();
+        let mut view_sorted = self.view_members.clone();
+        view_sorted.sort_unstable();
+        if leafset != view_sorted {
+            if self.merging {
+                self.components.insert(leafset, tree);
+                return self.try_assemble(ctx);
+            }
+            // A component tree while not merging: stale or early;
+            // ignore (epoch filtering upstream makes this rare).
+            return Ok(());
+        }
+        if self.merging {
+            // A full-tree broadcast implies every component was
+            // already visible in the agreed order; adopt the
+            // structure wholesale.
+            self.tree = tree;
+            self.merging = false;
+            self.components.clear();
+        } else {
+            self.tree
+                .adopt_bkeys(&tree)
+                .map_err(|_| GkaError::Protocol("key tree structure divergence"))?;
+        }
+        if self.progress(ctx)? {
+            self.broadcast_tree(ctx);
+        }
+        Ok(())
+    }
+
+    fn group_secret(&self) -> Option<&Ubig> {
+        self.secret.as_ref().map(|s| s.expose())
+    }
+
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
+        // Build the deterministic tree and compute every key directly
+        // (the component knows all session randoms).
+        let group = suite.group();
+        let exps = bootstrap_exponents(suite, members, seed);
+        let mut tree = KeyTree::new();
+        for (&m, r) in members.iter().zip(&exps) {
+            let r = r.expose();
+            let leaf = KeyTree::singleton(m, Some(r.clone()), Some(group.exp_g(r)));
+            if tree.is_empty() {
+                tree = leaf;
+            } else {
+                self.shape.graft(&mut tree, &leaf);
+            }
+        }
+        // Fill every internal key, children before parents. Component
+        // trees carry leaf bkeys and two keyed children per internal
+        // node, so the `else` is unreachable; it degrades to a missing
+        // secret (surfaced as a GkaError later) instead of a panic.
+        let nodes: Vec<NodeIdx> = tree.preorder().collect();
+        for &i in nodes.iter().rev() {
+            let Some((l, r)) = tree.node(i).children else {
+                continue;
+            };
+            let (base, exponent) = if S::FORMS_ON_LEFT_KEY { (r, l) } else { (l, r) };
+            let (Some(bkey), Some(key)) = (&tree.node(base).bkey, &tree.node(exponent).key) else {
+                continue;
+            };
+            let key = group.exp(bkey, key);
+            if S::FORMS_BLINDED_ROOT || tree.node(i).parent.is_some() {
+                tree.node_mut(i).bkey = Some(group.exp_g(&key));
+            }
+            tree.node_mut(i).key = Some(key);
+        }
+        let secret = nodes.first().and_then(|&root| tree.node(root).key.clone());
+        // Move the keys out of the tree: the internal ones each with
+        // the fingerprint the members cache it under so later events
+        // reuse it, the leaves' for good (a member's is its exponent).
+        let mut seen = Fingerprints::default();
+        let mut node_keys = Vec::new();
+        for i in nodes {
+            let key = tree.node_mut(i).key.take();
+            if let (Some(k), Some(_)) = (key, tree.node(i).children) {
+                node_keys.push((i, tree.fingerprint_once(i, &mut seen), Secret::new(k)));
+            }
+        }
+        let formed = Formed {
+            kind: S::KIND,
+            public: tree,
+            node_keys,
+        };
+        Component::new(members, exps, secret, Shape::Tree(formed))
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        let formed = match component.shape() {
+            Shape::Tree(formed) if formed.kind == S::KIND => formed,
+            _ => return Err(FOREIGN_COMPONENT),
+        };
+        self.my_r = Some(component.exponent_of(me)?.clone());
+        // A bootstrapped member holds every internal key of the tree,
+        // not only its own path's (`progress` walks only that path).
+        self.tree = formed.public.clone();
+        self.cache.clear();
+        for (i, fp, key) in &formed.node_keys {
+            let key = key.expose().clone();
+            let bkey = self.tree.node(*i).bkey.clone();
+            self.tree.node_mut(*i).key = Some(key.clone());
+            self.cache.insert(*fp, CacheEntry { key, bkey });
+        }
+        self.me = Some(me);
+        self.view_members = component.members().to_vec();
+        self.secret = component.secret();
+        self.merging = false;
+        self.components.clear();
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        *self = TreeGka::with_shape(self.shape.clone());
+    }
+}
+
+/// Runs `f` as member `me` over a transport that only counts what it
+/// is asked to send; returns `f`'s result and that count.
+#[cfg(test)]
+pub(super) fn drive<R>(
+    me: ClientId,
+    suite: &CryptoSuite,
+    f: impl FnOnce(&mut GkaCtx<'_>) -> R,
+) -> (R, usize) {
+    struct Sends(ClientId, usize);
+    impl crate::protocols::Transport for Sends {
+        fn my_id(&self) -> ClientId {
+            self.0
+        }
+        fn send_wire(&mut self, _kind: SendKind, _wire: bytes::Bytes) {
+            self.1 += 1;
+        }
+        fn charge(&mut self, _cost: gkap_sim::Duration) {}
+    }
+    let mut sends = Sends(me, 0);
+    let mut ctx = GkaCtx {
+        transport: &mut sends,
+        suite,
+        counts: &mut Default::default(),
+        rng: &mut gkap_bignum::SplitMix64::new(1),
+        epoch: 1,
+        telemetry: Default::default(),
+        now: gkap_sim::SimTime::ZERO,
+    };
+    let result = f(&mut ctx);
+    (result, sends.1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocols::str_proto::Skinny;
+    use crate::protocols::tgdh::TreePolicy;
+    use crate::testkit::Loopback;
+    use gkap_bignum::{RandomSource, SplitMix64};
+
+    /// Member 0 of `[0, 1]` while 2 merges in is sent a tree of no
+    /// members. Stored, it would be the component of nobody — grafted,
+    /// by a panicking `merge`, when the real ones arrive.
+    fn an_empty_peer_tree_is_refused_mid_merge<S: TreeShape>(shape: S) {
+        let suite = CryptoSuite::fast_zero();
+        let view = View {
+            id: 1,
+            group: 0,
+            members: vec![0, 1, 2],
+            joined: vec![2],
+            left: vec![],
+        };
+        let mut engines = [0, 1, 2].map(|me| {
+            let mut p = TreeGka::with_shape(shape.clone());
+            let component: &[ClientId] = if me < 2 { &[0, 1] } else { &[2] };
+            p.bootstrap(&suite, component, me, 7).unwrap();
+            drive(me, &suite, |ctx| p.on_view(ctx, &view)).0.unwrap();
+            p
+        });
+        let [p, sponsors @ ..] = &mut engines;
+        let empty = S::to_msg(&KeyTree::new());
+        let (refused, _) = drive(0, &suite, |ctx| p.on_msg(ctx, 2, empty));
+        assert_eq!(
+            refused,
+            Err(GkaError::Protocol("a peer's key tree is empty"))
+        );
+        for sponsor in sponsors {
+            let component = S::to_msg(sponsor.tree());
+            drive(0, &suite, |ctx| p.on_msg(ctx, 1, component))
+                .0
+                .unwrap();
+        }
+        assert_eq!(p.tree().members(), view.members, "{}", S::KIND);
+    }
+
+    #[test]
+    fn an_empty_peer_tree_is_a_protocol_error_not_a_panic() {
+        let decoded = ProtocolMsg::decode(&[10, 2]).unwrap();
+        assert_eq!(decoded, TreePolicy::to_msg(&KeyTree::new()));
+        an_empty_peer_tree_is_refused_mid_merge(TreePolicy::Paper);
+        an_empty_peer_tree_is_refused_mid_merge(Skinny);
+    }
+
+    /// 30 random joins, leaves, merges and partitions: after each one
+    /// every member holds the same secret and the same public tree,
+    /// byte for byte as it would go on the wire.
+    fn random_events_keep_one_tree<S: TreeShape>(shape: S, seed: u64) {
+        let ids: Vec<ClientId> = (0..100).collect();
+        let factory = || Box::new(TreeGka::with_shape(shape.clone())) as Box<dyn GkaProtocol>;
+        let mut lb = Loopback::with_factory(factory, CryptoSuite::fast_zero(), &ids);
+        lb.bootstrap(&ids[..6], seed);
+        // Never reused: a leaver's engine keeps its stale tree.
+        let mut fresh = ids[6..].iter().copied();
+        let mut rng = SplitMix64::new(seed);
+        for event in 0..30 {
+            let view = lb.view().to_vec();
+            let many = 1 + rng.next_u64() as usize % 3;
+            let (joined, left) = if view.len() <= many + 1 || rng.next_u64().is_multiple_of(2) {
+                let joined: Vec<ClientId> = fresh.by_ref().take(many).collect();
+                // Half the arrivals of several are one component that
+                // formed elsewhere, the others singletons.
+                if many > 1 && rng.next_u64().is_multiple_of(2) {
+                    lb.bootstrap(&joined, seed + event);
+                }
+                (joined, vec![])
+            } else {
+                let at = rng.next_u64() as usize % (view.len() - many + 1);
+                (vec![], view[at..at + many].to_vec())
+            };
+            let mut members: Vec<ClientId> =
+                view.into_iter().filter(|m| !left.contains(m)).collect();
+            members.extend(&joined);
+            lb.install_view(members, joined, left);
+            lb.common_secret();
+            let public = |m: &ClientId| S::to_msg(lb.protocol_as::<TreeGka<S>>(*m).tree()).encode();
+            let first = public(&lb.view()[0]);
+            assert!(
+                lb.view().iter().all(|m| public(m) == first),
+                "event {event}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_shape_keeps_one_public_tree_and_one_secret() {
+        for seed in [3, 11] {
+            random_events_keep_one_tree(TreePolicy::Paper, seed);
+            random_events_keep_one_tree(TreePolicy::Avl, seed);
+            random_events_keep_one_tree(Skinny, seed);
+        }
+    }
+}

@@ -177,14 +177,7 @@ impl ProtocolMsg {
                 for list in [leaf_bkeys, internal_bkeys] {
                     e.u32(list.len() as u32);
                     for bk in list {
-                        match bk {
-                            Some(v) => {
-                                e.u8(1).ubig(v);
-                            }
-                            None => {
-                                e.u8(0);
-                            }
-                        }
+                        e.opt_ubig(bk.as_ref());
                     }
                 }
             }
@@ -292,12 +285,7 @@ impl ProtocolMsg {
                         });
                     }
                     for _ in 0..len {
-                        let flag = d.u8("bkey flag")?;
-                        list.push(if flag == 1 {
-                            Some(d.ubig("bkey")?)
-                        } else {
-                            None
-                        });
+                        list.push(d.opt_ubig("bkey")?);
                     }
                 }
                 let [leaf_bkeys, internal_bkeys] = lists;

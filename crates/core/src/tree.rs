@@ -1,4 +1,5 @@
-//! The binary key tree used by TGDH.
+//! The binary key tree behind TGDH and STR (the one driver over it is
+//! [`crate::protocols::tree_gka::TreeGka`]).
 //!
 //! Each node carries an optional secret key and an optional blinded key
 //! (`bkey = g^key`). Leaves belong to members (key = the member's
@@ -8,15 +9,20 @@
 //!
 //! All structural operations (merge insertion point, leaf deletion with
 //! sibling promotion) are deterministic, so every member derives an
-//! identical tree from identical inputs — the property TGDH relies on
-//! ("all members uniquely and independently determine the merge
+//! identical tree from identical inputs — the property both protocols
+//! rely on ("all members uniquely and independently determine the merge
 //! position", §4.3).
 //!
 //! Nodes expose a structural *fingerprint* — a hash over the subtree's
-//! leaf members and blinded session randoms — that the TGDH protocol
-//! uses to cache computed keys, mirroring the paper's observation that
+//! leaf members and blinded session randoms — that the driver uses to
+//! cache computed keys, mirroring the paper's observation that
 //! recomputation of already-known blinded keys can be optimized away
 //! (§5, "this computation can be removed for better efficiency").
+//!
+//! A tree decoded from the wire is at most 64 levels deep
+//! ([`KeyTree::decode`]), which bounds the recursive walks (`height`,
+//! `encode`); everything a skinny tree of view size goes through —
+//! members, fingerprints, grafting, removal — is a loop.
 
 use gkap_bignum::Ubig;
 use gkap_crypto::sha::{Digest, Sha256};
@@ -31,6 +37,11 @@ pub type NodeIdx = usize;
 /// [`KeyTree::adopt_bkeys`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StructureMismatch;
+
+/// The subtree fingerprints of one tree taken so far
+/// ([`KeyTree::fingerprint_once`]); valid until a leaf changes.
+#[derive(Debug, Default)]
+pub struct Fingerprints(Vec<Option<[u8; 32]>>);
 
 /// One node of the key tree.
 #[derive(Clone, PartialEq, Eq)]
@@ -137,22 +148,14 @@ impl KeyTree {
     /// The members at the leaves of the subtree rooted at `idx`, in
     /// left-to-right order.
     pub fn members_under(&self, idx: NodeIdx) -> Vec<ClientId> {
-        match self.nodes[idx].children {
-            None => vec![self.nodes[idx].member.expect("leaf has member")],
-            Some((l, r)) => {
-                let mut out = self.members_under(l);
-                out.extend(self.members_under(r));
-                out
-            }
-        }
+        self.preorder_from(Some(idx))
+            .filter_map(|i| self.nodes[i].member)
+            .collect()
     }
 
     /// All members of the tree, left-to-right.
     pub fn members(&self) -> Vec<ClientId> {
-        match self.root {
-            None => Vec::new(),
-            Some(r) => self.members_under(r),
-        }
+        self.root.map(|r| self.members_under(r)).unwrap_or_default()
     }
 
     /// The rightmost leaf of the subtree rooted at `idx`.
@@ -166,16 +169,18 @@ impl KeyTree {
 
     /// Finds a member's leaf.
     pub fn leaf_of(&self, member: ClientId) -> Option<NodeIdx> {
-        self.iter_live()
+        self.preorder()
             .find(|&i| self.nodes[i].member == Some(member))
     }
 
-    /// Iterator over live (reachable) node indices, preorder.
-    fn iter_live(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        let mut stack = Vec::new();
-        if let Some(r) = self.root {
-            stack.push(r);
-        }
+    /// The live (reachable) node indices in preorder: every parent
+    /// before its children, left subtree before right.
+    pub fn preorder(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.preorder_from(self.root)
+    }
+
+    fn preorder_from(&self, top: Option<NodeIdx>) -> impl Iterator<Item = NodeIdx> + '_ {
+        let mut stack = Vec::from_iter(top);
         std::iter::from_fn(move || {
             let cur = stack.pop()?;
             if let Some((l, r)) = self.nodes[cur].children {
@@ -202,7 +207,7 @@ impl KeyTree {
     /// `h2`: the shallowest, rightmost node `v` where a new internal
     /// node above `v` does not increase the tree height; the root if
     /// none exists (paper §4.3 footnote 5).
-    fn insertion_point(&self, h2: usize) -> NodeIdx {
+    pub fn insertion_point(&self, h2: usize) -> NodeIdx {
         let root = self.root();
         let h1 = self.height(root);
         // Collect candidates (depth, preorder position) — scan all live
@@ -210,9 +215,9 @@ impl KeyTree {
         // identify by the largest left-to-right position of the
         // subtree's rightmost leaf.
         let mut best: Option<(usize, usize, NodeIdx)> = None; // (depth, rightpos, idx)
-        let order: Vec<NodeIdx> = self.iter_live().collect();
+        let order: Vec<NodeIdx> = self.preorder().collect();
         let pos_of = |idx: NodeIdx| order.iter().position(|&x| x == idx).expect("live");
-        for v in self.iter_live() {
+        for v in self.preorder() {
             let d = self.depth(v);
             if d + 1 + self.height(v).max(h2) <= h1 {
                 let rp = pos_of(self.rightmost_leaf(v));
@@ -228,11 +233,9 @@ impl KeyTree {
         best.map(|(_, _, v)| v).unwrap_or(root)
     }
 
-    /// Merges `other` into `self` at the deterministic insertion point.
-    /// Returns the index of the new internal node (the merge point).
-    /// The `other` subtree is placed as the right child. All keys and
-    /// blinded keys on the path from the merge point to the root are
-    /// invalidated.
+    /// Merges `other` into `self` at the deterministic
+    /// [insertion point](KeyTree::insertion_point) — TGDH's rule; see
+    /// [`KeyTree::graft_at`] for what a merge does to the tree.
     ///
     /// # Panics
     ///
@@ -240,6 +243,18 @@ impl KeyTree {
     pub fn merge(&mut self, other: &KeyTree) -> NodeIdx {
         assert!(!other.is_empty(), "cannot merge an empty tree");
         let at = self.insertion_point(other.height(other.root()));
+        self.graft_at(at, other)
+    }
+
+    /// Puts a new internal node where `at` is, with `at` as its left
+    /// child and `other` as its right, and returns its index (the
+    /// merge point). All keys and blinded keys on the path from the
+    /// merge point to the root are invalidated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is empty or `at` is not a node of this tree.
+    pub fn graft_at(&mut self, at: NodeIdx, other: &KeyTree) -> NodeIdx {
         // Import other's nodes into our arena.
         let offset = self.nodes.len();
         for n in &other.nodes {
@@ -290,14 +305,10 @@ impl KeyTree {
 
     /// Removes members' leaves with sibling promotion, invalidating all
     /// affected paths. Removal proceeds in ascending member order so
-    /// every member derives the same final structure. Returns the
-    /// lowest invalidated node (by depth, rightmost on ties), if any —
-    /// the anchor the partition protocol uses to choose the refreshing
-    /// sponsor.
-    pub fn remove_members(&mut self, leaving: &[ClientId]) -> Option<NodeIdx> {
+    /// every member derives the same final structure.
+    pub fn remove_members(&mut self, leaving: &[ClientId]) {
         let mut leavers: Vec<ClientId> = leaving.to_vec();
         leavers.sort_unstable();
-        let mut anchor: Option<NodeIdx> = None;
         for m in leavers {
             let leaf = match self.leaf_of(m) {
                 Some(l) => l,
@@ -307,7 +318,7 @@ impl KeyTree {
                 None => {
                     // Lone member left the group; tree becomes empty.
                     self.root = None;
-                    return None;
+                    return;
                 }
                 Some(parent) => {
                     let sib = self.sibling(leaf).expect("leaf has parent");
@@ -317,14 +328,12 @@ impl KeyTree {
                         None => {
                             self.root = Some(sib);
                             self.invalidate_to_root(sib);
-                            anchor = Some(sib);
                         }
                         Some(g) => {
                             let (l, r) = self.nodes[g].children.expect("internal");
                             self.nodes[g].children =
                                 Some(if l == parent { (sib, r) } else { (l, sib) });
                             self.invalidate_to_root(g);
-                            anchor = Some(g);
                         }
                     }
                     // Unlink removed nodes defensively.
@@ -334,11 +343,6 @@ impl KeyTree {
                 }
             }
         }
-        // Re-derive the anchor deterministically: the deepest node with
-        // a missing blinded key whose children are intact (ties to the
-        // right).
-        let _ = anchor;
-        self.lowest_incomplete()
     }
 
     /// The deepest live internal node lacking a blinded key whose
@@ -346,7 +350,7 @@ impl KeyTree {
     /// next node the partition protocol can make progress on.
     pub fn lowest_incomplete(&self) -> Option<NodeIdx> {
         let mut best: Option<(usize, usize, NodeIdx)> = None;
-        for (pos, v) in self.iter_live().enumerate() {
+        for (pos, v) in self.preorder().enumerate() {
             let n = &self.nodes[v];
             let Some((l, r)) = n.children else { continue };
             if n.bkey.is_none() && self.nodes[l].bkey.is_some() && self.nodes[r].bkey.is_some() {
@@ -368,22 +372,44 @@ impl KeyTree {
     /// same fingerprint hold the same (sub)group state, so cached keys
     /// can be reused.
     pub fn fingerprint(&self, idx: NodeIdx) -> [u8; 32] {
-        let mut h = Sha256::new();
-        match self.nodes[idx].children {
-            None => {
-                h.update(b"leaf");
-                h.update(&(self.nodes[idx].member.expect("leaf") as u64).to_be_bytes());
-                if let Some(bk) = &self.nodes[idx].bkey {
-                    h.update(&bk.to_be_bytes());
+        self.fingerprint_once(idx, &mut Fingerprints::default())
+    }
+
+    /// [`KeyTree::fingerprint`] through a table that hashes each node
+    /// at most once — for a caller that asks about many nodes of a
+    /// tree whose leaves it does not change in between. A walk up one
+    /// path asks about every node on it, and from scratch each answer
+    /// re-hashes everything below: quadratic in the depth, and a
+    /// skinny tree is as deep as the group is large.
+    pub fn fingerprint_once(&self, idx: NodeIdx, seen: &mut Fingerprints) -> [u8; 32] {
+        seen.0.resize(self.nodes.len(), None);
+        let mut todo = vec![idx];
+        while let Some(&i) = todo.last() {
+            if seen.0[i].is_none() {
+                let mut h = Sha256::new();
+                match self.nodes[i].children {
+                    None => {
+                        h.update(b"leaf");
+                        h.update(&(self.nodes[i].member.expect("leaf") as u64).to_be_bytes());
+                        if let Some(bk) = &self.nodes[i].bkey {
+                            h.update(&bk.to_be_bytes());
+                        }
+                    }
+                    Some((l, r)) => {
+                        let (Some(left), Some(right)) = (seen.0[l], seen.0[r]) else {
+                            todo.extend([l, r]);
+                            continue;
+                        };
+                        h.update(b"node");
+                        h.update(&left);
+                        h.update(&right);
+                    }
                 }
+                seen.0[i] = Some(h.finalize().try_into().expect("32 bytes"));
             }
-            Some((l, r)) => {
-                h.update(b"node");
-                h.update(&self.fingerprint(l));
-                h.update(&self.fingerprint(r));
-            }
+            todo.pop();
         }
-        h.finalize().try_into().expect("32 bytes")
+        seen.0[idx].expect("the loop hashed the bottom of its stack last")
     }
 
     /// Serializes structure + blinded keys (never secret keys).
@@ -393,27 +419,11 @@ impl KeyTree {
                 None => {
                     enc.u8(0);
                     enc.u32(tree.nodes[idx].member.expect("leaf") as u32);
-                    match &tree.nodes[idx].bkey {
-                        Some(bk) => {
-                            enc.u8(1);
-                            enc.ubig(bk);
-                        }
-                        None => {
-                            enc.u8(0);
-                        }
-                    }
+                    enc.opt_ubig(tree.nodes[idx].bkey.as_ref());
                 }
                 Some((l, r)) => {
                     enc.u8(1);
-                    match &tree.nodes[idx].bkey {
-                        Some(bk) => {
-                            enc.u8(1);
-                            enc.ubig(bk);
-                        }
-                        None => {
-                            enc.u8(0);
-                        }
-                    }
+                    enc.opt_ubig(tree.nodes[idx].bkey.as_ref());
                     rec(tree, l, enc);
                     rec(tree, r, enc);
                 }
@@ -447,10 +457,7 @@ impl KeyTree {
             match tag {
                 0 => {
                     let member = dec.u32("leaf member")? as ClientId;
-                    let bkey = match dec.u8("leaf bkey flag")? {
-                        1 => Some(dec.ubig("leaf bkey")?),
-                        _ => None,
-                    };
+                    let bkey = dec.opt_ubig("leaf bkey")?;
                     Ok(tree.push(Node {
                         parent: None,
                         children: None,
@@ -460,10 +467,7 @@ impl KeyTree {
                     }))
                 }
                 1 => {
-                    let bkey = match dec.u8("node bkey flag")? {
-                        1 => Some(dec.ubig("node bkey")?),
-                        _ => None,
-                    };
+                    let bkey = dec.opt_ubig("node bkey")?;
                     let lt = dec.u8("tree node tag")?;
                     let l = parse(tree, dec, lt, depth + 1)?;
                     let rt = dec.u8("tree node tag")?;
@@ -504,8 +508,8 @@ impl KeyTree {
     /// tree that differs is a protocol violation — for the caller to
     /// report, not a reason to abort the process.
     pub fn adopt_bkeys(&mut self, other: &KeyTree) -> Result<usize, StructureMismatch> {
-        let mine: Vec<NodeIdx> = self.iter_live().collect();
-        let theirs: Vec<NodeIdx> = other.iter_live().collect();
+        let mine: Vec<NodeIdx> = self.preorder().collect();
+        let theirs: Vec<NodeIdx> = other.preorder().collect();
         // Preorder with each node's member (`None` for an internal
         // node) determines a full binary tree.
         let same = mine.len() == theirs.len()
@@ -613,7 +617,7 @@ impl KeyTree {
             // Deepest unbalanced node first (post-order style scan).
             let mut worst: Option<(usize, NodeIdx)> = None;
             let live: Vec<NodeIdx> = {
-                let mut v: Vec<NodeIdx> = self.iter_live().collect();
+                let mut v: Vec<NodeIdx> = self.preorder().collect();
                 v.reverse();
                 v
             };
@@ -841,17 +845,14 @@ mod tests {
 
     #[test]
     fn rebalance_flattens_a_chain() {
-        // Build a pathological chain by always merging at the root.
+        // Build a pathological chain by always grafting at the root.
         let mut t = KeyTree::singleton(0, None, bk(100));
         for m in 1..16 {
-            // Force-merge as root sibling: temporarily use a tall
-            // second tree so insertion_point falls back to the root.
             let s = KeyTree::singleton(m, None, bk(100 + m as u64));
-            let at = t.root();
-            let _ = at;
-            t.merge(&s);
+            t.graft_at(t.root(), &s);
         }
         let before = t.height(t.root());
+        assert_eq!(before, 15);
         let rotations = t.rebalance();
         let after = t.height(t.root());
         assert!(after <= before);
