@@ -8,7 +8,7 @@
 //! it needs and returns a value this file acts on:
 //!
 //! ```text
-//!                 engine  (Ev, dispatch, fast-forward, handlers, API)
+//!                 engine  (Ev, dispatch, quiet skip, handlers, API)
 //!      ┌─────────────┬──┴──────────┬─────────────────┐
 //!    ring        membership     recovery ──▶ ring   loss
 //!  sequencing,   views, FIFO    windows, EWMA,      base × chain ×
@@ -34,6 +34,29 @@
 //! granularity, the dispatch counters, RNG draws and the order of
 //! every handler call are what one entry per copy gave; only the heap
 //! traffic is not.
+//!
+//! # A quiet rotation is not an event
+//!
+//! Most of a run the ring has nothing to do: the group is idle, or its
+//! members are computing (a 512-bit exponentiation is milliseconds, a
+//! LAN rotation 0.65 ms). A token visit then forwards the token and —
+//! at the ring head — counts a rotation; nothing else in the world can
+//! change before the next *other* event is due. There is one rule for
+//! such a stretch, applied where the token is popped
+//! (`SimWorld::skip_quiet_rotations`): the whole rotations that fit
+//! before that event (or the caller's `t`) are replayed in O(ring) —
+//! the rotation counters, and with a sink attached the dispatch
+//! counters, the rotation-interval samples and **one**
+//! [`EventKind::IdleRotations`] — the token is re-queued after them,
+//! and the partial rotation that remains is stepped. The rule does not
+//! ask whether telemetry is on, whether anything is in flight or how
+//! long the stretch is. It runs in [`SimWorld::run_until`] and
+//! [`SimWorld::run_until_quiescent`], whose callers cannot observe a
+//! hop; [`SimWorld::step`] and [`SimWorld::run_while`] dispatch every
+//! hop, so a predicate or a step count sees each one.
+//! [`SimWorld::set_idle_fast_forward`] turns it off: the stepping
+//! reference that `tests/quiet_skip.rs` and `tests/fast_forward.rs`
+//! hold it to, state for state.
 
 use std::rc::Rc;
 
@@ -193,9 +216,9 @@ pub struct SimWorld {
     /// Virtual instant of the previous completed token rotation, for
     /// the rotation-interval histogram.
     last_rotation_at: Option<SimTime>,
-    /// When `true` (the default), [`SimWorld::run_until`] skips whole
-    /// idle token rotations analytically instead of dispatching each
-    /// hop as an event. Observable state is identical either way; see
+    /// When `true` (the default), [`SimWorld::run_until`] and
+    /// [`SimWorld::run_until_quiescent`] replay the whole rotations of
+    /// a quiet stretch instead of dispatching each hop; see
     /// [`SimWorld::set_idle_fast_forward`].
     idle_fast_forward: bool,
     /// State this world's clients share through
@@ -585,22 +608,44 @@ impl SimWorld {
 
     /// Processes one event — of a fan-out, one copy: a message reaching
     /// one daemon, or being handed to one client. Returns `false` when
-    /// the world is quiescent (only the idle token remains).
+    /// the world is quiescent (only the idle token remains). Every
+    /// token hop is a step: nothing is skipped here.
     pub fn step(&mut self) -> bool {
         !self.quiescent() && self.advance()
     }
 
-    /// Dispatches the next target of the open run or, without one, of
-    /// the next queue entry. `false` when the queue is empty.
+    /// What is dispatched next: the next target of the open run or,
+    /// without one, the next queue entry. `None` when the queue is
+    /// empty.
+    fn take_next(&mut self) -> Option<(Ev, usize)> {
+        match self.open.take() {
+            Some(run) => Some((run.ev, run.next)),
+            None => self.queue.pop().map(|(_, ev)| (ev, 0)),
+        }
+    }
+
+    /// Dispatches the next target or queue entry, whatever it is.
+    /// `false` when the queue is empty.
     fn advance(&mut self) -> bool {
-        let (ev, at) = match self.open.take() {
-            Some(run) => (run.ev, run.next),
-            None => match self.queue.pop() {
-                Some((_, ev)) => (ev, 0),
-                None => return false,
-            },
+        let Some((ev, at)) = self.take_next() else {
+            return false;
         };
         self.dispatch(ev, at);
+        true
+    }
+
+    /// [`SimWorld::advance`] for the loops whose callers cannot observe
+    /// a token hop: when what comes next is the token entering a quiet
+    /// stretch, the stretch's whole rotations — up to the caller's
+    /// `limit`, if it has one — are replayed instead of dispatched
+    /// (see [`SimWorld::skip_quiet_rotations`]).
+    fn advance_skipping(&mut self, limit: Option<SimTime>) -> bool {
+        let Some((ev, at)) = self.take_next() else {
+            return false;
+        };
+        if !self.skip_quiet_rotations(&ev, limit) {
+            self.dispatch(ev, at);
+        }
         true
     }
 
@@ -613,9 +658,11 @@ impl SimWorld {
     }
 
     /// Runs until no work remains (the token keeps circulating but
-    /// nothing else is pending).
+    /// nothing else is pending). While the members compute, the token
+    /// is not stepped round the ring hop by hop: see
+    /// [`SimWorld::set_idle_fast_forward`].
     pub fn run_until_quiescent(&mut self) {
-        while self.step() {}
+        while !self.quiescent() && self.advance_skipping(None) {}
     }
 
     /// Advances virtual time to `t`, processing every event scheduled
@@ -624,66 +671,128 @@ impl SimWorld {
     /// workload drivers to reach a scheduled injection instant. A `t`
     /// in the past is a no-op.
     pub fn run_until(&mut self, t: SimTime) {
-        self.try_fast_forward_idle(t);
-        while self.next_at().is_some_and(|pt| pt <= t) && self.advance() {}
+        while self.next_at().is_some_and(|pt| pt <= t) && self.advance_skipping(Some(t)) {}
     }
 
-    /// Enables or disables the idle-token fast-forward (on by
-    /// default). When the world is quiescent, an idle token visit only
-    /// performs ring-head bookkeeping and forwards itself, so
-    /// [`SimWorld::run_until`] can skip whole rotations analytically —
-    /// the final partial rotation is always stepped, which makes the
-    /// clock, stats, and every future event instant identical to the
-    /// fully stepped execution. Disable to force stepping (e.g. when
-    /// comparing the two paths).
+    /// Enables or disables the quiet-stretch skip of
+    /// [`SimWorld::run_until`] and [`SimWorld::run_until_quiescent`]
+    /// (on by default).
+    ///
+    /// A token visit on a *quiet* ring — nothing to sequence, deliver,
+    /// recover or install, no membership change running, every ring
+    /// member alive — does ring-head bookkeeping and forwards the
+    /// token. Until the next other event is due (or the caller's `t`),
+    /// nothing but such visits can run, so the two loops whose callers
+    /// cannot observe a hop replay the whole rotations that fit
+    /// analytically and step only the partial rotation after them. The
+    /// stretch may be a long idle or the milliseconds a member spends
+    /// computing; telemetry may be attached or not (an attached sink
+    /// receives one [`EventKind::IdleRotations`] per stretch and the
+    /// counters and histogram samples of every skipped hop). The
+    /// clock, [`WorldStats`], every later event instant and tie-break,
+    /// and the metrics hub are those of the stepped execution.
+    /// [`SimWorld::step`] and [`SimWorld::run_while`] dispatch every
+    /// hop regardless, so a predicate sees each one.
+    ///
+    /// Turn it off to force stepping — the reference the equivalence
+    /// tests compare against.
     pub fn set_idle_fast_forward(&mut self, on: bool) {
         self.idle_fast_forward = on;
     }
 
-    /// Skips whole idle token rotations up to (but never beyond) `t`.
+    /// The quiet-stretch rule, applied to the event just popped.
+    /// Returns `true` if `ev` was the token and has been re-queued
+    /// `k ≥ 1` whole rotations later with their effects replayed;
+    /// `false` leaves everything untouched and `ev` to be dispatched.
     ///
-    /// Applies only in the strictly idle regime: the world is
-    /// quiescent, telemetry is off (an enabled sink counts per-event
-    /// dispatches, which skipping would under-report), and the queue
-    /// holds exactly the one live token (an open run keeps the world
-    /// non-quiescent until its last target). A full rotation then costs
-    /// `sum(hop + token_processing)` around the ring and its only
-    /// effects are `token_rotations` and `last_rotation_at`, which are
-    /// replayed analytically; the token event is moved forward by a
-    /// whole number of periods so the stepped tail reproduces the
-    /// exact event instants of a fully stepped run.
-    fn try_fast_forward_idle(&mut self, t: SimTime) {
-        let strictly_idle = self.idle_fast_forward
-            && !self.telemetry.is_enabled()
-            && self.queue.len() == 1
-            && self.quiescent()
-            && self.queue.peek_time().is_some_and(|pt| pt <= t);
-        if !strictly_idle {
-            return;
+    /// The stretch is quiet when `ev` is the live token and
+    ///
+    /// * no membership change is active or queued — a head pass spends
+    ///   a round of each running change;
+    /// * the ring is flushed — nothing is pending and every alive
+    ///   daemon has delivered everything sequenced, hence no daemon
+    ///   has a gap, no report moves the aru, nothing stable waits and
+    ///   no install is due;
+    /// * every daemon of the ring order is alive — a crashed daemon
+    ///   the survivors have not detected yet swallows the token.
+    ///
+    /// No run is open (`ev` came off the queue, and the token is never
+    /// part of one). The token is out of the heap here, so
+    /// `peek_time` is the earliest *other* event: until the earlier of
+    /// it and the caller's bound only token visits run, each of which
+    /// schedules nothing but the next hop. Re-queued, the token sits
+    /// behind every event already queued for its new instant — where
+    /// the last of the skipped hops would have put it.
+    fn skip_quiet_rotations(&mut self, ev: &Ev, limit: Option<SimTime>) -> bool {
+        let &Ev::Token { daemon, gen } = ev else {
+            return false;
+        };
+        let quiet = self.idle_fast_forward
+            && self.ring.token_live_at(daemon, gen)
+            && self.ring.flushed()
+            && !self.membership.busy()
+            && self.ring.order().iter().all(|&d| self.ring.is_alive(d));
+        if !quiet {
+            return false;
         }
-        let Some((a0, ev)) = self.queue.pop() else {
-            return;
+        let a0 = self.queue.now();
+        // The stretch ends at the caller's limit or the next other
+        // event, whichever is first; with neither, nothing bounds it.
+        let Some(bound) = limit.into_iter().chain(self.queue.peek_time()).min() else {
+            return false;
         };
-        let skip = match ev {
-            Ev::Token { daemon, gen } if self.ring.token_live_at(daemon, gen) => {
-                self.idle_rotations_before(daemon, a0, t)
-            }
-            _ => None,
+        let Some((k, period, offset)) = self.idle_rotations_before(daemon, a0, bound) else {
+            return false;
         };
-        let Some((k, period, offset)) = skip else {
-            self.queue.schedule_at(a0, ev);
-            return;
-        };
-        // Head arrivals in `[a0, a0 + k*period)`: exactly `k` of them,
-        // at `a0 + offset + j*period` for `j` in `0..k`.
+        let visits = k * self.ring.order().len() as u64;
+
+        // What `dispatch` counts per visit.
+        self.telemetry
+            .metric_inc(Key::new(Layer::Sim, "events_dispatched"), visits);
+        self.telemetry
+            .metric_inc(Key::new(Layer::Sim, "ev_token"), visits);
+        let outstanding = self.outstanding;
+        self.telemetry
+            .gauge_max(Key::new(Layer::Sim, "outstanding_peak"), || {
+                outstanding as f64
+            });
+
+        // What `on_rotation` does per head arrival: exactly `k` in
+        // `[a0, a0 + k * period)`, at `first_at + j * period`.
+        let first_at = a0 + offset;
+        let first = self.stats.token_rotations + 1;
         self.stats.token_rotations += k;
-        self.last_rotation_at =
-            Some(a0 + offset + Duration::from_nanos((k - 1) * period.as_nanos()));
+        if let Some(&head) = self.ring.order().first() {
+            self.telemetry.record(|| Event {
+                at: first_at,
+                dur: period * k,
+                actor: Actor::Daemon(head),
+                kind: EventKind::IdleRotations { first, count: k },
+            });
+        }
+        let interval = Key::new(Layer::Gcs, "token_rotation_ms");
+        if let Some(prev) = self.last_rotation_at {
+            self.telemetry
+                .metric_observe(interval, || first_at.since(prev).as_millis_f64());
+        }
+        self.telemetry
+            .metric_observe_n(interval, k - 1, || period.as_millis_f64());
+        self.last_rotation_at = Some(first_at + period * (k - 1));
+
+        // What `on_token` does per visit besides forwarding: the loss
+        // estimator sees a gap-free visit.
+        if self.cfg.fec_adaptive {
+            for &d in self.ring.order() {
+                self.recovery.observe_clean_visits(&self.cfg, d, k);
+            }
+        }
+
         self.queue
-            .schedule_at(a0 + Duration::from_nanos(k * period.as_nanos()), ev);
+            .schedule_at(a0 + period * k, Ev::Token { daemon, gen });
+        true
     }
 
-    /// How many whole idle rotations (at least one) fit between the
+    /// How many whole quiet rotations (at least one) fit between the
     /// token's arrival at `daemon` at `a0` and `t`: `(count, period,
     /// delay from a0 to the ring head's first arrival)`.
     fn idle_rotations_before(
@@ -694,7 +803,7 @@ impl SimWorld {
     ) -> Option<(u64, Duration, Duration)> {
         let ring = self.ring.order();
         let pos0 = ring.iter().position(|&d| d == daemon)?;
-        // One idle rotation starting from `pos0`: per hop the token is
+        // One quiet rotation starting from `pos0`: per hop the token is
         // held for `token_processing` (nothing is sequenced) and then
         // travels the inter-machine latency. `offset` is the delay
         // from `a0` until the ring head's arrival (zero when the token
@@ -1455,6 +1564,88 @@ mod tests {
             }
         }
         (world, runs)
+    }
+
+    #[test]
+    fn a_skip_replays_what_its_hops_would_have_done() {
+        // One client that computes for 3 ms before it multicasts
+        // twice: from its view hand-over on, the ring is quiet and two
+        // submissions are in flight. The next `advance` pops the token.
+        struct Thinker;
+        impl Client for Thinker {
+            fn on_view(&mut self, ctx: &mut ClientCtx<'_>, _view: &View) {
+                ctx.charge_cpu(Duration::from_millis(3));
+                ctx.multicast_agreed(vec![7; 40]);
+                ctx.multicast_agreed(vec![8; 40]);
+            }
+            fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
+        }
+        let thinking = || {
+            let mut world = SimWorld::new(testbed::lan());
+            world.set_telemetry(Telemetry::enabled());
+            world.add_client_on(Box::new(Thinker), 4);
+            world.install_initial_view();
+            while world.clients[0].busy_until == SimTime::ZERO {
+                assert!(world.step());
+            }
+            assert_eq!(world.outstanding, 2, "the submissions");
+            world
+        };
+        let state = |world: &SimWorld| {
+            (
+                format!("{:?}", world.stats),
+                world.last_rotation_at,
+                world.queue.peek_time(),
+                world.queue.len(),
+                gkap_telemetry::jsonl::render_hub(&world.telemetry.hub_snapshot()),
+            )
+        };
+
+        let mut skipped = thinking();
+        let rotations = skipped.stats.token_rotations;
+        assert!(skipped.advance_skipping(None));
+        let k = skipped.stats.token_rotations - rotations;
+        assert_eq!(k, 4, "3 ms and a bit, at 0.65 ms a rotation");
+        // The hops it stands for, one dispatch each: the hub (the
+        // peak of in-flight events only a token dispatch can see
+        // here, the first rotation interval measured from the last
+        // stepped head arrival), the counters, and a token queued for
+        // the same instant.
+        let mut stepped = thinking();
+        for _ in 0..k * 13 {
+            assert!(stepped.advance());
+        }
+        assert_eq!(state(&skipped), state(&stepped));
+        let peak = Key::new(Layer::Sim, "outstanding_peak");
+        assert_eq!(skipped.telemetry.hub_snapshot().gauge(peak), Some(2.0));
+        // One event for the four.
+        let events = skipped.telemetry.events();
+        assert_eq!(events.len() + 3, stepped.telemetry.events().len());
+        let head_at = stepped.telemetry.events()[events.len() - 1].at;
+        assert_eq!(
+            events.last(),
+            Some(&Event {
+                at: head_at,
+                dur: Duration::from_micros(4 * 650),
+                actor: Actor::Daemon(0),
+                kind: EventKind::IdleRotations {
+                    first: rotations + 1,
+                    count: 4
+                },
+            })
+        );
+        // A caller's `t` before the next event ends the stretch
+        // there; a `step()` takes one hop.
+        let mut bounded = thinking();
+        let t = bounded.now() + Duration::from_micros(1_400);
+        assert!(bounded.advance_skipping(Some(t)));
+        assert_eq!(bounded.stats.token_rotations, rotations + 2);
+        let mut one_hop = thinking();
+        assert!(one_hop.step());
+        assert_eq!(
+            one_hop.queue.peek_time(),
+            Some(one_hop.now() + Duration::from_micros(50))
+        );
     }
 
     #[test]

@@ -133,14 +133,25 @@ impl Recovery {
     /// rotation. Decay back down still follows the EWMA, keeping
     /// parity raised across the quiet gaps inside a burst.
     pub(crate) fn observe_gap(&mut self, cfg: &GcsConfig, daemon: DaemonId, sample: f64) {
-        let a = cfg.loss_ewma_alpha;
         let estimate = self.loss_ewma.entry(daemon).or_insert(0.0);
-        let blended = a * sample + (1.0 - a) * *estimate;
-        *estimate = if cfg.fec_fast_attack {
-            blended.max(sample)
-        } else {
-            blended
-        };
+        *estimate = folded(cfg, *estimate, sample);
+    }
+
+    /// `visits` consecutive gap-free token visits of `daemon` at once:
+    /// what that many [`Recovery::observe_gap`] calls with a zero
+    /// sample leave. The estimate is decayed step by step (so it is
+    /// the stepped value bit for bit) until the steps run out or one
+    /// stops moving it: at zero, or on a subnormal that `1 - alpha`
+    /// rounds back to itself.
+    pub(crate) fn observe_clean_visits(&mut self, cfg: &GcsConfig, daemon: DaemonId, visits: u64) {
+        let estimate = self.loss_ewma.entry(daemon).or_insert(0.0);
+        for _ in 0..visits {
+            let next = folded(cfg, *estimate, 0.0);
+            if next == *estimate {
+                break;
+            }
+            *estimate = next;
+        }
     }
 
     /// Parity shards to append to a generation of `k` data messages:
@@ -255,6 +266,18 @@ impl Recovery {
             self.fec_buf.remove(&(daemon, first));
         }
         repaired.unwrap_or_default()
+    }
+}
+
+/// A loss estimate after one more `sample`: the EWMA blend, or — under
+/// fast attack — the sample itself when that is higher.
+fn folded(cfg: &GcsConfig, estimate: f64, sample: f64) -> f64 {
+    let a = cfg.loss_ewma_alpha;
+    let blended = a * sample + (1.0 - a) * estimate;
+    if cfg.fec_fast_attack {
+        blended.max(sample)
+    } else {
+        blended
     }
 }
 
@@ -517,6 +540,31 @@ mod tests {
             (decayed - 0.8).abs() < 1e-12,
             "slow decay expected, got {decayed}"
         );
+    }
+
+    #[test]
+    fn clean_visits_at_once_decay_like_clean_visits_one_by_one() {
+        for fast_attack in [false, true] {
+            let mut cfg = adaptive(0, 4);
+            cfg.fec_fast_attack = fast_attack;
+            // 10 000 visits run past the point where the estimate
+            // stops moving (a few thousand at alpha = 0.2).
+            for visits in [0, 1, 7, 10_000] {
+                let (mut at_once, mut one_by_one) = (Recovery::new(&cfg), Recovery::new(&cfg));
+                for r in [&mut at_once, &mut one_by_one] {
+                    r.observe_gap(&cfg, 3, 0.7);
+                }
+                at_once.observe_clean_visits(&cfg, 3, visits);
+                at_once.observe_clean_visits(&cfg, 5, visits);
+                for _ in 0..visits {
+                    one_by_one.observe_gap(&cfg, 3, 0.0);
+                    one_by_one.observe_gap(&cfg, 5, 0.0);
+                }
+                let bits = |r: &Recovery, d| r.loss_ewma.get(&d).map(|e: &f64| e.to_bits());
+                assert_eq!(bits(&at_once, 3), bits(&one_by_one, 3), "{visits}");
+                assert_eq!(bits(&at_once, 5).unwrap_or(0), 0, "never-lossy stays zero");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@ struct Witness {
     views: Vec<(SimTime, Vec<usize>)>,
     deliveries: Vec<(SimTime, usize)>,
     send_on_view: bool,
+    /// 100-byte multicasts sent on every view.
+    burst_on_view: usize,
 }
 
 impl Client for Witness {
@@ -18,6 +20,9 @@ impl Client for Witness {
         self.views.push((ctx.now(), view.members.clone()));
         if self.send_on_view {
             ctx.multicast_agreed(vec![1u8, 2, 3]);
+        }
+        for i in 0..self.burst_on_view {
+            ctx.multicast_agreed(vec![i as u8; 100]);
         }
     }
 
@@ -114,4 +119,55 @@ fn fast_forward_skips_are_cheap_and_exact_over_long_horizons() {
     world.inject_change(vec![6], vec![]);
     world.run_until_quiescent();
     assert_eq!(world.view().map(|v| v.members.len()), Some(7));
+}
+
+/// What the adaptive-FEC world below leaves behind: `(end of run,
+/// parity shards sent, parity bytes sent)` and every delivery.
+type ParityOutcome = ((SimTime, u64, u64), Vec<(SimTime, usize)>);
+
+/// A lossy LAN under the loss-adaptive parity controller: every member
+/// multicasts three times per view, so the bootstrap raises the loss
+/// estimate; then 50 ms of idle ring, one join, and the same traffic
+/// again in the new view.
+fn adaptive_parity_after_idle(fast_forward: bool) -> ParityOutcome {
+    let mut cfg = testbed::lan();
+    cfg.loss_rate = 0.05;
+    cfg.fec_adaptive = true;
+    cfg.fec_fast_attack = true;
+    let mut world = SimWorld::new(cfg);
+    world.set_idle_fast_forward(fast_forward);
+    for _ in 0..8 {
+        world.add_client(Box::new(Witness {
+            burst_on_view: 3,
+            ..Witness::default()
+        }));
+    }
+    world.install_initial_view_of((0..6).collect());
+    world.run_until_quiescent();
+    let t0 = world.now();
+    world.run_until(t0 + Duration::from_millis(50));
+    world.inject_join(6);
+    world.run_until_quiescent();
+    let stats = world.stats();
+    let headline = (
+        world.now(),
+        stats.parity_shards_sent,
+        stats.parity_bytes_sent,
+    );
+    let deliveries = (0..8).flat_map(|c| world.client::<Witness>(c).deliveries.clone());
+    (headline, deliveries.collect())
+}
+
+#[test]
+fn the_loss_estimate_decays_across_a_skipped_stretch() {
+    // Every token visit on an adaptive ring folds the gap it sees — on
+    // an idle ring, zero — into the visited daemon's loss estimate. A
+    // skip that dropped those decays kept parity raised after the
+    // idle: the rule this one replaced sent 312 shards / 46 488 B here
+    // and finished at 57.135 ms.
+    let (stepped, stepped_deliveries) = adaptive_parity_after_idle(false);
+    assert_eq!(stepped, (SimTime::from_nanos(57_925_000), 228, 33_972));
+    let (skipped, skipped_deliveries) = adaptive_parity_after_idle(true);
+    assert_eq!(skipped, stepped, "(end, parity shards, parity bytes)");
+    assert_eq!(skipped_deliveries, stepped_deliveries);
 }

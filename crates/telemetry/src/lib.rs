@@ -33,6 +33,7 @@
 //! | `ProtocolRound` | protocol driver | a numbered round of a GKA protocol started by a member |
 //! | `CryptoOp` | crypto suite | one charged primitive (modexp, sign, …) with its virtual duration |
 //! | `TokenRotation` | GCS engine | the ring token completed a full rotation |
+//! | `IdleRotations` | GCS engine | `count` consecutive rotations of a quiet ring, skipped by the engine and recorded as one event (`dur` spans them all) |
 //! | `Retransmit` | GCS engine | a daemon answered a missed-sequence retransmission request |
 //! | `FecRepair` | GCS engine | a daemon reconstructed a missing message from FEC parity shards |
 //! | `Sequenced` | GCS engine | a message obtained its Agreed-order sequence number |
@@ -161,6 +162,19 @@ pub enum EventKind {
         /// Rotation ordinal since simulation start.
         rotation: u64,
     },
+    /// `count` consecutive full rotations of a quiet ring — nothing to
+    /// sequence, deliver, recover or install, every daemon alive —
+    /// which the engine replayed instead of stepping. Stands for the
+    /// `count` [`EventKind::TokenRotation`]s with ordinals `first..`
+    /// that stepping records at the same actor, evenly spaced over
+    /// the event's `dur` from its `at`: rotation `first + i` at
+    /// `at + i * dur / count`.
+    IdleRotations {
+        /// Ordinal of the first rotation of the stretch.
+        first: u64,
+        /// Number of rotations (at least one).
+        count: u64,
+    },
     /// A retransmission of sequence `seq` was sent to a daemon that
     /// missed it.
     Retransmit {
@@ -229,6 +243,7 @@ impl EventKind {
             EventKind::ProtocolRound { .. } => "protocol_round",
             EventKind::CryptoOp { .. } => "crypto_op",
             EventKind::TokenRotation { .. } => "token_rotation",
+            EventKind::IdleRotations { .. } => "idle_rotations",
             EventKind::Retransmit { .. } => "retransmit",
             EventKind::FecRepair { .. } => "fec_repair",
             EventKind::Sequenced { .. } => "sequenced",
@@ -284,6 +299,9 @@ impl Recorder {
             }
             EventKind::TokenRotation { .. } => {
                 self.hub.inc(Key::new(Layer::Gcs, "token_rotation"), 1);
+            }
+            EventKind::IdleRotations { count, .. } => {
+                self.hub.inc(Key::new(Layer::Gcs, "token_rotation"), *count);
             }
             EventKind::Retransmit { .. } => {
                 self.hub.inc(Key::new(Layer::Gcs, "retransmit"), 1);
@@ -414,6 +432,16 @@ impl Telemetry {
         }
     }
 
+    /// Records the sample produced by `f` `n` times into a typed
+    /// histogram, as `n` calls of [`Telemetry::metric_observe`] would —
+    /// `f` only runs when enabled.
+    #[inline]
+    pub fn metric_observe_n(&self, key: Key, n: u64, f: impl FnOnce() -> f64) {
+        if let Some(rec) = &self.inner {
+            rec.borrow_mut().hub.observe_n(key, f(), n);
+        }
+    }
+
     /// Raises a typed gauge to the value produced by `f` (peak
     /// tracking) — `f` only runs when enabled.
     #[inline]
@@ -508,5 +536,17 @@ mod tests {
         assert_eq!(gcs("sequenced"), 1);
         assert_eq!(t.metric(Key::new(Layer::Protocol, "unicast")), 1);
         assert_eq!(t.metric(Key::new(Layer::Protocol, "multicast")), 0);
+        // A skipped stretch counts every rotation it stands for.
+        t.record(|| {
+            ev(
+                3,
+                EventKind::IdleRotations {
+                    first: 2,
+                    count: 40,
+                },
+            )
+        });
+        assert_eq!(gcs("token_rotation"), 41);
+        assert_eq!(t.events().len(), 6, "one event, not forty");
     }
 }

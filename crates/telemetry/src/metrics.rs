@@ -179,20 +179,30 @@ impl LogHistogram {
     /// non-finite values count toward `count` but only clamp min/max
     /// when finite.
     pub fn record(&mut self, v: f64) {
-        self.count += 1;
+        self.record_n(v, 1);
+    }
+
+    /// Records the sample `v` `n` times in one step: the state `n`
+    /// calls of [`LogHistogram::record`] leave, at the cost of one
+    /// (`n = 0` records nothing).
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
         if v.is_finite() {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
         if !v.is_finite() || v < self.bounds[0] {
-            self.underflow += 1;
+            self.underflow += n;
             return;
         }
         // partition_point returns how many bounds are <= v; the sample
         // belongs to the last such bucket.
         let idx = self.bounds.partition_point(|b| *b <= v);
         let idx = idx.saturating_sub(1).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
+        self.buckets[idx] += n;
     }
 
     /// Number of samples recorded.
@@ -354,7 +364,16 @@ impl MetricsHub {
     /// Records a sample into the keyed histogram (default shape on
     /// first use).
     pub fn observe(&mut self, key: Key, v: f64) {
-        self.histograms.entry(key).or_default().record(v);
+        self.observe_n(key, v, 1);
+    }
+
+    /// Records the sample `v` `n` times into the keyed histogram, as
+    /// `n` calls of [`MetricsHub::observe`] would (`n = 0` leaves the
+    /// hub untouched: no empty histogram appears).
+    pub fn observe_n(&mut self, key: Key, v: f64, n: u64) {
+        if n > 0 {
+            self.histograms.entry(key).or_default().record_n(v, n);
+        }
     }
 
     /// The keyed histogram, if any sample was recorded.

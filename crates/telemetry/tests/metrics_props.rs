@@ -23,7 +23,66 @@ fn hist_of(samples: &[u64]) -> LogHistogram {
     h
 }
 
+/// A sample from the ordinary range, or — for one `raw` in eight — one
+/// of the values `record` treats specially: non-finite, negative, zero,
+/// below the base, beyond the top bucket.
+fn any_sample(raw: u64) -> f64 {
+    const ODD: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -3.0,
+        0.0,
+        0.009_999,
+        1e300,
+        f64::MIN_POSITIVE,
+    ];
+    match raw % 8 {
+        0 => ODD[(raw / 8 % 8) as usize],
+        _ => sample(raw),
+    }
+}
+
 proptest! {
+    /// `record_n(v, n)` is `n` × `record(v)`, whatever came before and
+    /// whatever `v` is; `n = 0` changes nothing.
+    #[test]
+    fn record_n_equals_repeated_record(before in proptest::collection::vec(0u64..1_000_000, 0..40),
+                                       runs in proptest::collection::vec((0u64..1_000_000, 0u64..50), 0..40)) {
+        let mut bulk = hist_of(&before);
+        let mut one_by_one = bulk.clone();
+        for &(raw, n) in &runs {
+            let v = any_sample(raw);
+            let untouched = bulk.clone();
+            bulk.record_n(v, n);
+            if n == 0 {
+                prop_assert_eq!(&bulk, &untouched, "n = 0 must be a no-op");
+            }
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            prop_assert_eq!(&bulk, &one_by_one, "after {} x {}", n, v);
+        }
+        prop_assert_eq!(bulk.summary(), one_by_one.summary());
+    }
+
+    /// The hub forwards: `observe_n` is `n` × `observe`, and with
+    /// `n = 0` it does not even create the histogram.
+    #[test]
+    fn hub_observe_n_equals_repeated_observe(runs in proptest::collection::vec((0u64..4, 0u64..1_000_000, 0u64..20), 0..60)) {
+        let (mut bulk, mut one_by_one) = (MetricsHub::new(), MetricsHub::new());
+        for &(k, raw, n) in &runs {
+            let key = KEYS[(k % 4) as usize];
+            bulk.observe_n(key, any_sample(raw), n);
+            for _ in 0..n {
+                one_by_one.observe(key, any_sample(raw));
+            }
+        }
+        for key in KEYS {
+            prop_assert_eq!(bulk.histogram(key), one_by_one.histogram(key));
+        }
+    }
+
     #[test]
     fn merge_is_commutative(a in proptest::collection::vec(0u64..1_000_000, 0..200),
                             b in proptest::collection::vec(0u64..1_000_000, 0..200)) {
