@@ -64,7 +64,7 @@ pub fn default_factory() -> impl Fn(ProtocolKind, usize) -> SecureMember {
 }
 
 /// Outcome of one schedule against one protocol.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Human-readable invariant violations (empty = run passed).
     pub violations: Vec<String>,
@@ -124,39 +124,43 @@ pub fn run_schedule(
 
     let elapsed_ms = world.now().since(t0).as_millis_f64();
     let recovery = recovery_ms(&telemetry.events()).min(elapsed_ms);
-    let mut violations = Vec::new();
-
     if !world.quiescent() {
-        violations.push(format!(
-            "liveness: not quiescent within {:.0} virtual ms of the last fault",
-            cfg.settle.as_millis_f64()
-        ));
         // The view and keys are mid-change: the other invariants are
         // not meaningful on a hung run.
         return RunReport {
-            violations,
+            violations: vec![format!(
+                "liveness: not quiescent within {:.0} virtual ms of the last fault",
+                cfg.settle.as_millis_f64()
+            )],
             final_epoch: world.view().map(|v| v.id).unwrap_or(0),
-            survivors: 0,
-            gave_up: 0,
             recovery_ms: recovery,
             elapsed_ms,
+            ..RunReport::default()
         };
     }
+    RunReport {
+        recovery_ms: recovery,
+        elapsed_ms,
+        ..survivor_agreement(&world)
+    }
+}
 
-    let Some(view) = world.view().cloned() else {
+/// The agreement invariants of a world at rest, over the *survivors* —
+/// the members of the final view whose machine is still alive: view
+/// synchrony (each installed that view last) and key convergence
+/// (each that has not given up holds the identical key for it). The
+/// timing fields are left zero.
+pub fn survivor_agreement(world: &SimWorld) -> RunReport {
+    let Some(view) = world.view() else {
         // Cannot happen after a quiescent run that installed a view,
         // but a missing view is itself an invariant violation — report
         // it instead of panicking mid-campaign.
-        violations.push("view synchrony: no view installed after the campaign".into());
         return RunReport {
-            violations,
-            final_epoch: 0,
-            survivors: 0,
-            gave_up: 0,
-            recovery_ms: recovery,
-            elapsed_ms,
+            violations: vec!["view synchrony: no view installed after the campaign".into()],
+            ..RunReport::default()
         };
     };
+    let mut violations = Vec::new();
     let members: Vec<usize> = view
         .members
         .iter()
@@ -164,7 +168,7 @@ pub fn run_schedule(
         .filter(|&c| world.client_alive(c))
         .collect();
     let mut gave_up = 0;
-    let mut key: Option<Ubig> = None;
+    let mut key: Option<&Ubig> = None;
     for &c in &members {
         let m = world.client::<SecureMember>(c);
         if m.last_view_epoch() != Some(view.id) {
@@ -178,12 +182,12 @@ pub fn run_schedule(
             gave_up += 1;
             continue;
         }
-        match (m.secret(view.id), &key) {
+        match (m.secret(view.id), key) {
             (None, _) => violations.push(format!(
                 "key convergence: member {c} has no key for view {}",
                 view.id
             )),
-            (Some(s), None) => key = Some(s.clone()),
+            (Some(s), None) => key = Some(s),
             (Some(s), Some(k)) if s != k => violations.push(format!(
                 "key convergence: member {c} derived a different key for view {}",
                 view.id
@@ -191,14 +195,12 @@ pub fn run_schedule(
             _ => {}
         }
     }
-
     RunReport {
         violations,
         final_epoch: view.id,
         survivors: members.len(),
         gave_up,
-        recovery_ms: recovery,
-        elapsed_ms,
+        ..RunReport::default()
     }
 }
 

@@ -26,16 +26,14 @@
 //! request rounds the baseline pays.
 
 use std::fmt::Write as _;
-use std::rc::Rc;
 
-use gkap_core::experiment::SuiteKind;
 use gkap_core::par;
 use gkap_core::protocols::ProtocolKind;
-use gkap_core::{AgreementPhase, SecureMember};
 use gkap_gcs::{testbed, GcsConfig, GilbertElliott, SimWorld, WireGranularity};
 use gkap_sim::Duration;
 use gkap_telemetry::metrics::LogHistogram;
 
+use crate::chaos;
 use crate::manifest::Manifest;
 
 /// The swept loss rates, in percent.
@@ -386,14 +384,9 @@ struct WorkloadOutcome {
 /// final view and key.
 fn run_workload(cfg: GcsConfig, proto: ProtocolKind) -> WorkloadOutcome {
     let mut world = SimWorld::new(cfg);
-    let suite = SuiteKind::Sim512.shared();
-    for i in 0..8usize {
-        world.add_client(Box::new(SecureMember::new(
-            proto,
-            Rc::clone(&suite),
-            900 + i as u64,
-            Some(17),
-        )));
+    let member = chaos::default_factory();
+    for i in 0..8 {
+        world.add_client(Box::new(member(proto, i)));
     }
     world.install_initial_view_of((0..6).collect());
     world.run_until_quiescent();
@@ -402,29 +395,9 @@ fn run_workload(cfg: GcsConfig, proto: ProtocolKind) -> WorkloadOutcome {
     world.inject_leave(1);
     world.run_until_quiescent();
 
-    let mut converged = world.quiescent();
-    if let Some(view) = world.view().cloned() {
-        let members: Vec<usize> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|&c| world.client_alive(c))
-            .collect();
-        converged &= !members.is_empty();
-        let mut key = None;
-        for &c in &members {
-            let m = world.client::<SecureMember>(c);
-            converged &= m.last_view_epoch() == Some(view.id);
-            converged &= m.phase() != AgreementPhase::GivenUp;
-            match (m.secret(view.id), &key) {
-                (None, _) => converged = false,
-                (Some(s), None) => key = Some(s.clone()),
-                (Some(s), Some(k)) => converged &= s == k,
-            }
-        }
-    } else {
-        converged = false;
-    }
+    let report = chaos::survivor_agreement(&world);
+    let converged =
+        world.quiescent() && report.passed() && report.survivors > 0 && report.gave_up == 0;
 
     WorkloadOutcome {
         stats: world.stats().clone(),

@@ -7,10 +7,7 @@
 //! rounds (non-crypto processing), cryptographic compute, and network
 //! wait — such that the four columns sum to the elapsed time exactly.
 
-use gkap_core::experiment::{
-    run_crash_traced, run_join_traced, run_leave_traced, ExperimentConfig, LeaveTarget, SuiteKind,
-    TraceRun,
-};
+use gkap_core::experiment::{run_traced, ExperimentConfig, LeaveTarget, Step, SuiteKind, TraceRun};
 use gkap_core::protocols::ProtocolKind;
 use gkap_gcs::{testbed, GcsConfig};
 use gkap_telemetry::{Event, EventKind};
@@ -20,7 +17,7 @@ use gkap_telemetry::{Event, EventKind};
 pub struct TraceRow {
     /// Protocol name (`"GDH"`, …).
     pub protocol: &'static str,
-    /// `"join"` or `"leave"`.
+    /// `"join"`, `"leave"` or `"crash"`.
     pub event: &'static str,
     /// Group size after the event.
     pub n: usize,
@@ -28,15 +25,18 @@ pub struct TraceRow {
     pub run: TraceRun,
 }
 
-/// The figure a trace command reproduces: which testbed and events.
-fn figure_spec(figure: &str) -> Option<(GcsConfig, &'static [&'static str])> {
+/// The figure a trace command reproduces: which testbed, and which
+/// events under which row label.
+fn figure_spec(figure: &str) -> Option<(GcsConfig, &'static [(&'static str, Step)])> {
+    const JOIN: (&str, Step) = ("join", Step::Join);
+    const LEAVE: (&str, Step) = ("leave", Step::Leave(LeaveTarget::Middle));
     match figure {
-        "fig11" => Some((testbed::lan(), &["join"])),
-        "fig12" => Some((testbed::lan(), &["leave"])),
-        "fig14" => Some((testbed::wan(), &["join", "leave"])),
+        "fig11" => Some((testbed::lan(), &[JOIN])),
+        "fig12" => Some((testbed::lan(), &[LEAVE])),
+        "fig14" => Some((testbed::wan(), &[JOIN, LEAVE])),
         // Extension: a daemon crash evicts its members; elapsed spans
         // detection + ring reformation + eviction + re-keying.
-        "crash" => Some((testbed::lan(), &["crash"])),
+        "crash" => Some((testbed::lan(), &[("crash", Step::Crash)])),
         _ => None,
     }
 }
@@ -83,7 +83,7 @@ pub fn trace_figure(figure: &str, n: usize) -> Option<Vec<TraceRow>> {
     let (gcs, events) = figure_spec(figure)?;
     let mut rows = Vec::new();
     for kind in ProtocolKind::all() {
-        for &event in events {
+        for &(event, step) in events {
             let cfg = ExperimentConfig {
                 protocol: kind,
                 gcs: gcs.clone(),
@@ -92,11 +92,7 @@ pub fn trace_figure(figure: &str, n: usize) -> Option<Vec<TraceRow>> {
                 confirm_keys: false,
                 telemetry: true,
             };
-            let run = match event {
-                "join" => run_join_traced(&cfg, n),
-                "crash" => run_crash_traced(&cfg, n),
-                _ => run_leave_traced(&cfg, n, LeaveTarget::Middle),
-            };
+            let run = run_traced(&cfg, n, step);
             assert!(run.outcome.ok, "{kind} failed traced {event} at n={n}");
             rows.push(TraceRow {
                 protocol: kind.name(),

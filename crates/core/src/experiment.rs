@@ -1,14 +1,19 @@
-//! Experiment drivers: the machinery behind every figure of the paper.
+//! Experiment drivers: the one keyed-group harness behind every
+//! figure of the paper.
 //!
-//! Each driver builds a simulated world (LAN or WAN testbed), forms a
-//! group of the requested size, injects one membership event, and
-//! measures the *total elapsed time* "from the moment the group
-//! membership event happens until … the application is notified about
-//! the membership change and the new key" (§6) — membership service
-//! plus key agreement, in virtual milliseconds.
+//! A [`Group`] is a simulated world (LAN or WAN testbed) holding one
+//! keyed group of [`SecureMember`]s plus spares; [`Group::apply`]
+//! injects one membership event — a [`Step`] — and measures the *total
+//! elapsed time* "from the moment the group membership event happens
+//! until … the application is notified about the membership change
+//! and the new key" (§6) — membership service plus key agreement, in
+//! virtual milliseconds — with every member holding that key
+//! ([`agreed_secret`]). The `run_*` functions, the traced runs, the
+//! churn ablations and [`crate::scenario`] are all `form` → `apply`.
 
 use std::rc::Rc;
 
+use gkap_bignum::Ubig;
 use gkap_gcs::{ClientId, GcsConfig, SimWorld};
 use gkap_sim::stats::{Figure, Series, Summary};
 use gkap_sim::SimTime;
@@ -16,7 +21,7 @@ use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
 use crate::cost::OpCounts;
 use crate::member::SecureMember;
-use crate::protocols::ProtocolKind;
+use crate::protocols::{GkaProtocol, ProtocolKind};
 use crate::suite::CryptoSuite;
 
 /// Which cryptographic suite an experiment runs with.
@@ -172,197 +177,349 @@ pub struct FormationOutcome {
     pub size: usize,
 }
 
-/// Which member leaves in a leave experiment.
+/// Which member a leave removes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeaveTarget {
     /// The member in the middle of the view (STR's average case; the
     /// default for every protocol).
     Middle,
-    /// The oldest member (CKD's expensive controller-leave case).
+    /// The oldest member (view head; CKD's expensive controller-leave
+    /// case).
     Oldest,
-    /// The newest member (GDH's controller).
+    /// The newest member (view tail; GDH's controller).
     Newest,
+    /// The view position `i mod size`.
+    Nth(usize),
 }
 
-fn build_world(
-    cfg: &ExperimentConfig,
-    initial: usize,
-    extra: usize,
-) -> (SimWorld, Rc<CryptoSuite>) {
-    let suite = cfg.suite.shared();
-    let mut world = SimWorld::new(cfg.gcs.clone());
-    let telemetry = if cfg.telemetry {
+/// One membership event, resolved against the view it is applied to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// A spare joins.
+    Join,
+    /// One member leaves.
+    Leave(LeaveTarget),
+    /// `p` members at evenly spread view positions are cut off at once
+    /// (not a contiguous block — network partitions cut across the
+    /// logical view).
+    Partition(usize),
+    /// A previously separate component of `m` spares, with its own
+    /// established key, merges in.
+    Merge(usize),
+    /// The middle member's machine dies, with every client it hosts
+    /// (a spare among them can no longer join). The event runs from
+    /// the crash: detection timeout, ring reformation and the eviction
+    /// membership change included.
+    Crash,
+}
+
+/// The member-seed rule of every harness: client `i`'s private
+/// randomness under the run seed `seed`.
+pub(crate) fn member_seed(seed: u64, i: usize) -> u64 {
+    seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9)
+}
+
+/// The sink a run records into: a live one when tracing is asked for.
+pub(crate) fn telemetry_sink(on: bool) -> Telemetry {
+    if on {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
-    };
-    world.set_telemetry(telemetry.clone());
-    for i in 0..(initial + extra) {
-        let mut member = SecureMember::new(
-            cfg.protocol,
-            Rc::clone(&suite),
-            cfg.seed ^ ((i as u64 + 1) * 0x9e37_79b9),
-            Some(cfg.seed),
-        );
-        member.set_key_confirmation(cfg.confirm_keys);
-        member.set_telemetry(telemetry.clone());
-        world.add_client(Box::new(member));
     }
-    world.install_initial_view_of((0..initial).collect());
-    world.run_until_quiescent();
-    (world, suite)
 }
 
-fn snapshot_counts(world: &SimWorld, ids: &[ClientId]) -> Vec<OpCounts> {
-    ids.iter()
-        .map(|&c| *world.client::<SecureMember>(c).counts())
-        .collect()
-}
-
-/// Timing skeleton of one measured event, kept alongside the
-/// [`EventOutcome`] so traced runs can decompose the latency.
+/// When `members` received the view of `epoch` and its key.
 #[derive(Clone, Copy, Debug)]
-struct EventTiming {
-    /// When the membership change was injected.
-    inject: SimTime,
+pub(crate) struct ViewTiming {
     /// Last member's view delivery.
-    last_view: SimTime,
+    pub last_view: SimTime,
     /// Last member's key completion.
-    last_key: SimTime,
-    /// The *critical member*: the one whose key completed last (its
-    /// activity is the run's critical path).
-    critical: ClientId,
+    pub last_key: SimTime,
+    /// The *critical member*: the first, in `members` order, of those
+    /// whose key completed last (its activity is the critical path).
+    pub critical: ClientId,
+    /// Every member completed the key of `epoch`.
+    pub complete: bool,
 }
 
-/// Runs the event measurement: injects a view change and waits for all
-/// `wait_for` members to complete epoch 2.
-fn measure_event_timed(
-    world: &mut SimWorld,
-    joined: Vec<ClientId>,
-    left: Vec<ClientId>,
-    wait_for: Vec<ClientId>,
-) -> (EventOutcome, EventTiming) {
-    measure_timed(world, |w| w.inject_change(joined, left), wait_for)
-}
-
-/// The measurement core, generic over how the membership event is
-/// caused: a direct view change, or a fault (daemon crash) whose
-/// recovery evicts members. Waits for all `wait_for` members to
-/// complete the next epoch.
-fn measure_timed(
-    world: &mut SimWorld,
-    inject_event: impl FnOnce(&mut SimWorld),
-    wait_for: Vec<ClientId>,
-) -> (EventOutcome, EventTiming) {
-    let target_epoch = world.view().expect("initial view installed").id + 1;
-    let before = snapshot_counts(world, &wait_for);
-    let inject = world.now();
-    let group_size = wait_for.len();
-    world.telemetry().record(|| Event {
-        at: inject,
-        dur: gkap_sim::Duration::ZERO,
-        actor: Actor::World,
-        kind: EventKind::MembershipEvent {
-            action: "inject",
-            group_size,
-        },
-    });
-    inject_event(world);
-    let complete = |w: &SimWorld| {
-        wait_for.iter().all(|&c| {
-            w.client::<SecureMember>(c)
-                .completion(target_epoch)
-                .is_some()
-        })
+/// Folds the view-delivery and key-completion instants of `epoch`
+/// over `members` (all [`SecureMember`]s of `world`).
+pub(crate) fn view_timing(world: &SimWorld, members: &[ClientId], epoch: u64) -> ViewTiming {
+    let mut timing = ViewTiming {
+        last_view: SimTime::ZERO,
+        last_key: SimTime::ZERO,
+        critical: members.first().copied().unwrap_or(0),
+        complete: true,
     };
-    // Run until everyone has the key (or the world goes quiescent —
-    // a protocol deadlock).
-    world.run_while(|w| !complete(w));
-    let done = complete(world);
-
-    let mut counts = OpCounts::default();
-    for (i, &c) in wait_for.iter().enumerate() {
-        counts.add(&world.client::<SecureMember>(c).counts().since(&before[i]));
-    }
-    let mut last_key = SimTime::ZERO;
-    let mut last_view = SimTime::ZERO;
-    let mut critical = wait_for.first().copied().unwrap_or(0);
-    let mut agree = done;
-    let mut secret: Option<gkap_bignum::Ubig> = None;
-    for &c in &wait_for {
+    for &c in members {
         let m = world.client::<SecureMember>(c);
-        if m.protocol_error().is_some() {
-            agree = false;
+        match m.completion(epoch) {
+            Some(t) if t > timing.last_key => (timing.last_key, timing.critical) = (t, c),
+            Some(_) => {}
+            None => timing.complete = false,
         }
-        if let Some(t) = m.completion(target_epoch) {
-            if t > last_key {
-                critical = c;
-            }
-            last_key = last_key.max(t);
-        }
-        if let Some(t) = m.view_time(target_epoch) {
-            last_view = last_view.max(t);
-        }
-        match (m.secret(target_epoch), &secret) {
-            (Some(s), None) => secret = Some(s.clone()),
-            (Some(s), Some(prev)) if s != prev => agree = false,
-            (None, _) => agree = false,
-            _ => {}
+        if let Some(t) = m.view_time(epoch) {
+            timing.last_view = timing.last_view.max(t);
         }
     }
-    world.telemetry().record(|| Event {
-        at: last_key,
-        dur: gkap_sim::Duration::ZERO,
-        actor: Actor::World,
-        kind: EventKind::MembershipEvent {
-            action: "key_established",
-            group_size,
-        },
-    });
-    let outcome = EventOutcome {
-        ok: agree,
-        elapsed_ms: last_key.as_millis_f64() - inject.as_millis_f64(),
-        membership_ms: last_view.as_millis_f64() - inject.as_millis_f64(),
-        counts,
-        size_after: wait_for.len(),
-    };
-    (
-        outcome,
-        EventTiming {
-            inject,
-            last_view,
-            last_key,
-            critical,
-        },
-    )
+    timing
 }
 
-/// [`measure_event_timed`] without the timing skeleton.
-fn measure_event(
-    world: &mut SimWorld,
-    joined: Vec<ClientId>,
-    left: Vec<ClientId>,
-    wait_for: Vec<ClientId>,
-) -> EventOutcome {
-    measure_event_timed(world, joined, left, wait_for).0
+/// The secret the group agreed on for `epoch`: every one of `members`
+/// holds a key for it, all the same, and none has recorded a protocol
+/// error. `None` otherwise — a member without the key, two keys (the
+/// silent divergence no completion stamp shows), or an empty list.
+pub fn agreed_secret<'w>(
+    world: &'w SimWorld,
+    members: &[ClientId],
+    epoch: u64,
+) -> Option<&'w Ubig> {
+    let mut agreed = None;
+    for &c in members {
+        let m = world.client::<SecureMember>(c);
+        let secret = m.secret(epoch)?;
+        if m.protocol_error().is_some() || agreed.is_some_and(|s| s != secret) {
+            return None;
+        }
+        agreed = Some(secret);
+    }
+    agreed
+}
+
+/// What `members` spent from `inject` (and the `before` snapshot of
+/// their counters) until the last of them held the key of `epoch`.
+fn report(
+    world: &SimWorld,
+    members: &[ClientId],
+    epoch: u64,
+    inject: SimTime,
+    before: &[OpCounts],
+) -> (EventOutcome, ViewTiming) {
+    let timing = view_timing(world, members, epoch);
+    let mut counts = OpCounts::default();
+    for (&c, earlier) in members.iter().zip(before) {
+        counts.add(&world.client::<SecureMember>(c).counts().since(earlier));
+    }
+    let outcome = EventOutcome {
+        ok: timing.complete && agreed_secret(world, members, epoch).is_some(),
+        elapsed_ms: timing.last_key.as_millis_f64() - inject.as_millis_f64(),
+        membership_ms: timing.last_view.as_millis_f64() - inject.as_millis_f64(),
+        counts,
+        size_after: members.len(),
+    };
+    (outcome, timing)
+}
+
+/// The keyed-group harness: a world whose clients are all
+/// [`SecureMember`]s, holding one keyed group plus spares that have
+/// never been in a view. Every measured rekey in this crate is
+/// [`Group::apply`].
+pub struct Group {
+    /// The simulated world (clients `0..initial + spares`).
+    pub world: SimWorld,
+    /// The run seed (a merging component derives its own from it).
+    seed: u64,
+    /// The spares never yet admitted. They are consumed in id order,
+    /// and departed members never rejoin (their protocol state is
+    /// stale by design).
+    spares: std::ops::Range<ClientId>,
+}
+
+impl Group {
+    /// Forms a group of clients `0..initial` running `cfg.protocol`,
+    /// transparently bootstrapped (the group starts keyed, free of
+    /// charge), with `spares` more clients waiting outside it.
+    pub fn form(cfg: &ExperimentConfig, initial: usize, spares: usize) -> Self {
+        Group::form_with(cfg, initial, spares, Some(cfg.seed), &|| {
+            cfg.protocol.create()
+        })
+    }
+
+    /// [`Group::form`] with the two things a caller may vary: the
+    /// `bootstrap` seed (`None` runs the real formation protocol) and
+    /// the protocol engine each member gets from `factory`. Returns
+    /// once the initial view has quiesced.
+    fn form_with(
+        cfg: &ExperimentConfig,
+        initial: usize,
+        spares: usize,
+        bootstrap: Option<u64>,
+        factory: &dyn Fn() -> Box<dyn GkaProtocol>,
+    ) -> Self {
+        let suite = cfg.suite.shared();
+        let mut world = SimWorld::new(cfg.gcs.clone());
+        let telemetry = telemetry_sink(cfg.telemetry);
+        world.set_telemetry(telemetry.clone());
+        for i in 0..initial + spares {
+            let mut member = SecureMember::with_protocol(
+                factory(),
+                Rc::clone(&suite),
+                member_seed(cfg.seed, i),
+                bootstrap,
+            );
+            member.set_key_confirmation(cfg.confirm_keys);
+            member.set_telemetry(telemetry.clone());
+            world.add_client(Box::new(member));
+        }
+        world.install_initial_view_of((0..initial).collect());
+        world.run_until_quiescent();
+        Group {
+            world,
+            seed: cfg.seed,
+            spares: initial..initial + spares,
+        }
+    }
+
+    /// Admits the next `k` spares, in id order.
+    fn take_spares(&mut self, k: usize) -> Vec<ClientId> {
+        assert!(k <= self.spares.len(), "out of spares");
+        let first = self.spares.start;
+        self.spares.start += k;
+        (first..self.spares.start).collect()
+    }
+
+    /// Applies one membership event and measures it over every member
+    /// of the next view (§6; see the module docs). Runs until the last
+    /// of them holds the key — or the world goes quiescent, a protocol
+    /// deadlock reported as not `ok` — and no further: back-to-back
+    /// calls cascade as they would in a live group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the step would empty the group (a leave from a single
+    /// member, a partition of nobody or everybody, a crash among fewer
+    /// than three), if a merge is empty, or if the spares run out.
+    pub fn apply(&mut self, step: Step) -> EventOutcome {
+        self.apply_timed(step).0
+    }
+
+    /// [`Group::apply`] plus the timing skeleton a traced run
+    /// decomposes: the injection instant and the view's timing.
+    fn apply_timed(&mut self, step: Step) -> (EventOutcome, SimTime, ViewTiming) {
+        let view = self.world.view().expect("formed group has a view");
+        let (members, epoch) = (view.members.clone(), view.id + 1);
+        let n = members.len();
+        let mut crashed = None;
+        let (joined, left) = match step {
+            Step::Join => (self.take_spares(1), vec![]),
+            Step::Merge(m) => {
+                assert!(m > 0, "merge needs a non-empty component");
+                let component = self.take_spares(m);
+                // They formed a group elsewhere before the network
+                // healed.
+                for &c in &component {
+                    self.world.client_mut::<SecureMember>(c).preseed_component(
+                        &component,
+                        c,
+                        self.seed ^ 0xc0ffee,
+                    );
+                }
+                (component, vec![])
+            }
+            Step::Leave(target) => {
+                assert!(n > 1, "a leave would empty the group");
+                let at = match target {
+                    LeaveTarget::Middle => n / 2,
+                    LeaveTarget::Oldest => 0,
+                    LeaveTarget::Newest => n - 1,
+                    LeaveTarget::Nth(i) => i % n,
+                };
+                (vec![], vec![members[at]])
+            }
+            Step::Partition(p) => {
+                assert!(p > 0 && p < n, "a partition of {p} would empty the group");
+                let stride = n as f64 / p as f64;
+                let mut leaving: Vec<ClientId> = (0..p)
+                    .map(|i| members[((i as f64 + 0.5) * stride) as usize % n])
+                    .collect();
+                leaving.dedup();
+                (vec![], leaving)
+            }
+            Step::Crash => {
+                assert!(n >= 3, "crash needs survivors to re-key");
+                // One daemon per machine: crashing the victim's
+                // machine kills every member it hosts.
+                let machine = self.world.client_machine(members[n / 2]);
+                crashed = Some(machine);
+                let on_it = |&c: &ClientId| self.world.client_machine(c) == machine;
+                (vec![], members.iter().copied().filter(on_it).collect())
+            }
+        };
+        // Survivors in view order, then joiners: the order breaks ties
+        // for the critical member.
+        let wait_for: Vec<ClientId> = members
+            .into_iter()
+            .filter(|c| !left.contains(c))
+            .chain(joined.iter().copied())
+            .collect();
+
+        let world = &mut self.world;
+        let counts = |&c: &ClientId| *world.client::<SecureMember>(c).counts();
+        let before: Vec<OpCounts> = wait_for.iter().map(counts).collect();
+        let inject = world.now();
+        let group_size = wait_for.len();
+        let mark = |world: &SimWorld, at: SimTime, action: &'static str| {
+            world.telemetry().record(|| Event {
+                at,
+                dur: gkap_sim::Duration::ZERO,
+                actor: Actor::World,
+                kind: EventKind::MembershipEvent { action, group_size },
+            })
+        };
+        mark(world, inject, "inject");
+        match crashed {
+            Some(machine) => world.inject_crash(machine),
+            None => world.inject_change(joined, left),
+        }
+        let keyed = |w: &SimWorld| {
+            wait_for
+                .iter()
+                .all(|&c| w.client::<SecureMember>(c).completion(epoch).is_some())
+        };
+        world.run_while(|w| !keyed(w));
+        let (outcome, timing) = report(world, &wait_for, epoch, inject, &before);
+        mark(world, timing.last_key, "key_established");
+        (outcome, inject, timing)
+    }
+
+    /// Scrambles the group with `k` random leave+join pairs, each left
+    /// to quiesce ("Secure Spread must first be run … with a random
+    /// sequence of joins and leaves in order to generate a
+    /// random-looking tree", §6.1.2). Keeps the member count constant
+    /// and consumes `k` spares.
+    fn churn(&mut self, k: usize) {
+        use gkap_bignum::{RandomSource, SplitMix64};
+        let mut rng = SplitMix64::new(self.seed ^ 0xc4u64);
+        for step in 0..k {
+            let pick = LeaveTarget::Nth(rng.next_u64() as usize + step);
+            for event in [Step::Leave(pick), Step::Join] {
+                self.apply(event);
+                self.world.run_until_quiescent();
+            }
+        }
+    }
+}
+
+/// Forms the group an experiment at figure x-coordinate `n` measures
+/// `step` on: a join's `n` is the size *after* it, every other
+/// event's the size before.
+fn form_for(cfg: &ExperimentConfig, n: usize, step: Step) -> Group {
+    match step {
+        Step::Join => {
+            assert!(n >= 2, "join needs an existing group");
+            Group::form(cfg, n - 1, 1)
+        }
+        Step::Merge(m) => Group::form(cfg, n, m),
+        _ => Group::form(cfg, n, 0),
+    }
 }
 
 /// Forms a group of `n` members and verifies all keys agree.
 pub fn run_formation(cfg: &ExperimentConfig, n: usize) -> FormationOutcome {
-    let (world, _suite) = build_world(cfg, n, 0);
-    let mut all_agreed = true;
-    let mut secret: Option<gkap_bignum::Ubig> = None;
-    for c in 0..n {
-        let m = world.client::<SecureMember>(c);
-        match (m.secret(1), &secret) {
-            (Some(s), None) => secret = Some(s.clone()),
-            (Some(s), Some(prev)) if s != prev => all_agreed = false,
-            (None, _) => all_agreed = false,
-            _ => {}
-        }
-    }
+    let group = Group::form(cfg, n, 0);
+    let members: Vec<ClientId> = (0..n).collect();
     FormationOutcome {
-        all_agreed,
+        all_agreed: agreed_secret(&group.world, &members, 1).is_some(),
         size: n,
     }
 }
@@ -374,10 +531,7 @@ pub fn run_formation(cfg: &ExperimentConfig, n: usize) -> FormationOutcome {
 ///
 /// Panics if `n < 2`.
 pub fn run_join(cfg: &ExperimentConfig, n: usize) -> EventOutcome {
-    assert!(n >= 2, "join needs an existing group");
-    let (mut world, _suite) = build_world(cfg, n - 1, 1);
-    let joiner = n - 1;
-    measure_event(&mut world, vec![joiner], vec![], (0..n).collect())
+    form_for(cfg, n, Step::Join).apply(Step::Join)
 }
 
 /// Measures a leave from a group of `n` members.
@@ -386,16 +540,7 @@ pub fn run_join(cfg: &ExperimentConfig, n: usize) -> EventOutcome {
 ///
 /// Panics if `n < 2`.
 pub fn run_leave(cfg: &ExperimentConfig, n: usize, target: LeaveTarget) -> EventOutcome {
-    assert!(n >= 2, "leave needs at least two members");
-    let (mut world, _suite) = build_world(cfg, n, 0);
-    let view: Vec<ClientId> = world.view().expect("view").members.clone();
-    let leaver = match target {
-        LeaveTarget::Middle => view[view.len() / 2],
-        LeaveTarget::Oldest => view[0],
-        LeaveTarget::Newest => *view.last().expect("non-empty"),
-    };
-    let remaining: Vec<ClientId> = view.into_iter().filter(|&c| c != leaver).collect();
-    measure_event(&mut world, vec![], vec![leaver], remaining)
+    Group::form(cfg, n, 0).apply(Step::Leave(target))
 }
 
 /// The paper's leave measurement: the average case (middle member),
@@ -415,6 +560,77 @@ pub fn run_leave_weighted(cfg: &ExperimentConfig, n: usize) -> EventOutcome {
         counts: mid.counts, // dominant case
         size_after: mid.size_after,
     }
+}
+
+/// Measures a partition: `p` members (spread across the view) leave a
+/// group of `n` at once.
+///
+/// # Panics
+///
+/// Panics if `p >= n` or `p == 0`.
+pub fn run_partition(cfg: &ExperimentConfig, n: usize, p: usize) -> EventOutcome {
+    Group::form(cfg, n, 0).apply(Step::Partition(p))
+}
+
+/// Measures a merge: a previously separate component of `m` members
+/// (with its own established key) merges into a group of `n`.
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `m == 0`.
+pub fn run_merge(cfg: &ExperimentConfig, n: usize, m: usize) -> EventOutcome {
+    assert!(n > 0, "merge needs two non-empty groups");
+    Group::form(cfg, n, m).apply(Step::Merge(m))
+}
+
+/// `run_join` after `churn` random join/leave pairs have scrambled the
+/// group state (tree-shape ablation; §6.1.2's "truly fair comparison").
+pub fn run_join_churned(cfg: &ExperimentConfig, n: usize, churn: usize) -> EventOutcome {
+    run_churned_with_factory(cfg, &|| cfg.protocol.create(), n, churn).0
+}
+
+/// `run_leave` (middle member) after churn scrambling.
+pub fn run_leave_churned(cfg: &ExperimentConfig, n: usize, churn: usize) -> EventOutcome {
+    let mut group = Group::form(cfg, n, churn);
+    group.churn(churn);
+    group.apply(Step::Leave(LeaveTarget::Middle))
+}
+
+/// [`run_join_churned`] with a custom protocol factory (the TGDH
+/// AVL-policy ablation). Returns `(join_outcome,
+/// tree_height_after_churn)` — height is only populated when the
+/// engine is a [`crate::protocols::tgdh::Tgdh`].
+///
+/// # Panics
+///
+/// Panics if `n < 2`.
+pub fn run_churned_with_factory(
+    cfg: &ExperimentConfig,
+    factory: &dyn Fn() -> Box<dyn GkaProtocol>,
+    n: usize,
+    churn: usize,
+) -> (EventOutcome, Option<usize>) {
+    assert!(n >= 2, "join needs an existing group");
+    let mut group = Group::form_with(cfg, n - 1, churn + 1, Some(cfg.seed), factory);
+    group.churn(churn);
+    let oldest = group.world.view().expect("view").members[0];
+    let height = group
+        .world
+        .client::<SecureMember>(oldest)
+        .protocol_as::<crate::protocols::tgdh::Tgdh>()
+        .map(|t| t.tree_height());
+    (group.apply(Step::Join), height)
+}
+
+/// Measures *real* initial key agreement (IKA): `n` members form a
+/// group from scratch, running the actual protocol (no transparent
+/// bootstrap). Reported time runs from the initial view installation
+/// to the last member's key completion.
+pub fn run_real_formation(cfg: &ExperimentConfig, n: usize) -> EventOutcome {
+    let group = Group::form_with(cfg, n, 0, None, &|| cfg.protocol.create());
+    let members: Vec<ClientId> = (0..n).collect();
+    let fresh = vec![OpCounts::default(); n];
+    report(&group.world, &members, 1, SimTime::ZERO, &fresh).0
 }
 
 /// Decomposition of one event's total latency into the paper's §6
@@ -458,7 +674,8 @@ pub struct TraceRun {
 }
 
 /// Computes the latency decomposition from the event log and the
-/// measured timing skeleton.
+/// measured timing skeleton (the injection instant and the view's
+/// timing).
 ///
 /// The critical member (last key completion) defines the critical
 /// path. Within the window `[inject, last_key]`:
@@ -472,8 +689,8 @@ pub struct TraceRun {
 /// Components are clamped to be non-negative; when the remainder
 /// would be negative (compute overlapping the membership window) the
 /// deficit is taken out of `rounds` so the sum stays exact.
-fn compute_breakdown(events: &[Event], t: &EventTiming) -> Breakdown {
-    let lo = t.inject.as_nanos() as f64;
+fn compute_breakdown(events: &[Event], inject: SimTime, t: &ViewTiming) -> Breakdown {
+    let lo = inject.as_nanos() as f64;
     let hi = t.last_key.as_nanos() as f64;
     let overlap = |at: SimTime, dur: gkap_sim::Duration| -> f64 {
         let a = at.as_nanos() as f64;
@@ -524,6 +741,27 @@ fn compute_breakdown(events: &[Event], t: &EventTiming) -> Breakdown {
     }
 }
 
+/// The measurement of `step` at figure x-coordinate `n` with telemetry
+/// forced on: the same run [`Group::apply`] makes, plus the event log
+/// and the latency breakdown folded from it.
+///
+/// # Panics
+///
+/// Panics where [`Group::apply`] does, and for a join at `n < 2`.
+pub fn run_traced(cfg: &ExperimentConfig, n: usize, step: Step) -> TraceRun {
+    let mut cfg = cfg.clone();
+    cfg.telemetry = true;
+    let mut group = form_for(&cfg, n, step);
+    let (outcome, inject, timing) = group.apply_timed(step);
+    let events = group.world.telemetry().events();
+    let breakdown = compute_breakdown(&events, inject, &timing);
+    TraceRun {
+        outcome,
+        events,
+        breakdown,
+    }
+}
+
 /// [`run_join`] with telemetry forced on: returns the outcome plus
 /// the event log and latency breakdown.
 ///
@@ -531,19 +769,7 @@ fn compute_breakdown(events: &[Event], t: &EventTiming) -> Breakdown {
 ///
 /// Panics if `n < 2`.
 pub fn run_join_traced(cfg: &ExperimentConfig, n: usize) -> TraceRun {
-    assert!(n >= 2, "join needs an existing group");
-    let mut cfg = cfg.clone();
-    cfg.telemetry = true;
-    let (mut world, _suite) = build_world(&cfg, n - 1, 1);
-    let joiner = n - 1;
-    let (outcome, timing) = measure_event_timed(&mut world, vec![joiner], vec![], (0..n).collect());
-    let events = world.telemetry().events();
-    let breakdown = compute_breakdown(&events, &timing);
-    TraceRun {
-        outcome,
-        events,
-        breakdown,
-    }
+    run_traced(cfg, n, Step::Join)
 }
 
 /// [`run_leave`] with telemetry forced on.
@@ -552,261 +778,7 @@ pub fn run_join_traced(cfg: &ExperimentConfig, n: usize) -> TraceRun {
 ///
 /// Panics if `n < 2`.
 pub fn run_leave_traced(cfg: &ExperimentConfig, n: usize, target: LeaveTarget) -> TraceRun {
-    assert!(n >= 2, "leave needs at least two members");
-    let mut cfg = cfg.clone();
-    cfg.telemetry = true;
-    let (mut world, _suite) = build_world(&cfg, n, 0);
-    let view: Vec<ClientId> = world.view().expect("view").members.clone();
-    let leaver = match target {
-        LeaveTarget::Middle => view[view.len() / 2],
-        LeaveTarget::Oldest => view[0],
-        LeaveTarget::Newest => *view.last().expect("non-empty"),
-    };
-    let remaining: Vec<ClientId> = view.into_iter().filter(|&c| c != leaver).collect();
-    let (outcome, timing) = measure_event_timed(&mut world, vec![], vec![leaver], remaining);
-    let events = world.telemetry().events();
-    let breakdown = compute_breakdown(&events, &timing);
-    TraceRun {
-        outcome,
-        events,
-        breakdown,
-    }
-}
-
-/// Traced daemon crash: from a group of `n`, the middle member's
-/// machine dies. Elapsed runs from the crash to the last survivor's
-/// key for the eviction view — it includes the crash-detection
-/// timeout, ring reformation, and the eviction membership change, so
-/// traced summaries can attribute recovery time separately from the
-/// agreement itself.
-///
-/// # Panics
-///
-/// Panics if `n < 3` (the crash must leave a group behind).
-pub fn run_crash_traced(cfg: &ExperimentConfig, n: usize) -> TraceRun {
-    assert!(n >= 3, "crash needs survivors to re-key");
-    let mut cfg = cfg.clone();
-    cfg.telemetry = true;
-    let (mut world, _suite) = build_world(&cfg, n, 0);
-    let view: Vec<ClientId> = world.view().expect("view").members.clone();
-    // One daemon per machine: crashing the victim's machine kills
-    // every member it hosts.
-    let machine = world.client_machine(view[view.len() / 2]);
-    let survivors: Vec<ClientId> = view
-        .into_iter()
-        .filter(|&c| world.client_machine(c) != machine)
-        .collect();
-    let (outcome, timing) = measure_timed(&mut world, |w| w.inject_crash(machine), survivors);
-    let events = world.telemetry().events();
-    let breakdown = compute_breakdown(&events, &timing);
-    TraceRun {
-        outcome,
-        events,
-        breakdown,
-    }
-}
-
-/// Measures a partition: `p` members (spread across the view) leave a
-/// group of `n` at once.
-///
-/// # Panics
-///
-/// Panics if `p >= n` or `p == 0`.
-pub fn run_partition(cfg: &ExperimentConfig, n: usize, p: usize) -> EventOutcome {
-    assert!(p > 0 && p < n, "partition must leave a non-empty remainder");
-    let (mut world, _suite) = build_world(cfg, n, 0);
-    let view: Vec<ClientId> = world.view().expect("view").members.clone();
-    // Evict members at evenly spread positions (not a contiguous
-    // block — network partitions cut across the logical view).
-    let stride = n as f64 / p as f64;
-    let mut leaving: Vec<ClientId> = (0..p)
-        .map(|i| view[((i as f64 + 0.5) * stride) as usize % n])
-        .collect();
-    leaving.dedup();
-    let remaining: Vec<ClientId> = view.into_iter().filter(|c| !leaving.contains(c)).collect();
-    measure_event(&mut world, vec![], leaving, remaining)
-}
-
-/// Measures a merge: a previously separate component of `m` members
-/// (with its own established key) merges into a group of `n`.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `m == 0`.
-pub fn run_merge(cfg: &ExperimentConfig, n: usize, m: usize) -> EventOutcome {
-    assert!(n > 0 && m > 0, "merge needs two non-empty groups");
-    let (mut world, _suite) = build_world(cfg, n, m);
-    let component: Vec<ClientId> = (n..n + m).collect();
-    // Pre-seed the merging component's protocol state (they formed a
-    // group elsewhere before the network healed).
-    let comp_seed = cfg.seed ^ 0xc0ffee;
-    for &c in &component {
-        world
-            .client_mut::<SecureMember>(c)
-            .preseed_component(&component, c, comp_seed);
-    }
-    measure_event(&mut world, component, vec![], (0..n + m).collect())
-}
-
-/// Scrambles the group with `churn` random join+leave pairs before an
-/// experiment ("Secure Spread must first be run … with a random
-/// sequence of joins and leaves in order to generate a random-looking
-/// tree", §6.1.2). Keeps the member count constant; returns the ids of
-/// the current members afterwards.
-fn apply_churn(world: &mut SimWorld, churn: usize, seed: u64) -> Vec<ClientId> {
-    use gkap_bignum::{RandomSource, SplitMix64};
-    let mut rng = SplitMix64::new(seed ^ 0xc4u64);
-    for step in 0..churn {
-        let members = world.view().expect("view").members.clone();
-        // One member (never the whole group) leaves…
-        let leaver = members[(rng.next_u64() as usize + step) % members.len()];
-        world.inject_leave(leaver);
-        world.run_until_quiescent();
-        // …and a fresh client joins (departed members never rejoin:
-        // their protocol state is stale by design).
-        let fresh = next_unused_client(world);
-        world.inject_join(fresh);
-        world.run_until_quiescent();
-    }
-    world.view().expect("view").members.clone()
-}
-
-/// The lowest client id that has never been in a view (provisioned by
-/// the caller as churn spares).
-fn next_unused_client(world: &SimWorld) -> ClientId {
-    let members = &world.view().expect("view").members;
-    let mut c = 0;
-    loop {
-        if !members.contains(&c) && world.client::<SecureMember>(c).epoch() == 0 {
-            return c;
-        }
-        c += 1;
-    }
-}
-
-/// `run_join` after `churn` random join/leave pairs have scrambled the
-/// group state (tree-shape ablation; §6.1.2's "truly fair comparison").
-pub fn run_join_churned(cfg: &ExperimentConfig, n: usize, churn: usize) -> EventOutcome {
-    assert!(n >= 2, "join needs an existing group");
-    let (mut world, _suite) = build_world(cfg, n - 1, churn + 1);
-    apply_churn(&mut world, churn, cfg.seed);
-    let joiner = next_unused_client(&world);
-    let members = world.view().expect("view").members.clone();
-    let mut wait_for = members;
-    wait_for.push(joiner);
-    measure_event(&mut world, vec![joiner], vec![], wait_for)
-}
-
-/// `run_leave` (middle member) after churn scrambling.
-pub fn run_leave_churned(cfg: &ExperimentConfig, n: usize, churn: usize) -> EventOutcome {
-    assert!(n >= 2, "leave needs at least two members");
-    let (mut world, _suite) = build_world(cfg, n, churn);
-    apply_churn(&mut world, churn, cfg.seed);
-    let members = world.view().expect("view").members.clone();
-    let leaver = members[members.len() / 2];
-    let wait_for: Vec<ClientId> = members.into_iter().filter(|&c| c != leaver).collect();
-    measure_event(&mut world, vec![], vec![leaver], wait_for)
-}
-
-/// Measures *real* initial key agreement (IKA): `n` members form a
-/// group from scratch, running the actual protocol (no transparent
-/// bootstrap). Reported time runs from the initial view installation
-/// to the last member's key completion.
-pub fn run_real_formation(cfg: &ExperimentConfig, n: usize) -> EventOutcome {
-    let suite = cfg.suite.shared();
-    let mut world = SimWorld::new(cfg.gcs.clone());
-    let telemetry = if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    world.set_telemetry(telemetry.clone());
-    for i in 0..n {
-        let mut member = SecureMember::new(
-            cfg.protocol,
-            Rc::clone(&suite),
-            cfg.seed ^ ((i as u64 + 1) * 0x9e37_79b9),
-            None, // no bootstrap: run the protocol for real
-        );
-        member.set_telemetry(telemetry.clone());
-        world.add_client(Box::new(member));
-    }
-    let members: Vec<ClientId> = (0..n).collect();
-    let before = snapshot_counts(&world, &members);
-    world.install_initial_view_of(members.clone());
-    world.run_until_quiescent();
-
-    let mut counts = OpCounts::default();
-    for (i, &c) in members.iter().enumerate() {
-        counts.add(&world.client::<SecureMember>(c).counts().since(&before[i]));
-    }
-    let mut last_key = SimTime::ZERO;
-    let mut last_view = SimTime::ZERO;
-    let mut agree = true;
-    let mut secret: Option<gkap_bignum::Ubig> = None;
-    for &c in &members {
-        let m = world.client::<SecureMember>(c);
-        if m.protocol_error().is_some() {
-            agree = false;
-        }
-        match m.completion(1) {
-            Some(t) => last_key = last_key.max(t),
-            None => agree = false,
-        }
-        if let Some(t) = m.view_time(1) {
-            last_view = last_view.max(t);
-        }
-        match (m.secret(1), &secret) {
-            (Some(s), None) => secret = Some(s.clone()),
-            (Some(s), Some(prev)) if s != prev => agree = false,
-            (None, _) => agree = false,
-            _ => {}
-        }
-    }
-    EventOutcome {
-        ok: agree,
-        elapsed_ms: last_key.as_millis_f64(),
-        membership_ms: last_view.as_millis_f64(),
-        counts,
-        size_after: n,
-    }
-}
-
-/// Like [`run_join_churned`]/[`run_leave_churned`] but with a custom
-/// protocol factory (the TGDH AVL-policy ablation). Returns
-/// `(join_outcome, leave_outcome, tree_height_after_churn)` — height
-/// is only populated when the engine is a [`crate::protocols::tgdh::Tgdh`].
-pub fn run_churned_with_factory(
-    cfg: &ExperimentConfig,
-    factory: &dyn Fn() -> Box<dyn crate::protocols::GkaProtocol>,
-    n: usize,
-    churn: usize,
-) -> (EventOutcome, Option<usize>) {
-    let suite = cfg.suite.shared();
-    let mut world = SimWorld::new(cfg.gcs.clone());
-    let extra = churn + 1;
-    for i in 0..(n - 1 + extra) {
-        let member = SecureMember::with_protocol(
-            factory(),
-            Rc::clone(&suite),
-            cfg.seed ^ ((i as u64 + 1) * 0x9e37_79b9),
-            Some(cfg.seed),
-        );
-        world.add_client(Box::new(member));
-    }
-    world.install_initial_view_of((0..n - 1).collect());
-    world.run_until_quiescent();
-    apply_churn(&mut world, churn, cfg.seed);
-    let members = world.view().expect("view").members.clone();
-    let height = world
-        .client::<SecureMember>(members[0])
-        .protocol_as::<crate::protocols::tgdh::Tgdh>()
-        .map(|t| t.tree_height());
-    let joiner = next_unused_client(&world);
-    let mut wait_for = members;
-    wait_for.push(joiner);
-    let outcome = measure_event(&mut world, vec![joiner], vec![], wait_for);
-    (outcome, height)
+    run_traced(cfg, n, Step::Leave(target))
 }
 
 /// Runs one experiment grid — every (series, x, repetition) cell —

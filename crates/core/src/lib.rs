@@ -7,7 +7,9 @@
 //! # Architecture
 //!
 //! ```text
-//!  experiment::*  — drivers that reproduce the paper's figures
+//!  experiment::*  — one keyed-group harness (`Group::form` + `apply(Step)`)
+//!        │          behind every figure, `scenario`, traced run and churn
+//!        │          ablation; `agreed_secret` is "the group agreed"
 //!        │
 //!  SecureMember   — a gkap-gcs Client: signs/verifies every protocol
 //!        │          message, tracks epochs and key-completion times,

@@ -32,10 +32,10 @@ use gkap_bignum::stats::KernelOps;
 use gkap_gcs::{ClientId, GcsConfig, GroupId, SimWorld};
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 use gkap_telemetry::metrics::{Key, Layer, MetricsHub};
-use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
+use gkap_telemetry::{Actor, Event, EventKind};
 
 use crate::batch::{ChurnEvent, ChurnKind, EventBatcher, MembershipBatch};
-use crate::experiment::SuiteKind;
+use crate::experiment::{agreed_secret, member_seed, telemetry_sink, view_timing, SuiteKind};
 use crate::member::SecureMember;
 use crate::par;
 use crate::protocols::ProtocolKind;
@@ -187,7 +187,7 @@ pub struct ScaleRun {
     /// Per completed rekey: last view delivery → last key, ms (the
     /// key-agreement share).
     pub agreement_ms: Vec<f64>,
-    /// Every group ends keyed and error-free.
+    /// Every group ends keyed: see [`GroupOutcome::ok`].
     pub ok: bool,
     /// Captured telemetry (empty unless [`ScaleConfig::telemetry`]).
     pub events: Vec<Event>,
@@ -287,7 +287,9 @@ pub struct GroupOutcome {
     pub transport_ms: Vec<f64>,
     /// Per completed rekey: last view delivery → last key, ms.
     pub agreement_ms: Vec<f64>,
-    /// The group ends keyed and error-free.
+    /// The group ends keyed: every member of its final view completed
+    /// that view's key, and [`agreed_secret`] holds for it (one key,
+    /// no protocol error).
     pub ok: bool,
     /// Bignum kernel invocations this group's run performed.
     pub kernel_ops: KernelOps,
@@ -351,11 +353,7 @@ fn run_group(
     // on scheduling (`--jobs`), not on the group being measured.
     let suite = cfg.suite.shared();
     let kernel_before = gkap_bignum::stats::snapshot();
-    let telemetry = if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry = telemetry_sink(cfg.telemetry);
     let mut world = SimWorld::new(cfg.gcs.clone());
     world.set_telemetry(telemetry.clone());
     let machines = cfg.gcs.topology.machine_count();
@@ -363,7 +361,7 @@ fn run_group(
         let mut member = SecureMember::new(
             cfg.protocol,
             Rc::clone(&suite),
-            cfg.seed ^ ((c as u64 + 1).wrapping_mul(0x9e37_79b9)),
+            member_seed(cfg.seed, c),
             // Per-group bootstrap seed: groups start keyed, with
             // distinct keys.
             Some(cfg.seed ^ ((group as u64 + 1).wrapping_mul(0xa5a5_a5a5))),
@@ -415,23 +413,12 @@ fn run_group(
             out.superseded += 1;
             continue;
         };
-        let mut last_view = SimTime::ZERO;
-        let mut last_key = SimTime::ZERO;
-        let mut complete = true;
-        for &m in &view.members {
-            let member = world.client::<SecureMember>(m);
-            match member.completion(view.id) {
-                Some(t) => last_key = last_key.max(t),
-                None => complete = false,
-            }
-            if let Some(t) = member.view_time(view.id) {
-                last_view = last_view.max(t);
-            }
-        }
-        if !complete {
+        let timing = view_timing(&world, &view.members, view.id);
+        if !timing.complete {
             out.superseded += 1;
             continue;
         }
+        let (last_view, last_key) = (timing.last_view, timing.last_key);
         out.rekeys += 1;
         out.rekey_ms.push(last_key.since(*at).as_millis_f64());
         out.transport_ms.push(last_view.since(*at).as_millis_f64());
@@ -458,18 +445,12 @@ fn run_group(
         });
     }
 
-    // The group must end keyed and error-free.
-    match views.last() {
-        Some(view) => {
-            for &m in &view.members {
-                let member = world.client::<SecureMember>(m);
-                if member.completion(view.id).is_none() || member.protocol_error().is_some() {
-                    out.ok = false;
-                }
-            }
-        }
-        None => out.ok = false,
-    }
+    // The group must end keyed: its final view complete and one key,
+    // error-free, across it — completion alone does not show two keys.
+    out.ok = views.last().is_some_and(|view| {
+        view_timing(&world, &view.members, view.id).complete
+            && agreed_secret(&world, &view.members, view.id).is_some()
+    });
     out.kernel_ops = gkap_bignum::stats::snapshot().since(&kernel_before);
     out.hub = telemetry.hub_snapshot();
     out.events = telemetry.events();
@@ -532,11 +513,7 @@ pub fn assemble(
     // Telemetry: per-group streams concatenated group-ascending, then
     // the harness's batch-wait spans (timestamped on each batch's own
     // group clock) appended in global batch order.
-    let harness = if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let harness = telemetry_sink(cfg.telemetry);
     let t0_of: BTreeMap<GroupId, SimTime> = outcomes.iter().map(|o| (o.group, o.t0)).collect();
     for batch in batches {
         let Some(&t0) = t0_of.get(&batch.group) else {

@@ -3,41 +3,15 @@
 //! latency distribution — the library form of the paper's "typical
 //! collaborative group … formed incrementally, its population mutating
 //! throughout its lifetime" (§2.1).
+//!
+//! A scenario is data: the event vocabulary ([`Step`], [`LeavePick`])
+//! and the execution are [`crate::experiment`]'s, so a one-step
+//! scenario *is* the corresponding figure measurement.
 
-use std::rc::Rc;
-
-use gkap_gcs::{ClientId, SimWorld};
 use gkap_sim::stats::{Histogram, Summary};
 
-use crate::experiment::ExperimentConfig;
-use crate::member::SecureMember;
-use crate::suite::CryptoSuite;
-
-/// Which member a scripted leave removes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeavePick {
-    /// The oldest member (view head; CKD's controller).
-    Oldest,
-    /// The newest member (view tail; GDH's controller).
-    Newest,
-    /// The middle of the view.
-    Middle,
-    /// The view position `i mod size`.
-    Nth(usize),
-}
-
-/// One scripted membership event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// A fresh member joins.
-    Join,
-    /// One member leaves.
-    Leave(LeavePick),
-    /// `p` members (spread across the view) are partitioned away.
-    Partition(usize),
-    /// A fresh pre-keyed component of `m` members merges in.
-    Merge(usize),
-}
+use crate::experiment::{ExperimentConfig, Group};
+pub use crate::experiment::{LeaveTarget as LeavePick, Step};
 
 /// A full scenario: initial size plus a step script.
 #[derive(Clone, Debug)]
@@ -63,18 +37,16 @@ impl Scenario {
         Scenario { initial, steps }
     }
 
-    /// Upper bound on clients the scenario needs.
-    fn clients_needed(&self) -> usize {
-        let joins: usize = self
-            .steps
+    /// The spares the script admits.
+    fn spares_needed(&self) -> usize {
+        self.steps
             .iter()
             .map(|s| match s {
                 Step::Join => 1,
                 Step::Merge(m) => *m,
                 _ => 0,
             })
-            .sum();
-        self.initial + joins
+            .sum()
     }
 }
 
@@ -103,132 +75,33 @@ pub struct ScenarioReport {
     pub ok: bool,
 }
 
-/// Executes `scenario` under `cfg`, returning per-event timings.
+/// Executes `scenario` under `cfg`, returning per-event timings: one
+/// [`Group::form`], then [`Group::apply`] per step, back to back.
 ///
 /// # Panics
 ///
-/// Panics if the scenario empties the group or a merge/partition size
-/// is infeasible at execution time.
+/// Panics where [`Group::apply`] does: a step that would empty the
+/// group, or a merge/partition size infeasible at execution time.
 pub fn run_scenario(cfg: &ExperimentConfig, scenario: &Scenario) -> ScenarioReport {
-    let suite = Rc::new(match cfg.suite {
-        crate::experiment::SuiteKind::Sim512 => CryptoSuite::sim_512(),
-        crate::experiment::SuiteKind::Sim1024 => CryptoSuite::sim_1024(),
-        crate::experiment::SuiteKind::Sim512Dsa => CryptoSuite::sim_512_dsa(),
-        crate::experiment::SuiteKind::FastZero => CryptoSuite::fast_zero(),
-    });
-    let total = scenario.clients_needed();
-    let mut world = SimWorld::new(cfg.gcs.clone());
-    for i in 0..total {
-        let mut member = SecureMember::new(
-            cfg.protocol,
-            Rc::clone(&suite),
-            cfg.seed ^ ((i as u64 + 1) * 0x9e37_79b9),
-            Some(cfg.seed),
-        );
-        member.set_key_confirmation(cfg.confirm_keys);
-        world.add_client(Box::new(member));
-    }
-    world.install_initial_view_of((0..scenario.initial).collect());
-    world.run_until_quiescent();
-
-    let mut next_fresh = scenario.initial;
-    let mut events = Vec::with_capacity(scenario.steps.len());
-    let mut summary = Summary::new();
-    let mut histogram = Histogram::new(0.1, 1.5, 48);
-    let mut ok = true;
-
+    let mut group = Group::form(cfg, scenario.initial, scenario.spares_needed());
+    let mut report = ScenarioReport {
+        events: Vec::with_capacity(scenario.steps.len()),
+        summary: Summary::new(),
+        histogram: Histogram::new(0.1, 1.5, 48),
+        ok: true,
+    };
     for &step in &scenario.steps {
-        let members = world.view().expect("view").members.clone();
-        let target_epoch = world.view().expect("view").id + 1;
-        let inject = world.now().as_millis_f64();
-        let wait_for: Vec<ClientId> = match step {
-            Step::Join => {
-                let j = next_fresh;
-                next_fresh += 1;
-                world.inject_join(j);
-                let mut w = members;
-                w.push(j);
-                w
-            }
-            Step::Leave(pick) => {
-                assert!(members.len() > 1, "scenario would empty the group");
-                let leaver = match pick {
-                    LeavePick::Oldest => members[0],
-                    LeavePick::Newest => *members.last().expect("non-empty"),
-                    LeavePick::Middle => members[members.len() / 2],
-                    LeavePick::Nth(i) => members[i % members.len()],
-                };
-                world.inject_leave(leaver);
-                members.into_iter().filter(|&c| c != leaver).collect()
-            }
-            Step::Partition(p) => {
-                assert!(p < members.len(), "partition would empty the group");
-                let stride = (members.len() as f64 / p as f64).max(1.0);
-                let mut leaving: Vec<ClientId> = (0..p)
-                    .map(|i| members[((i as f64 + 0.5) * stride) as usize % members.len()])
-                    .collect();
-                leaving.dedup();
-                world.inject_partition(leaving.clone());
-                members
-                    .into_iter()
-                    .filter(|c| !leaving.contains(c))
-                    .collect()
-            }
-            Step::Merge(m) => {
-                let component: Vec<ClientId> = (next_fresh..next_fresh + m).collect();
-                next_fresh += m;
-                let comp_seed = cfg.seed ^ 0xfeed ^ next_fresh as u64;
-                for &c in &component {
-                    world
-                        .client_mut::<SecureMember>(c)
-                        .preseed_component(&component, c, comp_seed);
-                }
-                world.inject_merge(component.clone());
-                let mut w = members;
-                w.extend(component);
-                w
-            }
-        };
-        let complete = |w: &SimWorld| {
-            wait_for.iter().all(|&c| {
-                w.client::<SecureMember>(c)
-                    .completion(target_epoch)
-                    .is_some()
-            })
-        };
-        world.run_while(|w| !complete(w));
-        if !complete(&world) {
-            ok = false;
-        }
-        let mut last = inject;
-        let mut secret = None;
-        for &c in &wait_for {
-            let m = world.client::<SecureMember>(c);
-            if let Some(t) = m.completion(target_epoch) {
-                last = last.max(t.as_millis_f64());
-            }
-            match (m.secret(target_epoch), &secret) {
-                (Some(s), None) => secret = Some(s.clone()),
-                (Some(s), Some(prev)) if s != prev => ok = false,
-                (None, _) => ok = false,
-                _ => {}
-            }
-        }
-        let elapsed_ms = last - inject;
-        summary.add(elapsed_ms);
-        histogram.record(elapsed_ms);
-        events.push(EventReport {
+        let outcome = group.apply(step);
+        report.ok &= outcome.ok;
+        report.summary.add(outcome.elapsed_ms);
+        report.histogram.record(outcome.elapsed_ms);
+        report.events.push(EventReport {
             step,
-            elapsed_ms,
-            size_after: wait_for.len(),
+            elapsed_ms: outcome.elapsed_ms,
+            size_after: outcome.size_after,
         });
     }
-    ScenarioReport {
-        events,
-        summary,
-        histogram,
-        ok,
-    }
+    report
 }
 
 #[cfg(test)]
