@@ -8,7 +8,3 @@ pub struct Keys {
 pub struct Material {
     pub secret: u64,
 }
-
-pub fn leak(secret: u64) {
-    println!("secret is {secret}");
-}

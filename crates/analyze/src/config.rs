@@ -20,15 +20,20 @@
 //! <RULE-ID> <glob> [fn=<name>] # reason (required)
 //! ```
 //!
-//! Allowlist entries suppress findings of exactly that rule id in
+//! Allowlist entries suppress findings of that rule id (or family) in
 //! matching files; the optional `fn=<name>` field narrows the entry to
-//! one enclosing function, which is how arithmetic proof obligations
-//! are recorded per kernel. Every entry must carry a reason after `#`
+//! one enclosing function. Every entry must carry a reason after `#`
 //! — an entry without one is itself reported as a configuration
 //! error, and an entry matching no current finding is *stale* and
 //! fails the run (see `Report::stale_allows`).
+//!
+//! In both files the rule must be an id of `rules::RULES` or its
+//! family (`L1`…`L4`); anything else is a configuration error, so a
+//! typo cannot switch a rule off.
 
 use std::path::Path;
+
+use crate::rules::RULES;
 
 /// One scope entry: rule-id prefix plus path glob.
 #[derive(Clone, Debug)]
@@ -112,12 +117,6 @@ impl Config {
             // tables are fixed-size and the shard loops are
             // length-checked (same rationale as the figure builders).
             ("L1-PANIC", &["crates/gcs/src/fec.rs"]),
-            // The Gilbert–Elliott loss chain advances on the engine's
-            // per-copy delivery path (every `lose_copy` consults it):
-            // being pure integer dwell arithmetic it must not overflow
-            // unchecked either (L5; L1 above and L4 via the gcs-wide
-            // determinism scope already cover it).
-            ("L5", &["crates/gcs/src/loss.rs"]),
             // The repro surface must degrade to error returns, never
             // panic — so the panic rule (and only it: indexing over
             // static tables is idiomatic in figure builders, so
@@ -156,24 +155,6 @@ impl Config {
                     "crates/bench/src/manifest.rs",
                 ],
             ),
-            // L5 arithmetic soundness: the hand-rolled big-integer
-            // kernels (Montgomery, Knuth division, fixed-base tables)
-            // and the GF(256) Reed–Solomon codec — the hot paths where
-            // a silent overflow or truncating cast corrupts figures
-            // without failing a test.
-            ("L5", &["crates/bignum/src/**", "crates/gcs/src/fec.rs"]),
-            // L6 parallel determinism: every `--jobs` execution path —
-            // the sharded scale engine, the worker pool, GCS sharding,
-            // and the bench harness that folds their outputs.
-            (
-                "L6",
-                &[
-                    "crates/core/src/scale.rs",
-                    "crates/core/src/par.rs",
-                    "crates/gcs/src/shard.rs",
-                    "crates/bench/src/**",
-                ],
-            ),
             // Self-analysis: the analyzer is a CI gate, so it must be
             // panic-free on arbitrary source input and deterministic
             // in its output ordering. (L1-INDEX stays out: token-slice
@@ -208,6 +189,7 @@ impl Config {
                     let prefix = parts
                         .next()
                         .ok_or_else(|| format!("line {}: scope needs a rule prefix", lineno + 1))?;
+                    check_rule(prefix).map_err(|e| format!("line {}: {e}", lineno + 1))?;
                     let globs: Vec<&str> = parts.collect();
                     if globs.is_empty() {
                         return Err(format!(
@@ -257,6 +239,7 @@ impl Config {
                     ))
                 }
             };
+            check_rule(rule).map_err(|e| format!("analyze.allow line {}: {e}", lineno + 1))?;
             let func = match parts.next() {
                 Some(f) => match f.strip_prefix("fn=") {
                     Some(name) if !name.is_empty() => Some(name.to_string()),
@@ -286,24 +269,25 @@ impl Config {
             .any(|s| rule.starts_with(s.rule_prefix.as_str()) && glob_match(&s.glob, rel_path))
     }
 
-    /// Whether a finding of `rule` in `rel_path` is allowlisted,
-    /// ignoring function-scoped entries (kept for callers with no
-    /// function attribution).
-    pub fn allowed(&self, rule: &str, rel_path: &str) -> bool {
-        self.allows
-            .iter()
-            .any(|a| a.func.is_none() && a.matches(rule, rel_path, ""))
-    }
-
-    /// Whether a fully attributed finding is allowlisted.
-    pub fn allowed_finding(&self, rule: &str, rel_path: &str, func: &str) -> bool {
-        self.allows.iter().any(|a| a.matches(rule, rel_path, func))
-    }
-
     /// Every path prefix mentioned by any scope — used to prune the
     /// file walk.
     pub fn is_interesting(&self, rel_path: &str) -> bool {
         self.scopes.iter().any(|s| glob_match(&s.glob, rel_path))
+    }
+}
+
+/// `Ok` when `rule` names a rule id or family, else the message.
+fn check_rule(rule: &str) -> Result<(), String> {
+    if RULES
+        .iter()
+        .any(|id| *id == rule || id.split('-').next() == Some(rule))
+    {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown rule `{rule}` — expected one of {} or a family L1…L4",
+            RULES.join(", ")
+        ))
     }
 }
 
@@ -457,7 +441,41 @@ mod tests {
         assert!(cfg.parse_allowlist("L1-INDEX src/x.rs").is_err());
         cfg.parse_allowlist("L1-INDEX src/x.rs # audited 2026-08-07\n")
             .unwrap();
-        assert!(cfg.allowed("L1-INDEX", "src/x.rs"));
-        assert!(!cfg.allowed("L1-PANIC", "src/x.rs"));
+        assert!(cfg.allows[0].matches("L1-INDEX", "src/x.rs", "f"));
+        assert!(!cfg.allows[0].matches("L1-PANIC", "src/x.rs", "f"));
+    }
+
+    #[test]
+    fn default_scopes_name_known_rules() {
+        for s in Config::workspace_default().scopes {
+            assert!(check_rule(&s.rule_prefix).is_ok(), "{}", s.rule_prefix);
+        }
+    }
+
+    #[test]
+    fn a_line_naming_no_rule_is_an_error() {
+        // A one-letter typo used to match no rule and silently switch
+        // the check off; so did a family that no longer exists.
+        for conf in [
+            "scope L1-PANC src/x.rs",
+            "scope L5 src/**",
+            "scope L src/**",
+        ] {
+            let err = Config::parse_conf(conf).unwrap_err();
+            assert!(err.starts_with("line 1: unknown rule"), "{conf}: {err}");
+        }
+        let err = Config::parse_conf("# header\nscope L1 src/**\nscope L6-PAR src/**").unwrap_err();
+        assert!(err.starts_with("line 3: unknown rule `L6-PAR`"), "{err}");
+        let mut cfg = Config::default();
+        let err = cfg.parse_allowlist("L6-PAR x # r").unwrap_err();
+        assert!(
+            err.starts_with("analyze.allow line 1: unknown rule `L6-PAR`"),
+            "{err}"
+        );
+        assert!(cfg.parse_allowlist("L2-FLOW src/** # r").is_err());
+        // Ids and families both stay accepted.
+        cfg.parse_allowlist("L1 src/** # r\nL4-RNG src/** # r\n")
+            .unwrap();
+        assert_eq!(cfg.allows.len(), 2);
     }
 }

@@ -45,10 +45,9 @@ pub struct Token {
     /// The token text (`"=="`, `"unwrap"`, …). Literals keep their full
     /// source slice (quotes included) — but rule engines only match via
     /// [`Token::is_ident`] / [`Token::is_punct`], which check `kind`,
-    /// so nothing inside a literal can fake an identifier match. The
-    /// raw text is kept so the dataflow can spot inline format captures
-    /// like `"{secret:?}"`. Raw identifiers keep their `r#` prefix
-    /// (`r#fn` is *not* the `fn` keyword).
+    /// so nothing inside a literal can fake an identifier match. Raw
+    /// identifiers keep their `r#` prefix (`r#fn` is *not* the `fn`
+    /// keyword).
     pub text: String,
     /// 1-based source line.
     pub line: u32,

@@ -1,45 +1,33 @@
 //! `gkap-analyze` — the workspace static analyzer.
 //!
 //! Parses every in-scope Rust source file in the workspace (own lexer +
-//! item parser; the build environment is offline so there is no `syn`),
-//! builds a per-function call graph, and enforces six rule families:
+//! item parser; the build environment is offline so there is no `syn`)
+//! and enforces four rule families:
 //!
 //! * **L1 panic-freedom** — no `unwrap`/`expect`/`panic!`/raw indexing
 //!   in protocol drivers, the secure session layer or the GCS engine.
 //! * **L2 secret hygiene** — DH exponents, RSA private keys and group
-//!   keys live in `Secret<T>`, never derive `Debug`, and never flow
-//!   into formatting / serialization sinks. `L2-FLOW` runs a
-//!   field-sensitive interprocedural taint fixpoint (see `taint`).
+//!   keys live in `Secret<T>` and never derive `Debug`/`Serialize`.
 //! * **L3 constant-time discipline** — verification paths compare with
 //!   `ct_eq`; `ct_*` kernels have no early exits or data-dependent
 //!   indexing.
 //! * **L4 sim determinism** — no wall-clock time, ambient RNG or
 //!   hash-order iteration in event-ordering paths.
-//! * **L5 arithmetic soundness** — unchecked `+`/`-`/`*`/`<<`,
-//!   truncating `as` casts and mixed-width comparisons in the bignum /
-//!   FEC kernels, with a bounded-operand suppression lattice (`arith`).
-//! * **L6 parallel determinism** — `static mut`, `Ordering::Relaxed`
-//!   counters, unbracketed `KernelOps` reads and arrival-order result
-//!   folds in the `--jobs` execution paths (`rules::check_l6`).
 //!
 //! Diagnostics are rustc-style `file:line:col: error[RULE]: message`.
-//! Each finding carries a stable fingerprint (`fingerprint`), so CI can
-//! gate on *new* findings against a committed `analyze.baseline`. See
-//! `DESIGN.md` §11/§16.
+//! See `DESIGN.md` §11 for the rules and §16 for the audit that chose
+//! them.
 
-use std::collections::{BTreeMap, BTreeSet};
+#![forbid(unsafe_code)]
+
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod arith;
-pub mod callgraph;
 pub mod config;
-pub mod fingerprint;
 pub mod lexer;
-pub mod output;
 pub mod parse;
 pub mod rules;
-pub mod taint;
 
 pub use config::Config;
 
@@ -59,13 +47,11 @@ pub struct Finding {
     pub func: String,
     /// Human-readable explanation.
     pub msg: String,
-    /// Stable identity across unrelated edits; see `fingerprint`.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with no function / fingerprint assigned yet (both are
-    /// filled by post-passes).
+    /// A finding with no function assigned yet (filled by
+    /// `rules::fill_funcs`).
     pub fn new(rule: &str, file: &str, line: u32, col: u32, msg: impl Into<String>) -> Self {
         Finding {
             rule: rule.to_string(),
@@ -74,7 +60,6 @@ impl Finding {
             col,
             func: String::new(),
             msg: msg.into(),
-            fingerprint: String::new(),
         }
     }
 }
@@ -92,21 +77,11 @@ impl fmt::Display for Finding {
 /// Directories never descended into during discovery.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Engine options for [`analyze_report`].
-#[derive(Debug, Default)]
-pub struct EngineOpts {
-    /// Accepted fingerprints: findings in this set are reported under
-    /// `Report::baselined` instead of `Report::findings`.
-    pub baseline: Option<BTreeSet<String>>,
-}
-
 /// The full result of an analyzer run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// New findings: not allowlisted, not in the baseline.
+    /// Findings not suppressed by the allowlist.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by the fingerprint baseline.
-    pub baselined: Vec<Finding>,
     /// Allowlist entries (rendered `RULE glob [fn=name]`) that matched
     /// no current finding — stale entries fail the run.
     pub stale_allows: Vec<String>,
@@ -151,72 +126,55 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Analyzes every in-scope file under `root` and returns the surviving
-/// findings, sorted by `(file, line, rule)`. Thin wrapper over
-/// [`analyze_report`] with no baseline.
-pub fn analyze_root(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
-    let report = analyze_report(root, cfg, &EngineOpts::default())?;
-    Ok(report.findings)
-}
-
 /// Every finding over pre-loaded `(rel_path, contents)` pairs, before
-/// the allowlist: local + flow rules, deduplicated, attributed to
-/// their functions and fingerprinted.
+/// the allowlist: deduplicated, sorted and attributed to their
+/// functions.
 fn all_findings(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let files: Vec<(String, parse::ParsedFile)> = sources
         .iter()
         .map(|(rel, text)| (rel.clone(), parse::parse(text)))
         .collect();
-    let graph = callgraph::CallGraph::build(&files);
     let mut raw = Vec::new();
     for (path, pf) in &files {
-        rules::check_file_local(path, pf, cfg, &mut raw);
+        rules::check_file(path, pf, cfg, &mut raw);
     }
-    taint::check(&files, &graph, cfg, &mut raw);
     let mut all = dedup_sort(raw);
     rules::fill_funcs(&files, &mut all);
-    assign_fingerprints(sources, &mut all);
     all
 }
 
 /// Analyzes pre-loaded `(rel_path, contents)` pairs. Split out so the
-/// fixture tests can drive the analyzer without touching the real
-/// filesystem layout.
+/// unit tests can drive the analyzer without touching the filesystem.
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    let mut all = all_findings(sources, cfg);
-    let mut used = vec![false; cfg.allows.len()];
-    all.retain(|f| !mark_allowed(cfg, f, &mut used));
-    all
+    let mut findings = all_findings(sources, cfg);
+    apply_allows(cfg, &mut findings);
+    findings
 }
 
-/// The full engine: discovery, local + flow rules, function
-/// attribution, fingerprints, allowlist with stale tracking, baseline
-/// split.
-pub fn analyze_report(root: &Path, cfg: &Config, opts: &EngineOpts) -> Result<Report, String> {
+/// The full engine: discovery, the rules, function attribution, and
+/// the allowlist with stale-entry tracking.
+pub fn analyze_report(root: &Path, cfg: &Config) -> Result<Report, String> {
     let sources = discover_files(root, cfg)?;
-    let mut all = all_findings(&sources, cfg);
+    let mut findings = all_findings(&sources, cfg);
+    let stale_allows = apply_allows(cfg, &mut findings);
+    Ok(Report {
+        findings,
+        stale_allows,
+        files: sources.len(),
+    })
+}
 
+/// Drops allowlisted findings; returns the entries (rendered) that
+/// matched none.
+fn apply_allows(cfg: &Config, findings: &mut Vec<Finding>) -> Vec<String> {
     let mut used = vec![false; cfg.allows.len()];
-    all.retain(|f| !mark_allowed(cfg, f, &mut used));
-    let stale_allows: Vec<String> = cfg
-        .allows
+    findings.retain(|f| !mark_allowed(cfg, f, &mut used));
+    cfg.allows
         .iter()
         .zip(&used)
         .filter(|(_, &u)| !u)
         .map(|(a, _)| a.render())
-        .collect();
-
-    let (baselined, findings) = match &opts.baseline {
-        Some(base) => all.into_iter().partition(|f| base.contains(&f.fingerprint)),
-        None => (Vec::new(), all),
-    };
-
-    Ok(Report {
-        findings,
-        baselined,
-        stale_allows,
-        files: sources.len(),
-    })
+        .collect()
 }
 
 /// Dedups per `(rule, file, line)` and sorts by `(file, line, rule)`.
@@ -244,21 +202,6 @@ fn mark_allowed(cfg: &Config, f: &Finding, used: &mut [bool]) -> bool {
         }
     }
     hit
-}
-
-/// Computes fingerprints for `findings`, resolving source lines from
-/// the in-memory `sources`.
-fn assign_fingerprints(sources: &[(String, String)], findings: &mut [Finding]) {
-    let lines: BTreeMap<&str, Vec<&str>> = sources
-        .iter()
-        .map(|(rel, text)| (rel.as_str(), text.lines().collect()))
-        .collect();
-    fingerprint::assign(findings, |file, line| {
-        lines
-            .get(file)
-            .and_then(|ls| ls.get(line.checked_sub(1)? as usize))
-            .copied()
-    });
 }
 
 #[cfg(test)]
@@ -292,7 +235,6 @@ mod tests {
         assert_eq!(findings[0].rule, "L1-PANIC");
         assert_eq!(findings[0].file, "src/driver.rs");
         assert_eq!(findings[0].func, "step");
-        assert!(!findings[0].fingerprint.is_empty());
     }
 
     #[test]

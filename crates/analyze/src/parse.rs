@@ -1,30 +1,16 @@
-//! Item-level parsing on top of the token stream: functions (with
-//! signatures), structs (with fields and derives), and `#[cfg(test)]`
+//! Item-level parsing on top of the token stream: functions (name and
+//! body), structs (with fields and derives), and `#[cfg(test)]`
 //! regions. This is deliberately *not* a full Rust parser — it
-//! recovers exactly the structure the rule engines and the call graph
-//! need, using brace matching and a handful of keyword anchors.
+//! recovers exactly the structure the rules need, using brace matching
+//! and a handful of keyword anchors.
 
 use crate::lexer::{lex, TokKind, Token};
-
-/// A parsed function parameter.
-#[derive(Clone, Debug)]
-pub struct Param {
-    /// Binding name (`x` in `mut x: &Secret<Ubig>`); `self` for
-    /// receivers.
-    pub name: String,
-    /// The type, as flattened token text (`"& Secret < Ubig >"`).
-    pub ty: String,
-}
 
 /// A parsed `fn` item.
 #[derive(Clone, Debug)]
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Parameters in order (receiver included as `self`).
-    pub params: Vec<Param>,
-    /// Flattened return type text (empty for `()`).
-    pub ret: String,
     /// Token index range of the body (inside the braces).
     pub body: std::ops::Range<usize>,
     /// 1-based line of the `fn` keyword.
@@ -256,10 +242,8 @@ fn parse_fn(tokens: &[Token], start: usize, file: &ParsedFile) -> (FnItem, usize
         }
     }
 
-    // Parameter list.
-    let mut params = Vec::new();
+    // Parameter list (matched by parens: it may hold `;` and `{`).
     if tokens.get(i).is_some_and(|t| t.is_punct("(")) {
-        let open = i;
         let mut depth = 0usize;
         while i < n {
             if tokens[i].is_punct("(") {
@@ -272,26 +256,9 @@ fn parse_fn(tokens: &[Token], start: usize, file: &ParsedFile) -> (FnItem, usize
             }
             i += 1;
         }
-        params = split_params(&tokens[open + 1..i]);
         i += 1; // past ')'
     }
-
-    // Return type: tokens between `->` and `{` / `;` / `where`.
-    let mut ret = String::new();
-    if tokens.get(i).is_some_and(|t| t.is_punct("->")) {
-        i += 1;
-        let mut parts = Vec::new();
-        while i < n {
-            let t = &tokens[i];
-            if t.is_punct("{") || t.is_punct(";") || t.is_ident("where") {
-                break;
-            }
-            parts.push(t.text.clone());
-            i += 1;
-        }
-        ret = parts.join(" ");
-    }
-    // Skip a where clause.
+    // Skip the return type and any where clause.
     while i < n && !tokens[i].is_punct("{") && !tokens[i].is_punct(";") {
         i += 1;
     }
@@ -319,8 +286,6 @@ fn parse_fn(tokens: &[Token], start: usize, file: &ParsedFile) -> (FnItem, usize
     (
         FnItem {
             name,
-            params,
-            ret,
             body,
             line,
             is_test,
@@ -329,58 +294,6 @@ fn parse_fn(tokens: &[Token], start: usize, file: &ParsedFile) -> (FnItem, usize
         // body are discovered by the main loop.
         start + 1,
     )
-}
-
-/// Splits a parameter token slice on top-level commas into params.
-fn split_params(tokens: &[Token]) -> Vec<Param> {
-    let mut params = Vec::new();
-    let mut depth = 0isize;
-    let mut cur: Vec<&Token> = Vec::new();
-    let flush = |cur: &mut Vec<&Token>, params: &mut Vec<Param>| {
-        if cur.is_empty() {
-            return;
-        }
-        // Receiver?
-        if cur.iter().any(|t| t.is_ident("self")) && !cur.iter().any(|t| t.is_punct(":")) {
-            params.push(Param {
-                name: "self".to_string(),
-                ty: "Self".to_string(),
-            });
-            cur.clear();
-            return;
-        }
-        let colon = cur.iter().position(|t| t.is_punct(":"));
-        if let Some(c) = colon {
-            let name = cur[..c]
-                .iter()
-                .rev()
-                .find(|t| t.kind == TokKind::Ident && t.text != "mut" && t.text != "ref")
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            let ty: Vec<String> = cur[c + 1..].iter().map(|t| t.text.clone()).collect();
-            params.push(Param {
-                name,
-                ty: ty.join(" "),
-            });
-        }
-        cur.clear();
-    };
-    for t in tokens {
-        match t.text.as_str() {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            // The lexer emits `>>` as one token (`Vec<Vec<u8>>`).
-            ">>" => depth -= 2,
-            "," if depth == 0 => {
-                flush(&mut cur, &mut params);
-                continue;
-            }
-            _ => {}
-        }
-        cur.push(t);
-    }
-    flush(&mut cur, &mut params);
-    params
 }
 
 /// Parses a brace struct starting at the `struct` keyword. Tuple
@@ -515,15 +428,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finds_fns_and_signatures() {
-        let p = parse("pub fn add(a: u64, mut b: u64) -> u64 { a + b }\nfn g<T: Clone>(x: &T) {}");
+    fn finds_fns_and_bodies() {
+        let src = "pub fn add(a: [u8; 2], mut b: u64) -> u64 { a + b }\nfn g<T: Clone>(x: &T) where T: Copy { x }";
+        let p = parse(src);
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].name, "add");
-        assert_eq!(p.fns[0].params.len(), 2);
-        assert_eq!(p.fns[0].params[1].name, "b");
-        assert_eq!(p.fns[0].ret, "u64");
         assert_eq!(p.fns[1].name, "g");
-        assert_eq!(p.fns[1].params[0].ty, "& T");
+        // Bodies exclude the braces; a `;` inside the parameter list
+        // does not end the signature.
+        let body = |f: &FnItem| -> Vec<&str> {
+            p.tokens[f.body.clone()]
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect()
+        };
+        assert_eq!(body(&p.fns[0]), ["a", "+", "b"]);
+        assert_eq!(body(&p.fns[1]), ["x"]);
     }
 
     #[test]
@@ -563,23 +483,12 @@ mod tests {
     }
 
     #[test]
-    fn nested_generics_in_fields_and_params() {
-        // `Vec<Vec<u8>>` ends with one `>>` token; the splitters must
+    fn nested_generics_in_fields() {
+        // `Vec<Vec<u8>>` ends with one `>>` token; the splitter must
         // close two angle levels for it or every following field is
         // swallowed into the type.
-        let p =
-            parse("struct S { shards: Vec<Vec<u8>>, n: usize }\nfn f(a: Vec<Vec<u8>>, b: u64) {}");
+        let p = parse("struct S { shards: Vec<Vec<u8>>, n: usize }");
         assert_eq!(p.structs[0].fields.len(), 2);
         assert_eq!(p.structs[0].fields[1].0, "n");
-        assert_eq!(p.fns[0].params.len(), 2);
-        assert_eq!(p.fns[0].params[1].name, "b");
-    }
-
-    #[test]
-    fn receiver_param() {
-        let p = parse("impl X { fn m(&mut self, v: u8) {} }");
-        let m = &p.fns[0];
-        assert_eq!(m.params[0].name, "self");
-        assert_eq!(m.params[1].name, "v");
     }
 }

@@ -1,4 +1,4 @@
-//! The six rule families.
+//! The four rule families.
 //!
 //! | id        | family                  | what it flags                                     |
 //! |-----------|-------------------------|---------------------------------------------------|
@@ -6,31 +6,36 @@
 //! | L1-INDEX  | panic-freedom           | postfix slice / array indexing                    |
 //! | L2-DERIVE | secret hygiene          | secret-bearing structs deriving Debug/Serialize   |
 //! | L2-RAW    | secret hygiene          | secret-named fields stored outside `Secret<T>`    |
-//! | L2-FLOW   | secret hygiene          | secret values flowing into format/serialize sinks |
 //! | L3-EQ     | constant-time           | `==` / `!=` in verification / confirmation paths  |
 //! | L3-CT     | constant-time           | early exit / data indexing inside `ct_*` fns      |
 //! | L4-HASH   | sim determinism         | `HashMap` / `HashSet` in event-ordering paths     |
 //! | L4-TIME   | sim determinism         | wall-clock time (`Instant`, `SystemTime`, …)      |
 //! | L4-RNG    | sim determinism         | ambient RNG (`thread_rng`, `OsRng`, …)            |
-//! | L5-ARITH  | arithmetic soundness    | unchecked ops / truncating casts (see `arith`)    |
-//! | L6-PAR    | parallel determinism    | `static mut`, `Relaxed`, unbracketed accumulators |
 //!
 //! All token-level checks skip `#[cfg(test)]` regions; findings are
 //! deduplicated per `(rule, file, line)` so one offending line yields
 //! one diagnostic.
-//!
-//! L2-FLOW is the field-sensitive interprocedural taint fixpoint of
-//! the `taint` module.
 
-use std::collections::BTreeSet;
-
-use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::lexer::{TokKind, Token};
 use crate::parse::ParsedFile;
 use crate::Finding;
 
-/// Field / binding names treated as secret material for L2.
+/// Every rule id the analyzer reports — the table above. A scope or
+/// allowlist line must name one of these or its family (`L1`…`L4`).
+pub const RULES: &[&str] = &[
+    "L1-PANIC",
+    "L1-INDEX",
+    "L2-DERIVE",
+    "L2-RAW",
+    "L3-EQ",
+    "L3-CT",
+    "L4-HASH",
+    "L4-TIME",
+    "L4-RNG",
+];
+
+/// Field names treated as secret material for L2.
 pub const SECRET_NAMES: &[&str] = &[
     "secret",
     "group_secret",
@@ -60,39 +65,12 @@ const NON_INDEX_PREV: &[&str] = &[
     "struct", "enum", "trait", "mod", "unsafe", "while", "loop", "await", "async", "yield", "box",
 ];
 
-/// Runs every rule family over the parsed files: per-file local
-/// checks, the flow engine, dedup, function attribution and the
-/// allowlist.
-pub fn check_all(files: &[(String, ParsedFile)], cfg: &Config, graph: &CallGraph) -> Vec<Finding> {
-    let mut raw = Vec::new();
-    for (path, pf) in files {
-        check_file_local(path, pf, cfg, &mut raw);
-    }
-    crate::taint::check(files, graph, cfg, &mut raw);
-
-    // Dedup per (rule, file, line), sort, attribute, drop allowlisted.
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    raw.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    for f in raw {
-        if seen.insert((f.rule.clone(), f.file.clone(), f.line)) {
-            out.push(f);
-        }
-    }
-    fill_funcs(files, &mut out);
-    out.retain(|f| !cfg.allowed_finding(&f.rule, &f.file, &f.func));
-    out
-}
-
-/// Every per-file check: L1–L6 minus the interprocedural
-/// flow pass.
-pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
+/// Every check, over one file.
+pub fn check_file(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
     check_l1(path, pf, cfg, out);
     check_l2_structs(path, pf, cfg, out);
     check_l3(path, pf, cfg, out);
     check_l4(path, pf, cfg, out);
-    crate::arith::check_l5(path, pf, cfg, out);
-    check_l6(path, pf, cfg, out);
 }
 
 /// Fills each finding's `func` with the innermost enclosing function,
@@ -124,13 +102,7 @@ pub fn fill_funcs(files: &[(String, ParsedFile)], findings: &mut [Finding]) {
 }
 
 /// Finding at a token, attributed to a known enclosing function.
-pub(crate) fn finding_at(
-    rule: &str,
-    file: &str,
-    t: &Token,
-    func: &str,
-    msg: impl Into<String>,
-) -> Finding {
+fn finding_at(rule: &str, file: &str, t: &Token, func: &str, msg: impl Into<String>) -> Finding {
     let mut f = Finding::new(rule, file, t.line, t.col, msg);
     f.func = func.to_string();
     f
@@ -220,7 +192,7 @@ fn check_l1(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------- L2
 
 /// Whether a struct field holds secret material.
-pub(crate) fn field_is_secret(name: &str, ty: &str) -> bool {
+fn field_is_secret(name: &str, ty: &str) -> bool {
     SECRET_NAMES.contains(&name) || ty.contains("Secret <") || ty.contains("Secret<")
 }
 
@@ -419,150 +391,14 @@ fn check_l4(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- L6
-
-/// Accumulator types whose `take`/`snapshot` reads must be bracketed:
-/// the qualifier before `::take(` / `::snapshot(`.
-fn is_accumulator_qualifier(name: &str) -> bool {
-    name == "stats" || name.ends_with("Ops")
-}
-
-/// L6-PAR: parallel-determinism hazards in the `--jobs` execution
-/// paths. Four sub-checks (see DESIGN.md §16):
-///
-/// * `static mut` — racy by construction under `--jobs`.
-/// * `Ordering::Relaxed` on a cross-thread counter — permits
-///   reordering against the work it counts; every use needs either an
-///   upgrade or a monotonic-counter proof in the allowlist.
-/// * thread-local accumulator reads (`stats::take()` /
-///   `KernelOps::snapshot()`) in a function that never brackets them
-///   with `since`/`merge` — worker-thread counts are silently dropped
-///   (the PR 6 bug class).
-/// * arrival-order result folds: `HashMap`/`HashSet` iteration, or
-///   `push`/`send` into shared state from inside a `run_indexed`
-///   closure instead of writing the indexed output slot.
-fn check_l6(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
-    if !cfg.in_scope("L6-PAR", path) {
-        return;
-    }
-    let toks = &pf.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if pf.in_test_region(i) || t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "static" if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) => {
-                out.push(tok_finding(
-                    "L6-PAR",
-                    path,
-                    t,
-                    "`static mut` accumulator is racy under `--jobs` — use an atomic or per-shard state",
-                ));
-            }
-            "Relaxed" => {
-                out.push(tok_finding(
-                    "L6-PAR",
-                    path,
-                    t,
-                    "`Ordering::Relaxed` on a cross-thread counter permits reordering — use AcqRel/SeqCst or carry a monotonic-counter proof in the allowlist",
-                ));
-            }
-            "HashMap" | "HashSet" => {
-                out.push(tok_finding(
-                    "L6-PAR",
-                    path,
-                    t,
-                    format!(
-                        "folding over `{}` iteration order is nondeterministic across `--jobs` — use BTreeMap/BTreeSet or sort first",
-                        t.text
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-    for f in &pf.fns {
-        if f.is_test {
-            continue;
-        }
-        let body = &toks[f.body.start.min(toks.len())..f.body.end.min(toks.len())];
-        let bracketed = body
-            .iter()
-            .any(|t| t.is_ident("since") || t.is_ident("merge"));
-        for i in f.body.clone() {
-            if pf.in_test_region(i) {
-                continue;
-            }
-            let t = &toks[i];
-            // `stats::take()` / `KernelOps::snapshot()` outside a
-            // since/merge bracket.
-            if t.kind == TokKind::Ident
-                && (t.text == "take" || t.text == "snapshot")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                && i >= 2
-                && toks[i - 1].is_punct("::")
-                && toks[i - 2].kind == TokKind::Ident
-                && is_accumulator_qualifier(&toks[i - 2].text)
-                && !bracketed
-            {
-                out.push(finding_at(
-                    "L6-PAR",
-                    path,
-                    t,
-                    &f.name,
-                    format!(
-                        "`{}::{}()` read outside a since/merge bracket — worker-thread counts are lost (`{}` never folds them back)",
-                        toks[i - 2].text, t.text, f.name
-                    ),
-                ));
-            }
-            // `run_indexed(..)` whose closure pushes/sends into shared
-            // state: results combine by arrival, not by index.
-            if t.is_ident("run_indexed") && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                let mut depth = 0usize;
-                let mut j = i + 1;
-                while j < f.body.end {
-                    if toks[j].is_punct("(") {
-                        depth += 1;
-                    } else if toks[j].is_punct(")") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                if let Some(bad) = toks[i + 2..j.min(toks.len())]
-                    .iter()
-                    .find(|t| t.is_ident("push") || t.is_ident("send"))
-                {
-                    out.push(finding_at(
-                        "L6-PAR",
-                        path,
-                        bad,
-                        &f.name,
-                        format!(
-                            "`{}` inside a `run_indexed` closure combines results by arrival order — write the indexed output slot instead",
-                            bad.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::parse::parse;
+    use crate::analyze_sources;
 
     fn run(src: &str, scope: &str) -> Vec<Finding> {
         let cfg = Config::parse_conf(scope).unwrap();
-        let files = vec![("src/x.rs".to_string(), parse(src))];
-        let graph = CallGraph::build(&files);
-        check_all(&files, &cfg, &graph)
+        analyze_sources(&[("src/x.rs".to_string(), src.to_string())], &cfg)
     }
 
     #[test]
@@ -604,15 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_flow_direct_and_param() {
-        let f = run(
-            "fn leak(mac_key: &Secret<[u8; 32]>) { println!(\"{:?}\", mac_key); }",
-            "scope L2 src/**",
-        );
-        assert!(f.iter().any(|f| f.rule == "L2-FLOW"));
-    }
-
-    #[test]
     fn l3_eq_in_verify() {
         let f = run(
             "fn verify_tag(a: &[u8], b: &[u8]) -> bool { if a.len() != b.len() { return false; } a == b }",
@@ -648,66 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn l6_static_mut_relaxed_and_hash_folds() {
-        let f = run(
-            "static mut TOTAL: u64 = 0;\nfn bump(n: u64) { let o = OPS.load(Ordering::Relaxed);\n    let m: HashMap<u32, u32> = HashMap::new(); }",
-            "scope L6 src/**",
-        );
-        assert!(f.iter().any(|x| x.msg.contains("static mut")), "{f:?}");
-        assert!(f.iter().any(|x| x.msg.contains("Relaxed")), "{f:?}");
-        assert!(f.iter().any(|x| x.msg.contains("iteration order")), "{f:?}");
-    }
-
-    #[test]
-    fn l6_unbracketed_take_flags_bracketed_passes() {
-        let bad = run(
-            "fn report() -> u64 { let ops = stats::take(); ops.muls }",
-            "scope L6 src/**",
-        );
-        assert!(
-            bad.iter().any(|x| x.msg.contains("since/merge bracket")),
-            "{bad:?}"
-        );
-        let good = run(
-            "fn run_group() -> u64 { let before = stats::snapshot(); work(); let d = before.since(); total.merge(&d); total.muls }",
-            "scope L6 src/**",
-        );
-        assert!(good.is_empty(), "{good:?}");
-        // `mem::take` / iterator `take` are not accumulator reads.
-        let unrelated = run(
-            "fn swap(v: &mut Vec<u8>) -> Vec<u8> { let w = std::mem::take(v); w.iter().take(3); w }",
-            "scope L6 src/**",
-        );
-        assert!(unrelated.is_empty(), "{unrelated:?}");
-    }
-
-    #[test]
-    fn l6_run_indexed_arrival_order_fold() {
-        let bad = run(
-            "fn collect_bad(pool: &Pool) { let out = Mutex::new(Vec::new()); pool.run_indexed(8, |i| { out.lock().push(i) }); }",
-            "scope L6 src/**",
-        );
-        assert!(
-            bad.iter().any(|x| x.msg.contains("arrival order")),
-            "{bad:?}"
-        );
-        let good = run(
-            "fn collect_good(pool: &Pool) { let out = vec![0; 8]; pool.run_indexed(8, |i, slot| { *slot = i; }); }",
-            "scope L6 src/**",
-        );
-        assert!(good.is_empty(), "{good:?}");
-    }
-
-    #[test]
     fn allowlist_suppresses() {
         let mut cfg = Config::parse_conf("scope L1 src/**").unwrap();
         cfg.parse_allowlist("L1-PANIC src/x.rs # audited\n")
             .unwrap();
-        let files = vec![(
+        let sources = [(
             "src/x.rs".to_string(),
-            parse("fn f(v: Option<u8>) { v.unwrap(); }"),
+            "fn f(v: Option<u8>) { v.unwrap(); }".to_string(),
         )];
-        let graph = CallGraph::build(&files);
-        assert!(check_all(&files, &cfg, &graph).is_empty());
+        assert!(analyze_sources(&sources, &cfg).is_empty());
     }
 }
