@@ -13,3 +13,10 @@ pub fn ct_select(table: &[u8], idx: usize) -> u8 {
     }
     table[idx]
 }
+
+pub fn ct_splat(x: u8, on: bool) -> [u8; 4] {
+    if !on {
+        return [0; 4];
+    }
+    [x; 4]
+}

@@ -258,8 +258,18 @@ fn parse_fn(tokens: &[Token], start: usize, file: &ParsedFile) -> (FnItem, usize
         }
         i += 1; // past ')'
     }
-    // Skip the return type and any where clause.
-    while i < n && !tokens[i].is_punct("{") && !tokens[i].is_punct(";") {
+    // Skip the return type and any where clause: they may hold `;`
+    // (`-> [u8; 4]`) and `{` only inside brackets, parens or generics.
+    let mut depth = 0isize;
+    while i < n {
+        match tokens[i].text.as_str() {
+            "[" | "(" | "<" => depth += 1,
+            "]" | ")" | ">" => depth -= 1,
+            "<<" => depth += 2,
+            ">>" => depth -= 2,
+            "{" | ";" if depth <= 0 => break,
+            _ => {}
+        }
         i += 1;
     }
 
@@ -444,6 +454,13 @@ mod tests {
         };
         assert_eq!(body(&p.fns[0]), ["a", "+", "b"]);
         assert_eq!(body(&p.fns[1]), ["x"]);
+    }
+
+    #[test]
+    fn a_semicolon_in_the_return_type_does_not_end_the_signature() {
+        let p = parse("fn a() -> [u8; 4] { [0; 4] }\nfn b<T>() -> Vec<[T; 2]> where T: Fn(u8) -> [u8; 1] { v }");
+        let bodies: Vec<usize> = p.fns.iter().map(|f| f.body.len()).collect();
+        assert_eq!(bodies, [5, 1]);
     }
 
     #[test]

@@ -28,6 +28,7 @@ const EXPECTED: &[(&str, &str, u32)] = &[
     ("L3-EQ", "src/ct.rs", 7),
     ("L3-CT", "src/ct.rs", 12),
     ("L3-CT", "src/ct.rs", 14),
+    ("L3-CT", "src/ct.rs", 19),
     ("L1-PANIC", "src/protocol.rs", 4),
     ("L1-PANIC", "src/protocol.rs", 5),
     ("L1-PANIC", "src/protocol.rs", 7),

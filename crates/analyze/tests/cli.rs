@@ -32,7 +32,7 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-const SUMMARY_14: &str = "gkap-analyze: 14 finding(s), 0 stale allow entr(y/ies)";
+const SUMMARY_15: &str = "gkap-analyze: 15 finding(s), 0 stale allow entr(y/ies)";
 
 #[test]
 fn fixture_run_prints_every_finding_then_the_summary() {
@@ -40,23 +40,23 @@ fn fixture_run_prints_every_finding_then_the_summary() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let text = stdout(&out);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 15, "{text}");
+    assert_eq!(lines.len(), 16, "{text}");
     assert!(
-        lines[..14].iter().all(|l| l.contains(": error[L")),
+        lines[..15].iter().all(|l| l.contains(": error[L")),
         "{text}"
     );
     assert_eq!(
         lines[0],
         "src/ct.rs:7:9: error[L3-EQ]: variable-time `==` in verification path `verify_tag` — use `ct_eq`"
     );
-    assert_eq!(lines[14], SUMMARY_14);
+    assert_eq!(lines[15], SUMMARY_15);
 }
 
 #[test]
 fn quiet_prints_only_the_summary() {
     let out = analyze(&["--root", &fixture_root(), "--quiet"], manifest_dir());
     assert_eq!(out.status.code(), Some(1));
-    assert_eq!(stdout(&out), format!("{SUMMARY_14}\n"));
+    assert_eq!(stdout(&out), format!("{SUMMARY_15}\n"));
 }
 
 #[test]

@@ -355,7 +355,6 @@ fn cell_config(
             if fec {
                 cfg.fec_parity = 2;
                 cfg.fec_adaptive = true;
-                cfg.fec_fast_attack = true;
             }
         }
     }
@@ -699,7 +698,7 @@ mod tests {
         assert_eq!(a.wire_granularity, WireGranularity::Byte);
         assert_eq!(b.wire_granularity, WireGranularity::Byte);
         assert!(!a.fec_adaptive);
-        assert!(b.fec_adaptive && b.fec_fast_attack);
+        assert!(b.fec_adaptive);
         // Distinct parameter pairs get distinct chains.
         let c = burst_config("wan", 1, 80, SweepMode::Fec, ProtocolKind::Gdh, 7);
         assert_ne!(b.gilbert, c.gilbert);

@@ -8,7 +8,7 @@
 //! and the execution are [`crate::experiment`]'s, so a one-step
 //! scenario *is* the corresponding figure measurement.
 
-use gkap_sim::stats::{Histogram, Summary};
+use gkap_sim::stats::Summary;
 
 use crate::experiment::{ExperimentConfig, Group};
 pub use crate::experiment::{LeaveTarget as LeavePick, Step};
@@ -68,11 +68,17 @@ pub struct ScenarioReport {
     pub events: Vec<EventReport>,
     /// Summary over all event times.
     pub summary: Summary,
-    /// Latency distribution over all event times (log buckets from
-    /// 0.1 ms, ×1.5 per bucket).
-    pub histogram: Histogram,
     /// Whether every event completed with all members agreeing.
     pub ok: bool,
+}
+
+impl ScenarioReport {
+    /// Exact nearest-rank percentile of the event times, `q` in
+    /// `[0, 1]` (`0.0` for an empty script).
+    pub fn percentile(&self, q: f64) -> f64 {
+        let times: Vec<f64> = self.events.iter().map(|e| e.elapsed_ms).collect();
+        crate::scale::percentile(&times, q)
+    }
 }
 
 /// Executes `scenario` under `cfg`, returning per-event timings: one
@@ -87,14 +93,12 @@ pub fn run_scenario(cfg: &ExperimentConfig, scenario: &Scenario) -> ScenarioRepo
     let mut report = ScenarioReport {
         events: Vec::with_capacity(scenario.steps.len()),
         summary: Summary::new(),
-        histogram: Histogram::new(0.1, 1.5, 48),
         ok: true,
     };
     for &step in &scenario.steps {
         let outcome = group.apply(step);
         report.ok &= outcome.ok;
         report.summary.add(outcome.elapsed_ms);
-        report.histogram.record(outcome.elapsed_ms);
         report.events.push(EventReport {
             step,
             elapsed_ms: outcome.elapsed_ms,
@@ -119,8 +123,9 @@ mod tests {
             assert!(report.ok, "{kind}");
             assert_eq!(report.events.len(), 6);
             assert_eq!(report.summary.count(), 6);
-            assert_eq!(report.histogram.count(), 6);
             assert!(report.summary.mean() > 0.0);
+            assert_eq!(report.percentile(0.0), report.summary.min());
+            assert_eq!(report.percentile(1.0), report.summary.max());
         }
     }
 

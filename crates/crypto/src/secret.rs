@@ -10,9 +10,11 @@
 //! * **no accidental formatting** — `Debug` always prints a redaction
 //!   marker, and there is deliberately no `Display`, `Serialize` or
 //!   derived `PartialEq`, and
-//! * **analyzability** — access goes through the single choke point
-//!   [`Secret::expose`], which the `gkap-analyze` L2 rules taint and
-//!   trace into formatting / serialization sinks.
+//! * **analyzability** — the wrapper is what the `gkap-analyze` L2
+//!   rules look for: a secret-named struct field stored outside
+//!   `Secret<T>` is an `L2-RAW` finding, and a secret-bearing struct
+//!   deriving `Debug` or `Serialize` is an `L2-DERIVE` finding. Read
+//!   access goes through the single choke point [`Secret::expose`].
 //!
 //! The workspace forbids `unsafe`, so erasure is best-effort: plain
 //! stores pinned behind [`std::hint::black_box`] rather than volatile
@@ -74,8 +76,8 @@ impl<T: Zeroize> Secret<T> {
         Secret(value)
     }
 
-    /// Borrows the inner value. Call sites are the taint sources the
-    /// static analyzer traces (rule `L2-FLOW`).
+    /// Borrows the inner value: the one read path, so every use of the
+    /// secret is a greppable call site.
     pub fn expose(&self) -> &T {
         &self.0
     }

@@ -1,4 +1,10 @@
-//! Group-communication configuration: topology plus protocol constants.
+//! Group-communication configuration: what a workload varies
+//! ([`GcsConfig`]) plus the Spread costs it does not.
+//!
+//! The constants are the same on both testbeds (the paper's LAN and
+//! WAN differ in topology, not in daemon speed). They are calibrated so
+//! that the micro-benchmarks of §6.1.1 and §6.2.1 come out of the
+//! simulation rather than being charged directly; see DESIGN.md §5.
 
 use gkap_sim::Duration;
 
@@ -6,7 +12,7 @@ use crate::loss::GilbertElliott;
 use crate::topology::Topology;
 use crate::MachineId;
 
-/// How the wire charges a payload against `per_kb` link time.
+/// How the wire charges a payload against [`PER_KB`] link time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireGranularity {
     /// Round every payload up to a whole kilobyte before charging
@@ -14,40 +20,50 @@ pub enum WireGranularity {
     /// byte-identical). A 40-byte parity shard is charged as 1024
     /// bytes.
     WholeKb,
-    /// Charge by exact payload length: `per_kb · len / 1024`, rounded
+    /// Charge by exact payload length: `PER_KB · len / 1024`, rounded
     /// up to a nanosecond. Makes small parity shards cheap in
     /// proportion to their size, so the loss sweep's
     /// overhead-vs-recovery trade-off reflects real bandwidth.
     Byte,
 }
 
-/// Full configuration of a simulated group communication system.
+/// Daemon processing time per token visit (independent of traffic).
+pub const TOKEN_PROCESSING: Duration = Duration::from_micros(10);
+/// Daemon processing time per message sent or received.
+pub const PER_MESSAGE_PROCESSING: Duration = Duration::from_micros(25);
+/// Wire time per kilobyte of payload on any hop.
+pub const PER_KB: Duration = Duration::from_micros(15);
+/// One-way latency between a client and its local daemon.
+pub const CLIENT_DAEMON_DELAY: Duration = Duration::from_micros(60);
+/// Token rotations a membership change needs before the new view can
+/// be installed (gather + agree + install).
+pub const MEMBERSHIP_ROUNDS: u32 = 3;
+/// Additional per-member view-installation processing at each daemon.
+pub const MEMBERSHIP_PER_MEMBER: Duration = Duration::from_micros(35);
+/// Maximum missing sequence numbers a daemon may request per token
+/// visit during gap recovery (Spread caps the per-visit retransmission
+/// batch so one lossy link cannot monopolise the token). Larger gaps
+/// recover over multiple token rotations;
+/// `WorldStats::retransmission_rounds` counts them.
+pub const RECOVERY_BATCH: usize = 32;
+/// EWMA smoothing factor of the adaptive loss estimator, in `(0, 1]`
+/// (larger = more reactive). Only the decay follows it: a sample above
+/// the estimate replaces it outright (fast attack).
+pub const LOSS_EWMA_ALPHA: f64 = 0.2;
+
+/// Configuration of a simulated group communication system: what a
+/// workload varies — the testbed, flow control, the loss process, and
+/// the recovery policy. The fixed Spread costs are the constants above.
 ///
-/// The defaults (via [`crate::testbed::lan`] / [`crate::testbed::wan`])
-/// are calibrated so that the micro-benchmarks of §6.1.1 and §6.2.1 of
-/// the paper come out of the simulation, rather than being charged
-/// directly; see DESIGN.md §5.
+/// The presets are [`crate::testbed::lan`], [`crate::testbed::wan`]
+/// and [`crate::testbed::medium_wan`].
 #[derive(Clone, Debug)]
 pub struct GcsConfig {
     /// Physical testbed.
     pub topology: Topology,
-    /// Daemon processing time per token visit (independent of traffic).
-    pub token_processing: Duration,
-    /// Daemon processing time per message sent or received.
-    pub per_message_processing: Duration,
-    /// Wire time per kilobyte of payload on any hop.
-    pub per_kb: Duration,
-    /// One-way latency between a client and its local daemon.
-    pub client_daemon_delay: Duration,
     /// Maximum Agreed messages a daemon may send per token visit
     /// (Spread-style flow control).
     pub flow_control_max_msgs: usize,
-    /// Token rotations a membership change needs before the new view
-    /// can be installed (gather + agree + install).
-    pub membership_rounds: u32,
-    /// Additional per-member view-installation processing at each
-    /// daemon.
-    pub membership_per_member: Duration,
     /// Probability that any single daemon-to-daemon copy of an Agreed
     /// message is lost in transit (0.0 = reliable links, the paper's
     /// testbeds). Lost copies are recovered by token-driven
@@ -66,12 +82,6 @@ pub struct GcsConfig {
     /// Whether wire time rounds payloads to whole kilobytes
     /// (the historical default) or charges exact bytes.
     pub wire_granularity: WireGranularity,
-    /// Maximum missing sequence numbers a daemon may request per token
-    /// visit during gap recovery (Spread caps the per-visit
-    /// retransmission batch so one lossy link cannot monopolise the
-    /// token). Larger gaps recover over multiple token rotations;
-    /// `WorldStats::retransmission_rounds` counts them.
-    pub recovery_batch: usize,
     /// How long the surviving daemons take to detect a crashed daemon
     /// and reform the ring (Totem's token-loss timeout). Until
     /// detection the token may be lost at the dead daemon; at
@@ -91,22 +101,14 @@ pub struct GcsConfig {
     /// least [`GcsConfig::fec_parity`] so the budget clamp is
     /// well-ordered).
     pub fec_parity_max: usize,
-    /// When `true`, an EWMA loss estimator over the gaps daemons
-    /// observe at token visits drives the per-generation parity budget
-    /// between [`GcsConfig::fec_parity`] (floor) and
-    /// [`GcsConfig::fec_parity_max`] (ceiling).
-    pub fec_adaptive: bool,
-    /// EWMA smoothing factor for the adaptive loss estimator, in
-    /// `(0, 1]` (larger = more reactive).
-    pub loss_ewma_alpha: f64,
-    /// Fast-attack mode for the adaptive loss estimator: when a fresh
-    /// loss sample *exceeds* a daemon's current estimate, jump the
-    /// estimate straight to the sample instead of blending it in, so
-    /// the parity budget reacts to burst onset within one token
-    /// rotation. Decay back down still follows the EWMA (slow-decay),
+    /// When `true`, a loss estimator over the gaps daemons observe at
+    /// token visits drives the per-generation parity budget between
+    /// [`GcsConfig::fec_parity`] (floor) and
+    /// [`GcsConfig::fec_parity_max`] (ceiling). The estimate jumps to
+    /// any higher sample at once, so the budget reacts to burst onset
+    /// within one token rotation, and decays by [`LOSS_EWMA_ALPHA`],
     /// which keeps parity raised across the gaps inside a burst.
-    /// Only consulted when [`GcsConfig::fec_adaptive`] is set.
-    pub fec_fast_attack: bool,
+    pub fec_adaptive: bool,
     /// Base delay of the per-daemon exponential retransmission
     /// backoff. `Duration::ZERO` (the default) keeps the legacy
     /// policy: a daemon with a gap requests retransmission on every
@@ -117,12 +119,6 @@ pub struct GcsConfig {
     pub retrans_backoff: Duration,
     /// Cap on the exponentially growing backoff delay.
     pub retrans_backoff_max: Duration,
-    /// Consecutive no-progress retransmission rounds after which the
-    /// requesting daemon gives up on the unreachable origin and
-    /// escalates to a ring reformation (the crash-detection machinery
-    /// excludes the origin and recovers its messages from the
-    /// surviving buffers). `0` (the default) never escalates.
-    pub retrans_give_up: u32,
 }
 
 impl GcsConfig {
@@ -130,23 +126,18 @@ impl GcsConfig {
     ///
     /// # Panics
     ///
-    /// Panics if flow control is zero or membership rounds is zero.
+    /// Panics if flow control is zero, the loss rate is not below one,
+    /// a fan-out generation overflows the erasure code, the parity
+    /// ceiling is below the floor, the Gilbert–Elliott chain is
+    /// malformed, or the backoff cap is below its base.
     pub fn validate(&self) {
         assert!(
             self.flow_control_max_msgs > 0,
             "flow control must allow at least one message per visit"
         );
         assert!(
-            self.membership_rounds > 0,
-            "membership needs at least one round"
-        );
-        assert!(
             (0.0..1.0).contains(&self.loss_rate),
             "loss rate must be in [0, 1)"
-        );
-        assert!(
-            self.recovery_batch > 0,
-            "recovery batch must allow at least one retransmission per visit"
         );
         let parity_ceiling = self.fec_parity.max(if self.fec_adaptive {
             self.fec_parity_max
@@ -179,12 +170,6 @@ impl GcsConfig {
                 "Gilbert-Elliott dwell means must be positive"
             );
         }
-        if self.fec_adaptive {
-            assert!(
-                (0.0..=1.0).contains(&self.loss_ewma_alpha) && self.loss_ewma_alpha > 0.0,
-                "EWMA smoothing factor must be in (0, 1]"
-            );
-        }
         if self.retrans_backoff > gkap_sim::Duration::ZERO {
             assert!(
                 self.retrans_backoff_max >= self.retrans_backoff,
@@ -198,18 +183,14 @@ impl GcsConfig {
     /// charged identically. At the default
     /// [`WireGranularity::WholeKb`] every payload rounds up to a whole
     /// kilobyte (the historical model, pinned by the engine goldens);
-    /// [`WireGranularity::Byte`] charges `per_kb · len / 1024` rounded
+    /// [`WireGranularity::Byte`] charges `PER_KB · len / 1024` rounded
     /// up to a nanosecond, so a 40-byte parity shard costs ~4% of a
     /// 1 KB data message instead of 100%.
     pub(crate) fn wire_cost(&self, len: usize) -> Duration {
         match self.wire_granularity {
-            WireGranularity::WholeKb => self.per_kb * (len as u64).div_ceil(1024),
+            WireGranularity::WholeKb => PER_KB * (len as u64).div_ceil(1024),
             WireGranularity::Byte => {
-                let ns = self
-                    .per_kb
-                    .as_nanos()
-                    .saturating_mul(len as u64)
-                    .div_ceil(1024);
+                let ns = PER_KB.as_nanos().saturating_mul(len as u64).div_ceil(1024);
                 Duration::from_nanos(ns)
             }
         }
@@ -220,13 +201,13 @@ impl GcsConfig {
     /// receiver's per-message processing. A zero-length copy (a
     /// retransmission *request*) pays latency and processing only.
     pub(crate) fn hop_delay(&self, from: MachineId, to: MachineId, len: usize) -> Duration {
-        self.topology.machine_latency(from, to) + self.wire_cost(len) + self.per_message_processing
+        self.topology.machine_latency(from, to) + self.wire_cost(len) + PER_MESSAGE_PROCESSING
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::WireGranularity;
+    use super::{WireGranularity, PER_KB, PER_MESSAGE_PROCESSING};
     use crate::testbed;
     use gkap_sim::Duration;
 
@@ -335,7 +316,7 @@ mod tests {
     #[test]
     fn byte_granularity_charges_exact_sizes() {
         let mut cfg = testbed::lan();
-        assert_eq!(cfg.per_kb, Duration::from_micros(15));
+        assert_eq!(PER_KB, Duration::from_micros(15));
         // Historical default: everything rounds up to a whole KB.
         assert_eq!(cfg.wire_cost(40), Duration::from_micros(15));
         assert_eq!(cfg.wire_cost(1024), Duration::from_micros(15));
@@ -365,10 +346,10 @@ mod tests {
             for (from, to) in [(0, 0), (0, 1), (0, far), (far, 1)] {
                 let latency = cfg.topology.machine_latency(from, to);
                 for len in [40, 1024, 1500] {
-                    let copy = latency + cfg.wire_cost(len) + cfg.per_message_processing;
+                    let copy = latency + cfg.wire_cost(len) + PER_MESSAGE_PROCESSING;
                     assert_eq!(cfg.hop_delay(from, to, len), copy);
                 }
-                let request = latency + cfg.per_message_processing;
+                let request = latency + PER_MESSAGE_PROCESSING;
                 assert_eq!(cfg.hop_delay(from, to, 0), request);
             }
         }

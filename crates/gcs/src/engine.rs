@@ -65,7 +65,10 @@ use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
 use crate::client::{Client, ClientCtx, Outgoing, WorldSlots};
-use crate::config::GcsConfig;
+use crate::config::{
+    GcsConfig, CLIENT_DAEMON_DELAY, MEMBERSHIP_PER_MEMBER, PER_MESSAGE_PROCESSING, RECOVERY_BATCH,
+    TOKEN_PROCESSING,
+};
 use crate::fault::{Fault, FaultPlan};
 use crate::loss::LossProcess;
 use crate::membership::Membership;
@@ -259,7 +262,7 @@ impl SimWorld {
                 .collect(),
             clients: Vec::new(),
             ring: Ring::new(machine_count),
-            membership: Membership::new(cfg.membership_rounds),
+            membership: Membership::new(),
             loss: LossProcess::new(&cfg),
             recovery: Recovery::new(&cfg),
             outstanding: 0,
@@ -352,7 +355,7 @@ impl SimWorld {
         self.stats.views_installed += 1;
         for &c in &view.members {
             self.schedule(
-                self.cfg.client_daemon_delay,
+                CLIENT_DAEMON_DELAY,
                 Ev::ViewDeliver {
                     client: c,
                     view: Rc::clone(&view),
@@ -373,7 +376,8 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if no initial view exists, a joining client is unknown or
-    /// already a member, or a leaving client is not a member.
+    /// already a member, a leaving client is not a member, or a client
+    /// is named twice.
     pub fn inject_change(&mut self, joined: Vec<ClientId>, left: Vec<ClientId>) {
         self.inject_change_in(0, joined, left);
     }
@@ -385,8 +389,8 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if the group has no initial view, a joining client is
-    /// unknown or already a member, or a leaving client is not a
-    /// member of that group.
+    /// unknown or already a member, a leaving client is not a member
+    /// of that group, or a client is named twice.
     pub fn inject_change_in(&mut self, group: GroupId, joined: Vec<ClientId>, left: Vec<ClientId>) {
         // Validate against the group membership as it will stand once
         // every queued change has installed.
@@ -395,12 +399,14 @@ impl SimWorld {
             "no initial view installed for group {group}"
         );
         let members = self.membership.projected_members_of(group);
-        for &j in &joined {
+        for (i, &j) in joined.iter().enumerate() {
             assert!(j < self.clients.len(), "unknown client {j}");
             assert!(!members.contains(&j), "client {j} already a member");
+            assert!(!joined[..i].contains(&j), "client {j} named twice");
         }
-        for &l in &left {
+        for (i, &l) in left.iter().enumerate() {
             assert!(members.contains(&l), "client {l} is not a member");
+            assert!(!left[..i].contains(&l), "client {l} named twice");
         }
         self.membership.queue_change(group, joined, left);
     }
@@ -783,7 +789,7 @@ impl SimWorld {
         // estimator sees a gap-free visit.
         if self.cfg.fec_adaptive {
             for &d in self.ring.order() {
-                self.recovery.observe_clean_visits(&self.cfg, d, k);
+                self.recovery.observe_clean_visits(d, k);
             }
         }
 
@@ -804,7 +810,7 @@ impl SimWorld {
         let ring = self.ring.order();
         let pos0 = ring.iter().position(|&d| d == daemon)?;
         // One quiet rotation starting from `pos0`: per hop the token is
-        // held for `token_processing` (nothing is sequenced) and then
+        // held for `TOKEN_PROCESSING` (nothing is sequenced) and then
         // travels the inter-machine latency. `offset` is the delay
         // from `a0` until the ring head's arrival (zero when the token
         // is already at the head: that arrival is `a0` itself).
@@ -816,7 +822,7 @@ impl SimWorld {
                 .cfg
                 .topology
                 .machine_latency(ring[(pos0 + i) % n], ring[(pos0 + i + 1) % n]);
-            period = period + hop + self.cfg.token_processing;
+            period = period + hop + TOKEN_PROCESSING;
             if (pos0 + i + 1) % n == 0 && pos0 != 0 {
                 offset = period;
             }
@@ -1005,7 +1011,7 @@ impl SimWorld {
             Fault::LossBurst { rate, duration } => self.set_loss_burst(rate, duration),
             Fault::Partition { members } => {
                 let current = self.projected_members();
-                let leaving: Vec<ClientId> = members
+                let leaving: Vec<ClientId> = distinct(members)
                     .into_iter()
                     .filter(|m| current.contains(m))
                     .collect();
@@ -1016,7 +1022,7 @@ impl SimWorld {
             }
             Fault::Heal { members } => {
                 let current = self.projected_members();
-                let joining: Vec<ClientId> = members
+                let joining: Vec<ClientId> = distinct(members)
                     .into_iter()
                     .filter(|&m| {
                         m < self.clients.len()
@@ -1115,7 +1121,7 @@ impl SimWorld {
         //     has actually been dropped or a crash may have eaten some.
         if self.cfg.fec_adaptive {
             let sample = self.ring.gap_fraction(daemon);
-            self.recovery.observe_gap(&self.cfg, daemon, sample);
+            self.recovery.observe_gap(daemon, sample);
         }
         let lossy = self.loss.losses_observed() || self.stats.daemon_crashes > 0;
         if lossy && self.ring.has_gap(daemon) {
@@ -1143,7 +1149,7 @@ impl SimWorld {
             return;
         };
         let hop = self.cfg.topology.machine_latency(daemon, next);
-        let hold = self.cfg.token_processing + self.cfg.per_message_processing * sent as u64;
+        let hold = TOKEN_PROCESSING + PER_MESSAGE_PROCESSING * sent as u64;
         self.queue
             .schedule(hop + hold, Ev::Token { daemon: next, gen });
     }
@@ -1166,31 +1172,21 @@ impl SimWorld {
         self.membership.on_head_pass(flushed);
     }
 
-    /// Applies the backoff policy to the gap `daemon` observes. Giving
-    /// up escalates to the crash machinery: the ring reforms without
-    /// the unreachable origin and the surviving buffers recover.
+    /// Applies the backoff policy to the gap `daemon` observes.
     fn recover_gap(&mut self, daemon: DaemonId) {
         let (now, contiguous) = (self.queue.now(), self.ring.contiguous(daemon));
-        let action = self.recovery.on_gap(&self.cfg, daemon, now, contiguous);
-        if matches!(action, GapAction::Arm | GapAction::Wait) {
-            return;
-        }
-        self.request_missing(daemon);
-        if action == GapAction::RequestThenGiveUp {
-            if let Some(origin) = self.ring.give_up_target(daemon) {
-                self.note_fault(Actor::Daemon(daemon), "give_up", origin);
-                self.inject_crash(origin);
-            }
+        if self.recovery.on_gap(&self.cfg, daemon, now, contiguous) == GapAction::Request {
+            self.request_missing(daemon);
         }
     }
 
     /// Ask retransmission sources to re-send up to
-    /// [`GcsConfig::recovery_batch`] messages this daemon is missing
+    /// [`RECOVERY_BATCH`] messages this daemon is missing
     /// below the global high-water mark. Wider gaps recover over
     /// several token visits; each visit that issues at least one
     /// request counts as one retransmission round.
     fn request_missing(&mut self, daemon: DaemonId) {
-        let plan = self.ring.retransmit_plan(daemon, self.cfg.recovery_batch);
+        let plan = self.ring.retransmit_plan(daemon, RECOVERY_BATCH);
         if !plan.is_empty() {
             self.stats.retransmission_rounds += 1;
         }
@@ -1365,7 +1361,7 @@ impl SimWorld {
             })
             .collect();
         if !targets.is_empty() {
-            let delay = self.cfg.client_daemon_delay;
+            let delay = CLIENT_DAEMON_DELAY;
             self.schedule(delay, Ev::ClientDeliver { targets, parcel });
         }
     }
@@ -1424,7 +1420,7 @@ impl SimWorld {
             EventKind::ViewInstalled { view_id: view.id },
         );
         // Per-member installation processing at the daemon.
-        let install_cost = self.cfg.membership_per_member * view.members.len() as u64;
+        let install_cost = MEMBERSHIP_PER_MEMBER * view.members.len() as u64;
         // Members on this machine receive the view.
         for &c in &view.members {
             if self.clients[c].machine != daemon {
@@ -1432,7 +1428,7 @@ impl SimWorld {
             }
             self.clients[c].alive = true;
             self.schedule(
-                install_cost + self.cfg.client_daemon_delay,
+                install_cost + CLIENT_DAEMON_DELAY,
                 Ev::ViewDeliver {
                     client: c,
                     view: Rc::clone(view),
@@ -1515,11 +1511,23 @@ impl SimWorld {
         self.clients[client].busy_until = end;
         handler.on_cpu_complete(end);
         self.clients[client].handler = Some(handler);
-        let submit_delay = end.since(self.queue.now()) + self.cfg.client_daemon_delay;
+        let submit_delay = end.since(self.queue.now()) + CLIENT_DAEMON_DELAY;
         for out in outgoing {
             self.schedule(submit_delay, Ev::ClientSubmit { client, out });
         }
     }
+}
+
+/// `members` with every repeat dropped, first occurrences in order: a
+/// fault that names a client twice means it once.
+fn distinct(members: Vec<ClientId>) -> Vec<ClientId> {
+    let mut seen = Vec::with_capacity(members.len());
+    for m in members {
+        if !seen.contains(&m) {
+            seen.push(m);
+        }
+    }
+    seen
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //!   messages per token visit, which is what makes the all-to-all
 //!   broadcast rounds of BD degrade super-linearly at large group sizes.
 //! * **View-synchronous membership**: join/leave/partition/merge events
-//!   trigger a membership round lasting a configurable number of token
-//!   rotations, after which each daemon installs the new view as the
+//!   trigger a membership round lasting a fixed number of token
+//!   rotations ([`config::MEMBERSHIP_ROUNDS`]), after which each daemon installs the new view as the
 //!   token passes — membership is nearly free on a LAN and costs
 //!   hundreds of milliseconds on the WAN, exactly as §6.1.1/§6.2.1
 //!   report.
@@ -70,7 +70,7 @@
 #![warn(missing_docs)]
 
 mod client;
-mod config;
+pub mod config;
 mod engine;
 mod fault;
 pub mod fec;

@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
+use crate::config::MEMBERSHIP_ROUNDS;
 use crate::message::{View, ViewId};
 use crate::{ClientId, DaemonId, GroupId};
 
@@ -32,8 +33,6 @@ struct ActiveChange {
 
 /// Per-group view state of one ring.
 pub(crate) struct Membership {
-    /// Ring-head passes a change needs before it may install.
-    rounds: u32,
     /// Current installed view of every group.
     views: BTreeMap<GroupId, Rc<View>>,
     history: BTreeMap<ViewId, Rc<View>>,
@@ -45,10 +44,10 @@ pub(crate) struct Membership {
 }
 
 impl Membership {
-    /// No groups yet; every change runs for `rounds` head passes.
-    pub(crate) fn new(rounds: u32) -> Self {
+    /// No groups yet; every change runs for [`MEMBERSHIP_ROUNDS`] head
+    /// passes.
+    pub(crate) fn new() -> Self {
         Membership {
-            rounds,
             views: BTreeMap::new(),
             history: BTreeMap::new(),
             next_view_id: 1,
@@ -171,7 +170,7 @@ impl Membership {
             group,
             ActiveChange {
                 new_view,
-                rounds_left: self.rounds,
+                rounds_left: MEMBERSHIP_ROUNDS,
                 installing: false,
                 installed: BTreeSet::new(),
             },
@@ -257,14 +256,16 @@ mod tests {
 
     #[test]
     fn a_group_is_fifo_and_installs_only_when_rounds_are_spent_and_flushed() {
-        let mut m = Membership::new(2);
+        let mut m = Membership::new();
         m.install_initial(0, vec![0, 1]);
         m.queue_change(0, vec![2], vec![]);
         m.queue_change(0, vec![], vec![0]);
         // Both are projected; only the first has a view id yet.
         assert_eq!(m.projected_members_of(0), vec![1, 2]);
         assert_eq!(m.views_of(0).len(), 2);
-        assert!(rotate(&mut m, true).is_empty(), "flushed, a round is owed");
+        for _ in 1..MEMBERSHIP_ROUNDS {
+            assert!(rotate(&mut m, true).is_empty(), "flushed, a round is owed");
+        }
         assert!(
             rotate(&mut m, false).is_empty(),
             "rounds spent, not flushed"
@@ -275,8 +276,10 @@ mod tests {
             "a daemon installs a view once"
         );
         assert_eq!(m.view(0).map(|v| v.members.clone()), Some(vec![0, 1, 2]));
-        // Completion started the leave; it owes its own two rounds.
-        assert!(rotate(&mut m, true).is_empty() && m.busy());
+        // Completion started the leave; it owes its own rounds.
+        for _ in 1..MEMBERSHIP_ROUNDS {
+            assert!(rotate(&mut m, true).is_empty() && m.busy());
+        }
         assert_eq!(rotate(&mut m, true).len(), DAEMONS);
         let v3 = m.view(0).expect("installed");
         assert_eq!((v3.id, &v3.members, &v3.left), (3, &vec![1, 2], &vec![0]));
@@ -285,15 +288,18 @@ mod tests {
 
     #[test]
     fn groups_run_concurrently_and_dead_daemons_are_not_waited_on() {
-        let mut m = Membership::new(1);
+        let mut m = Membership::new();
         m.install_initial(0, vec![0]);
         m.install_initial(5, vec![1]);
         m.queue_change(5, vec![3], vec![]);
         m.queue_change(0, vec![2], vec![]);
         assert_eq!(m.group_ids(), vec![0, 5]);
-        // One head pass serves both; a daemon installs in ascending
-        // group order, view ids were handed out in queue order.
-        m.on_head_pass(true);
+        // The same head passes serve both; a daemon installs in
+        // ascending group order, view ids were handed out in queue
+        // order.
+        for _ in 0..MEMBERSHIP_ROUNDS {
+            m.on_head_pass(true);
+        }
         let ids = |views: Vec<Rc<View>>| views.iter().map(|v| v.id).collect::<Vec<_>>();
         assert_eq!(ids(m.installs_due(0)), [4, 3]);
         assert!(!m.complete_if_installed(5, 0..DAEMONS), "1 and 2 still owe");

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 
-use crate::config::GcsConfig;
+use crate::config::{GcsConfig, LOSS_EWMA_ALPHA};
 use crate::fec;
 use crate::message::{Delivery, Dest, Service};
 use crate::ring::{Ring, WireMsg};
@@ -48,8 +48,6 @@ struct Backoff {
     next_at: SimTime,
     /// Backoff exponent: consecutive request rounds without progress.
     level: u32,
-    /// Consecutive no-progress rounds towards the give-up escalation.
-    strikes: u32,
     /// `contiguous` as of the last arm/request (`None` when no episode
     /// is open); progress past it resets the backoff.
     awaiting_since: Option<u64>,
@@ -64,9 +62,6 @@ pub(crate) enum GapAction {
     Wait,
     /// Request retransmission of the missing messages.
     Request,
-    /// Request, then declare the origin of the oldest missing message
-    /// unreachable: the give-up budget is spent.
-    RequestThenGiveUp,
 }
 
 /// Loss-recovery state of one world.
@@ -122,19 +117,18 @@ impl Recovery {
     }
 
     /// Folds the gap fraction `daemon` observes at a token visit into
-    /// *its own* EWMA loss estimate. In-flight messages count as
-    /// missing, which makes the estimator conservative — it
-    /// over-provisions parity rather than under.
+    /// *its own* loss estimate. In-flight messages count as missing,
+    /// which makes the estimator conservative — it over-provisions
+    /// parity rather than under.
     ///
-    /// With [`GcsConfig::fec_fast_attack`] set, a sample that *raises*
-    /// the estimate replaces it outright instead of blending: the very
-    /// first token visit inside a burst pushes the estimate to the
-    /// observed loss fraction, so the parity budget reacts within one
-    /// rotation. Decay back down still follows the EWMA, keeping
-    /// parity raised across the quiet gaps inside a burst.
-    pub(crate) fn observe_gap(&mut self, cfg: &GcsConfig, daemon: DaemonId, sample: f64) {
+    /// A sample that *raises* the estimate replaces it outright (fast
+    /// attack): the very first token visit inside a burst pushes the
+    /// estimate to the observed loss fraction, so the parity budget
+    /// reacts within one rotation. Decay back down follows the EWMA,
+    /// keeping parity raised across the quiet gaps inside a burst.
+    pub(crate) fn observe_gap(&mut self, daemon: DaemonId, sample: f64) {
         let estimate = self.loss_ewma.entry(daemon).or_insert(0.0);
-        *estimate = folded(cfg, *estimate, sample);
+        *estimate = folded(*estimate, sample);
     }
 
     /// `visits` consecutive gap-free token visits of `daemon` at once:
@@ -143,10 +137,10 @@ impl Recovery {
     /// the stepped value bit for bit) until the steps run out or one
     /// stops moving it: at zero, or on a subnormal that `1 - alpha`
     /// rounds back to itself.
-    pub(crate) fn observe_clean_visits(&mut self, cfg: &GcsConfig, daemon: DaemonId, visits: u64) {
+    pub(crate) fn observe_clean_visits(&mut self, daemon: DaemonId, visits: u64) {
         let estimate = self.loss_ewma.entry(daemon).or_insert(0.0);
         for _ in 0..visits {
-            let next = folded(cfg, *estimate, 0.0);
+            let next = folded(*estimate, 0.0);
             if next == *estimate {
                 break;
             }
@@ -196,10 +190,9 @@ impl Recovery {
     /// requesting, so a run whose parity budget covers its losses
     /// spends **zero** request rounds. Only a gap that survives the
     /// window costs a round; every further no-progress round doubles
-    /// the window (capped) and counts a strike toward the give-up
-    /// escalation. Progress since the last arm/request ends the
-    /// episode: the still-open gap (residual or newly lost) is a fresh
-    /// one and re-arms.
+    /// the window (capped). Progress since the last arm/request ends
+    /// the episode: the still-open gap (residual or newly lost) is a
+    /// fresh one and re-arms.
     pub(crate) fn on_gap(
         &mut self,
         cfg: &GcsConfig,
@@ -223,14 +216,9 @@ impl Recovery {
             return GapAction::Wait;
         }
         // A full window elapsed with no progress: spend a round.
-        st.strikes += 1;
         st.level = (st.level + 1).min(16);
         st.awaiting_since = Some(contiguous);
         st.next_at = now + jittered_backoff(&mut self.jitter_rng, cfg, st.level);
-        if cfg.retrans_give_up > 0 && st.strikes >= cfg.retrans_give_up {
-            *st = Backoff::default();
-            return GapAction::RequestThenGiveUp;
-        }
         GapAction::Request
     }
 
@@ -269,16 +257,11 @@ impl Recovery {
     }
 }
 
-/// A loss estimate after one more `sample`: the EWMA blend, or — under
-/// fast attack — the sample itself when that is higher.
-fn folded(cfg: &GcsConfig, estimate: f64, sample: f64) -> f64 {
-    let a = cfg.loss_ewma_alpha;
-    let blended = a * sample + (1.0 - a) * estimate;
-    if cfg.fec_fast_attack {
-        blended.max(sample)
-    } else {
-        blended
-    }
+/// A loss estimate after one more `sample`: the EWMA blend, or the
+/// sample itself when that is higher (fast attack).
+fn folded(estimate: f64, sample: f64) -> f64 {
+    let a = LOSS_EWMA_ALPHA;
+    (a * sample + (1.0 - a) * estimate).max(sample)
 }
 
 /// One backoff window at the given exponential level: the full
@@ -522,19 +505,17 @@ mod tests {
     fn fast_attack_jumps_to_the_sample_within_one_update() {
         // One token visit inside a burst must push the estimate to the
         // observed loss fraction — not alpha-blend its way up.
-        let mut cfg = adaptive(0, 16);
-        cfg.fec_fast_attack = true;
-        cfg.loss_ewma_alpha = 0.2;
+        let cfg = adaptive(0, 16);
         let mut r = Recovery::new(&cfg);
         // Daemon 3 has seen nothing of a 10-message span.
-        r.observe_gap(&cfg, 3, 1.0);
+        r.observe_gap(3, 1.0);
         assert_eq!(r.loss_ewma.get(&3).copied(), Some(1.0));
         // The very next parity budget reflects the burst: one visit,
         // full reaction (ceil(1.0 * 2 * 5) = 10, inside the ceiling).
         assert_eq!(r.parity_budget(&cfg, 5, |_| true), 10);
         // Decay back down is still gradual (slow-decay EWMA): a clean
         // visit after recovery blends, it does not snap to zero.
-        r.observe_gap(&cfg, 3, 0.0);
+        r.observe_gap(3, 0.0);
         let decayed = r.loss_ewma.get(&3).copied().unwrap();
         assert!(
             (decayed - 0.8).abs() < 1e-12,
@@ -544,48 +525,31 @@ mod tests {
 
     #[test]
     fn clean_visits_at_once_decay_like_clean_visits_one_by_one() {
-        for fast_attack in [false, true] {
-            let mut cfg = adaptive(0, 4);
-            cfg.fec_fast_attack = fast_attack;
-            // 10 000 visits run past the point where the estimate
-            // stops moving (a few thousand at alpha = 0.2).
-            for visits in [0, 1, 7, 10_000] {
-                let (mut at_once, mut one_by_one) = (Recovery::new(&cfg), Recovery::new(&cfg));
-                for r in [&mut at_once, &mut one_by_one] {
-                    r.observe_gap(&cfg, 3, 0.7);
-                }
-                at_once.observe_clean_visits(&cfg, 3, visits);
-                at_once.observe_clean_visits(&cfg, 5, visits);
-                for _ in 0..visits {
-                    one_by_one.observe_gap(&cfg, 3, 0.0);
-                    one_by_one.observe_gap(&cfg, 5, 0.0);
-                }
-                let bits = |r: &Recovery, d| r.loss_ewma.get(&d).map(|e: &f64| e.to_bits());
-                assert_eq!(bits(&at_once, 3), bits(&one_by_one, 3), "{visits}");
-                assert_eq!(bits(&at_once, 5).unwrap_or(0), 0, "never-lossy stays zero");
+        let cfg = adaptive(0, 4);
+        // 10 000 visits run past the point where the estimate stops
+        // moving (a few thousand at alpha = 0.2).
+        for visits in [0, 1, 7, 10_000] {
+            let (mut at_once, mut one_by_one) = (Recovery::new(&cfg), Recovery::new(&cfg));
+            for r in [&mut at_once, &mut one_by_one] {
+                r.observe_gap(3, 0.7);
             }
+            at_once.observe_clean_visits(3, visits);
+            at_once.observe_clean_visits(5, visits);
+            for _ in 0..visits {
+                one_by_one.observe_gap(3, 0.0);
+                one_by_one.observe_gap(5, 0.0);
+            }
+            let bits = |r: &Recovery, d| r.loss_ewma.get(&d).map(|e: &f64| e.to_bits());
+            assert_eq!(bits(&at_once, 3), bits(&one_by_one, 3), "{visits}");
+            assert_eq!(bits(&at_once, 5).unwrap_or(0), 0, "never-lossy stays zero");
         }
     }
 
     #[test]
-    fn without_fast_attack_the_estimate_blends() {
-        let mut cfg = adaptive(0, 4);
-        cfg.loss_ewma_alpha = 0.2;
-        let mut r = Recovery::new(&cfg);
-        r.observe_gap(&cfg, 3, 1.0);
-        let e = r.loss_ewma.get(&3).copied().unwrap();
-        assert!(
-            (e - 0.2).abs() < 1e-12,
-            "plain EWMA first sample is alpha * 1.0, got {e}"
-        );
-    }
-
-    #[test]
-    fn backoff_arms_waits_requests_gives_up_and_resets_on_progress() {
+    fn backoff_arms_waits_requests_and_resets_on_progress() {
         let mut cfg = testbed::lan();
         cfg.retrans_backoff = Duration::from_millis(10);
         cfg.retrans_backoff_max = Duration::from_millis(40);
-        cfg.retrans_give_up = 3;
         let mut r = Recovery::new(&cfg);
         // A hand-fed (now, contiguous) series for daemon 2. Windows are
         // jittered into [full/2, full]; `full` is 10 ms after the arm,
@@ -597,15 +561,10 @@ mod tests {
         assert_eq!(at(19, 5), GapAction::Wait);
         assert_eq!(at(30, 5), GapAction::Request);
         assert_eq!(at(49, 5), GapAction::Wait);
-        // Third consecutive no-progress round: the budget is spent,
-        // and giving up closes the episode — the same gap re-arms from
-        // level zero instead of requesting again.
-        assert_eq!(at(70, 5), GapAction::RequestThenGiveUp);
-        assert_eq!(at(71, 5), GapAction::Arm);
-        assert_eq!(at(81, 5), GapAction::Request);
-        // The contiguous mark moved: that episode is over too. The gap
-        // still open is a fresh one — it arms, and carries no strike
-        // over (two more rounds do not exhaust the budget of three).
+        assert_eq!(at(70, 5), GapAction::Request);
+        // The contiguous mark moved: the episode is over. The gap still
+        // open is a fresh one — it arms, and its window starts again
+        // from 10 ms.
         assert_eq!(at(101, 6), GapAction::Arm);
         assert_eq!(at(102, 6), GapAction::Wait);
         assert_eq!(at(111, 6), GapAction::Request);

@@ -314,15 +314,6 @@ impl Ring {
             .collect()
     }
 
-    /// The daemon `daemon` declares unreachable when it gives up: the
-    /// origin of its oldest missing message, if that is another alive
-    /// daemon and the ring would survive without it.
-    pub(crate) fn give_up_target(&self, daemon: DaemonId) -> Option<DaemonId> {
-        let origin = self.sent(self.contiguous(daemon) + 1)?.origin;
-        (origin != daemon && !self.daemons[origin].crashed && self.order.len() > 1)
-            .then_some(origin)
-    }
-
     /// `daemon` reports its contiguous mark into the token, and the
     /// aru becomes the minimum over every alive daemon's latest
     /// report. When every daemon has crashed there is no ring left to

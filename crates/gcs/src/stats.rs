@@ -19,7 +19,7 @@ pub struct WorldStats {
     pub retransmissions: u64,
     /// Token visits on which a daemon issued at least one
     /// retransmission request (a gap wider than
-    /// [`crate::GcsConfig::recovery_batch`] needs several rounds).
+    /// [`crate::config::RECOVERY_BATCH`] needs several rounds).
     pub retransmission_rounds: u64,
     /// Daemons crashed via fault injection.
     pub daemon_crashes: u64,

@@ -3,11 +3,36 @@
 
 use gkap_sim::Duration;
 
-use crate::config::GcsConfig;
+use crate::config::{GcsConfig, WireGranularity};
 use crate::topology::{MachineCfg, SiteCfg, Topology};
 
-fn us(v: u64) -> Duration {
-    Duration::from_micros(v)
+/// One-way latency between two machines at the same site, on every
+/// testbed.
+const INTRA_SITE: Duration = Duration::from_micros(40);
+
+/// The settings every preset shares: reliable links, no FEC and the
+/// legacy request-every-visit retransmission. A preset supplies only
+/// what differs between testbeds — the topology, how long crash
+/// detection takes on it, and the backoff cap that fits its rotation.
+fn preset(
+    topology: Topology,
+    crash_detection_timeout: Duration,
+    retrans_backoff_max: Duration,
+) -> GcsConfig {
+    GcsConfig {
+        topology,
+        flow_control_max_msgs: 20,
+        loss_rate: 0.0,
+        loss_seed: 0x10_55,
+        gilbert: None,
+        wire_granularity: WireGranularity::WholeKb,
+        crash_detection_timeout,
+        fec_parity: 0,
+        fec_parity_max: 4,
+        fec_adaptive: false,
+        retrans_backoff: Duration::ZERO,
+        retrans_backoff_max,
+    }
 }
 
 /// The LAN testbed of §6.1.1: a cluster of thirteen 666 MHz Pentium III
@@ -17,30 +42,11 @@ fn us(v: u64) -> Duration {
 /// multicast ≈ 1.2–1.4 ms, membership service 2–7 ms for groups of
 /// 2–50.
 pub fn lan() -> GcsConfig {
-    GcsConfig {
-        topology: Topology::single_site(13, 2, us(40)),
-        token_processing: us(10),
-        per_message_processing: us(25),
-        per_kb: us(15),
-        client_daemon_delay: us(60),
-        flow_control_max_msgs: 20,
-        membership_rounds: 3,
-        membership_per_member: us(35),
-        loss_rate: 0.0,
-        loss_seed: 0x10_55,
-        gilbert: None,
-        wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
-        crash_detection_timeout: Duration::from_millis(5),
-        fec_parity: 0,
-        fec_parity_max: 4,
-        fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
-        fec_fast_attack: false,
-        retrans_backoff: Duration::ZERO,
-        retrans_backoff_max: Duration::from_millis(10),
-        retrans_give_up: 0,
-    }
+    preset(
+        Topology::single_site(13, 2, INTRA_SITE),
+        Duration::from_millis(5),
+        Duration::from_millis(10),
+    )
 }
 
 /// The WAN testbed of §6.2.1 / Figure 13: eleven machines at JHU
@@ -85,30 +91,11 @@ pub fn wan() -> GcsConfig {
         cores: 1,
         speed: 1.0,
     }); // ICU
-    GcsConfig {
-        topology: Topology::new(sites, machines, latency, us(40)),
-        token_processing: us(10),
-        per_message_processing: us(25),
-        per_kb: us(15),
-        client_daemon_delay: us(60),
-        flow_control_max_msgs: 20,
-        membership_rounds: 3,
-        membership_per_member: us(35),
-        loss_rate: 0.0,
-        loss_seed: 0x10_55,
-        gilbert: None,
-        wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
-        crash_detection_timeout: Duration::from_millis(1000),
-        fec_parity: 0,
-        fec_parity_max: 4,
-        fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
-        fec_fast_attack: false,
-        retrans_backoff: Duration::ZERO,
-        retrans_backoff_max: Duration::from_millis(2000),
-        retrans_give_up: 0,
-    }
+    preset(
+        Topology::new(sites, machines, latency, INTRA_SITE),
+        Duration::from_millis(1000),
+        Duration::from_millis(2000),
+    )
 }
 
 /// A symmetric "medium-delay" WAN used for the crossover study the
@@ -137,30 +124,11 @@ pub fn medium_wan(one_way: Duration) -> GcsConfig {
             });
         }
     }
-    GcsConfig {
-        topology: Topology::new(sites, machines, latency, us(40)),
-        token_processing: us(10),
-        per_message_processing: us(25),
-        per_kb: us(15),
-        client_daemon_delay: us(60),
-        flow_control_max_msgs: 20,
-        membership_rounds: 3,
-        membership_per_member: us(35),
-        loss_rate: 0.0,
-        loss_seed: 0x10_55,
-        gilbert: None,
-        wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
-        crash_detection_timeout: Duration::from_millis(500),
-        fec_parity: 0,
-        fec_parity_max: 4,
-        fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
-        fec_fast_attack: false,
-        retrans_backoff: Duration::ZERO,
-        retrans_backoff_max: Duration::from_millis(1000),
-        retrans_give_up: 0,
-    }
+    preset(
+        Topology::new(sites, machines, latency, INTRA_SITE),
+        Duration::from_millis(500),
+        Duration::from_millis(1000),
+    )
 }
 
 #[cfg(test)]

@@ -133,7 +133,6 @@ fn adaptive_parity_after_idle(fast_forward: bool) -> ParityOutcome {
     let mut cfg = testbed::lan();
     cfg.loss_rate = 0.05;
     cfg.fec_adaptive = true;
-    cfg.fec_fast_attack = true;
     let mut world = SimWorld::new(cfg);
     world.set_idle_fast_forward(fast_forward);
     for _ in 0..8 {

@@ -102,10 +102,8 @@ fn crashing_every_daemon_is_a_graceful_noop() {
 
 /// Opens a gap of at least `gap` messages at every surviving daemon by
 /// sending through a total blackout, then lets retransmission heal it.
-fn run_gap_recovery(gap: u8, recovery_batch: usize) -> SimWorld {
-    let mut cfg = testbed::lan();
-    cfg.recovery_batch = recovery_batch;
-    let mut world = SimWorld::new(cfg);
+fn run_gap_recovery(gap: u8) -> SimWorld {
+    let mut world = SimWorld::new(testbed::lan());
     for _ in 0..2 {
         world.add_client(Box::new(Chatty {
             send_count: gap,
@@ -122,38 +120,20 @@ fn run_gap_recovery(gap: u8, recovery_batch: usize) -> SimWorld {
 
 #[test]
 fn sixty_four_message_gap_fully_recovers() {
-    let world = run_gap_recovery(32, 32); // 64 messages in flight
+    let world = run_gap_recovery(32); // 64 messages in flight
     assert!(world.stats().messages_lost >= 64, "burst must drop copies");
     for c in 0..2 {
         let m = world.client::<Chatty>(c);
         assert_eq!(m.got.len(), 64, "member {c} missing deliveries");
     }
-    // A 64-wide gap cannot be healed in one visit at batch 32.
+    // A 64-wide gap cannot be healed in one visit at
+    // `RECOVERY_BATCH` = 32.
     assert!(
         world.stats().retransmission_rounds >= 2,
         "expected multiple recovery rounds, got {}",
         world.stats().retransmission_rounds
     );
     assert!(world.stats().retransmissions >= 64);
-}
-
-#[test]
-fn recovery_batch_cap_is_configurable() {
-    let wide = run_gap_recovery(32, 64);
-    let narrow = run_gap_recovery(32, 4);
-    // Both fully recover…
-    for w in [&wide, &narrow] {
-        for c in 0..2 {
-            assert_eq!(w.client::<Chatty>(c).got.len(), 64);
-        }
-    }
-    // …but the narrow cap needs more token visits with requests.
-    assert!(
-        narrow.stats().retransmission_rounds > wide.stats().retransmission_rounds,
-        "narrow {} vs wide {}",
-        narrow.stats().retransmission_rounds,
-        wide.stats().retransmission_rounds
-    );
 }
 
 #[test]
@@ -186,6 +166,33 @@ fn fault_plans_are_deterministic() {
     let members = &a.view().expect("view").members;
     assert!(members.contains(&0) && members.contains(&1));
     assert!(!members.contains(&4));
+}
+
+/// Four silent clients, with only clients 0 and 1 in the first view.
+fn pair_of_four() -> SimWorld {
+    let mut world = SimWorld::new(testbed::lan());
+    for _ in 0..4 {
+        world.add_client(Box::new(Chatty::default()));
+    }
+    world.install_initial_view_of(vec![0, 1]);
+    world
+}
+
+#[test]
+#[should_panic(expected = "client 3 named twice")]
+fn a_client_named_twice_in_one_join_is_rejected() {
+    // A repeated joiner used to enter the view twice (`[0, 1, 3, 3]`)
+    // and receive it twice.
+    pair_of_four().inject_change(vec![3, 3], vec![]);
+}
+
+#[test]
+fn a_heal_naming_a_client_twice_admits_it_once() {
+    let mut world = pair_of_four();
+    world.apply_fault_plan(FaultPlan::new().heal(Duration::from_millis(1), vec![3, 3]));
+    world.run_until_quiescent();
+    assert_eq!(world.view().expect("view").members, vec![0, 1, 3]);
+    assert_eq!(world.client::<Chatty>(3).views, vec![2]);
 }
 
 #[test]

@@ -43,7 +43,6 @@ fn bursty(chain_seed: u64, adaptive: bool) -> GcsConfig {
     cfg.fec_parity = 2;
     cfg.fec_parity_max = 16;
     cfg.fec_adaptive = adaptive;
-    cfg.fec_fast_attack = adaptive;
     cfg.retrans_backoff = Duration::from_millis(10);
     cfg.retrans_backoff_max = Duration::from_millis(80);
     cfg

@@ -151,7 +151,6 @@ fn lossy(mut cfg: GcsConfig, rate: f64) -> GcsConfig {
 
 fn adaptive(mut cfg: GcsConfig) -> GcsConfig {
     cfg.fec_adaptive = true;
-    cfg.fec_fast_attack = true;
     cfg
 }
 

@@ -116,115 +116,6 @@ impl Summary {
     }
 }
 
-/// A fixed-resolution log-bucketed histogram for latency
-/// distributions (the paper reports means; percentiles expose the
-/// tails the token ring produces).
-///
-/// Buckets are half-open intervals `[b_i, b_{i+1})` with
-/// exponentially growing width: bucket `i` covers
-/// `base * growth^i .. base * growth^{i+1}`.
-///
-/// # Example
-///
-/// ```
-/// use gkap_sim::stats::Histogram;
-/// let mut h = Histogram::new(0.1, 1.5, 64);
-/// for v in [1.0, 2.0, 3.0, 10.0] { h.record(v); }
-/// assert_eq!(h.count(), 4);
-/// assert!(h.quantile(0.5) >= 1.0 && h.quantile(0.5) <= 4.0);
-/// assert!(h.quantile(1.0) >= 9.0);
-/// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    base: f64,
-    growth: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` log-spaced buckets starting
-    /// at `base` with the given `growth` factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `base > 0`, `growth > 1` and `buckets > 0`.
-    pub fn new(base: f64, growth: f64, buckets: usize) -> Self {
-        assert!(
-            base > 0.0 && growth > 1.0 && buckets > 0,
-            "invalid histogram shape"
-        );
-        Histogram {
-            base,
-            growth,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records a sample (values below `base` land in the underflow
-    /// bucket; values beyond the top land in the last bucket).
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        if !v.is_finite() || v < self.base {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((v / self.base).ln() / self.growth.ln()).floor() as usize;
-        let idx = idx.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate quantile `q in [0, 1]` (upper bound of the bucket
-    /// holding the q-th sample). Returns 0.0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.base;
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.base * self.growth.powi(i as i32 + 1);
-            }
-        }
-        self.base * self.growth.powi(self.buckets.len() as i32)
-    }
-
-    /// Merges another histogram (same shape) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "histogram shape");
-        assert!(
-            (self.base - other.base).abs() < 1e-12 && (self.growth - other.growth).abs() < 1e-12
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.count += other.count;
-    }
-}
-
 /// One point of a figure series: x (group size), y-summary (elapsed ms).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Point {
@@ -415,47 +306,6 @@ mod tests {
         let snapshot = a.mean();
         a.merge(&Summary::new());
         assert_eq!(a.mean(), snapshot);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_samples() {
-        let mut h = Histogram::new(1.0, 2.0, 20);
-        for v in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert!(h.quantile(0.0) >= 1.0);
-        let p50 = h.quantile(0.5);
-        assert!((4.0..=16.0).contains(&p50), "p50 = {p50}");
-        assert!(h.quantile(1.0) >= 128.0);
-    }
-
-    #[test]
-    fn histogram_underflow_and_overflow() {
-        let mut h = Histogram::new(10.0, 2.0, 4);
-        h.record(0.5); // underflow
-        h.record(1e9); // overflow clamps to last bucket
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.25), 10.0, "underflow reports the base");
-        assert!(h.quantile(1.0) >= 10.0 * 2f64.powi(4));
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = Histogram::new(1.0, 2.0, 8);
-        let mut b = Histogram::new(1.0, 2.0, 8);
-        a.record(2.0);
-        b.record(64.0);
-        b.record(64.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!(a.quantile(1.0) >= 64.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid histogram shape")]
-    fn histogram_rejects_bad_shape() {
-        Histogram::new(0.0, 2.0, 8);
     }
 
     #[test]

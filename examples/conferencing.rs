@@ -109,11 +109,11 @@ fn main() {
     let report = run_scenario(&cfg, &Scenario::conference(4, 20));
     assert!(report.ok);
     println!(
-        "  mean {:.1} ms   min {:.1}   max {:.1}   p50 ≤ {:.1}   p95 ≤ {:.1}",
+        "  mean {:.1} ms   min {:.1}   max {:.1}   p50 {:.1}   p95 {:.1}",
         report.summary.mean(),
         report.summary.min(),
         report.summary.max(),
-        report.histogram.quantile(0.5),
-        report.histogram.quantile(0.95),
+        report.percentile(0.5),
+        report.percentile(0.95),
     );
 }

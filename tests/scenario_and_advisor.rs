@@ -23,7 +23,7 @@ fn scenario_through_facade() {
     assert!(report.ok);
     assert_eq!(report.events.len(), 5);
     assert_eq!(report.events.last().unwrap().size_after, 5);
-    assert!(report.histogram.quantile(1.0) >= report.summary.max() / 2.0);
+    assert_eq!(report.percentile(1.0), report.summary.max());
 }
 
 #[test]
