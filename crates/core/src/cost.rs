@@ -7,6 +7,7 @@
 //! deterministic, host-independent).
 
 use gkap_sim::Duration;
+use gkap_telemetry::CryptoOpKind;
 use serde::{Deserialize, Serialize};
 
 /// Per-operation virtual-time costs.
@@ -126,6 +127,22 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
+    /// Counts one charged primitive: the one place a [`CryptoOpKind`]
+    /// maps onto a counter. `ModMul` and `RecvOverhead` are charged but
+    /// not counted (Table 1 has no column for them).
+    pub(crate) fn bump(&mut self, op: CryptoOpKind) {
+        let counter = match op {
+            CryptoOpKind::Exp => &mut self.exp,
+            CryptoOpKind::SmallExp => &mut self.small_exp,
+            CryptoOpKind::Inverse => &mut self.inverse,
+            CryptoOpKind::Sign => &mut self.sign,
+            CryptoOpKind::Verify => &mut self.verify,
+            CryptoOpKind::Symmetric => &mut self.symmetric,
+            CryptoOpKind::ModMul | CryptoOpKind::RecvOverhead => return,
+        };
+        *counter += 1;
+    }
+
     /// Element-wise difference `self - earlier` (for around-event
     /// accounting).
     ///
@@ -227,6 +244,33 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.messages(), 5);
+    }
+
+    #[test]
+    fn bump_counts_each_kind_once() {
+        let mut c = OpCounts::default();
+        for op in [
+            CryptoOpKind::Exp,
+            CryptoOpKind::SmallExp,
+            CryptoOpKind::ModMul,
+            CryptoOpKind::Inverse,
+            CryptoOpKind::Sign,
+            CryptoOpKind::Verify,
+            CryptoOpKind::Symmetric,
+            CryptoOpKind::RecvOverhead,
+        ] {
+            c.bump(op);
+        }
+        let one = OpCounts {
+            exp: 1,
+            small_exp: 1,
+            inverse: 1,
+            sign: 1,
+            verify: 1,
+            symmetric: 1,
+            ..Default::default()
+        };
+        assert_eq!(c, one);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!        │          behind every figure, `scenario`, traced run and churn
 //!        │          ablation; `agreed_secret` is "the group agreed"
 //!        │
-//!  SecureMember   — a gkap-gcs Client: signs/verifies every protocol
-//!        │          message, tracks epochs and key-completion times,
-//!        │          charges virtual CPU per cryptographic operation
+//!  SecureMember   — a gkap-gcs Client: filters epochs, keeps one record
+//!        │          per epoch (view, key, completion time), restarts
+//!        │          superseded agreements
+//!        │
+//!  GkaCtx         — the protocol runtime: the one place a message is
+//!        │          signed, verified, counted, charged and traced
 //!        │
 //!  protocols::*   — GDH, CKD, TGDH, STR, BD state machines
 //!        │
@@ -63,6 +66,6 @@ pub mod testkit;
 pub mod tree;
 
 pub use cost::{CostModel, OpCounts};
-pub use member::{AgreementPhase, SecureMember, DEFAULT_MAX_RESTARTS};
+pub use member::{AgreementPhase, SecureMember, MAX_RESTARTS};
 pub use protocols::{GkaError, GkaProtocol, ProtocolError, ProtocolKind};
 pub use suite::{CryptoSuite, SigMode};

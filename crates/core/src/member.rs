@@ -1,23 +1,25 @@
 //! [`SecureMember`] — the Secure Spread member process.
 //!
 //! Wires a [`GkaProtocol`] state machine into the group communication
-//! system: verifies every received protocol message's signature,
-//! filters stale epochs and buffers early ones, charges virtual CPU,
-//! and records the instants at which views arrive and keys complete —
-//! the raw measurements behind every figure in the paper.
+//! system: filters stale epochs and buffers early ones, hands every
+//! protocol message to [`GkaCtx`] (which signs, verifies, counts and
+//! charges it), and records the instants at which views arrive and
+//! keys complete — the raw measurements behind every figure in the
+//! paper.
 
 use std::rc::Rc;
 
 use gkap_bignum::{SplitMix64, Ubig};
 use gkap_crypto::kdf::SessionKeys;
+use gkap_crypto::Secret;
 use gkap_gcs::{Client, ClientCtx, ClientId, Delivery, View};
 use gkap_sim::{Duration, SimTime};
-use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
+use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
 use crate::protocols::{
-    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, SendKind, Transport,
+    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind, Transport,
 };
 use crate::suite::CryptoSuite;
 
@@ -46,18 +48,20 @@ impl Transport for GcsTransport<'_, '_> {
 
 /// Where a member's current key agreement stands.
 ///
-/// Views drive the transitions: entering a view starts an agreement
-/// (`Running`); establishing its key converges it; a newer view
-/// arriving first aborts it and — within the restart budget — restarts
-/// it in the new epoch. Exhausting the budget is *reported* (a
-/// [`GkaError`] plus a `give_up` fault event), never hidden.
+/// Views drive the transitions. Entering a view starts an agreement;
+/// establishing its key converges it. A view that arrives while the
+/// agreement is still running supersedes it: the member records an
+/// `abort` and a `restart` fault event and runs again in the new
+/// epoch. The `MAX_RESTARTS + 1`-st abort in a row gives up instead —
+/// *reported* (a [`GkaError`] plus a `give_up` fault event), never
+/// hidden.
 ///
 /// ```text
-/// Idle → Running → Converged
-///          ↓  ↑ (next view)
-///       Aborted → Restarting → Running → …
-///          ↓ (budget exhausted)
-///       GivenUp (terminal)
+/// Idle      ─view─▶ Running
+/// Running   ─key──▶ Converged
+/// Converged ─view─▶ Running
+/// Running   ─view─▶ Running   (abort + restart; restarts += 1)
+/// Running   ─view─▶ GivenUp   (restarts > MAX_RESTARTS; terminal)
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AgreementPhase {
@@ -65,19 +69,32 @@ pub enum AgreementPhase {
     Idle,
     /// A re-keying for the current epoch is in flight.
     Running,
-    /// The in-flight agreement was superseded by a newer view.
-    Aborted,
-    /// A superseded agreement is being re-run in the newer epoch.
-    Restarting,
     /// The current epoch's group key is established.
     Converged,
     /// The restart budget is exhausted; this member stopped trying.
     GivenUp,
 }
 
-/// Default number of consecutive aborted agreements a member tolerates
-/// before giving up (see [`SecureMember::set_max_restarts`]).
-pub const DEFAULT_MAX_RESTARTS: u64 = 16;
+/// Consecutive aborted agreements a member rides out; one more gives
+/// up ([`AgreementPhase::GivenUp`]).
+pub const MAX_RESTARTS: u64 = 16;
+
+/// What a member saw of one epoch. One per delivered view, in delivery
+/// order; view ids are unique, so the epoch names the record.
+struct EpochRecord {
+    epoch: u64,
+    /// When the view was delivered.
+    view_at: SimTime,
+    /// The group secret, once established.
+    secret: Option<Secret<Ubig>>,
+    /// When the key was ready (CPU completion, including core
+    /// contention).
+    completed_at: Option<SimTime>,
+    /// Key-confirmation digests that matched `secret`.
+    confirmations: usize,
+    /// Digests that arrived before `secret` did.
+    early_confirms: Vec<Vec<u8>>,
+}
 
 /// A member of a secure group: protocol engine + measurement hooks.
 pub struct SecureMember {
@@ -86,7 +103,6 @@ pub struct SecureMember {
     protocol: Box<dyn GkaProtocol>,
     counts: OpCounts,
     rng: SplitMix64,
-    epoch: u64,
     /// Seed for transparent bootstrap of the *initial* view (None =>
     /// run the real formation protocol, which only GDH/CKD/BD support
     /// for an n-way initial view).
@@ -96,22 +112,15 @@ pub struct SecureMember {
     preseed: Option<(Vec<ClientId>, ClientId, u64)>,
     /// Buffered messages from epochs we have not entered yet.
     pending: Vec<Envelope>,
-    /// `(epoch, instant)` when each view was delivered to us.
-    view_times: Vec<(u64, SimTime)>,
-    /// `(epoch, instant)` when the group key for that epoch was ready
-    /// (CPU completion, including core contention).
-    completions: Vec<(u64, SimTime)>,
-    /// Epoch whose completion awaits the CPU-completion stamp.
-    awaiting_stamp: Option<u64>,
-    /// The established secrets per epoch (tests compare across members).
-    secrets: Vec<(u64, Ubig)>,
+    /// One record per delivered view, oldest first (push-only; the
+    /// last is the current epoch).
+    epochs: Vec<EpochRecord>,
+    /// Index into `epochs` of the key awaiting its CPU-completion
+    /// stamp.
+    awaiting_stamp: Option<usize>,
     /// Whether to broadcast a key-confirmation digest after completing
     /// each epoch (§5's "form of key confirmation").
     confirm_keys: bool,
-    /// Confirmations received per epoch.
-    confirmations: Vec<(u64, usize)>,
-    /// Confirmations that arrived before our own key did.
-    pending_confirms: Vec<(u64, Vec<u8>)>,
     /// First protocol error, if any (experiments assert none).
     error: Option<GkaError>,
     /// Where the current agreement stands.
@@ -119,8 +128,6 @@ pub struct SecureMember {
     /// Consecutive agreements aborted by a superseding view (reset to
     /// zero on convergence).
     restarts: u64,
-    /// Restart budget: one more abort than this gives up.
-    max_restarts: u64,
     /// Telemetry sink (disabled by default; the experiment harness
     /// shares the world's handle here when tracing is requested).
     telemetry: Telemetry,
@@ -131,8 +138,8 @@ impl std::fmt::Debug for SecureMember {
         f.debug_struct("SecureMember")
             .field("id", &self.id)
             .field("protocol", &self.protocol.kind().name())
-            .field("epoch", &self.epoch)
-            .field("completions", &self.completions.len())
+            .field("epoch", &self.epoch())
+            .field("phase", &self.phase)
             .finish()
     }
 }
@@ -164,21 +171,15 @@ impl SecureMember {
             suite,
             counts: OpCounts::default(),
             rng: SplitMix64::new(seed),
-            epoch: 0,
             initial_seed,
             preseed: None,
             pending: Vec::new(),
-            view_times: Vec::new(),
-            completions: Vec::new(),
+            epochs: Vec::new(),
             awaiting_stamp: None,
-            secrets: Vec::new(),
             confirm_keys: false,
-            confirmations: Vec::new(),
-            pending_confirms: Vec::new(),
             error: None,
             phase: AgreementPhase::Idle,
             restarts: 0,
-            max_restarts: DEFAULT_MAX_RESTARTS,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -199,11 +200,7 @@ impl SecureMember {
 
     /// Confirmations received for `epoch`.
     pub fn confirmations(&self, epoch: u64) -> usize {
-        self.confirmations
-            .iter()
-            .find(|(e, _)| *e == epoch)
-            .map(|&(_, n)| n)
-            .unwrap_or(0)
+        self.record(epoch).map_or(0, |r| r.confirmations)
     }
 
     fn confirm_digest(epoch: u64, secret: &Ubig) -> Vec<u8> {
@@ -215,21 +212,20 @@ impl SecureMember {
         h.finalize()
     }
 
-    fn record_confirmation(&mut self, epoch: u64, digest: &[u8]) {
-        match self.secret(epoch) {
-            Some(secret) => {
-                // Constant-time: a digest mismatch must not leak how
-                // much of the expected digest a forgery matched.
-                if !gkap_crypto::hmac::ct_eq(&Self::confirm_digest(epoch, secret), digest) {
-                    self.record_error(GkaError::Protocol("key confirmation mismatch"));
-                    return;
-                }
-                match self.confirmations.iter_mut().find(|(e, _)| *e == epoch) {
-                    Some((_, n)) => *n += 1,
-                    None => self.confirmations.push((epoch, 1)),
-                }
-            }
-            None => self.pending_confirms.push((epoch, digest.to_vec())),
+    fn record_confirmation(&mut self, epoch: u64, digest: Vec<u8>) {
+        let Some(rec) = self.epochs.iter_mut().rev().find(|r| r.epoch == epoch) else {
+            return;
+        };
+        let Some(secret) = &rec.secret else {
+            rec.early_confirms.push(digest);
+            return;
+        };
+        // Constant-time: a digest mismatch must not leak how much of
+        // the expected digest a forgery matched.
+        if gkap_crypto::hmac::ct_eq(&Self::confirm_digest(epoch, secret.expose()), &digest) {
+            rec.confirmations += 1;
+        } else {
+            self.record_error(GkaError::Protocol("key confirmation mismatch"));
         }
     }
 
@@ -268,40 +264,34 @@ impl SecureMember {
         &self.counts
     }
 
+    fn record(&self, epoch: u64) -> Option<&EpochRecord> {
+        self.epochs.iter().rev().find(|r| r.epoch == epoch)
+    }
+
     /// Instant the key for `epoch` completed, if it has.
     pub fn completion(&self, epoch: u64) -> Option<SimTime> {
-        self.completions
-            .iter()
-            .find(|(e, _)| *e == epoch)
-            .map(|&(_, t)| t)
+        self.record(epoch)?.completed_at
     }
 
     /// Instant the view for `epoch` was delivered, if it was.
     pub fn view_time(&self, epoch: u64) -> Option<SimTime> {
-        self.view_times
-            .iter()
-            .find(|(e, _)| *e == epoch)
-            .map(|&(_, t)| t)
+        self.record(epoch).map(|r| r.view_at)
     }
 
     /// The group secret for `epoch`, if established.
     pub fn secret(&self, epoch: u64) -> Option<&Ubig> {
-        self.secrets
-            .iter()
-            .find(|(e, _)| *e == epoch)
-            .map(|(_, s)| s)
+        self.record(epoch)?.secret.as_ref().map(Secret::expose)
     }
 
     /// Derived symmetric session keys for the latest completed epoch.
     pub fn session_keys(&self) -> Option<SessionKeys> {
-        self.secrets
-            .last()
-            .map(|(_, s)| SessionKeys::from_group_secret(s))
+        let secret = self.epochs.iter().rev().find_map(|r| r.secret.as_ref())?;
+        Some(SessionKeys::from_group_secret(secret.expose()))
     }
 
     /// The latest epoch this member has entered.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.last_view_epoch().unwrap_or(0)
     }
 
     /// First protocol error encountered, if any.
@@ -320,16 +310,10 @@ impl SecureMember {
         self.restarts
     }
 
-    /// Caps how many consecutive aborted agreements this member rides
-    /// out before entering [`AgreementPhase::GivenUp`].
-    pub fn set_max_restarts(&mut self, n: u64) {
-        self.max_restarts = n;
-    }
-
     /// The epoch of the last view installed at this member (the
     /// view-synchrony invariant compares this across survivors).
     pub fn last_view_epoch(&self) -> Option<u64> {
-        self.view_times.last().map(|&(e, _)| e)
+        self.epochs.last().map(|r| r.epoch)
     }
 
     /// Which protocol this member runs.
@@ -349,112 +333,14 @@ impl SecureMember {
         }
     }
 
-    fn after_handler(&mut self, ctx: &mut ClientCtx<'_>) {
-        let Some(secret) = self.protocol.group_secret() else {
-            return;
-        };
-        let already = self.secrets.iter().any(|(e, _)| *e == self.epoch);
-        if already {
-            return;
-        }
-        let secret = secret.clone();
-        let epoch = self.epoch;
-        self.secrets.push((epoch, secret.clone()));
-        self.awaiting_stamp = Some(epoch);
-        self.phase = AgreementPhase::Converged;
-        self.restarts = 0;
-        // Settle confirmations that raced ahead of our own key.
-        let pending: Vec<Vec<u8>> = {
-            let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_confirms)
-                .into_iter()
-                .partition(|(e, _)| *e == epoch);
-            self.pending_confirms = later;
-            now.into_iter().map(|(_, d)| d).collect()
-        };
-        for d in pending {
-            self.record_confirmation(epoch, &d);
-        }
-        if self.confirm_keys {
-            let body = crate::protocols::ProtocolMsg::KeyConfirm {
-                digest: Self::confirm_digest(epoch, &secret),
-            }
-            .encode();
-            self.counts.sign += 1;
-            ctx.charge_cpu(self.suite.cost().sign);
-            self.note_crypto(ctx, CryptoOpKind::Sign, self.suite.cost().sign);
-            let env = Envelope::seal(&self.suite, ctx.id(), epoch, body);
-            self.counts.multicast += 1;
-            self.note_event(
-                ctx,
-                EventKind::MessageSend {
-                    class: SendClass::Multicast,
-                },
-            );
-            ctx.multicast_agreed(env.encode());
-        }
-    }
-
-    /// Records one telemetry event at the handler's virtual time with
-    /// this member as the actor (free when telemetry is disabled).
-    fn note_event(&self, ctx: &ClientCtx<'_>, kind: EventKind) {
-        self.note_span(ctx, Duration::ZERO, kind);
-    }
-
-    fn note_span(&self, ctx: &ClientCtx<'_>, dur: Duration, kind: EventKind) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let at = ctx.now();
-        let actor = Actor::Client(ctx.id());
-        self.telemetry.record(|| Event {
-            at,
-            dur,
-            actor,
-            kind,
-        });
-    }
-
-    fn note_crypto(&self, ctx: &ClientCtx<'_>, op: CryptoOpKind, cost: Duration) {
-        self.note_span(
-            ctx,
-            cost,
-            EventKind::CryptoOp {
-                op,
-                bits: self.suite.nominal_bits() as u32,
-            },
-        );
-    }
-
-    fn dispatch_wire(&mut self, ctx: &mut ClientCtx<'_>, env: Envelope) {
-        if env.sender == ctx.id() {
-            return; // own multicast echoed back
-        }
-        // Verification cost is paid by every receiver (§3.2), plus
-        // fixed per-message processing overhead.
-        self.counts.verify += 1;
-        ctx.charge_cpu(self.suite.cost().verify);
-        ctx.charge_cpu(self.suite.cost().recv_overhead);
-        self.note_crypto(ctx, CryptoOpKind::Verify, self.suite.cost().verify);
-        self.note_crypto(
-            ctx,
-            CryptoOpKind::RecvOverhead,
-            self.suite.cost().recv_overhead,
-        );
-        if env.verify(&self.suite).is_err() {
-            self.record_error(GkaError::Protocol("bad signature"));
-            return;
-        }
-        let msg = match crate::protocols::ProtocolMsg::decode(&env.body) {
-            Ok(m) => m,
-            Err(_) => {
-                self.record_error(GkaError::Protocol("malformed body"));
-                return;
-            }
-        };
-        if let crate::protocols::ProtocolMsg::KeyConfirm { digest } = &msg {
-            self.record_confirmation(env.epoch, digest);
-            return;
-        }
+    /// Runs `f` on the protocol engine with this member's [`GkaCtx`]
+    /// for the current epoch.
+    fn with_gka<R>(
+        &mut self,
+        ctx: &mut ClientCtx<'_>,
+        f: impl FnOnce(&mut dyn GkaProtocol, &mut GkaCtx<'_>) -> R,
+    ) -> R {
+        let epoch = self.epoch();
         let now = ctx.now();
         let mut transport = GcsTransport { ctx };
         let mut gka = GkaCtx {
@@ -462,11 +348,67 @@ impl SecureMember {
             suite: &self.suite,
             counts: &mut self.counts,
             rng: &mut self.rng,
-            epoch: self.epoch,
+            epoch,
             telemetry: self.telemetry.clone(),
             now,
         };
-        if let Err(e) = self.protocol.on_msg(&mut gka, env.sender, msg) {
+        f(self.protocol.as_mut(), &mut gka)
+    }
+
+    fn after_handler(&mut self, ctx: &mut ClientCtx<'_>) {
+        let Some(secret) = self.protocol.group_secret() else {
+            return;
+        };
+        let Some(rec) = self.epochs.last_mut() else {
+            return;
+        };
+        if rec.secret.is_some() {
+            return;
+        }
+        let epoch = rec.epoch;
+        let digest = self
+            .confirm_keys
+            .then(|| Self::confirm_digest(epoch, secret));
+        rec.secret = Some(Secret::new(secret.clone()));
+        let early = std::mem::take(&mut rec.early_confirms);
+        self.awaiting_stamp = Some(self.epochs.len() - 1);
+        self.phase = AgreementPhase::Converged;
+        self.restarts = 0;
+        // Settle confirmations that raced ahead of our own key.
+        for digest in early {
+            self.record_confirmation(epoch, digest);
+        }
+        if let Some(digest) = digest {
+            self.with_gka(ctx, |_, gka| {
+                gka.send(SendKind::Multicast, &ProtocolMsg::KeyConfirm { digest });
+            });
+        }
+    }
+
+    /// Records one telemetry event at the handler's virtual time with
+    /// this member as the actor (free when telemetry is disabled).
+    fn note_event(&self, ctx: &ClientCtx<'_>, kind: EventKind) {
+        let (at, actor) = (ctx.now(), Actor::Client(ctx.id()));
+        self.telemetry.record(|| Event {
+            at,
+            dur: Duration::ZERO,
+            actor,
+            kind,
+        });
+    }
+
+    fn dispatch_wire(&mut self, ctx: &mut ClientCtx<'_>, env: Envelope) {
+        if env.sender == ctx.id() {
+            return; // own multicast echoed back
+        }
+        let msg = match self.with_gka(ctx, |_, gka| gka.receive(&env)) {
+            Ok(ProtocolMsg::KeyConfirm { digest }) => {
+                return self.record_confirmation(env.epoch, digest);
+            }
+            Ok(msg) => msg,
+            Err(e) => return self.record_error(e),
+        };
+        if let Err(e) = self.with_gka(ctx, |protocol, gka| protocol.on_msg(gka, env.sender, msg)) {
             self.record_error(e);
         }
         self.after_handler(ctx);
@@ -484,47 +426,35 @@ impl Client for SecureMember {
         // still in flight supersedes it: abort, then (budget
         // permitting) restart in the new epoch.
         if self.phase == AgreementPhase::Running {
-            self.phase = AgreementPhase::Aborted;
-            self.note_event(
-                ctx,
-                EventKind::Fault {
-                    action: "abort",
-                    target: ctx.id(),
-                },
-            );
+            let target = ctx.id();
+            let fault = |action| EventKind::Fault { action, target };
+            self.note_event(ctx, fault("abort"));
             self.restarts += 1;
-            if self.restarts > self.max_restarts {
+            if self.restarts > MAX_RESTARTS {
                 self.phase = AgreementPhase::GivenUp;
                 self.record_error(GkaError::Protocol("restart budget exhausted"));
-                self.note_event(
-                    ctx,
-                    EventKind::Fault {
-                        action: "give_up",
-                        target: ctx.id(),
-                    },
-                );
+                self.note_event(ctx, fault("give_up"));
             } else {
-                self.phase = AgreementPhase::Restarting;
-                self.note_event(
-                    ctx,
-                    EventKind::Fault {
-                        action: "restart",
-                        target: ctx.id(),
-                    },
-                );
+                self.note_event(ctx, fault("restart"));
             }
         }
 
         // Rejoin after a partition healed: this member merges back as
         // a fresh singleton — stale keys from before the partition
         // must not leak into the new agreement.
-        if view.joined.contains(&ctx.id()) && !self.view_times.is_empty() {
+        if view.joined.contains(&ctx.id()) && !self.epochs.is_empty() {
             self.protocol.reset();
             self.pending.clear();
         }
 
-        self.epoch = view.id;
-        self.view_times.push((view.id, ctx.now()));
+        self.epochs.push(EpochRecord {
+            epoch: view.id,
+            view_at: ctx.now(),
+            secret: None,
+            completed_at: None,
+            confirmations: 0,
+            early_confirms: Vec::new(),
+        });
         self.note_event(
             ctx,
             EventKind::MembershipEvent {
@@ -549,31 +479,17 @@ impl Client for SecureMember {
             }
         }
 
-        let now = ctx.now();
-        let mut transport = GcsTransport { ctx };
-        let mut gka = GkaCtx {
-            transport: &mut transport,
-            suite: &self.suite,
-            counts: &mut self.counts,
-            rng: &mut self.rng,
-            epoch: self.epoch,
-            telemetry: self.telemetry.clone(),
-            now,
-        };
-        if let Err(e) = self.protocol.on_view(&mut gka, view) {
+        if let Err(e) = self.with_gka(ctx, |protocol, gka| protocol.on_view(gka, view)) {
             self.record_error(e);
         }
         self.after_handler(ctx);
 
         // Drain any messages that raced ahead of this view.
-        let ready: Vec<Envelope> = {
-            let epoch = self.epoch;
-            let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
-                .into_iter()
-                .partition(|e| e.epoch == epoch);
-            self.pending = later;
-            now
-        };
+        let epoch = self.epoch();
+        let (ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|e| e.epoch == epoch);
+        self.pending = later;
         for env in ready {
             self.dispatch_wire(ctx, env);
         }
@@ -590,10 +506,11 @@ impl Client for SecureMember {
                 return;
             }
         };
-        if env.epoch < self.epoch {
+        let epoch = self.epoch();
+        if env.epoch < epoch {
             return; // stale epoch: superseded by a newer view
         }
-        if env.epoch > self.epoch {
+        if env.epoch > epoch {
             self.pending.push(env); // we have not seen that view yet
             return;
         }
@@ -601,8 +518,12 @@ impl Client for SecureMember {
     }
 
     fn on_cpu_complete(&mut self, end: SimTime) {
-        if let Some(epoch) = self.awaiting_stamp.take() {
-            self.completions.push((epoch, end));
+        if let Some(rec) = self
+            .awaiting_stamp
+            .take()
+            .and_then(|i| self.epochs.get_mut(i))
+        {
+            rec.completed_at = Some(end);
         }
     }
 }

@@ -26,7 +26,6 @@ use crate::suite::CryptoSuite;
 
 /// BD protocol engine for one member.
 pub struct Bd {
-    me: Option<ClientId>,
     members: Vec<ClientId>,
     my_r: Option<Ubig>,
     z: BTreeMap<ClientId, Ubig>,
@@ -38,7 +37,6 @@ pub struct Bd {
 impl std::fmt::Debug for Bd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bd")
-            .field("me", &self.me)
             .field("secret", &"<redacted>")
             .finish_non_exhaustive()
     }
@@ -48,7 +46,6 @@ impl Bd {
     /// Creates an idle engine.
     pub fn new() -> Self {
         Bd {
-            me: None,
             members: Vec::new(),
             my_r: None,
             z: BTreeMap::new(),
@@ -167,7 +164,6 @@ impl GkaProtocol for Bd {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
         // Identical handling for every membership event.
-        self.me = Some(ctx.me());
         self.members = view.members.clone();
         self.z.clear();
         self.x.clear();
@@ -237,7 +233,6 @@ impl GkaProtocol for Bd {
             return Err(FOREIGN_COMPONENT);
         };
         self.my_r = Some(component.exponent_of(me)?.clone());
-        self.me = Some(me);
         self.members = component.members().to_vec();
         self.secret = component.secret();
         Ok(())

@@ -80,7 +80,6 @@ fn blob_key(pairwise: &Ubig) -> [u8; 16] {
 
 /// CKD protocol engine for one member.
 pub struct Ckd {
-    me: Option<ClientId>,
     members: Vec<ClientId>,
     /// My long-term-ish pairwise DH exponent (refreshed when invited).
     my_exp: Option<Ubig>,
@@ -100,7 +99,6 @@ pub struct Ckd {
 impl std::fmt::Debug for Ckd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ckd")
-            .field("me", &self.me)
             .field("secret", &"<redacted>")
             .finish_non_exhaustive()
     }
@@ -110,7 +108,6 @@ impl Ckd {
     /// Creates an idle engine.
     pub fn new() -> Self {
         Ckd {
-            me: None,
             members: Vec::new(),
             my_exp: None,
             my_pub: None,
@@ -153,7 +150,7 @@ impl Ckd {
                 .get(&m)
                 .ok_or(GkaError::Protocol("missing member public value"))?;
             let pairwise = ctx.exp(their_pub, &x);
-            ctx.charge_symmetric(1);
+            ctx.charge_symmetric();
             let ct = ctr_xor(
                 &blob_key(&pairwise),
                 &blob_nonce(ctx.epoch, m),
@@ -211,7 +208,6 @@ impl GkaProtocol for Ckd {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
-        self.me = Some(me);
         let was_controller = self.members.first().map(|&c| c == me).unwrap_or(false);
         self.members = view.members.clone();
         self.secret = None;
@@ -271,7 +267,7 @@ impl GkaProtocol for Ckd {
                 Ok(())
             }
             ProtocolMsg::CkdResponse { member_pub } => {
-                if self.controller().is_none() || self.me != self.controller() {
+                if self.controller() != Some(ctx.me()) {
                     return Err(GkaError::UnexpectedMessage("response at a non-controller"));
                 }
                 ctx.suite
@@ -305,7 +301,7 @@ impl GkaProtocol for Ckd {
                     .find(|(m, _)| *m == me)
                     .ok_or(GkaError::Protocol("no blob for me"))?
                     .clone();
-                ctx.charge_symmetric(1);
+                ctx.charge_symmetric();
                 let pt = ctr_xor(&blob_key(&pairwise), &blob_nonce(ctx.epoch, me), 0, ct);
                 if pt.len() != blob_len(ctx.suite) {
                     return Err(GkaError::Protocol("blob length mismatch"));
@@ -345,7 +341,6 @@ impl GkaProtocol for Ckd {
         let x = component.exponent_of(me)?.clone();
         self.my_pub = formed.pubs.get(&me).cloned();
         self.pubs = formed.pubs.clone();
-        self.me = Some(me);
         self.members = component.members().to_vec();
         self.controller_exp = (self.controller() == Some(me)).then(|| x.clone());
         self.my_exp = Some(x);

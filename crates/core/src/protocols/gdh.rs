@@ -50,7 +50,6 @@ enum Stage {
 
 /// GDH IKA.3 protocol engine for one member.
 pub struct Gdh {
-    me: Option<ClientId>,
     /// This member's current secret contribution `r`.
     my_exp: Option<Ubig>,
     /// Latest partial-key list `member -> g^{∏_{i≠member} r_i}`
@@ -74,7 +73,6 @@ pub struct Gdh {
 impl std::fmt::Debug for Gdh {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gdh")
-            .field("me", &self.me)
             .field("secret", &"<redacted>")
             .finish_non_exhaustive()
     }
@@ -84,7 +82,6 @@ impl Gdh {
     /// Creates an idle engine.
     pub fn new() -> Self {
         Gdh {
-            me: None,
             my_exp: None,
             partial_keys: BTreeMap::new(),
             secret: None,
@@ -260,7 +257,6 @@ impl GkaProtocol for Gdh {
     }
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
-        self.me = Some(ctx.me());
         self.members = view.members.clone();
         self.factor_outs.clear();
         self.broadcast_token = None;
@@ -448,7 +444,6 @@ impl GkaProtocol for Gdh {
         };
         self.my_exp = Some(component.exponent_of(me)?.clone());
         self.partial_keys = formed.partial_keys.clone();
-        self.me = Some(me);
         self.members = component.members().to_vec();
         self.secret = component.secret();
         self.stage = Stage::Idle;

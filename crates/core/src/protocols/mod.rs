@@ -25,6 +25,7 @@ use gkap_sim::{Duration, SimTime};
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
 
 use crate::cost::OpCounts;
+use crate::envelope::Envelope;
 use crate::suite::CryptoSuite;
 
 pub use component::{Component, FormationShare};
@@ -170,70 +171,61 @@ impl GkaCtx<'_> {
         self.transport.my_id()
     }
 
-    /// Records one charged primitive; colocated with the `OpCounts`
-    /// increments so telemetry tallies reconcile with Table 1 counts
-    /// by construction.
-    fn note_crypto(&mut self, op: CryptoOpKind, cost: Duration) {
+    /// Records one event at the handler's virtual time with this
+    /// member as the actor (free when telemetry is disabled).
+    fn note(&self, dur: Duration, kind: EventKind) {
         if !self.telemetry.is_enabled() {
             return;
         }
         let at = self.now;
         let actor = Actor::Client(self.transport.my_id());
-        let bits = self.suite.nominal_bits() as u32;
         self.telemetry.record(|| Event {
             at,
-            dur: cost,
+            dur,
             actor,
-            kind: EventKind::CryptoOp { op, bits },
+            kind,
         });
+    }
+
+    /// Counts, charges and traces one primitive — the only place a
+    /// cost-model entry becomes virtual time, so telemetry tallies
+    /// reconcile with Table 1 counts by construction.
+    fn charge(&mut self, op: CryptoOpKind, cost: Duration) {
+        self.counts.bump(op);
+        self.transport.charge(cost);
+        let bits = self.suite.nominal_bits() as u32;
+        self.note(cost, EventKind::CryptoOp { op, bits });
     }
 
     /// Marks the start of protocol round `round` at this member
     /// (telemetry only; free when disabled).
     pub fn mark_round(&mut self, protocol: &'static str, round: u32) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let at = self.now;
-        let actor = Actor::Client(self.transport.my_id());
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor,
-            kind: EventKind::ProtocolRound { protocol, round },
-        });
+        self.note(Duration::ZERO, EventKind::ProtocolRound { protocol, round });
     }
 
     /// Full modular exponentiation in the group (counted + charged).
     pub fn exp(&mut self, base: &Ubig, e: &Ubig) -> Ubig {
-        self.counts.exp += 1;
-        self.transport.charge(self.suite.cost().exp);
-        self.note_crypto(CryptoOpKind::Exp, self.suite.cost().exp);
+        self.charge(CryptoOpKind::Exp, self.suite.cost().exp);
         self.suite.group().exp(base, e)
     }
 
     /// `g^e` (counted + charged).
     pub fn exp_g(&mut self, e: &Ubig) -> Ubig {
-        self.counts.exp += 1;
-        self.transport.charge(self.suite.cost().exp);
-        self.note_crypto(CryptoOpKind::Exp, self.suite.cost().exp);
+        self.charge(CryptoOpKind::Exp, self.suite.cost().exp);
         self.suite.group().exp_g(e)
     }
 
     /// Small-exponent exponentiation (BD step 3; counted separately,
     /// charged per modular multiplication).
     pub fn exp_small(&mut self, base: &Ubig, e: u64) -> Ubig {
-        self.counts.small_exp += 1;
-        self.transport.charge(self.suite.cost().small_exp(e));
-        self.note_crypto(CryptoOpKind::SmallExp, self.suite.cost().small_exp(e));
+        self.charge(CryptoOpKind::SmallExp, self.suite.cost().small_exp(e));
         self.suite.group().exp(base, &Ubig::from(e))
     }
 
     /// Modular multiplication of two group elements (BD key
     /// assembly; charged as one multiplication).
     pub fn modmul(&mut self, a: &Ubig, b: &Ubig) -> Ubig {
-        self.transport.charge(self.suite.cost().modmul);
-        self.note_crypto(CryptoOpKind::ModMul, self.suite.cost().modmul);
+        self.charge(CryptoOpKind::ModMul, self.suite.cost().modmul);
         a.modmul(b, self.suite.group().modulus())
     }
 
@@ -241,16 +233,12 @@ impl GkaCtx<'_> {
     /// itself (BD's group-element inversion, which does not go through
     /// [`GkaCtx::invert_exponent`]).
     pub fn charge_inverse(&mut self) {
-        self.counts.inverse += 1;
-        self.transport.charge(self.suite.cost().inverse);
-        self.note_crypto(CryptoOpKind::Inverse, self.suite.cost().inverse);
+        self.charge(CryptoOpKind::Inverse, self.suite.cost().inverse);
     }
 
     /// Inverts an exponent modulo the group order (counted + charged).
     pub fn invert_exponent(&mut self, e: &Ubig) -> Ubig {
-        self.counts.inverse += 1;
-        self.transport.charge(self.suite.cost().inverse);
-        self.note_crypto(CryptoOpKind::Inverse, self.suite.cost().inverse);
+        self.charge(CryptoOpKind::Inverse, self.suite.cost().inverse);
         self.suite.invert_exponent(e)
     }
 
@@ -259,23 +247,18 @@ impl GkaCtx<'_> {
         self.suite.group().random_exponent(self.rng)
     }
 
-    /// Charges `n` symmetric cipher operations (CKD key blobs).
-    pub fn charge_symmetric(&mut self, n: u64) {
-        self.counts.symmetric += n;
-        self.transport.charge(self.suite.cost().symmetric * n);
-        for _ in 0..n {
-            self.note_crypto(CryptoOpKind::Symmetric, self.suite.cost().symmetric);
-        }
+    /// Charges one symmetric cipher operation (a CKD key blob).
+    pub fn charge_symmetric(&mut self) {
+        self.charge(CryptoOpKind::Symmetric, self.suite.cost().symmetric);
     }
 
     /// Encodes, signs and sends a protocol message (sign is counted
-    /// and charged; message counters updated).
+    /// and charged; message counters updated). Every protocol message
+    /// leaves a member through here.
     pub fn send(&mut self, kind: SendKind, msg: &ProtocolMsg) {
         let body = msg.encode();
-        self.counts.sign += 1;
-        self.transport.charge(self.suite.cost().sign);
-        self.note_crypto(CryptoOpKind::Sign, self.suite.cost().sign);
-        let env = crate::envelope::Envelope::seal(self.suite, self.me(), self.epoch, body);
+        self.charge(CryptoOpKind::Sign, self.suite.cost().sign);
+        let env = Envelope::seal(self.suite, self.me(), self.epoch, body);
         let class = match kind {
             SendKind::Multicast => {
                 self.counts.multicast += 1;
@@ -286,17 +269,25 @@ impl GkaCtx<'_> {
                 SendClass::Unicast
             }
         };
-        if self.telemetry.is_enabled() {
-            let at = self.now;
-            let actor = Actor::Client(self.transport.my_id());
-            self.telemetry.record(|| Event {
-                at,
-                dur: Duration::ZERO,
-                actor,
-                kind: EventKind::MessageSend { class },
-            });
-        }
+        self.note(Duration::ZERO, EventKind::MessageSend { class });
         self.transport.send_wire(kind, env.encode());
+    }
+
+    /// Accepts a received protocol message: charges the signature
+    /// verification every receiver pays (§3.2) and the per-message
+    /// processing overhead, then checks the signature and decodes the
+    /// body. Every protocol message enters a member through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GkaError::Protocol`] on a bad signature or a
+    /// malformed body (both charged: the work was done).
+    pub(crate) fn receive(&mut self, env: &Envelope) -> Result<ProtocolMsg, GkaError> {
+        self.charge(CryptoOpKind::Verify, self.suite.cost().verify);
+        self.charge(CryptoOpKind::RecvOverhead, self.suite.cost().recv_overhead);
+        env.verify(self.suite)
+            .map_err(|_| GkaError::Protocol("bad signature"))?;
+        ProtocolMsg::decode(&env.body).map_err(|_| GkaError::Protocol("malformed body"))
     }
 }
 

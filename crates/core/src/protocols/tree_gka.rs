@@ -115,7 +115,6 @@ impl std::fmt::Debug for CacheEntry {
 /// A key-tree protocol engine for one member.
 pub struct TreeGka<S> {
     shape: S,
-    me: Option<ClientId>,
     view_members: Vec<ClientId>,
     my_r: Option<Ubig>,
     tree: KeyTree,
@@ -138,7 +137,6 @@ pub struct TreeGka<S> {
 impl<S> std::fmt::Debug for TreeGka<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TreeGka")
-            .field("me", &self.me)
             .field("secret", &"<redacted>")
             .finish_non_exhaustive()
     }
@@ -155,7 +153,6 @@ impl<S: TreeShape> TreeGka<S> {
     pub(super) fn with_shape(shape: S) -> Self {
         TreeGka {
             shape,
-            me: None,
             view_members: Vec::new(),
             my_r: None,
             tree: KeyTree::new(),
@@ -389,7 +386,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
-        self.me = Some(me);
         self.view_members = view.members.clone();
         self.secret = None;
         self.publisher = false;
@@ -552,7 +548,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             self.tree.node_mut(*i).key = Some(key.clone());
             self.cache.insert(*fp, CacheEntry { key, bkey });
         }
-        self.me = Some(me);
         self.view_members = component.members().to_vec();
         self.secret = component.secret();
         self.merging = false;

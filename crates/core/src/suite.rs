@@ -5,7 +5,6 @@ use std::rc::Rc;
 
 use gkap_bignum::{SplitMix64, Ubig};
 use gkap_crypto::dh::DhGroup;
-use gkap_crypto::dsa::{self, DsaKeyPair, DsaSignature};
 use gkap_crypto::rsa::RsaPrivateKey;
 use gkap_crypto::sha::{Digest, Sha256};
 use gkap_crypto::CryptoError;
@@ -18,8 +17,6 @@ pub enum SigMode {
     /// Real RSA PKCS#1 v1.5 signatures (slower to simulate, used by
     /// correctness tests and the crypto benches).
     Real,
-    /// Real DSA signatures (two-exponentiation verification).
-    RealDsa,
     /// A SHA-256 tag stands in for the signature; virtual time is
     /// charged exactly as for a real signature. Used by the large
     /// experiment sweeps, where thousands of runs would otherwise
@@ -42,7 +39,6 @@ pub struct CryptoSuite {
     cost: CostModel,
     sig_mode: SigMode,
     rsa: Option<Rc<RsaPrivateKey>>,
-    dsa: Option<Rc<DsaKeyPair>>,
 }
 
 impl CryptoSuite {
@@ -58,14 +54,7 @@ impl CryptoSuite {
                 let mut rng = SplitMix64::new(0x5157_0000);
                 Some(Rc::new(RsaPrivateKey::generate(512, 3, &mut rng)))
             }
-            _ => None,
-        };
-        let dsa = match sig_mode {
-            SigMode::RealDsa => {
-                let mut rng = SplitMix64::new(0x5157_0001);
-                Some(Rc::new(DsaKeyPair::generate(group.clone(), &mut rng)))
-            }
-            _ => None,
+            SigMode::Modeled => None,
         };
         CryptoSuite {
             group,
@@ -73,7 +62,6 @@ impl CryptoSuite {
             cost,
             sig_mode,
             rsa,
-            dsa,
         }
     }
 
@@ -100,7 +88,8 @@ impl CryptoSuite {
     }
 
     /// The 512-bit suite with DSA signature costs (the ablation of
-    /// §6.1.1's signature-scheme choice).
+    /// §6.1.1's signature-scheme choice). Signatures stay modeled:
+    /// only what DSA would cost is charged.
     pub fn sim_512_dsa() -> Self {
         CryptoSuite::new(
             DhGroup::test_256(),
@@ -117,17 +106,6 @@ impl CryptoSuite {
             256,
             CostModel::zero(),
             SigMode::Modeled,
-        )
-    }
-
-    /// Real DSA signatures on the fast test group (correctness tests
-    /// of the expensive-verification configuration).
-    pub fn real_dsa_fast() -> Self {
-        CryptoSuite::new(
-            DhGroup::test_256(),
-            512,
-            CostModel::paper_512().with_dsa_signatures(),
-            SigMode::RealDsa,
         )
     }
 
@@ -168,19 +146,6 @@ impl CryptoSuite {
     pub fn sign(&self, data: &[u8]) -> Vec<u8> {
         match self.sig_mode {
             SigMode::Real => self.rsa.as_ref().expect("real key").sign(data),
-            SigMode::RealDsa => {
-                // Deterministic per-message nonce stream derived from
-                // the message (the simulation's reproducibility trumps
-                // RFC 6979 formality; the structure is the same).
-                let mut rng = SplitMix64::new(u64::from_be_bytes(
-                    Sha256::digest(data)[..8].try_into().expect("8"),
-                ));
-                self.dsa
-                    .as_ref()
-                    .expect("dsa key")
-                    .sign(data, &mut rng)
-                    .to_bytes()
-            }
             SigMode::Modeled => Sha256::digest(data),
         }
     }
@@ -198,11 +163,6 @@ impl CryptoSuite {
                 .expect("real key")
                 .public_key()
                 .verify(data, sig),
-            SigMode::RealDsa => {
-                let kp = self.dsa.as_ref().expect("dsa key");
-                let parsed = DsaSignature::from_bytes(sig)?;
-                dsa::verify(&self.group, kp.public(), data, &parsed)
-            }
             SigMode::Modeled => {
                 if gkap_crypto::hmac::ct_eq(&Sha256::digest(data), sig) {
                     Ok(())
@@ -245,15 +205,6 @@ mod tests {
         let sig = suite.sign(b"protocol message");
         suite.verify(b"protocol message", &sig).unwrap();
         assert!(suite.verify(b"tampered", &sig).is_err());
-    }
-
-    #[test]
-    fn real_dsa_signatures_roundtrip() {
-        let suite = CryptoSuite::real_dsa_fast();
-        let sig = suite.sign(b"protocol message");
-        suite.verify(b"protocol message", &sig).unwrap();
-        assert!(suite.verify(b"tampered", &sig).is_err());
-        assert!(suite.verify(b"protocol message", b"garbage").is_err());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! totally-ordered delivery and zero latency — no simulated network.
 //! Used by the unit/property tests of the protocols themselves and by
 //! the closed-form cost validation (Table 1): the operation counters
-//! accumulate exactly as in the full simulation, since both go through
-//! the same [`GkaCtx`].
+//! accumulate exactly as in the full simulation, since both send and
+//! receive through the same [`GkaCtx`].
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -18,7 +18,7 @@ use gkap_telemetry::Telemetry;
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
-use crate::protocols::{GkaCtx, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind, Transport};
+use crate::protocols::{GkaCtx, GkaProtocol, ProtocolKind, SendKind, Transport};
 use crate::suite::CryptoSuite;
 
 struct QueueTransport<'a> {
@@ -275,28 +275,8 @@ impl Loopback {
                     continue;
                 };
                 self.delivered += 1;
-                // Mirror SecureMember's receive path: one verification
-                // per receiver, charged to that member's counters.
-                let suite = Rc::clone(&self.suite);
-                {
-                    let slot = &mut self.members[idx];
-                    slot.counts.verify += 1;
-                    let actor = gkap_telemetry::Actor::Client(slot.id);
-                    let cost = suite.cost().verify;
-                    let bits = suite.nominal_bits() as u32;
-                    self.telemetry.record(|| gkap_telemetry::Event {
-                        at: gkap_sim::SimTime::ZERO,
-                        dur: cost,
-                        actor,
-                        kind: gkap_telemetry::EventKind::CryptoOp {
-                            op: gkap_telemetry::CryptoOpKind::Verify,
-                            bits,
-                        },
-                    });
-                }
-                env.verify(&suite).expect("signature verifies");
-                let msg = ProtocolMsg::decode(&env.body).expect("well-formed body");
                 self.with_ctx(idx, |protocol, ctx| {
+                    let msg = ctx.receive(&env).expect("signed, well-formed message");
                     protocol.on_msg(ctx, sender, msg).expect("on_msg failed");
                 });
             }

@@ -34,12 +34,13 @@ impl Client for Attacker {
         let wire: Bytes = match self.mode {
             AttackMode::Garbage => Bytes::from_static(b"\xff\x00garbage"),
             AttackMode::ForgedSignature => {
-                // Signed under a *different* (wrong) suite.
-                let wrong = CryptoSuite::real_dsa_fast();
+                // Signed under a *different* (wrong) suite: a real RSA
+                // signature, which the honest modeled suite rejects.
+                let wrong = CryptoSuite::real_512();
                 Envelope::seal(&wrong, ctx.id(), ctx.view_id(), Bytes::from_static(b"x")).encode()
             }
             AttackMode::ForgedProtocolMsg => {
-                let wrong = CryptoSuite::real_dsa_fast();
+                let wrong = CryptoSuite::real_512();
                 let body = ProtocolMsg::BdRound1 {
                     z: Ubig::from(4u64),
                 }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use gkap_core::protocols::{GkaError, ProtocolKind};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::testkit::Loopback;
-use gkap_core::{AgreementPhase, SecureMember};
+use gkap_core::{AgreementPhase, SecureMember, MAX_RESTARTS};
 use gkap_gcs::{testbed, Client, ClientCtx, SimWorld, View};
 use gkap_sim::{Duration, SimTime};
 
@@ -76,26 +76,37 @@ fn restart_budget_exhaustion_is_reported_not_hidden() {
     // timing accident.
     let suite = Rc::new(CryptoSuite::fast_zero());
     let mut m = SecureMember::new(ProtocolKind::Bd, suite, 1, None);
-    m.set_max_restarts(0); // the first abort exhausts the budget
 
-    let view = |id: u64, members: Vec<usize>, joined: Vec<usize>| View {
+    // View `id` grows the group by one member: `0..=id`, `id` joining.
+    let view = |id: u64| View {
         id,
         group: 0,
-        members,
-        joined,
+        members: (0..=id as usize).collect(),
+        joined: if id == 1 {
+            vec![0, 1]
+        } else {
+            vec![id as usize]
+        },
         left: vec![],
     };
-    let mut ctx = ClientCtx::detached(0, SimTime::ZERO, 1);
-    Client::on_view(&mut m, &mut ctx, &view(1, vec![0, 1], vec![0, 1]));
-    // Two members, no peer messages delivered: the agreement is stuck
-    // in flight.
+    let install = |m: &mut SecureMember, id: u64| {
+        let mut ctx = ClientCtx::detached(0, SimTime::ZERO, id);
+        Client::on_view(m, &mut ctx, &view(id));
+    };
+    install(&mut m, 1);
+    // No peer messages are ever delivered: every agreement is stuck in
+    // flight, so each further view supersedes a running one.
+    let last = MAX_RESTARTS + 2;
+    for id in 2..last {
+        install(&mut m, id);
+    }
     assert_eq!(m.phase(), AgreementPhase::Running);
-    assert_eq!(m.restarts(), 0);
+    assert_eq!(m.restarts(), MAX_RESTARTS);
+    assert!(m.protocol_error().is_none());
 
-    // A second view supersedes the running agreement; zero budget
-    // means the abort becomes a give-up.
-    let mut ctx = ClientCtx::detached(0, SimTime::ZERO, 2);
-    Client::on_view(&mut m, &mut ctx, &view(2, vec![0, 1, 2], vec![2]));
+    // The `MAX_RESTARTS + 1`-st superseding view exhausts the budget:
+    // the abort becomes a give-up.
+    install(&mut m, last);
     assert_eq!(m.phase(), AgreementPhase::GivenUp);
     assert!(
         matches!(
@@ -108,10 +119,9 @@ fn restart_budget_exhaustion_is_reported_not_hidden() {
 
     // Give-up is terminal — later views are still *recorded* (the
     // member observes the group) but never re-enter the protocol.
-    let mut ctx = ClientCtx::detached(0, SimTime::ZERO, 3);
-    Client::on_view(&mut m, &mut ctx, &view(3, vec![0, 1, 2, 3], vec![3]));
+    install(&mut m, last + 1);
     assert_eq!(m.phase(), AgreementPhase::GivenUp);
-    assert_eq!(m.last_view_epoch(), Some(3));
+    assert_eq!(m.last_view_epoch(), Some(last + 1));
 }
 
 #[test]

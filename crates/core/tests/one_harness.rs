@@ -1,32 +1,74 @@
-//! Keeps the copies of *stand up, cause, wait, compare keys* from
-//! growing back, lexically: outside `member.rs` a `SecureMember` is
-//! constructed at three sites, and a member's secret is read in the
-//! two functions that decide agreement. `#[cfg(test)]` modules (always
-//! the tail of a file here) are not looked at.
+//! Keeps parallel copies of one mechanism from growing back,
+//! lexically: outside `member.rs` a `SecureMember` is constructed at
+//! three sites, a member's secret is read in the two functions that
+//! decide agreement, and a protocol message is signed, verified and
+//! counted only in `protocols/mod.rs` (`GkaCtx::send` and
+//! `GkaCtx::receive`). `#[cfg(test)]` items (always the tail of a file
+//! here) are not looked at.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// `(crate/file name, non-test source)` of every file directly under
-/// `crates/<krate>/src`.
+/// `(crate/relative path, non-test source)` of every file under
+/// `crates/<krate>/src`, subdirectories included.
 fn sources(krate: &str) -> Vec<(String, String)> {
-    let dir: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
+    fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, String)>) {
+        for entry in fs::read_dir(dir).expect("source directory is readable") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            let name = format!("{prefix}/{name}");
+            if path.is_dir() {
+                walk(&path, &name, out);
+            } else if name.ends_with(".rs") {
+                let text = fs::read_to_string(&path).expect("source file is readable");
+                let code = text.split("#[cfg(test)]").next().unwrap_or("").to_string();
+                out.push((name, code));
+            }
+        }
+    }
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join(krate)
         .join("src");
     let mut out = Vec::new();
-    for entry in fs::read_dir(&dir).expect("source directory is readable") {
-        let path = entry.expect("directory entry").path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !name.ends_with(".rs") {
-            continue;
-        }
-        let text = fs::read_to_string(&path).expect("source file is readable");
-        let code = text.split("#[cfg(test)]").next().unwrap_or("").to_string();
-        out.push((format!("{krate}/{name}"), code));
-    }
+    walk(&dir, krate, &mut out);
     out.sort();
     out
+}
+
+#[test]
+fn protocol_messages_are_signed_verified_and_counted_in_one_place() {
+    let core = sources("core");
+    assert!(
+        core.iter()
+            .any(|(name, _)| name == "core/protocols/tree_gka.rs"),
+        "`sources` walks subdirectories"
+    );
+    // `envelope.rs` and `suite.rs` define the signature check; every
+    // other `.verify(` is a call of it.
+    let files_with = |needle: &str| -> Vec<&str> {
+        core.iter()
+            .filter(|(name, code)| {
+                code.contains(needle) && !["core/envelope.rs", "core/suite.rs"].contains(&&**name)
+            })
+            .map(|(name, _)| name.as_str())
+            .collect()
+    };
+    for needle in ["Envelope::seal(", ".verify("] {
+        assert_eq!(
+            files_with(needle),
+            ["core/protocols/mod.rs"],
+            "`{needle}` belongs to `GkaCtx::send` / `GkaCtx::receive`"
+        );
+    }
+    for needle in ["counts.sign", "counts.verify"] {
+        assert!(
+            files_with(needle)
+                .iter()
+                .all(|&name| name == "core/protocols/mod.rs"),
+            "`{needle}`: count a primitive through `GkaCtx`"
+        );
+    }
 }
 
 #[test]

@@ -182,6 +182,43 @@ fn counters_match_table1_closed_forms() {
     }
 }
 
+/// Both harnesses receive through `GkaCtx::receive`: every delivered
+/// copy of a protocol message costs its receiver one `verify` and one
+/// `recv_overhead` span, in the loopback as in a full-stack run.
+#[test]
+fn every_delivered_copy_is_verified_and_charged_once() {
+    let spans = |events: &[Event], want: CryptoOpKind| {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CryptoOp { op, .. } if op == want))
+            .count() as u64
+    };
+    let ids: Vec<usize> = (0..6).collect();
+    for kind in ProtocolKind::all() {
+        let mut lb = Loopback::new(kind, CryptoSuite::sim_512(), &ids);
+        lb.bootstrap(&ids[..5], 5);
+        let telemetry = lb.enable_telemetry();
+        lb.install_view(ids.clone(), vec![5], vec![]);
+        let events = telemetry.events();
+        assert!(lb.delivered > 0, "{kind}: the join sent messages");
+        assert_eq!(spans(&events, CryptoOpKind::Verify), lb.delivered, "{kind}");
+        assert_eq!(
+            spans(&events, CryptoOpKind::RecvOverhead),
+            lb.delivered,
+            "{kind}"
+        );
+
+        let full = run_join_traced(&ExperimentConfig::lan(kind, SuiteKind::Sim512), ids.len());
+        let verifies = spans(&full.events, CryptoOpKind::Verify);
+        assert!(verifies > 0, "{kind}: the full-stack join verified");
+        assert_eq!(
+            spans(&full.events, CryptoOpKind::RecvOverhead),
+            verifies,
+            "{kind}: full stack"
+        );
+    }
+}
+
 /// The multi-group scale spans (PR 5) obey the same exact-sum
 /// discipline as the per-event traces: for every completed rekey,
 /// the transport share (injection → last view delivery) plus the

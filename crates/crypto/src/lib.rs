@@ -13,9 +13,8 @@
 //! * [`rsa`] — RSA PKCS#1 v1.5 signatures with CRT speedup. The paper
 //!   signs every protocol message with 1024-bit RSA and public exponent
 //!   **3** to make verification cheap; both `e = 3` and `e = 65537` are
-//!   supported.
-//! * [`dsa`] — DSA over the same groups, the expensive-verification
-//!   alternative the paper contrasts with RSA e = 3 (§6.1.1).
+//!   supported. (The DSA alternative the paper contrasts it with in
+//!   §6.1.1 is simulated by its costs alone, in `gkap-core`.)
 //! * [`kdf`] — a SHA-256 based key derivation function turning DH group
 //!   secrets into fixed-length symmetric keys.
 //!
@@ -46,7 +45,6 @@
 
 pub mod aes;
 pub mod dh;
-pub mod dsa;
 pub mod hmac;
 pub mod kdf;
 pub mod rsa;

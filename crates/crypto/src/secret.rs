@@ -1,8 +1,8 @@
 //! `Secret<T>`: a zeroize-on-drop wrapper for key material.
 //!
 //! Every long-lived secret in the workspace — DH private exponents,
-//! RSA CRT private components, DSA private keys, derived session keys
-//! and protocol group secrets — lives inside this wrapper. It buys
+//! RSA CRT private components, derived session keys and protocol
+//! group secrets — lives inside this wrapper. It buys
 //! three properties:
 //!
 //! * **erasure on drop** — the inner value is overwritten with zeros

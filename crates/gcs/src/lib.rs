@@ -90,7 +90,7 @@ pub use engine::SimWorld;
 pub use fault::{Fault, FaultPlan, PlannedFault};
 pub use loss::GilbertElliott;
 pub use message::{Delivery, Dest, Service, View, ViewId};
-pub use shard::{ShardMap, ShardedWorld};
+pub use shard::ShardedWorld;
 pub use stats::WorldStats;
 pub use topology::{MachineCfg, SiteCfg, Topology};
 

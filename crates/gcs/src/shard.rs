@@ -4,12 +4,13 @@
 //! The single-ring engine couples every group through one shared
 //! sequencer: the flush condition that gates a view install waits on
 //! *all* in-flight messages, so a membership cascade in one group
-//! delays installs in every other group on the ring. A [`ShardMap`]
-//! breaks that coupling by partitioning `GroupId`s across `S`
-//! independent rings — each a full [`SimWorld`] replica of the
-//! testbed with its own token sequencer, `pending_changes`, and flush
-//! condition. Groups on different shards interact with nothing, so a
-//! cascade in shard 0 cannot move a single event in shard 1.
+//! delays installs in every other group on the ring. Sharding breaks
+//! that coupling by partitioning `GroupId`s round-robin across `S`
+//! independent rings (group `g` lives on ring `g % S`), each a full
+//! [`SimWorld`] replica of the testbed with its own token sequencer,
+//! `pending_changes`, and flush condition. Groups on different shards
+//! interact with nothing, so a cascade in shard 0 cannot move a single
+//! event in shard 1.
 //!
 //! [`ShardedWorld`] keeps the single-ring API: clients get *global*
 //! ids, views are reported with global member ids, and `S = 1`
@@ -17,14 +18,14 @@
 //! existing engine is the one-shard case.
 //!
 //! Each shard advances its own virtual clock. [`ShardedWorld::now`]
-//! reports the conservative frontier (the maximum over shards): every
-//! shard has simulated *at least* to its own local time, and no
-//! cross-shard event exists that could invalidate another shard's
-//! past — the classic conservative-parallel-simulation argument,
-//! degenerate here because the interaction graph across shards is
-//! empty.
+//! reports the latest of them (a plain `max`, so shard order never
+//! matters): every shard has simulated *at least* to its own local
+//! time, and no cross-shard event exists that could invalidate
+//! another shard's past — the classic conservative-parallel-simulation
+//! argument, degenerate here because the interaction graph across
+//! shards is empty.
 
-use gkap_sim::{SimTime, VtFrontier};
+use gkap_sim::SimTime;
 
 use crate::client::Client;
 use crate::config::GcsConfig;
@@ -32,44 +33,6 @@ use crate::engine::SimWorld;
 use crate::message::View;
 use crate::stats::WorldStats;
 use crate::{ClientId, GroupId};
-
-/// A deterministic partition of group ids over `S` shards.
-///
-/// Round-robin by group id: `shard_of(g) = g % shards`. The map is a
-/// pure function of `(g, shards)`, so a workload's group→shard
-/// assignment never depends on scheduling or iteration order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    shards: usize,
-}
-
-impl ShardMap {
-    /// Creates a map over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "at least one shard required");
-        ShardMap { shards }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard a group lives on.
-    pub fn shard_of(&self, group: GroupId) -> usize {
-        group % self.shards
-    }
-
-    /// The groups (of `total` consecutive ids starting at 0) assigned
-    /// to `shard`, in ascending order.
-    pub fn groups_of(&self, shard: usize, total: usize) -> Vec<GroupId> {
-        (0..total).filter(|g| self.shard_of(*g) == shard).collect()
-    }
-}
 
 /// Where a global client lives: its shard and its id inside that
 /// shard's world.
@@ -82,11 +45,10 @@ struct ClientHome {
 /// `S` independent token rings behind the single-ring API.
 ///
 /// Every ring is a complete replica of the configured topology (the
-/// paper's 13-machine LAN, say); groups are pinned to rings by the
-/// [`ShardMap`] and never share a sequencer, CPU scheduler, or flush
+/// paper's 13-machine LAN, say); group `g` is pinned to ring
+/// `g % shards` and never shares a sequencer, CPU scheduler, or flush
 /// condition across rings.
 pub struct ShardedWorld {
-    map: ShardMap,
     worlds: Vec<SimWorld>,
     /// Global client id → home shard and local id.
     clients: Vec<ClientHome>,
@@ -97,7 +59,7 @@ pub struct ShardedWorld {
 impl std::fmt::Debug for ShardedWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedWorld")
-            .field("shards", &self.map.shards())
+            .field("shards", &self.worlds.len())
             .field("clients", &self.clients.len())
             .field("now", &self.now())
             .finish()
@@ -111,14 +73,20 @@ impl ShardedWorld {
     ///
     /// Panics if `shards` is zero or the configuration is invalid.
     pub fn new(cfg: GcsConfig, shards: usize) -> Self {
-        let map = ShardMap::new(shards);
+        assert!(shards > 0, "at least one shard required");
         let worlds = (0..shards).map(|_| SimWorld::new(cfg.clone())).collect();
         ShardedWorld {
-            map,
             worlds,
             clients: Vec::new(),
             locals: vec![Vec::new(); shards],
         }
+    }
+
+    /// The shard a group lives on: round-robin by group id, a pure
+    /// function of `(group, shards)`, so a workload's group→shard
+    /// assignment never depends on scheduling or iteration order.
+    fn shard_of(&self, group: GroupId) -> usize {
+        group % self.worlds.len()
     }
 
     /// Borrows one shard's world (read-only introspection).
@@ -134,7 +102,7 @@ impl ShardedWorld {
     /// shard, assigned to a machine round-robin *within the shard*.
     /// Returns the client's global id.
     pub fn add_client_in(&mut self, group: GroupId, handler: Box<dyn Client>) -> ClientId {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         let machine = self.clients.len() % self.worlds[shard].config().topology.machine_count();
         self.add_client_on_in(group, handler, machine)
     }
@@ -151,7 +119,7 @@ impl ShardedWorld {
         handler: Box<dyn Client>,
         machine: usize,
     ) -> ClientId {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         let local = self.worlds[shard].add_client_on(handler, machine);
         let global = self.clients.len();
         self.clients.push(ClientHome { shard, local });
@@ -197,7 +165,7 @@ impl ShardedWorld {
     /// Panics if the group already has a view, `members` is empty, or
     /// a member was not added for this group's shard.
     pub fn install_initial_view_in(&mut self, group: GroupId, members: Vec<ClientId>) {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         let local = self.to_local(shard, &members);
         self.worlds[shard].install_initial_view_in(group, local);
     }
@@ -209,7 +177,7 @@ impl ShardedWorld {
     /// Panics under the same conditions as
     /// [`SimWorld::inject_change_in`].
     pub fn inject_change_in(&mut self, group: GroupId, joined: Vec<ClientId>, left: Vec<ClientId>) {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         let joined = self.to_local(shard, &joined);
         let left = self.to_local(shard, &left);
         self.worlds[shard].inject_change_in(group, joined, left);
@@ -229,15 +197,15 @@ impl ShardedWorld {
         }
     }
 
-    /// The conservative virtual-time frontier: the maximum over the
-    /// per-shard clocks. Safe to report because shards share no
-    /// events — no shard can schedule into another shard's past.
+    /// The conservative virtual-time frontier: the latest per-shard
+    /// clock. Safe to report because shards share no events — no shard
+    /// can schedule into another shard's past.
     pub fn now(&self) -> SimTime {
-        let mut frontier = VtFrontier::ZERO;
-        for w in &self.worlds {
-            frontier.advance(w.now());
-        }
-        frontier.time()
+        self.worlds
+            .iter()
+            .map(SimWorld::now)
+            .max()
+            .unwrap_or_default()
     }
 
     /// `true` when every shard is quiescent.
@@ -248,7 +216,7 @@ impl ShardedWorld {
     /// The installed view of `group`, with members reported as global
     /// client ids.
     pub fn view_of(&self, group: GroupId) -> Option<View> {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         self.worlds[shard]
             .view_of(group)
             .map(|v| self.globalize(shard, v))
@@ -257,7 +225,7 @@ impl ShardedWorld {
     /// Every view `group` has installed, in installation order, with
     /// global member ids.
     pub fn views_of(&self, group: GroupId) -> Vec<View> {
-        let shard = self.map.shard_of(group);
+        let shard = self.shard_of(group);
         self.worlds[shard]
             .views_of(group)
             .into_iter()
@@ -303,30 +271,5 @@ impl ShardedWorld {
     pub fn client_mut<T: Client>(&mut self, id: ClientId) -> &mut T {
         let home = self.clients[id];
         self.worlds[home.shard].client_mut::<T>(home.local)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_map_partitions_all_groups() {
-        let map = ShardMap::new(4);
-        assert_eq!(map.shards(), 4);
-        let mut seen = Vec::new();
-        for s in 0..4 {
-            seen.extend(map.groups_of(s, 10));
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(map.shard_of(5), 1);
-        assert_eq!(map.groups_of(1, 10), vec![1, 5, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = ShardMap::new(0);
     }
 }

@@ -100,43 +100,6 @@ impl Duration {
     }
 }
 
-/// A conservative virtual-time frontier over independent shards.
-///
-/// Each shard of a partitioned simulation advances its own clock;
-/// the frontier of the whole run is the *latest* per-shard clock —
-/// conservative because shards share no events, so no shard can
-/// schedule into another's past. Folding frontiers is a plain `max`,
-/// which is associative, commutative, and idempotent: per-shard
-/// frontiers can be merged in any order (or repeatedly) and the
-/// result is the same instant, the property the merge proptests pin.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VtFrontier(SimTime);
-
-impl VtFrontier {
-    /// The frontier of a run that has not advanced: simulation start.
-    pub const ZERO: VtFrontier = VtFrontier(SimTime::ZERO);
-
-    /// A frontier at a known instant.
-    pub const fn at(t: SimTime) -> Self {
-        VtFrontier(t)
-    }
-
-    /// The frontier instant.
-    pub const fn time(self) -> SimTime {
-        self.0
-    }
-
-    /// Advances to `t` if later (a shard reporting its clock).
-    pub fn advance(&mut self, t: SimTime) {
-        self.0 = self.0.max(t);
-    }
-
-    /// Folds another frontier in: the later instant wins.
-    pub fn merge(&mut self, other: VtFrontier) {
-        self.0 = self.0.max(other.0);
-    }
-}
-
 impl Mul<u64> for Duration {
     type Output = Duration;
 

@@ -1,58 +1,10 @@
 //! Property-based tests for the discrete-event core.
 
 use gkap_sim::stats::Summary;
-use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime, VtFrontier};
+use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Folding per-shard virtual-time frontiers is a `max`, so any
-    /// merge order — or grouping, or repetition — yields the same
-    /// instant. This is what lets a sharded run report one conservative
-    /// clock no matter how its shards were scheduled onto workers.
-    #[test]
-    fn frontier_merge_is_associative_commutative_idempotent(
-        ts in proptest::collection::vec(0u64..u64::MAX / 2, 1..50),
-        split in 0usize..50,
-    ) {
-        let frontiers: Vec<VtFrontier> = ts
-            .iter()
-            .map(|&n| VtFrontier::at(SimTime::from_nanos(n)))
-            .collect();
-        // Left fold in order.
-        let mut fwd = VtFrontier::ZERO;
-        for f in &frontiers {
-            fwd.merge(*f);
-        }
-        // Reverse order.
-        let mut rev = VtFrontier::ZERO;
-        for f in frontiers.iter().rev() {
-            rev.merge(*f);
-        }
-        prop_assert_eq!(fwd, rev, "merge order must not matter");
-        // Arbitrary grouping: fold two halves separately, then merge.
-        let mid = split % frontiers.len();
-        let (a, b) = frontiers.split_at(mid);
-        let mut left = VtFrontier::ZERO;
-        for f in a {
-            left.merge(*f);
-        }
-        let mut right = VtFrontier::ZERO;
-        for f in b {
-            right.merge(*f);
-        }
-        left.merge(right);
-        prop_assert_eq!(fwd, left, "merge grouping must not matter");
-        // Idempotent: merging the result again changes nothing.
-        let before = fwd;
-        fwd.merge(before);
-        prop_assert_eq!(fwd, before);
-        // And the frontier is exactly the max shard clock.
-        prop_assert_eq!(
-            fwd.time().as_nanos(),
-            ts.iter().copied().max().unwrap_or(0)
-        );
-    }
-
     #[test]
     fn event_queue_pops_in_nondecreasing_time(delays in proptest::collection::vec(0u64..10_000, 1..200)) {
         let mut q = EventQueue::new();

@@ -71,9 +71,10 @@ pub enum Actor {
     Machine(usize),
 }
 
-/// The cryptographic primitive charged by the cost model. Mirrors the
-/// fields of `OpCounts` in `gkap-core` one-to-one so telemetry tallies
-/// can be reconciled against the paper's Table 1 operation counts.
+/// The cryptographic primitive charged by the cost model.
+/// `OpCounts::bump` in `gkap-core` maps each kind onto its counter
+/// (`ModMul` and `RecvOverhead` have none), so telemetry tallies can be
+/// reconciled against the paper's Table 1 operation counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CryptoOpKind {
     /// Full-width modular exponentiation.
