@@ -1,12 +1,14 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
-//! replays identically, and the schedule minimizer — demonstrated on
-//! an intentionally broken protocol driver — reduces a failing
-//! schedule to its smallest reproduction.
+//! replays identically, the failures over seeds 1..=40 only shrink,
+//! and the schedule minimizer — demonstrated on an intentionally
+//! broken protocol driver — reduces a failing schedule to its smallest
+//! reproduction.
 
 use std::rc::Rc;
 
 use gkap_bench::chaos::{
-    campaign_csv, default_factory, minimize, run_campaign, run_schedule, ChaosConfig,
+    campaign_csv, default_factory, generate_schedule, minimize, render_schedule, run_campaign,
+    run_schedule, ChaosConfig,
 };
 use gkap_bench::Console;
 use gkap_bignum::Ubig;
@@ -37,6 +39,93 @@ fn pinned_campaign_passes_and_replays_identically() {
     assert_eq!(campaign_csv(&first), campaign_csv(&second));
 }
 
+/// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
+/// for N in 1..=40, that violates an invariant today: GDH 41, TGDH 2,
+/// STR 2 (DESIGN.md §21 and §23 name the two causes). A ratchet, not
+/// a blessing: a new failure fails the test, and so does a fixed one
+/// until it is struck from the list.
+const KNOWN_FAILING: [(u64, u64, &str); 45] = [
+    (1, 2, "GDH"),
+    (1, 2, "STR"),
+    (1, 6, "GDH"),
+    (3, 3, "GDH"),
+    (3, 5, "GDH"),
+    (3, 7, "GDH"),
+    (4, 1, "GDH"),
+    (4, 3, "GDH"),
+    (5, 1, "GDH"),
+    (5, 7, "GDH"),
+    (8, 1, "GDH"),
+    (8, 2, "GDH"),
+    (8, 4, "GDH"),
+    (8, 6, "GDH"),
+    (10, 7, "GDH"),
+    (11, 0, "GDH"),
+    (13, 3, "GDH"),
+    (14, 3, "GDH"),
+    (15, 4, "GDH"),
+    (16, 1, "GDH"),
+    (16, 3, "GDH"),
+    (16, 4, "GDH"),
+    (16, 7, "GDH"),
+    (17, 4, "GDH"),
+    (19, 3, "GDH"),
+    (19, 3, "TGDH"),
+    (19, 3, "STR"),
+    (19, 7, "GDH"),
+    (20, 1, "GDH"),
+    (20, 2, "GDH"),
+    (20, 6, "GDH"),
+    (23, 1, "TGDH"),
+    (23, 6, "GDH"),
+    (24, 1, "GDH"),
+    (26, 1, "GDH"),
+    (26, 2, "GDH"),
+    (30, 2, "GDH"),
+    (31, 0, "GDH"),
+    (32, 2, "GDH"),
+    (32, 5, "GDH"),
+    (32, 6, "GDH"),
+    (34, 0, "GDH"),
+    (37, 0, "GDH"),
+    (37, 5, "GDH"),
+    (40, 1, "GDH"),
+];
+
+#[test]
+fn chaos_failures_over_forty_seeds_only_shrink() {
+    let cfg = ChaosConfig::default();
+    let factory = default_factory();
+    let mut failing = Vec::new();
+    for seed in 1..=40 {
+        for run in 0..8 {
+            let schedule = generate_schedule(seed, run, &cfg);
+            for kind in ProtocolKind::all() {
+                let report = run_schedule(kind, &cfg, &schedule, &factory);
+                if report.passed() {
+                    continue;
+                }
+                let triple = (seed, run, kind.name());
+                assert!(
+                    KNOWN_FAILING.contains(&triple),
+                    "new chaos failure {triple:?}: {:?}\nschedule:\n{}",
+                    report.violations,
+                    render_schedule(&schedule)
+                );
+                failing.push(triple);
+            }
+        }
+    }
+    let fixed: Vec<_> = KNOWN_FAILING
+        .iter()
+        .filter(|t| !failing.contains(t))
+        .collect();
+    assert!(
+        fixed.is_empty(),
+        "these now pass; strike them from KNOWN_FAILING: {fixed:?}"
+    );
+}
+
 /// Delegates to a real protocol engine but, on any view that removes
 /// a member, replaces the reported secret with a per-member poison
 /// value — a divergence bug of exactly the class the key-convergence
@@ -51,7 +140,7 @@ impl GkaProtocol for ForgetsLeavers {
         self.inner.kind()
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         if !view.left.is_empty() {
             self.poison = Some(Ubig::from(0xDEC0_DE00u64 + ctx.me() as u64));
         }
@@ -60,7 +149,7 @@ impl GkaProtocol for ForgetsLeavers {
 
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {

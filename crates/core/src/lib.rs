@@ -10,13 +10,16 @@
 //!  experiment::*  — one keyed-group harness (`Group::form` + `apply(Step)`)
 //!        │          behind every figure, `scenario`, traced run and churn
 //!        │          ablation; `agreed_secret` is "the group agreed"
+//!        │          (`testkit::Loopback`: the same members, no network)
 //!        │
-//!  SecureMember   — a gkap-gcs Client: filters epochs, keeps one record
-//!        │          per epoch (view, key, completion time), restarts
-//!        │          superseded agreements
+//!  SecureMember   — a gkap-gcs Client and the only host of a protocol
+//!        │          engine: filters epochs, keeps one record per epoch
+//!        │          (view, key, completion time), restarts superseded
+//!        │          agreements
 //!        │
-//!  GkaCtx         — the protocol runtime: the one place a message is
-//!        │          signed, verified, counted, charged and traced
+//!  GkaCtx         — the protocol runtime over the handler's ClientCtx:
+//!        │          the one place a message is signed, verified,
+//!        │          counted, charged and traced
 //!        │
 //!  protocols::*   — GDH, CKD, TGDH, STR, BD state machines
 //!        │

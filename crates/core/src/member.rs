@@ -1,11 +1,15 @@
 //! [`SecureMember`] — the Secure Spread member process.
 //!
 //! Wires a [`GkaProtocol`] state machine into the group communication
-//! system: filters stale epochs and buffers early ones, hands every
-//! protocol message to [`GkaCtx`] (which signs, verifies, counts and
-//! charges it), and records the instants at which views arrive and
-//! keys complete — the raw measurements behind every figure in the
-//! paper.
+//! system: filters stale epochs and buffers early ones, restarts an
+//! agreement a view supersedes, hands every protocol message to
+//! [`GkaCtx`] (which signs, verifies, counts and charges it), and
+//! records the instants at which views arrive and keys complete — the
+//! raw measurements behind every figure in the paper.
+//!
+//! It is the only host of a protocol engine: a simulated world drives
+//! it through [`Client`], and so does the in-memory
+//! [`crate::testkit::Loopback`], with detached contexts.
 
 use std::rc::Rc;
 
@@ -19,32 +23,9 @@ use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
 use crate::protocols::{
-    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind, Transport,
+    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
 };
 use crate::suite::CryptoSuite;
-
-/// Adapter: protocol sends go out through the GCS client context.
-struct GcsTransport<'a, 'b> {
-    ctx: &'a mut ClientCtx<'b>,
-}
-
-impl Transport for GcsTransport<'_, '_> {
-    fn my_id(&self) -> ClientId {
-        self.ctx.id()
-    }
-
-    fn send_wire(&mut self, kind: SendKind, wire: bytes::Bytes) {
-        match kind {
-            SendKind::Multicast => self.ctx.multicast_agreed(wire),
-            SendKind::UnicastAgreed(to) => self.ctx.unicast_agreed(to, wire),
-            SendKind::UnicastFifo(to) => self.ctx.unicast_fifo(to, wire),
-        }
-    }
-
-    fn charge(&mut self, cost: Duration) {
-        self.ctx.charge_cpu(cost);
-    }
-}
 
 /// Where a member's current key agreement stands.
 ///
@@ -239,21 +220,17 @@ impl SecureMember {
     }
 
     /// Installs the formed component of `members` as this member's
-    /// protocol state: formed here if no member of this world needed
-    /// it before, taken from the world's share otherwise.
-    fn adopt_component(
+    /// protocol state: formed here if no member sharing `share` needed
+    /// it before, taken from the share otherwise. A world's members
+    /// share its world slot; the loopback's `bootstrap` brings its own.
+    pub(crate) fn adopt_component(
         &mut self,
-        ctx: &mut ClientCtx<'_>,
+        share: &mut FormationShare,
         members: &[ClientId],
         me: ClientId,
         seed: u64,
     ) {
-        let component = ctx.world_slot::<FormationShare>().form(
-            self.protocol.as_ref(),
-            &self.suite,
-            members,
-            seed,
-        );
+        let component = share.form(self.protocol.as_ref(), &self.suite, members, seed);
         if let Err(e) = self.protocol.adopt(&component, me) {
             self.record_error(e);
         }
@@ -338,21 +315,24 @@ impl SecureMember {
     fn with_gka<R>(
         &mut self,
         ctx: &mut ClientCtx<'_>,
-        f: impl FnOnce(&mut dyn GkaProtocol, &mut GkaCtx<'_>) -> R,
+        f: impl FnOnce(&mut dyn GkaProtocol, &mut GkaCtx<'_, '_>) -> R,
     ) -> R {
-        let epoch = self.epoch();
-        let now = ctx.now();
-        let mut transport = GcsTransport { ctx };
         let mut gka = GkaCtx {
-            transport: &mut transport,
+            epoch: self.epoch(),
+            ctx,
             suite: &self.suite,
             counts: &mut self.counts,
             rng: &mut self.rng,
-            epoch,
-            telemetry: self.telemetry.clone(),
-            now,
+            telemetry: &self.telemetry,
         };
         f(self.protocol.as_mut(), &mut gka)
+    }
+
+    /// The engine's current group secret, whether or not a view has
+    /// been delivered yet (the loopback's agreement check; a world's
+    /// harness reads [`SecureMember::secret`] per epoch).
+    pub(crate) fn group_secret(&self) -> Option<&Ubig> {
+        self.protocol.group_secret()
     }
 
     fn after_handler(&mut self, ctx: &mut ClientCtx<'_>) {
@@ -419,7 +399,7 @@ impl Client for SecureMember {
     fn on_view(&mut self, ctx: &mut ClientCtx<'_>, view: &View) {
         self.id = Some(ctx.id());
         if let Some((members, me, seed)) = self.preseed.take() {
-            self.adopt_component(ctx, &members, me, seed);
+            self.adopt_component(ctx.world_slot(), &members, me, seed);
         }
 
         // A view arriving while the previous epoch's agreement is
@@ -473,7 +453,8 @@ impl Client for SecureMember {
                 // Transparent bootstrap: the group starts keyed, free
                 // of charge (no experiment measures initial formation
                 // through this path; see DESIGN.md §18).
-                self.adopt_component(ctx, &view.members, ctx.id(), seed);
+                let me = ctx.id();
+                self.adopt_component(ctx.world_slot(), &view.members, me, seed);
                 self.after_handler(ctx);
                 return;
             }

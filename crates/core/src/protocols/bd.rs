@@ -69,7 +69,7 @@ impl Bd {
     }
 
     /// Round 2 once all z values are present.
-    fn maybe_round2(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn maybe_round2(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         if self.sent_round2 || self.z.len() < self.members.len() {
             return Ok(());
         }
@@ -108,7 +108,7 @@ impl Bd {
     }
 
     /// Key assembly once all X values are present.
-    fn maybe_finish(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn maybe_finish(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let n = self.members.len();
         if self.x.len() < n || self.z.len() < n || self.secret.is_some() {
             return Ok(());
@@ -162,7 +162,7 @@ impl GkaProtocol for Bd {
         ProtocolKind::Bd
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         // Identical handling for every membership event.
         self.members = view.members.clone();
         self.z.clear();
@@ -188,7 +188,7 @@ impl GkaProtocol for Bd {
 
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {

@@ -127,7 +127,7 @@ impl Ckd {
 
     /// Controller-side: distribute a fresh secret to all members,
     /// assuming `pubs` covers everyone.
-    fn distribute(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn distribute(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         ctx.mark_round("CKD", 3);
         let me = ctx.me();
         let x = self
@@ -172,7 +172,11 @@ impl Ckd {
 
     /// Controller-side: begin a re-key, inviting any members whose
     /// public values we do not have.
-    fn start_rekey(&mut self, ctx: &mut GkaCtx<'_>, invite: Vec<ClientId>) -> Result<(), GkaError> {
+    fn start_rekey(
+        &mut self,
+        ctx: &mut GkaCtx<'_, '_>,
+        invite: Vec<ClientId>,
+    ) -> Result<(), GkaError> {
         ctx.mark_round("CKD", 1);
         let x = ctx.fresh_exponent();
         let controller_pub = ctx.exp_g(&x);
@@ -206,7 +210,7 @@ impl GkaProtocol for Ckd {
         ProtocolKind::Ckd
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
         let was_controller = self.members.first().map(|&c| c == me).unwrap_or(false);
         self.members = view.members.clone();
@@ -241,7 +245,7 @@ impl GkaProtocol for Ckd {
 
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {

@@ -50,8 +50,15 @@ enum Stage {
 
 /// GDH IKA.3 protocol engine for one member.
 pub struct Gdh {
-    /// This member's current secret contribution `r`.
+    /// This member's secret contribution `r`: the one its cached
+    /// partial-key list was built with.
     my_exp: Option<Ubig>,
+    /// The fresh contribution this member put into a merge still in
+    /// flight (the old controller's refresh, a chain member's share).
+    /// It becomes `my_exp` only with the partial-key list built with
+    /// it; a view that supersedes the merge drops it, so a leave
+    /// rescales the old list by the `r` that list holds.
+    merge_exp: Option<Ubig>,
     /// Latest partial-key list `member -> g^{∏_{i≠member} r_i}`
     /// (every member caches the controller's last broadcast so any
     /// member can take over as controller).
@@ -83,6 +90,7 @@ impl Gdh {
     pub fn new() -> Self {
         Gdh {
             my_exp: None,
+            merge_exp: None,
             partial_keys: BTreeMap::new(),
             secret: None,
             stage: Stage::Idle,
@@ -103,7 +111,7 @@ impl Gdh {
             .collect()
     }
 
-    fn start_leave(&mut self, ctx: &mut GkaCtx<'_>, left: &[ClientId]) -> Result<(), GkaError> {
+    fn start_leave(&mut self, ctx: &mut GkaCtx<'_, '_>, left: &[ClientId]) -> Result<(), GkaError> {
         for l in left {
             self.partial_keys.remove(l);
         }
@@ -168,7 +176,7 @@ impl Gdh {
         self.maybe_start_pending_merge(ctx)
     }
 
-    fn start_merge(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn start_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         self.secret = None;
         let me = ctx.me();
         let old = self.old_members();
@@ -189,7 +197,7 @@ impl Gdh {
                 .ok_or(GkaError::MissingState("merge without new members"))?;
             let fresh = ctx.fresh_exponent();
             let token = ctx.exp(&k_me, &fresh);
-            self.my_exp = Some(fresh);
+            self.merge_exp = Some(fresh);
             ctx.send(
                 SendKind::UnicastAgreed(first_new),
                 &ProtocolMsg::GdhChainToken { token },
@@ -203,7 +211,7 @@ impl Gdh {
         Ok(())
     }
 
-    fn maybe_start_pending_merge(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn maybe_start_pending_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         if self.pending_merge.is_empty() {
             return Ok(());
         }
@@ -213,7 +221,7 @@ impl Gdh {
 
     /// The new controller (last new member) finishes the protocol once
     /// every factor-out has arrived.
-    fn try_finish_collection(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn try_finish_collection(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let expected = self.members.len().saturating_sub(1);
         if self.factor_outs.len() < expected {
             return Ok(());
@@ -256,10 +264,11 @@ impl GkaProtocol for Gdh {
         ProtocolKind::Gdh
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         self.members = view.members.clone();
         self.factor_outs.clear();
         self.broadcast_token = None;
+        self.merge_exp = None;
         let mut joined = view.joined.clone();
 
         // Initial formation without bootstrap: treat the first member
@@ -308,7 +317,7 @@ impl GkaProtocol for Gdh {
 
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {
@@ -329,7 +338,7 @@ impl GkaProtocol for Gdh {
                     ctx.mark_round("GDH", 2);
                     let r = ctx.fresh_exponent();
                     let next_token = ctx.exp(&token, &r);
-                    self.my_exp = Some(r);
+                    self.merge_exp = Some(r);
                     let next = self
                         .new_members
                         .get(pos + 1)
@@ -358,8 +367,10 @@ impl GkaProtocol for Gdh {
                     return Err(GkaError::UnexpectedMessage("GDH token broadcast"));
                 }
                 let r = self
-                    .my_exp
-                    .clone()
+                    .merge_exp
+                    .as_ref()
+                    .or(self.my_exp.as_ref())
+                    .cloned()
                     .ok_or(GkaError::MissingState("no contribution to factor out"))?;
                 ctx.mark_round("GDH", 3);
                 let r_inv = ctx.invert_exponent(&r);
@@ -388,6 +399,9 @@ impl GkaProtocol for Gdh {
                     return Err(GkaError::UnexpectedMessage("GDH partial keys"));
                 }
                 self.partial_keys = entries.into_iter().collect();
+                if let Some(fresh) = self.merge_exp.take() {
+                    self.my_exp = Some(fresh);
+                }
                 let me = ctx.me();
                 let k_me = self
                     .partial_keys

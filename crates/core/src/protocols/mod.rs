@@ -18,10 +18,9 @@ pub mod tgdh;
 pub mod tree_gka;
 mod wire;
 
-use bytes::Bytes;
 use gkap_bignum::{RandomSource, SplitMix64, Ubig};
-use gkap_gcs::{ClientId, View};
-use gkap_sim::{Duration, SimTime};
+use gkap_gcs::{ClientCtx, ClientId, View};
+use gkap_sim::Duration;
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
 
 use crate::cost::OpCounts;
@@ -133,52 +132,44 @@ pub enum SendKind {
     UnicastFifo(ClientId),
 }
 
-/// Transport abstraction the protocols send through: implemented by
-/// the live `SecureMember` (over the simulated GCS) and by the
-/// in-memory loopback harness in [`crate::testkit`].
-pub trait Transport {
-    /// This member's identifier.
-    fn my_id(&self) -> ClientId;
-    /// Queues an already-enveloped wire message.
-    fn send_wire(&mut self, kind: SendKind, wire: Bytes);
-    /// Charges virtual CPU time.
-    fn charge(&mut self, cost: Duration);
-}
-
 /// The execution context handed to protocol handlers: group
 /// arithmetic with automatic cost accounting, randomness, and sending.
-pub struct GkaCtx<'a> {
-    /// Underlying transport.
-    pub transport: &'a mut dyn Transport,
+///
+/// It wraps the [`ClientCtx`] of the `SecureMember` handler it runs
+/// in, and only `SecureMember` builds one: this member's id, the
+/// handler's virtual time, its CPU charge and its sends are that
+/// context's, whether a simulated world or the
+/// [`crate::testkit::Loopback`] drives the member.
+pub struct GkaCtx<'a, 'c> {
+    /// The handler's GCS context.
+    pub(crate) ctx: &'a mut ClientCtx<'c>,
     /// Cryptographic configuration.
     pub suite: &'a CryptoSuite,
     /// Operation counters (per member, monotone).
-    pub counts: &'a mut OpCounts,
+    pub(crate) counts: &'a mut OpCounts,
     /// The member's private randomness.
     pub rng: &'a mut SplitMix64,
     /// Current epoch (view id) — stamped into envelopes.
     pub epoch: u64,
     /// Telemetry sink (disabled handles record nothing).
-    pub telemetry: Telemetry,
-    /// Virtual time of the handler this context serves (telemetry
-    /// events are keyed to it; recording never advances the clock).
-    pub now: SimTime,
+    pub(crate) telemetry: &'a Telemetry,
 }
 
-impl GkaCtx<'_> {
+impl GkaCtx<'_, '_> {
     /// This member's id.
     pub fn me(&self) -> ClientId {
-        self.transport.my_id()
+        self.ctx.id()
     }
 
     /// Records one event at the handler's virtual time with this
-    /// member as the actor (free when telemetry is disabled).
+    /// member as the actor (free when telemetry is disabled; recording
+    /// never advances the clock).
     fn note(&self, dur: Duration, kind: EventKind) {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let at = self.now;
-        let actor = Actor::Client(self.transport.my_id());
+        let at = self.ctx.now();
+        let actor = Actor::Client(self.me());
         self.telemetry.record(|| Event {
             at,
             dur,
@@ -192,7 +183,7 @@ impl GkaCtx<'_> {
     /// reconcile with Table 1 counts by construction.
     fn charge(&mut self, op: CryptoOpKind, cost: Duration) {
         self.counts.bump(op);
-        self.transport.charge(cost);
+        self.ctx.charge_cpu(cost);
         let bits = self.suite.nominal_bits() as u32;
         self.note(cost, EventKind::CryptoOp { op, bits });
     }
@@ -270,7 +261,12 @@ impl GkaCtx<'_> {
             }
         };
         self.note(Duration::ZERO, EventKind::MessageSend { class });
-        self.transport.send_wire(kind, env.encode());
+        let wire = env.encode();
+        match kind {
+            SendKind::Multicast => self.ctx.multicast_agreed(wire),
+            SendKind::UnicastAgreed(to) => self.ctx.unicast_agreed(to, wire),
+            SendKind::UnicastFifo(to) => self.ctx.unicast_fifo(to, wire),
+        }
     }
 
     /// Accepts a received protocol message: charges the signature
@@ -308,7 +304,7 @@ pub trait GkaProtocol: std::any::Any {
     ///
     /// Returns a [`GkaError`] if the view is inconsistent with
     /// protocol state.
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError>;
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError>;
 
     /// Handles a verified protocol message from `sender`.
     ///
@@ -317,7 +313,7 @@ pub trait GkaProtocol: std::any::Any {
     /// Returns a [`GkaError`] on unexpected or inconsistent messages.
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError>;

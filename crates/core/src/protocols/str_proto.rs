@@ -158,12 +158,10 @@ impl Str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::tree_gka::drive;
     use crate::protocols::GkaProtocol;
     use crate::suite::CryptoSuite;
     use crate::testkit::Loopback;
     use gkap_bignum::Ubig;
-    use gkap_gcs::View;
     use proptest::prelude::*;
 
     fn bk(v: u64) -> Option<Ubig> {
@@ -247,8 +245,8 @@ mod tests {
         let ids = [0, 1, 2, 3];
         let mut lb = Loopback::new(ProtocolKind::Str, CryptoSuite::fast_zero(), &ids);
         lb.install_view(ids.to_vec(), ids.to_vec(), vec![]);
-        assert_eq!(ids.map(|m| lb.counts_of(m).exp), [7, 7, 4, 3]);
-        assert_eq!(ids.map(|m| lb.counts_of(m).multicast), [2, 2, 1, 1]);
+        assert_eq!(ids.map(|m| lb.member(m).counts().exp), [7, 7, 4, 3]);
+        assert_eq!(ids.map(|m| lb.member(m).counts().multicast), [2, 2, 1, 1]);
     }
 
     /// Our leaf's blinded key is ours alone to regenerate: a member
@@ -256,29 +254,27 @@ mod tests {
     /// the level below — otherwise everyone beneath it waits forever.
     #[test]
     fn a_blocked_member_still_circulates_its_restored_leaf_key() {
-        let suite = CryptoSuite::fast_zero();
-        let mut p = Str::new();
-        p.bootstrap(&suite, &[0, 1, 2, 3], 2, 7).unwrap();
-        let view = View {
-            id: 1,
-            group: 0,
-            members: vec![0, 1, 2, 3, 4],
-            joined: vec![4],
-            left: vec![],
-        };
-        let (joined, sends) = drive(2, &suite, |ctx| p.on_view(ctx, &view));
-        assert_eq!((joined, sends), (Ok(()), 0));
+        let members = vec![0, 1, 2, 3, 4];
+        let mut lb = Loopback::new(ProtocolKind::Str, CryptoSuite::fast_zero(), &members);
+        lb.bootstrap(&[0, 1, 2, 3], 7);
+        let sends = |lb: &Loopback| lb.member(2).counts().multicast;
+        lb.install_view_interrupted(members.clone(), vec![4], vec![], 0);
+        assert!(lb.member(2).protocol_error().is_none());
+        assert_eq!(sends(&lb), 0);
         // The merged chain as a peer holds it after a cascade: our leaf
         // bkey cut, member 1's leaf refreshed, no internal bkey yet.
         let peer = ProtocolMsg::StrTree {
-            members: view.members,
+            members,
             leaf_bkeys: vec![bk(100), bk(999), None, bk(103), bk(104)],
             internal_bkeys: vec![None; 5],
         };
-        let (adopted, sends) = drive(2, &suite, |ctx| p.on_msg(ctx, 0, peer));
-        assert_eq!(adopted, Ok(()));
-        assert!(p.group_secret().is_none(), "blocked on member 1's level");
-        assert_eq!(sends, 1, "the restored leaf key is news");
+        lb.forge(&CryptoSuite::fast_zero(), 0, 2, &peer);
+        assert!(lb.member(2).protocol_error().is_none());
+        assert!(
+            lb.member(2).group_secret().is_none(),
+            "blocked on member 1's level"
+        );
+        assert_eq!(sends(&lb), 1, "the restored leaf key is news");
     }
 
     #[test]

@@ -100,9 +100,9 @@ impl Tgdh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::tree_gka::drive;
-    use crate::protocols::GkaProtocol;
+    use crate::protocols::{GkaProtocol, ProtocolKind};
     use crate::suite::CryptoSuite;
+    use crate::testkit::Loopback;
 
     #[test]
     fn bootstrap_agrees_across_members() {
@@ -120,20 +120,21 @@ mod tests {
     #[test]
     fn a_leaf_permuted_peer_tree_is_a_protocol_error_not_a_panic() {
         let suite = CryptoSuite::fast_zero();
-        let mut p = Tgdh::new();
-        p.bootstrap(&suite, &[0, 1, 2], 0, 7).unwrap();
+        let mut lb = Loopback::new(ProtocolKind::Tgdh, CryptoSuite::fast_zero(), &[0, 1, 2]);
+        lb.bootstrap(&[0, 1, 2], 7);
         // A peer that formed the same view in another leaf order: the
         // *sorted* leaf set passes the view check.
         let mut peer = Tgdh::new();
         peer.bootstrap(&suite, &[2, 0, 1], 2, 7).unwrap();
         let msg = TreePolicy::to_msg(peer.tree());
-        let before = p.tree().clone();
-        let (err, _) = drive(0, &suite, |ctx| p.on_msg(ctx, 2, msg));
+        let tree = |lb: &Loopback| lb.member(0).protocol_as::<Tgdh>().unwrap().tree().clone();
+        let before = tree(&lb);
+        lb.forge(&suite, 2, 0, &msg);
         assert_eq!(
-            err,
-            Err(GkaError::Protocol("key tree structure divergence"))
+            lb.member(0).protocol_error(),
+            Some(&GkaError::Protocol("key tree structure divergence"))
         );
-        assert!(*p.tree() == before, "a rejected tree changes nothing");
+        assert!(tree(&lb) == before, "a rejected tree changes nothing");
     }
 
     #[test]

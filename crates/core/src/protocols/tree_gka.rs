@@ -170,7 +170,7 @@ impl<S: TreeShape> TreeGka<S> {
         &self.tree
     }
 
-    fn refresh_my_leaf(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn refresh_my_leaf(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let me = ctx.me();
         let r = ctx.fresh_exponent();
         let bkey = ctx.exp_g(&r);
@@ -197,7 +197,7 @@ impl<S: TreeShape> TreeGka<S> {
     /// possible (cache first). Publishers also compute missing blinded
     /// keys. Returns `true` if any new blinded key was published (=>
     /// we must broadcast).
-    fn progress(&mut self, ctx: &mut GkaCtx<'_>) -> Result<bool, GkaError> {
+    fn progress(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<bool, GkaError> {
         let me = ctx.me();
         let Some(mut cur) = self.tree.leaf_of(me) else {
             return Err(GkaError::MissingState("own leaf missing from tree"));
@@ -292,7 +292,7 @@ impl<S: TreeShape> TreeGka<S> {
         Ok(published)
     }
 
-    fn broadcast_tree(&mut self, ctx: &mut GkaCtx<'_>) {
+    fn broadcast_tree(&mut self, ctx: &mut GkaCtx<'_, '_>) {
         // Each sponsor broadcast is one round of the event's re-keying.
         self.rounds_started += 1;
         ctx.mark_round(S::KIND.name(), self.rounds_started);
@@ -300,7 +300,7 @@ impl<S: TreeShape> TreeGka<S> {
     }
 
     /// Assembles the merged tree once all components are present.
-    fn try_assemble(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn try_assemble(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         if !self.merging {
             return Ok(());
         }
@@ -340,7 +340,7 @@ impl<S: TreeShape> TreeGka<S> {
     }
 
     /// Begins a merge: broadcast our component if we sponsor it.
-    fn start_merge(&mut self, ctx: &mut GkaCtx<'_>) -> Result<(), GkaError> {
+    fn start_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let me = ctx.me();
         self.merging = true;
         self.components.clear();
@@ -384,7 +384,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         S::KIND
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
         self.view_members = view.members.clone();
         self.secret = None;
@@ -435,7 +435,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
 
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         _sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {
@@ -560,38 +560,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
     }
 }
 
-/// Runs `f` as member `me` over a transport that only counts what it
-/// is asked to send; returns `f`'s result and that count.
-#[cfg(test)]
-pub(super) fn drive<R>(
-    me: ClientId,
-    suite: &CryptoSuite,
-    f: impl FnOnce(&mut GkaCtx<'_>) -> R,
-) -> (R, usize) {
-    struct Sends(ClientId, usize);
-    impl crate::protocols::Transport for Sends {
-        fn my_id(&self) -> ClientId {
-            self.0
-        }
-        fn send_wire(&mut self, _kind: SendKind, _wire: bytes::Bytes) {
-            self.1 += 1;
-        }
-        fn charge(&mut self, _cost: gkap_sim::Duration) {}
-    }
-    let mut sends = Sends(me, 0);
-    let mut ctx = GkaCtx {
-        transport: &mut sends,
-        suite,
-        counts: &mut Default::default(),
-        rng: &mut gkap_bignum::SplitMix64::new(1),
-        epoch: 1,
-        telemetry: Default::default(),
-        now: gkap_sim::SimTime::ZERO,
-    };
-    let result = f(&mut ctx);
-    (result, sends.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,39 +568,34 @@ mod tests {
     use crate::testkit::Loopback;
     use gkap_bignum::{RandomSource, SplitMix64};
 
+    fn tree_of<S: TreeShape>(lb: &Loopback, m: ClientId) -> &KeyTree {
+        lb.member(m)
+            .protocol_as::<TreeGka<S>>()
+            .expect("a tree engine")
+            .tree()
+    }
+
     /// Member 0 of `[0, 1]` while 2 merges in is sent a tree of no
     /// members. Stored, it would be the component of nobody — grafted,
     /// by a panicking `merge`, when the real ones arrive.
     fn an_empty_peer_tree_is_refused_mid_merge<S: TreeShape>(shape: S) {
+        let factory = || Box::new(TreeGka::with_shape(shape.clone())) as Box<dyn GkaProtocol>;
+        let mut lb = Loopback::with_factory(factory, CryptoSuite::fast_zero(), &[0, 1, 2]);
+        lb.bootstrap(&[0, 1], 7);
+        lb.bootstrap(&[2], 7);
+        // Everyone enters the merge; no sponsor's tree is out yet.
+        lb.install_view_interrupted(vec![0, 1, 2], vec![2], vec![], 0);
         let suite = CryptoSuite::fast_zero();
-        let view = View {
-            id: 1,
-            group: 0,
-            members: vec![0, 1, 2],
-            joined: vec![2],
-            left: vec![],
-        };
-        let mut engines = [0, 1, 2].map(|me| {
-            let mut p = TreeGka::with_shape(shape.clone());
-            let component: &[ClientId] = if me < 2 { &[0, 1] } else { &[2] };
-            p.bootstrap(&suite, component, me, 7).unwrap();
-            drive(me, &suite, |ctx| p.on_view(ctx, &view)).0.unwrap();
-            p
-        });
-        let [p, sponsors @ ..] = &mut engines;
-        let empty = S::to_msg(&KeyTree::new());
-        let (refused, _) = drive(0, &suite, |ctx| p.on_msg(ctx, 2, empty));
+        lb.forge(&suite, 2, 0, &S::to_msg(&KeyTree::new()));
         assert_eq!(
-            refused,
-            Err(GkaError::Protocol("a peer's key tree is empty"))
+            lb.member(0).protocol_error(),
+            Some(&GkaError::Protocol("a peer's key tree is empty"))
         );
-        for sponsor in sponsors {
-            let component = S::to_msg(sponsor.tree());
-            drive(0, &suite, |ctx| p.on_msg(ctx, 1, component))
-                .0
-                .unwrap();
+        for sponsor in [1, 2] {
+            let component = S::to_msg(tree_of::<S>(&lb, sponsor));
+            lb.forge(&suite, sponsor, 0, &component);
         }
-        assert_eq!(p.tree().members(), view.members, "{}", S::KIND);
+        assert_eq!(tree_of::<S>(&lb, 0).members(), [0, 1, 2], "{}", S::KIND);
     }
 
     #[test]
@@ -674,7 +637,7 @@ mod tests {
             members.extend(&joined);
             lb.install_view(members, joined, left);
             lb.common_secret();
-            let public = |m: &ClientId| S::to_msg(lb.protocol_as::<TreeGka<S>>(*m).tree()).encode();
+            let public = |m: &ClientId| S::to_msg(tree_of::<S>(&lb, *m)).encode();
             let first = public(&lb.view()[0]);
             assert!(
                 lb.view().iter().all(|m| public(m) == first),

@@ -1,66 +1,42 @@
 //! An in-memory loopback harness for protocol-logic tests.
 //!
-//! Runs a set of protocol engines against each other with synchronous,
-//! totally-ordered delivery and zero latency — no simulated network.
-//! Used by the unit/property tests of the protocols themselves and by
-//! the closed-form cost validation (Table 1): the operation counters
-//! accumulate exactly as in the full simulation, since both send and
-//! receive through the same [`GkaCtx`].
+//! Hosts real [`SecureMember`]s and hands them views and messages
+//! synchronously, in one total order and with zero latency — no
+//! simulated network. Every handler runs on a detached [`ClientCtx`],
+//! and what it sent joins the queue. So the member logic (epoch
+//! filter, restart, rejoin reset, error record) and the [`GkaCtx`]
+//! accounting are the ones a simulated world runs, and the operation
+//! counters accumulate exactly as in the full simulation. Used by the
+//! unit/property tests of the protocols themselves and by the
+//! closed-form cost validation (Table 1).
+//!
+//! [`GkaCtx`]: crate::protocols::GkaCtx
 
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use bytes::Bytes;
-use gkap_bignum::{SplitMix64, Ubig};
-use gkap_gcs::{ClientId, View};
-use gkap_sim::Duration;
+use gkap_bignum::Ubig;
+use gkap_gcs::{Client, ClientCtx, ClientId, Delivery, Dest, Service, View};
+use gkap_sim::SimTime;
 use gkap_telemetry::Telemetry;
 
 use crate::cost::OpCounts;
-use crate::envelope::Envelope;
-use crate::protocols::{GkaCtx, GkaProtocol, ProtocolKind, SendKind, Transport};
+use crate::member::SecureMember;
+use crate::protocols::{FormationShare, GkaProtocol, ProtocolKind, SendKind};
 use crate::suite::CryptoSuite;
 
-struct QueueTransport<'a> {
-    me: ClientId,
-    out: &'a mut VecDeque<(ClientId, SendKind, Bytes)>,
-}
-
-impl Transport for QueueTransport<'_> {
-    fn my_id(&self) -> ClientId {
-        self.me
-    }
-
-    fn send_wire(&mut self, kind: SendKind, wire: Bytes) {
-        self.out.push_back((self.me, kind, wire));
-    }
-
-    fn charge(&mut self, _cost: Duration) {}
-}
-
-struct Slot {
-    id: ClientId,
-    protocol: Box<dyn GkaProtocol>,
-    counts: OpCounts,
-    rng: SplitMix64,
-    /// View epochs delivered to this member, in delivery order
-    /// (cascade tests assert strict monotonicity).
-    epochs: Vec<u64>,
-}
-
-/// The loopback world: engines + a FIFO message queue standing in for
+/// The loopback world: members + a FIFO message queue standing in for
 /// the Agreed service.
 pub struct Loopback {
-    suite: Rc<CryptoSuite>,
-    members: Vec<Slot>,
-    queue: VecDeque<(ClientId, SendKind, Bytes)>,
+    /// The hosted members, in the order a view reaches them.
+    members: Vec<(ClientId, SecureMember)>,
+    queue: VecDeque<Delivery>,
     epoch: u64,
     view: Vec<ClientId>,
     /// Messages delivered so far (diagnostics).
     pub delivered: u64,
     /// Running SHA-256 chain over every message taken off the queue.
     wire_digest: Vec<u8>,
-    telemetry: Telemetry,
 }
 
 impl Loopback {
@@ -77,52 +53,45 @@ impl Loopback {
         ids: &[ClientId],
     ) -> Self {
         let suite = Rc::new(suite);
+        let member = |id: ClientId| {
+            let seed = 0xbeef ^ (id as u64) << 4;
+            SecureMember::with_protocol(factory(), Rc::clone(&suite), seed, None)
+        };
         Loopback {
-            members: ids
-                .iter()
-                .map(|&id| Slot {
-                    id,
-                    protocol: factory(),
-                    counts: OpCounts::default(),
-                    rng: SplitMix64::new(0xbeef ^ (id as u64) << 4),
-                    epochs: Vec::new(),
-                })
-                .collect(),
-            suite,
+            members: ids.iter().map(|&id| (id, member(id))).collect(),
             queue: VecDeque::new(),
             epoch: 0,
             view: Vec::new(),
             delivered: 0,
             wire_digest: Vec::new(),
-            telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Enables telemetry capture and returns the shared handle
-    /// (events are keyed at `SimTime::ZERO` — the loopback has no
-    /// clock; counters still tally every charged operation).
+    /// Enables telemetry capture in every member and returns the
+    /// shared handle (events are keyed at `SimTime::ZERO` — the
+    /// loopback has no clock; counters still tally every charged
+    /// operation).
     pub fn enable_telemetry(&mut self) -> Telemetry {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::enabled();
+        let telemetry = Telemetry::enabled();
+        for (_, member) in &mut self.members {
+            member.set_telemetry(telemetry.clone());
         }
-        self.telemetry.clone()
+        telemetry
     }
 
-    /// Borrows a member's protocol engine, downcast to its concrete
-    /// type (diagnostics; e.g. reading the TGDH tree height).
+    /// The member `id`: its counters, epochs, key records, protocol
+    /// error and engine.
     ///
     /// # Panics
     ///
-    /// Panics on unknown id or type mismatch.
-    pub fn protocol_as<T: GkaProtocol>(&self, id: ClientId) -> &T {
-        let slot = self
+    /// Panics on unknown id.
+    pub fn member(&self, id: ClientId) -> &SecureMember {
+        let (_, member) = self
             .members
             .iter()
-            .find(|s| s.id == id)
+            .find(|(m, _)| *m == id)
             .expect("unknown member");
-        (slot.protocol.as_ref() as &dyn std::any::Any)
-            .downcast_ref::<T>()
-            .expect("protocol type mismatch")
+        member
     }
 
     /// Bootstraps a component of the given members with `seed`:
@@ -132,27 +101,18 @@ impl Loopback {
     ///
     /// Panics if a member id is unknown.
     pub fn bootstrap(&mut self, ids: &[ClientId], seed: u64) {
-        let Some(&first) = ids.first() else {
-            return;
-        };
-        let suite = Rc::clone(&self.suite);
-        let component = self.slot_mut(first).protocol.component(&suite, ids, seed);
+        let mut share = FormationShare::default();
         for &id in ids {
-            self.slot_mut(id)
-                .protocol
-                .adopt(&component, id)
-                .expect("a member adopts its own component");
+            let (_, member) = self
+                .members
+                .iter_mut()
+                .find(|(m, _)| *m == id)
+                .expect("unknown member id");
+            member.adopt_component(&mut share, ids, id, seed);
         }
         if self.view.is_empty() {
             self.view = ids.to_vec();
         }
-    }
-
-    fn slot_mut(&mut self, id: ClientId) -> &mut Slot {
-        self.members
-            .iter_mut()
-            .find(|s| s.id == id)
-            .expect("unknown member id")
     }
 
     /// Installs a new view (join/leave/merge/partition) and runs the
@@ -160,8 +120,9 @@ impl Loopback {
     ///
     /// # Panics
     ///
-    /// Panics if a protocol errors or deadlocks (stops making progress
-    /// before every member holds the epoch's key).
+    /// Panics if a member of the view recorded a protocol error, or
+    /// deadlocked (stopped making progress before holding the epoch's
+    /// key).
     pub fn install_view(
         &mut self,
         members: Vec<ClientId>,
@@ -169,16 +130,18 @@ impl Loopback {
         left: Vec<ClientId>,
     ) {
         self.begin_view(members, joined, left);
-        self.drain();
-        // Every member must hold the key now.
-        for s in &self.members {
-            if self.view.contains(&s.id) {
-                assert!(
-                    s.protocol.group_secret().is_some(),
-                    "member {} did not reach a key (protocol deadlock?)",
-                    s.id
-                );
+        self.deliver_some(usize::MAX);
+        for (id, member) in &self.members {
+            if !self.view.contains(id) {
+                continue;
             }
+            if let Some(e) = member.protocol_error() {
+                panic!("member {id}: {e}");
+            }
+            assert!(
+                member.group_secret().is_some(),
+                "member {id} did not reach a key (protocol deadlock?)"
+            );
         }
     }
 
@@ -188,9 +151,10 @@ impl Loopback {
     /// to the now-superseded epoch; the next `install_view*` call
     /// discards them — the view-synchronous cut, where receivers
     /// already in the next epoch drop stale traffic (exactly
-    /// [`crate::member::SecureMember`]'s epoch filter). Returns how
-    /// many messages were actually delivered (may be under `deliver`
-    /// if the round finished early).
+    /// [`SecureMember`]'s epoch filter). Asserts nothing: what the cut
+    /// left is for [`Loopback::member`] to show. Returns how many
+    /// messages were actually delivered (may be under `deliver` if the
+    /// round finished early).
     pub fn install_view_interrupted(
         &mut self,
         members: Vec<ClientId>,
@@ -202,7 +166,7 @@ impl Loopback {
         self.deliver_some(deliver)
     }
 
-    /// Delivers the new view to every surviving member (discarding
+    /// Delivers the new view to every member in it (discarding
     /// traffic left over from an interrupted round first).
     fn begin_view(&mut self, members: Vec<ClientId>, joined: Vec<ClientId>, left: Vec<ClientId>) {
         // Anything still queued was sent in the superseded epoch;
@@ -212,46 +176,18 @@ impl Loopback {
         let view = View {
             id: self.epoch,
             group: 0,
-            members: members.clone(),
+            members,
             joined,
             left,
         };
-        self.view = members;
-        for idx in 0..self.members.len() {
-            let id = self.members[idx].id;
-            if !view.members.contains(&id) {
-                continue;
+        for (id, member) in &mut self.members {
+            if view.members.contains(id) {
+                let mut ctx = ClientCtx::detached(*id, SimTime::ZERO, view.id);
+                member.on_view(&mut ctx, &view);
+                self.queue.extend(ctx.into_sent());
             }
-            self.members[idx].epochs.push(view.id);
-            self.with_ctx(idx, |protocol, ctx| {
-                protocol.on_view(ctx, &view).expect("on_view failed");
-            });
         }
-    }
-
-    fn with_ctx(&mut self, idx: usize, f: impl FnOnce(&mut Box<dyn GkaProtocol>, &mut GkaCtx<'_>)) {
-        let suite = Rc::clone(&self.suite);
-        let epoch = self.epoch;
-        let slot = &mut self.members[idx];
-        let mut transport = QueueTransport {
-            me: slot.id,
-            out: &mut self.queue,
-        };
-        let mut ctx = GkaCtx {
-            transport: &mut transport,
-            suite: &suite,
-            counts: &mut slot.counts,
-            rng: &mut slot.rng,
-            epoch,
-            telemetry: self.telemetry.clone(),
-            now: gkap_sim::SimTime::ZERO,
-        };
-        f(&mut slot.protocol, &mut ctx);
-    }
-
-    /// Delivers queued messages (in total order) until quiescent.
-    fn drain(&mut self) {
-        self.deliver_some(usize::MAX);
+        self.view = view.members;
     }
 
     /// Delivers at most `budget` queued messages (in total order);
@@ -259,38 +195,48 @@ impl Loopback {
     fn deliver_some(&mut self, budget: usize) -> usize {
         let mut handed_out = 0;
         while handed_out < budget {
-            let Some((sender, kind, wire)) = self.queue.pop_front() else {
+            let Some(msg) = self.queue.pop_front() else {
                 break;
             };
             handed_out += 1;
             assert!(handed_out < 100_000, "loopback runaway message loop");
-            self.note_wire(sender, kind, &wire);
-            let env = Envelope::decode(&wire).expect("well-formed envelope");
-            let targets: Vec<ClientId> = match kind {
-                SendKind::Multicast => self.view.iter().copied().filter(|&m| m != sender).collect(),
-                SendKind::UnicastAgreed(t) | SendKind::UnicastFifo(t) => vec![t],
+            self.note_wire(&msg);
+            let targets: Vec<ClientId> = match msg.dest {
+                Dest::All => self
+                    .view
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != msg.sender)
+                    .collect(),
+                Dest::One(t) => vec![t],
             };
             for t in targets {
-                let Some(idx) = self.members.iter().position(|s| s.id == t) else {
+                let Some((_, member)) = self.members.iter_mut().find(|(m, _)| *m == t) else {
                     continue;
                 };
                 self.delivered += 1;
-                self.with_ctx(idx, |protocol, ctx| {
-                    let msg = ctx.receive(&env).expect("signed, well-formed message");
-                    protocol.on_msg(ctx, sender, msg).expect("on_msg failed");
-                });
+                let mut ctx = ClientCtx::detached(t, SimTime::ZERO, self.epoch);
+                member.on_message(&mut ctx, &msg);
+                self.queue.extend(ctx.into_sent());
             }
         }
         handed_out
     }
 
-    fn note_wire(&mut self, sender: ClientId, kind: SendKind, wire: &[u8]) {
+    fn note_wire(&mut self, msg: &Delivery) {
         use gkap_crypto::sha::{Digest, Sha256};
+        // `GkaCtx::send`'s addressing, read back from the GCS form (it
+        // multicasts only Agreed).
+        let kind = match (msg.service, msg.dest) {
+            (_, Dest::All) => SendKind::Multicast,
+            (Service::Agreed, Dest::One(to)) => SendKind::UnicastAgreed(to),
+            (Service::Fifo, Dest::One(to)) => SendKind::UnicastFifo(to),
+        };
         let mut h = Sha256::new();
         h.update(&self.wire_digest);
-        h.update(&(sender as u64).to_be_bytes());
+        h.update(&(msg.sender as u64).to_be_bytes());
         h.update(format!("{kind:?}").as_bytes());
-        h.update(wire);
+        h.update(&msg.payload);
         self.wire_digest = h.finalize();
     }
 
@@ -308,58 +254,58 @@ impl Loopback {
     ///
     /// Panics if any member lacks a key or secrets diverge.
     pub fn common_secret(&self) -> Ubig {
-        let mut secret: Option<Ubig> = None;
-        for s in &self.members {
-            if !self.view.contains(&s.id) {
+        let mut secret: Option<&Ubig> = None;
+        for (id, member) in &self.members {
+            if !self.view.contains(id) {
                 continue;
             }
-            let k = s
-                .protocol
+            let k = member
                 .group_secret()
-                .unwrap_or_else(|| panic!("member {} has no key", s.id));
-            match &secret {
-                None => secret = Some(k.clone()),
-                Some(prev) => assert_eq!(prev, k, "member {} diverges", s.id),
+                .unwrap_or_else(|| panic!("member {id} has no key"));
+            match secret {
+                None => secret = Some(k),
+                Some(prev) => assert_eq!(prev, k, "member {id} diverges"),
             }
         }
-        secret.expect("non-empty view")
+        secret.expect("non-empty view").clone()
     }
 
     /// Aggregate operation counts across all members.
     pub fn total_counts(&self) -> OpCounts {
         let mut total = OpCounts::default();
-        for s in &self.members {
-            total.add(&s.counts);
+        for (_, member) in &self.members {
+            total.add(member.counts());
         }
         total
-    }
-
-    /// A snapshot of one member's counters.
-    pub fn counts_of(&self, id: ClientId) -> OpCounts {
-        self.members
-            .iter()
-            .find(|s| s.id == id)
-            .expect("unknown member")
-            .counts
     }
 
     /// The current view members.
     pub fn view(&self) -> &[ClientId] {
         &self.view
     }
+}
 
-    /// The view epochs delivered to `id`, in order (cascade tests
-    /// assert these are strictly increasing).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown id.
-    pub fn epochs_of(&self, id: ClientId) -> &[u64] {
-        &self
-            .members
-            .iter()
-            .find(|s| s.id == id)
-            .expect("unknown member")
-            .epochs
+#[cfg(test)]
+impl Loopback {
+    /// Hands member `to` the message `msg` as if `sender` had sent it
+    /// in the current epoch, signed under `suite` so that it verifies;
+    /// what `to` sends in reply is queued. For feeding an engine what
+    /// no honest member would send.
+    pub(crate) fn forge(
+        &mut self,
+        suite: &CryptoSuite,
+        sender: ClientId,
+        to: ClientId,
+        msg: &crate::protocols::ProtocolMsg,
+    ) {
+        let env = crate::envelope::Envelope::seal(suite, sender, self.epoch, msg.encode());
+        self.queue.push_front(Delivery {
+            sender,
+            service: Service::Agreed,
+            dest: Dest::One(to),
+            view_id: self.epoch,
+            payload: env.encode(),
+        });
+        self.deliver_some(1);
     }
 }

@@ -48,7 +48,11 @@ fn avl_keeps_tree_within_avl_height_bound() {
     let mut lb = harness(true, n, n + 60);
     churn(&mut lb, n, 20);
     let member = lb.view()[0];
-    let h = lb.protocol_as::<Tgdh>(member).tree_height();
+    let h = lb
+        .member(member)
+        .protocol_as::<Tgdh>()
+        .unwrap()
+        .tree_height();
     let size = lb.view().len();
     // AVL height bound: 1.44 * log2(n + 2).
     let bound = (1.44 * ((size + 2) as f64).log2()).ceil() as usize + 1;
@@ -67,8 +71,16 @@ fn avl_tree_no_taller_than_paper_policy_after_churn() {
     let mut avl = harness(true, n, n + 60);
     churn(&mut avl, n, steps);
 
-    let paper_h = paper.protocol_as::<Tgdh>(paper.view()[0]).tree_height();
-    let avl_h = avl.protocol_as::<Tgdh>(avl.view()[0]).tree_height();
+    let paper_h = paper
+        .member(paper.view()[0])
+        .protocol_as::<Tgdh>()
+        .unwrap()
+        .tree_height();
+    let avl_h = avl
+        .member(avl.view()[0])
+        .protocol_as::<Tgdh>()
+        .unwrap()
+        .tree_height();
     assert!(
         avl_h <= paper_h,
         "AVL ({avl_h}) should not be taller than the paper heuristic ({paper_h})"

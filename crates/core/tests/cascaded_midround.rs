@@ -2,7 +2,10 @@
 //! agreement is still in flight. The view-synchronous cut discards
 //! the superseded round's remaining traffic, so every protocol must
 //! converge from an arbitrary partial state — and each member must
-//! observe strictly increasing epochs throughout.
+//! observe strictly increasing epochs throughout. The other order, a
+//! leave landing on a cut join, does not converge everywhere yet: the
+//! cut table pins what every cut leaves, so a restart fix shows up as
+//! cells that turn `agreed`.
 
 use std::rc::Rc;
 
@@ -10,7 +13,7 @@ use gkap_core::protocols::{GkaError, ProtocolKind};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::testkit::Loopback;
 use gkap_core::{AgreementPhase, SecureMember, MAX_RESTARTS};
-use gkap_gcs::{testbed, Client, ClientCtx, SimWorld, View};
+use gkap_gcs::{testbed, Client, ClientCtx, ClientId, SimWorld, View};
 use gkap_sim::{Duration, SimTime};
 
 /// The cascade under test: leave of member 2 cut after `cut` message
@@ -42,17 +45,109 @@ fn epochs_stay_strictly_monotonic_across_the_cascade() {
     for kind in ProtocolKind::all() {
         let lb = cascade(kind, 2);
         for &m in lb.view() {
-            let epochs = lb.epochs_of(m);
-            assert!(
-                epochs.windows(2).all(|w| w[0] < w[1]),
-                "{kind}: member {m} observed epochs {epochs:?}"
-            );
+            let member = lb.member(m);
+            let entered: Vec<u64> = (1..=2).filter(|&e| member.view_time(e).is_some()).collect();
+            // Survivors of the leave saw both views; the joiner only
+            // the second. Either way the newest is the last entered.
+            let want: &[u64] = if m == 6 { &[2] } else { &[1, 2] };
+            assert_eq!(entered, want, "{kind}: member {m}");
+            assert_eq!(member.last_view_epoch(), Some(2), "{kind}: member {m}");
         }
-        // Survivors of the leave saw both views; the joiner only the
-        // second.
-        assert_eq!(lb.epochs_of(0), &[1, 2]);
-        assert_eq!(lb.epochs_of(6), &[2]);
     }
+}
+
+/// The group `0..=6` admits `joiner`, whose merge is cut after `cut`
+/// messages, then `leaver` departs and that round runs to the end.
+/// Returns the harness and how many messages the join delivered.
+fn join_cut_then_leave(
+    kind: ProtocolKind,
+    joiner: ClientId,
+    leaver: ClientId,
+    cut: usize,
+) -> (Loopback, usize) {
+    let ids: Vec<ClientId> = (0..10).collect();
+    let mut lb = Loopback::new(kind, CryptoSuite::fast_zero(), &ids);
+    lb.bootstrap(&ids[..7], 42);
+    let mut grown = ids[..7].to_vec();
+    grown.push(joiner);
+    let delivered = lb.install_view_interrupted(grown.clone(), vec![joiner], vec![], cut);
+    let rest = grown.into_iter().filter(|&m| m != leaver).collect();
+    lb.install_view_interrupted(rest, vec![], vec![leaver], usize::MAX);
+    (lb, delivered)
+}
+
+/// What a cascade left: the first protocol error any member recorded
+/// (members in id order), else the first member of the final view
+/// without a key for it, else whether the view's keys agree.
+fn outcome(lb: &Loopback) -> String {
+    if let Some(e) = (0..10).find_map(|m| lb.member(m).protocol_error()) {
+        return format!("error({e:?})");
+    }
+    let view = lb.view();
+    let epoch = lb.member(view[0]).last_view_epoch().expect("a view");
+    let mut keys = Vec::new();
+    for &m in view {
+        match lb.member(m).secret(epoch) {
+            Some(key) => keys.push(key),
+            None => return format!("unkeyed({m})"),
+        }
+    }
+    let agreed = keys.windows(2).all(|w| w[0] == w[1]);
+    (if agreed { "agreed" } else { "diverged" }).to_string()
+}
+
+/// Case A: 9 joins and 6, the old group's last member, leaves. Case
+/// B: 7 joins and 7 itself leaves. Each cut `k` of the join, from
+/// none of its messages to all of them, one line per run of equal
+/// outcomes. Case A is DESIGN.md §21's open restart bug and case B
+/// §23's shape: in both the join is installed first and the leave
+/// lands on it. GDH case B diverged silently at cuts 0–9 until a
+/// merge's fresh exponent was held apart from the partial-key list's
+/// (`Gdh::merge_exp`).
+const CUT_TABLE: &str = "\
+GDH  A 0-8  error(MissingState(\"controller lacks a contribution\"))
+GDH  A 9-10 agreed
+GDH  B 0-10 agreed
+TGDH A 0    error(MissingState(\"leave without an affected node\"))
+TGDH A 1-3  agreed
+TGDH B 0-1  error(MissingState(\"leave without an affected node\"))
+TGDH B 2-3  agreed
+STR  A 0    unkeyed(5)
+STR  A 1    unkeyed(0)
+STR  A 2-3  agreed
+STR  B 0-1  unkeyed(6)
+STR  B 2-3  agreed
+BD   A 0-16 agreed
+BD   B 0-16 agreed
+CKD  A 0-3  agreed
+CKD  B 0-3  agreed
+";
+
+#[test]
+fn every_cut_of_a_join_before_a_leave_is_pinned() {
+    let mut table = String::new();
+    for kind in ProtocolKind::all() {
+        for (case, joiner, leaver) in [("A", 9, 6), ("B", 7, 7)] {
+            let (_, round) = join_cut_then_leave(kind, joiner, leaver, usize::MAX);
+            let cells: Vec<String> = (0..=round)
+                .map(|cut| outcome(&join_cut_then_leave(kind, joiner, leaver, cut).0))
+                .collect();
+            let mut from = 0;
+            for to in 1..=cells.len() {
+                if to < cells.len() && cells[to] == cells[from] {
+                    continue;
+                }
+                let cuts = match to - 1 {
+                    last if last == from => format!("{from}"),
+                    last => format!("{from}-{last}"),
+                };
+                let name = kind.name();
+                table += &format!("{name:<4} {case} {cuts:<4} {}\n", cells[from]);
+                from = to;
+            }
+        }
+    }
+    assert_eq!(table, CUT_TABLE);
 }
 
 #[test]

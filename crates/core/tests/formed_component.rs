@@ -143,12 +143,12 @@ impl GkaProtocol for Counting {
     fn kind(&self) -> ProtocolKind {
         self.inner.kind()
     }
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         self.inner.on_view(ctx, view)
     }
     fn on_msg(
         &mut self,
-        ctx: &mut GkaCtx<'_>,
+        ctx: &mut GkaCtx<'_, '_>,
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {

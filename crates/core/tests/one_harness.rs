@@ -1,10 +1,12 @@
 //! Keeps parallel copies of one mechanism from growing back,
 //! lexically: outside `member.rs` a `SecureMember` is constructed at
-//! three sites, a member's secret is read in the two functions that
-//! decide agreement, and a protocol message is signed, verified and
+//! four sites, a member's secret is read in the two functions that
+//! decide agreement, a protocol message is signed, verified and
 //! counted only in `protocols/mod.rs` (`GkaCtx::send` and
-//! `GkaCtx::receive`). `#[cfg(test)]` items (always the tail of a file
-//! here) are not looked at.
+//! `GkaCtx::receive`), only `SecureMember` builds a `GkaCtx`, and no
+//! transport stands between a protocol and its member's `ClientCtx`.
+//! `#[cfg(test)]` items (always the tail of a file here) are not looked
+//! at, except by the last two checks.
 
 use std::fs;
 use std::path::Path;
@@ -12,6 +14,18 @@ use std::path::Path;
 /// `(crate/relative path, non-test source)` of every file under
 /// `crates/<krate>/src`, subdirectories included.
 fn sources(krate: &str) -> Vec<(String, String)> {
+    files(krate)
+        .into_iter()
+        .map(|(name, text)| {
+            let code = text.split("#[cfg(test)]").next().unwrap_or("").to_string();
+            (name, code)
+        })
+        .collect()
+}
+
+/// `(crate/relative path, whole text)` of every file under
+/// `crates/<krate>/src`, subdirectories included.
+fn files(krate: &str) -> Vec<(String, String)> {
     fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, String)>) {
         for entry in fs::read_dir(dir).expect("source directory is readable") {
             let path = entry.expect("directory entry").path();
@@ -21,8 +35,7 @@ fn sources(krate: &str) -> Vec<(String, String)> {
                 walk(&path, &name, out);
             } else if name.ends_with(".rs") {
                 let text = fs::read_to_string(&path).expect("source file is readable");
-                let code = text.split("#[cfg(test)]").next().unwrap_or("").to_string();
-                out.push((name, code));
+                out.push((name, text));
             }
         }
     }
@@ -72,7 +85,7 @@ fn protocol_messages_are_signed_verified_and_counted_in_one_place() {
 }
 
 #[test]
-fn secure_members_are_constructed_at_three_sites() {
+fn secure_members_are_constructed_at_four_sites() {
     let mut sites = Vec::new();
     for (name, code) in sources("core").into_iter().chain(sources("bench")) {
         let count = code.matches("SecureMember::new(").count()
@@ -86,6 +99,7 @@ fn secure_members_are_constructed_at_three_sites() {
         [
             ("core/experiment.rs".to_string(), 1), // Group::form_with
             ("core/scale.rs".to_string(), 1),      // run_group
+            ("core/testkit.rs".to_string(), 1),    // Loopback::with_factory
             ("bench/chaos.rs".to_string(), 1),     // default_factory
         ],
         "populate a world through `Group`, or through `chaos::default_factory`"
@@ -127,5 +141,35 @@ fn secrets_are_compared_in_two_functions() {
             "bench/chaos.rs::survivor_agreement",
         ],
         "decide agreement with `agreed_secret` (or, under faults, `survivor_agreement`)"
+    );
+}
+
+/// Files of `crates/core/src`, test code included, whose text contains
+/// `needle`.
+fn core_files_with(needle: &str) -> Vec<String> {
+    files("core")
+        .into_iter()
+        .filter(|(_, text)| text.contains(needle))
+        .map(|(name, _)| name)
+        .collect()
+}
+
+#[test]
+fn only_secure_member_builds_a_gka_ctx() {
+    // A unit test, too, drives an engine through the loopback's
+    // members, never through a context of its own.
+    assert_eq!(
+        core_files_with("GkaCtx {"),
+        ["core/member.rs"],
+        "only `SecureMember::with_gka` builds a `GkaCtx`"
+    );
+}
+
+#[test]
+fn protocols_send_through_the_client_ctx() {
+    assert_eq!(
+        core_files_with("Transport"),
+        Vec::<String>::new(),
+        "a protocol sends through the member's `ClientCtx`, not a transport"
     );
 }

@@ -137,13 +137,13 @@ fn tgdh_leave_sponsor_cost_logarithmic() {
         let ids: Vec<usize> = (0..n).collect();
         let mut lb = Loopback::new(ProtocolKind::Tgdh, CryptoSuite::fast_zero(), &ids);
         lb.bootstrap(&ids, 5);
-        let before: Vec<_> = (0..n).map(|c| lb.counts_of(c)).collect();
+        let before: Vec<_> = (0..n).map(|c| *lb.member(c).counts()).collect();
         let leaver = n / 2;
         let members: Vec<usize> = ids.iter().copied().filter(|&c| c != leaver).collect();
         lb.install_view(members.clone(), vec![], vec![leaver]);
         let max_member_exps = members
             .iter()
-            .map(|&c| lb.counts_of(c).since(&before[c]).exp)
+            .map(|&c| lb.member(c).counts().since(&before[c]).exp)
             .max()
             .unwrap();
         let h = (n as f64).log2().ceil() as u64;
@@ -155,11 +155,11 @@ fn tgdh_leave_sponsor_cost_logarithmic() {
         // GDH's controller, in contrast, pays ~n.
         let mut lb = Loopback::new(ProtocolKind::Gdh, CryptoSuite::fast_zero(), &ids);
         lb.bootstrap(&ids, 5);
-        let before: Vec<_> = (0..n).map(|c| lb.counts_of(c)).collect();
+        let before: Vec<_> = (0..n).map(|c| *lb.member(c).counts()).collect();
         lb.install_view(members.clone(), vec![], vec![leaver]);
         let gdh_max = members
             .iter()
-            .map(|&c| lb.counts_of(c).since(&before[c]).exp)
+            .map(|&c| lb.member(c).counts().since(&before[c]).exp)
             .max()
             .unwrap();
         assert!(
@@ -198,11 +198,11 @@ fn str_join_member_cost_constant() {
         let ids: Vec<usize> = (0..total).collect();
         let mut lb = Loopback::new(ProtocolKind::Str, CryptoSuite::fast_zero(), &ids);
         lb.bootstrap(&ids[..n], 5);
-        let before = lb.counts_of(1); // member 1: near the bottom, not a sponsor
+        let before = *lb.member(1).counts(); // member 1: near the bottom, not a sponsor
         let mut members = ids[..n].to_vec();
         members.push(n);
         lb.install_view(members, vec![n], vec![]);
-        let diff = lb.counts_of(1).since(&before);
+        let diff = lb.member(1).counts().since(&before);
         costs.push(diff.exp);
     }
     assert!(

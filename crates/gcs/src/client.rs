@@ -67,18 +67,11 @@ pub struct ClientCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) view_id: u64,
     pub(crate) charged: Duration,
-    pub(crate) outgoing: Vec<Outgoing>,
+    /// Sends, in order, as their addressees will receive them (tagged
+    /// with the view the sender was in: view synchrony).
+    outgoing: Vec<Delivery>,
     pub(crate) speed: f64,
     slots: SlotsRef<'a>,
-}
-
-#[derive(Debug)]
-pub(crate) struct Outgoing {
-    pub service: Service,
-    pub dest: Dest,
-    pub payload: Bytes,
-    /// The view the sender was in when it sent (view-synchrony tag).
-    pub view_id: u64,
 }
 
 impl<'a> ClientCtx<'a> {
@@ -111,10 +104,11 @@ impl<'a> ClientCtx<'a> {
     }
 
     /// A detached context for driving a [`Client`] outside the
-    /// simulator — unit tests of client state machines that need
+    /// simulator — a harness that delivers views and messages itself
+    /// (`gkap_core::testkit::Loopback`) or a unit test that needs
     /// precise control over view delivery. Messages sent through it
-    /// are collected but go nowhere, and its world slots start empty
-    /// and end with it.
+    /// are collected for [`ClientCtx::into_sent`] and go nowhere else,
+    /// and its world slots start empty and end with it.
     pub fn detached(id: ClientId, now: SimTime, view_id: u64) -> Self {
         let slots = SlotsRef::Detached(WorldSlots::default());
         ClientCtx::with_slots(id, now, view_id, 1.0, slots)
@@ -130,10 +124,11 @@ impl<'a> ClientCtx<'a> {
         }
     }
 
-    /// What the handler left for the engine: the CPU it charged and
-    /// the messages it sent (ends the borrow of the world's slots).
-    pub(crate) fn finish(self) -> (Duration, Vec<Outgoing>) {
-        (self.charged, self.outgoing)
+    /// The messages the handler sent, in order, as their addressees
+    /// will receive them (ends the borrow of the world's slots): what
+    /// the engine schedules, or a harness without a world moves itself.
+    pub fn into_sent(self) -> Vec<Delivery> {
+        self.outgoing
     }
 
     /// This client's identifier.
@@ -164,47 +159,37 @@ impl<'a> ClientCtx<'a> {
         self.charged
     }
 
+    fn send(&mut self, service: Service, dest: Dest, payload: Bytes) {
+        self.outgoing.push(Delivery {
+            sender: self.id,
+            service,
+            dest,
+            view_id: self.view_id,
+            payload,
+        });
+    }
+
     /// Sends a totally-ordered multicast to the whole view.
     pub fn multicast_agreed(&mut self, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Agreed,
-            dest: Dest::All,
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
+        self.send(Service::Agreed, Dest::All, payload.into());
     }
 
     /// Sends a totally-ordered message addressed to one member. Costs
     /// as much as a broadcast (it traverses the token ring) — see
     /// §6.2.2 of the paper.
     pub fn unicast_agreed(&mut self, to: ClientId, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Agreed,
-            dest: Dest::One(to),
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
+        self.send(Service::Agreed, Dest::One(to), payload.into());
     }
 
     /// Sends a cheap FIFO point-to-point message that bypasses the
     /// token ring (CKD's pairwise channels).
     pub fn unicast_fifo(&mut self, to: ClientId, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Fifo,
-            dest: Dest::One(to),
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
+        self.send(Service::Fifo, Dest::One(to), payload.into());
     }
 
     /// Sends a FIFO multicast (unordered relative to Agreed traffic).
     pub fn multicast_fifo(&mut self, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Fifo,
-            dest: Dest::All,
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
+        self.send(Service::Fifo, Dest::All, payload.into());
     }
 }
 
@@ -239,6 +224,9 @@ mod tests {
         assert_eq!(ctx.outgoing[2].dest, Dest::One(4));
         assert_eq!(ctx.id(), 7);
         assert_eq!(ctx.view_id(), 2);
+        let sent = ctx.into_sent();
+        assert!(sent.iter().all(|d| d.sender == 7 && d.view_id == 2));
+        assert_eq!(sent[3].payload.as_ref(), [4]);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
-use crate::client::{Client, ClientCtx, Outgoing, WorldSlots};
+use crate::client::{Client, ClientCtx, WorldSlots};
 use crate::config::{
     GcsConfig, CLIENT_DAEMON_DELAY, MEMBERSHIP_PER_MEMBER, PER_MESSAGE_PROCESSING, RECOVERY_BATCH,
     TOKEN_PROCESSING,
@@ -99,7 +99,7 @@ enum Ev {
         msg: Rc<WireMsg>,
     },
     /// A client's send reaches its local daemon.
-    ClientSubmit { client: ClientId, out: Outgoing },
+    ClientSubmit { out: Delivery },
     /// A FIFO message reaches the destination daemon, ready for local
     /// delivery.
     FifoArrive {
@@ -936,7 +936,7 @@ impl SimWorld {
                 self.on_daemon_recv(targets[at], Rc::clone(msg));
                 self.keep_open(ev, at + 1);
             }
-            Ev::ClientSubmit { client, out } => self.on_client_submit(client, out),
+            Ev::ClientSubmit { out } => self.on_client_submit(out),
             Ev::FifoArrive { daemon, delivery } => {
                 self.deliver_locally(daemon, Parcel::Fifo(delivery))
             }
@@ -1366,15 +1366,16 @@ impl SimWorld {
         }
     }
 
-    fn on_client_submit(&mut self, client: ClientId, out: Outgoing) {
+    fn on_client_submit(&mut self, out: Delivery) {
+        let client = out.sender;
         let machine = self.clients[client].machine;
         if !self.clients[client].alive || !self.ring.is_alive(machine) {
             return; // the client or its daemon died while this was in flight
         }
         // View-synchrony: the message belongs to the view its sender
-        // had installed at send time (not the engine's global view,
-        // which flips only once every daemon has installed).
-        let view_id = out.view_id;
+        // had installed at send time (`out.view_id`, not the engine's
+        // global view, which flips only once every daemon has
+        // installed).
         self.stats.payload_bytes += out.payload.len() as u64;
         match out.service {
             Service::Agreed => self.ring.submit(
@@ -1382,21 +1383,16 @@ impl SimWorld {
                 Submission {
                     sender: client,
                     dest: out.dest,
-                    view_id,
+                    view_id: out.view_id,
                     payload: out.payload,
                 },
             ),
             Service::Fifo => {
                 self.stats.fifo_messages += 1;
                 let len = out.payload.len();
-                let delivery = Rc::new(Delivery {
-                    sender: client,
-                    service: Service::Fifo,
-                    dest: out.dest,
-                    view_id,
-                    payload: out.payload,
-                });
-                let targets = match out.dest {
+                let dest = out.dest;
+                let delivery = Rc::new(out);
+                let targets = match dest {
                     Dest::One(target) => {
                         let td = self.clients[target].machine;
                         td..td + 1
@@ -1495,7 +1491,8 @@ impl SimWorld {
         let speed = self.cfg.topology.machine(machine).speed;
         let mut ctx = ClientCtx::new(client, start, view_id, speed, &mut self.slots);
         call(handler.as_mut(), &mut ctx);
-        let (charged, outgoing) = ctx.finish();
+        let charged = ctx.charged();
+        let outgoing = ctx.into_sent();
         let run = self.machines[machine].run_detailed(start, charged);
         let end = run.end;
         if charged > Duration::ZERO {
@@ -1513,7 +1510,7 @@ impl SimWorld {
         self.clients[client].handler = Some(handler);
         let submit_delay = end.since(self.queue.now()) + CLIENT_DAEMON_DELAY;
         for out in outgoing {
-            self.schedule(submit_delay, Ev::ClientSubmit { client, out });
+            self.schedule(submit_delay, Ev::ClientSubmit { out });
         }
     }
 }
