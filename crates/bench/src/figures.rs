@@ -265,7 +265,7 @@ pub fn avl_policy_ablation(n: usize, churn: usize) -> Figure {
             if avl {
                 Box::new(Tgdh::new_avl())
             } else {
-                Box::new(Tgdh::new())
+                Box::<Tgdh>::default()
             }
         };
         let cfg = sim512(ProtocolKind::Tgdh, testbed::lan(), 0x471_5eed);

@@ -1,8 +1,8 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
-//! replays identically, the failures over seeds 1..=40 only shrink,
-//! and the schedule minimizer — demonstrated on an intentionally
-//! broken protocol driver — reduces a failing schedule to its smallest
-//! reproduction.
+//! replays identically, the failures over seeds 1..=40 only shrink
+//! and no view in them changes no membership, and the schedule
+//! minimizer — demonstrated on an intentionally broken protocol
+//! driver — reduces a failing schedule to its smallest reproduction.
 
 use std::rc::Rc;
 
@@ -12,6 +12,7 @@ use gkap_bench::chaos::{
 };
 use gkap_bench::Console;
 use gkap_bignum::Ubig;
+use gkap_core::experiment::SuiteKind;
 use gkap_core::protocols::{Component, GkaCtx, ProtocolMsg};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::{GkaError, GkaProtocol, ProtocolKind, SecureMember};
@@ -92,10 +93,58 @@ const KNOWN_FAILING: [(u64, u64, &str); 45] = [
     (40, 1, "GDH"),
 ];
 
+/// Delegates to a real protocol engine and panics on a view that
+/// changes no membership. An engine re-keys on a view's `joined` and
+/// `left`, so such a view would leave its member without a key; the
+/// ratchet's runs show that none reaches one.
+struct ChangesMembership(Box<dyn GkaProtocol>);
+
+impl GkaProtocol for ChangesMembership {
+    fn kind(&self) -> ProtocolKind {
+        self.0.kind()
+    }
+
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
+        assert!(
+            !view.joined.is_empty() || !view.left.is_empty(),
+            "view {} changes no membership at member {}",
+            view.id,
+            ctx.me()
+        );
+        self.0.on_view(ctx, view)
+    }
+
+    fn on_msg(
+        &mut self,
+        ctx: &mut GkaCtx<'_, '_>,
+        sender: ClientId,
+        msg: ProtocolMsg,
+    ) -> Result<(), GkaError> {
+        self.0.on_msg(ctx, sender, msg)
+    }
+
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
+        self.0.component(suite, members, seed)
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        self.0.adopt(component, me)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
 #[test]
 fn chaos_failures_over_forty_seeds_only_shrink() {
     let cfg = ChaosConfig::default();
-    let factory = default_factory();
+    // `default_factory`'s members, each engine behind the check.
+    let suite = SuiteKind::Sim512.shared();
+    let factory = move |kind: ProtocolKind, i: usize| {
+        let checked = Box::new(ChangesMembership(kind.create()));
+        SecureMember::with_protocol(checked, Rc::clone(&suite), 900 + i as u64, Some(17))
+    };
     let mut failing = Vec::new();
     for seed in 1..=40 {
         for run in 0..8 {
@@ -126,10 +175,11 @@ fn chaos_failures_over_forty_seeds_only_shrink() {
     );
 }
 
-/// Delegates to a real protocol engine but, on any view that removes
-/// a member, replaces the reported secret with a per-member poison
-/// value — a divergence bug of exactly the class the key-convergence
-/// invariant and the minimizer exist to catch.
+/// Delegates to a real protocol engine but, from the first view that
+/// removes a member on, establishes a per-member poison value as every
+/// epoch's key before the engine can — a divergence bug of exactly the
+/// class the key-convergence invariant and the minimizer exist to
+/// catch.
 struct ForgetsLeavers {
     inner: Box<dyn GkaProtocol>,
     poison: Option<Ubig>,
@@ -144,6 +194,9 @@ impl GkaProtocol for ForgetsLeavers {
         if !view.left.is_empty() {
             self.poison = Some(Ubig::from(0xDEC0_DE00u64 + ctx.me() as u64));
         }
+        if let Some(poison) = &self.poison {
+            ctx.establish(poison.clone());
+        }
         self.inner.on_view(ctx, view)
     }
 
@@ -154,10 +207,6 @@ impl GkaProtocol for ForgetsLeavers {
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {
         self.inner.on_msg(ctx, sender, msg)
-    }
-
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.poison.as_ref().or_else(|| self.inner.group_secret())
     }
 
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {

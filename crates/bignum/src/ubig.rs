@@ -115,11 +115,6 @@ impl Ubig {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
-    /// Returns `true` if the value is odd.
-    pub fn is_odd(&self) -> bool {
-        !self.is_even()
-    }
-
     /// Number of significant bits (`0` for zero).
     ///
     /// ```
@@ -382,7 +377,7 @@ mod tests {
         assert!(Ubig::zero().is_zero());
         assert!(Ubig::one().is_one());
         assert!(Ubig::zero().is_even());
-        assert!(Ubig::one().is_odd());
+        assert!(!Ubig::one().is_even());
         assert_eq!(Ubig::zero(), Ubig::from(0u64));
         assert_eq!(Ubig::default(), Ubig::zero());
     }

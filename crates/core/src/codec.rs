@@ -93,6 +93,9 @@ impl Enc {
     }
 }
 
+/// The most items a list on the wire may claim ([`Dec::list`]).
+const MAX_LIST: usize = 1_000_000;
+
 /// Decoding cursor.
 #[derive(Debug)]
 pub struct Dec<'a> {
@@ -151,6 +154,25 @@ impl<'a> Dec<'a> {
             1 => self.ubig(context).map(Some),
             _ => Ok(None),
         }
+    }
+
+    /// Reads a `u32` count, then that many items with `item`. A count
+    /// above one million is refused before anything is allocated, so a
+    /// forged count costs nothing. `context` names the count.
+    pub fn list<T>(
+        &mut self,
+        context: &'static str,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32(context)? as usize;
+        if n > MAX_LIST {
+            return Err(DecodeError { context });
+        }
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
 
     /// Asserts that all input has been consumed.

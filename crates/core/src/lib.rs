@@ -15,13 +15,16 @@
 //!  SecureMember   — a gkap-gcs Client and the only host of a protocol
 //!        │          engine: filters epochs, keeps one record per epoch
 //!        │          (view, key, completion time), restarts superseded
-//!        │          agreements
+//!        │          agreements; the only holder of the group key
 //!        │
 //!  GkaCtx         — the protocol runtime over the handler's ClientCtx:
-//!        │          the one place a message is signed, verified,
-//!        │          counted, charged and traced
+//!        │          the one place a message is signed, verified
+//!        │          (every peer group element checked), counted,
+//!        │          charged and traced, and `establish` the one place
+//!        │          a key comes into being
 //!        │
-//!  protocols::*   — GDH, CKD, TGDH, STR, BD state machines
+//!  protocols::*   — GDH, CKD, TGDH, STR, BD state machines: protocol
+//!        │          state only, no key
 //!        │
 //!  CryptoSuite    — DH group + signature scheme + cost model
 //! ```
@@ -70,5 +73,5 @@ pub mod tree;
 
 pub use cost::{CostModel, OpCounts};
 pub use member::{AgreementPhase, SecureMember, MAX_RESTARTS};
-pub use protocols::{GkaError, GkaProtocol, ProtocolError, ProtocolKind};
+pub use protocols::{GkaError, GkaProtocol, ProtocolKind};
 pub use suite::{CryptoSuite, SigMode};

@@ -7,6 +7,10 @@
 //! records the instants at which views arrive and keys complete — the
 //! raw measurements behind every figure in the paper.
 //!
+//! It is the only holder of the group key. A key a handler hands to
+//! [`GkaCtx::establish`] goes into the current epoch's record; an
+//! adopted component's key is held until the next view.
+//!
 //! It is the only host of a protocol engine: a simulated world drives
 //! it through [`Client`], and so does the in-memory
 //! [`crate::testkit::Loopback`], with detached contexts.
@@ -14,7 +18,6 @@
 use std::rc::Rc;
 
 use gkap_bignum::{SplitMix64, Ubig};
-use gkap_crypto::kdf::SessionKeys;
 use gkap_crypto::Secret;
 use gkap_gcs::{Client, ClientCtx, ClientId, Delivery, View};
 use gkap_sim::{Duration, SimTime};
@@ -91,6 +94,8 @@ pub struct SecureMember {
     /// `(members, me, seed)` of the component this member belonged to
     /// before its first view (see [`SecureMember::preseed_component`]).
     preseed: Option<(Vec<ClientId>, ClientId, u64)>,
+    /// The key of the component adopted since the last view, if any.
+    adopted: Option<Secret<Ubig>>,
     /// Buffered messages from epochs we have not entered yet.
     pending: Vec<Envelope>,
     /// One record per delivered view, oldest first (push-only; the
@@ -154,6 +159,7 @@ impl SecureMember {
             rng: SplitMix64::new(seed),
             initial_seed,
             preseed: None,
+            adopted: None,
             pending: Vec::new(),
             epochs: Vec::new(),
             awaiting_stamp: None,
@@ -231,8 +237,9 @@ impl SecureMember {
         seed: u64,
     ) {
         let component = share.form(self.protocol.as_ref(), &self.suite, members, seed);
-        if let Err(e) = self.protocol.adopt(&component, me) {
-            self.record_error(e);
+        match self.protocol.adopt(&component, me) {
+            Ok(()) => self.adopted = component.secret(),
+            Err(e) => self.record_error(e),
         }
     }
 
@@ -258,12 +265,6 @@ impl SecureMember {
     /// The group secret for `epoch`, if established.
     pub fn secret(&self, epoch: u64) -> Option<&Ubig> {
         self.record(epoch)?.secret.as_ref().map(Secret::expose)
-    }
-
-    /// Derived symmetric session keys for the latest completed epoch.
-    pub fn session_keys(&self) -> Option<SessionKeys> {
-        let secret = self.epochs.iter().rev().find_map(|r| r.secret.as_ref())?;
-        Some(SessionKeys::from_group_secret(secret.expose()))
     }
 
     /// The latest epoch this member has entered.
@@ -293,11 +294,6 @@ impl SecureMember {
         self.epochs.last().map(|r| r.epoch)
     }
 
-    /// Which protocol this member runs.
-    pub fn protocol_kind(&self) -> ProtocolKind {
-        self.protocol.kind()
-    }
-
     /// Borrows the protocol engine downcast to its concrete type
     /// (diagnostics; e.g. reading the TGDH tree height).
     pub fn protocol_as<T: GkaProtocol>(&self) -> Option<&T> {
@@ -311,45 +307,56 @@ impl SecureMember {
     }
 
     /// Runs `f` on the protocol engine with this member's [`GkaCtx`]
-    /// for the current epoch.
+    /// for the current epoch, whose record receives an established key.
     fn with_gka<R>(
         &mut self,
         ctx: &mut ClientCtx<'_>,
         f: impl FnOnce(&mut dyn GkaProtocol, &mut GkaCtx<'_, '_>) -> R,
     ) -> R {
+        let epoch = self.epoch();
+        let mut no_view = None;
+        let key = match self.epochs.last_mut() {
+            Some(rec) => &mut rec.secret,
+            None => &mut no_view,
+        };
         let mut gka = GkaCtx {
-            epoch: self.epoch(),
+            epoch,
             ctx,
             suite: &self.suite,
             counts: &mut self.counts,
             rng: &mut self.rng,
             telemetry: &self.telemetry,
+            key,
         };
         f(self.protocol.as_mut(), &mut gka)
     }
 
-    /// The engine's current group secret, whether or not a view has
-    /// been delivered yet (the loopback's agreement check; a world's
-    /// harness reads [`SecureMember::secret`] per epoch).
+    /// The member's current key: the adopted component's if no view
+    /// came since, else the latest epoch's (the loopback's agreement
+    /// check; a world's harness reads [`SecureMember::secret`] per
+    /// epoch).
     pub(crate) fn group_secret(&self) -> Option<&Ubig> {
-        self.protocol.group_secret()
+        let latest = || self.epochs.last()?.secret.as_ref();
+        self.adopted.as_ref().or_else(latest).map(Secret::expose)
     }
 
+    /// Converges a running agreement whose epoch a handler has just
+    /// keyed: stamps the key, settles early confirmations and sends
+    /// this member's own.
     fn after_handler(&mut self, ctx: &mut ClientCtx<'_>) {
-        let Some(secret) = self.protocol.group_secret() else {
-            return;
-        };
+        if self.phase != AgreementPhase::Running {
+            return; // converged already, or nothing to converge
+        }
         let Some(rec) = self.epochs.last_mut() else {
             return;
         };
-        if rec.secret.is_some() {
+        let Some(secret) = &rec.secret else {
             return;
-        }
+        };
         let epoch = rec.epoch;
         let digest = self
             .confirm_keys
-            .then(|| Self::confirm_digest(epoch, secret));
-        rec.secret = Some(Secret::new(secret.clone()));
+            .then(|| Self::confirm_digest(epoch, secret.expose()));
         let early = std::mem::take(&mut rec.early_confirms);
         self.awaiting_stamp = Some(self.epochs.len() - 1);
         self.phase = AgreementPhase::Converged;
@@ -435,6 +442,10 @@ impl Client for SecureMember {
             confirmations: 0,
             early_confirms: Vec::new(),
         });
+        // An adopted key is the member's only until a view arrives: the
+        // view's key comes from its agreement, or, for an initial view,
+        // from the component adopted below.
+        self.adopted = None;
         self.note_event(
             ctx,
             EventKind::MembershipEvent {
@@ -455,6 +466,9 @@ impl Client for SecureMember {
                 // through this path; see DESIGN.md §18).
                 let me = ctx.id();
                 self.adopt_component(ctx.world_slot(), &view.members, me, seed);
+                if let Some(rec) = self.epochs.last_mut() {
+                    rec.secret = self.adopted.take();
+                }
                 self.after_handler(ctx);
                 return;
             }
@@ -517,12 +531,10 @@ mod tests {
     fn constructor_and_accessors() {
         let suite = Rc::new(CryptoSuite::fast_zero());
         let m = SecureMember::new(ProtocolKind::Bd, suite, 1, Some(7));
-        assert_eq!(m.protocol_kind(), ProtocolKind::Bd);
         assert_eq!(m.epoch(), 0);
         assert!(m.completion(1).is_none());
         assert!(m.secret(1).is_none());
         assert!(m.protocol_error().is_none());
-        assert!(m.session_keys().is_none());
         assert!(format!("{m:?}").contains("BD"));
     }
 }

@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use gkap_bignum::Ubig;
-use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
@@ -25,36 +24,16 @@ use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg,
 use crate::suite::CryptoSuite;
 
 /// BD protocol engine for one member.
+#[derive(Default)]
 pub struct Bd {
     members: Vec<ClientId>,
     my_r: Option<Ubig>,
     z: BTreeMap<ClientId, Ubig>,
     x: BTreeMap<ClientId, Ubig>,
     sent_round2: bool,
-    secret: Option<Secret<Ubig>>,
-}
-
-impl std::fmt::Debug for Bd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Bd")
-            .field("secret", &"<redacted>")
-            .finish_non_exhaustive()
-    }
 }
 
 impl Bd {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        Bd {
-            members: Vec::new(),
-            my_r: None,
-            z: BTreeMap::new(),
-            x: BTreeMap::new(),
-            sent_round2: false,
-            secret: None,
-        }
-    }
-
     fn position(&self, m: ClientId) -> Result<usize, GkaError> {
         self.members
             .iter()
@@ -110,7 +89,7 @@ impl Bd {
     /// Key assembly once all X values are present.
     fn maybe_finish(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let n = self.members.len();
-        if self.x.len() < n || self.z.len() < n || self.secret.is_some() {
+        if self.x.len() < n || self.z.len() < n || ctx.established() {
             return Ok(());
         }
         let me = ctx.me();
@@ -146,14 +125,8 @@ impl Bd {
             };
             acc = ctx.modmul(&acc, &term);
         }
-        self.secret = Some(Secret::new(acc));
+        ctx.establish(acc);
         Ok(())
-    }
-}
-
-impl Default for Bd {
-    fn default() -> Self {
-        Bd::new()
     }
 }
 
@@ -168,7 +141,6 @@ impl GkaProtocol for Bd {
         self.z.clear();
         self.x.clear();
         self.sent_round2 = false;
-        self.secret = None;
         ctx.mark_round("BD", 1);
         let r = ctx.fresh_exponent();
         let z = ctx.exp_g(&r);
@@ -179,7 +151,8 @@ impl GkaProtocol for Bd {
             let q = ctx.suite.group().order();
             let e = r.modmul(&r, q);
             let g = ctx.suite.group().generator().clone();
-            self.secret = Some(Secret::new(ctx.exp(&g, &e)));
+            let key = ctx.exp(&g, &e);
+            ctx.establish(key);
             return Ok(());
         }
         ctx.send(SendKind::Multicast, &ProtocolMsg::BdRound1 { z });
@@ -211,10 +184,6 @@ impl GkaProtocol for Bd {
         }
     }
 
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.secret.as_ref().map(|s| s.expose())
-    }
-
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         // K = g^{sum r_i r_{i+1}} computed directly in the exponent.
         let q = suite.group().order();
@@ -234,38 +203,56 @@ impl GkaProtocol for Bd {
         };
         self.my_r = Some(component.exponent_of(me)?.clone());
         self.members = component.members().to_vec();
-        self.secret = component.secret();
         Ok(())
     }
 
     fn reset(&mut self) {
-        *self = Bd::new();
+        *self = Bd::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Loopback;
 
     #[test]
-    fn bootstrap_agrees_and_is_cyclic() {
-        let suite = CryptoSuite::fast_zero();
-        let members = vec![0, 1, 2, 3, 4];
-        let mut secrets = Vec::new();
-        for &m in &members {
-            let mut p = Bd::new();
-            p.bootstrap(&suite, &members, m, 9).unwrap();
-            secrets.push(p.group_secret().unwrap().clone());
-        }
-        assert!(secrets.windows(2).all(|w| w[0] == w[1]));
+    fn bootstrap_agrees_across_members() {
+        let members = [0, 1, 2, 3, 4];
+        let mut lb = Loopback::new(ProtocolKind::Bd, CryptoSuite::fast_zero(), &members);
+        lb.bootstrap(&members, 9);
+        lb.common_secret();
     }
 
     #[test]
     fn neighbour_wraps_around() {
-        let mut p = Bd::new();
-        p.members = vec![10, 20, 30];
+        let p = Bd {
+            members: vec![10, 20, 30],
+            ..Bd::default()
+        };
         assert_eq!(p.neighbour(0, -1), 30);
         assert_eq!(p.neighbour(2, 1), 10);
         assert_eq!(p.neighbour(1, 1), 30);
+    }
+
+    /// A peer's `z` of p − 1 is refused where it enters, before it can
+    /// stand in for the peer's round-1 value.
+    #[test]
+    fn a_degenerate_z_is_refused() {
+        let suite = CryptoSuite::fast_zero();
+        let ids = [0, 1, 2];
+        let mut lb = Loopback::new(ProtocolKind::Bd, CryptoSuite::fast_zero(), &ids);
+        lb.install_view_interrupted(ids.to_vec(), ids.to_vec(), vec![], 0);
+        let z = suite.group().modulus() - &Ubig::one();
+        lb.forge(&suite, 1, 0, &ProtocolMsg::BdRound1 { z });
+        assert_eq!(
+            lb.member(0).protocol_error(),
+            Some(&GkaError::Protocol("invalid group element"))
+        );
+        assert_eq!(
+            lb.member(0).counts().multicast,
+            1,
+            "no round 2 from a bad z"
+        );
     }
 }

@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use gkap_bignum::{RandomSource, Ubig};
 use gkap_crypto::aes::ctr_xor;
 use gkap_crypto::kdf;
-use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
@@ -79,12 +78,11 @@ fn blob_key(pairwise: &Ubig) -> [u8; 16] {
 }
 
 /// CKD protocol engine for one member.
+#[derive(Default)]
 pub struct Ckd {
     members: Vec<ClientId>,
     /// My long-term-ish pairwise DH exponent (refreshed when invited).
     my_exp: Option<Ubig>,
-    /// My public value `g^{my_exp}`.
-    my_pub: Option<Ubig>,
     /// Member public values known to me (complete at the controller).
     pubs: BTreeMap<ClientId, Ubig>,
     /// Members whose responses the controller is still waiting for.
@@ -93,32 +91,9 @@ pub struct Ckd {
     controller_exp: Option<Ubig>,
     /// `g^{controller_exp}` (computed once per re-key).
     controller_pub: Option<Ubig>,
-    secret: Option<Secret<Ubig>>,
-}
-
-impl std::fmt::Debug for Ckd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ckd")
-            .field("secret", &"<redacted>")
-            .finish_non_exhaustive()
-    }
 }
 
 impl Ckd {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        Ckd {
-            members: Vec::new(),
-            my_exp: None,
-            my_pub: None,
-            pubs: BTreeMap::new(),
-            awaiting: BTreeSet::new(),
-            controller_exp: None,
-            controller_pub: None,
-            secret: None,
-        }
-    }
-
     /// The controller — the oldest member — or `None` for an empty
     /// membership (a cascaded view can leave a member with no group).
     fn controller(&self) -> Option<ClientId> {
@@ -166,7 +141,7 @@ impl Ckd {
                 blobs,
             },
         );
-        self.secret = Some(Secret::new(secret));
+        ctx.establish(secret);
         Ok(())
     }
 
@@ -199,12 +174,6 @@ impl Ckd {
     }
 }
 
-impl Default for Ckd {
-    fn default() -> Self {
-        Ckd::new()
-    }
-}
-
 impl GkaProtocol for Ckd {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Ckd
@@ -214,7 +183,6 @@ impl GkaProtocol for Ckd {
         let me = ctx.me();
         let was_controller = self.members.first().map(|&c| c == me).unwrap_or(false);
         self.members = view.members.clone();
-        self.secret = None;
         for l in &view.left {
             self.pubs.remove(l);
         }
@@ -263,7 +231,6 @@ impl GkaProtocol for Ckd {
                 let x = ctx.fresh_exponent();
                 let member_pub = ctx.exp_g(&x);
                 self.my_exp = Some(x);
-                self.my_pub = Some(member_pub.clone());
                 ctx.send(
                     SendKind::UnicastFifo(sender),
                     &ProtocolMsg::CkdResponse { member_pub },
@@ -274,13 +241,9 @@ impl GkaProtocol for Ckd {
                 if self.controller() != Some(ctx.me()) {
                     return Err(GkaError::UnexpectedMessage("response at a non-controller"));
                 }
-                ctx.suite
-                    .group()
-                    .validate_public(&gkap_crypto::dh::DhPublic(member_pub.clone()))
-                    .map_err(|_| GkaError::Protocol("invalid member public value"))?;
                 self.pubs.insert(sender, member_pub);
                 self.awaiting.remove(&sender);
-                if self.awaiting.is_empty() && self.secret.is_none() {
+                if self.awaiting.is_empty() && !ctx.established() {
                     self.distribute(ctx)?;
                 }
                 Ok(())
@@ -310,15 +273,11 @@ impl GkaProtocol for Ckd {
                 if pt.len() != blob_len(ctx.suite) {
                     return Err(GkaError::Protocol("blob length mismatch"));
                 }
-                self.secret = Some(Secret::new(Ubig::from_be_bytes(&pt)));
+                ctx.establish(Ubig::from_be_bytes(&pt));
                 Ok(())
             }
             _ => Err(GkaError::UnexpectedMessage("not a CKD message")),
         }
-    }
-
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.secret.as_ref().map(|s| s.expose())
     }
 
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
@@ -343,35 +302,51 @@ impl GkaProtocol for Ckd {
             return Err(FOREIGN_COMPONENT);
         };
         let x = component.exponent_of(me)?.clone();
-        self.my_pub = formed.pubs.get(&me).cloned();
         self.pubs = formed.pubs.clone();
         self.members = component.members().to_vec();
         self.controller_exp = (self.controller() == Some(me)).then(|| x.clone());
         self.my_exp = Some(x);
-        self.secret = component.secret();
         Ok(())
     }
 
     fn reset(&mut self) {
-        *self = Ckd::new();
+        *self = Ckd::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Loopback;
 
     #[test]
     fn bootstrap_agrees() {
+        let members = [2, 7, 9];
+        let mut lb = Loopback::new(ProtocolKind::Ckd, CryptoSuite::fast_zero(), &members);
+        lb.bootstrap(&members, 5);
+        lb.common_secret();
+    }
+
+    /// A controller public value of 1 makes every pairwise key 1, which
+    /// anyone can compute: the receiver refuses the distribution.
+    #[test]
+    fn a_degenerate_controller_value_is_refused() {
         let suite = CryptoSuite::fast_zero();
-        let members = vec![2, 7, 9];
-        let mut secrets = Vec::new();
-        for &m in &members {
-            let mut p = Ckd::new();
-            p.bootstrap(&suite, &members, m, 5).unwrap();
-            secrets.push(p.group_secret().unwrap().clone());
-        }
-        assert!(secrets.windows(2).all(|w| w[0] == w[1]));
+        let ids = [0, 1, 2];
+        let mut lb = Loopback::new(ProtocolKind::Ckd, CryptoSuite::fast_zero(), &ids);
+        lb.bootstrap(&ids, 5);
+        // 2 leaves; 0, the controller, re-keys in one broadcast.
+        lb.install_view_interrupted(vec![0, 1], vec![], vec![2], 0);
+        let dist = ProtocolMsg::CkdKeyDist {
+            controller_pub: Ubig::one(),
+            blobs: vec![(1, vec![0; blob_len(&suite)])],
+        };
+        lb.forge(&suite, 0, 1, &dist);
+        assert_eq!(
+            lb.member(1).protocol_error(),
+            Some(&GkaError::Protocol("invalid group element"))
+        );
+        assert_eq!(lb.member(1).secret(1), None);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 
 use gkap_bignum::Ubig;
-use gkap_crypto::Secret;
 use gkap_gcs::{ClientId, View};
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
@@ -34,8 +33,9 @@ pub(super) struct Formed {
     partial_keys: BTreeMap<ClientId, Ubig>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 enum Stage {
+    #[default]
     Idle,
     /// A new member waiting for the chain token (its position among
     /// the new members is implied by the membership lists).
@@ -49,6 +49,7 @@ enum Stage {
 }
 
 /// GDH IKA.3 protocol engine for one member.
+#[derive(Default)]
 pub struct Gdh {
     /// This member's secret contribution `r`: the one its cached
     /// partial-key list was built with.
@@ -63,7 +64,6 @@ pub struct Gdh {
     /// (every member caches the controller's last broadcast so any
     /// member can take over as controller).
     partial_keys: BTreeMap<ClientId, Ubig>,
-    secret: Option<Secret<Ubig>>,
     stage: Stage,
     members: Vec<ClientId>,
     new_members: Vec<ClientId>,
@@ -77,31 +77,7 @@ pub struct Gdh {
     pending_merge: Vec<ClientId>,
 }
 
-impl std::fmt::Debug for Gdh {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gdh")
-            .field("secret", &"<redacted>")
-            .finish_non_exhaustive()
-    }
-}
-
 impl Gdh {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        Gdh {
-            my_exp: None,
-            merge_exp: None,
-            partial_keys: BTreeMap::new(),
-            secret: None,
-            stage: Stage::Idle,
-            members: Vec::new(),
-            new_members: Vec::new(),
-            factor_outs: BTreeMap::new(),
-            broadcast_token: None,
-            pending_merge: Vec::new(),
-        }
-    }
-
     /// Old members (current view minus the ones being merged in).
     fn old_members(&self) -> Vec<ClientId> {
         self.members
@@ -115,7 +91,6 @@ impl Gdh {
         for l in left {
             self.partial_keys.remove(l);
         }
-        self.secret = None;
         // The leave phase involves only the surviving *old* members;
         // any simultaneously joining members wait for the merge phase.
         let old_members: Vec<ClientId> = self
@@ -162,7 +137,7 @@ impl Gdh {
             .get(&me)
             .cloned()
             .ok_or(GkaError::MissingState("own partial key"))?;
-        self.secret = Some(Secret::new(ctx.exp(&k_me, &fresh)));
+        let key = ctx.exp(&k_me, &fresh);
         let entries: Vec<(ClientId, Ubig)> = self
             .partial_keys
             .iter()
@@ -173,11 +148,10 @@ impl Gdh {
             &ProtocolMsg::GdhPartialKeys { entries },
         );
         self.stage = Stage::Idle;
-        self.maybe_start_pending_merge(ctx)
+        self.finish(ctx, key)
     }
 
     fn start_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        self.secret = None;
         let me = ctx.me();
         let old = self.old_members();
         let old_controller = *old
@@ -211,8 +185,12 @@ impl Gdh {
         Ok(())
     }
 
-    fn maybe_start_pending_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+    /// A partial-key list's `key` is the group key unless joiners wait
+    /// to merge in after a leave phase: then the merge starts, and its
+    /// key will be the group's.
+    fn finish(&mut self, ctx: &mut GkaCtx<'_, '_>, key: Ubig) -> Result<(), GkaError> {
         if self.pending_merge.is_empty() {
+            ctx.establish(key);
             return Ok(());
         }
         self.new_members = std::mem::take(&mut self.pending_merge);
@@ -241,7 +219,7 @@ impl Gdh {
         entries.push((ctx.me(), token.clone()));
         entries.sort_by_key(|(m, _)| *m);
         self.partial_keys = entries.iter().cloned().collect();
-        self.secret = Some(Secret::new(ctx.exp(&token, &fresh)));
+        let key = ctx.exp(&token, &fresh);
         self.my_exp = Some(fresh);
         ctx.send(
             SendKind::Multicast,
@@ -249,13 +227,8 @@ impl Gdh {
         );
         self.factor_outs.clear();
         self.stage = Stage::Idle;
+        ctx.establish(key);
         Ok(())
-    }
-}
-
-impl Default for Gdh {
-    fn default() -> Self {
-        Gdh::new()
     }
 }
 
@@ -289,7 +262,8 @@ impl GkaProtocol for Gdh {
                     .clone()
                     .ok_or(GkaError::MissingState("own exponent"))?;
                 let g = ctx.suite.group().generator().clone();
-                self.secret = Some(Secret::new(ctx.exp(&g, &r)));
+                let key = ctx.exp(&g, &r);
+                ctx.establish(key);
                 self.stage = Stage::Idle;
                 return Ok(());
             }
@@ -412,16 +386,12 @@ impl GkaProtocol for Gdh {
                     .my_exp
                     .clone()
                     .ok_or(GkaError::MissingState("no contribution"))?;
-                self.secret = Some(Secret::new(ctx.exp(&k_me, &r)));
+                let key = ctx.exp(&k_me, &r);
                 self.stage = Stage::Idle;
-                self.maybe_start_pending_merge(ctx)
+                self.finish(ctx, key)
             }
             _ => Err(GkaError::UnexpectedMessage("not a GDH message")),
         }
-    }
-
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.secret.as_ref().map(|s| s.expose())
     }
 
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
@@ -459,35 +429,29 @@ impl GkaProtocol for Gdh {
         self.my_exp = Some(component.exponent_of(me)?.clone());
         self.partial_keys = formed.partial_keys.clone();
         self.members = component.members().to_vec();
-        self.secret = component.secret();
         self.stage = Stage::Idle;
         Ok(())
     }
 
     fn reset(&mut self) {
-        *self = Gdh::new();
+        *self = Gdh::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Loopback;
 
     #[test]
     fn bootstrap_agrees_across_members() {
-        let suite = CryptoSuite::fast_zero();
-        let members = vec![0, 1, 2, 3];
-        let mut secrets = Vec::new();
-        for &m in &members {
-            let mut p = Gdh::new();
-            p.bootstrap(&suite, &members, m, 42).unwrap();
-            secrets.push(p.group_secret().unwrap().clone());
-        }
-        assert!(secrets.windows(2).all(|w| w[0] == w[1]));
-        // Different seed, different key.
-        let mut other = Gdh::new();
-        other.bootstrap(&suite, &members, 0, 43).unwrap();
-        assert_ne!(other.group_secret().unwrap(), &secrets[0]);
+        let members = [0, 1, 2, 3];
+        let secret = |seed| {
+            let mut lb = Loopback::new(ProtocolKind::Gdh, CryptoSuite::fast_zero(), &members);
+            lb.bootstrap(&members, seed);
+            lb.common_secret()
+        };
+        assert_ne!(secret(42), secret(43), "different seed, different key");
     }
 
     #[test]
@@ -495,13 +459,32 @@ mod tests {
         // K_j^{r_j} == group secret for every j.
         let suite = CryptoSuite::fast_zero();
         let members = vec![5, 9, 11];
-        let mut p = Gdh::new();
-        p.bootstrap(&suite, &members, 5, 1).unwrap();
-        let secret = p.group_secret().unwrap().clone();
+        let component = Gdh::default().component(&suite, &members, 1);
+        let secret = component.secret().expect("a formed key");
+        let mut p = Gdh::default();
+        p.adopt(&component, 5).unwrap();
         for &m in &members {
             let r = crate::protocols::bootstrap_exponent(&suite, 1, m);
             let k = p.partial_keys.get(&m).unwrap();
-            assert_eq!(suite.group().exp(k, &r), secret, "member {m}");
+            assert_eq!(&suite.group().exp(k, &r), secret.expose(), "member {m}");
         }
+    }
+
+    /// A controller that sends a partial key of 1 would hand the
+    /// receiver the key 1: the receiver refuses the list instead.
+    #[test]
+    fn a_degenerate_partial_key_is_refused() {
+        let suite = CryptoSuite::fast_zero();
+        let mut lb = Loopback::new(ProtocolKind::Gdh, CryptoSuite::fast_zero(), &[0, 1, 2]);
+        lb.bootstrap(&[0, 1, 2], 7);
+        // 2 leaves; 1, the controller, has re-keyed, 0 waits for the list.
+        lb.install_view_interrupted(vec![0, 1], vec![], vec![2], 0);
+        let entries = vec![(0, Ubig::one()), (1, Ubig::from(4u64))];
+        lb.forge(&suite, 1, 0, &ProtocolMsg::GdhPartialKeys { entries });
+        assert_eq!(
+            lb.member(0).protocol_error(),
+            Some(&GkaError::Protocol("invalid group element"))
+        );
+        assert_eq!(lb.member(0).secret(1), None);
     }
 }

@@ -8,6 +8,10 @@
 //! transparently counting operations and charging virtual CPU time —
 //! so the *same* protocol code yields both correctness (real keys) and
 //! the paper's cost accounting.
+//!
+//! An engine owns protocol state only. It hands the key it computes
+//! to [`GkaCtx::establish`], and the hosting `SecureMember` keeps it in
+//! the epoch's record; no engine stores or reports a key.
 
 pub mod bd;
 pub mod ckd;
@@ -19,6 +23,7 @@ pub mod tree_gka;
 mod wire;
 
 use gkap_bignum::{RandomSource, SplitMix64, Ubig};
+use gkap_crypto::Secret;
 use gkap_gcs::{ClientCtx, ClientId, View};
 use gkap_sim::Duration;
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
@@ -71,11 +76,11 @@ impl ProtocolKind {
     /// Instantiates a fresh protocol engine.
     pub fn create(&self) -> Box<dyn GkaProtocol> {
         match self {
-            ProtocolKind::Gdh => Box::new(gdh::Gdh::new()),
-            ProtocolKind::Ckd => Box::new(ckd::Ckd::new()),
-            ProtocolKind::Tgdh => Box::new(tgdh::Tgdh::new()),
-            ProtocolKind::Str => Box::new(str_proto::Str::new()),
-            ProtocolKind::Bd => Box::new(bd::Bd::new()),
+            ProtocolKind::Gdh => Box::<gdh::Gdh>::default(),
+            ProtocolKind::Ckd => Box::<ckd::Ckd>::default(),
+            ProtocolKind::Tgdh => Box::<tgdh::Tgdh>::default(),
+            ProtocolKind::Str => Box::<str_proto::Str>::default(),
+            ProtocolKind::Bd => Box::<bd::Bd>::default(),
         }
     }
 }
@@ -117,9 +122,6 @@ impl std::fmt::Display for GkaError {
 
 impl std::error::Error for GkaError {}
 
-/// The error type protocol drivers surface to the session layer.
-pub type ProtocolError = GkaError;
-
 /// How a protocol message is to be delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendKind {
@@ -153,6 +155,8 @@ pub struct GkaCtx<'a, 'c> {
     pub epoch: u64,
     /// Telemetry sink (disabled handles record nothing).
     pub(crate) telemetry: &'a Telemetry,
+    /// This epoch's group key, once established.
+    pub(crate) key: &'a mut Option<Secret<Ubig>>,
 }
 
 impl GkaCtx<'_, '_> {
@@ -243,6 +247,20 @@ impl GkaCtx<'_, '_> {
         self.charge(CryptoOpKind::Symmetric, self.suite.cost().symmetric);
     }
 
+    /// Establishes `key` as this epoch's group key: the one way a
+    /// handler produces a key. The first key of an epoch stands; later
+    /// calls in the same epoch change nothing.
+    pub fn establish(&mut self, key: Ubig) {
+        if self.key.is_none() {
+            *self.key = Some(Secret::new(key));
+        }
+    }
+
+    /// Whether this epoch's group key is established.
+    pub fn established(&self) -> bool {
+        self.key.is_some()
+    }
+
     /// Encodes, signs and sends a protocol message (sign is counted
     /// and charged; message counters updated). Every protocol message
     /// leaves a member through here.
@@ -271,19 +289,27 @@ impl GkaCtx<'_, '_> {
 
     /// Accepts a received protocol message: charges the signature
     /// verification every receiver pays (§3.2) and the per-message
-    /// processing overhead, then checks the signature and decodes the
-    /// body. Every protocol message enters a member through here.
+    /// processing overhead, then checks the signature, decodes the body
+    /// and checks every group element in it. Every protocol message
+    /// enters a member through here.
     ///
     /// # Errors
     ///
-    /// Returns [`GkaError::Protocol`] on a bad signature or a
-    /// malformed body (both charged: the work was done).
+    /// Returns [`GkaError::Protocol`] on a bad signature, a malformed
+    /// body or a group element outside `(1, p−1)` (all charged: the
+    /// work was done).
     pub(crate) fn receive(&mut self, env: &Envelope) -> Result<ProtocolMsg, GkaError> {
         self.charge(CryptoOpKind::Verify, self.suite.cost().verify);
         self.charge(CryptoOpKind::RecvOverhead, self.suite.cost().recv_overhead);
         env.verify(self.suite)
             .map_err(|_| GkaError::Protocol("bad signature"))?;
-        ProtocolMsg::decode(&env.body).map_err(|_| GkaError::Protocol("malformed body"))
+        let msg =
+            ProtocolMsg::decode(&env.body).map_err(|_| GkaError::Protocol("malformed body"))?;
+        let group = self.suite.group();
+        if !msg.elements_pass(|v| group.validate_public(v).is_ok()) {
+            return Err(GkaError::Protocol("invalid group element"));
+        }
+        Ok(msg)
     }
 }
 
@@ -292,7 +318,10 @@ impl GkaCtx<'_, '_> {
 /// One instance lives inside each member's `SecureMember`. The
 /// framework guarantees that `on_view` is invoked for every installed
 /// view the member belongs to, and `on_msg` for every *verified*
-/// protocol message of the current epoch.
+/// protocol message of the current epoch, each group element in it
+/// already checked to lie in `(1, p−1)`. A handler that computes the
+/// group key hands it to [`GkaCtx::establish`]; the engine keeps no
+/// copy.
 pub trait GkaProtocol: std::any::Any {
     /// Which protocol this is.
     fn kind(&self) -> ProtocolKind;
@@ -318,10 +347,6 @@ pub trait GkaProtocol: std::any::Any {
         msg: ProtocolMsg,
     ) -> Result<(), GkaError>;
 
-    /// The established group secret, once this member has computed it
-    /// for the current epoch.
-    fn group_secret(&self) -> Option<&Ubig>;
-
     /// Forms the deterministic pre-agreed state of the component
     /// `members` — an initial group or a component about to merge,
     /// which the paper's figures take as given and virtual time never
@@ -331,32 +356,14 @@ pub trait GkaProtocol: std::any::Any {
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component;
 
     /// Installs `component` as member `me`'s state, with no group
-    /// arithmetic.
+    /// arithmetic. The component's key is the member's to keep, not
+    /// the engine's.
     ///
     /// # Errors
     ///
     /// Returns a [`GkaError`], and installs nothing, if another
     /// protocol formed `component` or `me` is not one of its members.
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError>;
-
-    /// Forms the component of `members` and adopts it as `me`: what a
-    /// member does when it has no world to share the component with
-    /// (see [`FormationShare`]). `seed` must be identical across the
-    /// members of the component.
-    ///
-    /// # Errors
-    ///
-    /// As [`GkaProtocol::adopt`].
-    fn bootstrap(
-        &mut self,
-        suite: &CryptoSuite,
-        members: &[ClientId],
-        me: ClientId,
-        seed: u64,
-    ) -> Result<(), GkaError> {
-        let component = self.component(suite, members, seed);
-        self.adopt(&component, me)
-    }
 
     /// Discards all group state, returning the engine to its freshly
     /// constructed condition (tuning knobs like the TGDH tree policy

@@ -148,17 +148,9 @@ impl TreeShape for Skinny {
 /// STR protocol engine for one member.
 pub type Str = TreeGka<Skinny>;
 
-impl Str {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        TreeGka::with_shape(Skinny)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::GkaProtocol;
     use crate::suite::CryptoSuite;
     use crate::testkit::Loopback;
     use gkap_bignum::Ubig;
@@ -190,17 +182,19 @@ mod tests {
 
     #[test]
     fn bootstrap_agrees_across_members() {
-        let suite = CryptoSuite::fast_zero();
         let members = vec![0, 1, 2, 3, 4];
-        let mut secrets = Vec::new();
+        let mut lb = Loopback::new(ProtocolKind::Str, CryptoSuite::fast_zero(), &members);
+        lb.bootstrap(&members, 21);
+        lb.common_secret();
         for &m in &members {
-            let mut p = Str::new();
-            p.bootstrap(&suite, &members, m, 21).unwrap();
-            assert!(is_skinny(p.tree()));
-            assert_eq!(p.tree().members(), members);
-            secrets.push(p.group_secret().unwrap().clone());
+            let tree = lb
+                .member(m)
+                .protocol_as::<Str>()
+                .expect("an STR engine")
+                .tree();
+            assert!(is_skinny(tree));
+            assert_eq!(tree.members(), members);
         }
-        assert!(secrets.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

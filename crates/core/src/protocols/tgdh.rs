@@ -77,11 +77,6 @@ impl TreeShape for TreePolicy {
 pub type Tgdh = TreeGka<TreePolicy>;
 
 impl Tgdh {
-    /// Creates an idle engine.
-    pub fn new() -> Self {
-        TreeGka::with_shape(TreePolicy::Paper)
-    }
-
     /// Creates an engine with AVL tree management (footnote 7).
     pub fn new_avl() -> Self {
         TreeGka::with_shape(TreePolicy::Avl)
@@ -106,15 +101,10 @@ mod tests {
 
     #[test]
     fn bootstrap_agrees_across_members() {
-        let suite = CryptoSuite::fast_zero();
-        let members = vec![0, 1, 2, 3, 4, 5, 6];
-        let mut secrets = Vec::new();
-        for &m in &members {
-            let mut p = Tgdh::new();
-            p.bootstrap(&suite, &members, m, 77).unwrap();
-            secrets.push(p.group_secret().unwrap().clone());
-        }
-        assert!(secrets.windows(2).all(|w| w[0] == w[1]));
+        let members = [0, 1, 2, 3, 4, 5, 6];
+        let mut lb = Loopback::new(ProtocolKind::Tgdh, CryptoSuite::fast_zero(), &members);
+        lb.bootstrap(&members, 77);
+        lb.common_secret();
     }
 
     #[test]
@@ -124,8 +114,9 @@ mod tests {
         lb.bootstrap(&[0, 1, 2], 7);
         // A peer that formed the same view in another leaf order: the
         // *sorted* leaf set passes the view check.
-        let mut peer = Tgdh::new();
-        peer.bootstrap(&suite, &[2, 0, 1], 2, 7).unwrap();
+        let mut peer = Tgdh::default();
+        peer.adopt(&peer.component(&suite, &[2, 0, 1], 7), 2)
+            .unwrap();
         let msg = TreePolicy::to_msg(peer.tree());
         let tree = |lb: &Loopback| lb.member(0).protocol_as::<Tgdh>().unwrap().tree().clone();
         let before = tree(&lb);
@@ -141,8 +132,8 @@ mod tests {
     fn bootstrap_tree_is_consistent() {
         let suite = CryptoSuite::fast_zero();
         let members = vec![10, 20, 30, 40];
-        let mut p = Tgdh::new();
-        p.bootstrap(&suite, &members, 10, 3).unwrap();
+        let mut p = Tgdh::default();
+        p.adopt(&p.component(&suite, &members, 3), 10).unwrap();
         assert_eq!(p.tree().members(), members);
         // Root bkey blinds the root key.
         let root = p.tree().node(p.tree().root());

@@ -45,7 +45,7 @@ use crate::tree::{Fingerprints, KeyTree, NodeIdx};
 /// What a key-tree protocol decides for itself; [`TreeGka`] does the
 /// rest. Each item is a rule some committed result depends on
 /// (DESIGN.md §23 names the file).
-pub trait TreeShape: Clone + 'static {
+pub trait TreeShape: Clone + Default + 'static {
     /// The protocol this shape makes of the driver.
     const KIND: ProtocolKind;
     /// Forming a component computes each internal key as one child's
@@ -102,17 +102,8 @@ struct CacheEntry {
     bkey: Option<Ubig>,
 }
 
-impl std::fmt::Debug for CacheEntry {
-    /// Redacts the cached node secret; only blinded-key presence shows.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheEntry")
-            .field("key", &"<redacted>")
-            .field("bkey", &self.bkey.is_some())
-            .finish()
-    }
-}
-
 /// A key-tree protocol engine for one member.
+#[derive(Default)]
 pub struct TreeGka<S> {
     shape: S,
     view_members: Vec<ClientId>,
@@ -131,37 +122,14 @@ pub struct TreeGka<S> {
     rounds_started: u32,
     /// Subtree-fingerprint cache of previously computed keys.
     cache: HashMap<[u8; 32], CacheEntry>,
-    secret: Option<Secret<Ubig>>,
-}
-
-impl<S> std::fmt::Debug for TreeGka<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TreeGka")
-            .field("secret", &"<redacted>")
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: TreeShape + Default> Default for TreeGka<S> {
-    fn default() -> Self {
-        TreeGka::with_shape(S::default())
-    }
 }
 
 impl<S: TreeShape> TreeGka<S> {
     /// Creates an idle engine.
     pub(super) fn with_shape(shape: S) -> Self {
-        TreeGka {
+        Self {
             shape,
-            view_members: Vec::new(),
-            my_r: None,
-            tree: KeyTree::new(),
-            components: BTreeMap::new(),
-            merging: false,
-            publisher: false,
-            rounds_started: 0,
-            cache: HashMap::new(),
-            secret: None,
+            ..Default::default()
         }
     }
 
@@ -286,7 +254,7 @@ impl<S: TreeShape> TreeGka<S> {
         // during a merge is not the group key).
         if !self.merging && self.tree.node(cur).parent.is_none() {
             if let Some(k) = self.tree.node(cur).key.clone() {
-                self.secret = Some(Secret::new(k));
+                ctx.establish(k);
             }
         }
         Ok(published)
@@ -387,7 +355,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
     fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
         self.view_members = view.members.clone();
-        self.secret = None;
         self.publisher = false;
         self.rounds_started = 0;
 
@@ -408,7 +375,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
                 .my_r
                 .clone()
                 .ok_or(GkaError::MissingState("no session random"))?;
-            self.secret = Some(Secret::new(r));
+            ctx.establish(r);
             return Ok(());
         }
         // One member refreshes its session random to prevent old-key
@@ -472,10 +439,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             self.broadcast_tree(ctx);
         }
         Ok(())
-    }
-
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.secret.as_ref().map(|s| s.expose())
     }
 
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
@@ -549,7 +512,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             self.cache.insert(*fp, CacheEntry { key, bkey });
         }
         self.view_members = component.members().to_vec();
-        self.secret = component.secret();
         self.merging = false;
         self.components.clear();
         Ok(())
@@ -604,6 +566,33 @@ mod tests {
         assert_eq!(decoded, TreePolicy::to_msg(&KeyTree::new()));
         an_empty_peer_tree_is_refused_mid_merge(TreePolicy::Paper);
         an_empty_peer_tree_is_refused_mid_merge(Skinny);
+    }
+
+    /// After 2 leaves `[0, 1, 2]`, member 1 refreshes and 0 waits for
+    /// its new leaf bkey. A bkey of 1 would make 0's root key 1: the
+    /// tree is refused where it enters.
+    fn a_degenerate_bkey_is_refused<S: TreeShape>(shape: S) {
+        let factory = || Box::new(TreeGka::with_shape(shape.clone())) as Box<dyn GkaProtocol>;
+        let mut lb = Loopback::with_factory(factory, CryptoSuite::fast_zero(), &[0, 1, 2]);
+        lb.bootstrap(&[0, 1, 2], 7);
+        lb.install_view_interrupted(vec![0, 1], vec![], vec![2], 0);
+        let mut forged = tree_of::<S>(&lb, 1).clone();
+        let leaf = forged.leaf_of(1).expect("1's leaf");
+        forged.node_mut(leaf).bkey = Some(Ubig::one());
+        lb.forge(&CryptoSuite::fast_zero(), 1, 0, &S::to_msg(&forged));
+        assert_eq!(
+            lb.member(0).protocol_error(),
+            Some(&GkaError::Protocol("invalid group element")),
+            "{}",
+            S::KIND
+        );
+        assert_eq!(lb.member(0).secret(1), None, "{}", S::KIND);
+    }
+
+    #[test]
+    fn a_degenerate_blinded_key_is_a_protocol_error() {
+        a_degenerate_bkey_is_refused(TreePolicy::Paper);
+        a_degenerate_bkey_is_refused(Skinny);
     }
 
     /// 30 random joins, leaves, merges and partitions: after each one

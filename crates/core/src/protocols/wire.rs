@@ -113,6 +113,33 @@ impl ProtocolMsg {
         }
     }
 
+    /// Whether every group element a peer put in this message passes
+    /// `valid`. BD's `X` is not checked: it is 1 when the group has two
+    /// members, because both of the sender's neighbours are the same
+    /// member.
+    pub(crate) fn elements_pass(&self, valid: impl Fn(&Ubig) -> bool) -> bool {
+        match self {
+            ProtocolMsg::GdhChainToken { token } | ProtocolMsg::GdhBroadcastToken { token } => {
+                valid(token)
+            }
+            ProtocolMsg::GdhFactorOut { value } => valid(value),
+            ProtocolMsg::GdhPartialKeys { entries } => entries.iter().all(|(_, k)| valid(k)),
+            ProtocolMsg::CkdInvite { controller_pub, .. }
+            | ProtocolMsg::CkdKeyDist { controller_pub, .. } => valid(controller_pub),
+            ProtocolMsg::CkdResponse { member_pub } => valid(member_pub),
+            ProtocolMsg::BdRound1 { z } => valid(z),
+            ProtocolMsg::BdRound2 { .. } | ProtocolMsg::KeyConfirm { .. } => true,
+            ProtocolMsg::TgdhTree { tree } => tree
+                .preorder()
+                .all(|i| tree.node(i).bkey.as_ref().is_none_or(&valid)),
+            ProtocolMsg::StrTree {
+                leaf_bkeys,
+                internal_bkeys,
+                ..
+            } => leaf_bkeys.iter().chain(internal_bkeys).flatten().all(valid),
+        }
+    }
+
     /// Serializes the message body.
     pub fn encode(&self) -> Bytes {
         let mut e = Enc::new();
@@ -203,60 +230,27 @@ impl ProtocolMsg {
             3 => ProtocolMsg::GdhFactorOut {
                 value: d.ubig("factor-out")?,
             },
-            4 => {
-                let n = d.u32("entry count")? as usize;
-                if n > 1_000_000 {
-                    return Err(DecodeError {
-                        context: "entry count",
-                    });
-                }
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let m = d.u32("entry member")? as ClientId;
-                    let k = d.ubig("entry key")?;
-                    entries.push((m, k));
-                }
-                ProtocolMsg::GdhPartialKeys { entries }
-            }
-            5 => {
-                let controller_pub = d.ubig("controller pub")?;
-                let k = d.u32("invited count")? as usize;
-                if k > 1_000_000 {
-                    return Err(DecodeError {
-                        context: "invited count",
-                    });
-                }
-                let mut invited = Vec::with_capacity(k.min(1024));
-                for _ in 0..k {
-                    invited.push(d.u32("invited member")? as ClientId);
-                }
-                ProtocolMsg::CkdInvite {
-                    controller_pub,
-                    invited,
-                }
-            }
+            4 => ProtocolMsg::GdhPartialKeys {
+                entries: d.list("entry count", |d| {
+                    Ok((d.u32("entry member")? as ClientId, d.ubig("entry key")?))
+                })?,
+            },
+            5 => ProtocolMsg::CkdInvite {
+                controller_pub: d.ubig("controller pub")?,
+                invited: d.list(
+                    "invited count",
+                    |d| Ok(d.u32("invited member")? as ClientId),
+                )?,
+            },
             6 => ProtocolMsg::CkdResponse {
                 member_pub: d.ubig("member pub")?,
             },
-            7 => {
-                let controller_pub = d.ubig("controller pub")?;
-                let n = d.u32("blob count")? as usize;
-                if n > 1_000_000 {
-                    return Err(DecodeError {
-                        context: "blob count",
-                    });
-                }
-                let mut blobs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let m = d.u32("blob member")? as ClientId;
-                    let b = d.bytes("blob")?.to_vec();
-                    blobs.push((m, b));
-                }
-                ProtocolMsg::CkdKeyDist {
-                    controller_pub,
-                    blobs,
-                }
-            }
+            7 => ProtocolMsg::CkdKeyDist {
+                controller_pub: d.ubig("controller pub")?,
+                blobs: d.list("blob count", |d| {
+                    Ok((d.u32("blob member")? as ClientId, d.bytes("blob")?.to_vec()))
+                })?,
+            },
             8 => ProtocolMsg::BdRound1 { z: d.ubig("z")? },
             9 => ProtocolMsg::BdRound2 { x: d.ubig("x")? },
             10 => ProtocolMsg::TgdhTree {
@@ -265,36 +259,11 @@ impl ProtocolMsg {
             12 => ProtocolMsg::KeyConfirm {
                 digest: d.bytes("confirm digest")?.to_vec(),
             },
-            11 => {
-                let n = d.u32("member count")? as usize;
-                if n > 1_000_000 {
-                    return Err(DecodeError {
-                        context: "member count",
-                    });
-                }
-                let mut members = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    members.push(d.u32("member")? as ClientId);
-                }
-                let mut lists: [Vec<Option<Ubig>>; 2] = [Vec::new(), Vec::new()];
-                for list in &mut lists {
-                    let len = d.u32("bkey list len")? as usize;
-                    if len > 1_000_000 {
-                        return Err(DecodeError {
-                            context: "bkey list len",
-                        });
-                    }
-                    for _ in 0..len {
-                        list.push(d.opt_ubig("bkey")?);
-                    }
-                }
-                let [leaf_bkeys, internal_bkeys] = lists;
-                ProtocolMsg::StrTree {
-                    members,
-                    leaf_bkeys,
-                    internal_bkeys,
-                }
-            }
+            11 => ProtocolMsg::StrTree {
+                members: d.list("member count", |d| Ok(d.u32("member")? as ClientId))?,
+                leaf_bkeys: d.list("bkey list len", |d| d.opt_ubig("bkey"))?,
+                internal_bkeys: d.list("bkey list len", |d| d.opt_ubig("bkey"))?,
+            },
             _ => {
                 return Err(DecodeError {
                     context: "message tag",
@@ -369,9 +338,43 @@ mod tests {
 
     #[test]
     fn absurd_counts_rejected() {
-        // tag 4 with a huge claimed count must fail fast, not OOM.
-        let mut e = Enc::new();
-        e.u8(4).u32(u32::MAX);
-        assert!(ProtocolMsg::decode(&e.finish()).is_err());
+        // Every list's claimed count past the cap fails fast, naming the
+        // count, instead of reading (or allocating for) its items. The
+        // lists are empty; `at` is where a count sits.
+        let str_tree = ProtocolMsg::StrTree {
+            members: vec![],
+            leaf_bkeys: vec![],
+            internal_bkeys: vec![],
+        };
+        let invite = ProtocolMsg::CkdInvite {
+            controller_pub: u(16),
+            invited: vec![],
+        };
+        let dist = ProtocolMsg::CkdKeyDist {
+            controller_pub: u(18),
+            blobs: vec![],
+        };
+        let cases = [
+            (
+                ProtocolMsg::GdhPartialKeys { entries: vec![] },
+                1,
+                "entry count",
+            ),
+            (invite, 6, "invited count"),
+            (dist, 6, "blob count"),
+            (str_tree.clone(), 1, "member count"),
+            (str_tree.clone(), 5, "bkey list len"),
+            (str_tree, 9, "bkey list len"),
+        ];
+        for (msg, at, context) in cases {
+            let wire = msg.encode();
+            assert_eq!(wire[at..at + 4], [0; 4], "{context} sits at {at}");
+            for count in [1_000_001u32, u32::MAX] {
+                let mut claim = wire[..at].to_vec();
+                claim.extend(count.to_be_bytes());
+                let got = ProtocolMsg::decode(&claim);
+                assert_eq!(got, Err(DecodeError { context }), "{count}");
+            }
+        }
     }
 }

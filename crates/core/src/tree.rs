@@ -371,16 +371,13 @@ impl KeyTree {
     /// members and blinded keys. Two members holding subtrees with the
     /// same fingerprint hold the same (sub)group state, so cached keys
     /// can be reused.
-    pub fn fingerprint(&self, idx: NodeIdx) -> [u8; 32] {
-        self.fingerprint_once(idx, &mut Fingerprints::default())
-    }
-
-    /// [`KeyTree::fingerprint`] through a table that hashes each node
-    /// at most once — for a caller that asks about many nodes of a
-    /// tree whose leaves it does not change in between. A walk up one
-    /// path asks about every node on it, and from scratch each answer
-    /// re-hashes everything below: quadratic in the depth, and a
-    /// skinny tree is as deep as the group is large.
+    ///
+    /// `seen` hashes each node at most once — for a caller that asks
+    /// about many nodes of a tree whose leaves it does not change in
+    /// between. A walk up one path asks about every node on it, and
+    /// from scratch each answer re-hashes everything below: quadratic
+    /// in the depth, and a skinny tree is as deep as the group is
+    /// large.
     pub fn fingerprint_once(&self, idx: NodeIdx, seen: &mut Fingerprints) -> [u8; 32] {
         seen.0.resize(self.nodes.len(), None);
         let mut todo = vec![idx];
@@ -664,6 +661,10 @@ mod tests {
         Some(Ubig::from(v))
     }
 
+    fn root_fingerprint(tree: &KeyTree) -> [u8; 32] {
+        tree.fingerprint_once(tree.root(), &mut Fingerprints::default())
+    }
+
     fn tree_of(members: &[ClientId]) -> KeyTree {
         let mut t = KeyTree::singleton(members[0], None, bk(members[0] as u64 + 100));
         for &m in &members[1..] {
@@ -750,7 +751,7 @@ mod tests {
         let b = build();
         assert_eq!(a.members(), b.members());
         assert_eq!(a.members(), vec![0, 2, 3, 5, 7]);
-        assert_eq!(a.fingerprint(a.root()), b.fingerprint(b.root()));
+        assert_eq!(root_fingerprint(&a), root_fingerprint(&b));
     }
 
     #[test]
@@ -783,7 +784,7 @@ mod tests {
         let back = KeyTree::decode(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(back.members(), t.members());
-        assert_eq!(back.fingerprint(back.root()), t.fingerprint(t.root()));
+        assert_eq!(root_fingerprint(&back), root_fingerprint(&t));
         // Empty tree.
         let mut enc = Enc::new();
         KeyTree::new().encode(&mut enc);
@@ -893,17 +894,17 @@ mod tests {
         let a = build();
         let b = build();
         assert_eq!(a.members(), b.members());
-        assert_eq!(a.fingerprint(a.root()), b.fingerprint(b.root()));
+        assert_eq!(root_fingerprint(&a), root_fingerprint(&b));
     }
 
     #[test]
     fn fingerprint_tracks_bkey_changes() {
         let t1 = tree_of(&[0, 1, 2]);
         let mut t2 = t1.clone();
-        let f1 = t1.fingerprint(t1.root());
-        assert_eq!(f1, t2.fingerprint(t2.root()));
+        let f1 = root_fingerprint(&t1);
+        assert_eq!(f1, root_fingerprint(&t2));
         let leaf = t2.leaf_of(1).unwrap();
         t2.node_mut(leaf).bkey = bk(999);
-        assert_ne!(f1, t2.fingerprint(t2.root()));
+        assert_ne!(f1, root_fingerprint(&t2));
     }
 }

@@ -26,7 +26,7 @@ fn harness(avl: bool, n: usize, pool: usize) -> Loopback {
         if avl {
             Box::new(Tgdh::new_avl())
         } else {
-            Box::new(Tgdh::new())
+            Box::<Tgdh>::default()
         }
     };
     let mut lb = Loopback::with_factory(factory, CryptoSuite::fast_zero(), &ids);

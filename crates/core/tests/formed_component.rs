@@ -154,9 +154,6 @@ impl GkaProtocol for Counting {
     ) -> Result<(), GkaError> {
         self.inner.on_msg(ctx, sender, msg)
     }
-    fn group_secret(&self) -> Option<&Ubig> {
-        self.inner.group_secret()
-    }
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         self.formed.set(self.formed.get() + 1);
         self.inner.component(suite, members, seed)

@@ -3,8 +3,10 @@
 //! four sites, a member's secret is read in the two functions that
 //! decide agreement, a protocol message is signed, verified and
 //! counted only in `protocols/mod.rs` (`GkaCtx::send` and
-//! `GkaCtx::receive`), only `SecureMember` builds a `GkaCtx`, and no
-//! transport stands between a protocol and its member's `ClientCtx`.
+//! `GkaCtx::receive`), no engine keeps or reports a key and only a
+//! protocol handler establishes one, only `SecureMember` builds a
+//! `GkaCtx`, and no transport stands between a protocol and its
+//! member's `ClientCtx`.
 //! `#[cfg(test)]` items (always the tail of a file here) are not looked
 //! at, except by the last two checks.
 
@@ -171,5 +173,33 @@ fn protocols_send_through_the_client_ctx() {
         core_files_with("Transport"),
         Vec::<String>::new(),
         "a protocol sends through the member's `ClientCtx`, not a transport"
+    );
+}
+
+#[test]
+fn engines_keep_no_key_and_only_protocols_establish_one() {
+    // `component.rs` holds the formed components' keys until adopted.
+    for (name, code) in sources("core") {
+        if !name.starts_with("core/protocols/") || name == "core/protocols/component.rs" {
+            continue;
+        }
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            assert!(!line.contains("secret:"), "{name}: an engine keeps no key");
+            assert!(
+                !line.contains("fn group_secret"),
+                "{name}: an engine reports no key"
+            );
+        }
+    }
+    let establishing: Vec<String> = sources("core")
+        .into_iter()
+        .chain(sources("bench"))
+        .filter(|(name, code)| code.contains("establish(") && !name.starts_with("core/protocols/"))
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(
+        establishing,
+        Vec::<String>::new(),
+        "a key comes into being in a protocol handler, through `GkaCtx::establish`"
     );
 }

@@ -1,6 +1,6 @@
 //! HMAC (RFC 2104), generic over the [`Digest`] in use.
 
-use crate::sha::{Digest, Sha1, Sha256};
+use crate::sha::{Digest, Sha256};
 
 /// Computes `HMAC(key, data)` for any [`Digest`].
 ///
@@ -35,11 +35,6 @@ pub fn hmac<D: Digest>(key: &[u8], data: &[u8]) -> Vec<u8> {
 /// HMAC-SHA-256 convenience wrapper.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Vec<u8> {
     hmac::<Sha256>(key, data)
-}
-
-/// HMAC-SHA-1 convenience wrapper.
-pub fn hmac_sha1(key: &[u8], data: &[u8]) -> Vec<u8> {
-    hmac::<Sha1>(key, data)
 }
 
 /// Constant-time byte comparison for MAC / tag verification.
@@ -100,12 +95,6 @@ mod tests {
             hex(&mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
-    }
-
-    #[test]
-    fn rfc2202_case1_sha1() {
-        let mac = hmac_sha1(&[0x0b; 20], b"Hi There");
-        assert_eq!(hex(&mac), "b617318655057264e28bc0b6fb378c8ef146be00");
     }
 
     #[test]

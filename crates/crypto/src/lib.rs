@@ -3,7 +3,7 @@
 //! Stands in for the OpenSSL layer beneath the original Cliques toolkit.
 //! Everything is implemented from scratch on top of [`gkap_bignum`]:
 //!
-//! * [`sha`] — SHA-1 and SHA-256 (FIPS 180).
+//! * [`sha`] — SHA-256 (FIPS 180).
 //! * [`hmac`] — HMAC (RFC 2104) over either hash.
 //! * [`aes`] — AES-128 (FIPS 197) with CTR mode for the data
 //!   confidentiality layer of the secure group session.

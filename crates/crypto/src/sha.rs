@@ -1,5 +1,5 @@
-//! SHA-1 and SHA-256 (FIPS 180-4), plus a small [`Digest`] abstraction
-//! so HMAC and the signature layer can be generic over the hash.
+//! SHA-256 (FIPS 180-4), plus a small [`Digest`] abstraction so HMAC
+//! and the signature layer can be generic over the hash.
 
 /// A streaming cryptographic hash function.
 ///
@@ -15,7 +15,7 @@
 pub trait Digest: Default + Clone {
     /// Digest length in bytes.
     const OUTPUT_LEN: usize;
-    /// Internal block length in bytes (64 for both SHA-1 and SHA-256).
+    /// Internal block length in bytes (64 for SHA-256).
     const BLOCK_LEN: usize;
 
     /// Creates a fresh hasher.
@@ -161,112 +161,6 @@ impl Digest for Sha256 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SHA-1
-// ---------------------------------------------------------------------------
-
-/// SHA-1 hasher.
-///
-/// Kept for period fidelity (the 2002 toolchain used SHA-1); new code in
-/// this workspace uses [`Sha256`].
-#[derive(Clone, Debug)]
-pub struct Sha1 {
-    state: [u32; 5],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
-}
-
-impl Default for Sha1 {
-    fn default() -> Self {
-        Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: 0,
-        }
-    }
-}
-
-impl Sha1 {
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5a827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let t = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = t;
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
-            *s = s.wrapping_add(v);
-        }
-    }
-}
-
-impl Digest for Sha1 {
-    const OUTPUT_LEN: usize = 20;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            // Reaching here with a leftover means the buffer was flushed
-            // above (or was empty), so this write starts a fresh buffer.
-            debug_assert!(self.buf_len == 0 || self.buf_len == 64);
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        self.state.iter().flat_map(|s| s.to_be_bytes()).collect()
-    }
-}
-
 /// Hex-encodes a byte slice (test/diagnostic helper).
 pub fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -333,35 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn sha1_fips_vectors() {
-        assert_eq!(
-            hex(&Sha1::digest(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-    }
-
-    #[test]
-    fn sha1_streaming_matches_oneshot() {
-        let data: Vec<u8> = (0..=200u8).collect();
-        let mut h = Sha1::new();
-        h.update(&data[..77]);
-        h.update(&data[77..]);
-        assert_eq!(h.finalize(), Sha1::digest(&data));
-    }
-
-    #[test]
     fn digests_differ_on_different_input() {
         assert_ne!(Sha256::digest(b"x"), Sha256::digest(b"y"));
-        assert_ne!(Sha1::digest(b"x"), Sha1::digest(b"y"));
     }
 }

@@ -186,11 +186,6 @@ impl<'a> ClientCtx<'a> {
     pub fn unicast_fifo(&mut self, to: ClientId, payload: impl Into<Bytes>) {
         self.send(Service::Fifo, Dest::One(to), payload.into());
     }
-
-    /// Sends a FIFO multicast (unordered relative to Agreed traffic).
-    pub fn multicast_fifo(&mut self, payload: impl Into<Bytes>) {
-        self.send(Service::Fifo, Dest::All, payload.into());
-    }
 }
 
 #[cfg(test)]
@@ -215,8 +210,7 @@ mod tests {
         ctx.multicast_agreed(vec![1]);
         ctx.unicast_fifo(3, vec![2]);
         ctx.unicast_agreed(4, vec![3]);
-        ctx.multicast_fifo(vec![4]);
-        assert_eq!(ctx.outgoing.len(), 4);
+        assert_eq!(ctx.outgoing.len(), 3);
         assert_eq!(ctx.outgoing[0].service, Service::Agreed);
         assert_eq!(ctx.outgoing[0].dest, Dest::All);
         assert_eq!(ctx.outgoing[1].service, Service::Fifo);
@@ -226,7 +220,7 @@ mod tests {
         assert_eq!(ctx.view_id(), 2);
         let sent = ctx.into_sent();
         assert!(sent.iter().all(|d| d.sender == 7 && d.view_id == 2));
-        assert_eq!(sent[3].payload.as_ref(), [4]);
+        assert_eq!(sent[2].payload.as_ref(), [3]);
     }
 
     #[test]

@@ -99,7 +99,8 @@ impl GeChain {
 
     /// Advances the chain to `now` and reports whether it is in the
     /// bad (bursty) state.
-    pub fn in_bad_state_at(&mut self, now: SimTime) -> bool {
+    #[cfg(test)]
+    fn in_bad_state_at(&mut self, now: SimTime) -> bool {
         self.advance(now);
         self.bad
     }

@@ -212,3 +212,37 @@ fn heal_skips_members_on_crashed_machines() {
     assert!(members.contains(&1));
     assert!(!members.contains(&2));
 }
+
+/// A fault that changes no membership delivers no view: a crash of a
+/// daemon that hosts no member, a heal of a member already present and
+/// a partition of a non-member are all skipped, so every view after
+/// the initial one has a joiner or a leaver. A key agreement engine
+/// relies on it: it re-keys on `joined` and `left`, and has nothing to
+/// do on a view that names neither.
+#[test]
+fn a_fault_that_changes_no_membership_delivers_no_view() {
+    let at = Duration::from_millis;
+    let mut world = SimWorld::new(testbed::lan());
+    for _ in 0..12 {
+        world.add_client(Box::new(Chatty::default()));
+    }
+    // Clients 6..12 sit on their own machines, outside the group.
+    world.install_initial_view_of((0..6).collect());
+    world.run_until_quiescent();
+    world.apply_fault_plan(
+        FaultPlan::new()
+            .crash(at(1), 9)
+            .heal(at(2), vec![2])
+            .partition(at(3), vec![10])
+            .partition(at(40), vec![3])
+            .heal(at(80), vec![3]),
+    );
+    world.run_until_quiescent();
+    assert!(!world.daemon_alive(9));
+    let changes: Vec<(Vec<usize>, Vec<usize>)> = world.views_of(0)[1..]
+        .iter()
+        .map(|v| (v.joined.clone(), v.left.clone()))
+        .collect();
+    assert_eq!(changes, [(vec![], vec![3]), (vec![3], vec![])]);
+    assert_eq!(world.client::<Chatty>(0).views, vec![1, 2, 3]);
+}

@@ -94,19 +94,6 @@ impl CpuScheduler {
     pub fn busy_total(&self) -> Duration {
         self.busy_total
     }
-
-    /// The earliest instant at which some core is idle.
-    pub fn next_idle(&self) -> SimTime {
-        self.cores.iter().copied().min().expect("at least one core")
-    }
-
-    /// Resets all cores to idle-at-zero (between experiment repetitions).
-    pub fn reset(&mut self) {
-        for c in &mut self.cores {
-            *c = SimTime::ZERO;
-        }
-        self.busy_total = Duration::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -152,18 +139,6 @@ mod tests {
         let ready = SimTime::ZERO + ms(1);
         assert_eq!(cpu.run(ready, Duration::ZERO), ready);
         assert_eq!(cpu.busy_total(), ms(50));
-    }
-
-    #[test]
-    fn next_idle_and_reset() {
-        let mut cpu = CpuScheduler::new(2);
-        cpu.run(SimTime::ZERO, ms(4));
-        assert_eq!(cpu.next_idle(), SimTime::ZERO);
-        cpu.run(SimTime::ZERO, ms(6));
-        assert_eq!(cpu.next_idle(), SimTime::ZERO + ms(4));
-        cpu.reset();
-        assert_eq!(cpu.next_idle(), SimTime::ZERO);
-        assert_eq!(cpu.busy_total(), Duration::ZERO);
     }
 
     #[test]

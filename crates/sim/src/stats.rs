@@ -198,11 +198,6 @@ impl Figure {
         self.series.push(series);
     }
 
-    /// Looks up a series by name.
-    pub fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
     /// Full CSV rendering with a header row.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("series,x,mean_ms,stddev_ms,min_ms,max_ms\n");
@@ -338,8 +333,6 @@ mod tests {
         assert!(table.contains("BD"));
         assert!(table.contains("CKD"));
         assert!(table.contains('-'), "missing point rendered as dash");
-        assert!(fig.series_named("BD").is_some());
-        assert!(fig.series_named("STR").is_none());
         let csv = fig.to_csv();
         assert!(csv.starts_with("series,x,"));
     }

@@ -14,7 +14,7 @@
 //! | layer | crate | contents |
 //! |-------|-------|----------|
 //! | [`bignum`] | `gkap-bignum` | arbitrary-precision modular arithmetic |
-//! | [`crypto`] | `gkap-crypto` | DH groups, RSA, SHA-1/256, HMAC, AES-CTR |
+//! | [`crypto`] | `gkap-crypto` | DH groups, RSA, SHA-256, HMAC, AES-CTR |
 //! | [`sim`] | `gkap-sim` | discrete-event core, CPU model, statistics |
 //! | [`gcs`] | `gkap-gcs` | token-ring total order + membership |
 //! | [`core`](mod@core) | `gkap-core` | the five protocols, secure sessions, experiments |
