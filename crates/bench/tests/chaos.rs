@@ -1,6 +1,7 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
 //! replays identically, the failures over seeds 1..=40 only shrink
-//! and no view in them changes no membership, and the schedule
+//! and no view in them changes no membership, DESIGN.md's two restart
+//! reproducers keep their pinned outcomes, and the schedule
 //! minimizer — demonstrated on an intentionally broken protocol
 //! driver — reduces a failing schedule to its smallest reproduction.
 
@@ -41,62 +42,29 @@ fn pinned_campaign_passes_and_replays_identically() {
 }
 
 /// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
-/// for N in 1..=40, that violates an invariant today: GDH 41, TGDH 2,
-/// STR 2 (DESIGN.md §21 and §23 name the two causes). A ratchet, not
-/// a blessing: a new failure fails the test, and so does a fixed one
-/// until it is struck from the list.
-const KNOWN_FAILING: [(u64, u64, &str); 45] = [
-    (1, 2, "GDH"),
+/// for N in 1..=40, that violates an invariant today: GDH 8, TGDH 2,
+/// STR 2 (DESIGN.md §29 has the GDH runs' minimized schedules, §23 the
+/// tree engines' cause). A ratchet, not a blessing: a new failure fails
+/// the test, and so does a fixed one until it is struck from the list.
+const KNOWN_FAILING: [(u64, u64, &str); 12] = [
     (1, 2, "STR"),
-    (1, 6, "GDH"),
-    (3, 3, "GDH"),
     (3, 5, "GDH"),
     (3, 7, "GDH"),
     (4, 1, "GDH"),
-    (4, 3, "GDH"),
-    (5, 1, "GDH"),
-    (5, 7, "GDH"),
-    (8, 1, "GDH"),
-    (8, 2, "GDH"),
-    (8, 4, "GDH"),
-    (8, 6, "GDH"),
-    (10, 7, "GDH"),
     (11, 0, "GDH"),
-    (13, 3, "GDH"),
-    (14, 3, "GDH"),
-    (15, 4, "GDH"),
-    (16, 1, "GDH"),
     (16, 3, "GDH"),
-    (16, 4, "GDH"),
-    (16, 7, "GDH"),
-    (17, 4, "GDH"),
     (19, 3, "GDH"),
     (19, 3, "TGDH"),
     (19, 3, "STR"),
-    (19, 7, "GDH"),
-    (20, 1, "GDH"),
-    (20, 2, "GDH"),
-    (20, 6, "GDH"),
     (23, 1, "TGDH"),
-    (23, 6, "GDH"),
-    (24, 1, "GDH"),
-    (26, 1, "GDH"),
-    (26, 2, "GDH"),
     (30, 2, "GDH"),
-    (31, 0, "GDH"),
-    (32, 2, "GDH"),
-    (32, 5, "GDH"),
-    (32, 6, "GDH"),
-    (34, 0, "GDH"),
-    (37, 0, "GDH"),
-    (37, 5, "GDH"),
     (40, 1, "GDH"),
 ];
 
 /// Delegates to a real protocol engine and panics on a view that
-/// changes no membership. An engine re-keys on a view's `joined` and
-/// `left`, so such a view would leave its member without a key; the
-/// ratchet's runs show that none reaches one.
+/// changes no membership. GDH, STR, BD and CKD re-key on one as a
+/// refresh, but TGDH finds no node to refresh and errors; the
+/// ratchet's runs show that none reaches an engine.
 struct ChangesMembership(Box<dyn GkaProtocol>);
 
 impl GkaProtocol for ChangesMembership {
@@ -145,34 +113,86 @@ fn chaos_failures_over_forty_seeds_only_shrink() {
         let checked = Box::new(ChangesMembership(kind.create()));
         SecureMember::with_protocol(checked, Rc::clone(&suite), 900 + i as u64, Some(17))
     };
-    let mut failing = Vec::new();
+    // Every triple that moved, with its schedule: one run lists them all.
+    let (mut new, mut fixed) = (Vec::new(), Vec::new());
     for seed in 1..=40 {
         for run in 0..8 {
             let schedule = generate_schedule(seed, run, &cfg);
             for kind in ProtocolKind::all() {
-                let report = run_schedule(kind, &cfg, &schedule, &factory);
-                if report.passed() {
-                    continue;
-                }
                 let triple = (seed, run, kind.name());
-                assert!(
-                    KNOWN_FAILING.contains(&triple),
-                    "new chaos failure {triple:?}: {:?}\nschedule:\n{}",
-                    report.violations,
-                    render_schedule(&schedule)
-                );
-                failing.push(triple);
+                let report = run_schedule(kind, &cfg, &schedule, &factory);
+                let shown = render_schedule(&schedule);
+                match (report.violations.first(), KNOWN_FAILING.contains(&triple)) {
+                    (Some(first), false) => new.push(format!("{triple:?}: {first}\n{shown}")),
+                    (None, true) => fixed.push(format!("{triple:?}\n{shown}")),
+                    _ => {}
+                }
             }
         }
     }
-    let fixed: Vec<_> = KNOWN_FAILING
-        .iter()
-        .filter(|t| !failing.contains(t))
-        .collect();
     assert!(
-        fixed.is_empty(),
-        "these now pass; strike them from KNOWN_FAILING: {fixed:?}"
+        new.is_empty() && fixed.is_empty(),
+        "{} new chaos failures:\n{}\n{} now pass; strike them from KNOWN_FAILING:\n{}",
+        new.len(),
+        new.join("\n"),
+        fixed.len(),
+        fixed.join("\n")
     );
+}
+
+/// The invariant violations `faults` leave under `kind`, with
+/// `default_factory`'s members.
+fn violations(kind: ProtocolKind, faults: &[(u64, Fault)]) -> Vec<String> {
+    let schedule: Vec<PlannedFault> = faults
+        .iter()
+        .map(|(ms, fault)| PlannedFault {
+            after: Duration::from_millis(*ms),
+            fault: fault.clone(),
+        })
+        .collect();
+    let cfg = ChaosConfig::default();
+    run_schedule(kind, &cfg, &schedule, &default_factory()).violations
+}
+
+/// DESIGN.md §21's reproducer. The heal of 9 installs first (view 2,
+/// `joined [9]`); the crash's eviction of 6 supersedes that merge (view
+/// 3, `left [6]`). GDH reads the leave against what each member last
+/// keyed, so 9 is still new and `0..=5` re-key and merge it in. STR is
+/// still open: 5 and 9 end view 3 unkeyed.
+#[test]
+fn a_crash_evicting_a_member_mid_merge_still_keys_gdh() {
+    let faults = [
+        (6, Fault::Crash { daemon: 6 }),
+        (8, Fault::Heal { members: vec![9] }),
+    ];
+    assert_eq!(violations(ProtocolKind::Gdh, &faults), Vec::<String>::new());
+    assert_eq!(
+        violations(ProtocolKind::Str, &faults),
+        [
+            "key convergence: member 5 has no key for view 3",
+            "key convergence: member 9 has no key for view 3",
+        ],
+        "STR: open"
+    );
+}
+
+/// DESIGN.md §23's reproducer, still open: 7 joins (view 2), then its
+/// daemon crashes before the merge assembles (view 3, `left [7]`). A
+/// pure-leave view does not clear `TreeGka::merging`, so the tree
+/// engines leave 6, the refresher, unkeyed.
+#[test]
+fn a_joiner_crashing_mid_merge_leaves_the_tree_refresher_unkeyed() {
+    let faults = [
+        (1, Fault::Heal { members: vec![7] }),
+        (12, Fault::Crash { daemon: 7 }),
+    ];
+    for kind in [ProtocolKind::Tgdh, ProtocolKind::Str] {
+        assert_eq!(
+            violations(kind, &faults),
+            ["key convergence: member 6 has no key for view 3"],
+            "{kind}: open"
+        );
+    }
 }
 
 /// Delegates to a real protocol engine but, from the first view that

@@ -14,17 +14,20 @@
 //!        │
 //!  SecureMember   — a gkap-gcs Client and the only host of a protocol
 //!        │          engine: filters epochs, keeps one record per epoch
-//!        │          (view, key, completion time), restarts superseded
-//!        │          agreements; the only holder of the group key
+//!        │          (view and its members, key, completion time) and
+//!        │          the membership it last keyed, restarts superseded
+//!        │          agreements; the only holder of the group key and
+//!        │          of membership
 //!        │
 //!  GkaCtx         — the protocol runtime over the handler's ClientCtx:
 //!        │          the one place a message is signed, verified
 //!        │          (every peer group element checked), counted,
 //!        │          charged and traced, and `establish` the one place
-//!        │          a key comes into being
+//!        │          a key comes into being; `members` and
+//!        │          `keyed_members` lend a handler the member's lists
 //!        │
 //!  protocols::*   — GDH, CKD, TGDH, STR, BD state machines: protocol
-//!        │          state only, no key
+//!        │          state only, no key and no member list
 //!        │
 //!  CryptoSuite    — DH group + signature scheme + cost model
 //! ```

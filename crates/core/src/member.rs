@@ -11,6 +11,11 @@
 //! [`GkaCtx::establish`] goes into the current epoch's record; an
 //! adopted component's key is held until the next view.
 //!
+//! It is the only holder of membership, too: each epoch's record keeps
+//! its view's members, and the member keeps the membership it last
+//! keyed. An engine reads both through [`GkaCtx::members`] and
+//! [`GkaCtx::keyed_members`].
+//!
 //! It is the only host of a protocol engine: a simulated world drives
 //! it through [`Client`], and so does the in-memory
 //! [`crate::testkit::Loopback`], with detached contexts.
@@ -67,6 +72,8 @@ pub const MAX_RESTARTS: u64 = 16;
 /// order; view ids are unique, so the epoch names the record.
 struct EpochRecord {
     epoch: u64,
+    /// The view's members, in view order.
+    members: Vec<ClientId>,
     /// When the view was delivered.
     view_at: SimTime,
     /// The group secret, once established.
@@ -101,6 +108,10 @@ pub struct SecureMember {
     /// One record per delivered view, oldest first (push-only; the
     /// last is the current epoch).
     epochs: Vec<EpochRecord>,
+    /// The membership this member last keyed: the members of its last
+    /// converged epoch or, on a view that admits it (or its first
+    /// view), the members that view does not admit.
+    keyed: Vec<ClientId>,
     /// Index into `epochs` of the key awaiting its CPU-completion
     /// stamp.
     awaiting_stamp: Option<usize>,
@@ -162,6 +173,7 @@ impl SecureMember {
             adopted: None,
             pending: Vec::new(),
             epochs: Vec::new(),
+            keyed: Vec::new(),
             awaiting_stamp: None,
             confirm_keys: false,
             error: None,
@@ -307,7 +319,9 @@ impl SecureMember {
     }
 
     /// Runs `f` on the protocol engine with this member's [`GkaCtx`]
-    /// for the current epoch, whose record receives an established key.
+    /// for the current epoch: it reads the epoch's members and the
+    /// keyed membership, and the epoch's record receives an
+    /// established key.
     fn with_gka<R>(
         &mut self,
         ctx: &mut ClientCtx<'_>,
@@ -315,9 +329,9 @@ impl SecureMember {
     ) -> R {
         let epoch = self.epoch();
         let mut no_view = None;
-        let key = match self.epochs.last_mut() {
-            Some(rec) => &mut rec.secret,
-            None => &mut no_view,
+        let (key, members) = match self.epochs.last_mut() {
+            Some(rec) => (&mut rec.secret, rec.members.as_slice()),
+            None => (&mut no_view, [].as_slice()),
         };
         let mut gka = GkaCtx {
             epoch,
@@ -327,6 +341,8 @@ impl SecureMember {
             rng: &mut self.rng,
             telemetry: &self.telemetry,
             key,
+            members,
+            keyed: &self.keyed,
         };
         f(self.protocol.as_mut(), &mut gka)
     }
@@ -341,8 +357,9 @@ impl SecureMember {
     }
 
     /// Converges a running agreement whose epoch a handler has just
-    /// keyed: stamps the key, settles early confirmations and sends
-    /// this member's own.
+    /// keyed: its members become the keyed membership, and it stamps
+    /// the key, settles early confirmations and sends this member's
+    /// own.
     fn after_handler(&mut self, ctx: &mut ClientCtx<'_>) {
         if self.phase != AgreementPhase::Running {
             return; // converged already, or nothing to converge
@@ -358,6 +375,7 @@ impl SecureMember {
             .confirm_keys
             .then(|| Self::confirm_digest(epoch, secret.expose()));
         let early = std::mem::take(&mut rec.early_confirms);
+        self.keyed.clone_from(&rec.members);
         self.awaiting_stamp = Some(self.epochs.len() - 1);
         self.phase = AgreementPhase::Converged;
         self.restarts = 0;
@@ -426,16 +444,25 @@ impl Client for SecureMember {
             }
         }
 
+        // A member the view admits, or one seeing its first view, keys
+        // nothing yet: the group it enters is the view's members but
+        // those it admits.
+        let admitted = view.joined.contains(&ctx.id());
+        if admitted || self.epochs.is_empty() {
+            let old = view.members.iter().filter(|m| !view.joined.contains(m));
+            self.keyed = old.copied().collect();
+        }
         // Rejoin after a partition healed: this member merges back as
         // a fresh singleton — stale keys from before the partition
         // must not leak into the new agreement.
-        if view.joined.contains(&ctx.id()) && !self.epochs.is_empty() {
+        if admitted && !self.epochs.is_empty() {
             self.protocol.reset();
             self.pending.clear();
         }
 
         self.epochs.push(EpochRecord {
             epoch: view.id,
+            members: view.members.clone(),
             view_at: ctx.now(),
             secret: None,
             completed_at: None,

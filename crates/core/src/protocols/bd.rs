@@ -26,37 +26,39 @@ use crate::suite::CryptoSuite;
 /// BD protocol engine for one member.
 #[derive(Default)]
 pub struct Bd {
-    members: Vec<ClientId>,
     my_r: Option<Ubig>,
     z: BTreeMap<ClientId, Ubig>,
     x: BTreeMap<ClientId, Ubig>,
     sent_round2: bool,
 }
 
+/// Where `m` stands in the ring of `members`.
+fn position(members: &[ClientId], m: ClientId) -> Result<usize, GkaError> {
+    members
+        .iter()
+        .position(|&x| x == m)
+        .ok_or(GkaError::Protocol("member not in view"))
+}
+
+/// The member `offset` places from position `pos` around the ring of
+/// `members`.
+fn neighbour(members: &[ClientId], pos: usize, offset: isize) -> ClientId {
+    let n = members.len().max(1) as isize;
+    let idx = ((pos as isize + offset) % n + n) % n;
+    members.get(idx as usize).copied().unwrap_or(0)
+}
+
 impl Bd {
-    fn position(&self, m: ClientId) -> Result<usize, GkaError> {
-        self.members
-            .iter()
-            .position(|&x| x == m)
-            .ok_or(GkaError::Protocol("member not in view"))
-    }
-
-    fn neighbour(&self, pos: usize, offset: isize) -> ClientId {
-        let n = self.members.len().max(1) as isize;
-        let idx = ((pos as isize + offset) % n + n) % n;
-        self.members.get(idx as usize).copied().unwrap_or(0)
-    }
-
     /// Round 2 once all z values are present.
     fn maybe_round2(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        if self.sent_round2 || self.z.len() < self.members.len() {
+        if self.sent_round2 || self.z.len() < ctx.members().len() {
             return Ok(());
         }
         ctx.mark_round("BD", 2);
         let me = ctx.me();
-        let pos = self.position(me)?;
-        let next = self.neighbour(pos, 1);
-        let prev = self.neighbour(pos, -1);
+        let pos = position(ctx.members(), me)?;
+        let next = neighbour(ctx.members(), pos, 1);
+        let prev = neighbour(ctx.members(), pos, -1);
         let z_next = self
             .z
             .get(&next)
@@ -88,13 +90,14 @@ impl Bd {
 
     /// Key assembly once all X values are present.
     fn maybe_finish(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        let n = self.members.len();
+        let n = ctx.members().len();
         if self.x.len() < n || self.z.len() < n || ctx.established() {
             return Ok(());
         }
+        let members = ctx.members().to_vec();
         let me = ctx.me();
-        let pos = self.position(me)?;
-        let prev = self.neighbour(pos, -1);
+        let pos = position(&members, me)?;
+        let prev = neighbour(&members, pos, -1);
         let r = self
             .my_r
             .clone()
@@ -111,7 +114,7 @@ impl Bd {
         // Multiply X_{i+j}^{n-1-j} for j = 0..n-1 (the last factor has
         // exponent 1 — a plain multiplication).
         for j in 0..(n.saturating_sub(1)) {
-            let m = self.neighbour(pos, j as isize);
+            let m = neighbour(&members, pos, j as isize);
             let exp = (n - 1 - j) as u64;
             let xv = self
                 .x
@@ -137,7 +140,6 @@ impl GkaProtocol for Bd {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         // Identical handling for every membership event.
-        self.members = view.members.clone();
         self.z.clear();
         self.x.clear();
         self.sent_round2 = false;
@@ -146,7 +148,7 @@ impl GkaProtocol for Bd {
         let z = ctx.exp_g(&r);
         self.my_r = Some(r.clone());
         self.z.insert(ctx.me(), z.clone());
-        if self.members.len() == 1 {
+        if view.members.len() == 1 {
             // Degenerate single-member group: K = g^{r·r}.
             let q = ctx.suite.group().order();
             let e = r.modmul(&r, q);
@@ -167,14 +169,14 @@ impl GkaProtocol for Bd {
     ) -> Result<(), GkaError> {
         match msg {
             ProtocolMsg::BdRound1 { z } => {
-                if !self.members.contains(&sender) {
+                if !ctx.members().contains(&sender) {
                     return Err(GkaError::UnexpectedMessage("BD z from non-member"));
                 }
                 self.z.insert(sender, z);
                 self.maybe_round2(ctx)
             }
             ProtocolMsg::BdRound2 { x } => {
-                if !self.members.contains(&sender) {
+                if !ctx.members().contains(&sender) {
                     return Err(GkaError::UnexpectedMessage("BD X from non-member"));
                 }
                 self.x.insert(sender, x);
@@ -202,7 +204,6 @@ impl GkaProtocol for Bd {
             return Err(FOREIGN_COMPONENT);
         };
         self.my_r = Some(component.exponent_of(me)?.clone());
-        self.members = component.members().to_vec();
         Ok(())
     }
 
@@ -226,13 +227,10 @@ mod tests {
 
     #[test]
     fn neighbour_wraps_around() {
-        let p = Bd {
-            members: vec![10, 20, 30],
-            ..Bd::default()
-        };
-        assert_eq!(p.neighbour(0, -1), 30);
-        assert_eq!(p.neighbour(2, 1), 10);
-        assert_eq!(p.neighbour(1, 1), 30);
+        let ring = [10, 20, 30];
+        assert_eq!(neighbour(&ring, 0, -1), 30);
+        assert_eq!(neighbour(&ring, 2, 1), 10);
+        assert_eq!(neighbour(&ring, 1, 1), 30);
     }
 
     /// A peer's `z` of p − 1 is refused where it enters, before it can

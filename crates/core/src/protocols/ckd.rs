@@ -80,7 +80,9 @@ fn blob_key(pairwise: &Ubig) -> [u8; 16] {
 /// CKD protocol engine for one member.
 #[derive(Default)]
 pub struct Ckd {
-    members: Vec<ClientId>,
+    /// The controller of the last membership this engine saw — the
+    /// current view's once its `on_view` ran.
+    controller: Option<ClientId>,
     /// My long-term-ish pairwise DH exponent (refreshed when invited).
     my_exp: Option<Ubig>,
     /// Member public values known to me (complete at the controller).
@@ -94,12 +96,6 @@ pub struct Ckd {
 }
 
 impl Ckd {
-    /// The controller — the oldest member — or `None` for an empty
-    /// membership (a cascaded view can leave a member with no group).
-    fn controller(&self) -> Option<ClientId> {
-        self.members.first().copied()
-    }
-
     /// Controller-side: distribute a fresh secret to all members,
     /// assuming `pubs` covers everyone.
     fn distribute(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
@@ -115,8 +111,9 @@ impl Ckd {
         // Fresh group secret (a random value; not contributory).
         let secret = ctx.rng.next_ubig_in_range(ctx.suite.group().modulus());
         let secret_bytes = secret.to_be_bytes_padded(blob_len(ctx.suite));
-        let mut blobs = Vec::with_capacity(self.members.len() - 1);
-        for &m in &self.members {
+        let members = ctx.members().to_vec();
+        let mut blobs = Vec::with_capacity(members.len() - 1);
+        for m in members {
             if m == me {
                 continue;
             }
@@ -181,12 +178,14 @@ impl GkaProtocol for Ckd {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
-        let was_controller = self.members.first().map(|&c| c == me).unwrap_or(false);
-        self.members = view.members.clone();
+        let was_controller = self.controller == Some(me);
+        // The controller is the oldest member, or `None` for an empty
+        // membership (a cascaded view can leave a member with no group).
+        self.controller = view.members.first().copied();
         for l in &view.left {
             self.pubs.remove(l);
         }
-        let Some(controller) = self.controller() else {
+        let Some(controller) = self.controller else {
             return Ok(()); // empty view: nothing to key
         };
         if me != controller {
@@ -195,7 +194,7 @@ impl GkaProtocol for Ckd {
 
         // I am the controller for this view.
         let became_controller = !was_controller;
-        let invite: Vec<ClientId> = self
+        let invite: Vec<ClientId> = view
             .members
             .iter()
             .copied()
@@ -219,7 +218,7 @@ impl GkaProtocol for Ckd {
     ) -> Result<(), GkaError> {
         match msg {
             ProtocolMsg::CkdInvite { invited, .. } => {
-                if Some(sender) != self.controller() {
+                if Some(sender) != self.controller {
                     return Err(GkaError::UnexpectedMessage("invite from a non-controller"));
                 }
                 if !invited.contains(&ctx.me()) {
@@ -238,7 +237,7 @@ impl GkaProtocol for Ckd {
                 Ok(())
             }
             ProtocolMsg::CkdResponse { member_pub } => {
-                if self.controller() != Some(ctx.me()) {
+                if self.controller != Some(ctx.me()) {
                     return Err(GkaError::UnexpectedMessage("response at a non-controller"));
                 }
                 self.pubs.insert(sender, member_pub);
@@ -252,7 +251,7 @@ impl GkaProtocol for Ckd {
                 controller_pub,
                 blobs,
             } => {
-                if Some(sender) != self.controller() {
+                if Some(sender) != self.controller {
                     return Err(GkaError::UnexpectedMessage(
                         "key dist from a non-controller",
                     ));
@@ -303,8 +302,8 @@ impl GkaProtocol for Ckd {
         };
         let x = component.exponent_of(me)?.clone();
         self.pubs = formed.pubs.clone();
-        self.members = component.members().to_vec();
-        self.controller_exp = (self.controller() == Some(me)).then(|| x.clone());
+        self.controller = component.members().first().copied();
+        self.controller_exp = (self.controller == Some(me)).then(|| x.clone());
         self.my_exp = Some(x);
         Ok(())
     }

@@ -17,6 +17,12 @@
 //! * **Leave / partition**: the controller refreshes its contribution,
 //!   rescales every remaining partial key by `r'/r` and broadcasts the
 //!   reduced list — one round, one message.
+//!
+//! Old and new members are read against the membership this member
+//! last keyed ([`GkaCtx::keyed_members`]), not against the previous
+//! view: after a view superseded an agreement, the old group is still
+//! the one that holds a key. A view with nobody new re-keys through
+//! the leave phase, even one that removes nobody (a refresh).
 
 use std::collections::BTreeMap;
 
@@ -38,7 +44,8 @@ enum Stage {
     #[default]
     Idle,
     /// A new member waiting for the chain token (its position among
-    /// the new members is implied by the membership lists).
+    /// the new members is implied by the view and the keyed
+    /// membership).
     AwaitChain,
     /// Waiting for the last new member's token broadcast.
     AwaitBroadcast,
@@ -65,41 +72,33 @@ pub struct Gdh {
     /// member can take over as controller).
     partial_keys: BTreeMap<ClientId, Ubig>,
     stage: Stage,
-    members: Vec<ClientId>,
-    new_members: Vec<ClientId>,
     /// Collected factor-out values (new controller only).
     factor_outs: BTreeMap<ClientId, Ubig>,
     /// The broadcast token (kept by the new controller as its own
     /// partial key).
     broadcast_token: Option<Ubig>,
-    /// Joiners to merge after a combined leave+join view finishes its
-    /// leave phase (cascaded handling).
-    pending_merge: Vec<ClientId>,
+}
+
+/// The view's members split into the old group, the members this
+/// member last keyed with, and the new ones, each in view order. When
+/// nobody in the view is keyed yet (IKA from scratch), the first member
+/// stands for the old group.
+fn split(ctx: &GkaCtx<'_, '_>) -> (Vec<ClientId>, Vec<ClientId>) {
+    let keyed = ctx.keyed_members();
+    let members = ctx.members().iter().copied();
+    let (mut old, mut new): (Vec<_>, Vec<_>) = members.partition(|m| keyed.contains(m));
+    if old.is_empty() && !new.is_empty() {
+        old.push(new.remove(0));
+    }
+    (old, new)
 }
 
 impl Gdh {
-    /// Old members (current view minus the ones being merged in).
-    fn old_members(&self) -> Vec<ClientId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|m| !self.new_members.contains(m))
-            .collect()
-    }
-
-    fn start_leave(&mut self, ctx: &mut GkaCtx<'_, '_>, left: &[ClientId]) -> Result<(), GkaError> {
-        for l in left {
-            self.partial_keys.remove(l);
-        }
-        // The leave phase involves only the surviving *old* members;
-        // any simultaneously joining members wait for the merge phase.
-        let old_members: Vec<ClientId> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !self.pending_merge.contains(m))
-            .collect();
-        let controller = *old_members
+    fn start_leave(&mut self, ctx: &mut GkaCtx<'_, '_>, old: &[ClientId]) -> Result<(), GkaError> {
+        // Only the old members re-key: the leavers' partial keys go,
+        // and a new member has none yet.
+        self.partial_keys.retain(|m, _| old.contains(m));
+        let controller = *old
             .last()
             .ok_or(GkaError::MissingState("no surviving members"))?;
         if ctx.me() != controller {
@@ -112,7 +111,7 @@ impl Gdh {
             .my_exp
             .clone()
             .ok_or(GkaError::MissingState("controller lacks a contribution"))?;
-        if self.partial_keys.len() != old_members.len() {
+        if self.partial_keys.len() != old.len() {
             return Err(GkaError::MissingState(
                 "controller lacks the partial-key list",
             ));
@@ -151,9 +150,13 @@ impl Gdh {
         self.finish(ctx, key)
     }
 
-    fn start_merge(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+    fn start_merge(
+        &mut self,
+        ctx: &mut GkaCtx<'_, '_>,
+        old: &[ClientId],
+        new: &[ClientId],
+    ) -> Result<(), GkaError> {
         let me = ctx.me();
-        let old = self.old_members();
         let old_controller = *old
             .last()
             .ok_or(GkaError::MissingState("merge without an existing group"))?;
@@ -165,8 +168,7 @@ impl Gdh {
                 .get(&me)
                 .cloned()
                 .ok_or(GkaError::MissingState("controller lacks its partial key"))?;
-            let first_new = *self
-                .new_members
+            let first_new = *new
                 .first()
                 .ok_or(GkaError::MissingState("merge without new members"))?;
             let fresh = ctx.fresh_exponent();
@@ -177,7 +179,7 @@ impl Gdh {
                 &ProtocolMsg::GdhChainToken { token },
             );
             self.stage = Stage::AwaitBroadcast;
-        } else if self.new_members.contains(&me) {
+        } else if new.contains(&me) {
             self.stage = Stage::AwaitChain;
         } else {
             self.stage = Stage::AwaitBroadcast;
@@ -185,22 +187,24 @@ impl Gdh {
         Ok(())
     }
 
-    /// A partial-key list's `key` is the group key unless joiners wait
-    /// to merge in after a leave phase: then the merge starts, and its
-    /// key will be the group's.
+    /// A partial-key list's `key` is the group key exactly when the
+    /// list covers the view. A leave phase's list covers only the old
+    /// members: then the merge of the new ones starts, and its key will
+    /// be the group's.
     fn finish(&mut self, ctx: &mut GkaCtx<'_, '_>, key: Ubig) -> Result<(), GkaError> {
-        if self.pending_merge.is_empty() {
+        let members = ctx.members();
+        if members.iter().all(|m| self.partial_keys.contains_key(m)) {
             ctx.establish(key);
             return Ok(());
         }
-        self.new_members = std::mem::take(&mut self.pending_merge);
-        self.start_merge(ctx)
+        let (old, new) = split(ctx);
+        self.start_merge(ctx, &old, &new)
     }
 
     /// The new controller (last new member) finishes the protocol once
     /// every factor-out has arrived.
     fn try_finish_collection(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        let expected = self.members.len().saturating_sub(1);
+        let expected = ctx.members().len().saturating_sub(1);
         if self.factor_outs.len() < expected {
             return Ok(());
         }
@@ -210,7 +214,7 @@ impl Gdh {
             .ok_or(GkaError::MissingState("missing broadcast token"))?;
         ctx.mark_round("GDH", 4);
         let fresh = ctx.fresh_exponent();
-        let mut entries: Vec<(ClientId, Ubig)> = Vec::with_capacity(self.members.len());
+        let mut entries: Vec<(ClientId, Ubig)> = Vec::with_capacity(expected + 1);
         for (&m, f) in &self.factor_outs {
             entries.push((m, ctx.exp(f, &fresh)));
         }
@@ -237,55 +241,33 @@ impl GkaProtocol for Gdh {
         ProtocolKind::Gdh
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
-        self.members = view.members.clone();
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, _view: &View) -> Result<(), GkaError> {
         self.factor_outs.clear();
         self.broadcast_token = None;
         self.merge_exp = None;
-        let mut joined = view.joined.clone();
-
-        // Initial formation without bootstrap: treat the first member
-        // as a pre-existing group of one (IKA from scratch).
-        if joined.len() == view.members.len() {
-            let first = joined.remove(0);
-            if ctx.me() == first && self.my_exp.is_none() {
-                // The singleton's partial "list": K_first = g.
-                let r = ctx.fresh_exponent();
-                self.my_exp = Some(r);
-                self.partial_keys
-                    .insert(first, ctx.suite.group().generator().clone());
-            }
-            if joined.is_empty() {
-                // A group of one: the secret is g^{r}.
-                let r = self
-                    .my_exp
-                    .clone()
-                    .ok_or(GkaError::MissingState("own exponent"))?;
-                let g = ctx.suite.group().generator().clone();
-                let key = ctx.exp(&g, &r);
-                ctx.establish(key);
-                self.stage = Stage::Idle;
-                return Ok(());
-            }
+        let me = ctx.me();
+        let (old, new) = split(ctx);
+        if new.contains(&me) {
+            // A new member waits for the merge chain; a leave phase of
+            // the old group is not addressed to it.
+            self.stage = Stage::AwaitChain;
+            return Ok(());
         }
-
-        if !view.left.is_empty() {
-            if joined.contains(&ctx.me()) {
-                // A simultaneously joining member skips the old
-                // group's leave phase and waits for the merge chain.
-                self.new_members = joined;
-                self.pending_merge.clear();
-                self.stage = Stage::AwaitChain;
-                return Ok(());
-            }
-            self.pending_merge = joined;
-            self.new_members.clear();
-            self.start_leave(ctx, &view.left)
-        } else if !joined.is_empty() {
-            self.new_members = joined;
-            self.start_merge(ctx)
+        if old == [me] && self.my_exp.is_none() {
+            // IKA from scratch: this member is a group of one, whose
+            // partial "list" is K_me = g.
+            self.my_exp = Some(ctx.fresh_exponent());
+            let g = ctx.suite.group().generator().clone();
+            self.partial_keys.insert(me, g);
+        }
+        let keyed_left = ctx
+            .keyed_members()
+            .iter()
+            .any(|m| !ctx.members().contains(m));
+        if keyed_left || new.is_empty() {
+            self.start_leave(ctx, &old)
         } else {
-            Ok(())
+            self.start_merge(ctx, &old, &new)
         }
     }
 
@@ -301,20 +283,19 @@ impl GkaProtocol for Gdh {
                     return Err(GkaError::UnexpectedMessage("GDH chain token"));
                 }
                 let me = ctx.me();
-                let pos = self
-                    .new_members
+                let (_, new) = split(ctx);
+                let pos = new
                     .iter()
                     .position(|&m| m == me)
                     .ok_or(GkaError::MissingState("chain token at a non-new member"))?;
-                let last = self.new_members.len() - 1;
+                let last = new.len() - 1;
                 if pos < last {
                     // Add our contribution and forward.
                     ctx.mark_round("GDH", 2);
                     let r = ctx.fresh_exponent();
                     let next_token = ctx.exp(&token, &r);
                     self.merge_exp = Some(r);
-                    let next = self
-                        .new_members
+                    let next = new
                         .get(pos + 1)
                         .copied()
                         .ok_or(GkaError::MissingState("next member in the chain"))?;
@@ -428,7 +409,6 @@ impl GkaProtocol for Gdh {
         };
         self.my_exp = Some(component.exponent_of(me)?.clone());
         self.partial_keys = formed.partial_keys.clone();
-        self.members = component.members().to_vec();
         self.stage = Stage::Idle;
         Ok(())
     }

@@ -11,7 +11,10 @@
 //!
 //! An engine owns protocol state only. It hands the key it computes
 //! to [`GkaCtx::establish`], and the hosting `SecureMember` keeps it in
-//! the epoch's record; no engine stores or reports a key.
+//! the epoch's record; no engine stores or reports a key. Nor does an
+//! engine store the view's members: it reads them, and the membership
+//! its member last keyed, from [`GkaCtx::members`] and
+//! [`GkaCtx::keyed_members`].
 
 pub mod bd;
 pub mod ckd;
@@ -157,12 +160,28 @@ pub struct GkaCtx<'a, 'c> {
     pub(crate) telemetry: &'a Telemetry,
     /// This epoch's group key, once established.
     pub(crate) key: &'a mut Option<Secret<Ubig>>,
+    /// This epoch's view members, in view order.
+    pub(crate) members: &'a [ClientId],
+    /// The membership this member last keyed.
+    pub(crate) keyed: &'a [ClientId],
 }
 
 impl GkaCtx<'_, '_> {
     /// This member's id.
     pub fn me(&self) -> ClientId {
         self.ctx.id()
+    }
+
+    /// The current view's members, in view order.
+    pub fn members(&self) -> &[ClientId] {
+        self.members
+    }
+
+    /// The membership this member last keyed: the members of its last
+    /// converged epoch, or, from a view that admits it (or its first
+    /// view) until it converges, the members that view does not admit.
+    pub fn keyed_members(&self) -> &[ClientId] {
+        self.keyed
     }
 
     /// Records one event at the handler's virtual time with this

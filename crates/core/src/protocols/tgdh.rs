@@ -110,8 +110,10 @@ mod tests {
     #[test]
     fn a_leaf_permuted_peer_tree_is_a_protocol_error_not_a_panic() {
         let suite = CryptoSuite::fast_zero();
-        let mut lb = Loopback::new(ProtocolKind::Tgdh, CryptoSuite::fast_zero(), &[0, 1, 2]);
-        lb.bootstrap(&[0, 1, 2], 7);
+        let mut lb = Loopback::new(ProtocolKind::Tgdh, CryptoSuite::fast_zero(), &[0, 1, 2, 3]);
+        lb.bootstrap(&[0, 1, 2, 3], 7);
+        // 3 leaves; none of the re-key is delivered yet.
+        lb.install_view_interrupted(vec![0, 1, 2], vec![], vec![3], 0);
         // A peer that formed the same view in another leaf order: the
         // *sorted* leaf set passes the view check.
         let mut peer = Tgdh::default();

@@ -106,7 +106,6 @@ struct CacheEntry {
 #[derive(Default)]
 pub struct TreeGka<S> {
     shape: S,
-    view_members: Vec<ClientId>,
     my_r: Option<Ubig>,
     tree: KeyTree,
     /// Round-1 component trees collected during a merge, keyed by
@@ -274,7 +273,7 @@ impl<S: TreeShape> TreeGka<S> {
         }
         let mut covered: Vec<ClientId> = self.components.keys().flatten().copied().collect();
         covered.sort_unstable();
-        let mut expected = self.view_members.clone();
+        let mut expected = ctx.members().to_vec();
         expected.sort_unstable();
         if covered != expected {
             return Ok(());
@@ -354,7 +353,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
         let me = ctx.me();
-        self.view_members = view.members.clone();
         self.publisher = false;
         self.rounds_started = 0;
 
@@ -406,13 +404,13 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         _sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {
-        let tree = S::from_msg(msg, &self.view_members)?;
+        let tree = S::from_msg(msg, ctx.members())?;
         if tree.is_empty() {
             return Err(GkaError::Protocol("a peer's key tree is empty"));
         }
         let mut leafset = tree.members();
         leafset.sort_unstable();
-        let mut view_sorted = self.view_members.clone();
+        let mut view_sorted = ctx.members().to_vec();
         view_sorted.sort_unstable();
         if leafset != view_sorted {
             if self.merging {
@@ -511,7 +509,6 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             self.tree.node_mut(*i).key = Some(key.clone());
             self.cache.insert(*fp, CacheEntry { key, bkey });
         }
-        self.view_members = component.members().to_vec();
         self.merging = false;
         self.components.clear();
         Ok(())

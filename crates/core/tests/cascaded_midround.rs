@@ -103,10 +103,14 @@ fn outcome(lb: &Loopback) -> String {
 /// §23's shape: in both the join is installed first and the leave
 /// lands on it. GDH case B diverged silently at cuts 0–9 until a
 /// merge's fresh exponent was held apart from the partial-key list's
-/// (`Gdh::merge_exp`).
+/// (`Gdh::merge_exp`). GDH case A failed at cuts 0–8 until GDH read
+/// the leave against the membership its member last keyed; at cut 9
+/// only 5, the new controller, keyed the join, so it alone reads 6's
+/// leave against `0..=5` plus 9 (DESIGN.md §29).
 const CUT_TABLE: &str = "\
-GDH  A 0-8  error(MissingState(\"controller lacks a contribution\"))
-GDH  A 9-10 agreed
+GDH  A 0-8  agreed
+GDH  A 9    error(UnexpectedMessage(\"GDH partial keys\"))
+GDH  A 10   agreed
 GDH  B 0-10 agreed
 TGDH A 0    error(MissingState(\"leave without an affected node\"))
 TGDH A 1-3  agreed

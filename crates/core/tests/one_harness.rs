@@ -5,8 +5,9 @@
 //! counted only in `protocols/mod.rs` (`GkaCtx::send` and
 //! `GkaCtx::receive`), no engine keeps or reports a key and only a
 //! protocol handler establishes one, only `SecureMember` builds a
-//! `GkaCtx`, and no transport stands between a protocol and its
-//! member's `ClientCtx`.
+//! `GkaCtx`, no transport stands between a protocol and its member's
+//! `ClientCtx`, and no engine keeps a member list: `SecureMember` owns
+//! membership, and only GDH reads the membership its member last keyed.
 //! `#[cfg(test)]` items (always the tail of a file here) are not looked
 //! at, except by the last two checks.
 
@@ -201,5 +202,65 @@ fn engines_keep_no_key_and_only_protocols_establish_one() {
         establishing,
         Vec::<String>::new(),
         "a key comes into being in a protocol handler, through `GkaCtx::establish`"
+    );
+}
+
+/// The field names of every braced `struct` in `code`.
+fn struct_fields(code: &str) -> Vec<String> {
+    let mut fields = Vec::new();
+    let mut inside = false;
+    for line in code.lines() {
+        let item = line.trim();
+        if !inside {
+            inside = !item.starts_with("//") && item.contains("struct ") && item.ends_with('{');
+            continue;
+        }
+        if line.starts_with('}') {
+            inside = false;
+            continue;
+        }
+        let item = ["pub(crate) ", "pub(super) ", "pub "]
+            .iter()
+            .fold(item, |item, vis| item.trim_start_matches(vis));
+        if let Some((name, _)) = item.split_once(':') {
+            if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                fields.push(name.to_string());
+            }
+        }
+    }
+    fields
+}
+
+#[test]
+fn membership_has_one_owner() {
+    // `component.rs` holds a formed component's members until adopted,
+    // and `mod.rs`'s `GkaCtx` lends a handler its member's lists.
+    let exempt = ["core/protocols/component.rs", "core/protocols/mod.rs"];
+    let mut engine_fields = Vec::new();
+    for (name, code) in sources("core") {
+        if !name.starts_with("core/protocols/") || exempt.contains(&name.as_str()) {
+            continue;
+        }
+        for field in struct_fields(&code) {
+            assert!(
+                !field.contains("members") && field != "pending_merge",
+                "{name}: `{field}`: an engine reads the view from `GkaCtx::members`"
+            );
+            engine_fields.push(field);
+        }
+    }
+    assert!(
+        engine_fields.iter().any(|f| f == "partial_keys"),
+        "`struct_fields` reads the engines' fields"
+    );
+    let readers: Vec<String> = sources("core")
+        .into_iter()
+        .filter(|(_, code)| code.contains(".keyed_members("))
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(
+        readers,
+        ["core/protocols/gdh.rs"],
+        "only GDH reads a change against the membership its member last keyed"
     );
 }
