@@ -114,10 +114,14 @@ enum Ev {
     },
     /// A view change is handed to a client.
     ViewDeliver { client: ClientId, view: Rc<View> },
-    /// A retransmission request for `seq` reaches `from` (an alive
-    /// daemon holding the message), which re-sends it to `to`.
+    /// A retransmission request for `msg` reaches `from` (an alive
+    /// daemon holding the message), which re-sends it to `to`. The
+    /// request carries the message, as `DaemonRecv` does: a late
+    /// request whose requester has delivered the message meanwhile
+    /// still re-sends it (DESIGN.md §21), and by then the floor may
+    /// have pruned it from the retransmission buffer.
     Retransmit {
-        seq: u64,
+        msg: Rc<WireMsg>,
         to: DaemonId,
         from: DaemonId,
     },
@@ -948,7 +952,7 @@ impl SimWorld {
                 self.keep_open(ev, at + 1);
             }
             Ev::ViewDeliver { client, view } => self.deliver_view_to_client(client, &view),
-            Ev::Retransmit { seq, to, from } => self.on_retransmit(seq, to, from),
+            Ev::Retransmit { msg, to, from } => self.on_retransmit(msg, to, from),
             Ev::ParityRecv {
                 ref targets,
                 ref shard,
@@ -1131,10 +1135,12 @@ impl SimWorld {
         // 2. Report our contiguous mark into the token's aru.
         self.ring.report(daemon);
 
-        // 3. Deliver stable messages to local clients.
+        // 3. Deliver stable messages to local clients, then forget what
+        //    every alive daemon has delivered, but for one generation.
         while let Some(msg) = self.ring.pop_stable(daemon) {
             self.deliver_locally(daemon, Parcel::Agreed(msg));
         }
+        self.ring.prune(self.cfg.flow_control_max_msgs);
 
         // 4. Install pending views whose membership protocols are done.
         for view in self.membership.installs_due(daemon) {
@@ -1191,13 +1197,12 @@ impl SimWorld {
             self.stats.retransmission_rounds += 1;
         }
         for (msg, source) in plan {
-            let seq = msg.seq;
             match source {
                 // Request travels to the source; it re-sends from there.
                 Some(from) => self.schedule(
                     self.cfg.hop_delay(daemon, from, 0),
                     Ev::Retransmit {
-                        seq,
+                        msg,
                         to: daemon,
                         from,
                     },
@@ -1208,14 +1213,15 @@ impl SimWorld {
                 // message from the order; the simulation keeps the
                 // order intact for determinism).
                 None => {
-                    self.settle_recovery(daemon, seq, RecoveryPath::Retransmission);
+                    self.settle_recovery(daemon, msg.seq, RecoveryPath::Retransmission);
                     self.ring.store(daemon, msg);
                 }
             }
         }
     }
 
-    fn on_retransmit(&mut self, seq: u64, to: DaemonId, from: DaemonId) {
+    fn on_retransmit(&mut self, msg: Rc<WireMsg>, to: DaemonId, from: DaemonId) {
+        let seq = msg.seq;
         if self.ring.awaits_delivery(to, seq) {
             return; // already recovered meanwhile
         }
@@ -1225,9 +1231,6 @@ impl SimWorld {
         if !self.ring.is_alive(from) {
             return; // source crashed; the next token visit re-requests
         }
-        let Some(msg) = self.ring.sent(seq).cloned() else {
-            return;
-        };
         self.stats.retransmissions += 1;
         self.note(Actor::Daemon(to), EventKind::Retransmit { seq });
         // The re-sent copy can be lost as well; the next token visit
@@ -1651,6 +1654,123 @@ mod tests {
             one_hop.queue.peek_time(),
             Some(one_hop.now() + Duration::from_micros(50))
         );
+    }
+
+    /// Multicasts a 200-byte Agreed message per round and starts the
+    /// next round once it has every member's message of this one.
+    struct Rounds {
+        left: u64,
+        got: usize,
+        size: usize,
+    }
+    impl Client for Rounds {
+        fn on_view(&mut self, ctx: &mut ClientCtx<'_>, view: &View) {
+            self.size = view.size();
+            self.got = 0;
+            ctx.multicast_agreed(vec![7; 200]);
+        }
+        fn on_message(&mut self, ctx: &mut ClientCtx<'_>, _msg: &Delivery) {
+            self.got += 1;
+            if self.got == self.size && self.left > 1 {
+                self.got = 0;
+                self.left -= 1;
+                ctx.multicast_agreed(vec![7; 200]);
+            }
+        }
+    }
+
+    /// A ring of 50 members running `rounds` all-to-all rounds, with
+    /// `daemon` crashed `after` the first view if asked, at quiescence.
+    fn rounds_world(cfg: GcsConfig, rounds: u64, crash: Option<(DaemonId, Duration)>) -> SimWorld {
+        let mut world = SimWorld::new(cfg);
+        for _ in 0..50 {
+            let member = Rounds {
+                left: rounds,
+                got: 0,
+                size: 0,
+            };
+            world.add_client(Box::new(member));
+        }
+        world.install_initial_view();
+        if let Some((daemon, after)) = crash {
+            world.run_until(world.now() + after);
+            assert!(world.ring.window_len(daemon) > 0, "it dies holding copies");
+            world.inject_crash(daemon);
+            assert_eq!(world.ring.window_len(daemon), 0, "and they die with it");
+        }
+        world.run_until_quiescent();
+        world
+    }
+
+    #[test]
+    fn a_quiescent_ring_retains_one_generation_of_what_it_sequenced() {
+        let lossy = |fec_parity| {
+            let mut cfg = testbed::lan();
+            cfg.loss_rate = 0.05;
+            cfg.loss_seed = 7 ^ 0x1055;
+            cfg.fec_parity = fec_parity;
+            cfg.fec_parity_max = 16;
+            cfg
+        };
+        let clean = WorldStats {
+            agreed_messages: 10_000,
+            token_rotations: 570,
+            views_installed: 1,
+            payload_bytes: 2_000_000,
+            ..WorldStats::default()
+        };
+        let retrans = WorldStats {
+            agreed_messages: 5_000,
+            token_rotations: 406,
+            views_installed: 1,
+            payload_bytes: 1_000_000,
+            messages_lost: 3_209,
+            retransmissions: 3_209,
+            retransmission_rounds: 1_689,
+            retransmission_recovery_ns: 2_977_050_000,
+            ..WorldStats::default()
+        };
+        let fec = WorldStats {
+            agreed_messages: 5_000,
+            token_rotations: 285,
+            views_installed: 1,
+            payload_bytes: 1_000_000,
+            messages_lost: 3_066,
+            parity_shards_sent: 62_400,
+            fec_repairs: 3_066,
+            fec_repair_recovery_ns: 245_280_000,
+            parity_bytes_sent: 15_537_600,
+            ..WorldStats::default()
+        };
+        let crashed = WorldStats {
+            agreed_messages: 9_468,
+            token_rotations: 574,
+            views_installed: 2,
+            payload_bytes: 1_893_600,
+            daemon_crashes: 1,
+            ring_reformations: 1,
+            ..WorldStats::default()
+        };
+        let crash_12 = Some((12, Duration::from_millis(20)));
+        let worlds = [
+            (rounds_world(testbed::lan(), 200, None), clean),
+            (rounds_world(lossy(0), 100, None), retrans),
+            (rounds_world(lossy(4), 100, None), fec),
+            (rounds_world(testbed::lan(), 200, crash_12), crashed),
+        ];
+        for (world, stats) in &worlds {
+            // The traffic is the unpruned ring's, counter for counter.
+            assert_eq!(format!("{:?}", world.stats), format!("{stats:?}"));
+            // Of what it sequenced the ring keeps the last generation's
+            // worth: everything lies at or below the floor, and the
+            // margin below it is `flow_control_max_msgs`.
+            assert_eq!(world.cfg.flow_control_max_msgs, 20);
+            assert_eq!(world.ring.retained(), 20, "{stats:?}");
+            // Every alive daemon has delivered all, and the dead one
+            // holds nothing.
+            let daemons = 0..world.ring.daemon_count();
+            assert!(daemons.into_iter().all(|d| world.ring.window_len(d) == 0));
+        }
     }
 
     #[test]

@@ -545,6 +545,61 @@ mod tests {
         }
     }
 
+    /// The flow-control cap, hence the longest generation.
+    const MAX: usize = 4;
+
+    /// Daemon 0 sequences `MAX` messages in one visit: one generation.
+    fn generation(ring: &mut Ring) -> Vec<Rc<WireMsg>> {
+        for sender in 0..MAX {
+            let sub = crate::ring::Submission {
+                sender,
+                dest: Dest::All,
+                view_id: 1,
+                payload: Bytes::from(vec![sender as u8; 1 + sender]),
+            };
+            ring.submit(0, sub);
+        }
+        ring.sequence(0, MAX)
+    }
+
+    #[test]
+    fn repair_reads_delivered_members_above_the_pruned_floor() {
+        // Two generations of four. Every daemon holds and delivers the
+        // first. Of the second, daemon 1 holds all four and daemon 2,
+        // the laggard, three: it lacks seq 7. The aru stops at daemon
+        // 2's 6, so nobody delivers past it, and daemon 2 delivers 5
+        // and 6 of its own generation.
+        let mut ring = Ring::new(3);
+        let (old, new) = (generation(&mut ring), generation(&mut ring));
+        for msg in old.iter().chain(&new) {
+            ring.store(1, Rc::clone(msg));
+            if msg.seq != 7 {
+                ring.store(2, Rc::clone(msg));
+            }
+        }
+        for d in 0..3 {
+            ring.report(d);
+        }
+        for d in 0..3 {
+            while ring.pop_stable(d).is_some() {}
+        }
+        // The floor is 6: pruning drops the first generation's first
+        // two, and must keep 5 and 6, which the repair re-reads.
+        ring.prune(MAX);
+        assert!(ring.sent(2).is_none());
+
+        let cfg = testbed::lan();
+        let mut r = Recovery::new(&cfg);
+        let shard = encode_parity(&new, 1).pop().expect("one parity shard");
+        r.buffer_shard(2, Rc::new(shard));
+        let repaired = r.try_repair(2, 5, &ring);
+        assert_eq!(repaired.len(), 1, "seq 7 rebuilt from 5, 6, 8 and parity");
+        let (got, want) = (&repaired[0], &new[2]);
+        assert_eq!((got.seq, got.origin), (7, 0));
+        assert_eq!(got.delivery.payload, want.delivery.payload);
+        assert_eq!(got.delivery.sender, want.delivery.sender);
+    }
+
     #[test]
     fn backoff_arms_waits_requests_and_resets_on_progress() {
         let mut cfg = testbed::lan();

@@ -26,13 +26,16 @@
 //! what. It never sees the event queue, a client or the loss process.
 //!
 //! Sequence numbers are dense — the `n`-th message sequenced is `n` —
-//! so nothing here is keyed by map. The retransmission buffer is a
-//! `Vec` whose index `seq - 1` holds `seq`, and each daemon's store is
-//! a *sequence window*: a deque whose slot `i` is
-//! `seq = delivered + 1 + i`, empty where a copy has not arrived. A
-//! delivery pops the front, so the window slides with `delivered`;
-//! anything at or below `delivered` has no slot, which makes a late
-//! duplicate of a delivered message a no-op (see [`Ring::store`]).
+//! so nothing here is keyed by map. Each daemon's store is a *sequence
+//! window*: a deque whose slot `i` is `seq = delivered + 1 + i`, empty
+//! where a copy has not arrived. A delivery pops the front, so the
+//! window slides with `delivered`; anything at or below `delivered` has
+//! no slot, which makes a late duplicate of a delivered message a no-op
+//! (see [`Ring::store`]). The retransmission buffer is a window too:
+//! a deque that starts at the seq [`Ring::prune`] last kept, so it
+//! holds the messages some alive daemon may still ask for or decode
+//! from — the ones above the delivery floor, and one generation below
+//! it — not every message the ring ever sequenced.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -105,11 +108,17 @@ pub(crate) struct Ring {
     /// already in flight at crash detection are invalidated (exactly
     /// one token survives a reformation).
     gen: u64,
-    /// Every sequenced message, `seq` at index `seq - 1` (the origin
-    /// daemons' retransmission buffers, kept globally for simulation
-    /// convenience). Never pruned: FEC decoding re-reads members of a
-    /// generation the daemon has already delivered.
-    sent: Vec<Rc<WireMsg>>,
+    /// The sequenced messages from seq `sent_from` on, `sent_from + i`
+    /// at index `i` (the origin daemons' retransmission buffers, kept
+    /// globally for simulation convenience). [`Ring::prune`] drops what
+    /// lies `flow_control_max_msgs` or more below the least `delivered`
+    /// of the alive daemons: nobody can ask for it any more, and FEC
+    /// decoding, which re-reads members of a generation the daemon has
+    /// already delivered, never reaches a generation's length below
+    /// that floor.
+    sent: VecDeque<Rc<WireMsg>>,
+    /// The seq at the front of `sent` (`last_seq + 1` when it is empty).
+    sent_from: u64,
 }
 
 impl Ring {
@@ -119,7 +128,8 @@ impl Ring {
             daemons: (0..daemons).map(|_| DaemonSlot::default()).collect(),
             aru: 0,
             gen: 0,
-            sent: Vec::new(),
+            sent: VecDeque::new(),
+            sent_from: 1,
         }
     }
 
@@ -168,10 +178,14 @@ impl Ring {
         (0..self.daemons.len()).filter(|&d| !self.daemons[d].crashed)
     }
 
-    /// `daemon` dies: its pending submissions die with it.
+    /// `daemon` dies: its pending submissions and the copies it held
+    /// undelivered die with it. Every reader of a daemon's window asks
+    /// about alive daemons only, so nothing reads the emptied window.
     pub(crate) fn crash(&mut self, daemon: DaemonId) {
-        self.daemons[daemon].crashed = true;
-        self.daemons[daemon].pending.clear();
+        let d = &mut self.daemons[daemon];
+        d.crashed = true;
+        d.pending.clear();
+        d.received = VecDeque::new();
     }
 
     /// Queues a submission at `daemon` until its next token visit.
@@ -199,7 +213,7 @@ impl Ring {
                     payload: sub.payload,
                 },
             });
-            self.sent.push(Rc::clone(&msg));
+            self.sent.push_back(Rc::clone(&msg));
             self.store(daemon, Rc::clone(&msg));
             generation.push(msg);
         }
@@ -213,12 +227,36 @@ impl Ring {
 
     /// The highest sequence number handed out so far.
     fn last_seq(&self) -> u64 {
-        self.sent.len() as u64
+        self.sent_from + self.sent.len() as u64 - 1
     }
 
-    /// A sequenced message, from the retransmission buffer.
+    /// A sequenced message, from the retransmission buffer: `None`
+    /// for a seq not handed out yet or already pruned.
     pub(crate) fn sent(&self, seq: u64) -> Option<&Rc<WireMsg>> {
-        self.sent.get(usize::try_from(seq.checked_sub(1)?).ok()?)
+        self.sent
+            .get(usize::try_from(seq.checked_sub(self.sent_from)?).ok()?)
+    }
+
+    /// Drops from the retransmission buffer every message at or below
+    /// `floor - margin`, where `floor` is the least `delivered` over
+    /// the alive daemons (O(daemons)); with none alive it keeps all.
+    ///
+    /// Above the floor lies everything an alive daemon may still miss
+    /// and request. Below it, FEC decoding re-reads the delivered
+    /// members of a generation the daemon holds parity for: such a
+    /// generation still lacks a seq above the floor, and a generation
+    /// is one visit's [`Ring::sequence`], at most `margin` long when
+    /// `margin` is the `max` passed there — so it starts above
+    /// `floor - margin`, and every member stays readable.
+    pub(crate) fn prune(&mut self, margin: usize) {
+        let alive = self.daemons.iter().filter(|d| !d.crashed);
+        let Some(floor) = alive.map(|d| d.delivered).min() else {
+            return;
+        };
+        let keep_from = floor.saturating_sub(margin as u64) + 1;
+        while self.sent_from < keep_from && self.sent.pop_front().is_some() {
+            self.sent_from += 1;
+        }
     }
 
     /// `daemon` obtains a copy of `msg`. A copy of a message the
@@ -345,6 +383,18 @@ impl Ring {
         Some(msg)
     }
 
+    /// How many messages the retransmission buffer holds.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.sent.len()
+    }
+
+    /// How many window slots `daemon` holds, filled or not.
+    #[cfg(test)]
+    pub(crate) fn window_len(&self, daemon: DaemonId) -> usize {
+        self.daemons[daemon].received.len()
+    }
+
     /// Whether every alive daemon has sequenced all it was given and
     /// delivered all that was sequenced. Crashed daemons are excluded:
     /// they will never deliver again, and the reformed ring no longer
@@ -364,6 +414,12 @@ mod tests {
     /// messages (and holds them), with the generation it broadcasts.
     fn sequenced(daemons: usize, n: usize) -> (Ring, Vec<Rc<WireMsg>>) {
         let mut ring = Ring::new(daemons);
+        let generation = sequence_more(&mut ring, n);
+        (ring, generation)
+    }
+
+    /// Daemon 0 sequences `n` more messages in one visit.
+    fn sequence_more(ring: &mut Ring, n: usize) -> Vec<Rc<WireMsg>> {
         for sender in 0..n {
             ring.submit(
                 0,
@@ -377,7 +433,7 @@ mod tests {
         }
         let generation = ring.sequence(0, n);
         assert_eq!(generation.len(), n);
-        (ring, generation)
+        generation
     }
 
     fn drain(ring: &mut Ring, daemon: DaemonId) -> Vec<u64> {
@@ -447,10 +503,82 @@ mod tests {
 
     #[test]
     fn the_retransmission_buffer_is_indexed_by_seq() {
-        let (ring, _) = sequenced(1, 3);
+        let (mut ring, _) = sequenced(1, 3);
         assert!(ring.sent(0).is_none(), "sequence numbers start at 1");
         assert_eq!(ring.sent(1).map(|msg| msg.seq), Some(1));
         assert_eq!(ring.sent(3).map(|msg| msg.seq), Some(3));
         assert!(ring.sent(4).is_none() && ring.sent(u64::MAX).is_none());
+
+        // Delivered everywhere and pruned with a margin of 1: 1 and 2
+        // are gone, 3 is still found at its own seq.
+        ring.report(0);
+        assert_eq!(drain(&mut ring, 0), [1, 2, 3]);
+        ring.prune(1);
+        assert!((0..=2).all(|seq| ring.sent(seq).is_none()));
+        assert_eq!(ring.sent(3).map(|msg| msg.seq), Some(3));
+        assert!(ring.sent(4).is_none() && ring.sent(u64::MAX).is_none());
+        // What is sequenced after a prune lands at its own seq, and
+        // pruning everything keeps the count of seqs handed out.
+        assert_eq!(sequence_more(&mut ring, 1)[0].seq, 4);
+        assert_eq!(ring.sent(4).map(|msg| msg.seq), Some(4));
+        ring.report(0);
+        assert_eq!(drain(&mut ring, 0), [4]);
+        ring.prune(0);
+        assert!((0..=5).all(|seq| ring.sent(seq).is_none()));
+        assert_eq!(ring.last_seq(), 4);
+        assert_eq!(sequence_more(&mut ring, 1)[0].seq, 5);
+        assert_eq!(ring.sent(5).map(|msg| msg.seq), Some(5));
+    }
+
+    #[test]
+    fn the_buffer_is_pruned_one_generation_below_the_slowest_alive_daemon() {
+        const MAX: usize = 4;
+        let mut ring = Ring::new(3);
+        let msgs: Vec<_> = (0..3).flat_map(|_| sequence_more(&mut ring, MAX)).collect();
+        // Daemon 1 receives all twelve, daemon 2 the first ten; the aru
+        // is 10 and daemons 0 and 1 deliver that far, daemon 2 only to
+        // 7: it lags, in delivery and in reception.
+        for msg in &msgs {
+            ring.store(1, Rc::clone(msg));
+        }
+        for msg in &msgs[..10] {
+            ring.store(2, Rc::clone(msg));
+        }
+        for d in 0..3 {
+            ring.report(d);
+        }
+        assert_eq!(drain(&mut ring, 0).len(), 10);
+        assert_eq!(drain(&mut ring, 1).len(), 10);
+        for _ in 0..7 {
+            assert!(ring.pop_stable(2).is_some());
+        }
+        let readings = |ring: &Ring| {
+            let gaps: Vec<bool> = (0..3).map(|d| ring.has_gap(d)).collect();
+            let plan: Vec<u64> = ring
+                .retransmit_plan(2, 8)
+                .iter()
+                .map(|(m, _)| m.seq)
+                .collect();
+            (ring.last_seq(), gaps, ring.flushed(), plan)
+        };
+        let before = readings(&ring);
+        assert_eq!(before, (12, vec![false, false, true], false, vec![11, 12]));
+
+        // The floor is daemon 2's 7: at or below 7 - MAX = 3 is gone.
+        ring.prune(MAX);
+        assert!((1..=3).all(|seq| ring.sent(seq).is_none()));
+        assert!((4..=12).all(|seq| ring.sent(seq).is_some()));
+        assert_eq!(readings(&ring), before, "pruning moves nothing else");
+
+        // Crashing the laggard lets the floor rise to 10, and its
+        // window goes with it.
+        assert!(ring.awaits_delivery(2, 8));
+        ring.crash(2);
+        assert!(!ring.awaits_delivery(2, 8));
+        ring.prune(MAX);
+        assert!((1..=6).all(|seq| ring.sent(seq).is_none()));
+        assert!((7..=12).all(|seq| ring.sent(seq).is_some()));
+        assert_eq!(ring.last_seq(), 12);
+        assert!(!ring.flushed(), "daemons 0 and 1 have 11 and 12 to deliver");
     }
 }
