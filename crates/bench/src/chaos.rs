@@ -16,19 +16,19 @@
 use std::rc::Rc;
 
 use gkap_bignum::{RandomSource, SplitMix64, Ubig};
-use gkap_core::experiment::SuiteKind;
+use gkap_core::experiment::{secure_world, SuiteKind};
 use gkap_core::protocols::ProtocolKind;
 use gkap_core::{AgreementPhase, SecureMember};
 use gkap_gcs::{testbed, Fault, FaultPlan, PlannedFault, SimWorld};
 use gkap_sim::Duration;
-use gkap_telemetry::Telemetry;
 
 use crate::trace::recovery_ms;
 use crate::Console;
 
 /// Builds one member for a chaos world. Indexed by protocol and
 /// client id so every rerun of a schedule (including the minimizer's)
-/// constructs an identical population.
+/// constructs an identical population through
+/// [`gkap_core::experiment::secure_world`].
 pub type MemberFactory = dyn Fn(ProtocolKind, usize) -> SecureMember;
 
 /// Shape of a chaos world and the timing bounds of a run.
@@ -93,23 +93,18 @@ impl RunReport {
 /// invariants: liveness (quiescence within `settle` of the last
 /// fault), view synchrony (every surviving member installed the final
 /// view), and key convergence (every surviving, non-given-up member
-/// derived the identical key for it).
+/// derived the identical key for it). The world is a LAN
+/// [`secure_world`] of `factory`'s members with a live telemetry sink,
+/// whose fault events give the run's recovery time.
 pub fn run_schedule(
     kind: ProtocolKind,
     cfg: &ChaosConfig,
     faults: &[PlannedFault],
     factory: &MemberFactory,
 ) -> RunReport {
-    let mut world = SimWorld::new(testbed::lan());
-    let telemetry = Telemetry::enabled();
-    world.set_telemetry(telemetry.clone());
-    for i in 0..cfg.total_clients {
-        let mut member = factory(kind, i);
-        member.set_telemetry(telemetry.clone());
-        world.add_client(Box::new(member));
-    }
-    world.install_initial_view_of((0..cfg.initial_members).collect());
-    world.run_until_quiescent();
+    let clients = 0..cfg.total_clients;
+    let member = |i| factory(kind, i);
+    let mut world = secure_world(testbed::lan(), true, clients, cfg.initial_members, member);
 
     let t0 = world.now();
     let mut plan = FaultPlan::new();
@@ -123,7 +118,7 @@ pub fn run_schedule(
     world.run_while(|w| w.now() < bound);
 
     let elapsed_ms = world.now().since(t0).as_millis_f64();
-    let recovery = recovery_ms(&telemetry.events()).min(elapsed_ms);
+    let recovery = recovery_ms(&world.telemetry().events()).min(elapsed_ms);
     if !world.quiescent() {
         // The view and keys are mid-change: the other invariants are
         // not meaningful on a hung run.

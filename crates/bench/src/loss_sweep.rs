@@ -27,9 +27,10 @@
 
 use std::fmt::Write as _;
 
+use gkap_core::experiment::secure_world;
 use gkap_core::par;
 use gkap_core::protocols::ProtocolKind;
-use gkap_gcs::{testbed, GcsConfig, GilbertElliott, SimWorld, WireGranularity};
+use gkap_gcs::{testbed, GcsConfig, GilbertElliott, WireGranularity};
 use gkap_sim::Duration;
 use gkap_telemetry::metrics::LogHistogram;
 
@@ -380,15 +381,11 @@ struct WorkloadOutcome {
 /// The shared per-cell workload: a 6-member secure group keys up,
 /// admits a seventh member, then loses one — all under the
 /// configuration's loss process — and the survivors must agree on the
-/// final view and key.
+/// final view and key. The world is a [`secure_world`] of
+/// [`chaos::default_factory`]'s members, telemetry off.
 fn run_workload(cfg: GcsConfig, proto: ProtocolKind) -> WorkloadOutcome {
-    let mut world = SimWorld::new(cfg);
-    let member = chaos::default_factory();
-    for i in 0..8 {
-        world.add_client(Box::new(member(proto, i)));
-    }
-    world.install_initial_view_of((0..6).collect());
-    world.run_until_quiescent();
+    let factory = chaos::default_factory();
+    let mut world = secure_world(cfg, false, 0..8, 6, |i| factory(proto, i));
     world.inject_join(6);
     world.run_until_quiescent();
     world.inject_leave(1);

@@ -1,15 +1,20 @@
-//! Experiment drivers: the one keyed-group harness behind every
-//! figure of the paper.
+//! Experiment drivers: the harness behind every workload.
 //!
-//! A [`Group`] is a simulated world (LAN or WAN testbed) holding one
-//! keyed group of [`SecureMember`]s plus spares; [`Group::apply`]
-//! injects one membership event — a [`Step`] — and measures the *total
-//! elapsed time* "from the moment the group membership event happens
-//! until … the application is notified about the membership change
-//! and the new key" (§6) — membership service plus key agreement, in
-//! virtual milliseconds — with every member holding that key
-//! ([`agreed_secret`]). The `run_*` functions, the traced runs, the
-//! churn ablations and [`crate::scenario`] are all `form` → `apply`.
+//! [`secure_world`] is the one function that puts [`SecureMember`]s
+//! into a simulated world (LAN or WAN testbed) — for the figures, the
+//! scale workload ([`crate::scale`]), and the chaos campaigns and loss
+//! sweeps of `gkap-bench` — and every member records into that
+//! world's telemetry sink.
+//!
+//! A [`Group`] is such a world holding one keyed group plus spares;
+//! [`Group::apply`] injects one membership event — a [`Step`] — and
+//! measures the *total elapsed time* "from the moment the group
+//! membership event happens until … the application is notified about
+//! the membership change and the new key" (§6) — membership service
+//! plus key agreement, in virtual milliseconds — with every member
+//! holding that key ([`agreed_secret`]). The `run_*` functions, the
+//! traced runs, the churn ablations and [`crate::scenario`] are all
+//! `form` → `apply`.
 
 use std::rc::Rc;
 
@@ -213,18 +218,65 @@ pub enum Step {
     Crash,
 }
 
-/// The member-seed rule of every harness: client `i`'s private
-/// randomness under the run seed `seed`.
-pub(crate) fn member_seed(seed: u64, i: usize) -> u64 {
-    seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9)
-}
-
 /// The sink a run records into: a live one when tracing is asked for.
 pub(crate) fn telemetry_sink(on: bool) -> Telemetry {
     if on {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
+    }
+}
+
+/// The one function that puts [`SecureMember`]s into a [`SimWorld`]:
+/// a world on `gcs`; its sink, live if `telemetry`, which every member
+/// records into; one client per id of `clients`, ascending, made by
+/// `member(id)` on machine `id % machines` (its world id is its rank
+/// in `clients`); the initial view over the first `initial`;
+/// quiescence.
+///
+/// # Panics
+///
+/// Panics if `clients` does not ascend, or if `initial` is zero or
+/// exceeds the number of clients.
+pub fn secure_world(
+    gcs: GcsConfig,
+    telemetry: bool,
+    clients: impl IntoIterator<Item = ClientId>,
+    initial: usize,
+    member: impl Fn(ClientId) -> SecureMember,
+) -> SimWorld {
+    let machines = gcs.topology.machine_count();
+    let mut world = SimWorld::new(gcs);
+    world.set_telemetry(telemetry_sink(telemetry));
+    let mut last = None;
+    for id in clients {
+        assert!(last < Some(id), "client ids ascend");
+        last = Some(id);
+        world.add_client_on(Box::new(member(id)), id % machines);
+    }
+    world.install_initial_view_of((0..initial).collect());
+    world.run_until_quiescent();
+    world
+}
+
+/// The member rule of the keyed-group harnesses ([`Group`] and
+/// [`crate::scale`]): client `i` runs an engine from `factory` with a
+/// private seed derived from the run `seed` and `i`, starts keyed from
+/// `bootstrap` (`None` runs the real formation protocol) and confirms
+/// keys if `confirm_keys`.
+pub(crate) fn member_rule<'a>(
+    suite: SuiteKind,
+    seed: u64,
+    bootstrap: Option<u64>,
+    confirm_keys: bool,
+    factory: &'a dyn Fn() -> Box<dyn GkaProtocol>,
+) -> impl Fn(ClientId) -> SecureMember + 'a {
+    let suite = suite.shared();
+    move |i| {
+        let seed = seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9);
+        let mut member = SecureMember::with_protocol(factory(), Rc::clone(&suite), seed, bootstrap);
+        member.set_key_confirmation(confirm_keys);
+        member
     }
 }
 
@@ -346,25 +398,10 @@ impl Group {
         bootstrap: Option<u64>,
         factory: &dyn Fn() -> Box<dyn GkaProtocol>,
     ) -> Self {
-        let suite = cfg.suite.shared();
-        let mut world = SimWorld::new(cfg.gcs.clone());
-        let telemetry = telemetry_sink(cfg.telemetry);
-        world.set_telemetry(telemetry.clone());
-        for i in 0..initial + spares {
-            let mut member = SecureMember::with_protocol(
-                factory(),
-                Rc::clone(&suite),
-                member_seed(cfg.seed, i),
-                bootstrap,
-            );
-            member.set_key_confirmation(cfg.confirm_keys);
-            member.set_telemetry(telemetry.clone());
-            world.add_client(Box::new(member));
-        }
-        world.install_initial_view_of((0..initial).collect());
-        world.run_until_quiescent();
+        let member = member_rule(cfg.suite, cfg.seed, bootstrap, cfg.confirm_keys, factory);
+        let clients = 0..initial + spares;
         Group {
-            world,
+            world: secure_world(cfg.gcs.clone(), cfg.telemetry, clients, initial, member),
             seed: cfg.seed,
             spares: initial..initial + spares,
         }
@@ -770,15 +807,6 @@ pub fn run_traced(cfg: &ExperimentConfig, n: usize, step: Step) -> TraceRun {
 /// Panics if `n < 2`.
 pub fn run_join_traced(cfg: &ExperimentConfig, n: usize) -> TraceRun {
     run_traced(cfg, n, Step::Join)
-}
-
-/// [`run_leave`] with telemetry forced on.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn run_leave_traced(cfg: &ExperimentConfig, n: usize, target: LeaveTarget) -> TraceRun {
-    run_traced(cfg, n, Step::Leave(target))
 }
 
 /// Runs one experiment grid — every (series, x, repetition) cell —

@@ -18,7 +18,9 @@
 //!
 //! It is the only host of a protocol engine: a simulated world drives
 //! it through [`Client`], and so does the in-memory
-//! [`crate::testkit::Loopback`], with detached contexts.
+//! [`crate::testkit::Loopback`], with detached contexts. It records
+//! into the telemetry sink its [`ClientCtx`] lends: the world's, or
+//! the loopback's.
 
 use std::rc::Rc;
 
@@ -26,12 +28,12 @@ use gkap_bignum::{SplitMix64, Ubig};
 use gkap_crypto::Secret;
 use gkap_gcs::{Client, ClientCtx, ClientId, Delivery, View};
 use gkap_sim::{Duration, SimTime};
-use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
+use gkap_telemetry::EventKind;
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
 use crate::protocols::{
-    FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
+    note, FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
 };
 use crate::suite::CryptoSuite;
 
@@ -125,9 +127,6 @@ pub struct SecureMember {
     /// Consecutive agreements aborted by a superseding view (reset to
     /// zero on convergence).
     restarts: u64,
-    /// Telemetry sink (disabled by default; the experiment harness
-    /// shares the world's handle here when tracing is requested).
-    telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for SecureMember {
@@ -179,14 +178,7 @@ impl SecureMember {
             error: None,
             phase: AgreementPhase::Idle,
             restarts: 0,
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Shares a telemetry sink with this member (pass the `SimWorld`'s
-    /// handle so all layers record into one stream).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Enables key confirmation: after establishing each epoch's key,
@@ -339,7 +331,6 @@ impl SecureMember {
             suite: &self.suite,
             counts: &mut self.counts,
             rng: &mut self.rng,
-            telemetry: &self.telemetry,
             key,
             members,
             keyed: &self.keyed,
@@ -390,18 +381,6 @@ impl SecureMember {
         }
     }
 
-    /// Records one telemetry event at the handler's virtual time with
-    /// this member as the actor (free when telemetry is disabled).
-    fn note_event(&self, ctx: &ClientCtx<'_>, kind: EventKind) {
-        let (at, actor) = (ctx.now(), Actor::Client(ctx.id()));
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor,
-            kind,
-        });
-    }
-
     fn dispatch_wire(&mut self, ctx: &mut ClientCtx<'_>, env: Envelope) {
         if env.sender == ctx.id() {
             return; // own multicast echoed back
@@ -433,14 +412,14 @@ impl Client for SecureMember {
         if self.phase == AgreementPhase::Running {
             let target = ctx.id();
             let fault = |action| EventKind::Fault { action, target };
-            self.note_event(ctx, fault("abort"));
+            note(ctx, Duration::ZERO, fault("abort"));
             self.restarts += 1;
             if self.restarts > MAX_RESTARTS {
                 self.phase = AgreementPhase::GivenUp;
                 self.record_error(GkaError::Protocol("restart budget exhausted"));
-                self.note_event(ctx, fault("give_up"));
+                note(ctx, Duration::ZERO, fault("give_up"));
             } else {
-                self.note_event(ctx, fault("restart"));
+                note(ctx, Duration::ZERO, fault("restart"));
             }
         }
 
@@ -473,8 +452,9 @@ impl Client for SecureMember {
         // view's key comes from its agreement, or, for an initial view,
         // from the component adopted below.
         self.adopted = None;
-        self.note_event(
+        note(
             ctx,
+            Duration::ZERO,
             EventKind::MembershipEvent {
                 action: "view_delivered",
                 group_size: view.members.len(),

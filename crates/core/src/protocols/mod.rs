@@ -29,7 +29,7 @@ use gkap_bignum::{RandomSource, SplitMix64, Ubig};
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientCtx, ClientId, View};
 use gkap_sim::Duration;
-use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
+use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
@@ -137,14 +137,27 @@ pub enum SendKind {
     UnicastFifo(ClientId),
 }
 
+/// Records one event into the sink of the handler `ctx` serves, at its
+/// virtual time with its client as the actor (free when the sink is
+/// disabled; recording never advances the clock).
+pub(crate) fn note(ctx: &ClientCtx<'_>, dur: Duration, kind: EventKind) {
+    let (at, actor) = (ctx.now(), Actor::Client(ctx.id()));
+    ctx.telemetry().record(|| Event {
+        at,
+        dur,
+        actor,
+        kind,
+    });
+}
+
 /// The execution context handed to protocol handlers: group
 /// arithmetic with automatic cost accounting, randomness, and sending.
 ///
 /// It wraps the [`ClientCtx`] of the `SecureMember` handler it runs
 /// in, and only `SecureMember` builds one: this member's id, the
-/// handler's virtual time, its CPU charge and its sends are that
-/// context's, whether a simulated world or the
-/// [`crate::testkit::Loopback`] drives the member.
+/// handler's virtual time, its CPU charge, its sends and its
+/// telemetry sink are that context's, whether a simulated world or
+/// the [`crate::testkit::Loopback`] drives the member.
 pub struct GkaCtx<'a, 'c> {
     /// The handler's GCS context.
     pub(crate) ctx: &'a mut ClientCtx<'c>,
@@ -156,8 +169,6 @@ pub struct GkaCtx<'a, 'c> {
     pub rng: &'a mut SplitMix64,
     /// Current epoch (view id) — stamped into envelopes.
     pub epoch: u64,
-    /// Telemetry sink (disabled handles record nothing).
-    pub(crate) telemetry: &'a Telemetry,
     /// This epoch's group key, once established.
     pub(crate) key: &'a mut Option<Secret<Ubig>>,
     /// This epoch's view members, in view order.
@@ -184,23 +195,6 @@ impl GkaCtx<'_, '_> {
         self.keyed
     }
 
-    /// Records one event at the handler's virtual time with this
-    /// member as the actor (free when telemetry is disabled; recording
-    /// never advances the clock).
-    fn note(&self, dur: Duration, kind: EventKind) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let at = self.ctx.now();
-        let actor = Actor::Client(self.me());
-        self.telemetry.record(|| Event {
-            at,
-            dur,
-            actor,
-            kind,
-        });
-    }
-
     /// Counts, charges and traces one primitive — the only place a
     /// cost-model entry becomes virtual time, so telemetry tallies
     /// reconcile with Table 1 counts by construction.
@@ -208,13 +202,17 @@ impl GkaCtx<'_, '_> {
         self.counts.bump(op);
         self.ctx.charge_cpu(cost);
         let bits = self.suite.nominal_bits() as u32;
-        self.note(cost, EventKind::CryptoOp { op, bits });
+        note(self.ctx, cost, EventKind::CryptoOp { op, bits });
     }
 
     /// Marks the start of protocol round `round` at this member
     /// (telemetry only; free when disabled).
     pub fn mark_round(&mut self, protocol: &'static str, round: u32) {
-        self.note(Duration::ZERO, EventKind::ProtocolRound { protocol, round });
+        note(
+            self.ctx,
+            Duration::ZERO,
+            EventKind::ProtocolRound { protocol, round },
+        );
     }
 
     /// Full modular exponentiation in the group (counted + charged).
@@ -297,7 +295,7 @@ impl GkaCtx<'_, '_> {
                 SendClass::Unicast
             }
         };
-        self.note(Duration::ZERO, EventKind::MessageSend { class });
+        note(self.ctx, Duration::ZERO, EventKind::MessageSend { class });
         let wire = env.encode();
         match kind {
             SendKind::Multicast => self.ctx.multicast_agreed(wire),

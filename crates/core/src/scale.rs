@@ -23,20 +23,22 @@
 //! deterministic, and each group's world is a deterministic
 //! discrete-event simulation — so two runs with the same seed (on any
 //! `--jobs`/`--shards` setting) produce identical results byte for
-//! byte.
+//! byte. A group's world is built like every other workload's, by
+//! [`crate::experiment::secure_world`], with the member rule of
+//! [`crate::experiment::Group`].
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use gkap_bignum::stats::KernelOps;
-use gkap_gcs::{ClientId, GcsConfig, GroupId, SimWorld};
+use gkap_gcs::{ClientId, GcsConfig, GroupId};
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 use gkap_telemetry::metrics::{Key, Layer, MetricsHub};
 use gkap_telemetry::{Actor, Event, EventKind};
 
 use crate::batch::{ChurnEvent, ChurnKind, EventBatcher, MembershipBatch};
-use crate::experiment::{agreed_secret, member_seed, telemetry_sink, view_timing, SuiteKind};
-use crate::member::SecureMember;
+use crate::experiment::{
+    agreed_secret, member_rule, secure_world, telemetry_sink, view_timing, SuiteKind,
+};
 use crate::par;
 use crate::protocols::ProtocolKind;
 
@@ -251,19 +253,6 @@ pub fn run_sharded(cfg: &ScaleConfig, shards: usize, jobs: usize) -> ScaleRun {
     )
 }
 
-/// Drives a pre-batched schedule on one shard (serially, groups in
-/// ascending order) and folds the outcomes. Exposed separately so
-/// tests can compare a window-0 batched run against a hand-built
-/// one-batch-per-event run on identical inputs.
-pub fn run_with_batches(
-    cfg: &ScaleConfig,
-    schedule: &ScaleSchedule,
-    batches: &[MembershipBatch],
-) -> ScaleRun {
-    let outcomes = run_shard(cfg, schedule, batches, 1, 0);
-    assemble(cfg, schedule, batches, outcomes)
-}
-
 /// Everything one group's simulation produced, on its own ring. A
 /// pure function of `(group, seed, config)`: no other group's
 /// schedule, no shard assignment, and no thread scheduling can move a
@@ -340,7 +329,10 @@ pub fn run_shard(
 /// the bootstrap seed off the global group id, and machine placement
 /// is `global_id % machines` — exactly the layout the single-world
 /// engine used, so a member's compute and contention profile does not
-/// depend on how groups are partitioned.
+/// depend on how groups are partitioned. The group is its world's
+/// group `0`, not `group`: [`secure_world`] installs every initial
+/// view in group `0`, and nothing above the GCS reads a view's group
+/// id, so a replica's id is not observable.
 fn run_group(
     cfg: &ScaleConfig,
     group: GroupId,
@@ -351,32 +343,19 @@ fn run_group(
     // building a suite precomputes fixed-base tables and Montgomery
     // contexts, and whether this thread already paid that cost depends
     // on scheduling (`--jobs`), not on the group being measured.
-    let suite = cfg.suite.shared();
+    cfg.suite.shared();
     let kernel_before = gkap_bignum::stats::snapshot();
-    let telemetry = telemetry_sink(cfg.telemetry);
-    let mut world = SimWorld::new(cfg.gcs.clone());
-    world.set_telemetry(telemetry.clone());
-    let machines = cfg.gcs.topology.machine_count();
-    for &c in clients {
-        let mut member = SecureMember::new(
-            cfg.protocol,
-            Rc::clone(&suite),
-            member_seed(cfg.seed, c),
-            // Per-group bootstrap seed: groups start keyed, with
-            // distinct keys.
-            Some(cfg.seed ^ ((group as u64 + 1).wrapping_mul(0xa5a5_a5a5))),
-        );
-        member.set_telemetry(telemetry.clone());
-        world.add_client_on(Box::new(member), c % machines);
-    }
+    // Per-group bootstrap seed: groups start keyed, with distinct keys.
+    let bootstrap = cfg.seed ^ ((group as u64 + 1).wrapping_mul(0xa5a5_a5a5));
+    let factory = || cfg.protocol.create();
+    let member = member_rule(cfg.suite, cfg.seed, Some(bootstrap), false, &factory);
+    // The group's base members are its first `group_size` clients: its
+    // spares come after every group's base block.
+    let ids = clients.iter().copied();
+    let mut world = secure_world(cfg.gcs.clone(), cfg.telemetry, ids, cfg.group_size, member);
     // Global → group-local client ids (rank in the ascending list).
     let local = |c: ClientId| clients.binary_search(&c).ok();
     let to_local = |ids: &[ClientId]| ids.iter().filter_map(|&c| local(c)).collect::<Vec<_>>();
-    let base: Vec<ClientId> = (group * cfg.group_size..(group + 1) * cfg.group_size)
-        .filter_map(local)
-        .collect();
-    world.install_initial_view_in(group, base);
-    world.run_until_quiescent();
     let t0 = world.now();
 
     // Inject this group's batches at their flush instants.
@@ -384,7 +363,7 @@ fn run_group(
     for batch in batches {
         world.run_until(t0 + batch.flush_at);
         let at = world.now();
-        world.inject_change_in(group, to_local(&batch.joined), to_local(&batch.left));
+        world.inject_change(to_local(&batch.joined), to_local(&batch.left));
         injected_at.push(at);
     }
     world.run_until_quiescent();
@@ -407,7 +386,7 @@ fn run_group(
 
     // Attribute each batch to the view it produced: the group's k-th
     // injected batch is its (k+1)-th view (index 0 is the bootstrap).
-    let views = world.views_of(group);
+    let views = world.views_of(0);
     for (k, at) in injected_at.iter().enumerate() {
         let Some(view) = views.get(k + 1) else {
             out.superseded += 1;
@@ -425,7 +404,7 @@ fn run_group(
         out.agreement_ms
             .push(last_key.since(last_view).as_millis_f64());
         let group_size = view.members.len();
-        telemetry.record(|| Event {
+        world.telemetry().record(|| Event {
             at: *at,
             dur: last_view.since(*at),
             actor: Actor::World,
@@ -434,7 +413,7 @@ fn run_group(
                 group_size,
             },
         });
-        telemetry.record(|| Event {
+        world.telemetry().record(|| Event {
             at: last_view,
             dur: last_key.since(last_view),
             actor: Actor::World,
@@ -452,8 +431,8 @@ fn run_group(
             && agreed_secret(&world, &view.members, view.id).is_some()
     });
     out.kernel_ops = gkap_bignum::stats::snapshot().since(&kernel_before);
-    out.hub = telemetry.hub_snapshot();
-    out.events = telemetry.events();
+    out.hub = world.telemetry().hub_snapshot();
+    out.events = world.telemetry().events();
     out
 }
 

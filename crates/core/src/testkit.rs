@@ -2,13 +2,14 @@
 //!
 //! Hosts real [`SecureMember`]s and hands them views and messages
 //! synchronously, in one total order and with zero latency — no
-//! simulated network. Every handler runs on a detached [`ClientCtx`],
-//! and what it sent joins the queue. So the member logic (epoch
-//! filter, restart, rejoin reset, error record) and the [`GkaCtx`]
-//! accounting are the ones a simulated world runs, and the operation
-//! counters accumulate exactly as in the full simulation. Used by the
-//! unit/property tests of the protocols themselves and by the
-//! closed-form cost validation (Table 1).
+//! simulated network. Every handler runs on a detached [`ClientCtx`]
+//! that records into the loopback's sink, and what it sent joins the
+//! queue. So the member logic (epoch filter, restart, rejoin reset,
+//! error record) and the [`GkaCtx`] accounting are the ones a
+//! simulated world runs, and the operation counters accumulate
+//! exactly as in the full simulation. Used by the unit/property tests
+//! of the protocols themselves and by the closed-form cost validation
+//! (Table 1).
 //!
 //! [`GkaCtx`]: crate::protocols::GkaCtx
 
@@ -37,6 +38,9 @@ pub struct Loopback {
     pub delivered: u64,
     /// Running SHA-256 chain over every message taken off the queue.
     wire_digest: Vec<u8>,
+    /// The sink every handler records into (disabled until
+    /// [`Loopback::enable_telemetry`]).
+    telemetry: Telemetry,
 }
 
 impl Loopback {
@@ -64,19 +68,17 @@ impl Loopback {
             view: Vec::new(),
             delivered: 0,
             wire_digest: Vec::new(),
+            telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Enables telemetry capture in every member and returns the
-    /// shared handle (events are keyed at `SimTime::ZERO` — the
-    /// loopback has no clock; counters still tally every charged
-    /// operation).
+    /// Enables telemetry capture and returns the sink: every handler
+    /// from now on records into it through its detached context
+    /// (events are keyed at `SimTime::ZERO` — the loopback has no
+    /// clock; counters still tally every charged operation).
     pub fn enable_telemetry(&mut self) -> Telemetry {
-        let telemetry = Telemetry::enabled();
-        for (_, member) in &mut self.members {
-            member.set_telemetry(telemetry.clone());
-        }
-        telemetry
+        self.telemetry = Telemetry::enabled();
+        self.telemetry.clone()
     }
 
     /// The member `id`: its counters, epochs, key records, protocol
@@ -182,7 +184,8 @@ impl Loopback {
         };
         for (id, member) in &mut self.members {
             if view.members.contains(id) {
-                let mut ctx = ClientCtx::detached(*id, SimTime::ZERO, view.id);
+                let sink = self.telemetry.clone();
+                let mut ctx = ClientCtx::detached_into(*id, SimTime::ZERO, view.id, sink);
                 member.on_view(&mut ctx, &view);
                 self.queue.extend(ctx.into_sent());
             }
@@ -215,7 +218,8 @@ impl Loopback {
                     continue;
                 };
                 self.delivered += 1;
-                let mut ctx = ClientCtx::detached(t, SimTime::ZERO, self.epoch);
+                let sink = self.telemetry.clone();
+                let mut ctx = ClientCtx::detached_into(t, SimTime::ZERO, self.epoch, sink);
                 member.on_message(&mut ctx, &msg);
                 self.queue.extend(ctx.into_sent());
             }

@@ -8,7 +8,7 @@
 //! two same-seed runs diverge and this test fails with the first
 //! differing line.
 
-use gkap_core::experiment::{run_join_traced, run_leave_traced, ExperimentConfig, LeaveTarget};
+use gkap_core::experiment::{run_join_traced, run_traced, ExperimentConfig, LeaveTarget, Step};
 use gkap_core::protocols::ProtocolKind;
 use gkap_telemetry::jsonl::render_events;
 
@@ -54,8 +54,8 @@ fn same_seed_join_streams_are_identical() {
 fn same_seed_leave_streams_are_identical() {
     for kind in PROTOCOLS {
         let cfg = ExperimentConfig::lan_fast(kind);
-        let a = run_leave_traced(&cfg, 6, LeaveTarget::Middle);
-        let b = run_leave_traced(&cfg, 6, LeaveTarget::Middle);
+        let a = run_traced(&cfg, 6, Step::Leave(LeaveTarget::Middle));
+        let b = run_traced(&cfg, 6, Step::Leave(LeaveTarget::Middle));
         assert_same_stream(
             &format!("{kind} leave"),
             &render_events(&a.events),

@@ -1,13 +1,14 @@
 //! Keeps parallel copies of one mechanism from growing back,
 //! lexically: outside `member.rs` a `SecureMember` is constructed at
-//! four sites, a member's secret is read in the two functions that
-//! decide agreement, a protocol message is signed, verified and
-//! counted only in `protocols/mod.rs` (`GkaCtx::send` and
-//! `GkaCtx::receive`), no engine keeps or reports a key and only a
-//! protocol handler establishes one, only `SecureMember` builds a
-//! `GkaCtx`, no transport stands between a protocol and its member's
-//! `ClientCtx`, and no engine keeps a member list: `SecureMember` owns
-//! membership, and only GDH reads the membership its member last keyed.
+//! three sites, one function puts members into a world, a member's
+//! secret is read in the two functions that decide agreement, a
+//! protocol message is signed, verified and counted only in
+//! `protocols/mod.rs` (`GkaCtx::send` and `GkaCtx::receive`), no
+//! engine keeps or reports a key and only a protocol handler
+//! establishes one, only `SecureMember` builds a `GkaCtx`, no
+//! transport stands between a protocol and its member's `ClientCtx`,
+//! and no engine keeps a member list: `SecureMember` owns membership,
+//! and only GDH reads the membership its member last keyed.
 //! `#[cfg(test)]` items (always the tail of a file here) are not looked
 //! at, except by the last two checks.
 
@@ -88,7 +89,7 @@ fn protocol_messages_are_signed_verified_and_counted_in_one_place() {
 }
 
 #[test]
-fn secure_members_are_constructed_at_four_sites() {
+fn secure_members_are_constructed_at_three_sites() {
     let mut sites = Vec::new();
     for (name, code) in sources("core").into_iter().chain(sources("bench")) {
         let count = code.matches("SecureMember::new(").count()
@@ -100,12 +101,31 @@ fn secure_members_are_constructed_at_four_sites() {
     assert_eq!(
         sites,
         [
-            ("core/experiment.rs".to_string(), 1), // Group::form_with
-            ("core/scale.rs".to_string(), 1),      // run_group
+            ("core/experiment.rs".to_string(), 1), // member_rule
             ("core/testkit.rs".to_string(), 1),    // Loopback::with_factory
             ("bench/chaos.rs".to_string(), 1),     // default_factory
         ],
-        "populate a world through `Group`, or through `chaos::default_factory`"
+        "make a world's members with `experiment::member_rule`, or with `chaos::default_factory`"
+    );
+}
+
+#[test]
+fn worlds_are_populated_in_one_function() {
+    let calls = [".add_client(", ".add_client_on(", ".install_initial_view"];
+    let mut sites = Vec::new();
+    for (name, code) in sources("core").into_iter().chain(sources("bench")) {
+        let count: usize = calls.iter().map(|call| code.matches(call).count()).sum();
+        if count > 0 {
+            sites.push((name, count));
+        }
+    }
+    assert_eq!(
+        sites,
+        [
+            ("core/experiment.rs".to_string(), 2), // secure_world
+            ("bench/micro.rs".to_string(), 6),     // GCS probes, no members
+        ],
+        "put members into a world through `experiment::secure_world`"
     );
 }
 

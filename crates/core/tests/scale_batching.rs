@@ -5,7 +5,7 @@
 use gkap_core::batch::{ChurnKind, EventBatcher, MembershipBatch};
 use gkap_core::experiment::SuiteKind;
 use gkap_core::protocols::ProtocolKind;
-use gkap_core::scale::{generate_schedule, run, run_with_batches, ScaleConfig};
+use gkap_core::scale::{assemble, generate_schedule, run, run_shard, ScaleConfig};
 use gkap_sim::Duration;
 use gkap_telemetry::jsonl::render_events;
 
@@ -47,7 +47,12 @@ fn window_zero_equals_one_event_per_round() {
             }
         })
         .collect();
-    let b = run_with_batches(&cfg, &schedule, &manual);
+    let b = assemble(
+        &cfg,
+        &schedule,
+        &manual,
+        run_shard(&cfg, &schedule, &manual, 1, 0),
+    );
 
     assert!(a.ok && b.ok);
     assert_eq!(a.batches, b.batches);

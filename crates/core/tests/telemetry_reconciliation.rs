@@ -5,15 +5,19 @@
 //! Table 1 (`costs_table::expected_aggregate`) where those are exact
 //! (GDH, BD, CKD; the tree protocols are shape-dependent).
 
+use std::rc::Rc;
+
 use gkap_core::cost::OpCounts;
 use gkap_core::costs_table::{expected_aggregate, GroupEvent};
 use gkap_core::experiment::{
-    run_join, run_join_traced, run_leave, run_leave_traced, ExperimentConfig, LeaveTarget,
-    SuiteKind, TraceRun,
+    agreed_secret, run_join, run_join_traced, run_leave, run_traced, ExperimentConfig, LeaveTarget,
+    Step, SuiteKind, TraceRun,
 };
 use gkap_core::protocols::ProtocolKind;
 use gkap_core::suite::CryptoSuite;
 use gkap_core::testkit::Loopback;
+use gkap_core::SecureMember;
+use gkap_gcs::{testbed, SimWorld};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
 
@@ -87,7 +91,7 @@ fn full_stack_tally_matches_live_counts() {
         assert!(join.outcome.ok, "{kind} join");
         assert_counts_match(kind, "join", &join, None);
 
-        let leave = run_leave_traced(&cfg, n, LeaveTarget::Middle);
+        let leave = run_traced(&cfg, n, Step::Leave(LeaveTarget::Middle));
         assert!(leave.outcome.ok, "{kind} leave");
         // The leaver (view position n/2) is outside the measured set;
         // exclude any events it might emit.
@@ -115,7 +119,7 @@ fn tracing_does_not_perturb_results() {
         );
         assert_eq!(plain.counts, traced.outcome.counts, "{kind} join counts");
         let plain = run_leave(&cfg, n, LeaveTarget::Middle);
-        let traced = run_leave_traced(&cfg, n, LeaveTarget::Middle);
+        let traced = run_traced(&cfg, n, Step::Leave(LeaveTarget::Middle));
         assert_eq!(
             plain.elapsed_ms, traced.outcome.elapsed_ms,
             "{kind} leave elapsed"
@@ -217,6 +221,52 @@ fn every_delivered_copy_is_verified_and_charged_once() {
             "{kind}: full stack"
         );
     }
+}
+
+/// A member records into the sink of the world it runs in, with no
+/// wiring of its own: four members made with `SecureMember::new` alone
+/// on a traced LAN world each record `CryptoOp` and `MessageSend`
+/// events for a BD join (every member broadcasts in both rounds). The
+/// same run on an untraced world records nothing and ends the same.
+#[test]
+fn members_record_into_their_worlds_sink() {
+    let run = |sink: Telemetry| {
+        let suite = Rc::new(CryptoSuite::fast_zero());
+        let mut world = SimWorld::new(testbed::lan());
+        world.set_telemetry(sink);
+        for i in 0..4 {
+            let member = SecureMember::new(ProtocolKind::Bd, Rc::clone(&suite), i, Some(3));
+            world.add_client(Box::new(member));
+        }
+        world.install_initial_view_of(vec![0, 1, 2]);
+        world.run_until_quiescent();
+        world.inject_join(3);
+        world.run_until_quiescent();
+        let secret = agreed_secret(&world, &[0, 1, 2, 3], 2).cloned();
+        (world.telemetry().events(), secret, world.now())
+    };
+    let (events, secret, end) = run(Telemetry::enabled());
+    assert!(secret.is_some(), "the join keyed every member");
+    for member in 0..4 {
+        let mine: Vec<&EventKind> = events
+            .iter()
+            .filter(|e| e.actor == Actor::Client(member))
+            .map(|e| &e.kind)
+            .collect();
+        let crypto = mine.iter().any(|k| matches!(k, EventKind::CryptoOp { .. }));
+        let sends = mine
+            .iter()
+            .any(|k| matches!(k, EventKind::MessageSend { .. }));
+        assert!(crypto, "member {member} recorded its crypto");
+        assert!(sends, "member {member} recorded its sends");
+    }
+    let (untraced, plain_secret, plain_end) = run(Telemetry::disabled());
+    assert!(untraced.is_empty(), "an untraced world records nothing");
+    assert_eq!(
+        (plain_secret, plain_end),
+        (secret, end),
+        "tracing perturbs nothing"
+    );
 }
 
 /// The multi-group scale spans (PR 5) obey the same exact-sum

@@ -58,13 +58,15 @@
 //! reference that `tests/quiet_skip.rs` and `tests/fast_forward.rs`
 //! hold it to, state for state.
 
+use std::any::Any;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
-use crate::client::{Client, ClientCtx, WorldSlots};
+use crate::client::{Client, WorldSlots};
 use crate::config::{
     GcsConfig, CLIENT_DAEMON_DELAY, MEMBERSHIP_PER_MEMBER, PER_MESSAGE_PROCESSING, RECOVERY_BATCH,
     TOKEN_PROCESSING,
@@ -280,9 +282,9 @@ impl SimWorld {
         }
     }
 
-    /// Attaches an externally-owned telemetry sink (shared with other
-    /// layers, e.g. the protocol drivers) so all events land in one
-    /// stream.
+    /// Attaches a telemetry sink: the engine records into it, and so
+    /// does every client handler, through [`ClientCtx::telemetry`], so
+    /// all events land in one stream.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -337,7 +339,7 @@ impl SimWorld {
     ///
     /// # Panics
     ///
-    /// Panics if a view is already installed or `members` is empty.
+    /// Panics where [`SimWorld::install_initial_view_in`] does.
     pub fn install_initial_view_of(&mut self, members: Vec<ClientId>) {
         self.install_initial_view_in(0, members);
     }
@@ -348,13 +350,18 @@ impl SimWorld {
     ///
     /// # Panics
     ///
-    /// Panics if the group already has a view or `members` is empty.
+    /// Panics if the group already has a view, `members` is empty, a
+    /// member is an unknown client or a client is named twice.
     pub fn install_initial_view_in(&mut self, group: GroupId, members: Vec<ClientId>) {
         assert!(
             self.membership.view(group).is_none(),
             "initial view already installed for group {group}"
         );
         assert!(!members.is_empty(), "initial view cannot be empty");
+        for (i, &j) in members.iter().enumerate() {
+            assert!(j < self.clients.len(), "unknown client {j}");
+            assert!(!members[..i].contains(&j), "client {j} named twice");
+        }
         let view = self.membership.install_initial(group, members);
         self.stats.views_installed += 1;
         for &c in &view.members {
@@ -1492,7 +1499,8 @@ impl SimWorld {
         let machine = self.clients[client].machine;
         let start = self.queue.now().max(self.clients[client].busy_until);
         let speed = self.cfg.topology.machine(machine).speed;
-        let mut ctx = ClientCtx::new(client, start, view_id, speed, &mut self.slots);
+        let lent = Lent::World(&mut self.slots, &self.telemetry);
+        let mut ctx = ClientCtx::new(client, start, view_id, speed, lent);
         call(handler.as_mut(), &mut ctx);
         let charged = ctx.charged();
         let outgoing = ctx.into_sent();
@@ -1515,6 +1523,146 @@ impl SimWorld {
         for out in outgoing {
             self.schedule(submit_delay, Ev::ClientSubmit { out });
         }
+    }
+}
+
+/// What a handler context lends its client — the world's slots and
+/// sink — borrowed from the world that runs the handler, or owned by
+/// the context when there is no world.
+#[derive(Debug)]
+enum Lent<'a> {
+    World(&'a mut WorldSlots, &'a Telemetry),
+    Detached(WorldSlots, Telemetry),
+}
+
+/// Handler context: lets a client read the clock, charge CPU, send
+/// messages, reach the state its world's clients share and record
+/// into its world's telemetry sink.
+#[derive(Debug)]
+pub struct ClientCtx<'a> {
+    id: ClientId,
+    now: SimTime,
+    view_id: u64,
+    charged: Duration,
+    /// Sends, in order, as their addressees will receive them (tagged
+    /// with the view the sender was in: view synchrony).
+    outgoing: Vec<Delivery>,
+    speed: f64,
+    lent: Lent<'a>,
+}
+
+impl<'a> ClientCtx<'a> {
+    fn new(id: ClientId, now: SimTime, view_id: u64, speed: f64, lent: Lent<'a>) -> Self {
+        ClientCtx {
+            id,
+            now,
+            view_id,
+            charged: Duration::ZERO,
+            outgoing: Vec::new(),
+            speed,
+            lent,
+        }
+    }
+
+    /// A detached context for driving a [`Client`] outside the
+    /// simulator — a harness that delivers views and messages itself
+    /// (`gkap_core::testkit::Loopback`) or a unit test that needs
+    /// precise control over view delivery. Messages sent through it
+    /// are collected for [`ClientCtx::into_sent`] and go nowhere else,
+    /// its world slots start empty and end with it, and its telemetry
+    /// sink is disabled.
+    pub fn detached(id: ClientId, now: SimTime, view_id: u64) -> Self {
+        ClientCtx::detached_into(id, now, view_id, Telemetry::disabled())
+    }
+
+    /// [`ClientCtx::detached`] recording into `telemetry`: the sink a
+    /// harness without a world holds for its clients.
+    pub fn detached_into(id: ClientId, now: SimTime, view_id: u64, telemetry: Telemetry) -> Self {
+        let lent = Lent::Detached(WorldSlots::default(), telemetry);
+        ClientCtx::new(id, now, view_id, 1.0, lent)
+    }
+
+    /// The world's shared value of type `T`, default-constructed the
+    /// first time any client of this world asks for it and dropped
+    /// with the world.
+    pub fn world_slot<T: Any + Default>(&mut self) -> &mut T {
+        match &mut self.lent {
+            Lent::World(slots, _) => slots.get(),
+            Lent::Detached(slots, _) => slots.get(),
+        }
+    }
+
+    /// The telemetry sink of the world running this handler (or of the
+    /// harness that made a detached context): a client records into
+    /// it with itself as the actor. Disabled sinks record nothing.
+    pub fn telemetry(&self) -> &Telemetry {
+        match &self.lent {
+            Lent::World(_, telemetry) => telemetry,
+            Lent::Detached(_, telemetry) => telemetry,
+        }
+    }
+
+    /// The messages the handler sent, in order, as their addressees
+    /// will receive them (ends the borrow of the world): what the
+    /// engine schedules, or a harness without a world moves itself.
+    pub fn into_sent(self) -> Vec<Delivery> {
+        self.outgoing
+    }
+
+    /// This client's identifier.
+    pub fn id(&self) -> ClientId {
+        self.id
+    }
+
+    /// Current virtual time (start of this handler invocation).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Identifier of the view this handler runs in.
+    pub fn view_id(&self) -> u64 {
+        self.view_id
+    }
+
+    /// Charges `cost` of CPU time (at the paper's baseline machine
+    /// speed) to this member. The machine's speed factor and core
+    /// contention are applied by the engine.
+    pub fn charge_cpu(&mut self, cost: Duration) {
+        let scaled = Duration::from_millis_f64(cost.as_millis_f64() / self.speed);
+        self.charged += scaled;
+    }
+
+    /// Total CPU charged so far in this handler.
+    pub fn charged(&self) -> Duration {
+        self.charged
+    }
+
+    fn send(&mut self, service: Service, dest: Dest, payload: Bytes) {
+        self.outgoing.push(Delivery {
+            sender: self.id,
+            service,
+            dest,
+            view_id: self.view_id,
+            payload,
+        });
+    }
+
+    /// Sends a totally-ordered multicast to the whole view.
+    pub fn multicast_agreed(&mut self, payload: impl Into<Bytes>) {
+        self.send(Service::Agreed, Dest::All, payload.into());
+    }
+
+    /// Sends a totally-ordered message addressed to one member. Costs
+    /// as much as a broadcast (it traverses the token ring) — see
+    /// §6.2.2 of the paper.
+    pub fn unicast_agreed(&mut self, to: ClientId, payload: impl Into<Bytes>) {
+        self.send(Service::Agreed, Dest::One(to), payload.into());
+    }
+
+    /// Sends a cheap FIFO point-to-point message that bypasses the
+    /// token ring (CKD's pairwise channels).
+    pub fn unicast_fifo(&mut self, to: ClientId, payload: impl Into<Bytes>) {
+        self.send(Service::Fifo, Dest::One(to), payload.into());
     }
 }
 
@@ -1541,6 +1689,55 @@ mod tests {
     use crate::message::Delivery;
     use crate::testbed;
     use crate::topology::{MachineCfg, SiteCfg, Topology};
+
+    #[test]
+    fn charge_scales_with_machine_speed() {
+        let world = |speed| {
+            let lent = Lent::Detached(WorldSlots::default(), Telemetry::disabled());
+            ClientCtx::new(0, SimTime::ZERO, 1, speed, lent)
+        };
+        let mut ctx = world(2.0);
+        ctx.charge_cpu(Duration::from_millis(10));
+        assert_eq!(ctx.charged(), Duration::from_millis(5));
+        let mut slow = world(0.5);
+        slow.charge_cpu(Duration::from_millis(10));
+        assert_eq!(slow.charged(), Duration::from_millis(20));
+    }
+
+    #[test]
+    fn sends_accumulate_in_order() {
+        let mut ctx = ClientCtx::detached(7, SimTime::ZERO, 2);
+        ctx.multicast_agreed(vec![1]);
+        ctx.unicast_fifo(3, vec![2]);
+        ctx.unicast_agreed(4, vec![3]);
+        assert_eq!(ctx.outgoing.len(), 3);
+        assert_eq!(ctx.outgoing[0].service, Service::Agreed);
+        assert_eq!(ctx.outgoing[0].dest, Dest::All);
+        assert_eq!(ctx.outgoing[1].service, Service::Fifo);
+        assert_eq!(ctx.outgoing[1].dest, Dest::One(3));
+        assert_eq!(ctx.outgoing[2].dest, Dest::One(4));
+        assert_eq!(ctx.id(), 7);
+        assert_eq!(ctx.view_id(), 2);
+        let sent = ctx.into_sent();
+        assert!(sent.iter().all(|d| d.sender == 7 && d.view_id == 2));
+        assert_eq!(sent[2].payload.as_ref(), [3]);
+    }
+
+    #[test]
+    fn world_slots_outlive_contexts_and_are_per_type() {
+        let mut slots = WorldSlots::default();
+        let telemetry = Telemetry::disabled();
+        fn lend<'a>(slots: &'a mut WorldSlots, telemetry: &'a Telemetry) -> ClientCtx<'a> {
+            ClientCtx::new(0, SimTime::ZERO, 1, 1.0, Lent::World(slots, telemetry))
+        }
+        *lend(&mut slots, &telemetry).world_slot::<u32>() += 5;
+        let mut later = lend(&mut slots, &telemetry);
+        assert_eq!(*later.world_slot::<u32>(), 5, "same world, same value");
+        assert_eq!(*later.world_slot::<u64>(), 0, "another type, another slot");
+        // A detached context has no world: it starts empty.
+        let mut lone = ClientCtx::detached(0, SimTime::ZERO, 1);
+        assert_eq!(*lone.world_slot::<u32>(), 0);
+    }
 
     /// Multicasts once on the first view.
     struct Sender;

@@ -84,9 +84,9 @@ mod stats;
 pub mod testbed;
 mod topology;
 
-pub use client::{Client, ClientCtx};
+pub use client::Client;
 pub use config::{GcsConfig, WireGranularity};
-pub use engine::SimWorld;
+pub use engine::{ClientCtx, SimWorld};
 pub use fault::{Fault, FaultPlan, PlannedFault};
 pub use loss::GilbertElliott;
 pub use message::{Delivery, Dest, Service, View, ViewId};

@@ -431,6 +431,25 @@ fn cascaded_membership_changes_queue_fifo() {
     assert_eq!(sizes, vec![4, 5, 6, 5]);
 }
 
+/// An initial view is checked at the call, like a change: an unknown
+/// client would otherwise panic at its delivery, one client-daemon
+/// delay later.
+#[test]
+#[should_panic(expected = "unknown client 3")]
+fn initial_view_rejects_an_unknown_client() {
+    let mut world = world_with_recorders(testbed::lan(), 3);
+    world.install_initial_view_of(vec![0, 1, 3]);
+}
+
+/// A client named twice would receive the view twice and stand in its
+/// members twice.
+#[test]
+#[should_panic(expected = "client 1 named twice")]
+fn initial_view_rejects_a_client_named_twice() {
+    let mut world = world_with_recorders(testbed::lan(), 3);
+    world.install_initial_view_of(vec![0, 1, 1]);
+}
+
 #[test]
 fn deterministic_replay() {
     let run = || {
