@@ -118,7 +118,11 @@ pub fn run_schedule(
     world.run_while(|w| w.now() < bound);
 
     let elapsed_ms = world.now().since(t0).as_millis_f64();
-    let recovery = recovery_ms(&world.telemetry().events()).min(elapsed_ms);
+    let recovery = world
+        .telemetry()
+        .with(|r| recovery_ms(r.events()))
+        .unwrap_or(0.0)
+        .min(elapsed_ms);
     if !world.quiescent() {
         // The view and keys are mid-change: the other invariants are
         // not meaningful on a hung run.

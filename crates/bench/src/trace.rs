@@ -10,7 +10,7 @@
 use gkap_core::experiment::{run_traced, ExperimentConfig, LeaveTarget, Step, SuiteKind, TraceRun};
 use gkap_core::protocols::ProtocolKind;
 use gkap_gcs::{testbed, GcsConfig};
-use gkap_telemetry::{Event, EventKind};
+use gkap_telemetry::{fault, Event, EventKind};
 
 /// One traced measurement: a protocol × event cell of the breakdown.
 #[derive(Debug)]
@@ -50,9 +50,7 @@ pub fn recovery_ms(events: &[Event]) -> f64 {
     let mut covered = f64::NEG_INFINITY; // end of the last counted window
     for (i, e) in events.iter().enumerate() {
         match e.kind {
-            EventKind::Fault {
-                action: "crash", ..
-            } => {}
+            EventKind::Fault { action, .. } if action == fault::CRASH => {}
             _ => continue,
         }
         let start = e.at.as_millis_f64();
@@ -239,7 +237,7 @@ mod tests {
             ev(
                 t,
                 EventKind::Fault {
-                    action: "crash",
+                    action: fault::CRASH,
                     target: 0,
                 },
             )

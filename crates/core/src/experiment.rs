@@ -22,7 +22,7 @@ use gkap_bignum::Ubig;
 use gkap_gcs::{ClientId, GcsConfig, SimWorld};
 use gkap_sim::stats::{Figure, Series, Summary};
 use gkap_sim::SimTime;
-use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
+use gkap_telemetry::{membership, Actor, Event, EventKind, Label, Telemetry};
 
 use crate::cost::OpCounts;
 use crate::member::SecureMember;
@@ -495,15 +495,15 @@ impl Group {
         let before: Vec<OpCounts> = wait_for.iter().map(counts).collect();
         let inject = world.now();
         let group_size = wait_for.len();
-        let mark = |world: &SimWorld, at: SimTime, action: &'static str| {
+        let mark = |world: &SimWorld, at: SimTime, action: Label| {
             world.telemetry().record(|| Event {
                 at,
                 dur: gkap_sim::Duration::ZERO,
                 actor: Actor::World,
-                kind: EventKind::MembershipEvent { action, group_size },
+                kind: EventKind::membership(action, group_size),
             })
         };
-        mark(world, inject, "inject");
+        mark(world, inject, membership::INJECT);
         match crashed {
             Some(machine) => world.inject_crash(machine),
             None => world.inject_change(joined, left),
@@ -515,7 +515,7 @@ impl Group {
         };
         world.run_while(|w| !keyed(w));
         let (outcome, timing) = report(world, &wait_for, epoch, inject, &before);
-        mark(world, timing.last_key, "key_established");
+        mark(world, timing.last_key, membership::KEY_ESTABLISHED);
         (outcome, inject, timing)
     }
 
@@ -737,8 +737,9 @@ fn compute_breakdown(events: &[Event], inject: SimTime, t: &ViewTiming) -> Break
     let mut crypto_ns = 0.0;
     let mut busy_ns = 0.0;
     let mut wait_ns = 0.0;
+    let critical = Actor::client(t.critical);
     for ev in events {
-        if ev.actor != Actor::Client(t.critical) {
+        if ev.actor != critical {
             continue;
         }
         match ev.kind {
@@ -790,7 +791,7 @@ pub fn run_traced(cfg: &ExperimentConfig, n: usize, step: Step) -> TraceRun {
     cfg.telemetry = true;
     let mut group = form_for(&cfg, n, step);
     let (outcome, inject, timing) = group.apply_timed(step);
-    let events = group.world.telemetry().events();
+    let events = group.world.telemetry().take_events();
     let breakdown = compute_breakdown(&events, inject, &timing);
     TraceRun {
         outcome,

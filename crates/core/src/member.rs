@@ -28,7 +28,7 @@ use gkap_bignum::{SplitMix64, Ubig};
 use gkap_crypto::Secret;
 use gkap_gcs::{Client, ClientCtx, ClientId, Delivery, View};
 use gkap_sim::{Duration, SimTime};
-use gkap_telemetry::EventKind;
+use gkap_telemetry::{fault, membership, EventKind};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
@@ -411,15 +411,15 @@ impl Client for SecureMember {
         // permitting) restart in the new epoch.
         if self.phase == AgreementPhase::Running {
             let target = ctx.id();
-            let fault = |action| EventKind::Fault { action, target };
-            note(ctx, Duration::ZERO, fault("abort"));
+            let event = |action| EventKind::fault(action, target);
+            note(ctx, Duration::ZERO, event(fault::ABORT));
             self.restarts += 1;
             if self.restarts > MAX_RESTARTS {
                 self.phase = AgreementPhase::GivenUp;
                 self.record_error(GkaError::Protocol("restart budget exhausted"));
-                note(ctx, Duration::ZERO, fault("give_up"));
+                note(ctx, Duration::ZERO, event(fault::GIVE_UP));
             } else {
-                note(ctx, Duration::ZERO, fault("restart"));
+                note(ctx, Duration::ZERO, event(fault::RESTART));
             }
         }
 
@@ -455,10 +455,7 @@ impl Client for SecureMember {
         note(
             ctx,
             Duration::ZERO,
-            EventKind::MembershipEvent {
-                action: "view_delivered",
-                group_size: view.members.len(),
-            },
+            EventKind::membership(membership::VIEW_DELIVERED, view.members.len()),
         );
         if self.phase == AgreementPhase::GivenUp {
             return; // reported above; stop participating

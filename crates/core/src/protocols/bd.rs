@@ -54,7 +54,7 @@ impl Bd {
         if self.sent_round2 || self.z.len() < ctx.members().len() {
             return Ok(());
         }
-        ctx.mark_round("BD", 2);
+        ctx.mark_round(ProtocolKind::Bd, 2);
         let me = ctx.me();
         let pos = position(ctx.members(), me)?;
         let next = neighbour(ctx.members(), pos, 1);
@@ -143,7 +143,7 @@ impl GkaProtocol for Bd {
         self.z.clear();
         self.x.clear();
         self.sent_round2 = false;
-        ctx.mark_round("BD", 1);
+        ctx.mark_round(ProtocolKind::Bd, 1);
         let r = ctx.fresh_exponent();
         let z = ctx.exp_g(&r);
         self.my_r = Some(r.clone());

@@ -99,7 +99,7 @@ impl Ckd {
     /// Controller-side: distribute a fresh secret to all members,
     /// assuming `pubs` covers everyone.
     fn distribute(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        ctx.mark_round("CKD", 3);
+        ctx.mark_round(ProtocolKind::Ckd, 3);
         let me = ctx.me();
         let x = self
             .controller_exp
@@ -149,7 +149,7 @@ impl Ckd {
         ctx: &mut GkaCtx<'_, '_>,
         invite: Vec<ClientId>,
     ) -> Result<(), GkaError> {
-        ctx.mark_round("CKD", 1);
+        ctx.mark_round(ProtocolKind::Ckd, 1);
         let x = ctx.fresh_exponent();
         let controller_pub = ctx.exp_g(&x);
         self.controller_pub = Some(controller_pub.clone());
@@ -226,7 +226,7 @@ impl GkaProtocol for Ckd {
                 }
                 // Refresh our pairwise contribution and respond over
                 // the direct channel.
-                ctx.mark_round("CKD", 2);
+                ctx.mark_round(ProtocolKind::Ckd, 2);
                 let x = ctx.fresh_exponent();
                 let member_pub = ctx.exp_g(&x);
                 self.my_exp = Some(x);

@@ -106,7 +106,7 @@ impl Gdh {
             return Ok(());
         }
         // Controller: refresh own contribution and rescale the list.
-        ctx.mark_round("GDH", 1);
+        ctx.mark_round(ProtocolKind::Gdh, 1);
         let old_r = self
             .my_exp
             .clone()
@@ -162,7 +162,7 @@ impl Gdh {
             .ok_or(GkaError::MissingState("merge without an existing group"))?;
         if me == old_controller {
             // Refresh contribution: token = K_me^{r'} = g^{∏ old}.
-            ctx.mark_round("GDH", 1);
+            ctx.mark_round(ProtocolKind::Gdh, 1);
             let k_me = self
                 .partial_keys
                 .get(&me)
@@ -212,7 +212,7 @@ impl Gdh {
             .broadcast_token
             .clone()
             .ok_or(GkaError::MissingState("missing broadcast token"))?;
-        ctx.mark_round("GDH", 4);
+        ctx.mark_round(ProtocolKind::Gdh, 4);
         let fresh = ctx.fresh_exponent();
         let mut entries: Vec<(ClientId, Ubig)> = Vec::with_capacity(expected + 1);
         for (&m, f) in &self.factor_outs {
@@ -291,7 +291,7 @@ impl GkaProtocol for Gdh {
                 let last = new.len() - 1;
                 if pos < last {
                     // Add our contribution and forward.
-                    ctx.mark_round("GDH", 2);
+                    ctx.mark_round(ProtocolKind::Gdh, 2);
                     let r = ctx.fresh_exponent();
                     let next_token = ctx.exp(&token, &r);
                     self.merge_exp = Some(r);
@@ -306,7 +306,7 @@ impl GkaProtocol for Gdh {
                     self.stage = Stage::AwaitBroadcast;
                 } else {
                     // We are the new controller: broadcast as received.
-                    ctx.mark_round("GDH", 2);
+                    ctx.mark_round(ProtocolKind::Gdh, 2);
                     self.broadcast_token = Some(token.clone());
                     ctx.send(
                         SendKind::Multicast,
@@ -327,7 +327,7 @@ impl GkaProtocol for Gdh {
                     .or(self.my_exp.as_ref())
                     .cloned()
                     .ok_or(GkaError::MissingState("no contribution to factor out"))?;
-                ctx.mark_round("GDH", 3);
+                ctx.mark_round(ProtocolKind::Gdh, 3);
                 let r_inv = ctx.invert_exponent(&r);
                 let value = ctx.exp(&token, &r_inv);
                 ctx.send(

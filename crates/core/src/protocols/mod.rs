@@ -29,7 +29,7 @@ use gkap_bignum::{RandomSource, SplitMix64, Ubig};
 use gkap_crypto::Secret;
 use gkap_gcs::{ClientCtx, ClientId, View};
 use gkap_sim::Duration;
-use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass};
+use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, Label, SendClass};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
@@ -67,12 +67,18 @@ impl ProtocolKind {
 
     /// Display name, as used in the paper's figures.
     pub fn name(&self) -> &'static str {
+        self.label().as_str()
+    }
+
+    /// The display name as a telemetry [`Label`] (the `protocol` of
+    /// [`EventKind::ProtocolRound`]).
+    pub fn label(&self) -> Label {
         match self {
-            ProtocolKind::Gdh => "GDH",
-            ProtocolKind::Ckd => "CKD",
-            ProtocolKind::Tgdh => "TGDH",
-            ProtocolKind::Str => "STR",
-            ProtocolKind::Bd => "BD",
+            ProtocolKind::Gdh => Label::new(&"GDH"),
+            ProtocolKind::Ckd => Label::new(&"CKD"),
+            ProtocolKind::Tgdh => Label::new(&"TGDH"),
+            ProtocolKind::Str => Label::new(&"STR"),
+            ProtocolKind::Bd => Label::new(&"BD"),
         }
     }
 
@@ -141,7 +147,7 @@ pub enum SendKind {
 /// virtual time with its client as the actor (free when the sink is
 /// disabled; recording never advances the clock).
 pub(crate) fn note(ctx: &ClientCtx<'_>, dur: Duration, kind: EventKind) {
-    let (at, actor) = (ctx.now(), Actor::Client(ctx.id()));
+    let (at, actor) = (ctx.now(), Actor::client(ctx.id()));
     ctx.telemetry().record(|| Event {
         at,
         dur,
@@ -205,9 +211,10 @@ impl GkaCtx<'_, '_> {
         note(self.ctx, cost, EventKind::CryptoOp { op, bits });
     }
 
-    /// Marks the start of protocol round `round` at this member
+    /// Marks the start of round `round` of `protocol` at this member
     /// (telemetry only; free when disabled).
-    pub fn mark_round(&mut self, protocol: &'static str, round: u32) {
+    pub fn mark_round(&mut self, protocol: ProtocolKind, round: u32) {
+        let protocol = protocol.label();
         note(
             self.ctx,
             Duration::ZERO,

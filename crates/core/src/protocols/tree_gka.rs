@@ -262,7 +262,7 @@ impl<S: TreeShape> TreeGka<S> {
     fn broadcast_tree(&mut self, ctx: &mut GkaCtx<'_, '_>) {
         // Each sponsor broadcast is one round of the event's re-keying.
         self.rounds_started += 1;
-        ctx.mark_round(S::KIND.name(), self.rounds_started);
+        ctx.mark_round(S::KIND, self.rounds_started);
         ctx.send(SendKind::Multicast, &S::to_msg(&self.tree));
     }
 

@@ -33,7 +33,7 @@ use gkap_bignum::stats::KernelOps;
 use gkap_gcs::{ClientId, GcsConfig, GroupId};
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 use gkap_telemetry::metrics::{Key, Layer, MetricsHub};
-use gkap_telemetry::{Actor, Event, EventKind};
+use gkap_telemetry::{membership, Actor, Event, EventKind};
 
 use crate::batch::{ChurnEvent, ChurnKind, EventBatcher, MembershipBatch};
 use crate::experiment::{
@@ -408,19 +408,13 @@ fn run_group(
             at: *at,
             dur: last_view.since(*at),
             actor: Actor::World,
-            kind: EventKind::MembershipEvent {
-                action: "transport",
-                group_size,
-            },
+            kind: EventKind::membership(membership::TRANSPORT, group_size),
         });
         world.telemetry().record(|| Event {
             at: last_view,
             dur: last_key.since(last_view),
             actor: Actor::World,
-            kind: EventKind::MembershipEvent {
-                action: "agreement",
-                group_size,
-            },
+            kind: EventKind::membership(membership::AGREEMENT, group_size),
         });
     }
 
@@ -432,7 +426,7 @@ fn run_group(
     });
     out.kernel_ops = gkap_bignum::stats::snapshot().since(&kernel_before);
     out.hub = world.telemetry().hub_snapshot();
-    out.events = world.telemetry().events();
+    out.events = world.telemetry().take_events();
     out
 }
 
@@ -505,16 +499,13 @@ pub fn assemble(
             at: opened,
             dur: wait,
             actor: Actor::World,
-            kind: EventKind::MembershipEvent {
-                action: "batch_wait",
-                group_size,
-            },
+            kind: EventKind::membership(membership::BATCH_WAIT, group_size),
         });
     }
     for o in &mut outcomes {
         run.events.append(&mut o.events);
     }
-    run.events.extend(harness.events());
+    run.events.append(&mut harness.take_events());
 
     // Workload-level metrics are always populated (cheap aggregates),
     // so every scale invocation can write a manifest without paying

@@ -19,7 +19,9 @@ use gkap_core::testkit::Loopback;
 use gkap_core::SecureMember;
 use gkap_gcs::{testbed, SimWorld};
 use gkap_telemetry::metrics::{Key, Layer};
-use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
+use gkap_telemetry::{
+    membership, Actor, CryptoOpKind, Event, EventKind, Label, SendClass, Telemetry,
+};
 
 /// Tallies a run's crypto and send events into an [`OpCounts`],
 /// considering only events at/after the injection marker and only the
@@ -28,13 +30,7 @@ fn tally(events: &[Event], only: Option<&[usize]>) -> OpCounts {
     let inject = events
         .iter()
         .find(|e| {
-            matches!(
-                e.kind,
-                EventKind::MembershipEvent {
-                    action: "inject",
-                    ..
-                }
-            )
+            matches!(e.kind, EventKind::MembershipEvent { action, .. } if action == membership::INJECT)
         })
         .map(|e| e.at)
         .expect("inject marker");
@@ -43,11 +39,11 @@ fn tally(events: &[Event], only: Option<&[usize]>) -> OpCounts {
         if ev.at < inject {
             continue;
         }
-        let Actor::Client(id) = ev.actor else {
+        if !matches!(ev.actor, Actor::Client(_)) {
             continue;
-        };
+        }
         if let Some(ids) = only {
-            if !ids.contains(&id) {
+            if !ids.iter().any(|&id| ev.actor == Actor::client(id)) {
                 continue;
             }
         }
@@ -203,7 +199,7 @@ fn every_delivered_copy_is_verified_and_charged_once() {
         lb.bootstrap(&ids[..5], 5);
         let telemetry = lb.enable_telemetry();
         lb.install_view(ids.clone(), vec![5], vec![]);
-        let events = telemetry.events();
+        let events = telemetry.take_events();
         assert!(lb.delivered > 0, "{kind}: the join sent messages");
         assert_eq!(spans(&events, CryptoOpKind::Verify), lb.delivered, "{kind}");
         assert_eq!(
@@ -243,7 +239,7 @@ fn members_record_into_their_worlds_sink() {
         world.inject_join(3);
         world.run_until_quiescent();
         let secret = agreed_secret(&world, &[0, 1, 2, 3], 2).cloned();
-        (world.telemetry().events(), secret, world.now())
+        (world.telemetry().take_events(), secret, world.now())
     };
     let (events, secret, end) = run(Telemetry::enabled());
     assert!(secret.is_some(), "the join keyed every member");
@@ -310,7 +306,7 @@ fn scale_spans_reconcile_exactly_in_nanos() {
         // The trace spans carry the same durations: compare as sorted
         // multisets (the event log is time-ordered, the vectors are
         // group-ordered).
-        let span_durs = |action: &str| -> Vec<u64> {
+        let span_durs = |action: Label| -> Vec<u64> {
             let mut durs: Vec<u64> = r
                 .events
                 .iter()
@@ -328,12 +324,12 @@ fn scale_spans_reconcile_exactly_in_nanos() {
             v
         };
         assert_eq!(
-            span_durs("transport"),
+            span_durs(membership::TRANSPORT),
             sorted_ns(&r.transport_ms),
             "{kind}: transport span events mirror the vector"
         );
         assert_eq!(
-            span_durs("agreement"),
+            span_durs(membership::AGREEMENT),
             sorted_ns(&r.agreement_ms),
             "{kind}: agreement span events mirror the vector"
         );
@@ -350,7 +346,7 @@ fn scale_spans_reconcile_exactly_in_nanos() {
                 "{kind}: batch wait {w} ms exceeds the window"
             );
         }
-        let batch_events = span_durs("batch_wait");
+        let batch_events = span_durs(membership::BATCH_WAIT);
         assert_eq!(batch_events.len(), r.batches);
         assert_eq!(
             batch_events.last().copied(),

@@ -64,7 +64,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime};
 use gkap_telemetry::metrics::{Key, Layer};
-use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
+use gkap_telemetry::{fault, Actor, Event, EventKind, Label, Telemetry};
 
 use crate::client::{Client, WorldSlots};
 use crate::config::{
@@ -477,7 +477,7 @@ impl SimWorld {
         self.ring.crash(daemon);
         self.recovery.forget(daemon);
         self.stats.daemon_crashes += 1;
-        self.note_fault(Actor::Daemon(daemon), "crash", daemon);
+        self.note_fault(Actor::daemon(daemon), fault::CRASH, daemon);
         // The machine died: its client processes die with it.
         for slot in self.clients.iter_mut().filter(|c| c.machine == daemon) {
             slot.alive = false;
@@ -504,7 +504,7 @@ impl SimWorld {
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn set_loss_burst(&mut self, rate: f64, duration: Duration) {
         self.loss.set_burst(rate, self.queue.now() + duration);
-        self.note_fault(Actor::World, "loss_burst", (rate * 100.0) as usize);
+        self.note_fault(Actor::World, fault::LOSS_BURST, (rate * 100.0) as usize);
     }
 
     /// Schedules every fault in `plan` as a simulation event at its
@@ -758,9 +758,10 @@ impl SimWorld {
         let Some(bound) = limit.into_iter().chain(self.queue.peek_time()).min() else {
             return false;
         };
-        let Some((k, period, offset)) = self.idle_rotations_before(daemon, a0, bound) else {
+        let Some((count, period, offset)) = self.idle_rotations_before(daemon, a0, bound) else {
             return false;
         };
+        let k = u64::from(count);
         let visits = k * self.ring.order().len() as u64;
 
         // What `dispatch` counts per visit.
@@ -783,8 +784,8 @@ impl SimWorld {
             self.telemetry.record(|| Event {
                 at: first_at,
                 dur: period * k,
-                actor: Actor::Daemon(head),
-                kind: EventKind::IdleRotations { first, count: k },
+                actor: Actor::daemon(head),
+                kind: EventKind::IdleRotations { first, count },
             });
         }
         let interval = Key::new(Layer::Gcs, "token_rotation_ms");
@@ -809,15 +810,17 @@ impl SimWorld {
         true
     }
 
-    /// How many whole quiet rotations (at least one) fit between the
-    /// token's arrival at `daemon` at `a0` and `t`: `(count, period,
-    /// delay from a0 to the ring head's first arrival)`.
+    /// How many whole quiet rotations (at least one, at most
+    /// `u32::MAX` — the most one [`EventKind::IdleRotations`] counts)
+    /// fit between the token's arrival at `daemon` at `a0` and `t`:
+    /// `(count, period, delay from a0 to the ring head's first
+    /// arrival)`. A longer quiet run is skipped as several stretches.
     fn idle_rotations_before(
         &self,
         daemon: DaemonId,
         a0: SimTime,
         t: SimTime,
-    ) -> Option<(u64, Duration, Duration)> {
+    ) -> Option<(u32, Duration, Duration)> {
         let ring = self.ring.order();
         let pos0 = ring.iter().position(|&d| d == daemon)?;
         // One quiet rotation starting from `pos0`: per hop the token is
@@ -839,6 +842,7 @@ impl SimWorld {
             }
         }
         let k = t.since(a0).as_nanos().checked_div(period.as_nanos())?;
+        let k = u32::try_from(k).unwrap_or(u32::MAX);
         (k > 0).then_some((k, period, offset))
     }
 
@@ -916,8 +920,8 @@ impl SimWorld {
         });
     }
 
-    fn note_fault(&self, actor: Actor, action: &'static str, target: usize) {
-        self.note(actor, EventKind::Fault { action, target });
+    fn note_fault(&self, actor: Actor, action: Label, target: usize) {
+        self.note(actor, EventKind::fault(action, target));
     }
 
     /// Dispatches `ev` — of a run, target `at` only, leaving the rest
@@ -987,7 +991,7 @@ impl SimWorld {
     fn on_crash_detect(&mut self, daemon: DaemonId) {
         self.ring.reform_without(daemon);
         self.stats.ring_reformations += 1;
-        self.note_fault(Actor::Daemon(daemon), "crash_detected", daemon);
+        self.note_fault(Actor::daemon(daemon), fault::CRASH_DETECTED, daemon);
         self.launch_token();
         // The dead daemon can never install a pending view; any
         // membership waiting only on it completes now.
@@ -1027,7 +1031,7 @@ impl SimWorld {
                     .filter(|m| current.contains(m))
                     .collect();
                 if !leaving.is_empty() {
-                    self.note_fault(Actor::World, "partition", leaving.len());
+                    self.note_fault(Actor::World, fault::PARTITION, leaving.len());
                     self.inject_partition(leaving);
                 }
             }
@@ -1042,7 +1046,7 @@ impl SimWorld {
                     })
                     .collect();
                 if !joining.is_empty() {
-                    self.note_fault(Actor::World, "heal", joining.len());
+                    self.note_fault(Actor::World, fault::HEAL, joining.len());
                     self.inject_merge(joining);
                 }
             }
@@ -1067,11 +1071,8 @@ impl SimWorld {
         self.stats.agreed_messages += sent as u64;
         for msg in &generation {
             self.note(
-                Actor::Daemon(daemon),
-                EventKind::Sequenced {
-                    seq: msg.seq,
-                    sender: msg.delivery.sender,
-                },
+                Actor::daemon(daemon),
+                EventKind::sequenced(msg.seq, msg.delivery.sender),
             );
         }
         let at = self.queue.now();
@@ -1172,7 +1173,7 @@ impl SimWorld {
     fn on_rotation(&mut self, head: DaemonId) {
         self.stats.token_rotations += 1;
         let rotation = self.stats.token_rotations;
-        self.note(Actor::Daemon(head), EventKind::TokenRotation { rotation });
+        self.note(Actor::daemon(head), EventKind::TokenRotation { rotation });
         let at = self.queue.now();
         if let Some(prev) = self.last_rotation_at {
             self.telemetry
@@ -1239,7 +1240,7 @@ impl SimWorld {
             return; // source crashed; the next token visit re-requests
         }
         self.stats.retransmissions += 1;
-        self.note(Actor::Daemon(to), EventKind::Retransmit { seq });
+        self.note(Actor::daemon(to), EventKind::Retransmit { seq });
         // The re-sent copy can be lost as well; the next token visit
         // re-requests it. The original loss instant stays: the
         // recovery window runs from the *first* loss of the copy.
@@ -1325,7 +1326,7 @@ impl SimWorld {
         for msg in self.recovery.try_repair(daemon, first, &self.ring) {
             let seq = msg.seq;
             self.stats.fec_repairs += 1;
-            self.note(Actor::Daemon(daemon), EventKind::FecRepair { seq });
+            self.note(Actor::daemon(daemon), EventKind::FecRepair { seq });
             self.settle_recovery(daemon, seq, RecoveryPath::FecRepair);
             self.ring.store(daemon, Rc::new(msg));
         }
@@ -1422,7 +1423,7 @@ impl SimWorld {
 
     fn install_view_at_daemon(&mut self, daemon: DaemonId, view: &Rc<View>) {
         self.note(
-            Actor::Daemon(daemon),
+            Actor::daemon(daemon),
             EventKind::ViewInstalled { view_id: view.id },
         );
         // Per-member installation processing at the daemon.
@@ -1473,11 +1474,8 @@ impl SimWorld {
             return;
         }
         self.note(
-            Actor::Client(client),
-            EventKind::Delivered {
-                sender: delivery.sender,
-                service: delivery.service.as_str(),
-            },
+            Actor::client(client),
+            EventKind::delivered(delivery.sender, delivery.service.label()),
         );
         self.run_handler(client, delivery.view_id, |handler, ctx| {
             handler.on_message(ctx, delivery)
@@ -1510,7 +1508,7 @@ impl SimWorld {
             self.telemetry.record(|| Event {
                 at: run.begin,
                 dur: run.end.since(run.begin),
-                actor: Actor::Client(client),
+                actor: Actor::client(client),
                 kind: EventKind::HandlerSpan {
                     wait: run.begin.since(start),
                 },
@@ -1824,9 +1822,10 @@ mod tests {
         let peak = Key::new(Layer::Sim, "outstanding_peak");
         assert_eq!(skipped.telemetry.hub_snapshot().gauge(peak), Some(2.0));
         // One event for the four.
-        let events = skipped.telemetry.events();
-        assert_eq!(events.len() + 3, stepped.telemetry.events().len());
-        let head_at = stepped.telemetry.events()[events.len() - 1].at;
+        let events = skipped.telemetry.take_events();
+        let stepped_events = stepped.telemetry.take_events();
+        assert_eq!(events.len() + 3, stepped_events.len());
+        let head_at = stepped_events[events.len() - 1].at;
         assert_eq!(
             events.last(),
             Some(&Event {
@@ -1850,6 +1849,52 @@ mod tests {
         assert_eq!(
             one_hop.queue.peek_time(),
             Some(one_hop.now() + Duration::from_micros(50))
+        );
+    }
+
+    #[test]
+    fn a_quiet_run_beyond_u32_max_rotations_is_two_stretches() {
+        struct Idle;
+        impl Client for Idle {
+            fn on_view(&mut self, _ctx: &mut ClientCtx<'_>, _view: &View) {}
+            fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
+        }
+        let mut world = SimWorld::new(testbed::lan());
+        world.set_telemetry(Telemetry::enabled());
+        world.add_client_on(Box::new(Idle), 4);
+        world.install_initial_view();
+        world.run_until_quiescent();
+        let rotations = world.stats.token_rotations;
+        world.telemetry.take_events();
+        // Five rotations (0.65 ms each) past the most one event counts.
+        let period = Duration::from_micros(650);
+        world.run_until(world.now() + period * (u64::from(u32::MAX) + 5));
+
+        let events = world.telemetry.take_events();
+        let stretches: Vec<(&Event, u64, u32)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::IdleRotations { first, count } => Some((e, first, count)),
+                _ => None,
+            })
+            .collect();
+        let [(a, first_a, count_a), (b, first_b, count_b)] = stretches[..] else {
+            panic!("expected two stretches, got {stretches:?}");
+        };
+        assert_eq!(count_a, u32::MAX, "the first stretch is capped");
+        assert!((1..=5).contains(&count_b), "{count_b}");
+        assert_eq!(first_a, rotations + 1);
+        assert_eq!(first_b, first_a + u64::from(u32::MAX));
+        assert_eq!(a.dur, period * u64::from(count_a));
+        assert_eq!(b.at, a.at + a.dur, "back to back");
+        // The stretches and the stepped tail account for every rotation.
+        let stepped = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::TokenRotation { .. }))
+            .count() as u64;
+        assert_eq!(
+            world.stats.token_rotations - rotations,
+            u64::from(count_a) + u64::from(count_b) + stepped
         );
     }
 

@@ -1,6 +1,7 @@
 //! Message and view types delivered to clients.
 
 use bytes::Bytes;
+use gkap_telemetry::Label;
 
 use crate::{ClientId, GroupId};
 
@@ -18,11 +19,11 @@ pub enum Service {
 }
 
 impl Service {
-    /// Stable lowercase label (used as the telemetry `service` field).
-    pub fn as_str(self) -> &'static str {
+    /// Stable lowercase label (the telemetry `service` field).
+    pub fn label(self) -> Label {
         match self {
-            Service::Agreed => "agreed",
-            Service::Fifo => "fifo",
+            Service::Agreed => Label::new(&"agreed"),
+            Service::Fifo => Label::new(&"fifo"),
         }
     }
 }

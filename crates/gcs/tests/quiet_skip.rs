@@ -76,6 +76,7 @@ fn expanded(events: Vec<Event>) -> Vec<Event> {
             continue;
         };
         assert!(count >= 1, "an empty stretch was recorded");
+        let count = u64::from(count);
         let period = ev.dur.as_nanos() / count;
         assert_eq!(period * count, ev.dur.as_nanos(), "dur is count periods");
         out.extend((0..count).map(|i| Event {
@@ -127,7 +128,7 @@ fn drive(cfg: &GcsConfig, crash: bool, telemetry: bool, skip: bool) -> Outcome {
         world.run_until_quiescent();
     }
 
-    let recorded = world.telemetry().events();
+    let recorded = world.telemetry().take_events();
     Outcome {
         end: world.now(),
         stats: format!("{:?}", world.stats()),
@@ -237,7 +238,7 @@ fn a_stretch_of_whole_rotations_ends_in_a_tie_the_token_loses() {
         world.add_client_on(Box::new(Timed), 2);
         world.install_initial_view();
         world.run_until_quiescent();
-        let recorded = world.telemetry().events();
+        let recorded = world.telemetry().take_events();
         let hub = jsonl::render_hub(&world.telemetry().hub_snapshot());
         (world.now(), hub, expanded(recorded.clone()), recorded)
     };
@@ -296,7 +297,7 @@ fn step_and_run_while_still_see_every_hop() {
                 steps += 1;
             }
         }
-        let recorded = world.telemetry().events();
+        let recorded = world.telemetry().take_events();
         let rotations = |e: &&Event| matches!(e.kind, EventKind::TokenRotation { .. });
         assert_eq!(
             recorded.iter().filter(rotations).count() as u64,

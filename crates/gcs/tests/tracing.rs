@@ -2,7 +2,7 @@
 //! retransmissions appear in causally sensible order with monotone
 //! timestamps — on the LAN and WAN testbeds, with and without loss.
 
-use gkap_gcs::{testbed, Client, ClientCtx, Delivery, SimWorld, View};
+use gkap_gcs::{testbed, Client, ClientCtx, Delivery, Service, SimWorld, View};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Event, EventKind, Telemetry};
 
@@ -16,10 +16,11 @@ impl Client for Echo {
     fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
 }
 
-/// The GCS-level slice of the telemetry stream: sequencing,
-/// deliveries, view installs, retransmissions and FEC repairs.
+/// The GCS-level slice of the telemetry stream, taken out of the
+/// world's sink: sequencing, deliveries, view installs,
+/// retransmissions and FEC repairs.
 fn gcs_trace(world: &SimWorld) -> Vec<Event> {
-    let mut events = world.telemetry().events();
+    let mut events = world.telemetry().take_events();
     events.retain(|e| {
         matches!(
             e.kind,
@@ -38,13 +39,7 @@ fn is_sequenced(e: &Event) -> bool {
 }
 
 fn is_agreed_delivery(e: &Event) -> bool {
-    matches!(
-        e.kind,
-        EventKind::Delivered {
-            service: "agreed",
-            ..
-        }
-    )
+    matches!(e.kind, EventKind::Delivered { service, .. } if service == Service::Agreed.label())
 }
 
 fn is_view_install(e: &Event) -> bool {
@@ -141,7 +136,7 @@ fn trace_disabled_by_default() {
     }
     world.install_initial_view();
     world.run_until_quiescent();
-    assert!(world.telemetry().events().is_empty());
+    assert!(world.telemetry().take_events().is_empty());
     assert!(!world.telemetry().is_enabled());
 }
 

@@ -179,7 +179,7 @@ pub fn render_hub(hub: &crate::metrics::MetricsHub) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CryptoOpKind, SendClass};
+    use crate::{CryptoOpKind, Label, SendClass};
     use gkap_sim::{Duration, SimTime};
 
     fn ev(actor: Actor, kind: EventKind) -> Event {
@@ -197,14 +197,14 @@ mod tests {
             ev(
                 Actor::World,
                 EventKind::MembershipEvent {
-                    action: "inject_join",
+                    action: Label::new(&"inject_join"),
                     group_size: 14,
                 },
             ),
             ev(
                 Actor::Client(2),
                 EventKind::ProtocolRound {
-                    protocol: "GDH",
+                    protocol: Label::new(&"GDH"),
                     round: 3,
                 },
             ),
@@ -233,7 +233,7 @@ mod tests {
                 Actor::Client(2),
                 EventKind::Delivered {
                     sender: 1,
-                    service: "agreed",
+                    service: Label::new(&"agreed"),
                 },
             ),
             ev(Actor::Daemon(3), EventKind::ViewInstalled { view_id: 9 }),
@@ -252,7 +252,7 @@ mod tests {
             ev(
                 Actor::Daemon(4),
                 EventKind::Fault {
-                    action: "crash",
+                    action: crate::fault::CRASH,
                     target: 4,
                 },
             ),

@@ -22,6 +22,16 @@
 //! * [`jsonl`] renders the captured stream as one JSON object per line
 //!   — the schema is documented on [`jsonl::event_to_json`].
 //!
+//! # Event layout
+//!
+//! A traced run holds every event it records, so an [`Event`] is kept
+//! to 40 bytes: [`Actor`] ids and the id/count payloads are `u32`
+//! (narrowed, checked, by the constructors such as [`Actor::client`]
+//! and [`EventKind::membership`]), and every string payload is a
+//! [`Label`] — one thin pointer to a `&'static str`. The membership
+//! and fault vocabularies are the [`Label`] consts of [`membership`]
+//! and [`fault`].
+//!
 //! The simulation is single-threaded (a discrete-event loop), so the
 //! shared state is `Rc<RefCell<…>>`, not a lock.
 //!
@@ -56,19 +66,136 @@ pub mod metrics;
 
 use metrics::{Key, Layer, MetricsHub};
 
-/// Which component produced an event. Plain indices (not the `gkap-gcs`
-/// id aliases) so this crate stays at the bottom of the dependency
-/// stack.
+/// Narrows an id or count to the `u32` an event stores — the one
+/// `usize → u32` conversion of the event types.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`: no simulated world holds four
+/// billion clients, daemons or members.
+#[inline]
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("telemetry id or count {n} exceeds u32::MAX"))
+}
+
+/// A stable snake_case (or protocol-name) label an event carries: a
+/// thin pointer to a `&'static str`, so it costs 8 bytes where a
+/// `&'static str` costs 16. Labels compare by their text.
+#[derive(Clone, Copy, Debug)]
+pub struct Label(&'static &'static str);
+
+impl Label {
+    /// The label for `text`; `Label::new(&"crash")` in a const.
+    pub const fn new(text: &'static &'static str) -> Self {
+        Label(text)
+    }
+
+    /// The label's text.
+    #[inline]
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Label {}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// The `action`s of [`EventKind::MembershipEvent`].
+pub mod membership {
+    use super::Label;
+
+    /// The harness injected a membership change (`group_size`: the
+    /// members that must key it).
+    pub const INJECT: Label = Label::new(&"inject");
+    /// The last of those members established the new key.
+    pub const KEY_ESTABLISHED: Label = Label::new(&"key_established");
+    /// A member received a view (`group_size`: the view's size).
+    pub const VIEW_DELIVERED: Label = Label::new(&"view_delivered");
+    /// A scale batch's membership service span, from injection to the
+    /// last member's view (`dur`).
+    pub const TRANSPORT: Label = Label::new(&"transport");
+    /// A scale batch's key agreement span, from the last view to the
+    /// last key (`dur`).
+    pub const AGREEMENT: Label = Label::new(&"agreement");
+    /// A scale batch's wait from opening to flush (`dur`;
+    /// `group_size`: the events it batched).
+    pub const BATCH_WAIT: Label = Label::new(&"batch_wait");
+}
+
+/// The `action`s of [`EventKind::Fault`].
+pub mod fault {
+    use super::Label;
+
+    /// A daemon died (`target`: the daemon).
+    pub const CRASH: Label = Label::new(&"crash");
+    /// The survivors detected a crash: ring reformed, token regenerated
+    /// (`target`: the daemon).
+    pub const CRASH_DETECTED: Label = Label::new(&"crash_detected");
+    /// A temporary loss-rate override began (`target`: the rate in
+    /// percent).
+    pub const LOSS_BURST: Label = Label::new(&"loss_burst");
+    /// Members were partitioned away (`target`: how many).
+    pub const PARTITION: Label = Label::new(&"partition");
+    /// Partitioned members rejoined (`target`: how many).
+    pub const HEAL: Label = Label::new(&"heal");
+    /// A view superseded a member's in-flight agreement (`target`: the
+    /// member).
+    pub const ABORT: Label = Label::new(&"abort");
+    /// The member restarted the aborted agreement (`target`: the
+    /// member).
+    pub const RESTART: Label = Label::new(&"restart");
+    /// The member's restart budget was exhausted (`target`: the
+    /// member).
+    pub const GIVE_UP: Label = Label::new(&"give_up");
+}
+
+/// Which component produced an event. Plain `u32` indices (not the
+/// `gkap-gcs` id aliases) so this crate stays at the bottom of the
+/// dependency stack; [`Actor::client`] and [`Actor::daemon`] build
+/// them from those ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Actor {
     /// The experiment harness itself.
     World,
     /// A client (group member process), by client id.
-    Client(usize),
+    Client(u32),
     /// A GCS daemon, by daemon id.
-    Daemon(usize),
+    Daemon(u32),
     /// A machine (CPU model), by machine id.
-    Machine(usize),
+    Machine(u32),
+}
+
+impl Actor {
+    /// The client with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds `u32::MAX`.
+    #[inline]
+    pub fn client(id: usize) -> Self {
+        Actor::Client(narrow(id))
+    }
+
+    /// The daemon with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds `u32::MAX`.
+    #[inline]
+    pub fn daemon(id: usize) -> Self {
+        Actor::Daemon(narrow(id))
+    }
 }
 
 /// The cryptographic primitive charged by the cost model.
@@ -135,18 +262,19 @@ impl SendClass {
 /// the taxonomy table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
-    /// A membership change: `action` is e.g. `"inject_join"`,
-    /// `"key_established"`; `group_size` the resulting group size.
+    /// A membership change or a span of one. `action` is one of the
+    /// [`membership`] consts: `inject`, `key_established`,
+    /// `view_delivered`, `transport`, `agreement`, `batch_wait`.
     MembershipEvent {
-        /// What happened (stable snake_case label).
-        action: &'static str,
+        /// What happened.
+        action: Label,
         /// Group size after the change.
-        group_size: usize,
+        group_size: u32,
     },
     /// A member started round `round` of `protocol`.
     ProtocolRound {
         /// Protocol name (`"GDH"`, `"TGDH"`, …).
-        protocol: &'static str,
+        protocol: Label,
         /// 1-based round number within the current membership event.
         round: u32,
     },
@@ -173,8 +301,9 @@ pub enum EventKind {
     IdleRotations {
         /// Ordinal of the first rotation of the stretch.
         first: u64,
-        /// Number of rotations (at least one).
-        count: u64,
+        /// Number of rotations (at least one). A quiet run longer than
+        /// `u32::MAX` rotations is recorded as consecutive stretches.
+        count: u32,
     },
     /// A retransmission of sequence `seq` was sent to a daemon that
     /// missed it.
@@ -194,14 +323,14 @@ pub enum EventKind {
         /// The assigned sequence number.
         seq: u64,
         /// The sending client.
-        sender: usize,
+        sender: u32,
     },
     /// A payload was delivered to the actor client.
     Delivered {
         /// The original sender.
-        sender: usize,
+        sender: u32,
         /// Service class name (`"agreed"`, `"fifo"`, …).
-        service: &'static str,
+        service: Label,
     },
     /// A daemon installed a view.
     ViewInstalled {
@@ -221,22 +350,71 @@ pub enum EventKind {
     },
     /// A fault-injection or recovery action from the chaos layer.
     ///
-    /// `action` is a stable snake_case label: `"crash"` (a daemon
-    /// died), `"crash_detected"` (ring reformed, token regenerated),
-    /// `"loss_burst"` (temporary loss-rate override began), `"heal"`
-    /// (partitioned members rejoined), `"restart"` (a member restarted
-    /// an aborted agreement), `"abort"` (a view superseded an
-    /// in-flight agreement), `"give_up"` (restart budget exhausted).
+    /// `action` is one of the [`fault`] consts: `crash`,
+    /// `crash_detected`, `loss_burst`, `partition`, `heal`, `abort`,
+    /// `restart`, `give_up`.
     Fault {
-        /// What happened (stable snake_case label).
-        action: &'static str,
-        /// The affected entity (daemon id, client id, or group size —
-        /// whichever the action concerns).
-        target: usize,
+        /// What happened.
+        action: Label,
+        /// The affected entity (daemon id, client id, a count or a
+        /// percentage — whichever the action concerns).
+        target: u32,
     },
 }
 
 impl EventKind {
+    /// A [`EventKind::MembershipEvent`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_size` exceeds `u32::MAX`.
+    #[inline]
+    pub fn membership(action: Label, group_size: usize) -> Self {
+        EventKind::MembershipEvent {
+            action,
+            group_size: narrow(group_size),
+        }
+    }
+
+    /// A [`EventKind::Sequenced`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` exceeds `u32::MAX`.
+    #[inline]
+    pub fn sequenced(seq: u64, sender: usize) -> Self {
+        EventKind::Sequenced {
+            seq,
+            sender: narrow(sender),
+        }
+    }
+
+    /// A [`EventKind::Delivered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` exceeds `u32::MAX`.
+    #[inline]
+    pub fn delivered(sender: usize, service: Label) -> Self {
+        EventKind::Delivered {
+            sender: narrow(sender),
+            service,
+        }
+    }
+
+    /// A [`EventKind::Fault`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` exceeds `u32::MAX`.
+    #[inline]
+    pub fn fault(action: Label, target: usize) -> Self {
+        EventKind::Fault {
+            action,
+            target: narrow(target),
+        }
+    }
+
     /// Stable snake_case discriminant name (JSONL `kind` field).
     pub fn name(&self) -> &'static str {
         match self {
@@ -295,14 +473,15 @@ impl Recorder {
                 self.hub.inc(Key::new(Layer::Protocol, class.as_str()), 1);
             }
             EventKind::ProtocolRound { protocol, .. } => {
-                self.hub
-                    .inc(Key::new(Layer::Protocol, "rounds").protocol(protocol), 1);
+                let key = Key::new(Layer::Protocol, "rounds").protocol(protocol.as_str());
+                self.hub.inc(key, 1);
             }
             EventKind::TokenRotation { .. } => {
                 self.hub.inc(Key::new(Layer::Gcs, "token_rotation"), 1);
             }
             EventKind::IdleRotations { count, .. } => {
-                self.hub.inc(Key::new(Layer::Gcs, "token_rotation"), *count);
+                self.hub
+                    .inc(Key::new(Layer::Gcs, "token_rotation"), u64::from(*count));
             }
             EventKind::Retransmit { .. } => {
                 self.hub.inc(Key::new(Layer::Gcs, "retransmit"), 1);
@@ -326,14 +505,14 @@ impl Recorder {
                     .observe(Key::new(Layer::Sim, "wait_ms"), wait.as_millis_f64());
             }
             EventKind::MembershipEvent { action, .. } => {
-                let key = Key::new(Layer::Harness, action);
+                let key = Key::new(Layer::Harness, action.as_str());
                 self.hub.inc(key, 1);
                 if ev.dur > Duration::ZERO {
                     self.hub.observe(key, ev.dur.as_millis_f64());
                 }
             }
             EventKind::Fault { action, .. } => {
-                self.hub.inc(Key::new(Layer::Gcs, action), 1);
+                self.hub.inc(Key::new(Layer::Gcs, action.as_str()), 1);
             }
         }
         self.events.push(ev);
@@ -409,9 +588,14 @@ impl Telemetry {
         self.inner.as_ref().map(|rec| f(&rec.borrow()))
     }
 
-    /// Clones the captured events (empty when disabled).
-    pub fn events(&self) -> Vec<Event> {
-        self.with(|r| r.events().to_vec()).unwrap_or_default()
+    /// Moves the captured events out (empty when disabled), leaving
+    /// the log empty and the metrics hub as it was — for a caller that
+    /// is done with the world the log came from.
+    pub fn take_events(&self) -> Vec<Event> {
+        self.inner
+            .as_ref()
+            .map(|rec| std::mem::take(&mut rec.borrow_mut().events))
+            .unwrap_or_default()
     }
 
     /// Adds `by` to a typed counter. [`Key`] construction is
@@ -481,7 +665,7 @@ mod tests {
         let t = Telemetry::disabled();
         t.record(|| panic!("must not run"));
         assert!(!t.is_enabled());
-        assert!(t.events().is_empty());
+        assert!(t.take_events().is_empty());
         assert_eq!(t.metric(Key::new(Layer::Crypto, "exp")), 0);
     }
 
@@ -507,7 +691,7 @@ mod tests {
                 },
             )
         });
-        assert_eq!(t.events().len(), 2);
+        assert_eq!(t.take_events().len(), 2);
         let exp = Key::new(Layer::Crypto, "exp");
         assert_eq!(t.metric(exp), 2);
         // The auto-histogram observed both durations.
@@ -548,6 +732,53 @@ mod tests {
             )
         });
         assert_eq!(gcs("token_rotation"), 41);
-        assert_eq!(t.events().len(), 6, "one event, not forty");
+        assert_eq!(t.take_events().len(), 6, "one event, not forty");
+    }
+
+    #[test]
+    fn an_event_is_forty_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Label>(), 8);
+        assert_eq!(size_of::<Actor>(), 8);
+        assert_eq!(size_of::<EventKind>(), 16);
+        assert_eq!(size_of::<Event>(), 40);
+    }
+
+    #[test]
+    fn labels_are_their_text() {
+        assert_eq!(fault::CRASH.as_str(), "crash");
+        assert_eq!(fault::CRASH.to_string(), "crash");
+        // Equal text is an equal label, whichever static holds it.
+        assert_eq!(Label::new(&"crash"), fault::CRASH);
+        assert_ne!(fault::CRASH, fault::CRASH_DETECTED);
+    }
+
+    #[test]
+    fn ids_narrow_up_to_u32_max() {
+        let max = u32::MAX as usize;
+        assert_eq!(Actor::daemon(max), Actor::Daemon(u32::MAX));
+        assert_eq!(
+            EventKind::sequenced(9, max),
+            EventKind::Sequenced {
+                seq: 9,
+                sender: u32::MAX
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn an_id_beyond_u32_panics() {
+        let _ = Actor::client(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn taking_the_events_keeps_the_hub() {
+        let t = Telemetry::enabled();
+        t.record(|| ev(0, EventKind::TokenRotation { rotation: 1 }));
+        assert_eq!(t.take_events().len(), 1);
+        assert!(t.take_events().is_empty());
+        assert_eq!(t.metric(Key::new(Layer::Gcs, "token_rotation")), 1);
+        assert!(Telemetry::disabled().take_events().is_empty());
     }
 }
