@@ -1,7 +1,7 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
-//! replays identically, the failures over seeds 1..=40 only shrink
+//! replays identically, the failures over seeds 1..=100 only shrink
 //! and no view in them changes no membership, DESIGN.md's two restart
-//! reproducers keep their pinned outcomes, and the schedule
+//! reproducers agree under every protocol, and the schedule
 //! minimizer — demonstrated on an intentionally broken protocol
 //! driver — reduces a failing schedule to its smallest reproduction.
 
@@ -17,7 +17,7 @@ use gkap_core::experiment::SuiteKind;
 use gkap_core::protocols::{Component, GkaCtx, ProtocolMsg};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::{GkaError, GkaProtocol, ProtocolKind, SecureMember};
-use gkap_gcs::{ClientId, Fault, PlannedFault, View};
+use gkap_gcs::{ClientId, Fault, PlannedFault};
 use gkap_sim::Duration;
 
 #[test]
@@ -42,44 +42,58 @@ fn pinned_campaign_passes_and_replays_identically() {
 }
 
 /// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
-/// for N in 1..=40, that violates an invariant today: GDH 8, TGDH 2,
-/// STR 2 (DESIGN.md §29 has the GDH runs' minimized schedules, §23 the
-/// tree engines' cause). A ratchet, not a blessing: a new failure fails
-/// the test, and so does a fixed one until it is struck from the list.
-const KNOWN_FAILING: [(u64, u64, &str); 12] = [
-    (1, 2, "STR"),
+/// for N in 1..=100, that violates an invariant today: GDH 15, CKD 1
+/// (DESIGN.md §29 has the minimized schedules of the GDH runs up to
+/// seed 40; §33 says how the tree engines left this list). A ratchet,
+/// not a blessing: a new failure fails the test, and so does a fixed
+/// one until it is struck from the list.
+const KNOWN_FAILING: [(u64, u64, &str); 16] = [
     (3, 5, "GDH"),
     (3, 7, "GDH"),
     (4, 1, "GDH"),
     (11, 0, "GDH"),
     (16, 3, "GDH"),
     (19, 3, "GDH"),
-    (19, 3, "TGDH"),
-    (19, 3, "STR"),
-    (23, 1, "TGDH"),
     (30, 2, "GDH"),
     (40, 1, "GDH"),
+    (43, 6, "GDH"),
+    (53, 5, "GDH"),
+    (62, 1, "GDH"),
+    (63, 2, "GDH"),
+    (76, 7, "GDH"),
+    (76, 7, "CKD"),
+    (94, 6, "GDH"),
+    (96, 6, "GDH"),
 ];
 
 /// Delegates to a real protocol engine and panics on a view that
-/// changes no membership. GDH, STR, BD and CKD re-key on one as a
-/// refresh, but TGDH finds no node to refresh and errors; the
-/// ratchet's runs show that none reaches an engine.
-struct ChangesMembership(Box<dyn GkaProtocol>);
+/// changes no membership: one whose members are those of its previous
+/// call. GDH, STR, BD and CKD re-key on one as a refresh, but TGDH
+/// finds no node to refresh and errors; the ratchet's runs show that
+/// none reaches an engine.
+struct ChangesMembership {
+    inner: Box<dyn GkaProtocol>,
+    /// The members of the previous call since the last reset, sorted:
+    /// a rejoiner's engine is reset before the view that admits it.
+    last: Option<Vec<ClientId>>,
+}
 
 impl GkaProtocol for ChangesMembership {
     fn kind(&self) -> ProtocolKind {
-        self.0.kind()
+        self.inner.kind()
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+        let mut members = ctx.members().to_vec();
+        members.sort_unstable();
         assert!(
-            !view.joined.is_empty() || !view.left.is_empty(),
+            self.last.as_ref() != Some(&members),
             "view {} changes no membership at member {}",
-            view.id,
+            ctx.epoch,
             ctx.me()
         );
-        self.0.on_view(ctx, view)
+        self.last = Some(members);
+        self.inner.on_view(ctx)
     }
 
     fn on_msg(
@@ -88,34 +102,38 @@ impl GkaProtocol for ChangesMembership {
         sender: ClientId,
         msg: ProtocolMsg,
     ) -> Result<(), GkaError> {
-        self.0.on_msg(ctx, sender, msg)
+        self.inner.on_msg(ctx, sender, msg)
     }
 
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
-        self.0.component(suite, members, seed)
+        self.inner.component(suite, members, seed)
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
-        self.0.adopt(component, me)
+        self.inner.adopt(component, me)
     }
 
     fn reset(&mut self) {
-        self.0.reset();
+        self.last = None;
+        self.inner.reset();
     }
 }
 
 #[test]
-fn chaos_failures_over_forty_seeds_only_shrink() {
+fn chaos_failures_over_a_hundred_seeds_only_shrink() {
     let cfg = ChaosConfig::default();
     // `default_factory`'s members, each engine behind the check.
     let suite = SuiteKind::Sim512.shared();
     let factory = move |kind: ProtocolKind, i: usize| {
-        let checked = Box::new(ChangesMembership(kind.create()));
+        let checked = Box::new(ChangesMembership {
+            inner: kind.create(),
+            last: None,
+        });
         SecureMember::with_protocol(checked, Rc::clone(&suite), 900 + i as u64, Some(17))
     };
     // Every triple that moved, with its schedule: one run lists them all.
     let (mut new, mut fixed) = (Vec::new(), Vec::new());
-    for seed in 1..=40 {
+    for seed in 1..=100 {
         for run in 0..8 {
             let schedule = generate_schedule(seed, run, &cfg);
             for kind in ProtocolKind::all() {
@@ -156,50 +174,39 @@ fn violations(kind: ProtocolKind, faults: &[(u64, Fault)]) -> Vec<String> {
 
 /// DESIGN.md §21's reproducer. The heal of 9 installs first (view 2,
 /// `joined [9]`); the crash's eviction of 6 supersedes that merge (view
-/// 3, `left [6]`). GDH reads the leave against what each member last
-/// keyed, so 9 is still new and `0..=5` re-key and merge it in. STR is
-/// still open: 5 and 9 end view 3 unkeyed.
+/// 3, `left [6]`). Every engine reads view 3 against the state it
+/// holds, so 9 is still new: `0..=5` re-key and merge it in (§33).
 #[test]
-fn a_crash_evicting_a_member_mid_merge_still_keys_gdh() {
+fn a_crash_evicting_a_member_mid_merge_keys_every_protocol() {
     let faults = [
         (6, Fault::Crash { daemon: 6 }),
         (8, Fault::Heal { members: vec![9] }),
     ];
-    assert_eq!(violations(ProtocolKind::Gdh, &faults), Vec::<String>::new());
-    assert_eq!(
-        violations(ProtocolKind::Str, &faults),
-        [
-            "key convergence: member 5 has no key for view 3",
-            "key convergence: member 9 has no key for view 3",
-        ],
-        "STR: open"
-    );
+    for kind in ProtocolKind::all() {
+        assert_eq!(violations(kind, &faults), Vec::<String>::new(), "{kind}");
+    }
 }
 
-/// DESIGN.md §23's reproducer, still open: 7 joins (view 2), then its
-/// daemon crashes before the merge assembles (view 3, `left [7]`). A
-/// pure-leave view does not clear `TreeGka::merging`, so the tree
-/// engines leave 6, the refresher, unkeyed.
+/// DESIGN.md §23's reproducer: 7 joins (view 2), then its daemon
+/// crashes before the merge assembles (view 3, `left [7]`). The tree
+/// engines' tree never held 7, so view 3 is a refresh of the tree, and
+/// its root is the key because its leaves are the view (§33).
 #[test]
-fn a_joiner_crashing_mid_merge_leaves_the_tree_refresher_unkeyed() {
+fn a_joiner_crashing_mid_merge_keys_every_protocol() {
     let faults = [
         (1, Fault::Heal { members: vec![7] }),
         (12, Fault::Crash { daemon: 7 }),
     ];
-    for kind in [ProtocolKind::Tgdh, ProtocolKind::Str] {
-        assert_eq!(
-            violations(kind, &faults),
-            ["key convergence: member 6 has no key for view 3"],
-            "{kind}: open"
-        );
+    for kind in ProtocolKind::all() {
+        assert_eq!(violations(kind, &faults), Vec::<String>::new(), "{kind}");
     }
 }
 
 /// Delegates to a real protocol engine but, from the first view that
-/// removes a member on, establishes a per-member poison value as every
-/// epoch's key before the engine can — a divergence bug of exactly the
-/// class the key-convergence invariant and the minimizer exist to
-/// catch.
+/// lacks a member its member last keyed on, establishes a per-member
+/// poison value as every epoch's key before the engine can — a
+/// divergence bug of exactly the class the key-convergence invariant
+/// and the minimizer exist to catch.
 struct ForgetsLeavers {
     inner: Box<dyn GkaProtocol>,
     poison: Option<Ubig>,
@@ -210,14 +217,15 @@ impl GkaProtocol for ForgetsLeavers {
         self.inner.kind()
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
-        if !view.left.is_empty() {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+        let view = ctx.members();
+        if ctx.keyed_members().iter().any(|m| !view.contains(m)) {
             self.poison = Some(Ubig::from(0xDEC0_DE00u64 + ctx.me() as u64));
         }
         if let Some(poison) = &self.poison {
             ctx.establish(poison.clone());
         }
-        self.inner.on_view(ctx, view)
+        self.inner.on_view(ctx)
     }
 
     fn on_msg(

@@ -478,7 +478,7 @@ impl Client for SecureMember {
             }
         }
 
-        if let Err(e) = self.with_gka(ctx, |protocol, gka| protocol.on_view(gka, view)) {
+        if let Err(e) = self.with_gka(ctx, |protocol, gka| protocol.on_view(gka)) {
             self.record_error(e);
         }
         self.after_handler(ctx);

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use gkap_bignum::Ubig;
-use gkap_gcs::{ClientId, View};
+use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
 use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
@@ -138,7 +138,7 @@ impl GkaProtocol for Bd {
         ProtocolKind::Bd
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         // Identical handling for every membership event.
         self.z.clear();
         self.x.clear();
@@ -148,7 +148,7 @@ impl GkaProtocol for Bd {
         let z = ctx.exp_g(&r);
         self.my_r = Some(r.clone());
         self.z.insert(ctx.me(), z.clone());
-        if view.members.len() == 1 {
+        if ctx.members().len() == 1 {
             // Degenerate single-member group: K = g^{r·r}.
             let q = ctx.suite.group().order();
             let e = r.modmul(&r, q);

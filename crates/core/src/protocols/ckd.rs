@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use gkap_bignum::{RandomSource, Ubig};
 use gkap_crypto::aes::ctr_xor;
 use gkap_crypto::kdf;
-use gkap_gcs::{ClientId, View};
+use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
 use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
@@ -176,15 +176,13 @@ impl GkaProtocol for Ckd {
         ProtocolKind::Ckd
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let me = ctx.me();
         let was_controller = self.controller == Some(me);
         // The controller is the oldest member, or `None` for an empty
         // membership (a cascaded view can leave a member with no group).
-        self.controller = view.members.first().copied();
-        for l in &view.left {
-            self.pubs.remove(l);
-        }
+        self.controller = ctx.members().first().copied();
+        self.pubs.retain(|m, _| ctx.members().contains(m));
         let Some(controller) = self.controller else {
             return Ok(()); // empty view: nothing to key
         };
@@ -192,14 +190,15 @@ impl GkaProtocol for Ckd {
             return Ok(()); // wait for invite / key distribution
         }
 
-        // I am the controller for this view.
+        // I am the controller for this view. A member whose public
+        // value I lack is new to me, whatever the previous view was.
         let became_controller = !was_controller;
-        let invite: Vec<ClientId> = view
-            .members
+        let invite: Vec<ClientId> = ctx
+            .members()
             .iter()
             .copied()
             .filter(|&m| m != me)
-            .filter(|m| became_controller || !self.pubs.contains_key(m) || view.joined.contains(m))
+            .filter(|m| became_controller || !self.pubs.contains_key(m))
             .collect();
         // A brand-new controller must re-establish every channel
         // (§4.2: "the new group controller must first establish secure

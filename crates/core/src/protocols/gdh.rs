@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use gkap_bignum::Ubig;
-use gkap_gcs::{ClientId, View};
+use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
 use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
@@ -241,7 +241,7 @@ impl GkaProtocol for Gdh {
         ProtocolKind::Gdh
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, _view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         self.factor_outs.clear();
         self.broadcast_token = None;
         self.merge_exp = None;

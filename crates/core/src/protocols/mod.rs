@@ -27,7 +27,7 @@ mod wire;
 
 use gkap_bignum::{RandomSource, SplitMix64, Ubig};
 use gkap_crypto::Secret;
-use gkap_gcs::{ClientCtx, ClientId, View};
+use gkap_gcs::{ClientCtx, ClientId};
 use gkap_sim::Duration;
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, Label, SendClass};
 
@@ -189,7 +189,8 @@ impl GkaCtx<'_, '_> {
         self.ctx.id()
     }
 
-    /// The current view's members, in view order.
+    /// The current view's members, in view order: the group this epoch
+    /// keys. An engine reads the change against the state it holds.
     pub fn members(&self) -> &[ClientId] {
         self.members
     }
@@ -350,14 +351,16 @@ pub trait GkaProtocol: std::any::Any {
     /// Which protocol this is.
     fn kind(&self) -> ProtocolKind;
 
-    /// Reacts to a membership change: initiates (or participates in)
-    /// the re-keying for this view.
+    /// Reacts to a new view: initiates (or participates in) the
+    /// re-keying of [`GkaCtx::members`], read against the state the
+    /// engine holds, not against the previous view, which after a
+    /// superseded agreement no group keyed.
     ///
     /// # Errors
     ///
-    /// Returns a [`GkaError`] if the view is inconsistent with
+    /// Returns a [`GkaError`] if the membership is inconsistent with
     /// protocol state.
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError>;
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError>;
 
     /// Handles a verified protocol message from `sender`.
     ///

@@ -63,8 +63,8 @@ impl TreeShape for Skinny {
     fn settle(&self, _tree: &mut KeyTree) {}
 
     /// The member just below the lowest leaver: the new bottom member
-    /// if the bottom one left, and the top member if the leaver never
-    /// got into the tree (it joined and left within one agreement).
+    /// if the bottom one left, and the top member if no leaf left (the
+    /// leaver joined and left within one agreement).
     fn refresher(&self, _: &KeyTree, before: &[ClientId], left: &[ClientId]) -> Option<ClientId> {
         let lowest = before.iter().position(|m| left.contains(m));
         let below = before.get(..lowest.unwrap_or(before.len()))?.last();

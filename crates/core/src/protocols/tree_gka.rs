@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use gkap_bignum::Ubig;
 use gkap_crypto::Secret;
-use gkap_gcs::{ClientId, View};
+use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
 use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
@@ -111,6 +111,8 @@ pub struct TreeGka<S> {
     /// Round-1 component trees collected during a merge, keyed by
     /// their (sorted) leaf sets.
     components: BTreeMap<Vec<ClientId>, KeyTree>,
+    /// Whether a received tree of the whole view replaces this
+    /// member's (a merge) or lends it blinded keys; it never gates the key.
     merging: bool,
     /// Whether this member currently publishes blinded keys (it is the
     /// event's sponsor, or became one when the lowest incomplete node
@@ -249,10 +251,12 @@ impl<S: TreeShape> TreeGka<S> {
             cur = parent;
         }
         // Root reached with a key => group secret established — but
-        // only once the tree covers the whole view (a component root
+        // only if the tree's leaves are the view (a component root
         // during a merge is not the group key).
-        if !self.merging && self.tree.node(cur).parent.is_none() {
-            if let Some(k) = self.tree.node(cur).key.clone() {
+        let root = self.tree.node(cur);
+        if let (None, Some(k)) = (root.parent, root.key.clone()) {
+            let (leaves, view) = (self.tree.members(), ctx.members());
+            if leaves.len() == view.len() && leaves.iter().all(|m| view.contains(m)) {
                 ctx.establish(k);
             }
         }
@@ -351,23 +355,28 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         S::KIND
     }
 
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
         let me = ctx.me();
         self.publisher = false;
         self.rounds_started = 0;
 
+        // The change is read against the tree: its leaves outside the
+        // view left, and the view's members outside it join.
         let before = self.tree.members();
-        if !view.left.is_empty() {
-            self.tree.remove_members(&view.left);
+        let mut left = before.clone();
+        left.retain(|m| !ctx.members().contains(m));
+        if !left.is_empty() {
+            self.tree.remove_members(&left);
             self.shape.settle(&mut self.tree);
         }
 
-        if !view.joined.is_empty() {
+        // Every remaining leaf is in the view: a longer view has a joiner.
+        if ctx.members().len() > before.len() - left.len() {
             return self.start_merge(ctx);
         }
 
         // Pure leave / partition.
-        if view.members.len() == 1 {
+        if ctx.members().len() == 1 {
             // Only we remain; the (never-shared) leaf key is the secret.
             let r = self
                 .my_r
@@ -380,7 +389,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         // reuse (round 1 of Figure 6).
         let refresher = self
             .shape
-            .refresher(&self.tree, &before, &view.left)
+            .refresher(&self.tree, &before, &left)
             .ok_or(GkaError::MissingState("leave without an affected node"))?;
         if refresher == me {
             // Our refreshed leaf blinded key is itself news the group

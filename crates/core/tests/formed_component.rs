@@ -14,7 +14,7 @@ use gkap_core::suite::CryptoSuite;
 use gkap_core::testkit::Loopback;
 use gkap_core::{GkaError, GkaProtocol, ProtocolKind, SecureMember};
 use gkap_crypto::sha::{hex, Digest, Sha256};
-use gkap_gcs::{testbed, ClientId, SimWorld, View};
+use gkap_gcs::{testbed, ClientId, SimWorld};
 
 /// Digests of the group secret after the bootstrap and after each of a
 /// join, a leave, a partition and a merge, chained with the digest of
@@ -143,8 +143,8 @@ impl GkaProtocol for Counting {
     fn kind(&self) -> ProtocolKind {
         self.inner.kind()
     }
-    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>, view: &View) -> Result<(), GkaError> {
-        self.inner.on_view(ctx, view)
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+        self.inner.on_view(ctx)
     }
     fn on_msg(
         &mut self,

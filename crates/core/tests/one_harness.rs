@@ -8,9 +8,9 @@
 //! establishes one, only `SecureMember` builds a `GkaCtx`, no
 //! transport stands between a protocol and its member's `ClientCtx`,
 //! and no engine keeps a member list: `SecureMember` owns membership,
-//! and only GDH reads the membership its member last keyed.
-//! `#[cfg(test)]` items (always the tail of a file here) are not looked
-//! at, except by the last two checks.
+//! only GDH reads the membership its member last keyed, and no engine
+//! reads a view. `#[cfg(test)]` items (always the tail of a file here)
+//! are not looked at, except by the checks that read `files`.
 
 use std::fs;
 use std::path::Path;
@@ -283,4 +283,22 @@ fn membership_has_one_owner() {
         ["core/protocols/gdh.rs"],
         "only GDH reads a change against the membership its member last keyed"
     );
+}
+
+#[test]
+fn engines_read_no_view() {
+    // A view's `joined` and `left` are its change from the previous
+    // view, which after a superseded agreement no group keyed: an
+    // engine reads the change from `GkaCtx` against the state it holds.
+    for (name, text) in files("core") {
+        if !name.starts_with("core/protocols/") {
+            continue;
+        }
+        for needle in ["View", ".joined", ".left"] {
+            assert!(
+                !text.contains(needle),
+                "{name}: names `{needle}`; an engine reads the view from `GkaCtx`"
+            );
+        }
+    }
 }
