@@ -183,8 +183,11 @@ pub fn survivor_agreement(world: &SimWorld) -> RunReport {
         }
         match (m.secret(view.id), key) {
             (None, _) => violations.push(format!(
-                "key convergence: member {c} has no key for view {}",
-                view.id
+                "key convergence: member {c} has no key for view {} ({}, {})",
+                view.id,
+                format!("{:?}", m.phase()).to_lowercase(),
+                m.protocol_error()
+                    .map_or("no protocol error".into(), |e| e.to_string())
             )),
             (Some(s), None) => key = Some(s),
             (Some(s), Some(k)) if s != k => violations.push(format!(

@@ -1,6 +1,6 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
 //! replays identically, the failures over seeds 1..=100 only shrink
-//! and no view in them changes no membership, DESIGN.md's two restart
+//! and no view in them changes no membership, DESIGN.md's named restart
 //! reproducers agree under every protocol, and the schedule
 //! minimizer — demonstrated on an intentionally broken protocol
 //! driver — reduces a failing schedule to its smallest reproduction.
@@ -42,27 +42,22 @@ fn pinned_campaign_passes_and_replays_identically() {
 }
 
 /// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
-/// for N in 1..=100, that violates an invariant today: GDH 15, CKD 1
+/// for N in 1..=100, that violates an invariant today: GDH 10, CKD 1
 /// (DESIGN.md §29 has the minimized schedules of the GDH runs up to
-/// seed 40; §33 says how the tree engines left this list). A ratchet,
-/// not a blessing: a new failure fails the test, and so does a fixed
-/// one until it is struck from the list.
-const KNOWN_FAILING: [(u64, u64, &str); 16] = [
+/// seed 40; §33 says how the tree engines left this list, §34 how five
+/// GDH runs did). A ratchet, not a blessing: a new failure fails the
+/// test, and so does a fixed one until it is struck from the list.
+const KNOWN_FAILING: [(u64, u64, &str); 11] = [
     (3, 5, "GDH"),
     (3, 7, "GDH"),
     (4, 1, "GDH"),
-    (11, 0, "GDH"),
-    (16, 3, "GDH"),
-    (19, 3, "GDH"),
     (30, 2, "GDH"),
     (40, 1, "GDH"),
     (43, 6, "GDH"),
     (53, 5, "GDH"),
-    (62, 1, "GDH"),
     (63, 2, "GDH"),
     (76, 7, "GDH"),
     (76, 7, "CKD"),
-    (94, 6, "GDH"),
     (96, 6, "GDH"),
 ];
 
@@ -158,58 +153,86 @@ fn chaos_failures_over_a_hundred_seeds_only_shrink() {
     );
 }
 
-/// The invariant violations `faults` leave under `kind`, with
-/// `default_factory`'s members.
-fn violations(kind: ProtocolKind, faults: &[(u64, Fault)]) -> Vec<String> {
-    let schedule: Vec<PlannedFault> = faults
-        .iter()
-        .map(|(ms, fault)| PlannedFault {
-            after: Duration::from_millis(*ms),
-            fault: fault.clone(),
-        })
-        .collect();
-    let cfg = ChaosConfig::default();
-    run_schedule(kind, &cfg, &schedule, &default_factory()).violations
+/// Named schedules that once left survivors unkeyed, as `(virtual ms,
+/// fault)` pairs; every protocol keys each of them.
+fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 3] {
+    [
+        // DESIGN.md §21: the heal of 9 installs first (view 2, `joined
+        // [9]`); the crash's eviction of 6 supersedes that merge (view
+        // 3, `left [6]`). Every engine reads view 3 against the state
+        // it holds, so 9 is still new: `0..=5` re-key and merge it in.
+        (
+            "a crash evicting a member mid-merge",
+            vec![
+                (6, Fault::Crash { daemon: 6 }),
+                (8, Fault::Heal { members: vec![9] }),
+            ],
+        ),
+        // DESIGN.md §23: 7 joins (view 2), then its daemon crashes
+        // before the merge assembles (view 3, `left [7]`). The tree
+        // engines' tree never held 7, so view 3 refreshes the tree, and
+        // its root is the key because its leaves are the view (§33).
+        (
+            "a joiner crashing mid-merge",
+            vec![
+                (1, Fault::Heal { members: vec![7] }),
+                (12, Fault::Crash { daemon: 7 }),
+            ],
+        ),
+        // DESIGN.md §34: 2 leaves and rejoins while no agreement
+        // converges, then 6's daemon crashes. A member that left is
+        // keyed by nobody, so 2 is new to every member, itself
+        // included, and GDH's survivors wait on one controller.
+        (
+            "a member leaving and rejoining before a crash",
+            vec![
+                (
+                    11,
+                    Fault::Partition {
+                        members: vec![2, 9],
+                    },
+                ),
+                (
+                    21,
+                    Fault::Heal {
+                        members: vec![2, 9],
+                    },
+                ),
+                (29, Fault::Crash { daemon: 6 }),
+            ],
+        ),
+    ]
 }
 
-/// DESIGN.md §21's reproducer. The heal of 9 installs first (view 2,
-/// `joined [9]`); the crash's eviction of 6 supersedes that merge (view
-/// 3, `left [6]`). Every engine reads view 3 against the state it
-/// holds, so 9 is still new: `0..=5` re-key and merge it in (§33).
 #[test]
-fn a_crash_evicting_a_member_mid_merge_keys_every_protocol() {
-    let faults = [
-        (6, Fault::Crash { daemon: 6 }),
-        (8, Fault::Heal { members: vec![9] }),
-    ];
-    for kind in ProtocolKind::all() {
-        assert_eq!(violations(kind, &faults), Vec::<String>::new(), "{kind}");
-    }
-}
-
-/// DESIGN.md §23's reproducer: 7 joins (view 2), then its daemon
-/// crashes before the merge assembles (view 3, `left [7]`). The tree
-/// engines' tree never held 7, so view 3 is a refresh of the tree, and
-/// its root is the key because its leaves are the view (§33).
-#[test]
-fn a_joiner_crashing_mid_merge_keys_every_protocol() {
-    let faults = [
-        (1, Fault::Heal { members: vec![7] }),
-        (12, Fault::Crash { daemon: 7 }),
-    ];
-    for kind in ProtocolKind::all() {
-        assert_eq!(violations(kind, &faults), Vec::<String>::new(), "{kind}");
+fn restart_reproducers_key_every_protocol() {
+    let (cfg, factory) = (ChaosConfig::default(), default_factory());
+    for (name, faults) in reproducers() {
+        let schedule: Vec<PlannedFault> = faults
+            .into_iter()
+            .map(|(ms, fault)| PlannedFault {
+                after: Duration::from_millis(ms),
+                fault,
+            })
+            .collect();
+        for kind in ProtocolKind::all() {
+            let found = run_schedule(kind, &cfg, &schedule, &factory).violations;
+            assert_eq!(found, Vec::<String>::new(), "{name}: {kind}");
+        }
     }
 }
 
 /// Delegates to a real protocol engine but, from the first view that
-/// lacks a member its member last keyed on, establishes a per-member
+/// lacks a member of its previous call, establishes a per-member
 /// poison value as every epoch's key before the engine can — a
 /// divergence bug of exactly the class the key-convergence invariant
 /// and the minimizer exist to catch.
 struct ForgetsLeavers {
     inner: Box<dyn GkaProtocol>,
     poison: Option<Ubig>,
+    /// The members of the previous call since the last reset: the
+    /// adopted component's or a view's.
+    last: Vec<ClientId>,
 }
 
 impl GkaProtocol for ForgetsLeavers {
@@ -218,13 +241,14 @@ impl GkaProtocol for ForgetsLeavers {
     }
 
     fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
-        let view = ctx.members();
-        if ctx.keyed_members().iter().any(|m| !view.contains(m)) {
+        let view = ctx.members().to_vec();
+        if self.last.iter().any(|m| !view.contains(m)) {
             self.poison = Some(Ubig::from(0xDEC0_DE00u64 + ctx.me() as u64));
         }
         if let Some(poison) = &self.poison {
-            ctx.establish(poison.clone());
+            ctx.establish(poison.clone(), view.iter().copied());
         }
+        self.last = view;
         self.inner.on_view(ctx)
     }
 
@@ -242,11 +266,13 @@ impl GkaProtocol for ForgetsLeavers {
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        self.last = component.members().to_vec();
         self.inner.adopt(component, me)
     }
 
     fn reset(&mut self) {
         self.poison = None;
+        self.last.clear();
         self.inner.reset();
     }
 }
@@ -259,6 +285,7 @@ fn minimizer_reduces_broken_driver_to_single_fault() {
         let broken = ForgetsLeavers {
             inner: kind.create(),
             poison: None,
+            last: Vec::new(),
         };
         SecureMember::with_protocol(
             Box::new(broken),

@@ -13,8 +13,8 @@
 //!
 //! It is the only holder of membership, too: each epoch's record keeps
 //! its view's members, and the member keeps the membership it last
-//! keyed. An engine reads both through [`GkaCtx::members`] and
-//! [`GkaCtx::keyed_members`].
+//! keyed, pruned to every view's members. An engine reads both through
+//! [`GkaCtx::members`] and [`GkaCtx::keyed_members`].
 //!
 //! It is the only host of a protocol engine: a simulated world drives
 //! it through [`Client`], and so does the in-memory
@@ -112,7 +112,7 @@ pub struct SecureMember {
     epochs: Vec<EpochRecord>,
     /// The membership this member last keyed: the members of its last
     /// converged epoch or, on a view that admits it (or its first
-    /// view), the members that view does not admit.
+    /// view), the members that view does not admit; every view prunes it.
     keyed: Vec<ClientId>,
     /// Index into `epochs` of the key awaiting its CPU-completion
     /// stamp.
@@ -431,6 +431,8 @@ impl Client for SecureMember {
             let old = view.members.iter().filter(|m| !view.joined.contains(m));
             self.keyed = old.copied().collect();
         }
+        // A member that left is keyed by nobody, so a rejoiner is new to all.
+        self.keyed.retain(|m| view.members.contains(m));
         // Rejoin after a partition healed: this member merges back as
         // a fresh singleton — stale keys from before the partition
         // must not leak into the new agreement.

@@ -128,8 +128,9 @@ impl Bd {
             };
             acc = ctx.modmul(&acc, &term);
         }
-        ctx.establish(acc);
-        Ok(())
+        ctx.establish(acc, self.z.keys().copied())
+            .then_some(())
+            .ok_or(GkaError::STALE_KEY)
     }
 }
 
@@ -154,7 +155,7 @@ impl GkaProtocol for Bd {
             let e = r.modmul(&r, q);
             let g = ctx.suite.group().generator().clone();
             let key = ctx.exp(&g, &e);
-            ctx.establish(key);
+            ctx.establish(key, [ctx.me()]);
             return Ok(());
         }
         ctx.send(SendKind::Multicast, &ProtocolMsg::BdRound1 { z });

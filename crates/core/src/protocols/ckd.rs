@@ -138,8 +138,9 @@ impl Ckd {
                 blobs,
             },
         );
-        ctx.establish(secret);
-        Ok(())
+        ctx.establish(secret, self.pubs.keys().copied().chain([me]))
+            .then_some(())
+            .ok_or(GkaError::STALE_KEY)
     }
 
     /// Controller-side: begin a re-key, inviting any members whose
@@ -271,8 +272,10 @@ impl GkaProtocol for Ckd {
                 if pt.len() != blob_len(ctx.suite) {
                     return Err(GkaError::Protocol("blob length mismatch"));
                 }
-                ctx.establish(Ubig::from_be_bytes(&pt));
-                Ok(())
+                let recipients = blobs.iter().map(|(m, _)| *m).chain([sender]);
+                ctx.establish(Ubig::from_be_bytes(&pt), recipients)
+                    .then_some(())
+                    .ok_or(GkaError::STALE_KEY)
             }
             _ => Err(GkaError::UnexpectedMessage("not a CKD message")),
         }
@@ -344,6 +347,24 @@ mod tests {
             lb.member(1).protocol_error(),
             Some(&GkaError::Protocol("invalid group element"))
         );
+        assert_eq!(lb.member(1).secret(1), None);
+    }
+
+    /// A distribution whose blobs name a stale set — here member 1
+    /// alone, while the view is [0, 1, 2] — is not the view's key.
+    #[test]
+    fn a_distribution_to_a_stale_set_is_refused() {
+        let suite = CryptoSuite::fast_zero();
+        let ids = [0, 1, 2, 3];
+        let mut lb = Loopback::new(ProtocolKind::Ckd, CryptoSuite::fast_zero(), &ids);
+        lb.bootstrap(&ids, 5);
+        lb.install_view_interrupted(vec![0, 1, 2], vec![], vec![3], 0);
+        let dist = ProtocolMsg::CkdKeyDist {
+            controller_pub: suite.group().generator().clone(),
+            blobs: vec![(1, vec![0; blob_len(&suite)])],
+        };
+        lb.forge(&suite, 0, 1, &dist);
+        assert_eq!(lb.member(1).protocol_error(), Some(&GkaError::STALE_KEY));
         assert_eq!(lb.member(1).secret(1), None);
     }
 

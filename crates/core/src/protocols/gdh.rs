@@ -21,8 +21,9 @@
 //! Old and new members are read against the membership this member
 //! last keyed ([`GkaCtx::keyed_members`]), not against the previous
 //! view: after a view superseded an agreement, the old group is still
-//! the one that holds a key. A view with nobody new re-keys through
-//! the leave phase, even one that removes nobody (a refresh).
+//! the one that holds a key. The leave phase runs when the cached
+//! partial-key list names a member outside the old group, or when
+//! nobody is new, even on a view that removes nobody (a refresh).
 
 use std::collections::BTreeMap;
 
@@ -188,13 +189,11 @@ impl Gdh {
     }
 
     /// A partial-key list's `key` is the group key exactly when the
-    /// list covers the view. A leave phase's list covers only the old
-    /// members: then the merge of the new ones starts, and its key will
-    /// be the group's.
+    /// list's members are the view. A leave phase's list covers only
+    /// the old members: then the merge of the new ones starts, and its
+    /// key will be the group's.
     fn finish(&mut self, ctx: &mut GkaCtx<'_, '_>, key: Ubig) -> Result<(), GkaError> {
-        let members = ctx.members();
-        if members.iter().all(|m| self.partial_keys.contains_key(m)) {
-            ctx.establish(key);
+        if ctx.establish(key, self.partial_keys.keys().copied()) {
             return Ok(());
         }
         let (old, new) = split(ctx);
@@ -231,8 +230,9 @@ impl Gdh {
         );
         self.factor_outs.clear();
         self.stage = Stage::Idle;
-        ctx.establish(key);
-        Ok(())
+        ctx.establish(key, self.partial_keys.keys().copied())
+            .then_some(())
+            .ok_or(GkaError::STALE_KEY)
     }
 }
 
@@ -260,11 +260,9 @@ impl GkaProtocol for Gdh {
             let g = ctx.suite.group().generator().clone();
             self.partial_keys.insert(me, g);
         }
-        let keyed_left = ctx
-            .keyed_members()
-            .iter()
-            .any(|m| !ctx.members().contains(m));
-        if keyed_left || new.is_empty() {
+        // A list naming a leaver is re-keyed without it first.
+        let names_a_leaver = self.partial_keys.keys().any(|m| !old.contains(m));
+        if names_a_leaver || new.is_empty() {
             self.start_leave(ctx, &old)
         } else {
             self.start_merge(ctx, &old, &new)

@@ -9,12 +9,12 @@
 //! so the *same* protocol code yields both correctness (real keys) and
 //! the paper's cost accounting.
 //!
-//! An engine owns protocol state only. It hands the key it computes
-//! to [`GkaCtx::establish`], and the hosting `SecureMember` keeps it in
-//! the epoch's record; no engine stores or reports a key. Nor does an
-//! engine store the view's members: it reads them, and the membership
-//! its member last keyed, from [`GkaCtx::members`] and
-//! [`GkaCtx::keyed_members`].
+//! An engine owns protocol state only. It hands the key it computes,
+//! and the members it was derived from, to [`GkaCtx::establish`], and
+//! the hosting `SecureMember` keeps it in the epoch's record; no engine
+//! stores or reports a key. Nor does an engine store the view's
+//! members: it reads them, and the membership its member last keyed,
+//! from [`GkaCtx::members`] and [`GkaCtx::keyed_members`].
 
 pub mod bd;
 pub mod ckd;
@@ -131,6 +131,11 @@ impl std::fmt::Display for GkaError {
 
 impl std::error::Error for GkaError {}
 
+impl GkaError {
+    /// A key [`GkaCtx::establish`] refused where it should cover the view.
+    pub(crate) const STALE_KEY: GkaError = GkaError::Protocol("key contributors are not the view");
+}
+
 /// How a protocol message is to be delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendKind {
@@ -195,9 +200,9 @@ impl GkaCtx<'_, '_> {
         self.members
     }
 
-    /// The membership this member last keyed: the members of its last
-    /// converged epoch, or, from a view that admits it (or its first
-    /// view) until it converges, the members that view does not admit.
+    /// The membership this member last keyed, pruned to every view: the
+    /// members of its last converged epoch, or, from a view that admits
+    /// it (or its first view), the members that view does not admit.
     pub fn keyed_members(&self) -> &[ClientId] {
         self.keyed
     }
@@ -272,13 +277,18 @@ impl GkaCtx<'_, '_> {
         self.charge(CryptoOpKind::Symmetric, self.suite.cost().symmetric);
     }
 
-    /// Establishes `key` as this epoch's group key: the one way a
-    /// handler produces a key. The first key of an epoch stands; later
-    /// calls in the same epoch change nothing.
-    pub fn establish(&mut self, key: Ubig) {
-        if self.key.is_none() {
+    /// Establishes `key` as this epoch's group key if `from`, the members
+    /// it was derived from, are exactly [`GkaCtx::members`], and says
+    /// whether they are: the one way a handler produces a key, and the
+    /// only check that a key covers the view. The first key stands.
+    pub fn establish(&mut self, key: Ubig, from: impl IntoIterator<Item = ClientId>) -> bool {
+        let from: Vec<ClientId> = from.into_iter().collect();
+        let covers = from.iter().all(|c| self.members.contains(c))
+            && self.members.iter().all(|m| from.contains(m));
+        if covers && self.key.is_none() {
             *self.key = Some(Secret::new(key));
         }
+        covers
     }
 
     /// Whether this epoch's group key is established.

@@ -250,15 +250,11 @@ impl<S: TreeShape> TreeGka<S> {
             }
             cur = parent;
         }
-        // Root reached with a key => group secret established — but
-        // only if the tree's leaves are the view (a component root
-        // during a merge is not the group key).
+        // Root reached with a key => the group secret, if the tree's
+        // leaves are the view (a component root during a merge is not).
         let root = self.tree.node(cur);
         if let (None, Some(k)) = (root.parent, root.key.clone()) {
-            let (leaves, view) = (self.tree.members(), ctx.members());
-            if leaves.len() == view.len() && leaves.iter().all(|m| view.contains(m)) {
-                ctx.establish(k);
-            }
+            ctx.establish(k, self.tree.members());
         }
         Ok(published)
     }
@@ -382,7 +378,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
                 .my_r
                 .clone()
                 .ok_or(GkaError::MissingState("no session random"))?;
-            ctx.establish(r);
+            ctx.establish(r, [me]);
             return Ok(());
         }
         // One member refreshes its session random to prevent old-key
