@@ -1,7 +1,7 @@
 //! End-to-end chaos campaign properties: a pinned campaign passes and
-//! replays identically, the failures over seeds 1..=100 only shrink
-//! and no view in them changes no membership, DESIGN.md's named restart
-//! reproducers agree under every protocol, and the schedule
+//! replays identically, every run over seeds 1..=100 passes at two
+//! fault horizons and no view in them changes no membership, DESIGN.md's
+//! named restart reproducers agree under every protocol, and the schedule
 //! minimizer — demonstrated on an intentionally broken protocol
 //! driver — reduces a failing schedule to its smallest reproduction.
 
@@ -41,30 +41,10 @@ fn pinned_campaign_passes_and_replays_identically() {
     assert_eq!(campaign_csv(&first), campaign_csv(&second));
 }
 
-/// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
-/// for N in 1..=100, that violates an invariant today: GDH 10, CKD 1
-/// (DESIGN.md §29 has the minimized schedules of the GDH runs up to
-/// seed 40; §33 says how the tree engines left this list, §34 how five
-/// GDH runs did). A ratchet, not a blessing: a new failure fails the
-/// test, and so does a fixed one until it is struck from the list.
-const KNOWN_FAILING: [(u64, u64, &str); 11] = [
-    (3, 5, "GDH"),
-    (3, 7, "GDH"),
-    (4, 1, "GDH"),
-    (30, 2, "GDH"),
-    (40, 1, "GDH"),
-    (43, 6, "GDH"),
-    (53, 5, "GDH"),
-    (63, 2, "GDH"),
-    (76, 7, "GDH"),
-    (76, 7, "CKD"),
-    (96, 6, "GDH"),
-];
-
 /// Delegates to a real protocol engine and panics on a view that
 /// changes no membership: one whose members are those of its previous
 /// call. GDH, STR, BD and CKD re-key on one as a refresh, but TGDH
-/// finds no node to refresh and errors; the ratchet's runs show that
+/// finds no node to refresh and errors; the campaign's runs show that
 /// none reaches an engine.
 struct ChangesMembership {
     inner: Box<dyn GkaProtocol>,
@@ -114,9 +94,12 @@ impl GkaProtocol for ChangesMembership {
     }
 }
 
+/// Every `(seed, run, protocol)` of `repro chaos --seed N --runs 8`,
+/// for N in 1..=100, passes, with faults landing in the default 40 ms
+/// window and spread over a 400 ms one. The last 11 and 7 runs to fail
+/// were partitions and heals installed as serial views (DESIGN.md §35).
 #[test]
-fn chaos_failures_over_a_hundred_seeds_only_shrink() {
-    let cfg = ChaosConfig::default();
+fn every_chaos_run_over_a_hundred_seeds_passes() {
     // `default_factory`'s members, each engine behind the check.
     let suite = SuiteKind::Sim512.shared();
     let factory = move |kind: ProtocolKind, i: usize| {
@@ -126,36 +109,41 @@ fn chaos_failures_over_a_hundred_seeds_only_shrink() {
         });
         SecureMember::with_protocol(checked, Rc::clone(&suite), 900 + i as u64, Some(17))
     };
-    // Every triple that moved, with its schedule: one run lists them all.
-    let (mut new, mut fixed) = (Vec::new(), Vec::new());
-    for seed in 1..=100 {
-        for run in 0..8 {
-            let schedule = generate_schedule(seed, run, &cfg);
-            for kind in ProtocolKind::all() {
-                let triple = (seed, run, kind.name());
-                let report = run_schedule(kind, &cfg, &schedule, &factory);
-                let shown = render_schedule(&schedule);
-                match (report.violations.first(), KNOWN_FAILING.contains(&triple)) {
-                    (Some(first), false) => new.push(format!("{triple:?}: {first}\n{shown}")),
-                    (None, true) => fixed.push(format!("{triple:?}\n{shown}")),
-                    _ => {}
+    let wide = ChaosConfig {
+        horizon: Duration::from_millis(400),
+        ..ChaosConfig::default()
+    };
+    // Every failing triple, with its schedule: one run lists them all.
+    let mut failing = Vec::new();
+    for cfg in [ChaosConfig::default(), wide] {
+        for seed in 1..=100 {
+            for run in 0..8 {
+                let schedule = generate_schedule(seed, run, &cfg);
+                for kind in ProtocolKind::all() {
+                    let report = run_schedule(kind, &cfg, &schedule, &factory);
+                    if let Some(first) = report.violations.first() {
+                        failing.push(format!(
+                            "horizon {}: {:?}: {first}\n{}",
+                            cfg.horizon,
+                            (seed, run, kind.name()),
+                            render_schedule(&schedule)
+                        ));
+                    }
                 }
             }
         }
     }
     assert!(
-        new.is_empty() && fixed.is_empty(),
-        "{} new chaos failures:\n{}\n{} now pass; strike them from KNOWN_FAILING:\n{}",
-        new.len(),
-        new.join("\n"),
-        fixed.len(),
-        fixed.join("\n")
+        failing.is_empty(),
+        "{} chaos runs fail:\n{}",
+        failing.len(),
+        failing.join("\n")
     );
 }
 
-/// Named schedules that once left survivors unkeyed, as `(virtual ms,
-/// fault)` pairs; every protocol keys each of them.
-fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 3] {
+/// Named schedules that once left survivors unkeyed or unsettled, as
+/// `(virtual ms, fault)` pairs; every protocol keys each of them.
+fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 4] {
     [
         // DESIGN.md §21: the heal of 9 installs first (view 2, `joined
         // [9]`); the crash's eviction of 6 supersedes that merge (view
@@ -199,6 +187,41 @@ fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 3] {
                     },
                 ),
                 (29, Fault::Crash { daemon: 6 }),
+            ],
+        ),
+        // DESIGN.md §35: six faults within 37 ms. Installed as six
+        // serial views, they cost GDH six agreements at n = 7–8 and the
+        // world settled past the liveness bound. Folded, they install
+        // one view, `joined [8]`; the rest cancel out.
+        (
+            "six faults folding into one view",
+            vec![
+                (2, Fault::Heal { members: vec![8] }),
+                (
+                    13,
+                    Fault::Partition {
+                        members: vec![0, 6],
+                    },
+                ),
+                (22, Fault::Heal { members: vec![0] }),
+                (
+                    27,
+                    Fault::Heal {
+                        members: vec![0, 6],
+                    },
+                ),
+                (
+                    32,
+                    Fault::Partition {
+                        members: vec![6, 0],
+                    },
+                ),
+                (
+                    37,
+                    Fault::Heal {
+                        members: vec![6, 0],
+                    },
+                ),
             ],
         ),
     ]

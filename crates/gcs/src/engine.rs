@@ -394,8 +394,9 @@ impl SimWorld {
     }
 
     /// Injects a membership change into a specific group. Changes for
-    /// different groups proceed concurrently; changes within one group
-    /// queue FIFO.
+    /// different groups proceed concurrently; within one group, the
+    /// changes injected while a view installs fold into one next view
+    /// (none if they cancel out).
     ///
     /// # Panics
     ///
@@ -404,7 +405,7 @@ impl SimWorld {
     /// of that group, or a client is named twice.
     pub fn inject_change_in(&mut self, group: GroupId, joined: Vec<ClientId>, left: Vec<ClientId>) {
         // Validate against the group membership as it will stand once
-        // every queued change has installed.
+        // every change so far has installed.
         assert!(
             self.membership.view(group).is_some(),
             "no initial view installed for group {group}"
@@ -442,8 +443,8 @@ impl SimWorld {
         self.inject_change(joining, vec![]);
     }
 
-    /// The group-`0` membership as it will stand once the active and
-    /// every queued change has installed (empty before any initial
+    /// The group-`0` membership as it will stand once every change so
+    /// far has installed (empty before any initial
     /// view). Fault injectors consult this to aim joins/leaves at
     /// clients whose membership status is already settled in-flight.
     pub fn projected_members(&self) -> Vec<ClientId> {
@@ -566,12 +567,6 @@ impl SimWorld {
     /// the view produced by the group's `k`-th membership change.
     pub fn views_of(&self, group: GroupId) -> Vec<Rc<View>> {
         self.membership.views_of(group)
-    }
-
-    /// Whether a membership change is in progress or queued (any
-    /// group).
-    pub fn membership_busy(&self) -> bool {
-        self.membership.busy()
     }
 
     /// Engine counters.
@@ -724,7 +719,7 @@ impl SimWorld {
     ///
     /// The stretch is quiet when `ev` is the live token and
     ///
-    /// * no membership change is active or queued — a head pass spends
+    /// * no membership change is active or pending — a head pass spends
     ///   a round of each running change;
     /// * the ring is flushed — nothing is pending and every alive
     ///   daemon has delivered everything sequenced, hence no daemon

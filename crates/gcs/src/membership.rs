@@ -1,25 +1,24 @@
 //! View-synchronous membership: which view every group is in, and how
-//! a queued change becomes the next one.
+//! the changes that arrive while one installs become the next view.
 //!
 //! [`Membership`] owns every group's installed view, the history of
-//! all views, the world-wide view-id counter and, per group, a FIFO of
-//! queued changes plus the one whose protocol is running. It is handed
+//! all views, the world-wide view-id counter and, per group, the
+//! running change plus the membership the group is to reach after it.
+//! Changes fold into that target, and the next view is its diff with
+//! the running change's view (none if they agree): a Spread
+//! configuration lists the members connected when the membership
+//! protocol completes, not every component on the way. It is handed
 //! what the ring knows — the token passed the ring head, the old
 //! view's traffic is flushed, the token is at this daemon, these
 //! daemons are alive — and returns the views to install. It never
 //! sees the event queue, a message store or a client.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use crate::config::MEMBERSHIP_ROUNDS;
 use crate::message::{View, ViewId};
 use crate::{ClientId, DaemonId, GroupId};
-
-struct PendingChange {
-    joined: Vec<ClientId>,
-    left: Vec<ClientId>,
-}
 
 struct ActiveChange {
     new_view: Rc<View>,
@@ -37,8 +36,9 @@ pub(crate) struct Membership {
     views: BTreeMap<GroupId, Rc<View>>,
     history: BTreeMap<ViewId, Rc<View>>,
     next_view_id: ViewId,
-    /// Queued changes, per group.
-    pending: BTreeMap<GroupId, VecDeque<PendingChange>>,
+    /// The members a group is to reach once its running change
+    /// installs; present only while one runs.
+    pending: BTreeMap<GroupId, Vec<ClientId>>,
     /// In-progress membership protocol per group.
     active: BTreeMap<GroupId, ActiveChange>,
 }
@@ -102,37 +102,30 @@ impl Membership {
     }
 
     /// Every group with an installed view, ascending. (A change can
-    /// only run or queue in a group that has one.)
+    /// only run or pend in a group that has one.)
     pub(crate) fn group_ids(&self) -> Vec<GroupId> {
         self.views.keys().copied().collect()
     }
 
-    /// Whether a change is in progress or queued in any group.
+    /// Whether a change is running in any group (a target only pends
+    /// behind one).
     pub(crate) fn busy(&self) -> bool {
-        !self.active.is_empty() || self.pending.values().any(|q| !q.is_empty())
+        !self.active.is_empty()
     }
 
-    /// A group's membership as it will stand once the active and every
-    /// queued change has installed (empty for an unknown group).
+    /// A group's membership as it will stand once every change so far
+    /// has installed: its target, else the running change's view, else
+    /// the installed view (empty for an unknown group).
     pub(crate) fn projected_members_of(&self, group: GroupId) -> Vec<ClientId> {
-        let mut members: Vec<ClientId> = match self.active.get(&group) {
-            Some(active) => active.new_view.members.clone(),
-            None => self
-                .views
-                .get(&group)
-                .map(|v| v.members.clone())
-                .unwrap_or_default(),
-        };
-        if let Some(queue) = self.pending.get(&group) {
-            for ch in queue {
-                members.retain(|m| !ch.left.contains(m));
-                members.extend_from_slice(&ch.joined);
-            }
-        }
-        members
+        self.pending
+            .get(&group)
+            .or_else(|| self.active.get(&group).map(|a| &a.new_view.members))
+            .or_else(|| self.views.get(&group).map(|v| &v.members))
+            .cloned()
+            .unwrap_or_default()
     }
 
-    /// Queues a change behind the group's earlier ones and starts it
+    /// Folds a change into the group's target membership and starts it
     /// if the group is idle.
     pub(crate) fn queue_change(
         &mut self,
@@ -140,14 +133,17 @@ impl Membership {
         joined: Vec<ClientId>,
         left: Vec<ClientId>,
     ) {
-        self.pending
-            .entry(group)
-            .or_default()
-            .push_back(PendingChange { joined, left });
+        let mut target = self.projected_members_of(group);
+        target.retain(|m| !left.contains(m));
+        target.extend(joined);
+        self.pending.insert(group, target);
         self.start_next(group);
     }
 
-    /// Starts the group's oldest queued change unless one is running.
+    /// Starts the change from the installed view to the group's target
+    /// unless one is running: the members that stay, in view order,
+    /// then the newcomers, in target order. A target equal to the view
+    /// starts nothing.
     fn start_next(&mut self, group: GroupId) {
         if self.active.contains_key(&group) {
             return;
@@ -155,17 +151,20 @@ impl Membership {
         let Some(view) = self.views.get(&group).cloned() else {
             return;
         };
-        let Some(change) = self.pending.get_mut(&group).and_then(VecDeque::pop_front) else {
+        let Some(target) = self.pending.remove(&group) else {
             return;
         };
-        let mut members: Vec<ClientId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !change.left.contains(m))
+        let (mut members, left): (Vec<ClientId>, Vec<ClientId>) =
+            view.members.iter().partition(|m| target.contains(m));
+        let joined: Vec<ClientId> = target
+            .into_iter()
+            .filter(|m| !view.members.contains(m))
             .collect();
-        members.extend_from_slice(&change.joined);
-        let new_view = self.next_view(group, members, change.joined, change.left);
+        if joined.is_empty() && left.is_empty() {
+            return;
+        }
+        members.extend_from_slice(&joined);
+        let new_view = self.next_view(group, members, joined, left);
         self.active.insert(
             group,
             ActiveChange {
@@ -211,8 +210,8 @@ impl Membership {
     /// Cluster-wide completion for one group: once every daemon of
     /// `alive` has installed the running change's view (a crashed
     /// daemon never will, and the reformed ring does not wait on it)
-    /// it becomes the group's current view and the next queued change
-    /// starts. Returns whether a view was adopted.
+    /// it becomes the group's current view and the change to the
+    /// group's target starts. Returns whether a view was adopted.
     pub(crate) fn complete_if_installed(
         &mut self,
         group: GroupId,
@@ -255,12 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn a_group_is_fifo_and_installs_only_when_rounds_are_spent_and_flushed() {
+    fn a_change_installs_only_when_rounds_are_spent_and_flushed() {
         let mut m = Membership::new();
         m.install_initial(0, vec![0, 1]);
         m.queue_change(0, vec![2], vec![]);
         m.queue_change(0, vec![], vec![0]);
-        // Both are projected; only the first has a view id yet.
+        // Both are projected; only the running one has a view id yet.
         assert_eq!(m.projected_members_of(0), vec![1, 2]);
         assert_eq!(m.views_of(0).len(), 2);
         for _ in 1..MEMBERSHIP_ROUNDS {
@@ -276,7 +275,7 @@ mod tests {
             "a daemon installs a view once"
         );
         assert_eq!(m.view(0).map(|v| v.members.clone()), Some(vec![0, 1, 2]));
-        // Completion started the leave; it owes its own rounds.
+        // Completion started the pending leave; it owes its own rounds.
         for _ in 1..MEMBERSHIP_ROUNDS {
             assert!(rotate(&mut m, true).is_empty() && m.busy());
         }
@@ -284,6 +283,62 @@ mod tests {
         let v3 = m.view(0).expect("installed");
         assert_eq!((v3.id, &v3.members, &v3.left), (3, &vec![1, 2], &vec![0]));
         assert!(!m.busy());
+    }
+
+    /// Runs every change to completion; returns the views installed.
+    fn drain(m: &mut Membership) -> Vec<Rc<View>> {
+        let mut views = Vec::new();
+        while m.busy() {
+            for (d, id) in rotate(m, true) {
+                if d == 0 {
+                    views.extend(m.view_by_id(id).cloned());
+                }
+            }
+        }
+        views
+    }
+
+    #[test]
+    fn a_join_then_leave_behind_a_running_change_installs_no_view() {
+        let mut m = Membership::new();
+        m.install_initial(0, vec![0, 1]);
+        m.queue_change(0, vec![2], vec![]);
+        m.queue_change(0, vec![3], vec![]);
+        m.queue_change(0, vec![], vec![3]);
+        assert_eq!(m.projected_members_of(0), vec![0, 1, 2]);
+        let ids: Vec<ViewId> = drain(&mut m).iter().map(|v| v.id).collect();
+        assert_eq!(ids, [2], "only the running change installs");
+        assert_eq!(m.views_of(0).len(), 2);
+        assert!(!m.busy());
+    }
+
+    #[test]
+    fn a_leave_then_rejoin_installs_no_view_and_keeps_the_members_place() {
+        let mut m = Membership::new();
+        m.install_initial(0, vec![0, 1, 2]);
+        m.queue_change(0, vec![3], vec![]);
+        m.queue_change(0, vec![], vec![1]);
+        m.queue_change(0, vec![1], vec![]);
+        assert_eq!(m.projected_members_of(0), vec![0, 2, 3, 1]);
+        assert_eq!(drain(&mut m).len(), 1);
+        assert_eq!(m.view(0).map(|v| v.members.clone()), Some(vec![0, 1, 2, 3]));
+        assert!(!m.busy());
+    }
+
+    #[test]
+    fn two_queued_leaves_install_as_one_view() {
+        let mut m = Membership::new();
+        m.install_initial(0, vec![0, 1, 2, 3]);
+        m.queue_change(0, vec![4], vec![]);
+        m.queue_change(0, vec![], vec![3]);
+        m.queue_change(0, vec![], vec![1]);
+        let views = drain(&mut m);
+        assert_eq!(views.len(), 2);
+        let v = &views[1];
+        assert_eq!(
+            (&v.members, &v.joined, &v.left),
+            (&vec![0, 2, 4], &vec![], &vec![1, 3])
+        );
     }
 
     #[test]
