@@ -30,6 +30,9 @@
 //! unknown protocol) exit non-zero with a one-line diagnostic — never
 //! a panic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::path::{Path, PathBuf};
 
 use gkap_bench::cli::{self, CliOptions};

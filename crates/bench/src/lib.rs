@@ -3,6 +3,8 @@
 //! micro-benchmarks of the group communication substrate (§6.1.1 /
 //! §6.2.1).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -17,8 +17,10 @@
 //! the reader live here: a fixed-precision renderer (so equal runs
 //! render equal bytes) and a small recursive-descent parser that is
 //! total over arbitrary input — malformed manifests come back as
-//! `Err`, never a panic (this module is in the analyzer's L1
-//! panic-freedom scope).
+//! `Err`, never a panic (the crate denies clippy's panic lints, and
+//! this module its nondeterminism lints).
+
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

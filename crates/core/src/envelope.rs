@@ -6,6 +6,10 @@
 //! signature covers all three, which is the paper's defence against
 //! impersonation and replay of old-view messages.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use bytes::Bytes;
 use gkap_gcs::ClientId;
 

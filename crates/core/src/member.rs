@@ -22,6 +22,10 @@
 //! into the telemetry sink its [`ClientCtx`] lends: the world's, or
 //! the loopback's.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use std::rc::Rc;
 
 use gkap_bignum::{SplitMix64, Ubig};

@@ -16,6 +16,10 @@
 //! members: it reads them, and the membership its member last keyed,
 //! from [`GkaCtx::members`] and [`GkaCtx::keyed_members`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 pub mod bd;
 pub mod ckd;
 mod component;

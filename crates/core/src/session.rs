@@ -7,6 +7,10 @@
 //! before it (encrypt-then-MAC). The (epoch, seq, sender) triple makes
 //! nonces unique per key.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use gkap_bignum::Ubig;
 use gkap_crypto::aes::ctr_xor;
 use gkap_crypto::hmac::{ct_eq, hmac_sha256};

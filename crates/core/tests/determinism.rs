@@ -1,9 +1,10 @@
 //! Same-seed determinism regression: two identically configured runs
 //! must produce byte-identical telemetry JSONL streams.
 //!
-//! This is the executable counterpart of the analyzer's L4 rule
-//! (no `HashMap`/`HashSet`, wall clocks, or ambient RNG in
-//! event-ordering paths): if any such nondeterminism creeps back into
+//! This is the executable counterpart of the L4 rule, which clippy's
+//! `disallowed_types`/`disallowed_methods` enforce (no `HashMap`/
+//! `HashSet`, wall clocks, or ambient RNG in event-ordering paths,
+//! DESIGN.md §11): if any such nondeterminism creeps back into
 //! the engine or the protocol drivers, the rendered event streams of
 //! two same-seed runs diverge and this test fails with the first
 //! differing line.

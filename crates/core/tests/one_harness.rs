@@ -9,8 +9,12 @@
 //! transport stands between a protocol and its member's `ClientCtx`,
 //! and no engine keeps a member list: `SecureMember` owns membership,
 //! only GDH reads the membership its member last keyed, and no engine
-//! reads a view. `#[cfg(test)]` items (always the tail of a file here)
-//! are not looked at, except by the checks that read `files`.
+//! reads a view. It also holds the lexical half of the static analysis
+//! (DESIGN.md §11), the rules clippy cannot see: no index in the
+//! panic-free drivers (L1-INDEX), secrets kept in `Secret<T>` and
+//! never printed (L2), and constant-time verification (L3).
+//! `#[cfg(test)]` items (always the tail of a file here) are not
+//! looked at, except by the checks that read `files`.
 
 use std::fs;
 use std::path::Path;
@@ -225,30 +229,60 @@ fn engines_keep_no_key_and_only_protocols_establish_one() {
     );
 }
 
-/// The field names of every braced `struct` in `code`.
-fn struct_fields(code: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut inside = false;
+/// A braced `struct`: its name, the text of the attributes above it,
+/// and its `(field, type)` pairs.
+struct Struct {
+    name: String,
+    attrs: String,
+    fields: Vec<(String, String)>,
+}
+
+/// Every braced `struct` in `code`.
+fn structs(code: &str) -> Vec<Struct> {
+    let mut out = Vec::new();
+    let mut attrs = String::new();
+    let mut inside: Option<Struct> = None;
     for line in code.lines() {
         let item = line.trim();
-        if !inside {
-            inside = !item.starts_with("//") && item.contains("struct ") && item.ends_with('{');
-            continue;
-        }
-        if line.starts_with('}') {
-            inside = false;
-            continue;
-        }
-        let item = ["pub(crate) ", "pub(super) ", "pub "]
-            .iter()
-            .fold(item, |item, vis| item.trim_start_matches(vis));
-        if let Some((name, _)) = item.split_once(':') {
-            if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                fields.push(name.to_string());
+        if let Some(s) = inside.as_mut() {
+            let field = ["pub(crate) ", "pub(super) ", "pub "]
+                .iter()
+                .fold(item, |item, vis| item.trim_start_matches(vis));
+            if item.starts_with('}') {
+                out.extend(inside.take());
+            } else if let Some((name, ty)) = field.split_once(':') {
+                if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    s.fields.push((name.to_string(), ty.trim().to_string()));
+                }
             }
+            continue;
         }
+        if item.starts_with("//") {
+            continue;
+        }
+        if item.starts_with("#[") || attrs.matches('[').count() > attrs.matches(']').count() {
+            attrs.push_str(item);
+            continue;
+        }
+        if let (Some((_, rest)), true) = (item.split_once("struct "), item.ends_with('{')) {
+            let name = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next();
+            inside = Some(Struct {
+                name: name.unwrap_or("").to_string(),
+                attrs: attrs.clone(),
+                fields: Vec::new(),
+            });
+        }
+        attrs.clear();
     }
-    fields
+    out
+}
+
+/// The field names of every braced `struct` in `code`.
+fn struct_fields(code: &str) -> Vec<String> {
+    let fields = structs(code).into_iter().flat_map(|s| s.fields);
+    fields.map(|(name, _)| name).collect()
 }
 
 #[test]
@@ -300,5 +334,216 @@ fn engines_read_no_view() {
                 "{name}: names `{needle}`; an engine reads the view from `GkaCtx`"
             );
         }
+    }
+}
+
+/// The tokens of `code`: identifiers and numbers, `==`, `!=` and
+/// single punctuation. Comments are dropped; a string literal becomes
+/// `"`, a char literal or lifetime `'`.
+fn tokens(code: &str) -> Vec<&str> {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut rest = code;
+    while let Some(c) = rest.chars().next() {
+        let len = if c.is_whitespace() {
+            c.len_utf8()
+        } else if let Some(line) = rest.strip_prefix("//") {
+            line.find('\n').map_or(rest.len(), |n| n + 3)
+        } else if rest.starts_with("/*") {
+            rest.find("*/").map_or(rest.len(), |n| n + 2)
+        } else if let Some(raw) = rest
+            .strip_prefix('r')
+            .filter(|r| r.trim_start_matches('#').starts_with('"'))
+        {
+            out.push("\"");
+            let hashes = raw.len() - raw.trim_start_matches('#').len();
+            let close = format!("\"{}", "#".repeat(hashes));
+            let body = hashes + 2;
+            rest[body..]
+                .find(&close)
+                .map_or(rest.len(), |n| body + n + close.len())
+        } else if c == '"' {
+            out.push("\"");
+            let mut escaped = false;
+            let close = rest[1..].find(|c| {
+                let close = c == '"' && !escaped;
+                escaped = c == '\\' && !escaped;
+                close
+            });
+            close.map_or(rest.len(), |n| n + 2)
+        } else if c == '\'' {
+            out.push("'");
+            let mut chars = rest.char_indices().skip(1);
+            match (chars.next(), chars.next()) {
+                (Some((_, '\\')), _) => rest[3..].find('\'').map_or(rest.len(), |n| n + 4),
+                (_, Some((n, '\''))) => n + 1,
+                _ => 1 + rest[1..].find(|c: char| !word(c)).unwrap_or(rest.len() - 1),
+            }
+        } else if word(c) {
+            let n = rest.find(|c: char| !word(c)).unwrap_or(rest.len());
+            out.push(&rest[..n]);
+            n
+        } else {
+            let two = rest.get(..2).filter(|t| ["==", "!="].contains(t));
+            let t = two.unwrap_or(&rest[..c.len_utf8()]);
+            out.push(t);
+            t.len()
+        };
+        rest = &rest[len..];
+    }
+    out
+}
+
+/// Each `fn` of `toks` that has a body: its name and its body's tokens.
+fn fn_bodies<'a, 't>(toks: &'t [&'a str]) -> Vec<(&'a str, &'t [&'a str])> {
+    let mut out = Vec::new();
+    for (i, pair) in toks.windows(2).enumerate() {
+        if pair[0] != "fn" || !pair[1].starts_with(|c: char| c.is_alphabetic() || c == '_') {
+            continue;
+        }
+        let mut depth = 0i32;
+        let open = toks[i..].iter().position(|&t| {
+            depth += i32::from(t == "(" || t == "[") - i32::from(t == ")" || t == "]");
+            depth == 0 && (t == "{" || t == ";")
+        });
+        if let Some(open) = open.map(|n| i + n).filter(|&n| toks[n] == "{") {
+            out.push((pair[1], &toks[open + 1..block_end(toks, open)]));
+        }
+    }
+    out
+}
+
+/// The index of the `}` that closes the `{` at `open`.
+fn block_end(toks: &[&str], open: usize) -> usize {
+    let mut depth = 0i32;
+    let close = toks[open..].iter().position(|&t| {
+        depth += i32::from(t == "{") - i32::from(t == "}");
+        depth == 0
+    });
+    close.map_or(toks.len(), |n| open + n)
+}
+
+/// Whether the `[` at `toks[i]` indexes the expression before it.
+fn is_postfix_index(toks: &[&str], i: usize) -> bool {
+    const NOT_AN_OPERAND: &[&str] = &[
+        "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "move", "as", "dyn",
+        "impl", "for", "where", "const", "static", "type", "while", "loop", "yield",
+    ];
+    let prev = i.checked_sub(1).map_or("", |p| toks[p]);
+    toks[i] == "["
+        && (["]", ")", "?"].contains(&prev)
+            || prev.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                && !NOT_AN_OPERAND.contains(&prev))
+}
+
+#[test]
+fn the_panic_free_drivers_index_nothing() {
+    // L1-INDEX. Clippy's `indexing_slicing` misses an index through a
+    // `&BTreeMap`, a `VecDeque` or a custom `Index`, which can panic as
+    // well. `engine.rs` and `ring.rs` index the arenas they own.
+    let l1_index = "core/session.rs core/member.rs core/envelope.rs \
+        gcs/membership.rs gcs/recovery.rs gcs/loss.rs";
+    let mut read = 0;
+    for (name, code) in sources("core").into_iter().chain(sources("gcs")) {
+        let toks = tokens(&code);
+        let indexes = (0..toks.len()).any(|i| is_postfix_index(&toks, i));
+        if name == "gcs/engine.rs" {
+            assert!(indexes, "`is_postfix_index` sees the engine's arenas");
+        } else if name.starts_with("core/protocols/")
+            || l1_index.split_whitespace().any(|f| f == name)
+        {
+            assert!(!indexes, "{name}: an index can panic; use `.get()`");
+            read += 1;
+        }
+    }
+    assert!(read >= 15, "every L1-INDEX file is read");
+}
+
+/// Field names that hold secret material (L2); `bkey` and
+/// `blinded_key` are derived from the per-node secrets.
+const SECRET_NAMES: &str = "secret group_secret enc_key mac_key group_key private_key \
+    secret_exponent priv_exp bkey blinded_key session_key leader_key";
+
+#[test]
+fn secrets_live_in_secret_and_are_never_printed() {
+    // L2-RAW: a secret-named field is a `Secret<T>`, whose only
+    // formatting is a redacting `Debug`. L2-DERIVE: a struct holding a
+    // secret does not derive `Debug` or `Serialize`.
+    let raw_exempt = [
+        // Caches the public blinded key for resends.
+        "core/protocols/tree_gka.rs: CacheEntry.bkey",
+        // The public blinded key `g^key mod p`, broadcast in every
+        // rekey message (paper §4.3).
+        "core/tree.rs: Node.bkey",
+    ];
+    let secret_name = |field: &str| SECRET_NAMES.split_whitespace().any(|n| n == field);
+    let mut raw = Vec::new();
+    for (name, code) in ["crypto", "core", "telemetry"]
+        .into_iter()
+        .flat_map(sources)
+    {
+        for s in structs(&code) {
+            let (bare, wrapped): (Vec<_>, Vec<_>) = s
+                .fields
+                .iter()
+                .filter(|(f, ty)| secret_name(f) || ty.contains("Secret<"))
+                .partition(|(_, ty)| !ty.contains("Secret<"));
+            let words = s.attrs.split(|c: char| !c.is_alphanumeric());
+            let derived = words.filter(|t| ["Debug", "Serialize"].contains(t));
+            for t in derived.filter(|_| s.attrs.contains("derive(")) {
+                assert!(
+                    bare.is_empty() && wrapped.is_empty(),
+                    "{name}: `{}` holds a secret but derives {t}",
+                    s.name
+                );
+            }
+            raw.extend(bare.iter().map(|(f, _)| format!("{name}: {}.{f}", s.name)));
+        }
+    }
+    assert_eq!(raw, raw_exempt, "a secret-named field is a `Secret<T>`");
+}
+
+#[test]
+fn verification_compares_in_constant_time() {
+    // L3-EQ: a `verify*`, `confirm*` or `*_verify` body compares with
+    // `ct_eq`; `==` and `!=` are for lengths, which are public. L3-CT:
+    // a `ct_*` body runs every step: no early exit, no data-dependent
+    // index and no comparison inside a loop.
+    let mut seen = Vec::new();
+    for (name, code) in ["bignum", "crypto"].into_iter().flat_map(sources) {
+        let toks = tokens(&code);
+        for (f, body) in fn_bodies(&toks) {
+            let compares = |i: usize| body[i] == "==" || body[i] == "!=";
+            if f.starts_with("verify") || f.starts_with("confirm") || f.ends_with("_verify") {
+                seen.push(f.to_string());
+                for i in (0..body.len()).filter(|&i| compares(i)) {
+                    let near = &body[i.saturating_sub(4)..(i + 5).min(body.len())];
+                    assert!(
+                        near.contains(&"len") || near.contains(&"is_empty"),
+                        "{name}: `{}` in `{f}`; use `ct_eq`",
+                        body[i]
+                    );
+                }
+            }
+            if f.starts_with("ct_") {
+                seen.push(f.to_string());
+                let loops: Vec<_> = (0..body.len())
+                    .filter(|&i| ["for", "while", "loop"].contains(&body[i]))
+                    .filter_map(|i| body[i..].iter().position(|&t| t == "{").map(|n| i + n))
+                    .map(|open| open..block_end(body, open))
+                    .collect();
+                for (i, t) in body.iter().enumerate() {
+                    let exits = ["return", "break", "continue", "?"].contains(t);
+                    let in_loop = compares(i) && loops.iter().any(|l| l.contains(&i));
+                    assert!(
+                        !exits && !in_loop && !is_postfix_index(body, i),
+                        "{name}: `{t}` in constant-time `{f}`"
+                    );
+                }
+            }
+        }
+    }
+    for f in ["ct_eq", "ct_eq_visited", "verify"] {
+        assert!(seen.iter().any(|s| s == f), "`fn_bodies` reads `{f}`");
     }
 }

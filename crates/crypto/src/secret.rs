@@ -10,11 +10,12 @@
 //! * **no accidental formatting** — `Debug` always prints a redaction
 //!   marker, and there is deliberately no `Display`, `Serialize` or
 //!   derived `PartialEq`, and
-//! * **analyzability** — the wrapper is what the `gkap-analyze` L2
-//!   rules look for: a secret-named struct field stored outside
-//!   `Secret<T>` is an `L2-RAW` finding, and a secret-bearing struct
-//!   deriving `Debug` or `Serialize` is an `L2-DERIVE` finding. Read
-//!   access goes through the single choke point [`Secret::expose`].
+//! * **checkability** — the wrapper is what the L2 source pin in
+//!   `crates/core/tests/one_harness.rs` looks for: a secret-named
+//!   struct field stored outside `Secret<T>` fails it (`L2-RAW`), and
+//!   so does a secret-bearing struct deriving `Debug` or `Serialize`
+//!   (`L2-DERIVE`). Read access goes through the single choke point
+//!   [`Secret::expose`].
 //!
 //! The workspace forbids `unsafe`, so erasure is best-effort: plain
 //! stores pinned behind [`std::hint::black_box`] rather than volatile

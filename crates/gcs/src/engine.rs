@@ -58,6 +58,14 @@
 //! reference that `tests/quiet_skip.rs` and `tests/fast_forward.rs`
 //! hold it to, state for state.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "owns the client and machine arenas: ClientId and MachineId are engine-issued indices; a run is never scheduled empty and keep_open holds its cursor below the target count"
+)]
+
 use std::any::Any;
 use std::rc::Rc;
 
@@ -589,6 +597,7 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if the id is out of range or the type does not match.
+    #[expect(clippy::expect_used, reason = "a documented `# Panics` accessor")]
     pub fn client<T: Client>(&self, id: ClientId) -> &T {
         let handler = self.clients[id]
             .handler
@@ -604,6 +613,7 @@ impl SimWorld {
     /// # Panics
     ///
     /// Panics if the id is out of range or the type does not match.
+    #[expect(clippy::expect_used, reason = "a documented `# Panics` accessor")]
     pub fn client_mut<T: Client>(&mut self, id: ClientId) -> &mut T {
         let handler = self.clients[id]
             .handler

@@ -23,6 +23,9 @@
 //! and embeds each record's true length in its header, so padding is
 //! recoverable after decode.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 /// GF(256) modulus: the AES/Rijndael-adjacent polynomial
 /// `x^8 + x^4 + x^3 + x^2 + 1` (0x11d), the standard Reed–Solomon
 /// field generator with primitive element 2.

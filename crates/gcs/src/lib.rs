@@ -66,6 +66,7 @@
 //! }
 //! ```
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -32,6 +32,10 @@
 //! stream and the engine stays byte-identical to the pre-burst engine
 //! (pinned by the engine goldens).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use gkap_sim::{Duration, RandomSource, SimTime, SplitMix64};
 
 use crate::config::GcsConfig;

@@ -13,6 +13,10 @@
 //! daemons are alive — and returns the views to install. It never
 //! sees the event queue, a message store or a client.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 

@@ -11,6 +11,10 @@
 //! — a [`GapAction`], a parity budget, the reconstructed messages. It
 //! never sees the event queue or a client.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use std::collections::BTreeMap;
 use std::rc::Rc;
 

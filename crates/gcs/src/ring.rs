@@ -37,6 +37,14 @@
 //! from — the ones above the delivery floor, and one generation below
 //! it — not every message the ring ever sequenced.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "owns the daemon arena and the ring order: DaemonId is an engine-issued index and ring positions are taken modulo the ring length; the sequence window is only reached through checked_sub and get/get_mut"
+)]
+
 use std::collections::VecDeque;
 use std::rc::Rc;
 

@@ -30,6 +30,7 @@
 //! assert!(t1 < t2);
 //! ```
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -23,6 +23,10 @@
 //! deterministic function of the recorded samples, never of hash
 //! seeds or insertion order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::collections::BTreeMap;
 
 /// Which layer of the stack a metric belongs to. Order defines the
