@@ -38,6 +38,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// Creates an empty buffer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -80,6 +87,12 @@ impl Enc {
     /// Finishes encoding.
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+
+    /// Finishes encoding into the buffer itself, for a caller that
+    /// needs the bytes once and shares them with nobody.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Current length in bytes.

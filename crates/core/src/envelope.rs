@@ -49,10 +49,12 @@ impl std::fmt::Display for EnvelopeError {
 
 impl std::error::Error for EnvelopeError {}
 
+/// What a signature covers — sender, epoch and length-prefixed body —
+/// built in one buffer of its final size.
 fn signed_region(sender: ClientId, epoch: u64, body: &[u8]) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::with_capacity(4 + 8 + 4 + body.len());
     e.u32(sender as u32).u64(epoch).bytes(body);
-    e.finish().to_vec()
+    e.into_vec()
 }
 
 impl Envelope {
@@ -128,6 +130,21 @@ mod tests {
         let back = Envelope::decode(&wire).unwrap();
         assert_eq!(back, env);
         back.verify(&suite).unwrap();
+    }
+
+    #[test]
+    fn the_signature_covers_sender_epoch_and_framed_body() {
+        use gkap_crypto::sha::{Digest, Sha256};
+        let suite = CryptoSuite::sim_512();
+        let env = Envelope::seal(&suite, 3, 7, Bytes::from_static(b"body"));
+        let region = [
+            &[0, 0, 0, 3][..],
+            &7u64.to_be_bytes(),
+            &[0, 0, 0, 4],
+            b"body",
+        ]
+        .concat();
+        assert_eq!(env.sig, Sha256::digest(&region));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, Label, SendClass};
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
 use crate::suite::CryptoSuite;
+use crate::tree::FingerprintShare;
 
 pub use component::{Component, FormationShare};
 pub use wire::ProtocolMsg;
@@ -269,6 +270,15 @@ impl GkaCtx<'_, '_> {
     pub fn invert_exponent(&mut self, e: &Ubig) -> Ubig {
         self.charge(CryptoOpKind::Inverse, self.suite.cost().inverse);
         self.suite.invert_exponent(e)
+    }
+
+    /// The world's subtree fingerprints, as of this epoch's view: what
+    /// [`crate::tree::KeyTree::fingerprint_once`] looks up before it
+    /// hashes.
+    pub(crate) fn fingerprints(&mut self) -> &mut FingerprintShare {
+        self.ctx
+            .world_slot::<FingerprintShare>()
+            .at_view(self.epoch)
     }
 
     /// Draws a fresh secret exponent.

@@ -40,7 +40,7 @@ use gkap_gcs::ClientId;
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
 use crate::protocols::{GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
-use crate::tree::{Fingerprints, KeyTree, NodeIdx};
+use crate::tree::{FingerprintShare, Fingerprints, KeyTree, NodeIdx};
 
 /// What a key-tree protocol decides for itself; [`TreeGka`] does the
 /// rest. Each item is a rule some committed result depends on
@@ -98,7 +98,7 @@ pub(super) struct Formed {
 }
 
 struct CacheEntry {
-    key: Ubig,
+    key: Secret<Ubig>,
     bkey: Option<Ubig>,
 }
 
@@ -208,9 +208,11 @@ impl<S: TreeShape> TreeGka<S> {
         let mut seen = Fingerprints::default();
         while let Some(parent) = self.tree.node(cur).parent {
             if self.tree.node(parent).key.is_none() {
-                let fp = self.tree.fingerprint_once(parent, &mut seen);
+                let fp = self
+                    .tree
+                    .fingerprint_once(parent, &mut seen, ctx.fingerprints());
                 if let Some(entry) = self.cache.get(&fp) {
-                    self.tree.node_mut(parent).key = Some(entry.key.clone());
+                    self.tree.node_mut(parent).key = Some(entry.key.expose().clone());
                     if self.tree.node(parent).bkey.is_none() {
                         self.tree.node_mut(parent).bkey = entry.bkey.clone();
                     }
@@ -230,6 +232,7 @@ impl<S: TreeShape> TreeGka<S> {
                         .ok_or(GkaError::MissingState("missing key on own path"))?;
                     let key = ctx.exp(&sib_bkey, &my_key);
                     self.tree.node_mut(parent).key = Some(key.clone());
+                    let key = Secret::new(key);
                     self.cache.insert(fp, CacheEntry { key, bkey: None });
                 }
             }
@@ -243,7 +246,10 @@ impl<S: TreeShape> TreeGka<S> {
                 if let Some(key) = self.tree.node(parent).key.clone() {
                     let bkey = Some(ctx.exp_g(&key));
                     self.tree.node_mut(parent).bkey = bkey.clone();
-                    let fp = self.tree.fingerprint_once(parent, &mut seen);
+                    let fp = self
+                        .tree
+                        .fingerprint_once(parent, &mut seen, ctx.fingerprints());
+                    let key = Secret::new(key);
                     self.cache.insert(fp, CacheEntry { key, bkey });
                     published = true;
                 }
@@ -482,12 +488,13 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         // Move the keys out of the tree: the internal ones each with
         // the fingerprint the members cache it under so later events
         // reuse it, the leaves' for good (a member's is its exponent).
-        let mut seen = Fingerprints::default();
+        let (mut seen, mut share) = (Fingerprints::default(), FingerprintShare::default());
         let mut node_keys = Vec::new();
         for i in nodes {
             let key = tree.node_mut(i).key.take();
             if let (Some(k), Some(_)) = (key, tree.node(i).children) {
-                node_keys.push((i, tree.fingerprint_once(i, &mut seen), Secret::new(k)));
+                let fp = tree.fingerprint_once(i, &mut seen, &mut share);
+                node_keys.push((i, fp, Secret::new(k)));
             }
         }
         let formed = Formed {
@@ -509,9 +516,9 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         self.tree = formed.public.clone();
         self.cache.clear();
         for (i, fp, key) in &formed.node_keys {
-            let key = key.expose().clone();
             let bkey = self.tree.node(*i).bkey.clone();
-            self.tree.node_mut(*i).key = Some(key.clone());
+            self.tree.node_mut(*i).key = Some(key.expose().clone());
+            let key = key.clone();
             self.cache.insert(*fp, CacheEntry { key, bkey });
         }
         self.merging = false;
@@ -634,6 +641,64 @@ mod tests {
                 lb.view().iter().all(|m| public(m) == first),
                 "event {event}"
             );
+            later_members_find_every_fingerprint_in_the_share::<S>(&lb, event);
+        }
+    }
+
+    fn root_fingerprint(tree: &KeyTree, share: &mut FingerprintShare) -> [u8; 32] {
+        tree.fingerprint_once(tree.root(), &mut Fingerprints::default(), share)
+    }
+
+    /// Each member holds its own copy of the public tree, in its own
+    /// arena order. Through one share, the first member hashes it and
+    /// every later one finds each node there: no miss. The loopback's
+    /// members fingerprint through a share of their own each handler
+    /// (a detached context's), and they cached the root key under the
+    /// same fingerprint.
+    fn later_members_find_every_fingerprint_in_the_share<S: TreeShape>(lb: &Loopback, event: u64) {
+        let mut share = FingerprintShare::default();
+        let mut first = None;
+        for &m in lb.view() {
+            let fp = root_fingerprint(tree_of::<S>(lb, m), &mut share);
+            let (fp0, taken) = *first.get_or_insert((fp, share.len()));
+            assert_eq!((fp, share.len()), (fp0, taken), "event {event}, member {m}");
+            let engine = lb
+                .member(m)
+                .protocol_as::<TreeGka<S>>()
+                .expect("a tree engine");
+            assert!(engine.cache.contains_key(&fp), "event {event}, member {m}");
+        }
+    }
+
+    /// Five leaves grafted by `shape`: member `m`'s blinded key is
+    /// `100 + m`, but member 2's is not known yet.
+    fn five_leaves<S: TreeShape>(shape: S) -> KeyTree {
+        let leaf =
+            |m: ClientId| KeyTree::singleton(m, None, (m != 2).then(|| Ubig::from(100 + m as u64)));
+        let mut tree = leaf(0);
+        for m in 1..5 {
+            shape.graft(&mut tree, &leaf(m));
+        }
+        tree
+    }
+
+    /// The fingerprints are the key cache's keys: a change to the hash,
+    /// or to what the share answers for it, moves every hit and miss.
+    #[test]
+    fn root_fingerprints_are_pinned() {
+        let pinned = [
+            (
+                five_leaves(TreePolicy::Paper),
+                "a8fdf92d35281fc02224ee19d73263558bca33e2e449797adb99257cef9b4ba8",
+            ),
+            (
+                five_leaves(Skinny),
+                "6c8a5acbd5bafbc78087ae149f8716f7b62cc91fcc2bd5e1e4e056f6970ed506",
+            ),
+        ];
+        for (tree, expected) in pinned {
+            let fp = root_fingerprint(&tree, &mut FingerprintShare::default());
+            assert_eq!(gkap_crypto::sha::hex(&fp), expected);
         }
     }
 

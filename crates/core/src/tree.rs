@@ -18,11 +18,15 @@
 //! cache computed keys, mirroring the paper's observation that
 //! recomputation of already-known blinded keys can be optimized away
 //! (§5, "this computation can be removed for better efficiency").
+//! Fingerprints hash public data only, so the members of one world
+//! take each one once, through the world's [`FingerprintShare`].
 //!
 //! A tree decoded from the wire is at most 64 levels deep
 //! ([`KeyTree::decode`]), which bounds the recursive walks (`height`,
 //! `encode`); everything a skinny tree of view size goes through —
 //! members, fingerprints, grafting, removal — is a loop.
+
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use gkap_bignum::Ubig;
 use gkap_crypto::sha::{Digest, Sha256};
@@ -42,6 +46,100 @@ pub struct StructureMismatch;
 /// ([`KeyTree::fingerprint_once`]); valid until a leaf changes.
 #[derive(Debug, Default)]
 pub struct Fingerprints(Vec<Option<[u8; 32]>>);
+
+/// The subtree fingerprints the members of one world have taken, by
+/// content: a leaf's by its `(member, bkey)`, an internal node's by
+/// its children's fingerprints. Every member of a world holds the same
+/// public tree, so the first to fingerprint a subtree hashes it and
+/// the others look it up ([`KeyTree::fingerprint_once`]). It holds
+/// public data only, never a key, and lives in a world slot
+/// ([`gkap_gcs::ClientCtx::world_slot`]), dropped with its world.
+///
+/// Entries are kept for two generations: a lookup that brings a newer
+/// view id retires the older one, and a hit in it carries the entry
+/// forward. So the share holds what the
+/// last two views' trees were built of, not the world's history.
+/// See DESIGN.md §36.
+#[derive(Default)]
+pub struct FingerprintShare {
+    /// The newest view id a lookup brought.
+    view: u64,
+    /// Entries taken or carried forward since `view` arrived.
+    now: FingerprintTable,
+    /// Entries of the generation before; dropped at the next swap.
+    before: FingerprintTable,
+}
+
+#[derive(Default)]
+struct FingerprintTable {
+    leaves: BTreeMap<(ClientId, Option<Ubig>), [u8; 32]>,
+    nodes: BTreeMap<([u8; 32], [u8; 32]), [u8; 32]>,
+}
+
+impl FingerprintShare {
+    /// The share as of view `view`: a view newer than any before
+    /// starts a generation and retires the one before the current.
+    pub(crate) fn at_view(&mut self, view: u64) -> &mut Self {
+        if view > self.view {
+            self.view = view;
+            self.before = std::mem::take(&mut self.now);
+        }
+        self
+    }
+
+    fn leaf(&mut self, member: ClientId, bkey: Option<&Ubig>) -> [u8; 32] {
+        recall(
+            &mut self.now.leaves,
+            &self.before.leaves,
+            (member, bkey.cloned()),
+            || {
+                let mut h = Sha256::new();
+                h.update(b"leaf");
+                h.update(&(member as u64).to_be_bytes());
+                if let Some(bk) = bkey {
+                    h.update(&bk.to_be_bytes());
+                }
+                digest(h)
+            },
+        )
+    }
+
+    fn node(&mut self, left: [u8; 32], right: [u8; 32]) -> [u8; 32] {
+        recall(
+            &mut self.now.nodes,
+            &self.before.nodes,
+            (left, right),
+            || {
+                let mut h = Sha256::new();
+                h.update(b"node");
+                h.update(&left);
+                h.update(&right);
+                digest(h)
+            },
+        )
+    }
+}
+
+/// The fingerprint `now` or `before` holds for `key`, else `hash()`;
+/// either way `now` holds it afterwards.
+fn recall<K: Ord>(
+    now: &mut BTreeMap<K, [u8; 32]>,
+    before: &BTreeMap<K, [u8; 32]>,
+    key: K,
+    hash: impl FnOnce() -> [u8; 32],
+) -> [u8; 32] {
+    match now.entry(key) {
+        Entry::Occupied(e) => *e.get(),
+        Entry::Vacant(e) => {
+            let fp = before.get(e.key()).copied().unwrap_or_else(hash);
+            *e.insert(fp)
+        }
+    }
+}
+
+fn digest(h: Sha256) -> [u8; 32] {
+    h.finalize().try_into().expect("32 bytes")
+}
 
 /// One node of the key tree.
 #[derive(Clone, PartialEq, Eq)]
@@ -377,32 +475,30 @@ impl KeyTree {
     /// between. A walk up one path asks about every node on it, and
     /// from scratch each answer re-hashes everything below: quadratic
     /// in the depth, and a skinny tree is as deep as the group is
-    /// large.
-    pub fn fingerprint_once(&self, idx: NodeIdx, seen: &mut Fingerprints) -> [u8; 32] {
+    /// large. `share` does the same across the members of a world:
+    /// a node some member already hashed is looked up, not hashed.
+    pub fn fingerprint_once(
+        &self,
+        idx: NodeIdx,
+        seen: &mut Fingerprints,
+        share: &mut FingerprintShare,
+    ) -> [u8; 32] {
         seen.0.resize(self.nodes.len(), None);
         let mut todo = vec![idx];
         while let Some(&i) = todo.last() {
             if seen.0[i].is_none() {
-                let mut h = Sha256::new();
-                match self.nodes[i].children {
-                    None => {
-                        h.update(b"leaf");
-                        h.update(&(self.nodes[i].member.expect("leaf") as u64).to_be_bytes());
-                        if let Some(bk) = &self.nodes[i].bkey {
-                            h.update(&bk.to_be_bytes());
-                        }
-                    }
+                let node = &self.nodes[i];
+                let fp = match node.children {
+                    None => share.leaf(node.member.expect("leaf"), node.bkey.as_ref()),
                     Some((l, r)) => {
                         let (Some(left), Some(right)) = (seen.0[l], seen.0[r]) else {
                             todo.extend([l, r]);
                             continue;
                         };
-                        h.update(b"node");
-                        h.update(&left);
-                        h.update(&right);
+                        share.node(left, right)
                     }
-                }
-                seen.0[i] = Some(h.finalize().try_into().expect("32 bytes"));
+                };
+                seen.0[i] = Some(fp);
             }
             todo.pop();
         }
@@ -657,12 +753,20 @@ impl KeyTree {
 mod tests {
     use super::*;
 
+    impl FingerprintShare {
+        /// The number of fingerprints of the current generation.
+        pub(crate) fn len(&self) -> usize {
+            self.now.leaves.len() + self.now.nodes.len()
+        }
+    }
+
     fn bk(v: u64) -> Option<Ubig> {
         Some(Ubig::from(v))
     }
 
     fn root_fingerprint(tree: &KeyTree) -> [u8; 32] {
-        tree.fingerprint_once(tree.root(), &mut Fingerprints::default())
+        let share = &mut FingerprintShare::default();
+        tree.fingerprint_once(tree.root(), &mut Fingerprints::default(), share)
     }
 
     fn tree_of(members: &[ClientId]) -> KeyTree {
@@ -895,6 +999,35 @@ mod tests {
         let b = build();
         assert_eq!(a.members(), b.members());
         assert_eq!(root_fingerprint(&a), root_fingerprint(&b));
+    }
+
+    #[test]
+    fn the_share_keeps_two_generations_of_fingerprints() {
+        let t1 = tree_of(&[0, 1, 2, 3, 4]);
+        let mut t2 = t1.clone();
+        let leaf = t2.leaf_of(4).unwrap();
+        t2.node_mut(leaf).bkey = bk(999);
+        let take = |share: &mut FingerprintShare, view, tree: &KeyTree| {
+            let seen = &mut Fingerprints::default();
+            tree.fingerprint_once(tree.root(), seen, share.at_view(view))
+        };
+        let mut share = FingerprintShare::default();
+        assert_eq!(take(&mut share, 1, &t1), root_fingerprint(&t1));
+        assert_eq!(share.len(), 9, "five leaves, four nodes");
+        // A newer view: what t2 shares with t1 carries forward, and
+        // t2's changed leaf and its path are new.
+        assert_eq!(take(&mut share, 2, &t2), root_fingerprint(&t2));
+        assert_eq!(share.len(), 9);
+        let t1_leaf = (4, bk(104));
+        assert!(share.before.leaves.contains_key(&t1_leaf));
+        // The next one retires what only t1 was built of.
+        take(&mut share, 3, &KeyTree::singleton(7, None, bk(7)));
+        assert_eq!(share.len(), 1);
+        assert!(!share.before.leaves.contains_key(&t1_leaf));
+        assert!(!share.now.leaves.contains_key(&t1_leaf));
+        // An older view swaps nothing.
+        take(&mut share, 2, &t2);
+        assert_eq!(share.len(), 1 + 9);
     }
 
     #[test]
