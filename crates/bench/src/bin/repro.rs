@@ -231,7 +231,7 @@ const REGISTRY: &[Experiment] = &[
     ),
     Experiment {
         name: "scale",
-        args: "[--groups N] [--churn R] [--window MS] [--protocol NAME] [--seed N] [--shards N]",
+        args: "[--groups N] [--churn R] [--window MS] [--protocol NAME] [--seed N]",
         in_all: true,
         run: Run::Custom(scale),
         tag: |opts| Ok(scale_options(opts)?.tag()),
@@ -357,14 +357,14 @@ fn scale_options(opts: &CliOptions) -> Result<scale::ScaleOptions, String> {
         protocol: protocol_filter(opts)?,
         seed: opts.seed,
         jobs: opts.jobs,
-        shards: opts.shards,
+        shards: opts.jobs,
     })
 }
 
 /// `scale`: the multi-group workload — N concurrent groups
-/// partitioned over `--shards` independent rings, batched membership
-/// churn, throughput/latency CSV per protocol. Bit-identical across
-/// every `--jobs` x `--shards` combination, manifest body included;
+/// partitioned over one independent ring shard per `--jobs` worker,
+/// batched membership churn, throughput/latency CSV per protocol.
+/// Bit-identical for every `--jobs`, manifest body included;
 /// per-shard busy and barrier-wait times land in the manifest
 /// environment block.
 fn scale(opts: &CliOptions, con: &mut Console, man: &mut Manifest) -> Step {

@@ -15,8 +15,8 @@
 
 use std::rc::Rc;
 
-use gkap_bignum::{RandomSource, SplitMix64, Ubig};
-use gkap_core::experiment::{secure_world, SuiteKind};
+use gkap_bignum::{RandomSource, SplitMix64};
+use gkap_core::experiment::{agreed_secret, secure_world, Disagreement, SuiteKind};
 use gkap_core::protocols::ProtocolKind;
 use gkap_core::{AgreementPhase, SecureMember};
 use gkap_gcs::{testbed, Fault, FaultPlan, PlannedFault, SimWorld};
@@ -93,9 +93,10 @@ impl RunReport {
 /// invariants: liveness (quiescence within `settle` of the last
 /// fault), view synchrony (every surviving member installed the final
 /// view), and key convergence (every surviving, non-given-up member
-/// derived the identical key for it). The world is a LAN
-/// [`secure_world`] of `factory`'s members with a live telemetry sink,
-/// whose fault events give the run's recovery time.
+/// derived the identical key for it and recorded no protocol error).
+/// The world is a LAN [`secure_world`] of `factory`'s members with a
+/// live telemetry sink, whose fault events give the run's recovery
+/// time.
 pub fn run_schedule(
     kind: ProtocolKind,
     cfg: &ChaosConfig,
@@ -147,7 +148,7 @@ pub fn run_schedule(
 /// The agreement invariants of a world at rest, over the *survivors* —
 /// the members of the final view whose machine is still alive: view
 /// synchrony (each installed that view last) and key convergence
-/// (each that has not given up holds the identical key for it). The
+/// ([`agreed_secret`] over the survivors that have not given up). The
 /// timing fields are left zero.
 pub fn survivor_agreement(world: &SimWorld) -> RunReport {
     let Some(view) = world.view() else {
@@ -160,15 +161,14 @@ pub fn survivor_agreement(world: &SimWorld) -> RunReport {
         };
     };
     let mut violations = Vec::new();
-    let members: Vec<usize> = view
+    let survivors: Vec<usize> = view
         .members
         .iter()
         .copied()
         .filter(|&c| world.client_alive(c))
         .collect();
-    let mut gave_up = 0;
-    let mut key: Option<&Ubig> = None;
-    for &c in &members {
+    let mut trying = Vec::new();
+    for &c in &survivors {
         let m = world.client::<SecureMember>(c);
         if m.last_view_epoch() != Some(view.id) {
             violations.push(format!(
@@ -177,31 +177,37 @@ pub fn survivor_agreement(world: &SimWorld) -> RunReport {
                 view.id
             ));
         }
-        if m.phase() == AgreementPhase::GivenUp {
-            gave_up += 1;
-            continue;
+        if m.phase() != AgreementPhase::GivenUp {
+            trying.push(c);
         }
-        match (m.secret(view.id), key) {
-            (None, _) => violations.push(format!(
-                "key convergence: member {c} has no key for view {} ({}, {})",
+    }
+    let convergence = match agreed_secret(world, &trying, view.id) {
+        Ok(_) | Err(Disagreement::NoMembers) => None,
+        Err(Disagreement::Unkeyed(c)) => {
+            let m = world.client::<SecureMember>(c);
+            Some(format!(
+                "member {c} has no key for view {} ({}, {})",
                 view.id,
                 format!("{:?}", m.phase()).to_lowercase(),
                 m.protocol_error()
                     .map_or("no protocol error".into(), |e| e.to_string())
-            )),
-            (Some(s), None) => key = Some(s),
-            (Some(s), Some(k)) if s != k => violations.push(format!(
-                "key convergence: member {c} derived a different key for view {}",
-                view.id
-            )),
-            _ => {}
+            ))
         }
-    }
+        Err(Disagreement::ProtocolError(c, e)) => Some(format!(
+            "member {c} recorded a protocol error in view {}: {e}",
+            view.id
+        )),
+        Err(Disagreement::Diverged(c)) => Some(format!(
+            "member {c} derived a different key for view {}",
+            view.id
+        )),
+    };
+    violations.extend(convergence.map(|why| format!("key convergence: {why}")));
     RunReport {
         violations,
         final_epoch: view.id,
-        survivors: members.len(),
-        gave_up,
+        survivors: survivors.len(),
+        gave_up: survivors.len() - trying.len(),
         ..RunReport::default()
     }
 }

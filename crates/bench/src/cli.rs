@@ -44,9 +44,6 @@ pub struct CliOptions {
     /// Restrict `scale` to one protocol (`--protocol NAME`; all five
     /// when absent).
     pub protocol: Option<String>,
-    /// Independent ring shards for `scale` (`--shards N`, default 1).
-    /// A pure execution knob: output is bit-identical for any value.
-    pub shards: usize,
     /// Run the loss-rate sweep variant of `chaos` (`--loss-sweep`):
     /// loss rates × {FEC, retransmission-only} on the LAN and WAN
     /// testbeds instead of the randomized fault campaign.
@@ -73,7 +70,6 @@ impl Default for CliOptions {
             churn: DEFAULT_CHURN,
             window_ms: DEFAULT_WINDOW_MS,
             protocol: None,
-            shards: 1,
             loss_sweep: false,
             burst: false,
         }
@@ -172,19 +168,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
                 i += 1;
                 let v = args.get(i).ok_or("--protocol requires a name")?;
                 opts.protocol = Some(v.clone());
-            }
-            "--shards" => {
-                i += 1;
-                let v = args.get(i).ok_or("--shards requires a value")?;
-                let shards: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid --shards value: {v}"))?;
-                if shards == 0 {
-                    return Err(
-                        "--shards must be at least 1 (use --shards 1 for a single ring)".into(),
-                    );
-                }
-                opts.shards = shards;
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
             pos => positional.push(pos),
@@ -296,19 +279,6 @@ mod tests {
         assert!(parse(&args(&["--churn", "NaN"])).is_err());
         assert!(parse(&args(&["--window", "-2"])).is_err());
         assert!(parse(&args(&["--protocol"])).is_err());
-    }
-
-    #[test]
-    fn shards_flag_parses_and_rejects_zero() {
-        assert_eq!(parse(&[]).unwrap().shards, 1, "single ring by default");
-        for argv in [["scale", "--shards", "4"], ["--shards", "4", "scale"]] {
-            let o = parse(&args(&argv)).unwrap();
-            assert_eq!((o.cmd.as_str(), o.shards), ("scale", 4), "{argv:?}");
-        }
-        let err = parse(&args(&["scale", "--shards", "0"])).unwrap_err();
-        assert!(err.contains("--shards must be at least 1"), "{err}");
-        assert!(parse(&args(&["--shards"])).is_err());
-        assert!(parse(&args(&["--shards", "many"])).is_err());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! requests). Cells fan out over worker threads via
 //! [`gkap_core::par::run_indexed`] and every cell is a self-contained
 //! serial simulation, so the CSV and the manifest body are
-//! bit-identical for any `--jobs` (and trivially for `--shards`,
-//! which the sweep does not consume).
+//! bit-identical for any `--jobs`.
 //!
 //! The burst grid swaps the Bernoulli rate axis for two burst axes —
 //! mean burst length in token rotations × bad-state loss rate — with

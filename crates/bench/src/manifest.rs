@@ -43,7 +43,7 @@ pub struct Environment {
     pub wall_s: f64,
     /// Peak resident set size in kB (0 where `/proc` is unavailable).
     pub peak_rss_kb: u64,
-    /// Ring shards the run's sharded phase used (`--shards`; 0 for
+    /// Ring shards the run's sharded phase used (`scale`'s `--jobs`; 0 for
     /// commands without one). Environment-only by design: the
     /// deterministic body must stay bit-identical across shard counts.
     pub shards: u64,

@@ -9,7 +9,7 @@
 //! back in index order regardless of `--jobs`, and every group is a
 //! self-contained serial simulation folded in group-ascending order
 //! by [`gkap_core::scale::assemble`]. The bytes written are therefore
-//! identical for any `--jobs` x `--shards` combination and across
+//! identical for any `jobs` x `shards` combination and across
 //! repeated runs; per-shard wall-clock attribution goes to the
 //! manifest *environment* block only.
 
@@ -47,8 +47,9 @@ pub struct ScaleOptions {
     pub seed: u64,
     /// Worker threads for the `(protocol, shard)` cell fan-out.
     pub jobs: usize,
-    /// Independent ring shards per protocol (1 = single ring). A pure
-    /// execution knob: results are bit-identical for any value.
+    /// Independent ring shards per protocol (1 = single ring; `repro
+    /// scale` runs one per job). A pure execution knob: results are
+    /// bit-identical for any value.
     pub shards: usize,
 }
 

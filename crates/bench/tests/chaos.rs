@@ -43,9 +43,9 @@ fn pinned_campaign_passes_and_replays_identically() {
 
 /// Delegates to a real protocol engine and panics on a view that
 /// changes no membership: one whose members are those of its previous
-/// call. GDH, STR, BD and CKD re-key on one as a refresh, but TGDH
-/// finds no node to refresh and errors; the campaign's runs show that
-/// none reaches an engine.
+/// call. Every engine re-keys on one as a refresh (in a key tree, the
+/// rightmost member draws a new session random); the campaign's runs
+/// show that none reaches an engine.
 struct ChangesMembership {
     inner: Box<dyn GkaProtocol>,
     /// The members of the previous call since the last reset, sorted:
@@ -139,6 +139,83 @@ fn every_chaos_run_over_a_hundred_seeds_passes() {
         failing.len(),
         failing.join("\n")
     );
+}
+
+/// Delegates to a real protocol engine and, once it has established
+/// the key, reports a protocol error all the same.
+struct ErrsOnceKeyed(Box<dyn GkaProtocol>);
+
+impl ErrsOnceKeyed {
+    fn after(ctx: &GkaCtx<'_, '_>, inner: Result<(), GkaError>) -> Result<(), GkaError> {
+        inner?;
+        if ctx.established() {
+            return Err(GkaError::Protocol("reported after keying"));
+        }
+        Ok(())
+    }
+}
+
+impl GkaProtocol for ErrsOnceKeyed {
+    fn kind(&self) -> ProtocolKind {
+        self.0.kind()
+    }
+
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+        let inner = self.0.on_view(ctx);
+        Self::after(ctx, inner)
+    }
+
+    fn on_msg(
+        &mut self,
+        ctx: &mut GkaCtx<'_, '_>,
+        sender: ClientId,
+        msg: ProtocolMsg,
+    ) -> Result<(), GkaError> {
+        let inner = self.0.on_msg(ctx, sender, msg);
+        Self::after(ctx, inner)
+    }
+
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
+        self.0.component(suite, members, seed)
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        self.0.adopt(component, me)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// A survivor that derives the group's key and then records a protocol
+/// error fails key convergence: a right key does not absorb the fault.
+#[test]
+fn a_protocol_error_after_keying_is_a_violation() {
+    let suite = SuiteKind::Sim512.shared();
+    let factory = move |kind: ProtocolKind, i: usize| {
+        let engine = match i {
+            3 => Box::new(ErrsOnceKeyed(kind.create())),
+            _ => kind.create(),
+        };
+        SecureMember::with_protocol(engine, Rc::clone(&suite), 900 + i as u64, Some(17))
+    };
+    let schedule = [PlannedFault {
+        after: Duration::from_millis(12),
+        fault: Fault::Partition { members: vec![2] },
+    }];
+    for kind in ProtocolKind::all() {
+        let report = run_schedule(kind, &ChaosConfig::default(), &schedule, &factory);
+        let error = "protocol invariant violated: reported after keying";
+        assert_eq!(
+            report.violations,
+            [format!(
+                "key convergence: member 3 recorded a protocol error in view {}: {error}",
+                report.final_epoch
+            )],
+            "{kind}"
+        );
+    }
 }
 
 /// Named schedules that once left survivors unkeyed or unsettled, as

@@ -3,8 +3,7 @@
 //! the retransmission-only baseline needs request rounds, the FEC
 //! twin needs **zero**; the recovery-time attribution buckets sum
 //! exactly; and the CSV and manifest body are bit-identical across
-//! `--jobs` (the sweep takes no `--shards`, so shard-invariance is
-//! vacuous by construction). The `--burst` grid gets the same
+//! `--jobs`. The `--burst` grid gets the same
 //! treatment over Gilbert–Elliott burst-correlated loss, where the
 //! headline weakens from round-free to strictly-fewer-rounds: a burst
 //! can exceed any fixed parity budget.

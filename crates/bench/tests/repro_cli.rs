@@ -29,6 +29,8 @@ fn usage_errors_exit_2_and_write_nothing() {
         &["trace-summary", "fig99"],
         &["fig11", "--jobs", "0"],
         &["bench-diff", "only-one.json"],
+        // One ring shard per job: `--jobs` is the only knob.
+        &["scale", "--shards", "4"],
     ] {
         let out = repro(&cwd, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -1,10 +1,10 @@
 //! The multi-group workload's determinism contract: the `repro scale`
 //! CSV is a function of (groups, churn, window, seed) alone — neither
-//! `--jobs` nor `--shards` may change a single byte, and two
+//! `jobs` nor `shards` may change a single byte, and two
 //! same-seed runs must render identical output. The run manifest
 //! inherits the same contract: its deterministic body (config,
 //! counts, histograms, virtual time) must be bit-identical across
-//! every `--jobs` x `--shards` combination, and `bench-diff` over two
+//! every `jobs` x `shards` combination, and `bench-diff` over two
 //! same-seed manifests must report zero regressions while a seeded
 //! slowdown is flagged.
 
@@ -40,7 +40,7 @@ fn scale_csv_identical_across_jobs_and_shards() {
         let got = scale_csv(&o, &run_all(&o));
         assert_eq!(
             serial, got,
-            "scale CSV must be bit-identical at --jobs {jobs} --shards {shards}"
+            "scale CSV must be bit-identical at jobs {jobs} shards {shards}"
         );
     }
 }
@@ -49,7 +49,7 @@ fn scale_csv_identical_across_jobs_and_shards() {
 /// config (`repro scale --groups 64 --seed 7`) must render a
 /// deterministic manifest body — config, op counts, phase histograms,
 /// virtual time — that is bit-identical across every
-/// `--jobs {1,4}` x `--shards {1,4}` combination. Only `environment`
+/// `jobs {1,4}` x `shards {1,4}` combination. Only `environment`
 /// (wall time, rss, jobs, per-shard attribution) may differ, which is
 /// exactly why `deterministic_json()` excludes it.
 #[test]
@@ -74,7 +74,7 @@ fn scale_manifest_bit_identical_across_jobs_and_shards() {
         assert_eq!(
             m1.deterministic_json(),
             m.deterministic_json(),
-            "scale manifest body must be bit-identical at --jobs {} --shards {}",
+            "scale manifest body must be bit-identical at jobs {} shards {}",
             o.jobs,
             o.shards
         );

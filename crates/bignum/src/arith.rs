@@ -1,15 +1,11 @@
 //! Core integer arithmetic on [`Ubig`]: addition, subtraction,
-//! multiplication (schoolbook with a Karatsuba path for large operands),
-//! bit shifts, Knuth Algorithm D division, and the modular helpers built
-//! on top of them.
+//! schoolbook multiplication, bit shifts, Knuth Algorithm D division,
+//! and the modular helpers built on top of them.
 
 use std::borrow::Cow;
 use std::ops::{Add, Mul, Shl, Shr, Sub};
 
 use crate::ubig::Ubig;
-
-/// Operand limb count above which multiplication switches to Karatsuba.
-const KARATSUBA_THRESHOLD: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Limb-level helpers
@@ -120,56 +116,11 @@ fn schoolbook_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     acc
 }
 
-/// Karatsuba multiplication; recursion bottoms out at schoolbook.
-fn karatsuba_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
-    if a.len() < KARATSUBA_THRESHOLD || b.len() < KARATSUBA_THRESHOLD {
-        return schoolbook_mul(a, b);
-    }
-    let half = a.len().min(b.len()) / 2;
-    let (a0, a1) = a.split_at(half);
-    let (b0, b1) = b.split_at(half);
-
-    let z0 = Ubig::from_limbs(karatsuba_mul(a0, b0));
-    let z2 = Ubig::from_limbs(karatsuba_mul(a1, b1));
-    let a01 = &Ubig::from_limbs(a0.to_vec()) + &Ubig::from_limbs(a1.to_vec());
-    let b01 = &Ubig::from_limbs(b0.to_vec()) + &Ubig::from_limbs(b1.to_vec());
-    let z1 = &Ubig::from_limbs(karatsuba_mul(&a01.limbs, &b01.limbs)) - &(&z0 + &z2);
-
-    // result = z0 + z1 << (64*half) + z2 << (64*2*half)
-    let mut out = z0;
-    out.add_shifted(&z1, half);
-    out.add_shifted(&z2, 2 * half);
-    out.limbs
-}
-
 // ---------------------------------------------------------------------------
 // Inherent arithmetic methods
 // ---------------------------------------------------------------------------
 
 impl Ubig {
-    /// In-place `self += other << (64 * limb_shift)`.
-    pub(crate) fn add_shifted(&mut self, other: &Ubig, limb_shift: usize) {
-        if other.is_zero() {
-            return;
-        }
-        let needed = other.limbs.len() + limb_shift;
-        if self.limbs.len() < needed {
-            self.limbs.resize(needed, 0);
-        }
-        let mut carry = 0u64;
-        for (i, &o) in other.limbs.iter().enumerate() {
-            self.limbs[limb_shift + i] = adc(self.limbs[limb_shift + i], o, &mut carry);
-        }
-        let mut i = limb_shift + other.limbs.len();
-        while carry != 0 {
-            if i == self.limbs.len() {
-                self.limbs.push(0);
-            }
-            self.limbs[i] = adc(self.limbs[i], 0, &mut carry);
-            i += 1;
-        }
-    }
-
     /// Checked subtraction: `self - other`, or `None` if it would
     /// underflow.
     ///
@@ -551,7 +502,7 @@ impl Mul for &Ubig {
         if self.is_zero() || rhs.is_zero() {
             return Ubig::zero();
         }
-        Ubig::from_limbs(karatsuba_mul(&self.limbs, &rhs.limbs))
+        Ubig::from_limbs(schoolbook_mul(&self.limbs, &rhs.limbs))
     }
 }
 
@@ -655,27 +606,6 @@ mod tests {
         // (2^64 - 1)^2 = 2^128 - 2^65 + 1
         let m = Ubig::from_hex("ffffffffffffffff").unwrap();
         assert_eq!((&m * &m).to_hex(), "fffffffffffffffe0000000000000001");
-    }
-
-    #[test]
-    fn karatsuba_matches_schoolbook() {
-        // Build operands big enough to trigger the Karatsuba path.
-        let mut a = Ubig::zero();
-        let mut b = Ubig::zero();
-        for i in 0..100usize {
-            a.set_bit(i * 37 % 4096, true);
-            b.set_bit(i * 53 % 4000, true);
-        }
-        let prod = &a * &b;
-        // Verify with an independent identity: (a*b) mod p == ((a mod p)*(b mod p)) mod p
-        let p = Ubig::from_hex("ffffffffffffffc5").unwrap();
-        assert_eq!(
-            prod.rem(&p),
-            a.rem(&p).modmul(&b.rem(&p), &p),
-            "Karatsuba product inconsistent with modular identity"
-        );
-        // And by the symmetric product.
-        assert_eq!(prod, &b * &a);
     }
 
     #[test]

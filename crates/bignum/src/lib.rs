@@ -7,7 +7,7 @@
 //! need — and nothing more:
 //!
 //! * [`Ubig`] — an unsigned big integer stored as little-endian `u64`
-//!   limbs, with schoolbook/Karatsuba multiplication and Knuth Algorithm D
+//!   limbs, with schoolbook multiplication and Knuth Algorithm D
 //!   division.
 //! * [`Montgomery`] — a reduction context for fast repeated modular
 //!   multiplication, used by [`Ubig::modexp`] with a sliding window

@@ -26,7 +26,7 @@ use gkap_telemetry::{membership, Actor, Event, EventKind, Label, Telemetry};
 
 use crate::cost::OpCounts;
 use crate::member::SecureMember;
-use crate::protocols::{GkaProtocol, ProtocolKind};
+use crate::protocols::{GkaError, GkaProtocol, ProtocolKind};
 use crate::suite::CryptoSuite;
 
 /// Which cryptographic suite an experiment runs with.
@@ -317,25 +317,49 @@ pub(crate) fn view_timing(world: &SimWorld, members: &[ClientId], epoch: u64) ->
     timing
 }
 
+/// Why `members` did not agree on the key of an epoch: the first of
+/// them, in list order, that breaks [`agreed_secret`]'s rule.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Disagreement {
+    /// No member was listed.
+    NoMembers,
+    /// The member holds no key for the epoch.
+    Unkeyed(ClientId),
+    /// The member holds a key but recorded a protocol error.
+    ProtocolError(ClientId, GkaError),
+    /// The member holds a key other than the first listed member's
+    /// (the silent divergence no completion stamp shows).
+    Diverged(ClientId),
+}
+
 /// The secret the group agreed on for `epoch`: every one of `members`
 /// holds a key for it, all the same, and none has recorded a protocol
-/// error. `None` otherwise — a member without the key, two keys (the
-/// silent divergence no completion stamp shows), or an empty list.
+/// error. This is the one rule of "the group agreed", with or without
+/// faults; otherwise the first member that breaks it and how.
+///
+/// # Errors
+///
+/// The first listed member without the key, with a recorded protocol
+/// error, or with a different key; [`Disagreement::NoMembers`] for an
+/// empty list.
 pub fn agreed_secret<'w>(
     world: &'w SimWorld,
     members: &[ClientId],
     epoch: u64,
-) -> Option<&'w Ubig> {
+) -> Result<&'w Ubig, Disagreement> {
     let mut agreed = None;
     for &c in members {
         let m = world.client::<SecureMember>(c);
-        let secret = m.secret(epoch)?;
-        if m.protocol_error().is_some() || agreed.is_some_and(|s| s != secret) {
-            return None;
+        let secret = m.secret(epoch).ok_or(Disagreement::Unkeyed(c))?;
+        if let Some(e) = m.protocol_error() {
+            return Err(Disagreement::ProtocolError(c, e.clone()));
+        }
+        if agreed.is_some_and(|s| s != secret) {
+            return Err(Disagreement::Diverged(c));
         }
         agreed = Some(secret);
     }
-    agreed
+    agreed.ok_or(Disagreement::NoMembers)
 }
 
 /// What `members` spent from `inject` (and the `before` snapshot of
@@ -353,7 +377,7 @@ fn report(
         counts.add(&world.client::<SecureMember>(c).counts().since(earlier));
     }
     let outcome = EventOutcome {
-        ok: timing.complete && agreed_secret(world, members, epoch).is_some(),
+        ok: timing.complete && agreed_secret(world, members, epoch).is_ok(),
         elapsed_ms: timing.last_key.as_millis_f64() - inject.as_millis_f64(),
         membership_ms: timing.last_view.as_millis_f64() - inject.as_millis_f64(),
         counts,
@@ -556,7 +580,7 @@ pub fn run_formation(cfg: &ExperimentConfig, n: usize) -> FormationOutcome {
     let group = Group::form(cfg, n, 0);
     let members: Vec<ClientId> = (0..n).collect();
     FormationOutcome {
-        all_agreed: agreed_secret(&group.world, &members, 1).is_some(),
+        all_agreed: agreed_secret(&group.world, &members, 1).is_ok(),
         size: n,
     }
 }

@@ -62,12 +62,13 @@ impl TreeShape for Skinny {
 
     fn settle(&self, _tree: &mut KeyTree) {}
 
-    /// The member just below the lowest leaver: the new bottom member
-    /// if the bottom one left, and the top member if no leaf left (the
-    /// leaver joined and left within one agreement).
+    /// The member just below the lowest leaver, or the new bottom
+    /// member if the bottom one left. If no leaf left (the leaver
+    /// joined and left within one agreement), [`TreeGka`]'s fallback,
+    /// the rightmost member, is the top one.
     fn refresher(&self, _: &KeyTree, before: &[ClientId], left: &[ClientId]) -> Option<ClientId> {
-        let lowest = before.iter().position(|m| left.contains(m));
-        let below = before.get(..lowest.unwrap_or(before.len()))?.last();
+        let lowest = before.iter().position(|m| left.contains(m))?;
+        let below = before.get(..lowest)?.last();
         below
             .or_else(|| before.iter().find(|m| !left.contains(m)))
             .copied()
@@ -222,7 +223,7 @@ mod tests {
             (&[8, 6, 9], Some(5)),
             (&[5, 6, 8], Some(7)),
             (&[5, 6, 7, 8, 9], None),
-            (&[4], Some(9)), // never in the tree: the top member
+            (&[4], None), // never in the tree: `TreeGka` picks the top member
         ] {
             let got = Skinny.refresher(&KeyTree::new(), &before, left);
             assert_eq!(got, refresher, "{left:?} left");

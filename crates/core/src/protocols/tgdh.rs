@@ -9,9 +9,10 @@
 //!   [`TreePolicy::Avl`] the tree is AVL-rebalanced after every
 //!   membership change (footnote 7);
 //! * after a leave, the rightmost member under the lowest node the
-//!   group can recompute refreshes its session random — and if that
-//!   sponsor cannot reach the root, the next one takes over, which is
-//!   the multi-round partition protocol of Figure 6;
+//!   group can recompute refreshes its session random (the tree's
+//!   rightmost member when no node is affected) — and if that sponsor
+//!   cannot reach the root, the next one takes over, which is the
+//!   multi-round partition protocol of Figure 6;
 //! * the tree goes on the wire as it is ([`KeyTree::encode`]; a
 //!   decoded tree is at most 64 levels deep).
 
@@ -52,7 +53,8 @@ impl TreeShape for TreePolicy {
         }
     }
 
-    /// The sponsor (rightmost leaf) of the lowest recomputable wound.
+    /// The sponsor (rightmost leaf) of the lowest recomputable wound,
+    /// if any.
     fn refresher(&self, tree: &KeyTree, _: &[ClientId], _: &[ClientId]) -> Option<ClientId> {
         let wound = tree.lowest_incomplete()?;
         tree.node(tree.rightmost_leaf(wound)).member

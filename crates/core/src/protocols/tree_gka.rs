@@ -67,7 +67,9 @@ pub trait TreeShape: Clone + Default + 'static {
 
     /// The member that draws a new session random after `left`
     /// departed: `tree` is what remains, `before` the leaves in order
-    /// as they were.
+    /// as they were. `None` when no node is affected (the leaver
+    /// never reached `tree`, or nobody left): the tree's rightmost
+    /// member refreshes.
     fn refresher(&self, tree: &KeyTree, before: &[ClientId], left: &[ClientId])
         -> Option<ClientId>;
 
@@ -152,14 +154,6 @@ impl<S: TreeShape> TreeGka<S> {
         self.tree.node_mut(leaf).bkey = Some(bkey);
         self.my_r = Some(r);
         Ok(())
-    }
-
-    /// Marks another member's refresh: its leaf bkey and path become
-    /// unknown until its broadcast arrives.
-    fn invalidate_member_path(&mut self, member: ClientId) {
-        if let Some(leaf) = self.tree.leaf_of(member) {
-            self.tree.invalidate_to_root(leaf);
-        }
     }
 
     /// Walks from the own leaf to the root, computing keys where
@@ -346,7 +340,7 @@ impl<S: TreeShape> TreeGka<S> {
             // Our sponsor refreshed; its path is stale for us until
             // its broadcast arrives, and that broadcast is our copy of
             // our own component.
-            self.invalidate_member_path(sponsor);
+            self.tree.invalidate_to_root(sponsor_leaf);
         }
         self.try_assemble(ctx)
     }
@@ -388,12 +382,13 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             return Ok(());
         }
         // One member refreshes its session random to prevent old-key
-        // reuse (round 1 of Figure 6).
-        let refresher = self
-            .shape
-            .refresher(&self.tree, &before, &left)
-            .ok_or(GkaError::MissingState("leave without an affected node"))?;
-        if refresher == me {
+        // reuse (round 1 of Figure 6): the shape's refresher, else the
+        // tree's rightmost member.
+        let refresher = self.shape.refresher(&self.tree, &before, &left);
+        let leaf = refresher
+            .and_then(|m| self.tree.leaf_of(m))
+            .unwrap_or_else(|| self.tree.rightmost_leaf(self.tree.root()));
+        if self.tree.node(leaf).member == Some(me) {
             // Our refreshed leaf blinded key is itself news the group
             // needs: broadcast regardless of internal publications.
             self.publisher = true;
@@ -401,7 +396,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             let _ = self.progress(ctx)?;
             self.broadcast_tree(ctx);
         } else {
-            self.invalidate_member_path(refresher);
+            self.tree.invalidate_to_root(leaf);
             if self.progress(ctx)? {
                 self.broadcast_tree(ctx);
             }

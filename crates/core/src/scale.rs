@@ -9,20 +9,21 @@
 //! Groups never exchange messages, so the scale workload pins the
 //! finest-grained decomposition the interaction graph allows: every
 //! group is simulated as a pure function of `(group, seed, config)`
-//! on its own token ring, and [`run_sharded`] partitions groups
-//! across shards (round-robin: group `g` on shard `g % shards`) and
-//! shards across worker threads. Because no simulated event ever
-//! crosses a group boundary, `--shards` and `--jobs` are pure
-//! execution knobs: the canonical group-ascending fold in
+//! on its own token ring, and [`run_shard`] runs one shard of a
+//! round-robin partition (group `g` on shard `g % shards`); `repro
+//! scale` runs `--jobs` shards on as many worker threads. Because no
+//! simulated event ever crosses a group boundary, shards and jobs are
+//! pure execution knobs: the canonical group-ascending fold in
 //! [`assemble`] makes every observable quantity — counts, latency
 //! vectors, kernel ops, metrics, telemetry — bit-identical for any
-//! `shards x jobs` combination, by construction rather than by luck.
+//! partition and any thread count, by construction rather than by
+//! luck.
 //!
 //! Everything here is a pure function of the [`ScaleConfig`]: the
 //! schedule derives from per-group `SplitMix64` streams, batching is
 //! deterministic, and each group's world is a deterministic
 //! discrete-event simulation — so two runs with the same seed (on any
-//! `--jobs`/`--shards` setting) produce identical results byte for
+//! `--jobs` setting) produce identical results byte for
 //! byte. A group's world is built like every other workload's, by
 //! [`crate::experiment::secure_world`], with the member rule of
 //! [`crate::experiment::Group`].
@@ -39,7 +40,6 @@ use crate::batch::{ChurnEvent, ChurnKind, EventBatcher, MembershipBatch};
 use crate::experiment::{
     agreed_secret, member_rule, secure_world, telemetry_sink, view_timing, SuiteKind,
 };
-use crate::par;
 use crate::protocols::ProtocolKind;
 
 /// Configuration of one scale run (one protocol, N groups).
@@ -228,29 +228,14 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 }
 
 /// Runs the full pipeline: generate the schedule, coalesce it with
-/// the configured window, drive every group's world serially.
+/// the configured window, drive every group's world serially. A
+/// sharded run (`gkap_bench::scale`) fans [`run_shard`] out instead
+/// and [`assemble`]s the same bytes.
 pub fn run(cfg: &ScaleConfig) -> ScaleRun {
-    run_sharded(cfg, 1, 1)
-}
-
-/// Runs the full pipeline with groups partitioned over `shards`
-/// independent rings and shards fanned out over `jobs` worker
-/// threads. The result is bit-identical for every `shards x jobs`
-/// combination: groups never interact, each is a pure function of
-/// `(group, seed, config)`, and [`assemble`] folds the per-group
-/// outcomes in canonical group-ascending order.
-pub fn run_sharded(cfg: &ScaleConfig, shards: usize, jobs: usize) -> ScaleRun {
     let schedule = generate_schedule(cfg);
     let batches = EventBatcher::new(cfg.window).coalesce(&schedule.events);
-    let cells = par::run_indexed(jobs, shards.max(1), |s| {
-        run_shard(cfg, &schedule, &batches, shards.max(1), s)
-    });
-    assemble(
-        cfg,
-        &schedule,
-        &batches,
-        cells.into_iter().flatten().collect(),
-    )
+    let outcomes = run_shard(cfg, &schedule, &batches, 1, 0);
+    assemble(cfg, &schedule, &batches, outcomes)
 }
 
 /// Everything one group's simulation produced, on its own ring. A
@@ -422,7 +407,7 @@ fn run_group(
     // error-free, across it — completion alone does not show two keys.
     out.ok = views.last().is_some_and(|view| {
         view_timing(&world, &view.members, view.id).complete
-            && agreed_secret(&world, &view.members, view.id).is_some()
+            && agreed_secret(&world, &view.members, view.id).is_ok()
     });
     out.kernel_ops = gkap_bignum::stats::snapshot().since(&kernel_before);
     out.hub = world.telemetry().hub_snapshot();
@@ -605,35 +590,42 @@ mod tests {
         assert!(run.rekey_ms.iter().all(|&ms| ms > 0.0));
     }
 
-    /// Shards and jobs are pure execution knobs: every observable
-    /// field of the run — counts, latency vectors, kernel ops,
-    /// telemetry stream, virtual time — matches the serial run
-    /// exactly, for partitions that do and do not divide evenly.
+    /// Shards are pure execution knobs: every observable field of the
+    /// run — counts, latency vectors, kernel ops, telemetry stream,
+    /// virtual time — matches the serial run exactly, for partitions
+    /// that do and do not divide evenly, with the shards run in
+    /// reverse order.
     #[test]
-    fn sharded_run_equals_serial_run() {
+    fn shards_run_in_reverse_through_assemble_equal_run() {
         let mut cfg = ScaleConfig::lan(ProtocolKind::Bd, 9);
         cfg.suite = SuiteKind::FastZero;
         cfg.churn = 1.0;
         cfg.telemetry = true;
         let serial = super::run(&cfg);
-        for (shards, jobs) in [(2, 2), (4, 3), (9, 2), (16, 4)] {
-            let sharded = super::run_sharded(&cfg, shards, jobs);
-            assert_eq!(serial.raw_events, sharded.raw_events, "{shards}x{jobs}");
-            assert_eq!(serial.batches, sharded.batches, "{shards}x{jobs}");
-            assert_eq!(serial.rekeys, sharded.rekeys, "{shards}x{jobs}");
-            assert_eq!(serial.superseded, sharded.superseded, "{shards}x{jobs}");
-            assert_eq!(serial.elapsed, sharded.elapsed, "{shards}x{jobs}");
-            assert_eq!(serial.rekey_ms, sharded.rekey_ms, "{shards}x{jobs}");
+        let schedule = generate_schedule(&cfg);
+        let batches = EventBatcher::new(cfg.window).coalesce(&schedule.events);
+        for shards in [2, 4, 9, 16] {
+            let outcomes = (0..shards)
+                .rev()
+                .flat_map(|s| run_shard(&cfg, &schedule, &batches, shards, s))
+                .collect();
+            let sharded = assemble(&cfg, &schedule, &batches, outcomes);
+            assert_eq!(serial.raw_events, sharded.raw_events, "{shards}");
+            assert_eq!(serial.batches, sharded.batches, "{shards}");
+            assert_eq!(serial.rekeys, sharded.rekeys, "{shards}");
+            assert_eq!(serial.superseded, sharded.superseded, "{shards}");
+            assert_eq!(serial.elapsed, sharded.elapsed, "{shards}");
+            assert_eq!(serial.rekey_ms, sharded.rekey_ms, "{shards}");
             assert_eq!(serial.batch_wait_ms, sharded.batch_wait_ms);
             assert_eq!(serial.transport_ms, sharded.transport_ms);
             assert_eq!(serial.agreement_ms, sharded.agreement_ms);
-            assert_eq!(serial.kernel_ops, sharded.kernel_ops, "{shards}x{jobs}");
+            assert_eq!(serial.kernel_ops, sharded.kernel_ops, "{shards}");
             assert_eq!(serial.ok, sharded.ok);
-            assert_eq!(serial.events.len(), sharded.events.len(), "{shards}x{jobs}");
+            assert_eq!(serial.events.len(), sharded.events.len(), "{shards}");
             assert_eq!(
                 gkap_telemetry::jsonl::render_events(&serial.events),
                 gkap_telemetry::jsonl::render_events(&sharded.events),
-                "telemetry streams must match event for event ({shards}x{jobs})"
+                "telemetry streams must match event for event ({shards} shards)"
             );
         }
     }

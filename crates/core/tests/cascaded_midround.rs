@@ -109,16 +109,17 @@ fn outcome(lb: &Loopback) -> String {
 /// leave against `0..=5` plus 9 (DESIGN.md §29). `TGDH A 0`, `STR A 0`
 /// and `STR B 0-1` turned `agreed` when the tree engines read the
 /// change against their tree and took its root as the key only when
-/// its leaves are the view (DESIGN.md §33). Three cells are still
-/// open: `GDH A 9`, `TGDH B 0-1` and `STR A 1`.
+/// its leaves are the view (DESIGN.md §33). `TGDH B 0-1` turned
+/// `agreed` when a TGDH leave that affects no node of the tree had its
+/// rightmost member refresh, as STR's does (DESIGN.md §37). Two cells
+/// are still open: `GDH A 9` and `STR A 1`.
 const CUT_TABLE: &str = "\
 GDH  A 0-8  agreed
 GDH  A 9    error(UnexpectedMessage(\"GDH partial keys\"))
 GDH  A 10   agreed
 GDH  B 0-10 agreed
 TGDH A 0-3  agreed
-TGDH B 0-1  error(MissingState(\"leave without an affected node\"))
-TGDH B 2-3  agreed
+TGDH B 0-3  agreed
 STR  A 0    agreed
 STR  A 1    unkeyed(0)
 STR  A 2-3  agreed

@@ -3,13 +3,14 @@
 //! is a one-step scenario, and the traced run is the run.
 
 use gkap_core::experiment::{
-    agreed_secret, run_join, run_join_traced, run_leave, run_merge, run_partition, EventOutcome,
-    ExperimentConfig, Group, LeaveTarget, Step, SuiteKind,
+    agreed_secret, run_join, run_join_traced, run_leave, run_merge, run_partition, secure_world,
+    Disagreement, EventOutcome, ExperimentConfig, Group, LeaveTarget, Step, SuiteKind,
 };
-use gkap_core::protocols::ProtocolKind;
+use gkap_core::protocols::{Component, GkaCtx, ProtocolKind, ProtocolMsg};
 use gkap_core::scenario::{run_scenario, Scenario};
-use gkap_core::SecureMember;
-use gkap_gcs::{testbed, SimWorld};
+use gkap_core::suite::CryptoSuite;
+use gkap_core::{GkaError, GkaProtocol, SecureMember};
+use gkap_gcs::{testbed, ClientId, SimWorld};
 
 /// The hole `scale`'s old "ends keyed" rule had: a group whose halves
 /// bootstrap from different seeds is complete and error-free at every
@@ -34,8 +35,9 @@ fn complete_and_error_free_is_not_agreed() {
         let secret = |c| world.client::<SecureMember>(c).secret(1).expect("keyed");
         assert_ne!(secret(0), secret(3), "{kind}: the halves share a key");
         assert_eq!(secret(0), secret(1), "{kind}");
-        assert!(agreed_secret(&world, &[0, 1, 2, 3], 1).is_none(), "{kind}");
-        assert_eq!(agreed_secret(&world, &[2, 3], 1), Some(secret(3)), "{kind}");
+        let why = agreed_secret(&world, &[0, 1, 2, 3], 1);
+        assert_eq!(why, Err(Disagreement::Diverged(2)), "{kind}");
+        assert_eq!(agreed_secret(&world, &[2, 3], 1), Ok(secret(3)), "{kind}");
     }
 }
 
@@ -43,7 +45,7 @@ fn complete_and_error_free_is_not_agreed() {
 fn agreed_secret_needs_every_listed_member_keyed() {
     for kind in ProtocolKind::all() {
         let group = Group::form(&ExperimentConfig::lan_fast(kind), 4, 1);
-        let formed = agreed_secret(&group.world, &[0, 1, 2, 3], 1);
+        let formed = agreed_secret(&group.world, &[0, 1, 2, 3], 1).ok();
         assert!(formed.is_some(), "{kind}: a formed group agrees");
         assert_eq!(
             formed,
@@ -51,12 +53,94 @@ fn agreed_secret_needs_every_listed_member_keyed() {
             "{kind}"
         );
         // Client 4 is a spare: it has never been in a view.
-        assert!(
-            agreed_secret(&group.world, &[0, 1, 2, 3, 4], 1).is_none(),
+        let agreed = |members: &[ClientId], epoch| agreed_secret(&group.world, members, epoch);
+        assert_eq!(
+            agreed(&[0, 1, 2, 3, 4], 1),
+            Err(Disagreement::Unkeyed(4)),
             "{kind}"
         );
-        assert!(agreed_secret(&group.world, &[0, 1], 2).is_none(), "{kind}");
-        assert!(agreed_secret(&group.world, &[], 1).is_none(), "{kind}");
+        assert_eq!(agreed(&[1, 0], 2), Err(Disagreement::Unkeyed(1)), "{kind}");
+        assert_eq!(agreed(&[], 1), Err(Disagreement::NoMembers), "{kind}");
+    }
+}
+
+/// Delegates to a real protocol engine and, once it has established
+/// the key, reports a protocol error all the same.
+struct ErrsOnceKeyed(Box<dyn GkaProtocol>);
+
+impl ErrsOnceKeyed {
+    fn after(ctx: &GkaCtx<'_, '_>, inner: Result<(), GkaError>) -> Result<(), GkaError> {
+        inner?;
+        if ctx.established() {
+            return Err(GkaError::Protocol("reported after keying"));
+        }
+        Ok(())
+    }
+}
+
+impl GkaProtocol for ErrsOnceKeyed {
+    fn kind(&self) -> ProtocolKind {
+        self.0.kind()
+    }
+
+    fn on_view(&mut self, ctx: &mut GkaCtx<'_, '_>) -> Result<(), GkaError> {
+        let inner = self.0.on_view(ctx);
+        Self::after(ctx, inner)
+    }
+
+    fn on_msg(
+        &mut self,
+        ctx: &mut GkaCtx<'_, '_>,
+        sender: ClientId,
+        msg: ProtocolMsg,
+    ) -> Result<(), GkaError> {
+        let inner = self.0.on_msg(ctx, sender, msg);
+        Self::after(ctx, inner)
+    }
+
+    fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
+        self.0.component(suite, members, seed)
+    }
+
+    fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {
+        self.0.adopt(component, me)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// A member that holds the group's key but recorded a protocol error
+/// breaks the rule too, and is named.
+#[test]
+fn agreed_secret_names_a_keyed_member_that_recorded_an_error() {
+    for kind in ProtocolKind::all() {
+        let suite = SuiteKind::FastZero.shared();
+        let member = |i: ClientId| match i {
+            2 => SecureMember::with_protocol(
+                Box::new(ErrsOnceKeyed(kind.create())),
+                suite.clone(),
+                100 + i as u64,
+                Some(1),
+            ),
+            _ => SecureMember::new(kind, suite.clone(), 100 + i as u64, Some(1)),
+        };
+        let mut world = secure_world(testbed::lan(), false, 0..5, 4, member);
+        world.inject_join(4);
+        world.run_until_quiescent();
+        for c in 0..5 {
+            let key = world.client::<SecureMember>(c).secret(2);
+            assert_eq!(key, world.client::<SecureMember>(0).secret(2), "{kind}");
+            assert!(key.is_some(), "{kind}: member {c} is keyed");
+        }
+        let error = GkaError::Protocol("reported after keying");
+        assert_eq!(
+            agreed_secret(&world, &[0, 1, 2, 3, 4], 2),
+            Err(Disagreement::ProtocolError(2, error)),
+            "{kind}"
+        );
+        assert!(agreed_secret(&world, &[0, 1, 3, 4], 2).is_ok(), "{kind}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Keeps parallel copies of one mechanism from growing back,
 //! lexically: outside `member.rs` a `SecureMember` is constructed at
 //! three sites, one function puts members into a world, a member's
-//! secret is read in the two functions that decide agreement, a
+//! secret is read in the one function that decides agreement, a
 //! protocol message is signed, verified and counted only in
 //! `protocols/mod.rs` (`GkaCtx::send` and `GkaCtx::receive`), no
 //! engine keeps or reports a key and only a protocol handler
@@ -13,8 +13,8 @@
 //! (DESIGN.md §11), the rules clippy cannot see: no index in the
 //! panic-free drivers (L1-INDEX), secrets kept in `Secret<T>` and
 //! never printed (L2), and constant-time verification (L3).
-//! `#[cfg(test)]` items (always the tail of a file here) are not
-//! looked at, except by the checks that read `files`.
+//! `#[cfg(test)]` items, wherever they sit in a file, are not looked
+//! at, except by the checks that read `files`.
 
 use std::fs;
 use std::path::Path;
@@ -24,11 +24,66 @@ use std::path::Path;
 fn sources(krate: &str) -> Vec<(String, String)> {
     files(krate)
         .into_iter()
-        .map(|(name, text)| {
-            let code = text.split("#[cfg(test)]").next().unwrap_or("").to_string();
-            (name, code)
-        })
+        .map(|(name, text)| (name, without_test_items(&text)))
         .collect()
+}
+
+/// `code` less each `#[cfg(test)]` item: the attribute, and the item
+/// it gates up to its `;` or through its braced body. An attribute in
+/// a comment or a string is not one.
+fn without_test_items(code: &str) -> String {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let toks = tokens(code);
+    // Punctuation tokens are slices of `code`; literals are not.
+    let at = |t: &str| t.as_ptr() as usize - code.as_ptr() as usize;
+    let (mut out, mut kept, mut i) = (String::new(), 0, 0);
+    while i < toks.len() {
+        if !toks[i..].starts_with(&ATTR) {
+            i += 1;
+            continue;
+        }
+        let item = i + ATTR.len();
+        let mut depth = 0i32;
+        let open = toks[item..].iter().position(|&t| {
+            depth += i32::from(t == "(" || t == "[") - i32::from(t == ")" || t == "]");
+            depth == 0 && (t == "{" || t == ";")
+        });
+        let end = match open.map(|n| item + n) {
+            Some(n) if toks[n] == "{" => block_end(&toks, n),
+            Some(n) => n,
+            None => toks.len(),
+        };
+        out.push_str(&code[kept..at(toks[i])]);
+        kept = toks.get(end).map_or(code.len(), |t| at(t) + t.len());
+        i = end + 1;
+    }
+    out + &code[kept..]
+}
+
+#[test]
+fn test_items_are_cut_wherever_they_sit() {
+    // A test helper mid-file hides nothing below it; a test module's
+    // own structs are not read.
+    let code = "\
+        #[cfg(test)]
+        fn helper() -> [u8; 2] { [0, 1] }
+
+        // `#[cfg(test)]` in a comment gates nothing.
+        struct Keys {
+            group_key: Ubig,
+        }
+
+        #[cfg(test)]
+        mod tests {
+            struct Fixture { secret: &'static str }
+            const BRACE: &str = \"}\";
+        }
+    ";
+    let code = without_test_items(code);
+    for gone in ["helper", "Fixture", "BRACE"] {
+        assert!(!code.contains(gone), "{gone} is test code:\n{code}");
+    }
+    assert_eq!(raw_secret_fields("x.rs", &code), ["x.rs: Keys.group_key"]);
 }
 
 /// `(crate/relative path, whole text)` of every file under
@@ -134,7 +189,7 @@ fn worlds_are_populated_in_one_function() {
 }
 
 #[test]
-fn secrets_are_compared_in_two_functions() {
+fn secrets_are_compared_in_one_function() {
     let watched = |name: &str| {
         name.starts_with("bench/")
             || ["core/experiment.rs", "core/scenario.rs", "core/scale.rs"].contains(&name)
@@ -163,11 +218,8 @@ fn secrets_are_compared_in_two_functions() {
     }
     assert_eq!(
         readers,
-        [
-            "core/experiment.rs::agreed_secret",
-            "bench/chaos.rs::survivor_agreement",
-        ],
-        "decide agreement with `agreed_secret` (or, under faults, `survivor_agreement`)"
+        ["core/experiment.rs::agreed_secret"],
+        "decide agreement with `agreed_secret`, with faults or without"
     );
 }
 
@@ -476,31 +528,37 @@ fn secrets_live_in_secret_and_are_never_printed() {
         // rekey message (paper §4.3).
         "core/tree.rs: Node.bkey",
     ];
-    let secret_name = |field: &str| SECRET_NAMES.split_whitespace().any(|n| n == field);
-    let mut raw = Vec::new();
-    for (name, code) in ["crypto", "core", "telemetry"]
+    let raw: Vec<String> = ["crypto", "core", "telemetry"]
         .into_iter()
         .flat_map(sources)
-    {
-        for s in structs(&code) {
-            let (bare, wrapped): (Vec<_>, Vec<_>) = s
-                .fields
-                .iter()
-                .filter(|(f, ty)| secret_name(f) || ty.contains("Secret<"))
-                .partition(|(_, ty)| !ty.contains("Secret<"));
-            let words = s.attrs.split(|c: char| !c.is_alphanumeric());
-            let derived = words.filter(|t| ["Debug", "Serialize"].contains(t));
-            for t in derived.filter(|_| s.attrs.contains("derive(")) {
-                assert!(
-                    bare.is_empty() && wrapped.is_empty(),
-                    "{name}: `{}` holds a secret but derives {t}",
-                    s.name
-                );
-            }
-            raw.extend(bare.iter().map(|(f, _)| format!("{name}: {}.{f}", s.name)));
-        }
-    }
+        .flat_map(|(name, code)| raw_secret_fields(&name, &code))
+        .collect();
     assert_eq!(raw, raw_exempt, "a secret-named field is a `Secret<T>`");
+}
+
+/// L2-RAW over file `name`'s `code`: each secret-named field not held
+/// in a `Secret<T>`, as `name: Struct.field`. Fails on L2-DERIVE.
+fn raw_secret_fields(name: &str, code: &str) -> Vec<String> {
+    let secret_name = |field: &str| SECRET_NAMES.split_whitespace().any(|n| n == field);
+    let mut raw = Vec::new();
+    for s in structs(code) {
+        let (bare, wrapped): (Vec<_>, Vec<_>) = s
+            .fields
+            .iter()
+            .filter(|(f, ty)| secret_name(f) || ty.contains("Secret<"))
+            .partition(|(_, ty)| !ty.contains("Secret<"));
+        let words = s.attrs.split(|c: char| !c.is_alphanumeric());
+        let derived = words.filter(|t| ["Debug", "Serialize"].contains(t));
+        for t in derived.filter(|_| s.attrs.contains("derive(")) {
+            assert!(
+                bare.is_empty() && wrapped.is_empty(),
+                "{name}: `{}` holds a secret but derives {t}",
+                s.name
+            );
+        }
+        raw.extend(bare.iter().map(|(f, _)| format!("{name}: {}.{f}", s.name)));
+    }
+    raw
 }
 
 #[test]

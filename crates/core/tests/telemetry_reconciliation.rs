@@ -238,7 +238,7 @@ fn members_record_into_their_worlds_sink() {
         world.run_until_quiescent();
         world.inject_join(3);
         world.run_until_quiescent();
-        let secret = agreed_secret(&world, &[0, 1, 2, 3], 2).cloned();
+        let secret = agreed_secret(&world, &[0, 1, 2, 3], 2).ok().cloned();
         (world.telemetry().take_events(), secret, world.now())
     };
     let (events, secret, end) = run(Telemetry::enabled());

@@ -25,7 +25,7 @@
 //! lazily in chain order, the trajectory is also independent of *when*
 //! the engine happens to query it: querying at t=5 then t=10 draws the
 //! same dwells as querying t=10 directly, which is what makes sweep
-//! CSVs bit-identical across `--jobs`/`--shards`.
+//! CSVs bit-identical across `--jobs`.
 //!
 //! The Bernoulli model is the degenerate case: with no
 //! [`GilbertElliott`] configured nothing is drawn from the chain's
