@@ -65,6 +65,7 @@ pub mod costs_table;
 pub mod envelope;
 pub mod experiment;
 pub mod member;
+mod memo;
 pub mod par;
 pub mod protocols;
 pub mod scale;

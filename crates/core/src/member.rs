@@ -536,6 +536,8 @@ impl Client for SecureMember {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::WorldMemo;
+    use gkap_bignum::stats;
 
     #[test]
     fn constructor_and_accessors() {
@@ -546,5 +548,101 @@ mod tests {
         assert!(m.secret(1).is_none());
         assert!(m.protocol_error().is_none());
         assert!(format!("{m:?}").contains("BD"));
+    }
+
+    /// A member of `suite` with no view yet, for driving `GkaCtx` by
+    /// hand in the world a detached context lends (one world for as
+    /// long as the context lives).
+    fn member(suite: &Rc<CryptoSuite>, seed: u64) -> SecureMember {
+        SecureMember::new(ProtocolKind::Tgdh, Rc::clone(suite), seed, None)
+    }
+
+    /// After a genuine envelope passes, a copy that differs in any
+    /// signed field still gets the full check and fails it: the world's
+    /// memo absorbs no fault.
+    fn tampered_copies_fail_after_the_genuine_one_passes(suite: CryptoSuite) {
+        let suite = Rc::new(suite);
+        let mut m = member(&suite, 1);
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let msg = ProtocolMsg::KeyConfirm {
+            digest: vec![7; 32],
+        };
+        let env = Envelope::seal(&suite, 3, 0, msg.encode());
+        let mut receive = |env: &Envelope| m.with_gka(&mut world, |_, gka| gka.receive(env));
+        assert_eq!(receive(&env), Ok(msg.clone()));
+        let mut body = env.clone();
+        let mut flipped = body.body.to_vec();
+        flipped[0] ^= 1;
+        body.body = flipped.into();
+        let mut epoch = env.clone();
+        epoch.epoch += 1;
+        let mut sender = env.clone();
+        sender.sender += 1;
+        let mut sig = env.clone();
+        sig.sig[0] ^= 1;
+        for (field, copy) in [
+            ("body", body),
+            ("epoch", epoch),
+            ("sender", sender),
+            ("sig", sig),
+        ] {
+            let verdict = receive(&copy);
+            assert_eq!(verdict, Err(GkaError::Protocol("bad signature")), "{field}");
+        }
+        assert_eq!(receive(&env), Ok(msg), "the genuine one still passes");
+        let memo = world.world_slot::<WorldMemo>();
+        assert_eq!(memo.verified.len(), 1, "only a pass is remembered");
+    }
+
+    #[test]
+    fn tampered_copies_fail_after_the_genuine_one_passes_sim_512() {
+        tampered_copies_fail_after_the_genuine_one_passes(CryptoSuite::sim_512());
+    }
+
+    #[test]
+    fn tampered_copies_fail_after_the_genuine_one_passes_real_512() {
+        tampered_copies_fail_after_the_genuine_one_passes(CryptoSuite::real_512());
+    }
+
+    #[test]
+    fn a_remembered_power_is_counted_and_charged_but_not_computed() {
+        let suite = Rc::new(CryptoSuite::sim_512());
+        let (mut a, mut b) = (member(&suite, 1), member(&suite, 2));
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let group = suite.group();
+        let (base, e) = (group.exp_g(&Ubig::from(5u64)), Ubig::from(0xdead_beef_u64));
+        let expected = group.exp(&base, &e);
+        assert_eq!(
+            a.with_gka(&mut world, |_, gka| gka.exp(&base, &e)),
+            expected
+        );
+        let charged = world.charged();
+        let before = stats::snapshot();
+        assert_eq!(
+            b.with_gka(&mut world, |_, gka| gka.exp(&base, &e)),
+            expected
+        );
+        let kernels = stats::snapshot().since(&before);
+        assert_eq!(kernels.modexp, 0, "a hit runs no modexp");
+        assert_eq!(kernels.total(), 0, "nor any other kernel");
+        assert_eq!((a.counts.exp, b.counts.exp), (1, 1), "both are counted");
+        assert_eq!(world.charged(), charged + charged, "both are charged");
+        assert!(charged > Duration::ZERO);
+    }
+
+    #[test]
+    fn a_second_modulus_gets_its_own_powers() {
+        let sim = Rc::new(CryptoSuite::sim_512());
+        let real = Rc::new(CryptoSuite::real_512());
+        assert_ne!(sim.group().modulus(), real.group().modulus());
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let (base, e) = (Ubig::from(5u64), Ubig::from(0xdead_beef_u64));
+        let mut powers = Vec::new();
+        for suite in [&sim, &real, &sim, &real] {
+            let got = member(suite, 1).with_gka(&mut world, |_, gka| gka.exp(&base, &e));
+            assert_eq!(got, suite.group().exp(&base, &e));
+            powers.push(got);
+        }
+        assert_ne!(powers[0], powers[1]);
     }
 }

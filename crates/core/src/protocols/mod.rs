@@ -37,6 +37,7 @@ use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, Label, SendClass};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
+use crate::memo::{Power, Signed, WorldMemo};
 use crate::suite::CryptoSuite;
 use crate::tree::FingerprintShare;
 
@@ -234,9 +235,18 @@ impl GkaCtx<'_, '_> {
     }
 
     /// Full modular exponentiation in the group (counted + charged).
+    /// Members below one key-tree node raise the same base to the same
+    /// exponent, so the world computes each power once; each member is
+    /// still counted and charged for it.
     pub fn exp(&mut self, base: &Ubig, e: &Ubig) -> Ubig {
         self.charge(CryptoOpKind::Exp, self.suite.cost().exp);
-        self.suite.group().exp(base, e)
+        let group = self.suite.group();
+        let power = Power::new(group.modulus(), base, e);
+        let result = self
+            .memo()
+            .powers
+            .recall(power, || Secret::new(group.exp(base, e)));
+        result.expose().clone()
     }
 
     /// `g^e` (counted + charged).
@@ -272,13 +282,16 @@ impl GkaCtx<'_, '_> {
         self.suite.invert_exponent(e)
     }
 
+    /// The world's memo of pure crypto results, as of this epoch's view.
+    fn memo(&mut self) -> &mut WorldMemo {
+        self.ctx.world_slot::<WorldMemo>().at_view(self.epoch)
+    }
+
     /// The world's subtree fingerprints, as of this epoch's view: what
     /// [`crate::tree::KeyTree::fingerprint_once`] looks up before it
     /// hashes.
     pub(crate) fn fingerprints(&mut self) -> &mut FingerprintShare {
-        self.ctx
-            .world_slot::<FingerprintShare>()
-            .at_view(self.epoch)
+        &mut self.memo().fingerprints
     }
 
     /// Draws a fresh secret exponent.
@@ -340,7 +353,10 @@ impl GkaCtx<'_, '_> {
     /// verification every receiver pays (§3.2) and the per-message
     /// processing overhead, then checks the signature, decodes the body
     /// and checks every group element in it. Every protocol message
-    /// enters a member through here.
+    /// enters a member through here. The world checks each signature
+    /// once: an envelope whose every input (the suite's verifier,
+    /// sender, epoch, body and signature) equals one it accepted is
+    /// not hashed again, and only a pass is remembered.
     ///
     /// # Errors
     ///
@@ -350,7 +366,10 @@ impl GkaCtx<'_, '_> {
     pub(crate) fn receive(&mut self, env: &Envelope) -> Result<ProtocolMsg, GkaError> {
         self.charge(CryptoOpKind::Verify, self.suite.cost().verify);
         self.charge(CryptoOpKind::RecvOverhead, self.suite.cost().recv_overhead);
-        env.verify(self.suite)
+        let suite = self.suite;
+        self.memo()
+            .verified
+            .try_recall(Signed::new(suite, env), || env.verify(suite))
             .map_err(|_| GkaError::Protocol("bad signature"))?;
         let msg =
             ProtocolMsg::decode(&env.body).map_err(|_| GkaError::Protocol("malformed body"))?;

@@ -62,9 +62,9 @@ impl TreeShape for TreePolicy {
 
     /// "The keys are never broadcast" (§4.3 footnote 4).
     fn to_msg(tree: &KeyTree) -> ProtocolMsg {
-        let mut tree = tree.clone();
-        tree.clear_keys();
-        ProtocolMsg::TgdhTree { tree }
+        ProtocolMsg::TgdhTree {
+            tree: tree.public(),
+        }
     }
 
     fn from_msg(msg: ProtocolMsg, _view: &[ClientId]) -> Result<KeyTree, GkaError> {

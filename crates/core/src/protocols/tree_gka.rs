@@ -332,9 +332,7 @@ impl<S: TreeShape> TreeGka<S> {
             let _ = self.progress(ctx)?;
             let mut members = self.tree.members();
             members.sort_unstable();
-            let mut public = self.tree.clone();
-            public.clear_keys();
-            self.components.insert(members, public);
+            self.components.insert(members, self.tree.public());
             self.broadcast_tree(ctx);
         } else {
             // Our sponsor refreshed; its path is stale for us until

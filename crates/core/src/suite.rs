@@ -12,7 +12,7 @@ use gkap_crypto::CryptoError;
 use crate::cost::CostModel;
 
 /// How protocol messages are signed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SigMode {
     /// Real RSA PKCS#1 v1.5 signatures (slower to simulate, used by
     /// correctness tests and the crypto benches).
@@ -23,6 +23,15 @@ pub enum SigMode {
     /// spend host time on RSA math that the virtual clock already
     /// accounts for.
     Modeled,
+}
+
+/// What decides whether a signature verifies under a suite: the
+/// signature mode and, in [`SigMode::Real`], the RSA public key
+/// `(n, e)`. Suites with equal verifiers accept the same signatures.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Verifier {
+    mode: SigMode,
+    rsa: Option<(Ubig, Ubig)>,
 }
 
 /// A group's cryptographic configuration.
@@ -147,6 +156,19 @@ impl CryptoSuite {
         match self.sig_mode {
             SigMode::Real => self.rsa.as_ref().expect("real key").sign(data),
             SigMode::Modeled => Sha256::digest(data),
+        }
+    }
+
+    /// Who verifies this suite's signatures: every input of
+    /// [`CryptoSuite::verify`] besides the data and the signature.
+    pub(crate) fn verifier(&self) -> Verifier {
+        let rsa = self.rsa.as_ref().map(|k| {
+            let public = k.public_key();
+            (public.modulus().clone(), public.exponent().clone())
+        });
+        Verifier {
+            mode: self.sig_mode,
+            rsa,
         }
     }
 

@@ -26,13 +26,12 @@
 //! `encode`); everything a skinny tree of view size goes through —
 //! members, fingerprints, grafting, removal — is a loop.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-
 use gkap_bignum::Ubig;
 use gkap_crypto::sha::{Digest, Sha256};
 use gkap_gcs::ClientId;
 
 use crate::codec::{Dec, DecodeError, Enc};
+use crate::memo::Table;
 
 /// Index of a node in the tree arena.
 pub type NodeIdx = usize;
@@ -52,88 +51,42 @@ pub struct Fingerprints(Vec<Option<[u8; 32]>>);
 /// its children's fingerprints. Every member of a world holds the same
 /// public tree, so the first to fingerprint a subtree hashes it and
 /// the others look it up ([`KeyTree::fingerprint_once`]). It holds
-/// public data only, never a key, and lives in a world slot
-/// ([`gkap_gcs::ClientCtx::world_slot`]), dropped with its world.
-///
-/// Entries are kept for two generations: a lookup that brings a newer
-/// view id retires the older one, and a hit in it carries the entry
-/// forward. So the share holds what the
-/// last two views' trees were built of, not the world's history.
-/// See DESIGN.md §36.
+/// public data only, never a key. A world keeps its share in its memo
+/// of pure results, which ages it with the memo's other tables: two
+/// generations, the last two views' (DESIGN.md §36, §38).
 #[derive(Default)]
 pub struct FingerprintShare {
-    /// The newest view id a lookup brought.
-    view: u64,
-    /// Entries taken or carried forward since `view` arrived.
-    now: FingerprintTable,
-    /// Entries of the generation before; dropped at the next swap.
-    before: FingerprintTable,
-}
-
-#[derive(Default)]
-struct FingerprintTable {
-    leaves: BTreeMap<(ClientId, Option<Ubig>), [u8; 32]>,
-    nodes: BTreeMap<([u8; 32], [u8; 32]), [u8; 32]>,
+    leaves: Table<(ClientId, Option<Ubig>), [u8; 32]>,
+    nodes: Table<([u8; 32], [u8; 32]), [u8; 32]>,
 }
 
 impl FingerprintShare {
-    /// The share as of view `view`: a view newer than any before
-    /// starts a generation and retires the one before the current.
-    pub(crate) fn at_view(&mut self, view: u64) -> &mut Self {
-        if view > self.view {
-            self.view = view;
-            self.before = std::mem::take(&mut self.now);
-        }
-        self
+    /// Starts a generation (see [`Table::retire`]).
+    pub(crate) fn retire(&mut self) {
+        self.leaves.retire();
+        self.nodes.retire();
     }
 
     fn leaf(&mut self, member: ClientId, bkey: Option<&Ubig>) -> [u8; 32] {
-        recall(
-            &mut self.now.leaves,
-            &self.before.leaves,
-            (member, bkey.cloned()),
-            || {
-                let mut h = Sha256::new();
-                h.update(b"leaf");
-                h.update(&(member as u64).to_be_bytes());
-                if let Some(bk) = bkey {
-                    h.update(&bk.to_be_bytes());
-                }
-                digest(h)
-            },
-        )
+        *self.leaves.recall((member, bkey.cloned()), || {
+            let mut h = Sha256::new();
+            h.update(b"leaf");
+            h.update(&(member as u64).to_be_bytes());
+            if let Some(bk) = bkey {
+                h.update(&bk.to_be_bytes());
+            }
+            digest(h)
+        })
     }
 
     fn node(&mut self, left: [u8; 32], right: [u8; 32]) -> [u8; 32] {
-        recall(
-            &mut self.now.nodes,
-            &self.before.nodes,
-            (left, right),
-            || {
-                let mut h = Sha256::new();
-                h.update(b"node");
-                h.update(&left);
-                h.update(&right);
-                digest(h)
-            },
-        )
-    }
-}
-
-/// The fingerprint `now` or `before` holds for `key`, else `hash()`;
-/// either way `now` holds it afterwards.
-fn recall<K: Ord>(
-    now: &mut BTreeMap<K, [u8; 32]>,
-    before: &BTreeMap<K, [u8; 32]>,
-    key: K,
-    hash: impl FnOnce() -> [u8; 32],
-) -> [u8; 32] {
-    match now.entry(key) {
-        Entry::Occupied(e) => *e.get(),
-        Entry::Vacant(e) => {
-            let fp = before.get(e.key()).copied().unwrap_or_else(hash);
-            *e.insert(fp)
-        }
+        *self.nodes.recall((left, right), || {
+            let mut h = Sha256::new();
+            h.update(b"node");
+            h.update(&left);
+            h.update(&right);
+            digest(h)
+        })
     }
 }
 
@@ -625,11 +578,20 @@ impl KeyTree {
         Ok(adopted)
     }
 
-    /// Drops every secret key (used before a tree goes on the wire —
-    /// "the keys are never broadcasted", §4.3).
-    pub fn clear_keys(&mut self) {
-        for n in &mut self.nodes {
-            n.key = None;
+    /// The tree without its secret keys: what goes on the wire ("the
+    /// keys are never broadcasted", §4.3). Built keyless, so no key is
+    /// copied.
+    pub fn public(&self) -> KeyTree {
+        let nodes = self.nodes.iter().map(|n| Node {
+            parent: n.parent,
+            children: n.children,
+            member: n.member,
+            key: None,
+            bkey: n.bkey.clone(),
+        });
+        KeyTree {
+            nodes: nodes.collect(),
+            root: self.root,
         }
     }
 
@@ -752,11 +714,12 @@ impl KeyTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::WorldMemo;
 
     impl FingerprintShare {
         /// The number of fingerprints of the current generation.
         pub(crate) fn len(&self) -> usize {
-            self.now.leaves.len() + self.now.nodes.len()
+            self.leaves.len() + self.nodes.len()
         }
     }
 
@@ -1007,27 +970,43 @@ mod tests {
         let mut t2 = t1.clone();
         let leaf = t2.leaf_of(4).unwrap();
         t2.node_mut(leaf).bkey = bk(999);
-        let take = |share: &mut FingerprintShare, view, tree: &KeyTree| {
+        let take = |memo: &mut WorldMemo, view, tree: &KeyTree| {
             let seen = &mut Fingerprints::default();
-            tree.fingerprint_once(tree.root(), seen, share.at_view(view))
+            tree.fingerprint_once(tree.root(), seen, &mut memo.at_view(view).fingerprints)
         };
-        let mut share = FingerprintShare::default();
-        assert_eq!(take(&mut share, 1, &t1), root_fingerprint(&t1));
-        assert_eq!(share.len(), 9, "five leaves, four nodes");
+        let mut memo = WorldMemo::default();
+        assert_eq!(take(&mut memo, 1, &t1), root_fingerprint(&t1));
+        assert_eq!(memo.fingerprints.len(), 9, "five leaves, four nodes");
         // A newer view: what t2 shares with t1 carries forward, and
         // t2's changed leaf and its path are new.
-        assert_eq!(take(&mut share, 2, &t2), root_fingerprint(&t2));
-        assert_eq!(share.len(), 9);
+        assert_eq!(take(&mut memo, 2, &t2), root_fingerprint(&t2));
+        assert_eq!(memo.fingerprints.len(), 9);
         let t1_leaf = (4, bk(104));
-        assert!(share.before.leaves.contains_key(&t1_leaf));
+        assert!(memo.fingerprints.leaves.holds(&t1_leaf));
         // The next one retires what only t1 was built of.
-        take(&mut share, 3, &KeyTree::singleton(7, None, bk(7)));
-        assert_eq!(share.len(), 1);
-        assert!(!share.before.leaves.contains_key(&t1_leaf));
-        assert!(!share.now.leaves.contains_key(&t1_leaf));
+        take(&mut memo, 3, &KeyTree::singleton(7, None, bk(7)));
+        assert_eq!(memo.fingerprints.len(), 1);
+        assert!(!memo.fingerprints.leaves.holds(&t1_leaf));
         // An older view swaps nothing.
-        take(&mut share, 2, &t2);
-        assert_eq!(share.len(), 1 + 9);
+        take(&mut memo, 2, &t2);
+        assert_eq!(memo.fingerprints.len(), 1 + 9);
+    }
+
+    #[test]
+    fn the_public_tree_is_the_tree_without_its_keys() {
+        let mut t = tree_of(&[0, 1, 2, 3, 4]);
+        t.merge(&KeyTree::singleton(5, bk(15), bk(105)));
+        let root = t.root();
+        t.node_mut(root).key = bk(77);
+        let mut cleared = t.clone();
+        for n in &mut cleared.nodes {
+            n.key = None;
+        }
+        let public = t.public();
+        assert_eq!(public, cleared, "field for field");
+        assert!(public.nodes.iter().all(|n| n.key.is_none()));
+        let keyed = t.nodes.iter().filter(|n| n.key.is_some()).count();
+        assert_eq!(keyed, 2, "the tree keeps its own keys");
     }
 
     #[test]

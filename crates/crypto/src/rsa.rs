@@ -75,6 +75,11 @@ impl RsaPublicKey {
         self.n.bit_len()
     }
 
+    /// Modulus `n`.
+    pub fn modulus(&self) -> &Ubig {
+        &self.n
+    }
+
     /// Public exponent.
     pub fn exponent(&self) -> &Ubig {
         &self.e
