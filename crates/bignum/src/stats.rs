@@ -94,6 +94,16 @@ pub fn take() -> KernelOps {
     OPS.with(|c| c.replace(KernelOps::default()))
 }
 
+/// Runs `f` and leaves this thread's counts as they were before it:
+/// for a check that repeats work a counted call already did (a
+/// debug-build cross-check), so debug and release builds count alike.
+pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let before = snapshot();
+    let out = f();
+    OPS.with(|c| c.set(before));
+    out
+}
+
 macro_rules! bump {
     ($fn_name:ident, $field:ident) => {
         #[inline]
@@ -133,6 +143,18 @@ mod tests {
         assert_eq!(d.mont_mul, 0);
         assert_eq!(take().total(), 5);
         assert_eq!(take(), KernelOps::default(), "drained");
+    }
+
+    #[test]
+    fn uncounted_work_leaves_the_counts_alone() {
+        record_modexp();
+        let before = snapshot();
+        let out = uncounted(|| {
+            record_mont_sqr();
+            record_modexp();
+            7
+        });
+        assert_eq!((out, snapshot()), (7, before));
     }
 
     #[test]

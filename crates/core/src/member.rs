@@ -36,9 +36,8 @@ use gkap_telemetry::{fault, membership, EventKind};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
-use crate::protocols::{
-    note, FormationShare, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind,
-};
+use crate::memo::WorldMemo;
+use crate::protocols::{note, GkaCtx, GkaError, GkaProtocol, ProtocolKind, ProtocolMsg, SendKind};
 use crate::suite::CryptoSuite;
 
 /// Where a member's current key agreement stands.
@@ -234,17 +233,17 @@ impl SecureMember {
     }
 
     /// Installs the formed component of `members` as this member's
-    /// protocol state: formed here if no member sharing `share` needed
-    /// it before, taken from the share otherwise. A world's members
-    /// share its world slot; the loopback's `bootstrap` brings its own.
+    /// protocol state: formed here if no member sharing `memo` needed
+    /// it before, taken from the memo otherwise. A world's members
+    /// share its world slot; the loopback brings its own.
     pub(crate) fn adopt_component(
         &mut self,
-        share: &mut FormationShare,
+        memo: &mut WorldMemo,
         members: &[ClientId],
         me: ClientId,
         seed: u64,
     ) {
-        let component = share.form(self.protocol.as_ref(), &self.suite, members, seed);
+        let component = memo.form(self.protocol.as_ref(), &self.suite, members, seed);
         match self.protocol.adopt(&component, me) {
             Ok(()) => self.adopted = component.secret(),
             Err(e) => self.record_error(e),
@@ -407,7 +406,8 @@ impl Client for SecureMember {
     fn on_view(&mut self, ctx: &mut ClientCtx<'_>, view: &View) {
         self.id = Some(ctx.id());
         if let Some((members, me, seed)) = self.preseed.take() {
-            self.adopt_component(ctx.world_slot(), &members, me, seed);
+            let memo = ctx.world_slot::<WorldMemo>().at_view(view.id);
+            self.adopt_component(memo, &members, me, seed);
         }
 
         // A view arriving while the previous epoch's agreement is
@@ -475,7 +475,8 @@ impl Client for SecureMember {
                 // of charge (no experiment measures initial formation
                 // through this path; see DESIGN.md §18).
                 let me = ctx.id();
-                self.adopt_component(ctx.world_slot(), &view.members, me, seed);
+                let memo = ctx.world_slot::<WorldMemo>().at_view(view.id);
+                self.adopt_component(memo, &view.members, me, seed);
                 if let Some(rec) = self.epochs.last_mut() {
                     rec.secret = self.adopted.take();
                 }
@@ -536,8 +537,8 @@ impl Client for SecureMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::WorldMemo;
     use gkap_bignum::stats;
+    use gkap_telemetry::Telemetry;
 
     #[test]
     fn constructor_and_accessors() {
@@ -628,6 +629,137 @@ mod tests {
         assert_eq!((a.counts.exp, b.counts.exp), (1, 1), "both are counted");
         assert_eq!(world.charged(), charged + charged, "both are charged");
         assert!(charged > Duration::ZERO);
+    }
+
+    /// What raising one power did.
+    #[derive(Debug)]
+    struct Raised {
+        value: Ubig,
+        /// The member's `exp` count.
+        exps: u64,
+        charged: Duration,
+        events: Vec<gkap_telemetry::Event>,
+        kernels: stats::KernelOps,
+    }
+
+    /// `base^e` raised by a fresh member of the world `world` lends.
+    fn raise_in(
+        world: &mut ClientCtx<'_>,
+        suite: &Rc<CryptoSuite>,
+        base: &Ubig,
+        e: &Ubig,
+    ) -> Raised {
+        let mut m = member(suite, 9);
+        let (charged, kernels) = (world.charged(), stats::snapshot());
+        let _ = world.telemetry().take_events();
+        let value = m.with_gka(world, |_, gka| gka.exp(base, e));
+        Raised {
+            value,
+            exps: m.counts.exp,
+            kernels: stats::snapshot().since(&kernels),
+            events: world.telemetry().take_events(),
+            charged: world.charged() - charged,
+        }
+    }
+
+    /// A world that produced `g^d` raises it through `g`: the value,
+    /// the count, the charge and the event are the ladder's, and not a
+    /// squaring runs.
+    #[test]
+    fn a_base_the_world_produced_is_raised_through_g_at_the_same_charge() {
+        let suite = Rc::new(CryptoSuite::sim_512());
+        let group = suite.group();
+        let (d, e) = (Ubig::from(0x1234_5678_u64), Ubig::from(0xdead_beef_u64));
+        let world = || ClientCtx::detached_into(0, SimTime::ZERO, 0, Telemetry::enabled());
+        let mut known = world();
+        let base = member(&suite, 1).with_gka(&mut known, |_, gka| gka.exp_g(&d));
+        let shortcut = raise_in(&mut known, &suite, &base, &e);
+        let ladder = raise_in(&mut world(), &suite, &base, &e);
+        assert_eq!(shortcut.value, group.exp(&base, &e));
+        assert_eq!(shortcut.value, ladder.value);
+        assert_eq!((shortcut.exps, ladder.exps), (1, 1), "counted alike");
+        assert!(shortcut.charged > Duration::ZERO);
+        assert_eq!(shortcut.charged, ladder.charged, "charged alike");
+        assert_eq!(shortcut.events.len(), 1);
+        assert_eq!(shortcut.events, ladder.events, "traced alike");
+        let k = shortcut.kernels;
+        assert_eq!((k.mont_sqr, k.modexp, k.fixed_base_exp), (0, 0, 1));
+        assert!(ladder.kernels.mont_sqr > 0 && ladder.kernels.modexp == 1);
+    }
+
+    /// An element the world did not produce, here a blinded key with
+    /// one byte flipped, goes up the ladder even though the world knows
+    /// the genuine key's exponent.
+    #[test]
+    fn an_element_the_world_did_not_produce_takes_the_ladder() {
+        let suite = Rc::new(CryptoSuite::sim_512());
+        let group = suite.group();
+        let (d, e) = (Ubig::from(0x1234_5678_u64), Ubig::from(0xdead_beef_u64));
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let bkey = member(&suite, 1).with_gka(&mut world, |_, gka| gka.exp_g(&d));
+        let mut bytes = bkey.to_be_bytes();
+        if let Some(last) = bytes.last_mut() {
+            *last ^= 1;
+        }
+        let flipped = Ubig::from_be_bytes(&bytes);
+        assert!(group.validate_public(&flipped).is_ok());
+        let raised = raise_in(&mut world, &suite, &flipped, &e);
+        assert_eq!(raised.value, group.exp(&flipped, &e));
+        assert_eq!(raised.kernels.modexp, 1, "the ladder");
+        let raised = raise_in(&mut world, &suite, &bkey, &e);
+        assert_eq!(raised.value, group.exp(&bkey, &e));
+        assert_eq!(raised.kernels.modexp, 0, "the genuine key's shortcut");
+    }
+
+    /// In a group whose generator has order 2q, `(g^d)^e` is not
+    /// `g^(d·e mod q)`: such a group never takes the shortcut.
+    #[test]
+    fn a_generator_of_order_2q_never_takes_the_shortcut() {
+        use crate::cost::CostModel;
+        use crate::suite::SigMode;
+        use gkap_crypto::dh::DhGroup;
+        let test = DhGroup::test_256();
+        let (p, q) = (test.modulus().clone(), test.order().clone());
+        let g = &p - &Ubig::from(4u64);
+        let toy = DhGroup::from_parts("toy-2q", p, g, q);
+        assert!(!toy.generator_has_order_q());
+        let suite = CryptoSuite::new(toy, 256, CostModel::zero(), SigMode::Modeled);
+        let suite = Rc::new(suite);
+        let group = suite.group();
+        // g^q = −1 here, so g^(d·e) = −g^(d·e mod q) for d·e = 2q − 2.
+        let (d, e) = (group.order() - &Ubig::one(), Ubig::from(2u64));
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let base = member(&suite, 1).with_gka(&mut world, |_, gka| gka.exp_g(&d));
+        let raised = raise_in(&mut world, &suite, &base, &e);
+        assert_eq!(raised.value, group.exp(&base, &e));
+        assert_ne!(raised.value, group.exp_g(&d.modmul(&e, group.order())));
+        assert_eq!(raised.kernels.modexp, 1, "the ladder");
+    }
+
+    /// BD's `z_{i+1} / z_{i-1}` is a product and an inverse of two
+    /// elements the world produced: raising it takes the shortcut, and
+    /// the inversion is counted and charged once, as before.
+    #[test]
+    fn a_ratio_of_produced_elements_is_raised_through_g() {
+        let suite = Rc::new(CryptoSuite::sim_512());
+        let group = suite.group();
+        let mut world = ClientCtx::detached(0, SimTime::ZERO, 0);
+        let mut m = member(&suite, 1);
+        let (ratio, charged) = m.with_gka(&mut world, |_, gka| {
+            let next = gka.exp_g(&Ubig::from(11u64));
+            let prev = gka.exp_g(&Ubig::from(7u64));
+            let before = gka.ctx.charged();
+            let inverse = gka.invert_element(&prev).expect("invertible");
+            let charged = gka.ctx.charged() - before;
+            (gka.modmul(&next, &inverse), charged)
+        });
+        assert_eq!(ratio, group.exp_g(&Ubig::from(4u64)));
+        assert_eq!(m.counts.inverse, 1);
+        assert_eq!(charged, suite.cost().inverse);
+        let e = Ubig::from(0xdead_beef_u64);
+        let raised = raise_in(&mut world, &suite, &ratio, &e);
+        assert_eq!(raised.value, group.exp(&ratio, &e));
+        assert_eq!(raised.kernels.modexp, 0, "the shortcut");
     }
 
     #[test]

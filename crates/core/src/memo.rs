@@ -11,11 +11,19 @@
 //! so every key, count and virtual time is unchanged; only host time
 //! falls.
 //!
+//! The same process produced every group element a member raises: a
+//! sibling's blinded key, a partial key, a BD `z` was some member's
+//! `g^d`, and the world remembers `d`. Raising such an element to `e`
+//! is then `g^(d·e mod q)`, which the generator's fixed-base table
+//! computes with no squaring; a group whose generator does not have
+//! prime order `q` never takes that shortcut
+//! ([`DhGroup::generator_has_order_q`]).
+//!
 //! [`WorldMemo`] sits in a world slot ([`gkap_gcs::ClientCtx::world_slot`])
 //! and is dropped with its world; a detached context starts an empty
 //! one. Each of its tables is a [`Table`]: two generations, so it holds
 //! what the last two views computed, not the world's history. See
-//! DESIGN.md §36 and §38.
+//! DESIGN.md §36, §38 and §39.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -24,13 +32,16 @@
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::convert::Infallible;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use gkap_bignum::Ubig;
+use gkap_bignum::{stats, Ubig};
+use gkap_crypto::dh::DhGroup;
 use gkap_crypto::Secret;
 use gkap_gcs::ClientId;
 
 use crate::envelope::Envelope;
+use crate::protocols::{Component, FormationShare, GkaProtocol};
 use crate::suite::{CryptoSuite, Verifier};
 use crate::tree::FingerprintShare;
 
@@ -86,6 +97,22 @@ impl<K: Ord, V> Table<K, V> {
             Ok(value) => value,
             Err(never) => match never {},
         }
+    }
+
+    /// The value either generation holds for `key`; the current
+    /// generation holds it afterwards.
+    pub(crate) fn find(&mut self, key: &K) -> Option<&V> {
+        if !self.now.contains_key(key) {
+            let (key, value) = self.before.remove_entry(key)?;
+            self.now.insert(key, value);
+        }
+        self.now.get(key)
+    }
+
+    /// Remembers `value` for `key` in the current generation, unless it
+    /// holds one already.
+    pub(crate) fn remember(&mut self, key: K, value: V) {
+        self.now.entry(key).or_insert(value);
     }
 
     /// The number of entries of the current generation.
@@ -171,17 +198,101 @@ impl Signed {
     }
 }
 
+/// The group elements a world produced, each with its exponent to
+/// its group's generator, reduced mod `q`. Keyed by element within one
+/// table per group `(p, g)`, so no entry holds a copy of the modulus;
+/// an exponent is to one generator, so two generators of one modulus
+/// keep two tables.
+#[derive(Default)]
+pub(crate) struct Dlogs {
+    /// A world's groups `(p, g)` (usually one) and their tables.
+    by_group: Vec<((Ubig, Ubig), Exponents)>,
+}
+
+/// Group elements and their exponents to one generator.
+type Exponents = Table<Ubig, Secret<Ubig>>;
+
+impl Dlogs {
+    /// `group`'s table, or `None` if its generator lacks prime order
+    /// `q`: then an exponent to it says nothing mod `q`.
+    fn of(&mut self, group: &DhGroup) -> Option<&mut Exponents> {
+        if !group.generator_has_order_q() {
+            return None;
+        }
+        let (p, g) = (group.modulus(), group.generator());
+        let this = |(m, h): &(Ubig, Ubig)| m == p && h == g;
+        if !self.by_group.iter().any(|(id, _)| this(id)) {
+            self.by_group
+                .push(((p.clone(), g.clone()), Table::default()));
+        }
+        let mut tables = self.by_group.iter_mut();
+        tables.find(|(id, _)| this(id)).map(|(_, table)| table)
+    }
+
+    /// Remembers that `element` is `g^exponent` in `group`, unless the
+    /// world knows already (each member adopting a component notes it).
+    pub(crate) fn note(&mut self, group: &DhGroup, element: &Ubig, exponent: &Ubig) {
+        if let Some(table) = self.of(group) {
+            if table.find(element).is_none() {
+                let exponent = Secret::new(exponent.rem(group.order()));
+                table.remember(element.clone(), exponent);
+            }
+        }
+    }
+
+    /// Remembers `product = a·b`'s exponent when the world knows both
+    /// factors': the sum of theirs.
+    pub(crate) fn note_product(&mut self, group: &DhGroup, a: &Ubig, b: &Ubig, product: &Ubig) {
+        let Some(table) = self.of(group) else {
+            return;
+        };
+        let Some(da) = table.find(a).cloned() else {
+            return;
+        };
+        let Some(db) = table.find(b) else {
+            return;
+        };
+        let sum = Secret::new(da.expose().modadd(db.expose(), group.order()));
+        table.remember(product.clone(), sum);
+    }
+
+    /// Remembers `inverse = a⁻¹`'s exponent when the world knows `a`'s:
+    /// its negation mod `q`.
+    pub(crate) fn note_inverse(&mut self, group: &DhGroup, a: &Ubig, inverse: &Ubig) {
+        let Some(table) = self.of(group) else {
+            return;
+        };
+        let Some(d) = table.find(a) else {
+            return;
+        };
+        let negated = Secret::new(Ubig::zero().modsub(d.expose(), group.order()));
+        table.remember(inverse.clone(), negated);
+    }
+
+    fn retire(&mut self) {
+        for (_, table) in &mut self.by_group {
+            table.retire();
+        }
+    }
+}
+
 /// The pure crypto results a world's members have computed, for the
 /// last two views: subtree fingerprints, exponentiations (results in
-/// [`Secret`]) and the envelopes whose signature checked out.
+/// [`Secret`]), the exponent of each group element the world produced,
+/// and the envelopes whose signature checked out. It also holds the
+/// components waiting for their members ([`FormationShare`]).
 #[derive(Default)]
 pub(crate) struct WorldMemo {
     /// The newest view id a lookup brought.
     view: u64,
+    /// Formed components some member has still to adopt; not aged.
+    formations: FormationShare,
     /// Subtree fingerprints ([`crate::tree::KeyTree::fingerprint_once`]).
     pub(crate) fingerprints: FingerprintShare,
     /// `base^exponent mod modulus`, by its inputs.
     pub(crate) powers: Table<Power, Secret<Ubig>>,
+    /// Each group element's exponent to the generator.
+    pub(crate) dlogs: Dlogs,
     /// Envelopes that passed their signature check.
     pub(crate) verified: Table<Signed, ()>,
 }
@@ -195,9 +306,50 @@ impl WorldMemo {
             self.view = view;
             self.fingerprints.retire();
             self.powers.retire();
+            self.dlogs.retire();
             self.verified.retire();
         }
         self
+    }
+
+    /// `base^e` in `group`, computed once per world: as `g^(d·e mod q)`
+    /// when the world produced `base` as `g^d`, else on the ladder. The
+    /// result's exponent is remembered when known.
+    pub(crate) fn power(&mut self, group: &DhGroup, base: &Ubig, e: &Ubig) -> Ubig {
+        let WorldMemo { powers, dlogs, .. } = self;
+        let power = Power::new(group.modulus(), base, e);
+        let result = powers.recall(power, || {
+            let through_g = dlogs.of(group).and_then(|table| {
+                let x = Secret::new(table.find(base)?.expose().modmul(e, group.order()));
+                let result = group.exp_g(x.expose());
+                debug_assert!(
+                    stats::uncounted(|| group.exp(base, e)) == result,
+                    "a remembered exponent is wrong"
+                );
+                table.remember(result.clone(), x);
+                Some(result)
+            });
+            Secret::new(through_g.unwrap_or_else(|| group.exp(base, e)))
+        });
+        result.expose().clone()
+    }
+
+    /// The component of `members` under `seed`, formed by `protocol` on
+    /// the first of them to ask and shared with the rest
+    /// ([`FormationShare::form`]). The world learns the exponent of
+    /// every group element it holds.
+    pub(crate) fn form(
+        &mut self,
+        protocol: &dyn GkaProtocol,
+        suite: &CryptoSuite,
+        members: &[ClientId],
+        seed: u64,
+    ) -> Rc<Component> {
+        let component = self.formations.form(protocol, suite, members, seed);
+        for (element, exponent) in component.produced() {
+            self.dlogs.note(suite.group(), element, exponent);
+        }
+        component
     }
 }
 
@@ -226,6 +378,49 @@ mod tests {
         assert!(memo.at_view(1).powers.holds(&power()));
         memo.at_view(3);
         assert!(!memo.powers.holds(&power()), "not taken in view 2");
+    }
+
+    /// An exponent noted in view 1 serves view 2 and, carried forward
+    /// there, view 3; one nobody looked up in view 2 is gone in view 3,
+    /// and the base goes up the ladder.
+    #[test]
+    fn exponents_recorded_two_views_back_are_gone() {
+        let group = DhGroup::test_256();
+        let d = Ubig::from(5u64);
+        let base = group.exp_g(&d);
+        // The value of `base^e` and the ladders raising it took.
+        let raise = |memo: &mut WorldMemo, e: u64| {
+            let before = stats::snapshot();
+            let got = memo.power(&group, &base, &Ubig::from(e));
+            let ladders = stats::snapshot().since(&before).modexp;
+            assert_eq!(got, group.exp(&base, &Ubig::from(e)));
+            ladders
+        };
+        let mut used = WorldMemo::default();
+        used.at_view(1).dlogs.note(&group, &base, &d);
+        assert_eq!(raise(used.at_view(2), 3), 0);
+        assert_eq!(raise(used.at_view(3), 4), 0, "carried forward in view 2");
+        let mut unused = WorldMemo::default();
+        unused.at_view(1).dlogs.note(&group, &base, &d);
+        unused.at_view(2);
+        assert_eq!(raise(unused.at_view(3), 3), 1, "not looked up in view 2");
+    }
+
+    /// 4 and 9 both generate the order-`q` subgroup of the test
+    /// group's `p`, with different exponents for the same element.
+    #[test]
+    fn each_generator_of_a_modulus_keeps_its_own_exponents() {
+        let four = DhGroup::test_256();
+        let (p, q) = (four.modulus().clone(), four.order().clone());
+        let nine = DhGroup::from_parts("nine", p, Ubig::from(9u64), q);
+        assert!(nine.generator_has_order_q());
+        let (d, e) = (Ubig::from(5u64), Ubig::from(0xdead_beef_u64));
+        let mut memo = WorldMemo::default();
+        let base = four.exp_g(&d);
+        memo.dlogs.note(&four, &base, &d);
+        assert_eq!(memo.power(&nine, &base, &e), nine.exp(&base, &e));
+        let e = Ubig::from(0xfeed_u64);
+        assert_eq!(memo.power(&four, &base, &e), four.exp(&base, &e));
     }
 
     #[test]

@@ -69,12 +69,10 @@ impl Bd {
             .get(&prev)
             .cloned()
             .ok_or(GkaError::MissingState("neighbour z value"))?;
-        let p = ctx.suite.group().modulus().clone();
         // Group-element inversion of z_prev (extended Euclid, charged
         // as an inverse, not an exponentiation).
-        ctx.charge_inverse();
-        let z_prev_inv = z_prev
-            .mod_inverse(&p)
+        let z_prev_inv = ctx
+            .invert_element(&z_prev)
             .ok_or(GkaError::Protocol("non-invertible z value"))?;
         let ratio = ctx.modmul(&z_next, &z_prev_inv);
         let r = self
@@ -197,7 +195,8 @@ impl GkaProtocol for Bd {
             e = e.modadd(&a.expose().modmul(b.expose(), q), q);
         }
         let secret = suite.group().exp_g(&e);
-        Component::new(members, rs, Some(secret), Shape::Bd)
+        // The round-1 values of a rekey are fresh: nothing here is raised.
+        Component::new(members, rs, Some(secret), Shape::Bd, Vec::new())
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {

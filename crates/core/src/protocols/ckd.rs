@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use gkap_bignum::{RandomSource, Ubig};
 use gkap_crypto::aes::ctr_xor;
 use gkap_crypto::kdf;
+use gkap_crypto::Secret;
 use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
@@ -284,10 +285,16 @@ impl GkaProtocol for Ckd {
     fn component(&self, suite: &CryptoSuite, members: &[ClientId], seed: u64) -> Component {
         let group = suite.group();
         let exps = bootstrap_exponents(suite, members, seed);
+        // Each member's public value, raised once: the formed state
+        // holds it, and the world learns its exponent.
+        let produced: Vec<(Ubig, Secret<Ubig>)> = exps
+            .iter()
+            .map(|x| (group.exp_g(x.expose()), x.clone()))
+            .collect();
         let pubs = members
             .iter()
-            .zip(&exps)
-            .map(|(&m, x)| (m, group.exp_g(x.expose())))
+            .copied()
+            .zip(produced.iter().map(|(v, _)| v.clone()))
             .collect();
         // The bootstrap controller's exponent doubles as the seed for
         // the initial group secret (derived, deterministic).
@@ -295,7 +302,7 @@ impl GkaProtocol for Ckd {
             let cx = cx.expose();
             group.exp_g(&cx.modmul(cx, group.order()))
         });
-        Component::new(members, exps, secret, Shape::Ckd(Formed { pubs }))
+        Component::new(members, exps, secret, Shape::Ckd(Formed { pubs }), produced)
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {

@@ -8,7 +8,9 @@
 //! [`GkaProtocol::adopt`] installs the result in a member with no
 //! kernel call, and the members of one world find the component in
 //! the world's [`FormationShare`] instead of each recomputing it. See
-//! DESIGN.md §18.
+//! DESIGN.md §18. A component also lists the group elements it
+//! produced with their exponents, which forming it teaches the world's
+//! memo (DESIGN.md §39).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -42,6 +44,9 @@ pub struct Component {
     exponents: Vec<Secret<Ubig>>,
     secret: Option<Secret<Ubig>>,
     shape: Shape,
+    /// Each public group element the component holds (blinded keys,
+    /// partial keys, CKD public values) with its exponent to `g`.
+    produced: Vec<(Ubig, Secret<Ubig>)>,
 }
 
 impl std::fmt::Debug for Component {
@@ -79,13 +84,21 @@ impl Component {
         exponents: Vec<Secret<Ubig>>,
         secret: Option<Ubig>,
         shape: Shape,
+        produced: Vec<(Ubig, Secret<Ubig>)>,
     ) -> Self {
         Component {
             members: members.to_vec(),
             exponents,
             secret: secret.map(Secret::new),
             shape,
+            produced,
         }
+    }
+
+    /// Each public group element the component holds, with its exponent
+    /// to the generator: what its first rekey raises.
+    pub(crate) fn produced(&self) -> impl Iterator<Item = (&Ubig, &Ubig)> {
+        self.produced.iter().map(|(e, x)| (e, x.expose()))
     }
 
     /// The component's members, in view order.
@@ -129,9 +142,10 @@ pub(super) const FOREIGN_COMPONENT: GkaError =
 /// a function of the world alone.
 ///
 /// Client ids are unique within a world, so `(protocol, seed,
-/// members)` names a component; its members share one suite.
+/// members)` names a component; its members share one suite. It is a
+/// field of the world's memo ([`crate::memo::WorldMemo::form`]).
 #[derive(Default)]
-pub struct FormationShare {
+pub(crate) struct FormationShare {
     /// The components some member has still to fetch. The last fetch
     /// removes the entry: nothing outlives its use.
     waiting: BTreeMap<(ProtocolKind, u64, Vec<ClientId>), Waiting>,
@@ -146,7 +160,7 @@ struct Waiting {
 impl FormationShare {
     /// The component of `members` under `seed`: formed by `protocol`
     /// on the first call, shared on the following `members.len() - 1`.
-    pub fn form(
+    pub(crate) fn form(
         &mut self,
         protocol: &dyn GkaProtocol,
         suite: &CryptoSuite,

@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 
 use gkap_bignum::Ubig;
+use gkap_crypto::Secret;
 use gkap_gcs::ClientId;
 
 use crate::protocols::component::{bootstrap_exponents, Component, Shape, FOREIGN_COMPONENT};
@@ -387,18 +388,17 @@ impl GkaProtocol for Gdh {
         }
         after.reverse();
         let mut before = Ubig::one();
-        let mut partial_keys = BTreeMap::new();
+        let (mut partial_keys, mut produced) = (BTreeMap::new(), Vec::new());
         for ((&m, r), after_m) in members.iter().zip(&exps).zip(&after) {
-            partial_keys.insert(m, group.exp_g(&before.modmul(after_m, q)));
+            let e_m = Secret::new(before.modmul(after_m, q));
+            let k_m = group.exp_g(e_m.expose());
+            partial_keys.insert(m, k_m.clone());
+            produced.push((k_m, e_m));
             before = before.modmul(r.expose(), q);
         }
         let secret = group.exp_g(&product);
-        Component::new(
-            members,
-            exps,
-            Some(secret),
-            Shape::Gdh(Formed { partial_keys }),
-        )
+        let shape = Shape::Gdh(Formed { partial_keys });
+        Component::new(members, exps, Some(secret), shape, produced)
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {

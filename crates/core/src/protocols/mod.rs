@@ -37,11 +37,12 @@ use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, Label, SendClass};
 
 use crate::cost::OpCounts;
 use crate::envelope::Envelope;
-use crate::memo::{Power, Signed, WorldMemo};
+use crate::memo::{Signed, WorldMemo};
 use crate::suite::CryptoSuite;
 use crate::tree::FingerprintShare;
 
-pub use component::{Component, FormationShare};
+pub use component::Component;
+pub(crate) use component::FormationShare;
 pub use wire::ProtocolMsg;
 
 /// Which of the five protocols a group runs.
@@ -237,22 +238,23 @@ impl GkaCtx<'_, '_> {
     /// Full modular exponentiation in the group (counted + charged).
     /// Members below one key-tree node raise the same base to the same
     /// exponent, so the world computes each power once; each member is
-    /// still counted and charged for it.
+    /// still counted and charged for it. A base the world produced as
+    /// `g^d` is raised as `g^(d·e mod q)` (DESIGN.md §39): the same
+    /// value, the same charge, less host time.
     pub fn exp(&mut self, base: &Ubig, e: &Ubig) -> Ubig {
         self.charge(CryptoOpKind::Exp, self.suite.cost().exp);
         let group = self.suite.group();
-        let power = Power::new(group.modulus(), base, e);
-        let result = self
-            .memo()
-            .powers
-            .recall(power, || Secret::new(group.exp(base, e)));
-        result.expose().clone()
+        self.memo().power(group, base, e)
     }
 
-    /// `g^e` (counted + charged).
+    /// `g^e` (counted + charged). The world remembers the result's
+    /// exponent.
     pub fn exp_g(&mut self, e: &Ubig) -> Ubig {
         self.charge(CryptoOpKind::Exp, self.suite.cost().exp);
-        self.suite.group().exp_g(e)
+        let group = self.suite.group();
+        let result = group.exp_g(e);
+        self.memo().dlogs.note(group, &result, e);
+        result
     }
 
     /// Small-exponent exponentiation (BD step 3; counted separately,
@@ -263,17 +265,25 @@ impl GkaCtx<'_, '_> {
     }
 
     /// Modular multiplication of two group elements (BD key
-    /// assembly; charged as one multiplication).
+    /// assembly; charged as one multiplication). The world learns the
+    /// product's exponent when it knows both factors'.
     pub fn modmul(&mut self, a: &Ubig, b: &Ubig) -> Ubig {
         self.charge(CryptoOpKind::ModMul, self.suite.cost().modmul);
-        a.modmul(b, self.suite.group().modulus())
+        let group = self.suite.group();
+        let product = a.modmul(b, group.modulus());
+        self.memo().dlogs.note_product(group, a, b, &product);
+        product
     }
 
-    /// Counts and charges one modular inversion the caller performs
-    /// itself (BD's group-element inversion, which does not go through
-    /// [`GkaCtx::invert_exponent`]).
-    pub fn charge_inverse(&mut self) {
+    /// Inverts a group element modulo `p` (counted + charged as one
+    /// inversion, BD's `z_{i-1}^{-1}`); `None` if it has no inverse.
+    /// The world learns the inverse's exponent when it knows `a`'s.
+    pub fn invert_element(&mut self, a: &Ubig) -> Option<Ubig> {
         self.charge(CryptoOpKind::Inverse, self.suite.cost().inverse);
+        let group = self.suite.group();
+        let inverse = a.mod_inverse(group.modulus())?;
+        self.memo().dlogs.note_inverse(group, a, &inverse);
+        Some(inverse)
     }
 
     /// Inverts an exponent modulo the group order (counted + charged).

@@ -41,7 +41,6 @@ pub struct Skinny;
 
 impl TreeShape for Skinny {
     const KIND: ProtocolKind = ProtocolKind::Str;
-    const FORMS_ON_LEFT_KEY: bool = true;
     /// "Up to the intermediate node just below the root" (§4.4).
     const FORMS_BLINDED_ROOT: bool = false;
     /// Every component's top member goes on blinding what it computes

@@ -38,7 +38,6 @@ pub enum TreePolicy {
 
 impl TreeShape for TreePolicy {
     const KIND: ProtocolKind = ProtocolKind::Tgdh;
-    const FORMS_ON_LEFT_KEY: bool = false;
     const FORMS_BLINDED_ROOT: bool = true;
     /// Round-1 publication duty ends at assembly.
     const SPONSOR_STAYS_PUBLISHER: bool = false;

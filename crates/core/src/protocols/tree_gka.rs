@@ -48,11 +48,6 @@ use crate::tree::{FingerprintShare, Fingerprints, KeyTree, NodeIdx};
 pub trait TreeShape: Clone + Default + 'static {
     /// The protocol this shape makes of the driver.
     const KIND: ProtocolKind;
-    /// Forming a component computes each internal key as one child's
-    /// blinded key raised to the other child's key: the left child's
-    /// key if set, the right one's if not. The key is the same either
-    /// way; the host's kernel counts are not.
-    const FORMS_ON_LEFT_KEY: bool;
     /// Whether a formed component blinds its root key too.
     const FORMS_BLINDED_ROOT: bool;
     /// Whether a component's round-1 sponsor still publishes blinded
@@ -458,20 +453,20 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
                 self.shape.graft(&mut tree, &leaf);
             }
         }
-        // Fill every internal key, children before parents. Component
-        // trees carry leaf bkeys and two keyed children per internal
-        // node, so the `else` is unreachable; it degrades to a missing
-        // secret (surfaced as a GkaError later) instead of a panic.
+        // Fill every internal key, children before parents: the two-party
+        // key g^{k_l k_r}, through g as GDH's partial keys are. Component
+        // trees carry two keyed children per internal node, so the `else`
+        // is unreachable; it degrades to a missing secret (surfaced as a
+        // GkaError later) instead of a panic.
         let nodes: Vec<NodeIdx> = tree.preorder().collect();
         for &i in nodes.iter().rev() {
             let Some((l, r)) = tree.node(i).children else {
                 continue;
             };
-            let (base, exponent) = if S::FORMS_ON_LEFT_KEY { (r, l) } else { (l, r) };
-            let (Some(bkey), Some(key)) = (&tree.node(base).bkey, &tree.node(exponent).key) else {
+            let (Some(k_l), Some(k_r)) = (&tree.node(l).key, &tree.node(r).key) else {
                 continue;
             };
-            let key = group.exp(bkey, key);
+            let key = group.exp_g(&k_l.modmul(k_r, group.order()));
             if S::FORMS_BLINDED_ROOT || tree.node(i).parent.is_some() {
                 tree.node_mut(i).bkey = Some(group.exp_g(&key));
             }
@@ -481,13 +476,20 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
         // Move the keys out of the tree: the internal ones each with
         // the fingerprint the members cache it under so later events
         // reuse it, the leaves' for good (a member's is its exponent).
+        // Every blinded key goes with its key, as the component's
+        // produced elements.
         let (mut seen, mut share) = (Fingerprints::default(), FingerprintShare::default());
-        let mut node_keys = Vec::new();
+        let (mut node_keys, mut produced) = (Vec::new(), Vec::new());
         for i in nodes {
-            let key = tree.node_mut(i).key.take();
-            if let (Some(k), Some(_)) = (key, tree.node(i).children) {
+            let Some(key) = tree.node_mut(i).key.take() else {
+                continue;
+            };
+            if let Some(bkey) = &tree.node(i).bkey {
+                produced.push((bkey.clone(), Secret::new(key.clone())));
+            }
+            if tree.node(i).children.is_some() {
                 let fp = tree.fingerprint_once(i, &mut seen, &mut share);
-                node_keys.push((i, fp, Secret::new(k)));
+                node_keys.push((i, fp, Secret::new(key)));
             }
         }
         let formed = Formed {
@@ -495,7 +497,7 @@ impl<S: TreeShape> GkaProtocol for TreeGka<S> {
             public: tree,
             node_keys,
         };
-        Component::new(members, exps, secret, Shape::Tree(formed))
+        Component::new(members, exps, secret, Shape::Tree(formed), produced)
     }
 
     fn adopt(&mut self, component: &Component, me: ClientId) -> Result<(), GkaError> {

@@ -23,7 +23,8 @@ use gkap_telemetry::Telemetry;
 
 use crate::cost::OpCounts;
 use crate::member::SecureMember;
-use crate::protocols::{FormationShare, GkaProtocol, ProtocolKind, SendKind};
+use crate::memo::WorldMemo;
+use crate::protocols::{GkaProtocol, ProtocolKind, SendKind};
 use crate::suite::CryptoSuite;
 
 /// The loopback world: members + a FIFO message queue standing in for
@@ -41,6 +42,9 @@ pub struct Loopback {
     /// The sink every handler records into (disabled until
     /// [`Loopback::enable_telemetry`]).
     telemetry: Telemetry,
+    /// What [`Loopback::bootstrap`] forms components through; each
+    /// handler's detached context lends a memo of its own.
+    memo: WorldMemo,
 }
 
 impl Loopback {
@@ -69,6 +73,7 @@ impl Loopback {
             delivered: 0,
             wire_digest: Vec::new(),
             telemetry: Telemetry::disabled(),
+            memo: WorldMemo::default(),
         }
     }
 
@@ -103,14 +108,13 @@ impl Loopback {
     ///
     /// Panics if a member id is unknown.
     pub fn bootstrap(&mut self, ids: &[ClientId], seed: u64) {
-        let mut share = FormationShare::default();
         for &id in ids {
             let (_, member) = self
                 .members
                 .iter_mut()
                 .find(|(m, _)| *m == id)
                 .expect("unknown member id");
-            member.adopt_component(&mut share, ids, id, seed);
+            member.adopt_component(&mut self.memo, ids, id, seed);
         }
         if self.view.is_empty() {
             self.view = ids.to_vec();

@@ -208,3 +208,33 @@ fn interleaved_components_of_one_world_each_form_once() {
         assert!(merged.iter().all(|&c| key(c) == key(0)), "{kind}");
     }
 }
+
+/// A formed component lists the group elements it holds, so the first
+/// rekey after formation finds every base it raises among the world's
+/// elements: it raises only `g`, and only BD's small-exponent steps
+/// still go up the ladder. Every key agrees.
+#[test]
+fn the_first_rekey_after_formation_raises_only_the_generator() {
+    use gkap_core::experiment::{ExperimentConfig, Group, LeaveTarget, Step};
+    let steps = [
+        Step::Join,
+        Step::Leave(LeaveTarget::Middle),
+        Step::Leave(LeaveTarget::Oldest),
+        Step::Partition(2),
+        Step::Merge(3),
+    ];
+    for kind in ProtocolKind::all() {
+        for step in steps {
+            let cfg = ExperimentConfig::lan_fast(kind);
+            let mut group = Group::form(&cfg, 7, 3);
+            let before = stats::snapshot();
+            let outcome = group.apply(step);
+            let ops = stats::snapshot().since(&before);
+            assert!(outcome.ok, "{kind} {step:?}");
+            assert!(outcome.counts.exp > 0, "{kind} {step:?}");
+            let ladders = outcome.counts.small_exp;
+            assert_eq!(ops.modexp, ladders, "{kind} {step:?}");
+            assert_eq!(ops.mont_sqr > 0, ladders > 0, "{kind} {step:?}");
+        }
+    }
+}
