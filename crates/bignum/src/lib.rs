@@ -16,7 +16,8 @@
 //!   exponentiation allocates only its result; other widths thread a
 //!   [`MontScratch`]. Squaring has a dedicated half-product kernel, and
 //!   [`FixedBase`] serves fixed-base exponentiations (`g^x`) from a
-//!   precomputed window table with zero squarings.
+//!   precomputed Lim–Lee comb: about `bits/8` multiplications and
+//!   `bits/32` squarings each.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   (safe-)prime generation for RSA key and Diffie–Hellman parameter
 //!   generation.

@@ -6,7 +6,9 @@
 //! is the standard CIOS (coarsely integrated operand scanning) loop;
 //! squaring uses a dedicated half-product kernel, and fixed-base
 //! exponentiation (the `g^x` that dominates every protocol in the paper)
-//! can be served from a precomputed window table ([`FixedBase`]).
+//! can be served from a precomputed Lim–Lee comb ([`FixedBase`]): at
+//! most `bits/8` multiplications and `bits/32` squarings per `g^x`,
+//! from 4 · 255 residues at any width.
 //!
 //! The kernels exist twice. At 4, 8 and 16 limbs (256-, 512- and
 //! 1024-bit moduli: every group the figures, the sweeps and the RSA-CRT
@@ -20,14 +22,22 @@
 use crate::arith::{ge, sub_in_place};
 use crate::ubig::Ubig;
 
-/// Window size (bits) for windowed exponentiation (both the sliding
-/// window of [`Montgomery::modexp`] and the fixed-base comb of
-/// [`FixedBase`]).
+/// Window size (bits) of the sliding window of [`Montgomery::modexp`].
 const WINDOW: usize = 4;
 
 /// Odd powers `b^1, b^3, …, b^(2^WINDOW - 1)` the sliding window
 /// multiplies by.
 const ODD_POWERS: usize = 1 << (WINDOW - 1);
+
+/// Teeth of the fixed-base comb ([`FixedBase`]): the exponent bits one
+/// table multiplication applies.
+const TEETH: usize = 8;
+
+/// Blocks of the fixed-base comb: the tables one column multiplies by.
+const BLOCKS: usize = 4;
+
+/// Entries per comb block: every non-zero `TEETH`-bit pattern.
+const PATTERNS: usize = (1 << TEETH) - 1;
 
 /// A Montgomery reduction context for a fixed odd modulus.
 ///
@@ -600,13 +610,14 @@ impl Montgomery {
         self.redc(acc.as_ref(), k)
     }
 
-    /// Precomputes a fixed-base window table for `base`, covering
-    /// exponents up to `max_exp_bits` bits. Exponentiations by this
-    /// base then run as pure table multiplications — no squarings —
-    /// via [`Montgomery::modexp_fixed`].
+    /// Precomputes a fixed-base comb table for `base`, covering
+    /// exponents up to `max_exp_bits` bits (rounded up to a multiple of
+    /// `TEETH · BLOCKS` = 32). Exponentiations by this base then run
+    /// through [`Montgomery::modexp_fixed`].
     ///
-    /// The table holds `ceil(max_exp_bits / w) · (2^w - 1)` Montgomery
-    /// residues (`w = 4`), i.e. entry `(i, d)` is `base^(d · 2^(w·i))`.
+    /// The table is Lim and Lee's comb: `BLOCKS` tables of
+    /// `2^TEETH − 1` residues each, whatever the width; see
+    /// [`FixedBase`] for the layout.
     pub fn fixed_base(&self, base: &Ubig, max_exp_bits: usize) -> FixedBase {
         with_kernels!(self, &mut self.scratch(), |k| self.fixed_base_in(
             base,
@@ -617,37 +628,51 @@ impl Montgomery {
 
     fn fixed_base_in<K: Kernels>(&self, base: &Ubig, max_exp_bits: usize, k: &mut K) -> FixedBase {
         let n = self.n;
-        let digits = (1usize << WINDOW) - 1;
-        let rows = max_exp_bits.div_ceil(WINDOW).max(1);
+        let spacing = max_exp_bits.div_ceil(TEETH * BLOCKS).max(1);
         let base_reduced = base.reduced(&self.modulus).into_owned();
-        let mut table = vec![0u64; rows * digits * n];
-        let mut row_base = self.to_mont_limbs(&base_reduced, k); // base^(2^(w·i))
+        let mut table = vec![0u64; BLOCKS * PATTERNS * n];
+        // The single-tooth entries: tooth i of block j is
+        // base^(2^((BLOCKS·i + j) · spacing)), `spacing` squarings apart.
+        let mut power = self.to_mont_limbs(&base_reduced, k);
         let mut tmp = k.elem(&[]);
-        for (i, row) in table.chunks_exact_mut(digits * n).enumerate() {
-            if i > 0 {
-                // row base ^= 2^WINDOW
-                for _ in 0..WINDOW {
-                    k.sqr(row_base.as_ref(), tmp.as_mut());
-                    std::mem::swap(&mut row_base, &mut tmp);
+        for row in 0..TEETH * BLOCKS {
+            if row > 0 {
+                for _ in 0..spacing {
+                    k.sqr(power.as_ref(), tmp.as_mut());
+                    std::mem::swap(&mut power, &mut tmp);
                 }
             }
-            row[..n].copy_from_slice(row_base.as_ref());
-            for d in 1..digits {
-                let (done, rest) = row.split_at_mut(d * n);
-                k.mul(&done[(d - 1) * n..], row_base.as_ref(), &mut rest[..n]);
+            let (i, j) = (row / BLOCKS, row % BLOCKS);
+            let off = (j * PATTERNS + (1 << i) - 1) * n;
+            table[off..off + n].copy_from_slice(power.as_ref());
+        }
+        // Every other pattern is its lowest tooth times the rest: two
+        // smaller patterns, so one multiplication each.
+        for block in table.chunks_exact_mut(PATTERNS * n) {
+            for e in 1..=PATTERNS {
+                let low = e & e.wrapping_neg();
+                if low == e {
+                    continue;
+                }
+                let (done, rest) = block.split_at_mut((e - 1) * n);
+                let (a, b) = ((e ^ low) - 1, low - 1);
+                k.mul(&done[a * n..][..n], &done[b * n..][..n], &mut rest[..n]);
             }
         }
         FixedBase {
             base: base_reduced,
-            rows,
+            spacing,
             table,
         }
     }
 
     /// Fixed-base exponentiation `fb.base ^ exp mod m` from the
-    /// precomputed table: one Montgomery multiplication per non-zero
-    /// exponent digit, zero squarings. Falls back to the generic
-    /// ladder for exponents wider than the table.
+    /// precomputed comb: one column of `BLOCKS` table multiplications
+    /// per `spacing` bits of the capacity, with a squaring between
+    /// columns once the accumulator is past 1 — at most
+    /// `max_exp_bits / TEETH` multiplications and `spacing − 1`
+    /// squarings. Falls back to the generic ladder for exponents wider
+    /// than the table.
     pub fn modexp_fixed(&self, fb: &FixedBase, exp: &Ubig) -> Ubig {
         self.modexp_fixed_with(fb, exp, &mut self.scratch())
     }
@@ -662,28 +687,35 @@ impl Montgomery {
         if exp.is_zero() {
             return Ubig::one().rem(&self.modulus);
         }
-        if exp.bit_len() > fb.rows * WINDOW {
+        if exp.bit_len() > fb.max_exp_bits() {
             return self.modexp_in(&fb.base, exp, k);
         }
         if fb.base.is_zero() {
             return Ubig::zero();
         }
         let n = self.n;
-        let digits = (1usize << WINDOW) - 1;
         let mut acc = k.elem(&self.r1); // Montgomery form of 1
         let mut tmp = k.elem(&[]);
-        let rows_needed = exp.bit_len().div_ceil(WINDOW);
-        for i in 0..rows_needed {
-            let mut d = 0usize;
-            for b in 0..WINDOW {
-                d |= (exp.bit(i * WINDOW + b) as usize) << b;
+        let mut is_one = true;
+        for t in (0..fb.spacing).rev() {
+            if !is_one {
+                k.sqr(acc.as_ref(), tmp.as_mut());
+                std::mem::swap(&mut acc, &mut tmp);
             }
-            if d == 0 {
-                continue;
+            for j in 0..BLOCKS {
+                // Tooth i reads exponent bit (BLOCKS·i + j)·spacing + t.
+                let mut e = 0usize;
+                for i in 0..TEETH {
+                    e |= (exp.bit((BLOCKS * i + j) * fb.spacing + t) as usize) << i;
+                }
+                if e == 0 {
+                    continue;
+                }
+                let off = (j * PATTERNS + e - 1) * n;
+                k.mul(acc.as_ref(), &fb.table[off..off + n], tmp.as_mut());
+                std::mem::swap(&mut acc, &mut tmp);
+                is_one = false;
             }
-            let off = (i * digits + (d - 1)) * n;
-            k.mul(acc.as_ref(), &fb.table[off..off + n], tmp.as_mut());
-            std::mem::swap(&mut acc, &mut tmp);
         }
         self.redc(acc.as_ref(), k)
     }
@@ -693,15 +725,25 @@ impl Montgomery {
 /// [`Montgomery::fixed_base`]). Build once per long-lived base — the
 /// protocol layer builds one for the group generator `g` — and reuse
 /// for every `g^x`.
+///
+/// It is Lim and Lee's comb ("More Flexible Exponentiation with
+/// Precomputation", CRYPTO '94) with `TEETH = 8` and `BLOCKS = 4`. An
+/// exponent of capacity `32 · spacing` bits is read as `TEETH · BLOCKS`
+/// rows of `spacing` bits; row `BLOCKS·i + j` is tooth `i` of block `j`.
+/// Column `t` of block `j` gathers bit `t` of its block's `TEETH` rows
+/// into one `TEETH`-bit pattern `e`, and one multiplication by block
+/// `j`'s entry `e` applies them all. The table is `4 · 255` residues at
+/// every capacity and width.
 #[derive(Clone, Debug)]
 pub struct FixedBase {
     /// The (reduced) base, kept for the oversized-exponent fallback.
     base: Ubig,
-    /// Number of `WINDOW`-bit digit positions covered.
-    rows: usize,
-    /// `rows × (2^WINDOW - 1) × n` limbs; entry `(i, d)` at offset
-    /// `(i · (2^WINDOW - 1) + d - 1) · n` is `base^(d · 2^(WINDOW·i))`
-    /// in Montgomery form.
+    /// Bits per row: `ceil(max_exp_bits / (TEETH · BLOCKS))`, at least 1.
+    spacing: usize,
+    /// `BLOCKS × (2^TEETH − 1) × n` limbs; entry `(j, e)` at offset
+    /// `(j · (2^TEETH − 1) + e − 1) · n` is, in Montgomery form, the
+    /// product over the set bits `i` of `e` of
+    /// `base^(2^((BLOCKS·i + j) · spacing))`.
     table: Vec<u64>,
 }
 
@@ -711,9 +753,10 @@ impl FixedBase {
         &self.base
     }
 
-    /// Exponent capacity in bits.
+    /// Exponent capacity in bits: `TEETH · BLOCKS · spacing`, at least
+    /// what [`Montgomery::fixed_base`] was asked for.
     pub fn max_exp_bits(&self) -> usize {
-        self.rows * WINDOW
+        TEETH * BLOCKS * self.spacing
     }
 }
 
@@ -981,7 +1024,7 @@ mod tests {
         let mut low_top = rng.next_ubig_exact_bits(bits - 62);
         low_top.set_bit(0, true);
         let (mut saw_top_carry, mut saw_plain_subtraction) = (false, false);
-        for m in [top_set, ones.clone(), low_top] {
+        for (shape, m) in [top_set, ones.clone(), low_top].into_iter().enumerate() {
             let ctx = Montgomery::new(&m).unwrap();
             assert_eq!(ctx.n, limbs);
             // m = R - 1 makes (m-1)² come out as exactly R (top carry)
@@ -1009,20 +1052,24 @@ mod tests {
 
             let g = rng.next_ubig_in_range(&m);
             let table_bits = if cfg!(miri) { 72 } else { bits };
-            let table = ctx.fixed_base(&g, table_bits);
+            // A comb is 4 · 255 residues whatever its capacity: under
+            // Miri one modulus per width builds one.
+            let table = (shape == 0 || !cfg!(miri)).then(|| ctx.fixed_base(&g, table_bits));
             let exps = [
                 Ubig::zero(),
                 Ubig::one(),
                 Ubig::from(0xffffu64),
                 rng.next_ubig_exact_bits(70),
                 rng.next_ubig_exact_bits(table_bits),
-                &Ubig::one() << (table.max_exp_bits() + 3), // wider than the table
+                &Ubig::one() << (table_bits + 32), // wider than the table
             ];
             for e in &exps {
                 let want = naive_modexp(&g, e, &m);
                 assert_eq!(ctx.modexp(&g, e), want, "g={g:?} e={e:?} m={m:?}");
                 assert_eq!(ctx.modexp(&(&g + &m), e), want, "unreduced base");
-                assert_eq!(ctx.modexp_fixed(&table, e), want, "g={g:?} e={e:?} m={m:?}");
+                if let Some(table) = &table {
+                    assert_eq!(ctx.modexp_fixed(table, e), want, "g={g:?} e={e:?} m={m:?}");
+                }
             }
             let (x, y) = (&operands[2], operands.last().unwrap());
             assert_eq!(ctx.mul(x, y), x.modmul(y, &m));
@@ -1043,6 +1090,103 @@ mod tests {
         for a in [Ubig::zero(), Ubig::one(), ones] {
             check_inverse(&a, &Ubig::zero());
             check_inverse(&a, &Ubig::one());
+        }
+    }
+
+    /// The comb against the ladder at one width, for tables of each
+    /// capacity: exponents 0, 1, all ones, exactly the capacity, one
+    /// bit more (the ladder fallback) and random ones. Only the
+    /// fallback runs the ladder.
+    fn comb_matches_the_ladder_at(limbs: usize) {
+        use crate::rng::RandomSource;
+        let mut rng = crate::SplitMix64::new(0xc0b + limbs as u64);
+        let mut m = rng.next_ubig_exact_bits(64 * limbs);
+        m.set_bit(0, true);
+        let ctx = Montgomery::new(&m).unwrap();
+        let g = rng.next_ubig_in_range(&m);
+        for bits in [1, 65, 100, 255, 64 * limbs] {
+            let fb = ctx.fixed_base(&g, bits);
+            let cap = fb.max_exp_bits();
+            assert!(
+                cap >= bits && cap < bits + 32 && cap.is_multiple_of(32),
+                "{bits} → {cap}"
+            );
+            let mut exps = vec![
+                Ubig::zero(),
+                Ubig::one(),
+                &(&Ubig::one() << cap) - &Ubig::one(),
+                rng.next_ubig_exact_bits(cap),
+                rng.next_ubig_exact_bits(cap + 1),
+            ];
+            for _ in 0..3 {
+                exps.push(rng.next_ubig_below_bits(cap));
+            }
+            for e in &exps {
+                let before = crate::stats::snapshot();
+                let got = ctx.modexp_fixed(&fb, e);
+                let ops = crate::stats::snapshot().since(&before);
+                let want = crate::stats::uncounted(|| ctx.modexp(&g, e));
+                assert_eq!(got, want, "{limbs} limbs, capacity {bits}, e={e:?}");
+                assert_eq!(ops.modexp, u64::from(e.bit_len() > cap), "e={e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_comb_matches_the_ladder_at_narrow_widths() {
+        for limbs in [1, 2, 4] {
+            comb_matches_the_ladder_at(limbs);
+        }
+    }
+
+    // Minutes under Miri; the narrow widths run there.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn the_comb_matches_the_ladder_at_wide_widths() {
+        for limbs in [8, 12, 16] {
+            comb_matches_the_ladder_at(limbs);
+        }
+    }
+
+    /// The comb squares only once its accumulator is past 1: exponent
+    /// 1 takes one multiplication, all ones one per column and block
+    /// and a squaring between columns.
+    #[test]
+    fn the_comb_squares_only_once_the_accumulator_is_past_one() {
+        let m = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+            .unwrap();
+        let ctx = Montgomery::new(&m).unwrap();
+        let fb = ctx.fixed_base(&Ubig::from(2u64), m.bit_len());
+        let cap = fb.max_exp_bits();
+        let ones = &(&Ubig::one() << cap) - &Ubig::one();
+        let spacing = cap / (TEETH * BLOCKS);
+        for (e, mul, sqr) in [(Ubig::one(), 1, 0), (ones, cap / TEETH, spacing - 1)] {
+            let before = crate::stats::snapshot();
+            ctx.modexp_fixed(&fb, &e);
+            let ops = crate::stats::snapshot().since(&before);
+            // The `redc` is one more multiplication.
+            assert_eq!((ops.mont_mul, ops.mont_sqr), (mul as u64 + 1, sqr as u64));
+        }
+    }
+
+    /// A comb is `4 · 255` residues at every width, and at 8 and 16
+    /// limbs no more than the 4-bit comb it replaced (`⌈bits/4⌉ · 15`).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn the_comb_table_is_4_times_255_residues_at_every_width() {
+        use crate::rng::RandomSource;
+        let mut rng = crate::SplitMix64::new(0x7ab1e);
+        for limbs in [1, 2, 4, 8, 12, 16] {
+            let bits = 64 * limbs;
+            let mut m = rng.next_ubig_exact_bits(bits);
+            m.set_bit(0, true);
+            let ctx = Montgomery::new(&m).unwrap();
+            let fb = ctx.fixed_base(&rng.next_ubig_in_range(&m), bits);
+            assert_eq!(fb.table.len(), 4 * 255 * limbs, "{limbs} limbs");
+            let four_bit_comb = bits.div_ceil(4) * 15 * limbs;
+            if limbs == 8 || limbs == 16 {
+                assert!(fb.table.len() <= four_bit_comb, "{limbs} limbs");
+            }
         }
     }
 

@@ -28,7 +28,7 @@ pub struct KernelOps {
     pub redc: u64,
     /// Windowed modular exponentiations.
     pub modexp: u64,
-    /// Fixed-base exponentiations served from a window table.
+    /// Fixed-base exponentiations served from a comb table.
     pub fixed_base_exp: u64,
 }
 

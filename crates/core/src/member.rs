@@ -631,15 +631,34 @@ mod tests {
         assert!(charged > Duration::ZERO);
     }
 
-    /// What raising one power did.
+    /// What one operation by a fresh member did.
     #[derive(Debug)]
     struct Raised {
         value: Ubig,
-        /// The member's `exp` count.
-        exps: u64,
+        /// The member's counts.
+        counts: OpCounts,
         charged: Duration,
         events: Vec<gkap_telemetry::Event>,
         kernels: stats::KernelOps,
+    }
+
+    /// `op` run by a fresh member of the world `world` lends.
+    fn run_in(
+        world: &mut ClientCtx<'_>,
+        suite: &Rc<CryptoSuite>,
+        op: impl FnOnce(&mut GkaCtx<'_, '_>) -> Ubig,
+    ) -> Raised {
+        let mut m = member(suite, 9);
+        let (charged, kernels) = (world.charged(), stats::snapshot());
+        let _ = world.telemetry().take_events();
+        let value = m.with_gka(world, |_, gka| op(gka));
+        Raised {
+            value,
+            counts: m.counts,
+            kernels: stats::snapshot().since(&kernels),
+            events: world.telemetry().take_events(),
+            charged: world.charged() - charged,
+        }
     }
 
     /// `base^e` raised by a fresh member of the world `world` lends.
@@ -649,22 +668,12 @@ mod tests {
         base: &Ubig,
         e: &Ubig,
     ) -> Raised {
-        let mut m = member(suite, 9);
-        let (charged, kernels) = (world.charged(), stats::snapshot());
-        let _ = world.telemetry().take_events();
-        let value = m.with_gka(world, |_, gka| gka.exp(base, e));
-        Raised {
-            value,
-            exps: m.counts.exp,
-            kernels: stats::snapshot().since(&kernels),
-            events: world.telemetry().take_events(),
-            charged: world.charged() - charged,
-        }
+        run_in(world, suite, |gka| gka.exp(base, e))
     }
 
     /// A world that produced `g^d` raises it through `g`: the value,
-    /// the count, the charge and the event are the ladder's, and not a
-    /// squaring runs.
+    /// the count, the charge and the event are the ladder's, and no
+    /// ladder runs; the comb squares `bits/32 − 1` times.
     #[test]
     fn a_base_the_world_produced_is_raised_through_g_at_the_same_charge() {
         let suite = Rc::new(CryptoSuite::sim_512());
@@ -677,14 +686,59 @@ mod tests {
         let ladder = raise_in(&mut world(), &suite, &base, &e);
         assert_eq!(shortcut.value, group.exp(&base, &e));
         assert_eq!(shortcut.value, ladder.value);
-        assert_eq!((shortcut.exps, ladder.exps), (1, 1), "counted alike");
+        assert_eq!(
+            (shortcut.counts.exp, ladder.counts.exp),
+            (1, 1),
+            "counted alike"
+        );
         assert!(shortcut.charged > Duration::ZERO);
         assert_eq!(shortcut.charged, ladder.charged, "charged alike");
         assert_eq!(shortcut.events.len(), 1);
         assert_eq!(shortcut.events, ladder.events, "traced alike");
         let k = shortcut.kernels;
-        assert_eq!((k.mont_sqr, k.modexp, k.fixed_base_exp), (0, 0, 1));
+        assert_eq!((k.modexp, k.fixed_base_exp), (0, 1));
+        let columns = group.bits().div_ceil(32) as u64;
+        assert_eq!(k.mont_sqr, k.fixed_base_exp * (columns - 1));
         assert!(ladder.kernels.mont_sqr > 0 && ladder.kernels.modexp == 1);
+    }
+
+    /// A world that produced `g^d` inverts it as `g^(q − d)`: the
+    /// value `mod_inverse` gives, counted, charged and traced like the
+    /// inverse of an element the world did not produce, through the
+    /// comb and no ladder.
+    #[test]
+    fn a_produced_element_is_inverted_through_g_at_the_same_charge() {
+        let suite = Rc::new(CryptoSuite::sim_512());
+        let group = suite.group();
+        let d = Ubig::from(0x1234_5678_u64);
+        let world = || ClientCtx::detached_into(0, SimTime::ZERO, 0, Telemetry::enabled());
+        let mut known = world();
+        let element = member(&suite, 1).with_gka(&mut known, |_, gka| gka.exp_g(&d));
+        let invert = |gka: &mut GkaCtx<'_, '_>| gka.invert_element(&element).expect("invertible");
+        let shortcut = run_in(&mut known, &suite, invert);
+        let plain = run_in(&mut world(), &suite, invert);
+        assert_eq!(
+            Some(&shortcut.value),
+            element.mod_inverse(group.modulus()).as_ref()
+        );
+        assert_eq!(shortcut.value, plain.value);
+        assert_eq!(
+            (shortcut.counts, plain.counts),
+            (
+                plain.counts,
+                OpCounts {
+                    inverse: 1,
+                    ..OpCounts::default()
+                }
+            )
+        );
+        assert!(shortcut.charged > Duration::ZERO);
+        assert_eq!(shortcut.charged, plain.charged, "charged alike");
+        assert_eq!(shortcut.events.len(), 1);
+        assert_eq!(shortcut.events, plain.events, "traced alike");
+        let k = shortcut.kernels;
+        assert_eq!((k.fixed_base_exp, k.modexp), (1, 0));
+        assert_eq!(plain.kernels.total(), 0, "mod_inverse runs no kernel");
     }
 
     /// An element the world did not produce, here a blinded key with

@@ -14,9 +14,10 @@
 //! The same process produced every group element a member raises: a
 //! sibling's blinded key, a partial key, a BD `z` was some member's
 //! `g^d`, and the world remembers `d`. Raising such an element to `e`
-//! is then `g^(d·e mod q)`, which the generator's fixed-base table
-//! computes with no squaring; a group whose generator does not have
-//! prime order `q` never takes that shortcut
+//! is then `g^(d·e mod q)`, and inverting it is `g^(q − d)`, both of
+//! which the generator's fixed-base comb computes in a fraction of a
+//! ladder's or an inversion's time; a group whose generator does not
+//! have prime order `q` never takes that shortcut
 //! ([`DhGroup::generator_has_order_q`]).
 //!
 //! [`WorldMemo`] sits in a world slot ([`gkap_gcs::ClientCtx::world_slot`])
@@ -256,19 +257,6 @@ impl Dlogs {
         table.remember(product.clone(), sum);
     }
 
-    /// Remembers `inverse = a⁻¹`'s exponent when the world knows `a`'s:
-    /// its negation mod `q`.
-    pub(crate) fn note_inverse(&mut self, group: &DhGroup, a: &Ubig, inverse: &Ubig) {
-        let Some(table) = self.of(group) else {
-            return;
-        };
-        let Some(d) = table.find(a) else {
-            return;
-        };
-        let negated = Secret::new(Ubig::zero().modsub(d.expose(), group.order()));
-        table.remember(inverse.clone(), negated);
-    }
-
     fn retire(&mut self) {
         for (_, table) in &mut self.by_group {
             table.retire();
@@ -332,6 +320,24 @@ impl WorldMemo {
             Secret::new(through_g.unwrap_or_else(|| group.exp(base, e)))
         });
         result.expose().clone()
+    }
+
+    /// `a⁻¹ mod p` in `group`, or `None` if `a` has none: as
+    /// `g^(q − d)` when the world produced `a` as `g^d`, whose exponent
+    /// it then remembers, else by [`Ubig::mod_inverse`].
+    pub(crate) fn inverse(&mut self, group: &DhGroup, a: &Ubig) -> Option<Ubig> {
+        let through_g = self.dlogs.of(group).and_then(|table| {
+            let d = table.find(a)?;
+            let negated = Secret::new(Ubig::zero().modsub(d.expose(), group.order()));
+            let inverse = group.exp_g(negated.expose());
+            debug_assert!(
+                stats::uncounted(|| a.mod_inverse(group.modulus())).as_ref() == Some(&inverse),
+                "a remembered exponent is wrong"
+            );
+            table.remember(inverse.clone(), negated);
+            Some(inverse)
+        });
+        through_g.or_else(|| a.mod_inverse(group.modulus()))
     }
 
     /// The component of `members` under `seed`, formed by `protocol` on

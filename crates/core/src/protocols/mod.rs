@@ -277,13 +277,13 @@ impl GkaCtx<'_, '_> {
 
     /// Inverts a group element modulo `p` (counted + charged as one
     /// inversion, BD's `z_{i-1}^{-1}`); `None` if it has no inverse.
-    /// The world learns the inverse's exponent when it knows `a`'s.
+    /// An element the world produced as `g^d` is inverted as
+    /// `g^(q − d)` (DESIGN.md §40): the same value, the same charge,
+    /// less host time.
     pub fn invert_element(&mut self, a: &Ubig) -> Option<Ubig> {
         self.charge(CryptoOpKind::Inverse, self.suite.cost().inverse);
         let group = self.suite.group();
-        let inverse = a.mod_inverse(group.modulus())?;
-        self.memo().dlogs.note_inverse(group, a, &inverse);
-        Some(inverse)
+        self.memo().inverse(group, a)
     }
 
     /// Inverts an exponent modulo the group order (counted + charged).
