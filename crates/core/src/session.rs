@@ -6,16 +6,24 @@
 //! AES-128-CTR encryption and an HMAC-SHA-256 tag over everything
 //! before it (encrypt-then-MAC). The (epoch, seq, sender) triple makes
 //! nonces unique per key.
+//!
+//! A [`SecureSession`] keys its cipher and its MAC once, when it is
+//! made: it keeps the expanded AES round keys and the HMAC states that
+//! have absorbed the padded key, both in [`Secret`]s, so `seal` and
+//! `open` pay only for the bytes they protect. `seal` writes the header
+//! and plaintext into the one buffer it returns and encrypts it in
+//! place; `open` decrypts its one copy in place.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
 
 use gkap_bignum::Ubig;
-use gkap_crypto::aes::ctr_xor;
-use gkap_crypto::hmac::{ct_eq, hmac_sha256};
+use gkap_crypto::aes::Aes128;
+use gkap_crypto::hmac::{ct_eq, HmacSha256};
 use gkap_crypto::kdf::SessionKeys;
 use gkap_crypto::sha::{Digest, Sha256};
+use gkap_crypto::Secret;
 use gkap_gcs::ClientId;
 
 /// Errors from the secure session layer.
@@ -64,7 +72,10 @@ impl std::error::Error for SessionError {}
 /// A per-epoch secure channel bound to one group key.
 #[derive(Clone)]
 pub struct SecureSession {
-    keys: SessionKeys,
+    /// The expanded AES-128 key schedule.
+    enc_key: Secret<Aes128>,
+    /// The HMAC-SHA-256 states keyed with the MAC key.
+    mac_key: Secret<HmacSha256>,
     epoch: u64,
     next_seq: u64,
 }
@@ -102,8 +113,10 @@ fn read_u64(body: &[u8], at: usize) -> Result<u64, SessionError> {
 impl SecureSession {
     /// Creates a session from a group secret for a given epoch.
     pub fn new(group_secret: &Ubig, epoch: u64) -> Self {
+        let keys = SessionKeys::from_group_secret(group_secret);
         SecureSession {
-            keys: SessionKeys::from_group_secret(group_secret),
+            enc_key: Secret::new(Aes128::new(keys.enc_key.expose())),
+            mac_key: Secret::new(HmacSha256::new(keys.mac_key.expose())),
             epoch,
             next_seq: 0,
         }
@@ -119,12 +132,14 @@ impl SecureSession {
         let seq = self.next_seq;
         self.next_seq += 1;
         let nonce = nonce_for(self.epoch, seq, sender);
-        let ct = ctr_xor(self.keys.enc_key.expose(), &nonce, 0, plaintext.to_vec());
-        let mut out = Vec::with_capacity(16 + ct.len() + 32);
+        let mut out = Vec::with_capacity(16 + plaintext.len() + 32);
         out.extend_from_slice(&self.epoch.to_be_bytes());
         out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(&ct);
-        let mac = hmac_sha256(self.keys.mac_key.expose(), &out);
+        out.extend_from_slice(plaintext);
+        if let Some(body) = out.get_mut(16..) {
+            self.enc_key.expose().ctr_apply(&nonce, 0, body);
+        }
+        let mac = self.mac_key.expose().mac(&out);
         out.extend_from_slice(&mac);
         out
     }
@@ -164,7 +179,7 @@ impl SecureSession {
             return Err(SessionError::Malformed);
         }
         let (body, mac) = wire.split_at(wire.len() - 32);
-        if !ct_eq(&hmac_sha256(self.keys.mac_key.expose(), body), mac) {
+        if !ct_eq(&self.mac_key.expose().mac(body), mac) {
             return Err(SessionError::BadMac);
         }
         let epoch = read_u64(body, 0)?;
@@ -176,11 +191,9 @@ impl SecureSession {
         }
         let seq = read_u64(body, 8)?;
         let nonce = nonce_for(epoch, seq, sender);
-        let ct = body.get(16..).ok_or(SessionError::Malformed)?;
-        Ok((
-            seq,
-            ctr_xor(self.keys.enc_key.expose(), &nonce, 0, ct.to_vec()),
-        ))
+        let mut plain = body.get(16..).ok_or(SessionError::Malformed)?.to_vec();
+        self.enc_key.expose().ctr_apply(&nonce, 0, &mut plain);
+        Ok((seq, plain))
     }
 }
 
@@ -241,6 +254,7 @@ impl ReplayGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gkap_crypto::sha::hex;
 
     fn session(epoch: u64) -> SecureSession {
         SecureSession::new(&Ubig::from(0xfeedfaceu64), epoch)
@@ -335,6 +349,62 @@ mod tests {
         // Fresh messages still flow.
         let wire2 = tx.seal(4, b"twice");
         assert_eq!(rx.open_checked(&mut guard, 4, &wire2).unwrap(), b"twice");
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        // One session (secret 0xfeedface, epoch 3) seals from sender 7,
+        // so the sequence numbers run 0..=5. Every byte of the short
+        // messages is pinned, and the SHA-256 of the 1024-byte one.
+        let mut tx = session(3);
+        let plaintext = |len: usize| (0..len).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>();
+        for (len, want) in [
+            (
+                0,
+                concat!(
+                    "000000000000000300000000000000007ed12bea257f5ff59fdf9aca732de4fb",
+                    "4c9e708a6cb9605fe6451f2c4443c235",
+                ),
+            ),
+            (
+                1,
+                concat!(
+                    "0000000000000003000000000000000143dc342c8d1709f61b32dfb1108e544f",
+                    "c272c50da1f88171bf983de725df2c3a8a",
+                ),
+            ),
+            (
+                15,
+                concat!(
+                    "00000000000000030000000000000002ce2984123d1c601165a25572f77d2ff6",
+                    "c0438c93181080d311161eff233c4eddd727af7958d78caf9ad46afb1166f9",
+                ),
+            ),
+            (
+                16,
+                concat!(
+                    "000000000000000300000000000000038aefb8c94f69da87e6b54df3ef1ebd19",
+                    "f8ccbcffe356e47621580cde5d6f12b74a33671228914c1410fcb1184794718c",
+                ),
+            ),
+            (
+                17,
+                concat!(
+                    "00000000000000030000000000000004987c33cd6c700ecb3959333fe247d4b0",
+                    "4c15c200c4d6284f25d5537252475ba4018b8ff16061f60577d13523f7083adb",
+                    "69",
+                ),
+            ),
+        ] {
+            assert_eq!(hex(&tx.seal(7, &plaintext(len))), want, "length {len}");
+        }
+        let long = tx.seal(7, &plaintext(1024));
+        assert_eq!(long.len(), 16 + 1024 + 32);
+        assert_eq!(
+            hex(&Sha256::digest(&long)),
+            "b055b9a81ef3c62317820666aed27f5f1821079f80aa96cb5c6d71da8e19091d"
+        );
+        assert_eq!(session(3).open(7, &long).unwrap(), plaintext(1024));
     }
 
     #[test]

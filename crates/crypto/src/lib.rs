@@ -4,7 +4,7 @@
 //! Everything is implemented from scratch on top of [`gkap_bignum`]:
 //!
 //! * [`sha`] — SHA-256 (FIPS 180).
-//! * [`hmac`] — HMAC (RFC 2104) over either hash.
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), keyed once per key.
 //! * [`aes`] — AES-128 (FIPS 197) with CTR mode for the data
 //!   confidentiality layer of the secure group session.
 //! * [`dh`] — Diffie–Hellman over published MODP groups (768/1024/2048
@@ -23,7 +23,10 @@
 //! This crate exists to reproduce the *performance study* of a 2002
 //! paper. It uses deterministic entropy ([`gkap_bignum::SplitMix64`])
 //! in simulations, 2002-era parameter sizes, and has had no side-channel
-//! hardening. Do not use it to protect real data.
+//! hardening: modular exponentiation is not constant-time, and AES runs
+//! on 32-bit T-tables ([`aes`]), whose lookups are data-dependent loads
+//! (the same class as the byte S-box they replaced, and open to cache
+//! timing). Do not use it to protect real data.
 //!
 //! # Example
 //!

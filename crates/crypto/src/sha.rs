@@ -1,5 +1,6 @@
-//! SHA-256 (FIPS 180-4), plus a small [`Digest`] abstraction so HMAC
-//! and the signature layer can be generic over the hash.
+//! SHA-256 (FIPS 180-4) behind a small streaming [`Digest`] trait.
+
+use crate::secret::Zeroize;
 
 /// A streaming cryptographic hash function.
 ///
@@ -75,7 +76,23 @@ impl Default for Sha256 {
     }
 }
 
+impl Zeroize for Sha256 {
+    fn zeroize(&mut self) {
+        self.state.iter_mut().for_each(|w| *w = 0);
+        self.buf.zeroize();
+        self.buf_len = 0;
+        self.total_len = 0;
+        std::hint::black_box(&self.state);
+    }
+}
+
 impl Sha256 {
+    /// Whether every field is zero (what [`Zeroize`] leaves).
+    #[cfg(test)]
+    pub(crate) fn is_zeroed(&self) -> bool {
+        self.state == [0; 8] && self.buf == [0; 64] && self.buf_len == 0 && self.total_len == 0
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {

@@ -1,7 +1,7 @@
 //! Property-based tests for the cryptographic substrate.
 
 use gkap_bignum::{SplitMix64, Ubig};
-use gkap_crypto::aes::ctr_xor;
+use gkap_crypto::aes::{ctr_xor, Aes128};
 use gkap_crypto::dh::DhGroup;
 use gkap_crypto::hmac::{ct_eq, hmac_sha256};
 use gkap_crypto::kdf::derive;
@@ -45,6 +45,29 @@ proptest! {
                             msg in proptest::collection::vec(any::<u8>(), 0..300)) {
         let ct = ctr_xor(&key, &nonce, ctr, msg.clone());
         prop_assert_eq!(ctr_xor(&key, &nonce, ctr, ct), msg);
+    }
+
+    #[test]
+    fn ctr_apply_in_place_matches_ctr_xor(key in any::<[u8; 16]>(), nonce in any::<[u8; 12]>(),
+                                          ctr in any::<u32>(),
+                                          msg in proptest::collection::vec(any::<u8>(), 0..=100)) {
+        let aes = Aes128::new(&key);
+        let mut in_place = msg.clone();
+        aes.ctr_apply(&nonce, ctr, &mut in_place);
+        prop_assert_eq!(&in_place, &ctr_xor(&key, &nonce, ctr, msg.clone()));
+        // Both agree with the keystream built block by block.
+        let mut counter_block = [0u8; 16];
+        counter_block[..12].copy_from_slice(&nonce);
+        let expected: Vec<u8> = msg
+            .chunks(16)
+            .zip(0u32..)
+            .flat_map(|(chunk, i)| {
+                counter_block[12..].copy_from_slice(&ctr.wrapping_add(i).to_be_bytes());
+                let ks = aes.encrypt_block(&counter_block);
+                chunk.iter().zip(ks).map(|(m, k)| m ^ k).collect::<Vec<u8>>()
+            })
+            .collect();
+        prop_assert_eq!(in_place, expected);
     }
 
     #[test]
