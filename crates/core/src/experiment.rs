@@ -13,8 +13,7 @@
 //! the membership change and the new key" (§6) — membership service
 //! plus key agreement, in virtual milliseconds — with every member
 //! holding that key ([`agreed_secret`]). The `run_*` functions, the
-//! traced runs, the churn ablations and [`crate::scenario`] are all
-//! `form` → `apply`.
+//! traced runs and the churn ablations are all `form` → `apply`.
 
 use std::rc::Rc;
 
@@ -171,15 +170,6 @@ pub struct EventOutcome {
     pub counts: OpCounts,
     /// Group size after the event.
     pub size_after: usize,
-}
-
-/// Outcome of group formation (bootstrap) checks.
-#[derive(Clone, Debug)]
-pub struct FormationOutcome {
-    /// All members computed identical group keys.
-    pub all_agreed: bool,
-    /// Number of members.
-    pub size: usize,
 }
 
 /// Which member a leave removes.
@@ -572,16 +562,6 @@ fn form_for(cfg: &ExperimentConfig, n: usize, step: Step) -> Group {
         }
         Step::Merge(m) => Group::form(cfg, n, m),
         _ => Group::form(cfg, n, 0),
-    }
-}
-
-/// Forms a group of `n` members and verifies all keys agree.
-pub fn run_formation(cfg: &ExperimentConfig, n: usize) -> FormationOutcome {
-    let group = Group::form(cfg, n, 0);
-    let members: Vec<ClientId> = (0..n).collect();
-    FormationOutcome {
-        all_agreed: agreed_secret(&group.world, &members, 1).is_ok(),
-        size: n,
     }
 }
 

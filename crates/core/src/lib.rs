@@ -8,8 +8,8 @@
 //!
 //! ```text
 //!  experiment::*  — one keyed-group harness (`Group::form` + `apply(Step)`)
-//!        │          behind every figure, `scenario`, traced run and churn
-//!        │          ablation; `agreed_secret` is "the group agreed"
+//!        │          behind every figure, traced run and churn ablation;
+//!        │          `agreed_secret` is "the group agreed"
 //!        │          (`testkit::Loopback`: the same members, no network)
 //!        │
 //!  SecureMember   — a gkap-gcs Client and the only host of a protocol
@@ -46,18 +46,21 @@
 //! # Example: five members agree on a key with TGDH
 //!
 //! ```
-//! use gkap_core::experiment::{run_formation, ExperimentConfig};
+//! use gkap_core::experiment::{agreed_secret, ExperimentConfig, Group};
 //! use gkap_core::protocols::ProtocolKind;
 //!
 //! let cfg = ExperimentConfig::lan_fast(ProtocolKind::Tgdh);
-//! let outcome = run_formation(&cfg, 5);
-//! assert!(outcome.all_agreed, "all members computed the same key");
+//! let group = Group::form(&cfg, 5, 0);
+//! let members = [0, 1, 2, 3, 4];
+//! assert!(
+//!     agreed_secret(&group.world, &members, 1).is_ok(),
+//!     "all members computed the same key"
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod batch;
 pub mod codec;
 pub mod cost;
@@ -69,7 +72,6 @@ mod memo;
 pub mod par;
 pub mod protocols;
 pub mod scale;
-pub mod scenario;
 pub mod session;
 pub mod suite;
 pub mod testkit;

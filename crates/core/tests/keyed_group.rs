@@ -1,13 +1,12 @@
 //! The keyed-group harness is the one definition of a measured rekey:
 //! `agreed_secret` is what "the group agreed" means, every experiment
-//! is a one-step scenario, and the traced run is the run.
+//! is one `Group::apply`, and the traced run is the run.
 
 use gkap_core::experiment::{
     agreed_secret, run_join, run_join_traced, run_leave, run_merge, run_partition, secure_world,
     Disagreement, EventOutcome, ExperimentConfig, Group, LeaveTarget, Step, SuiteKind,
 };
 use gkap_core::protocols::{Component, GkaCtx, ProtocolKind, ProtocolMsg};
-use gkap_core::scenario::{run_scenario, Scenario};
 use gkap_core::suite::CryptoSuite;
 use gkap_core::{GkaError, GkaProtocol, SecureMember};
 use gkap_gcs::{testbed, ClientId, SimWorld};
@@ -144,31 +143,25 @@ fn agreed_secret_names_a_keyed_member_that_recorded_an_error() {
     }
 }
 
-/// Every figure driver is `Group::form` + one `apply`, so it and the
-/// scenario of that single step agree bit for bit.
+/// Every figure driver is `Group::form` + one `apply`, bit for bit.
 #[test]
 fn an_experiment_is_a_one_step_scenario() {
     type Driver = fn(&ExperimentConfig) -> EventOutcome;
-    // (step, initial group the driver forms, the driver).
-    let table: [(Step, usize, Driver); 4] = [
-        (Step::Join, 9, |cfg| run_join(cfg, 10)),
-        (Step::Leave(LeaveTarget::Oldest), 10, |cfg| {
+    // (step, the group the driver forms and its spares, the driver).
+    let table: [(Step, usize, usize, Driver); 4] = [
+        (Step::Join, 9, 1, |cfg| run_join(cfg, 10)),
+        (Step::Leave(LeaveTarget::Oldest), 10, 0, |cfg| {
             run_leave(cfg, 10, LeaveTarget::Oldest)
         }),
-        (Step::Partition(4), 10, |cfg| run_partition(cfg, 10, 4)),
-        (Step::Merge(4), 10, |cfg| run_merge(cfg, 10, 4)),
+        (Step::Partition(4), 10, 0, |cfg| run_partition(cfg, 10, 4)),
+        (Step::Merge(4), 10, 4, |cfg| run_merge(cfg, 10, 4)),
     ];
     for kind in ProtocolKind::all() {
         let cfg = ExperimentConfig::lan(kind, SuiteKind::Sim512);
-        for (step, initial, driver) in table {
+        for (step, initial, spares, driver) in table {
             let outcome = driver(&cfg);
-            let scenario = Scenario {
-                initial,
-                steps: vec![step],
-            };
-            let report = run_scenario(&cfg, &scenario);
-            assert!(outcome.ok && report.ok, "{kind} {step:?}");
-            let event = &report.events[0];
+            let event = Group::form(&cfg, initial, spares).apply(step);
+            assert!(outcome.ok && event.ok, "{kind} {step:?}");
             assert_eq!(
                 event.elapsed_ms.to_bits(),
                 outcome.elapsed_ms.to_bits(),
@@ -204,16 +197,41 @@ fn traced_join_reports_the_untraced_outcome() {
 /// with it, and the group keeps admitting and losing members after.
 #[test]
 fn a_scenario_rekeys_through_a_crash() {
-    let scenario = Scenario {
-        initial: 6,
-        steps: vec![Step::Crash, Step::Join, Step::Leave(LeaveTarget::Nth(7))],
-    };
+    let script = [Step::Crash, Step::Join, Step::Leave(LeaveTarget::Nth(7))];
     for kind in ProtocolKind::all() {
-        let report = run_scenario(&ExperimentConfig::lan_fast(kind), &scenario);
-        assert!(report.ok, "{kind}");
-        let sizes: Vec<usize> = report.events.iter().map(|e| e.size_after).collect();
+        let mut group = Group::form(&ExperimentConfig::lan_fast(kind), 6, 1);
+        let events = script.map(|step| group.apply(step));
+        assert!(events.iter().all(|e| e.ok), "{kind}");
+        let sizes: Vec<usize> = events.iter().map(|e| e.size_after).collect();
         assert_eq!(sizes, [5, 6, 5], "{kind}");
         // The crash step spans the detection timeout.
-        assert!(report.events[0].elapsed_ms > report.events[1].elapsed_ms);
+        assert!(events[0].elapsed_ms > events[1].elapsed_ms);
     }
+}
+
+/// Back-to-back steps of every kind but a crash, on one group.
+#[test]
+fn mixed_steps_including_merge_and_partition() {
+    let mut group = Group::form(&ExperimentConfig::lan_fast(ProtocolKind::Tgdh), 6, 5);
+    let script = [
+        Step::Join,
+        Step::Merge(3),
+        Step::Partition(4),
+        Step::Leave(LeaveTarget::Oldest),
+        Step::Leave(LeaveTarget::Newest),
+        Step::Join,
+    ];
+    let sizes = script.map(|step| {
+        let event = group.apply(step);
+        assert!(event.ok, "{step:?}");
+        event.size_after
+    });
+    assert_eq!(sizes, [7, 10, 6, 5, 4, 5]);
+}
+
+#[test]
+#[should_panic(expected = "empty the group")]
+fn emptying_scenario_panics() {
+    let mut group = Group::form(&ExperimentConfig::lan_fast(ProtocolKind::Bd), 1, 0);
+    group.apply(Step::Leave(LeaveTarget::Oldest));
 }

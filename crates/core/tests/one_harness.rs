@@ -191,8 +191,7 @@ fn worlds_are_populated_in_one_function() {
 #[test]
 fn secrets_are_compared_in_one_function() {
     let watched = |name: &str| {
-        name.starts_with("bench/")
-            || ["core/experiment.rs", "core/scenario.rs", "core/scale.rs"].contains(&name)
+        name.starts_with("bench/") || ["core/experiment.rs", "core/scale.rs"].contains(&name)
     };
     let mut readers = Vec::new();
     for (name, code) in sources("core").into_iter().chain(sources("bench")) {

@@ -3,17 +3,20 @@
 //! validation of the paper's qualitative timing claims.
 
 use gkap_core::experiment::{
-    run_formation, run_join, run_leave, run_leave_weighted, run_merge, run_partition,
-    ExperimentConfig, LeaveTarget, SuiteKind,
+    agreed_secret, run_join, run_leave, run_leave_weighted, run_merge, run_partition,
+    ExperimentConfig, Group, LeaveTarget, SuiteKind,
 };
 use gkap_core::protocols::ProtocolKind;
+use gkap_gcs::ClientId;
 
 #[test]
 fn formation_all_protocols() {
     for kind in ProtocolKind::all() {
         for n in [1usize, 2, 5, 13] {
-            let outcome = run_formation(&ExperimentConfig::lan_fast(kind), n);
-            assert!(outcome.all_agreed, "{kind} formation n={n}");
+            let group = Group::form(&ExperimentConfig::lan_fast(kind), n, 0);
+            let members: Vec<ClientId> = (0..n).collect();
+            let agreed = agreed_secret(&group.world, &members, 1).is_ok();
+            assert!(agreed, "{kind} formation n={n}");
         }
     }
 }
@@ -220,4 +223,64 @@ fn determinism_same_seed_same_results() {
     let b = run_join(&cfg, 15);
     assert_eq!(a.elapsed_ms, b.elapsed_ms);
     assert_eq!(a.counts, b.counts);
+}
+
+/// The protocols ranked by mean event time (virtual ms), fastest first,
+/// at `n` members on `base`'s testbed: the mean of a join and a
+/// weighted leave, plus a partition and a merge of half the group when
+/// `splits` is set.
+fn ranking(
+    base: fn(ProtocolKind, SuiteKind) -> ExperimentConfig,
+    n: usize,
+    splits: bool,
+) -> Vec<ProtocolKind> {
+    let mut scores: Vec<(ProtocolKind, f64)> = ProtocolKind::all()
+        .into_iter()
+        .map(|kind| {
+            let cfg = ExperimentConfig {
+                seed: 0xad << 32 | n as u64,
+                ..base(kind, SuiteKind::Sim512)
+            };
+            let mut events = vec![run_join(&cfg, n), run_leave_weighted(&cfg, n)];
+            if splits {
+                events.push(run_partition(&cfg, n, n / 2));
+                events.push(run_merge(&cfg, n - n / 2, n / 2));
+            }
+            assert!(events.iter().all(|e| e.ok), "{kind} failed the workload");
+            let total: f64 = events.iter().map(|e| e.elapsed_ms).sum();
+            (kind, total / events.len() as f64)
+        })
+        .collect();
+    scores.sort_by(|a, b| a.1.total_cmp(&b.1));
+    scores.into_iter().map(|(kind, _)| kind).collect()
+}
+
+#[test]
+fn lan_join_leave_ranks_a_tree_protocol_first() {
+    // §6.3: on the LAN TGDH or STR leads a join/leave mix at n = 30,
+    // and BD or GDH trails it.
+    let ranked = ranking(ExperimentConfig::lan, 30, false);
+    assert!(
+        matches!(ranked[0], ProtocolKind::Tgdh | ProtocolKind::Str),
+        "unexpected LAN winner {}",
+        ranked[0]
+    );
+    assert!(
+        matches!(ranked[4], ProtocolKind::Bd | ProtocolKind::Gdh),
+        "unexpected LAN loser {}",
+        ranked[4]
+    );
+}
+
+#[test]
+fn wan_partitions_and_merges_rank_gdh_low() {
+    // Figure 14: GDH's round count puts it 4th or 5th of five on a WAN
+    // mix of joins, leaves, partitions and merges at n = 12.
+    let ranked = ranking(ExperimentConfig::wan, 12, true);
+    let gdh = ranked.iter().position(|&k| k == ProtocolKind::Gdh);
+    let gdh = gdh.expect("GDH is ranked");
+    assert!(
+        gdh >= 3,
+        "GDH ranks {gdh}; its m-round merge must rank poorly on the WAN"
+    );
 }

@@ -8,9 +8,14 @@
 
 use std::rc::Rc;
 
+use secure_spread_repro::core::experiment::{
+    ExperimentConfig, Group, LeaveTarget, Step, SuiteKind,
+};
 use secure_spread_repro::core::member::SecureMember;
+use secure_spread_repro::core::scale::percentile;
 use secure_spread_repro::core::suite::CryptoSuite;
 use secure_spread_repro::gcs::{testbed, ClientId, SimWorld};
+use secure_spread_repro::sim::stats::Summary;
 use secure_spread_repro::ProtocolKind;
 
 fn run_conference(kind: ProtocolKind) {
@@ -100,20 +105,33 @@ fn main() {
     println!("leaves while TGDH leaves are much cheaper — Figure 11/12.");
     println!();
 
-    // The same experiment as a declarative, replayable scenario.
-    use secure_spread_repro::core::experiment::{ExperimentConfig, SuiteKind};
-    use secure_spread_repro::core::scenario::Scenario;
-    use secure_spread_repro::run_scenario;
+    // The same churn as a replayable script through the keyed-group
+    // harness: from four members, every third event is a leave and the
+    // rest are joins.
     println!("scenario replay (20 churn events, TGDH, DH-512):");
     let cfg = ExperimentConfig::lan(ProtocolKind::Tgdh, SuiteKind::Sim512);
-    let report = run_scenario(&cfg, &Scenario::conference(4, 20));
-    assert!(report.ok);
+    let script: Vec<Step> = (0..20)
+        .map(|i| match i % 3 {
+            1 => Step::Leave(LeaveTarget::Nth(i * 5 + 1)),
+            _ => Step::Join,
+        })
+        .collect();
+    let joins = script.iter().filter(|&&step| step == Step::Join).count();
+    let mut group = Group::form(&cfg, 4, joins);
+    let mut summary = Summary::new();
+    let mut times = Vec::new();
+    for step in script {
+        let outcome = group.apply(step);
+        assert!(outcome.ok);
+        summary.add(outcome.elapsed_ms);
+        times.push(outcome.elapsed_ms);
+    }
     println!(
         "  mean {:.1} ms   min {:.1}   max {:.1}   p50 {:.1}   p95 {:.1}",
-        report.summary.mean(),
-        report.summary.min(),
-        report.summary.max(),
-        report.percentile(0.5),
-        report.percentile(0.95),
+        summary.mean(),
+        summary.min(),
+        summary.max(),
+        percentile(&times, 0.5),
+        percentile(&times, 0.95),
     );
 }

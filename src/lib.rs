@@ -49,6 +49,3 @@ pub use gkap_core::member::SecureMember;
 
 /// The per-epoch application-data channel.
 pub use gkap_core::session::SecureSession;
-
-/// Replayable workload scenarios.
-pub use gkap_core::scenario::{run_scenario, Scenario};

@@ -4,10 +4,12 @@
 
 use std::rc::Rc;
 
-use secure_spread_repro::core::experiment::{run_formation, run_join, run_merge, ExperimentConfig};
+use secure_spread_repro::core::experiment::{
+    agreed_secret, run_join, run_merge, ExperimentConfig, Group,
+};
 use secure_spread_repro::core::member::SecureMember;
 use secure_spread_repro::core::suite::CryptoSuite;
-use secure_spread_repro::gcs::{testbed, SimWorld};
+use secure_spread_repro::gcs::{testbed, ClientId, SimWorld};
 use secure_spread_repro::{ProtocolKind, SecureSession};
 
 #[test]
@@ -98,8 +100,9 @@ fn old_epoch_traffic_rejected_after_rekey() {
 #[test]
 fn all_protocols_formation_via_facade() {
     for kind in ProtocolKind::all() {
-        let outcome = run_formation(&ExperimentConfig::lan_fast(kind), 7);
-        assert!(outcome.all_agreed, "{kind}");
+        let group = Group::form(&ExperimentConfig::lan_fast(kind), 7, 0);
+        let members: Vec<ClientId> = (0..7).collect();
+        assert!(agreed_secret(&group.world, &members, 1).is_ok(), "{kind}");
     }
 }
 
