@@ -441,7 +441,7 @@ fn json_string(s: &str) -> String {
 /// a symbolic ref, loose ref file, or `packed-refs`. Returns
 /// `"unknown"` when anything is missing — running outside a checkout
 /// is not an error.
-pub fn current_git_rev() -> String {
+fn current_git_rev() -> String {
     let Ok(cwd) = std::env::current_dir() else {
         return "unknown".to_string();
     };

@@ -222,7 +222,7 @@ fn a_protocol_error_after_keying_is_a_violation() {
 /// `(virtual ms, fault)` pairs; every protocol keys each of them.
 fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 4] {
     [
-        // DESIGN.md §21: the heal of 9 installs first (view 2, `joined
+        // DESIGN.md §27: the heal of 9 installs first (view 2, `joined
         // [9]`); the crash's eviction of 6 supersedes that merge (view
         // 3, `left [6]`). Every engine reads view 3 against the state
         // it holds, so 9 is still new: `0..=5` re-key and merge it in.
@@ -233,7 +233,7 @@ fn reproducers() -> [(&'static str, Vec<(u64, Fault)>); 4] {
                 (8, Fault::Heal { members: vec![9] }),
             ],
         ),
-        // DESIGN.md §23: 7 joins (view 2), then its daemon crashes
+        // DESIGN.md §27: 7 joins (view 2), then its daemon crashes
         // before the merge assembles (view 3, `left [7]`). The tree
         // engines' tree never held 7, so view 3 refreshes the tree, and
         // its root is the key because its leaves are the view (§33).

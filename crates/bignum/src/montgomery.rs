@@ -73,8 +73,9 @@ pub struct Montgomery {
 /// threading one through repeated calls costs one allocation in all.
 /// Contexts of 4, 8 or 16 limbs run on stack arrays and never touch
 /// it — it stays in their signatures because callers (the benchmark's
-/// unit rows, `benches/crypto_primitives.rs`) thread one through every
-/// width alike.
+/// `mont_mul`/`mont_sqr` unit rows, and `prime.rs`'s Miller–Rabin
+/// rounds through [`Montgomery::modexp_with`]) thread one through
+/// every width alike.
 #[derive(Clone, Debug)]
 pub struct MontScratch {
     /// `2n + 1` limbs once sized: the squaring path needs a full
@@ -674,11 +675,7 @@ impl Montgomery {
     /// squarings. Falls back to the generic ladder for exponents wider
     /// than the table.
     pub fn modexp_fixed(&self, fb: &FixedBase, exp: &Ubig) -> Ubig {
-        self.modexp_fixed_with(fb, exp, &mut self.scratch())
-    }
-
-    /// [`Montgomery::modexp_fixed`] with a caller-provided workspace.
-    pub fn modexp_fixed_with(&self, fb: &FixedBase, exp: &Ubig, s: &mut MontScratch) -> Ubig {
+        let s = &mut self.scratch();
         with_kernels!(self, s, |k| self.modexp_fixed_in(fb, exp, k))
     }
 

@@ -284,7 +284,7 @@ impl Ubig {
     }
 
     /// Returns the low 64 bits of the value (zero-extended).
-    pub fn low_u64(&self) -> u64 {
+    fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
     }
 }

@@ -46,19 +46,19 @@ pub struct CryptoSuite {
     group: DhGroup,
     nominal_bits: usize,
     cost: CostModel,
-    sig_mode: SigMode,
+    signing: SigMode,
     rsa: Option<Rc<RsaPrivateKey>>,
 }
 
 impl CryptoSuite {
     /// Builds a suite.
-    pub fn new(group: DhGroup, nominal_bits: usize, cost: CostModel, sig_mode: SigMode) -> Self {
+    pub fn new(group: DhGroup, nominal_bits: usize, cost: CostModel, signing: SigMode) -> Self {
         // One shared signing key: every member signs with the same
         // key. Functionally exercises the sign/verify paths at
         // identical cost; per-member keys would only slow simulation
         // start-up. (RSA at 512 bits here; virtual time is charged at
         // the paper's 1024-bit rates.)
-        let rsa = match sig_mode {
+        let rsa = match signing {
             SigMode::Real => {
                 let mut rng = SplitMix64::new(0x5157_0000);
                 Some(Rc::new(RsaPrivateKey::generate(512, 3, &mut rng)))
@@ -69,7 +69,7 @@ impl CryptoSuite {
             group,
             nominal_bits,
             cost,
-            sig_mode,
+            signing,
             rsa,
         }
     }
@@ -145,15 +145,10 @@ impl CryptoSuite {
         &self.cost
     }
 
-    /// The signature mode in force.
-    pub fn sig_mode(&self) -> SigMode {
-        self.sig_mode
-    }
-
     /// Signs `data`, returning the signature bytes. (Virtual-time cost
     /// is charged by the caller.)
     pub fn sign(&self, data: &[u8]) -> Vec<u8> {
-        match self.sig_mode {
+        match self.signing {
             SigMode::Real => self.rsa.as_ref().expect("real key").sign(data),
             SigMode::Modeled => Sha256::digest(data),
         }
@@ -167,7 +162,7 @@ impl CryptoSuite {
             (public.modulus().clone(), public.exponent().clone())
         });
         Verifier {
-            mode: self.sig_mode,
+            mode: self.signing,
             rsa,
         }
     }
@@ -178,7 +173,7 @@ impl CryptoSuite {
     ///
     /// Returns [`CryptoError::BadSignature`] on mismatch.
     pub fn verify(&self, data: &[u8], sig: &[u8]) -> Result<(), CryptoError> {
-        match self.sig_mode {
+        match self.signing {
             SigMode::Real => self
                 .rsa
                 .as_ref()
@@ -243,7 +238,7 @@ mod tests {
     fn suite_presets() {
         assert_eq!(CryptoSuite::sim_512().nominal_bits(), 512);
         assert_eq!(CryptoSuite::sim_1024().nominal_bits(), 1024);
-        assert_eq!(CryptoSuite::sim_512().sig_mode(), SigMode::Modeled);
+        assert_eq!(CryptoSuite::sim_512().signing, SigMode::Modeled);
         assert!(CryptoSuite::sim_1024().cost().exp > CryptoSuite::sim_512().cost().exp);
     }
 }

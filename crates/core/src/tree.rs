@@ -198,7 +198,7 @@ impl KeyTree {
 
     /// The members at the leaves of the subtree rooted at `idx`, in
     /// left-to-right order.
-    pub fn members_under(&self, idx: NodeIdx) -> Vec<ClientId> {
+    fn members_under(&self, idx: NodeIdx) -> Vec<ClientId> {
         self.preorder_from(Some(idx))
             .filter_map(|i| self.nodes[i].member)
             .collect()

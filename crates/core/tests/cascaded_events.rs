@@ -94,7 +94,7 @@ fn three_rapid_fire_changes() {
         world.inject_leave(1);
         let deadline = world.now() + Duration::from_millis(4);
         world.run_while(|w| w.now() < deadline);
-        world.inject_merge(vec![7, 8]);
+        world.inject_change(vec![7, 8], vec![]);
         world.run_until_quiescent();
         assert_eq!(world.view().unwrap().members.len(), 8, "{kind}");
         assert_converged(&world);
@@ -111,11 +111,11 @@ fn partition_during_merge_rekey() {
                 .client_mut::<SecureMember>(c)
                 .preseed_component(&[8, 9], c, 0xfeed);
         }
-        world.inject_merge(vec![8, 9]);
+        world.inject_change(vec![8, 9], vec![]);
         let deadline = world.now() + Duration::from_millis(6);
         world.run_while(|w| w.now() < deadline);
         // …and a partition hits before its key agreement completes.
-        world.inject_partition(vec![0, 3, 6]);
+        world.inject_change(vec![], vec![0, 3, 6]);
         world.run_until_quiescent();
         assert_eq!(world.view().unwrap().members.len(), 7, "{kind}");
         assert_converged(&world);

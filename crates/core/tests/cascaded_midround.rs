@@ -96,23 +96,23 @@ fn outcome(lb: &Loopback) -> String {
     (if agreed { "agreed" } else { "diverged" }).to_string()
 }
 
-/// Case A: 9 joins and 6, the old group's last member, leaves. Case
-/// B: 7 joins and 7 itself leaves. Each cut `k` of the join, from
-/// none of its messages to all of them, one line per run of equal
-/// outcomes. Case A is DESIGN.md §21's open restart bug and case B
-/// §23's shape: in both the join is installed first and the leave
+/// Case A: 9 joins and 6, the old group's last member, leaves. Case B:
+/// 7 joins and 7 itself leaves. Each cut `k` of the join, from none of
+/// its messages to all of them, one line per run of equal outcomes.
+/// Cases A and B are the schedules of the first two restart reproducers
+/// (DESIGN.md §27): in both the join is installed first and the leave
 /// lands on it. GDH case B diverged silently at cuts 0–9 until a
 /// merge's fresh exponent was held apart from the partial-key list's
-/// (`Gdh::merge_exp`). GDH case A failed at cuts 0–8 until GDH read
-/// the leave against the membership its member last keyed; at cut 9
-/// only 5, the new controller, keyed the join, so it alone reads 6's
-/// leave against `0..=5` plus 9 (DESIGN.md §29). `TGDH A 0`, `STR A 0`
-/// and `STR B 0-1` turned `agreed` when the tree engines read the
-/// change against their tree and took its root as the key only when
-/// its leaves are the view (DESIGN.md §33). `TGDH B 0-1` turned
-/// `agreed` when a TGDH leave that affects no node of the tree had its
-/// rightmost member refresh, as STR's does (DESIGN.md §37). Two cells
-/// are still open: `GDH A 9` and `STR A 1`.
+/// (`Gdh::merge_exp`). GDH case A failed at cuts 0–8 until GDH read the
+/// leave against the membership its member last keyed; at cut 9 only 9,
+/// the new controller, keyed the join, so it alone reads 6's leave
+/// against `0..=6` plus 9 (DESIGN.md §29). `TGDH A 0`, `STR A 0` and
+/// `STR B 0-1` turned `agreed` when the tree engines read the change
+/// against their tree and took its root as the key only when its leaves
+/// are the view (DESIGN.md §33). `TGDH B 0-1` turned `agreed` when a
+/// TGDH leave that affects no node of the tree had its rightmost member
+/// refresh, as STR's does (DESIGN.md §37). Two cells are still open:
+/// `GDH A 9` and `STR A 1`.
 const CUT_TABLE: &str = "\
 GDH  A 0-8  agreed
 GDH  A 9    error(UnexpectedMessage(\"GDH partial keys\"))

@@ -193,7 +193,7 @@ fn interleaved_components_of_one_world_each_form_once() {
                 .preseed_component(&[8, 9], c, 0xfeed);
         }
         assert_eq!(formed.get(), 2, "{kind}: pre-seeding computes nothing");
-        world.inject_merge(vec![8, 9]);
+        world.inject_change(vec![8, 9], vec![]);
         world.run_until_quiescent();
         assert_eq!(formed.get(), 3, "{kind}: the merging component, once");
 

@@ -1,26 +1,21 @@
-//! Diffie–Hellman groups and key pairs.
+//! Diffie–Hellman groups.
 //!
 //! The paper evaluates every protocol with 512-bit and 1024-bit DH
-//! moduli. We provide:
+//! moduli, and its protocols use a group only to exponentiate
+//! ([`DhGroup::exp`], [`DhGroup::exp_g`]). We provide:
 //!
 //! * [`DhGroup::modp_512`] — a fixed 512-bit safe prime generated with
 //!   this workspace's own [`gkap_bignum::prime`] module (there is no
 //!   IETF-published 512-bit group).
-//! * [`DhGroup::modp_768`] / [`DhGroup::modp_1024`] — the Oakley Group 1
-//!   and Group 2 primes from RFC 2409.
-//! * [`DhGroup::modp_2048`] — RFC 3526 Group 14, as a modern extension.
+//! * [`DhGroup::modp_1024`] — the Oakley Group 2 prime from RFC 2409.
 //! * [`DhGroup::test_256`] — a small fixed group so correctness tests of
 //!   the protocol layer run fast.
 //!
 //! All fixed groups use safe primes `p = 2q + 1`; exponents are drawn
 //! from `[1, q)` and public values are validated to lie in `(1, p-1)`.
 
-use std::fmt;
-
 use gkap_bignum::{prime, FixedBase, Montgomery, RandomSource, Ubig};
-use serde::{Deserialize, Serialize};
 
-use crate::secret::Secret;
 use crate::CryptoError;
 
 /// A Diffie–Hellman group `(p, g)` with subgroup order `q`.
@@ -44,50 +39,6 @@ pub struct DhGroup {
     /// Whether `g ≠ 1` and `g^q = 1`, so `g` has prime order `q`.
     prime_order_g: bool,
 }
-
-/// A member's DH secret exponent together with its public value.
-///
-/// The exponent lives in [`Secret`], so it is zeroized when the pair
-/// is dropped and never appears in `Debug` output. Equality compares
-/// only the public halves (the secret is derivable from neither side).
-#[derive(Clone)]
-pub struct DhKeyPair {
-    secret: Secret<Ubig>,
-    public: DhPublic,
-}
-
-/// A public DH value (blinded key, in the paper's terminology).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct DhPublic(pub Ubig);
-
-impl DhKeyPair {
-    /// The secret exponent.
-    pub fn secret(&self) -> &Ubig {
-        self.secret.expose()
-    }
-
-    /// The public value `g^secret mod p`.
-    pub fn public(&self) -> &DhPublic {
-        &self.public
-    }
-}
-
-impl fmt::Debug for DhKeyPair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DhKeyPair")
-            .field("secret", &"<redacted>")
-            .field("public", &self.public)
-            .finish()
-    }
-}
-
-impl PartialEq for DhKeyPair {
-    fn eq(&self, other: &Self) -> bool {
-        self.public == other.public
-    }
-}
-
-impl Eq for DhKeyPair {}
 
 impl DhGroup {
     fn from_hex(name: &'static str, p_hex: &str, g: u64) -> Self {
@@ -145,17 +96,6 @@ impl DhGroup {
         )
     }
 
-    /// RFC 2409 Oakley Group 1 (768-bit MODP).
-    pub fn modp_768() -> Self {
-        Self::from_hex(
-            "modp-768",
-            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-             020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-             4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF",
-            2,
-        )
-    }
-
     /// RFC 2409 Oakley Group 2 (1024-bit MODP) — the paper's
     /// "DH 1024 bits" configuration.
     pub fn modp_1024() -> Self {
@@ -165,23 +105,6 @@ impl DhGroup {
              020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
              4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
              EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
-            2,
-        )
-    }
-
-    /// RFC 3526 Group 14 (2048-bit MODP), a modern extension beyond the
-    /// paper's parameter sizes.
-    pub fn modp_2048() -> Self {
-        Self::from_hex(
-            "modp-2048",
-            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-             020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-             4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-             EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
-             98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
-             9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
-             E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
-             3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
             2,
         )
     }
@@ -254,21 +177,6 @@ impl DhGroup {
         self.mont.modexp_fixed(&self.fixed_g, exp)
     }
 
-    /// Generates a key pair from a fresh random exponent.
-    pub fn generate_keypair<R: RandomSource + ?Sized>(&self, rng: &mut R) -> DhKeyPair {
-        let secret = self.random_exponent(rng);
-        let public = self.exp_g(&secret);
-        DhKeyPair {
-            public: DhPublic(public),
-            secret: Secret::new(secret),
-        }
-    }
-
-    /// Computes the shared secret `other^secret mod p`.
-    pub fn shared_secret(&self, own: &DhKeyPair, other: &DhPublic) -> Ubig {
-        self.exp(&other.0, own.secret.expose())
-    }
-
     /// Validates that a received group element lies in `(1, p-1)`.
     /// Allocates nothing: it runs on every element a peer sends.
     ///
@@ -295,7 +203,6 @@ mod tests {
         for group in [
             DhGroup::test_256(),
             DhGroup::modp_512(),
-            DhGroup::modp_768(),
             DhGroup::modp_1024(),
         ] {
             assert!(
@@ -338,21 +245,18 @@ mod tests {
     fn group_bit_sizes() {
         assert_eq!(DhGroup::test_256().bits(), 256);
         assert_eq!(DhGroup::modp_512().bits(), 512);
-        assert_eq!(DhGroup::modp_768().bits(), 768);
         assert_eq!(DhGroup::modp_1024().bits(), 1024);
-        assert_eq!(DhGroup::modp_2048().bits(), 2048);
     }
 
     #[test]
     fn two_party_exchange_agrees() {
         let group = DhGroup::test_256();
         let mut rng = SplitMix64::new(42);
-        let alice = group.generate_keypair(&mut rng);
-        let bob = group.generate_keypair(&mut rng);
+        let a = group.random_exponent(&mut rng);
+        let b = group.random_exponent(&mut rng);
+        let (alice, bob) = (group.exp_g(&a), group.exp_g(&b));
         assert_ne!(alice, bob);
-        let k1 = group.shared_secret(&alice, bob.public());
-        let k2 = group.shared_secret(&bob, alice.public());
-        assert_eq!(k1, k2);
+        assert_eq!(group.exp(&bob, &a), group.exp(&alice, &b));
     }
 
     #[test]
@@ -372,8 +276,8 @@ mod tests {
             );
         }
         let mut rng = SplitMix64::new(7);
-        let kp = group.generate_keypair(&mut rng);
-        assert!(group.validate_public(&kp.public().0).is_ok());
+        let public = group.exp_g(&group.random_exponent(&mut rng));
+        assert!(group.validate_public(&public).is_ok());
         assert!(group
             .validate_public(&(group.modulus() - &Ubig::from(2u64)))
             .is_ok());
@@ -387,7 +291,6 @@ mod tests {
         for group in [
             DhGroup::test_256(),
             DhGroup::modp_512(),
-            DhGroup::modp_768(),
             DhGroup::modp_1024(),
         ] {
             for _ in 0..5 {
@@ -424,11 +327,11 @@ mod tests {
     fn generated_group_round_trips() {
         let mut rng = SplitMix64::new(11);
         let group = DhGroup::generate(40, &mut rng);
-        let a = group.generate_keypair(&mut rng);
-        let b = group.generate_keypair(&mut rng);
+        let a = group.random_exponent(&mut rng);
+        let b = group.random_exponent(&mut rng);
         assert_eq!(
-            group.shared_secret(&a, b.public()),
-            group.shared_secret(&b, a.public())
+            group.exp(&group.exp_g(&b), &a),
+            group.exp(&group.exp_g(&a), &b)
         );
         assert!(group.exp_g(group.order()).is_one());
     }

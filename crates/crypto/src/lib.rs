@@ -7,9 +7,9 @@
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), keyed once per key.
 //! * [`aes`] — AES-128 (FIPS 197) with CTR mode for the data
 //!   confidentiality layer of the secure group session.
-//! * [`dh`] — Diffie–Hellman over published MODP groups (768/1024/2048
-//!   bits, RFC 2409/3526) plus fixed 512-bit and 256-bit safe-prime
-//!   groups, matching the paper's use of 512- and 1024-bit parameters.
+//! * [`dh`] — Diffie–Hellman groups: the 1024-bit MODP group of
+//!   RFC 2409 plus fixed 512-bit and 256-bit safe-prime groups,
+//!   matching the paper's use of 512- and 1024-bit parameters.
 //! * [`rsa`] — RSA PKCS#1 v1.5 signatures with CRT speedup. The paper
 //!   signs every protocol message with 1024-bit RSA and public exponent
 //!   **3** to make verification cheap; both `e = 3` and `e = 65537` are
@@ -36,11 +36,10 @@
 //!
 //! let group = DhGroup::test_256();
 //! let mut rng = SplitMix64::new(1);
-//! let alice = group.generate_keypair(&mut rng);
-//! let bob = group.generate_keypair(&mut rng);
-//! let k1 = group.shared_secret(&alice, bob.public());
-//! let k2 = group.shared_secret(&bob, alice.public());
-//! assert_eq!(k1, k2);
+//! let a = group.random_exponent(&mut rng);
+//! let b = group.random_exponent(&mut rng);
+//! let (alice, bob) = (group.exp_g(&a), group.exp_g(&b));
+//! assert_eq!(group.exp(&bob, &a), group.exp(&alice, &b));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -66,7 +66,7 @@ impl std::fmt::Debug for RsaPrivateKey {
 
 impl RsaPublicKey {
     /// Modulus size in bytes (= signature length).
-    pub fn modulus_len(&self) -> usize {
+    fn modulus_len(&self) -> usize {
         self.n.bit_len().div_ceil(8)
     }
 

@@ -128,11 +128,12 @@ fn dh_512_and_1024_full_exchange() {
     // The paper's two parameter sizes, exercised end to end.
     for group in [DhGroup::modp_512(), DhGroup::modp_1024()] {
         let mut rng = SplitMix64::new(5);
-        let a = group.generate_keypair(&mut rng);
-        let b = group.generate_keypair(&mut rng);
-        group.validate_public(&a.public().0).unwrap();
-        let k1 = group.shared_secret(&a, b.public());
-        let k2 = group.shared_secret(&b, a.public());
+        let a = group.random_exponent(&mut rng);
+        let b = group.random_exponent(&mut rng);
+        let (pub_a, pub_b) = (group.exp_g(&a), group.exp_g(&b));
+        group.validate_public(&pub_a).unwrap();
+        let k1 = group.exp(&pub_b, &a);
+        let k2 = group.exp(&pub_a, &b);
         assert_eq!(k1, k2, "{}", group.name());
         // Derived session keys agree as well.
         use gkap_crypto::kdf::SessionKeys;

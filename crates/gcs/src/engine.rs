@@ -441,25 +441,10 @@ impl SimWorld {
         self.inject_change(vec![], vec![client]);
     }
 
-    /// Convenience: a partition removes several members at once.
-    pub fn inject_partition(&mut self, leaving: Vec<ClientId>) {
-        self.inject_change(vec![], leaving);
-    }
-
-    /// Convenience: a merge adds several members at once.
-    pub fn inject_merge(&mut self, joining: Vec<ClientId>) {
-        self.inject_change(joining, vec![]);
-    }
-
-    /// The group-`0` membership as it will stand once every change so
-    /// far has installed (empty before any initial
-    /// view). Fault injectors consult this to aim joins/leaves at
-    /// clients whose membership status is already settled in-flight.
-    pub fn projected_members(&self) -> Vec<ClientId> {
-        self.projected_members_of(0)
-    }
-
-    /// Per-group variant of [`SimWorld::projected_members`].
+    /// The membership of `group` as it will stand once every change
+    /// so far has installed (empty before any initial view). Fault
+    /// injectors consult this to aim joins/leaves at clients whose
+    /// membership status is already settled in-flight.
     pub fn projected_members_of(&self, group: GroupId) -> Vec<ClientId> {
         self.membership.projected_members_of(group)
     }
@@ -530,25 +515,10 @@ impl SimWorld {
         }
     }
 
-    /// Whether a daemon is still alive (has not crashed).
-    pub fn daemon_alive(&self, daemon: DaemonId) -> bool {
-        self.ring.is_alive(daemon)
-    }
-
     /// Whether a client process is still alive (its machine has not
     /// crashed).
     pub fn client_alive(&self, client: ClientId) -> bool {
         self.clients.get(client).is_some_and(|c| c.alive)
-    }
-
-    /// Number of daemons that have not crashed.
-    pub fn alive_daemon_count(&self) -> usize {
-        self.ring.alive().count()
-    }
-
-    /// Current size of the token ring (shrinks on reformation).
-    pub fn ring_len(&self) -> usize {
-        self.ring.order().len()
     }
 
     // ------------------------------------------------------------------
@@ -1030,18 +1000,18 @@ impl SimWorld {
             }
             Fault::LossBurst { rate, duration } => self.set_loss_burst(rate, duration),
             Fault::Partition { members } => {
-                let current = self.projected_members();
+                let current = self.projected_members_of(0);
                 let leaving: Vec<ClientId> = distinct(members)
                     .into_iter()
                     .filter(|m| current.contains(m))
                     .collect();
                 if !leaving.is_empty() {
                     self.note_fault(Actor::World, fault::PARTITION, leaving.len());
-                    self.inject_partition(leaving);
+                    self.inject_change(vec![], leaving);
                 }
             }
             Fault::Heal { members } => {
-                let current = self.projected_members();
+                let current = self.projected_members_of(0);
                 let joining: Vec<ClientId> = distinct(members)
                     .into_iter()
                     .filter(|&m| {
@@ -1052,7 +1022,7 @@ impl SimWorld {
                     .collect();
                 if !joining.is_empty() {
                     self.note_fault(Actor::World, fault::HEAL, joining.len());
-                    self.inject_merge(joining);
+                    self.inject_change(joining, vec![]);
                 }
             }
         }
@@ -1685,8 +1655,9 @@ fn distinct(members: Vec<ClientId>) -> Vec<ClientId> {
 mod tests {
     //! Which copies share a queue entry is not observable from outside
     //! the engine — that is the point of a run — so the grouping rule
-    //! is checked here, on the queue itself. Everything a caller *can*
-    //! observe about runs is in `tests/engine_semantics.rs`.
+    //! is checked here, on the queue itself; so is the token ring's
+    //! own state after a crash. Everything a caller *can* observe
+    //! about runs is in `tests/engine_semantics.rs`.
 
     use super::*;
     use crate::message::Delivery;
@@ -1774,6 +1745,34 @@ mod tests {
         (world, runs)
     }
 
+    /// What crashes do to the ring itself; what the members see is in
+    /// `tests/faults.rs`.
+    #[test]
+    fn a_crashed_daemon_leaves_the_ring() {
+        let mut world = SimWorld::new(testbed::lan());
+        for _ in 0..6 {
+            world.add_client(Box::new(Sender));
+        }
+        world.install_initial_view();
+        world.run_until_quiescent();
+        assert_eq!(world.ring.order().len(), 13);
+        // Planned crashes of a daemon that hosts a member and of one
+        // that hosts none.
+        let at = Duration::from_millis;
+        world.apply_fault_plan(FaultPlan::new().crash(at(1), 4).crash(at(2), 9));
+        world.run_until_quiescent();
+        assert!(!world.ring.is_alive(4) && !world.ring.is_alive(9));
+        assert_eq!(world.ring.alive().count(), 11);
+        assert_eq!(world.ring.order(), [0, 1, 2, 3, 5, 6, 7, 8, 10, 11, 12]);
+        // With every daemon crashed the ring is empty.
+        for d in world.ring.order().to_vec() {
+            world.inject_crash(d);
+        }
+        world.run_until_quiescent();
+        assert_eq!(world.ring.alive().count(), 0);
+        assert!(world.ring.order().is_empty());
+    }
+
     #[test]
     fn a_skip_replays_what_its_hops_would_have_done() {
         // One client that computes for 3 ms before it multicasts
@@ -1805,7 +1804,7 @@ mod tests {
                 world.last_rotation_at,
                 world.queue.peek_time(),
                 world.queue.len(),
-                gkap_telemetry::jsonl::render_hub(&world.telemetry.hub_snapshot()),
+                world.telemetry.hub_snapshot(),
             )
         };
 

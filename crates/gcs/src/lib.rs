@@ -85,6 +85,10 @@ mod stats;
 pub mod testbed;
 mod topology;
 
+#[cfg(test)]
+#[path = "../tests/support/mutate.rs"]
+mod mutate;
+
 pub use client::Client;
 pub use config::{GcsConfig, WireGranularity};
 pub use engine::{ClientCtx, SimWorld};

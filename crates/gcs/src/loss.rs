@@ -66,7 +66,7 @@ pub struct GilbertElliott {
 /// The chain starts in the good state at virtual time zero and is
 /// advanced lazily by [`GeChain::rate_at`].
 #[derive(Clone, Debug)]
-pub struct GeChain {
+struct GeChain {
     plan: GilbertElliott,
     /// Whether the chain is currently in the bad (bursty) state.
     bad: bool,
@@ -79,7 +79,7 @@ pub struct GeChain {
 impl GeChain {
     /// Builds a chain from validated parameters; draws the first
     /// (good-state) dwell immediately.
-    pub fn new(plan: &GilbertElliott) -> Self {
+    fn new(plan: &GilbertElliott) -> Self {
         let mut rng = SplitMix64::new(plan.seed);
         let first = sample_dwell(&mut rng, plan.good_dwell);
         GeChain {
@@ -92,7 +92,7 @@ impl GeChain {
 
     /// Advances the chain to `now` and returns the per-copy loss
     /// probability in force at that instant.
-    pub fn rate_at(&mut self, now: SimTime) -> f64 {
+    fn rate_at(&mut self, now: SimTime) -> f64 {
         self.advance(now);
         if self.bad {
             self.plan.bad_loss

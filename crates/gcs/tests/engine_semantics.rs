@@ -212,12 +212,12 @@ fn view_changes_report_joins_and_leaves() {
     assert_eq!(world.view().unwrap().left, vec![1]);
 
     // Partition: 2 and 3 split away.
-    world.inject_partition(vec![2, 3]);
+    world.inject_change(vec![], vec![2, 3]);
     world.run_until_quiescent();
     assert_eq!(world.view().unwrap().members, vec![0, 4]);
 
     // Merge: 2, 3 and 5 come (back) in.
-    world.inject_merge(vec![2, 3, 5]);
+    world.inject_change(vec![2, 3, 5], vec![]);
     world.run_until_quiescent();
     assert_eq!(world.view().unwrap().members, vec![0, 4, 2, 3, 5]);
     assert_eq!(world.view().unwrap().joined, vec![2, 3, 5]);

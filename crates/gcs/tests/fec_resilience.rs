@@ -4,8 +4,11 @@
 //! two mechanisms, backoff thins request rounds, and residual gaps
 //! from an expired loss burst still recover.
 
-use gkap_gcs::{testbed, Client, ClientCtx, Delivery, FaultPlan, GcsConfig, SimWorld, View};
+use gkap_gcs::{fec, testbed, Client, ClientCtx, Delivery, FaultPlan, GcsConfig, SimWorld, View};
 use gkap_sim::Duration;
+
+#[path = "support/mutate.rs"]
+mod mutate;
 
 #[derive(Default)]
 struct Chatty {
@@ -209,4 +212,39 @@ fn burst_residual_gaps_recover_after_expiry() {
         "residual gaps must recover after the burst expired"
     );
     assert_all_delivered(&world, 8, 3);
+}
+
+/// Hostile shards: whatever the bytes, the indices (repeated or out of
+/// range) or `k`, `fec::decode` returns `k` shards or `None`, and
+/// never panics.
+#[test]
+fn hostile_shards_decode_or_are_refused() {
+    let data: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i + 1; 12 + usize::from(i)]).collect();
+    let parity = fec::encode(&data, 3).expect("4 + 3 shards");
+    let seeds: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
+    let bodies = mutate::mutants(&seeds, 6_000);
+    let mut decoded = 0;
+    for (n, window) in bodies.chunks(6).enumerate() {
+        let k = [0, 1, 3, 4, 5, 256, 257][n % 7];
+        // A shard's index is its length mod 9 (0..=8, one past the
+        // generation) or, for an empty one, past `MAX_SHARDS`.
+        let have: Vec<(usize, &[u8])> = window
+            .iter()
+            .map(|b| {
+                (
+                    if b.is_empty() {
+                        fec::MAX_SHARDS
+                    } else {
+                        b.len() % 9
+                    },
+                    b.as_slice(),
+                )
+            })
+            .collect();
+        if let Some(out) = fec::decode(k, &have) {
+            assert_eq!(out.len(), k, "chunk {n}");
+            decoded += 1;
+        }
+    }
+    assert!(decoded > 0, "some chunks still decode");
 }

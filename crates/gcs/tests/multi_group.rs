@@ -126,5 +126,4 @@ fn single_group_api_is_group_zero() {
     world.run_until_quiescent();
     assert_eq!(world.view().map(|v| v.id), world.view_of(0).map(|v| v.id));
     assert_eq!(world.view().expect("view").group, 0);
-    assert_eq!(world.projected_members(), world.projected_members_of(0));
 }

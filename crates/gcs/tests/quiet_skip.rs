@@ -8,7 +8,8 @@
 
 use gkap_gcs::{testbed, Client, ClientCtx, Delivery, GcsConfig, SimWorld, View};
 use gkap_sim::{Duration, SimTime};
-use gkap_telemetry::{jsonl, Event, EventKind, Telemetry};
+use gkap_telemetry::metrics::MetricsHub;
+use gkap_telemetry::{Event, EventKind, Telemetry};
 
 /// What a client saw.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,7 +58,7 @@ struct Outcome {
     end: SimTime,
     stats: String,
     logs: Vec<Vec<(SimTime, Seen)>>,
-    hub: String,
+    hub: MetricsHub,
     /// The event stream, every `IdleRotations` expanded.
     events: Vec<Event>,
     /// Events as recorded, and how many of them stand for skipped
@@ -135,7 +136,7 @@ fn drive(cfg: &GcsConfig, crash: bool, telemetry: bool, skip: bool) -> Outcome {
         logs: (0..CLIENTS)
             .map(|c| world.client::<Worker>(c).log.clone())
             .collect(),
-        hub: jsonl::render_hub(&world.telemetry().hub_snapshot()),
+        hub: world.telemetry().hub_snapshot(),
         recorded: recorded.len(),
         skips_while_computing: recorded
             .iter()
@@ -239,7 +240,7 @@ fn a_stretch_of_whole_rotations_ends_in_a_tie_the_token_loses() {
         world.install_initial_view();
         world.run_until_quiescent();
         let recorded = world.telemetry().take_events();
-        let hub = jsonl::render_hub(&world.telemetry().hub_snapshot());
+        let hub = world.telemetry().hub_snapshot();
         (world.now(), hub, expanded(recorded.clone()), recorded)
     };
     let (stepped, skipped) = (run(false), run(true));

@@ -149,7 +149,7 @@ impl Series {
     }
 
     /// Mean y at the given x, if present.
-    pub fn mean_at(&self, x: f64) -> Option<f64> {
+    fn mean_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|p| (p.x - x).abs() < 1e-9)

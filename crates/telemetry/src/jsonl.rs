@@ -12,8 +12,6 @@
 //! Common fields: `at_ms`/`dur_ms` (virtual milliseconds), `actor`
 //! (`world`, `client:N`, `daemon:N`, `machine:N`), `kind` (see the
 //! crate-level taxonomy table). Kind-specific fields follow.
-//!
-//! Metric lines are rendered from the typed hub by [`render_hub`].
 
 use crate::{Actor, Event, EventKind};
 use std::fmt::Write as _;
@@ -52,7 +50,7 @@ fn write_actor(out: &mut String, a: Actor) -> std::fmt::Result {
 /// Appends one event to `out` as a single-line JSON object (no
 /// trailing newline), allocating nothing beyond `out`'s own growth.
 /// [`event_to_json`] documents the schema.
-pub fn write_event(out: &mut String, ev: &Event) {
+fn write_event(out: &mut String, ev: &Event) {
     try_write_event(out, ev).expect("write to String");
 }
 
@@ -134,44 +132,6 @@ pub fn render_events(events: &[Event]) -> String {
     for ev in events {
         write_event(&mut out, ev);
         out.push('\n');
-    }
-    out
-}
-
-/// Renders the typed hub: one JSON object per counter, gauge and
-/// histogram summary, keyed by the canonical metric path.
-///
-/// ```json
-/// {"metric":"counter","name":"crypto/exp","value":816}
-/// {"metric":"gauge","name":"gcs/pending_peak","value":4}
-/// {"metric":"histogram","name":"harness/TGDH/rekey_ms","count":9,"min":1.2,"p50":3.1,"p95":6.0,"p99":6.0,"max":6.2}
-/// ```
-pub fn render_hub(hub: &crate::metrics::MetricsHub) -> String {
-    let mut out = String::new();
-    for (key, value) in hub.counters() {
-        out.push_str(&format!(
-            "{{\"metric\":\"counter\",\"name\":\"{}\",\"value\":{value}}}\n",
-            key.path()
-        ));
-    }
-    for (key, value) in hub.gauges() {
-        out.push_str(&format!(
-            "{{\"metric\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}\n",
-            key.path()
-        ));
-    }
-    for (key, hist) in hub.histograms() {
-        let s = hist.summary();
-        out.push_str(&format!(
-            "{{\"metric\":\"histogram\",\"name\":\"{}\",\"count\":{},\"min\":{:.6},\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6},\"max\":{:.6}}}\n",
-            key.path(),
-            s.count,
-            s.min,
-            s.p50,
-            s.p95,
-            s.p99,
-            s.max,
-        ));
     }
     out
 }

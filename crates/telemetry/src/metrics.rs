@@ -117,11 +117,11 @@ impl Key {
 
 /// Default histogram shape: 10 µs base, 1.6× growth, 64 buckets
 /// (reaches past 10⁹ ms) — the same shape the PR 1 registry uses.
-pub const DEFAULT_BASE: f64 = 0.01;
+const DEFAULT_BASE: f64 = 0.01;
 /// Default growth factor.
-pub const DEFAULT_GROWTH: f64 = 1.6;
+const DEFAULT_GROWTH: f64 = 1.6;
 /// Default bucket count.
-pub const DEFAULT_BUCKETS: usize = 64;
+const DEFAULT_BUCKETS: usize = 64;
 
 /// A log-linear histogram with exact min/max, built for deterministic
 /// cross-platform merging (see the module docs).
@@ -323,7 +323,7 @@ pub struct HistogramSummary {
 
 /// The typed metrics store: counters, gauges and histograms, each
 /// keyed by [`Key`] and iterated in key order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsHub {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, f64>,
